@@ -96,7 +96,6 @@ from .envelope import (
     export_polylines,
     hyperplane_family,
     singular_locus,
-    tangent_developable_mesh,
 )
 from .classify import (
     CLASS_BY_DUAL_TYPE,

@@ -144,7 +144,7 @@ def _cmd_envelope(args):
         "subcommand": "envelope",
         "config": cfg.resolved(),
         "mesh": {"path": cfg.outputs["mesh"], "vertices": int(len(mesh.vertices)),
-                 "marked_singular": int(sum(1 for m in mesh.marks if m))},
+                 "marked_singular": int(np.count_nonzero(mesh.singular))},
         "singular_locus": {"path": os.path.basename(locus_path),
                            "polylines": len(locus)},
         "residual_maxima": {"envelope": float(np.max(np.abs(mesh.residuals)))},

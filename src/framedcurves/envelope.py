@@ -24,20 +24,14 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    DegeneracyError,
-    DimensionMismatch,
-    DomainError,
-    FiniteTypeError,
-)
+from .errors import CapabilityError, DegeneracyError, DimensionMismatch, DomainError
 from .fileio import atomic_write_text, format_float
-from .frames import FrameField, osculating_frame, structure_matrix, structure_poly_matrix
-from .jets import DEFAULT_RANK_TOL, float_rank_profile
+from .frames import FrameField, structure_matrix, structure_poly_matrix
 from .ratpoly import Poly
-from .spaceform import SpaceForm, inner_product
+from .spaceform import SpaceForm, inner_product, space_form
 
 DEFAULT_S_WINDOW = 1.5
+_EXPORT_CHUNK = 4096  # mesh rows formatted per batch in export_obj
 
 
 # -- hyperplane families --------------------------------------------------------
@@ -142,14 +136,14 @@ def hyperplane_family(field: FrameField, curve=None) -> HyperplaneFamily:
 
 @dataclass
 class EnvelopeMesh:
-    """Strip mesh with per-vertex parameters, incidence residuals and marks."""
+    """Quad strip mesh stored as columns: one row per vertex, one per face."""
 
     vertices: np.ndarray  # (M, 3) projected coordinates
     ambient: np.ndarray  # (M, dim)
     params: np.ndarray  # (M, 2) rows (t, s)
-    faces: list  # 0-based quad index tuples
+    faces: np.ndarray  # (F, 4) 0-based quad vertex indices
     residuals: np.ndarray  # (M, 2) rows (F, F_t)
-    marks: list  # per-vertex: "regular" | "singular-locus"
+    singular: np.ndarray  # (M,) bool, |F_tt| <= tol
     meta: dict = dataclass_field(default_factory=dict)
 
 
@@ -163,7 +157,7 @@ class Polyline:
 
 
 def project_point(x, sf: SpaceForm):
-    """Affine-chart projection used for 3D export.
+    """Affine-chart projection used for 3D export, on (..., dim) arrays.
 
     Euclidean: drop the leading 1.  Spherical: gnomonic (central) projection
     x_i / x_0.  Hyperbolic: Beltrami-Klein x_i / x_0.  Both charts send
@@ -171,11 +165,42 @@ def project_point(x, sf: SpaceForm):
     """
     x = np.asarray(x, dtype=float)
     if sf.kind == "euclidean":
-        return x[1:].copy()
-    x0 = x[0]
-    if abs(x0) < 1e-9:
-        x0 = 1e-9 if x0 >= 0 else -1e-9
-    return x[1:] / x0
+        return x[..., 1:].copy()
+    x0 = x[..., :1]
+    x0 = np.where(np.abs(x0) < 1e-9, np.where(x0 >= 0, 1e-9, -1e-9), x0)
+    return x[..., 1:] / x0
+
+
+def _grid_quads(keep, ns):
+    """0-based quads joining consecutive kept rows of a (nodes, ns) vertex grid.
+
+    Kept rows are stored back to back, so a dropped row leaves a gap that no
+    quad spans.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    row = np.cumsum(keep) - 1
+    lower = row[np.flatnonzero(keep[:-1] & keep[1:])]
+    a = (lower[:, None] * ns + np.arange(ns - 1)[None, :]).ravel()
+    return np.stack([a, a + 1, a + ns + 1, a + ns], axis=1)
+
+
+def _assemble(sf, t, s_grid, keep, ambient, f, ft, ftt, tol, meta):
+    """The mesh of the strips at nodes t[keep].
+
+    ``ambient`` is (K, ns, dim) and f, ft, ftt are (K, ns), one row per kept node.
+    """
+    ns = len(s_grid)
+    t = t[keep]
+    ambient = ambient.reshape(-1, ambient.shape[-1])
+    return EnvelopeMesh(
+        vertices=project_point(ambient, sf),
+        ambient=ambient,
+        params=np.column_stack([np.repeat(t, ns), np.tile(s_grid, len(t))]),
+        faces=_grid_quads(keep, ns),
+        residuals=np.column_stack([f.ravel(), ft.ravel()]),
+        singular=(np.abs(ftt) <= tol).ravel(),
+        meta=meta,
+    )
 
 
 def _strip_euclidean(fam, i, s_grid, tol):
@@ -231,7 +256,6 @@ def envelope_mesh(
     s_grid=None,
     tol=1e-9,
     threads=1,
-    triangulate=False,
 ) -> EnvelopeMesh:
     """Mesh the envelope of a hyperplane family, one strip per parameter node.
 
@@ -273,46 +297,14 @@ def envelope_mesh(
                 b2 = strip[4]
             prev = b2
 
-    verts, amb_rows, params, residuals, marks = [], [], [], [], []
-    faces = []
-    degenerate_nodes = []
-    strip_of_node = {}
-    emitted = 0
-    for i, strip in enumerate(raw):
-        if strip is None:
-            degenerate_nodes.append(float(fam.t[i]))
-            continue
-        amb, f, ft, ftt, _ = strip
-        strip_of_node[i] = emitted
-        for k in range(len(s_grid)):
-            amb_rows.append(amb[k])
-            verts.append(project_point(amb[k], sf))
-            params.append((float(fam.t[i]), float(s_grid[k])))
-            residuals.append((float(f[k]), float(ft[k])))
-            marks.append("singular-locus" if abs(float(ftt[k])) <= tol else "regular")
-        emitted += 1
-
-    if emitted == 0:
+    keep = np.array([strip is not None for strip in raw], dtype=bool)
+    if not keep.any():
         raise DegeneracyError(0, "hyperplane family is degenerate at every node")
-
-    ns = len(s_grid)
-    for i in range(len(raw) - 1):
-        if i in strip_of_node and (i + 1) in strip_of_node:
-            a, b = strip_of_node[i] * ns, strip_of_node[i + 1] * ns
-            for k in range(ns - 1):
-                faces.append((a + k, a + k + 1, b + k + 1, b + k))
-    if triangulate:
-        faces = [tri for quad in faces for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3]))]
-
-    return EnvelopeMesh(
-        vertices=np.asarray(verts),
-        ambient=np.asarray(amb_rows),
-        params=np.asarray(params),
-        faces=faces,
-        residuals=np.asarray(residuals),
-        marks=marks,
-        meta={"degenerate_nodes": degenerate_nodes, "s_grid": s_grid.tolist()},
-    )
+    strips = [strip[:4] for strip in raw if strip is not None]
+    amb, f, ft, ftt = (np.stack(col) for col in zip(*strips))
+    t = np.asarray(fam.t, dtype=float)
+    meta = {"degenerate_nodes": t[~keep].tolist(), "s_grid": s_grid.tolist()}
+    return _assemble(sf, t, s_grid, keep, amb, f, ft, ftt, tol, meta)
 
 
 # -- normal forms and discriminants ------------------------------------------------
@@ -329,12 +321,6 @@ class NormalFormFamily:
         if len(a) != 3 or a[0] < 1 or not (a[0] < a[1] < a[2]):
             raise DimensionMismatch(f"normal forms take a strictly increasing triple, got {a}")
         object.__setattr__(self, "a", a)
-
-    def _term(self, degree, order):
-        d = degree - order
-        if d < 0:
-            return 0.0
-        return 1.0 / factorial(d)
 
     def f(self, t, x):
         a1, a2, a3 = self.a
@@ -353,7 +339,7 @@ class NormalFormFamily:
         for coeff, deg in ((1.0, a3), (x1, a3 - a1), (x2, a3 - a2)):
             d = deg - order
             if d >= 0:
-                total += coeff * t**d / factorial(d)
+                total = total + coeff * t**d / factorial(d)
         return total
 
     def f_t(self, t, x):
@@ -397,148 +383,17 @@ class NormalFormFamily:
         )
 
 
-def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9, triangulate=False) -> EnvelopeMesh:
+def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> EnvelopeMesh:
     """Mesh of {F = F_t = 0} with x1 = s as the strip parameter."""
     t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
-    x2p, x3p = nf.x2_poly(), nf.x3_poly()
-    verts, amb, params, residuals, marks = [], [], [], [], []
-    faces = []
-    ftt_poly = nf.f_tt_on_discriminant()
-    ns = len(s_grid)
-    for i, t in enumerate(t_grid):
-        for s in s_grid:
-            x = (float(s), x2p.evalf(float(t), float(s)), x3p.evalf(float(t), float(s)))
-            verts.append(x)
-            amb.append((1.0,) + x)
-            params.append((float(t), float(s)))
-            residuals.append((nf.f(float(t), x), nf.f_t(float(t), x)))
-            ftt = ftt_poly.evalf(float(t), float(s))
-            marks.append("singular-locus" if abs(ftt) <= tol else "regular")
-    for i in range(len(t_grid) - 1):
-        base0, base1 = i * ns, (i + 1) * ns
-        for k in range(ns - 1):
-            faces.append((base0 + k, base0 + k + 1, base1 + k + 1, base1 + k))
-    if triangulate:
-        faces = [tri for quad in faces for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3]))]
-    return EnvelopeMesh(
-        vertices=np.asarray(verts),
-        ambient=np.asarray(amb),
-        params=np.asarray(params),
-        faces=faces,
-        residuals=np.asarray(residuals),
-        marks=marks,
-        meta={"normal_form": nf.a},
-    )
-
-
-# -- tangent developables ------------------------------------------------------------
-
-
-def _first_jump_order(curve, t, rank_tol):
-    cap = curve.max_order(t)
-    budget = 6 if cap is None else min(cap, 6)
-    jet = curve.jet(t, budget)
-    ranks, _ = float_rank_profile(jet, rank_tol)
-    for r, rk in enumerate(ranks):
-        if rk == 2:
-            return r, jet
-    return None, jet
-
-
-def tangent_developable_mesh(
-    curve,
-    sf: SpaceForm,
-    t_grid,
-    s_grid=None,
-    tol=1e-9,
-    rank_tol=DEFAULT_RANK_TOL,
-    triangulate=False,
-) -> EnvelopeMesh:
-    """Union of tangent geodesics of a curve; collapses for geodesics.
-
-    The strip direction at t is the first derivative column independent of
-    gamma (order a_1), projected onto the model's tangent space and
-    normalized.  Meshes whose strips all span one line/geodesic are marked
-    degenerate at every vertex.
-    """
-    if sf.n != 2:
-        raise CapabilityError("developable meshing is wired for n = 2")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if s_grid is None:
-        s_grid = np.linspace(-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW, 51)
-    s_grid = np.asarray(s_grid, dtype=float)
-
-    verts, amb_rows, params, residuals = [], [], [], []
-    ns = len(s_grid)
-    for t in t_grid:
-        order, jet = _first_jump_order(curve, float(t), rank_tol)
-        if order is None:
-            raise FiniteTypeError(1, jet.shape[1] - 1)
-        gamma = jet[:, 0]
-        v = jet[:, order]
-        if sf.kind == "euclidean":
-            p0 = gamma[1:] / gamma[0]
-            direction = v[1:] - v[0] * p0  # affine tangent direction
-            nv = np.linalg.norm(direction)
-            if nv <= tol:
-                raise DegeneracyError(0, f"vanishing tangent direction at t={t}")
-            direction = direction / nv
-            pts = p0[None, :] + s_grid[:, None] * direction[None, :]
-            block = np.concatenate([np.ones((ns, 1)), pts], axis=1)
-        else:
-            j = sf.form.matrix
-            gg = inner_product(gamma, gamma, sf.form)
-            gamma0 = gamma / np.sqrt(abs(gg))
-            if sf.kind == "hyperbolic" and gamma0[0] < 0:
-                gamma0 = -gamma0
-            tangent = v - (inner_product(v, gamma0, sf.form) / inner_product(gamma0, gamma0, sf.form)) * gamma0
-            q = inner_product(tangent, tangent, sf.form)
-            if q <= tol:
-                raise DegeneracyError(0, f"vanishing tangent direction at t={t}")
-            tangent = tangent / np.sqrt(q)
-            if sf.kind == "spherical":
-                block = np.cos(s_grid)[:, None] * gamma0[None, :] + np.sin(s_grid)[:, None] * tangent[None, :]
-            else:
-                block = np.cosh(s_grid)[:, None] * gamma0[None, :] + np.sinh(s_grid)[:, None] * tangent[None, :]
-        try:
-            frame = osculating_frame(curve, float(t), sf, rank_tol)
-            ml = frame.matrix[:, -1]
-            if sf.kind == "euclidean":
-                r0 = -float(frame.matrix[1:, 0] @ ml[1:])
-                f_vals = block[:, 1:] @ ml[1:] + r0
-            else:
-                f_vals = block @ (sf.form.matrix @ ml)
-        except (FiniteTypeError, DegeneracyError, CapabilityError):
-            f_vals = np.zeros(ns)
-        for k in range(ns):
-            amb_rows.append(block[k])
-            verts.append(project_point(block[k], sf))
-            params.append((float(t), float(s_grid[k])))
-            residuals.append((float(f_vals[k]), 0.0))
-
-    # collapse detection: do all strips live on one line/geodesic?
-    stacked = np.asarray(amb_rows)
-    sv = np.linalg.svd(stacked - (stacked.mean(axis=0) if sf.kind == "euclidean" else 0.0), compute_uv=False)
-    collapse_rank = int(np.sum(sv > 1e-9 * max(sv[0], 1e-300)))
-    degenerate = collapse_rank <= (1 if sf.kind == "euclidean" else 2)
-
-    faces = []
-    for i in range(len(t_grid) - 1):
-        base0, base1 = i * ns, (i + 1) * ns
-        for k in range(ns - 1):
-            faces.append((base0 + k, base0 + k + 1, base1 + k + 1, base1 + k))
-    if triangulate:
-        faces = [tri for quad in faces for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3]))]
-    marks = ["degenerate" if degenerate else "regular"] * len(verts)
-    return EnvelopeMesh(
-        vertices=np.asarray(verts),
-        ambient=np.asarray(amb_rows),
-        params=np.asarray(params),
-        faces=faces,
-        residuals=np.asarray(residuals),
-        marks=marks,
-        meta={"degenerate": degenerate},
+    t, s = t_grid[:, None], s_grid[None, :]
+    x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
+    ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
+    keep = np.ones(len(t_grid), dtype=bool)
+    return _assemble(
+        space_form("euclidean"), t_grid, s_grid, keep, ambient, nf.f(t, x), nf.f_t(t, x),
+        nf.f_tt_on_discriminant().evalf(t, s), tol, {"normal_form": nf.a},
     )
 
 
@@ -617,10 +472,9 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S
         return _chain_records(records, chain_gap)
 
     if isinstance(obj, EnvelopeMesh):
-        picked = [k for k, m in enumerate(obj.marks) if m == "singular-locus"]
         records = [
             ((float(obj.params[k, 0]), float(obj.params[k, 1])), tuple(obj.vertices[k]), tuple(obj.ambient[k]))
-            for k in picked
+            for k in np.flatnonzero(obj.singular)
         ]
         return _chain_records(records, chain_gap)
     raise DomainError("singular_locus expects a NormalFormFamily, HyperplaneFamily, or EnvelopeMesh")
@@ -658,27 +512,26 @@ def _chain_records(records, chain_gap):
 
 
 def export_obj(mesh: EnvelopeMesh, path, triangulate=False):
-    """ASCII mesh export: per-vertex comments, then v lines, then faces."""
-    lines = []
-    for k in range(len(mesh.vertices)):
-        t, s = mesh.params[k]
-        lines.append(f"# param {format_float(t)} {format_float(s)}")
-        lines.append("# ambient " + " ".join(format_float(x) for x in mesh.ambient[k]))
-        if mesh.marks[k] != "regular":
-            lines.append(f"# mark {mesh.marks[k]}")
-        lines.append("v " + " ".join(format_float(x) for x in mesh.vertices[k]))
-    faces = mesh.faces
+    """ASCII mesh export: per-vertex comments and v lines, then 1-based faces.
+
+    Floats are written with ``repr`` (shortest round-trip form).  Rows are
+    formatted in chunks so the temporary Python objects stay bounded.
+    """
+    head = "# param {!r} {!r}\n# ambient " + " ".join(["{!r}"] * mesh.ambient.shape[1]) + "\n"
+    tail = "v " + " ".join(["{!r}"] * mesh.vertices.shape[1]) + "\n"
+    plain, marked = (head + tail).format, (head + "# mark singular-locus\n" + tail).format
+    rows = np.concatenate([mesh.params, mesh.ambient, mesh.vertices], axis=1)
+    faces = mesh.faces + 1
     if triangulate:
-        faces = []
-        for face in mesh.faces:
-            if len(face) == 4:
-                faces.append((face[0], face[1], face[2]))
-                faces.append((face[0], face[2], face[3]))
-            else:
-                faces.append(face)
-    for face in faces:
-        lines.append("f " + " ".join(str(i + 1) for i in face))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        faces = faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    face = ("f" + " {}" * faces.shape[1] + "\n").format
+    blocks = []
+    for lo in range(0, len(rows), _EXPORT_CHUNK):
+        chunk = zip(rows[lo:lo + _EXPORT_CHUNK].tolist(), mesh.singular[lo:lo + _EXPORT_CHUNK].tolist())
+        blocks.append("".join((marked if m else plain)(*row) for row, m in chunk))
+    for lo in range(0, len(faces), _EXPORT_CHUNK):
+        blocks.append("".join(face(*row) for row in faces[lo:lo + _EXPORT_CHUNK].tolist()))
+    atomic_write_text(path, "".join(blocks) or "\n")
 
 
 def export_polylines(polylines, path):

@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 
 def as_fraction(x):
     """Coerce ints, Fractions and decimal strings to Fraction, reject floats."""
@@ -153,7 +155,15 @@ class Poly:
         return total
 
     def evalf(self, t, u=0.0):
-        """Float evaluation (t, u may be floats)."""
+        """Float evaluation; t and u may be floats or broadcastable arrays.
+
+        Array powers are taken element by element with Python's float pow
+        (numpy's vectorized pow can differ in the last bit), so an array
+        result equals the scalar evaluation at every point bit for bit.
+        """
+        if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
+            terms = (float(v) * _float_pow(t, i) * _float_pow(u, j) for (i, j), v in self.c.items())
+            return sum(terms, 0.0)
         total = 0.0
         for (i, j), v in self.c.items():
             total += float(v) * t**i * u**j
@@ -222,6 +232,13 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def _float_pow(x, k):
+    """x**k, taken one element at a time through Python's float pow for arrays."""
+    if not isinstance(x, np.ndarray):
+        return x**k
+    return np.array([v**k for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
 def _as_poly(x):
     if isinstance(x, Poly):
         return x
@@ -259,8 +276,6 @@ def real_roots_in_window(coeffs, lo, hi, tol=1e-12):
     ``coeffs`` is low-degree-first.  Roots from the companion matrix are
     filtered by imaginary part and window, then deduplicated.
     """
-    import numpy as np
-
     arr = np.asarray([float(a) for a in coeffs], dtype=float)
     nz = np.nonzero(np.abs(arr) > 0.0)[0]
     if len(nz) == 0:

@@ -1,5 +1,7 @@
 """Envelope meshes, discriminant normal forms, singular loci, and exports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -52,6 +54,28 @@ def test_envelope_incidence_residuals_vanish():
     fam = hyperplane_family(field, curve)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.5, 0.5, 5))
     assert float(np.max(np.abs(mesh.residuals))) < 1e-10
+
+
+def test_degenerate_node_leaves_a_gap():
+    # a vanishing normal derivative at one node makes its two incidence
+    # conditions dependent: the strip is dropped and no quad bridges it
+    curve, field = radial_circle_field(np.linspace(0.0, np.pi, 12))
+    fam = hyperplane_family(field, curve)
+    gap = 5
+    normal1 = fam.normal1.copy()
+    normal1[gap] = 0.0
+    holed = dataclasses.replace(fam, normal1=normal1)
+    s_grid = np.linspace(-0.5, 0.5, 4)
+    ns = len(s_grid)
+    full = envelope_mesh(fam, s_grid=s_grid)
+    mesh = envelope_mesh(holed, s_grid=s_grid)
+    assert len(full.vertices) - len(mesh.vertices) == ns
+    assert mesh.meta["degenerate_nodes"] == [float(fam.t[gap])]
+    assert full.meta["degenerate_nodes"] == []
+    node = np.searchsorted(fam.t, mesh.params[mesh.faces, 0])
+    assert (node.max(axis=1) - node.min(axis=1) == 1).all()
+    assert not (node == gap).any()
+    assert len(mesh.faces) == len(full.faces) - 2 * (ns - 1)
 
 
 def test_helix_singular_locus_is_the_curve_itself():
