@@ -66,7 +66,6 @@ from .frames import (
     integrate_structure_equation,
     legendre_residuals,
     osculating_frame,
-    osculating_frame_field,
     reorthonormalize,
     structure_matrix,
     structure_poly_matrix,
@@ -81,7 +80,6 @@ from .flags import (
     dual_curve_from_clift,
     flag_from_curve,
     flag_from_frame,
-    flag_segments,
     projection_curve,
     type_from_diagonal_orders,
 )
@@ -121,7 +119,7 @@ from .classify import (
     scan_family,
     unresolved,
 )
-from .ratpoly import Poly, poly_det, polish_root, real_roots_in_window
+from .ratpoly import Poly, poly_det
 from .config import DEFAULTS, RunConfig
 from .examples import (
     builtin_adapted_examples,

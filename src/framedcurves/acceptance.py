@@ -22,7 +22,6 @@ from .envelope import NormalFormFamily, discriminant_mesh, envelope_mesh, hyperp
 from .examples import (
     builtin_adapted_examples,
     builtin_clift_examples,
-    cylinder_point,
     helix_developable_point,
     helix_frenet_field,
     radial_circle_field,
@@ -356,9 +355,3 @@ def run_all(out=print):
         out(res.line())
         all_ok = all_ok and res.ok
     return all_ok
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(0 if run_all() else 1)

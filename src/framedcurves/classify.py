@@ -38,7 +38,7 @@ from .jets import (
     float_rank_profile,
     schubert_number,
 )
-from .ratpoly import Poly, as_fraction, poly_det
+from .ratpoly import Poly, as_fraction, newton, poly_det, real_roots_squarefree, squarefree, trim
 
 __all__ = [
     "SingularityClass",
@@ -306,99 +306,6 @@ def _event_from_type(lam, t, a, confidence):
     )
 
 
-# -- exact square-free part -------------------------------------------------------
-
-
-def _trim(coeffs):
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of Fraction coefficient lists (low degree first)."""
-    a, b = _trim(a), _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        if len(r) < len(b) + k:
-            continue
-        c = r[len(b) + k - 1] / lead
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                r[k + i] -= c * bi
-        del r[len(b) + k - 1]
-    return q, _trim(r)
-
-
-def _poly_gcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, rem = _poly_divmod(a, b)
-        a, b = b, rem
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _squarefree(coeffs):
-    """Square-free part of a Fraction coefficient list (monic, low degree first)."""
-    p = _trim(coeffs)
-    if len(p) <= 1:
-        return p
-    dp = [k * c for k, c in enumerate(p)][1:]
-    g = _poly_gcd(p, dp)
-    if len(g) <= 1:
-        lead = p[-1]
-        return [c / lead for c in p]
-    q, rem = _poly_divmod(p, g)
-    if rem:
-        raise ArithmeticError("square-free division left a remainder")
-    q = _trim(q)
-    lead = q[-1]
-    return [c / lead for c in q]
-
-
-def _real_roots_squarefree(sq, lo, hi):
-    """Polished real roots in [lo, hi] of a square-free Fraction coeff list."""
-    if len(sq) <= 1:
-        return []
-    arr = np.array([float(c) for c in sq])
-    scale = np.max(np.abs(arr))
-    roots = np.roots(arr[::-1] / scale)
-    poly = Poly.from_t_coeffs(sq)
-    dpoly = poly.diff_t()
-    span = abs(hi - lo)
-    out = []
-    for z in roots:
-        if abs(z.imag) > 1e-7 * max(1.0, abs(z.real)) + 1e-10:
-            continue
-        x = float(z.real)
-        for _ in range(60):
-            fp = dpoly.evalf(x)
-            if fp == 0.0:
-                break
-            step = poly.evalf(x) / fp
-            x -= step
-            if abs(step) < 1e-16 * max(1.0, abs(x)):
-                break
-        if lo - 1e-9 * span <= x <= hi + 1e-9 * span:
-            out.append(min(max(x, lo), hi))
-    out.sort()
-    merged = []
-    for x in out:
-        if merged and abs(x - merged[-1]) < 1e-12 * max(1.0, abs(x)):
-            continue
-        merged.append(x)
-    return merged
-
-
 # -- the scan core ---------------------------------------------------------------
 
 
@@ -417,11 +324,17 @@ def _rational_candidates(x):
 
 
 class _AdaptedTypeOracle:
-    """Type detection for a curvature family, exact when the point is rational."""
+    """Type detection for a curvature family, exact when the point is rational.
+
+    ``classify`` and ``classify_event`` are the exact-snap skeleton every
+    oracle shares; a subclass sets ``detector``/``detector_t`` and supplies
+    its own ``exact_type`` and ``float_type``.
+    """
 
     def __init__(self, family: CurvatureFamily, rank_tol, r_max=8):
         self.jets = family.dual_jet_polys(r_max)
         self.detector = family.detector()
+        self.detector_t = self.detector.diff_t()
         self.rank_tol = rank_tol
         self.r_max = r_max
 
@@ -460,10 +373,9 @@ class _AdaptedTypeOracle:
 
     def classify_event(self, t, lam):
         """(type, confidence, t, lam) with exact snapping of a double point."""
-        d_t = self.detector.diff_t()
         for lamq in _rational_candidates(lam):
             for tq in _rational_candidates(t):
-                if self.detector.eval(tq, lamq) == 0 and d_t.eval(tq, lamq) == 0:
+                if self.detector.eval(tq, lamq) == 0 and self.detector_t.eval(tq, lamq) == 0:
                     try:
                         a = self.exact_type(tq, lamq)
                     except (FiniteTypeError, DegeneracyError):
@@ -476,7 +388,7 @@ class _AdaptedTypeOracle:
         return a, confidence, float(t), float(lam)
 
 
-class _OsculatingTypeOracle:
+class _OsculatingTypeOracle(_AdaptedTypeOracle):
     """Type detection from diagonal-entry derivatives of an osculating family."""
 
     _MAX_ORDER = 9
@@ -484,6 +396,7 @@ class _OsculatingTypeOracle:
     def __init__(self, family: DiagonalFamily, rank_tol):
         self.derivs = family.derivative_polys()
         self.detector = family.detector()
+        self.detector_t = self.detector.diff_t()
         self.rank_tol = rank_tol
 
     def _order_exact(self, p, tq, lamq):
@@ -519,44 +432,14 @@ class _OsculatingTypeOracle:
         a = type_from_diagonal_orders(orders)
         return a, ("high" if min_gap >= RANK_GAP_MIN else "low")
 
-    def classify(self, t, lam_q):
-        line = self.detector.subs_u(lam_q)
-        for tq in _rational_candidates(t):
-            if line.eval(tq) == 0:
-                try:
-                    return self.exact_type(tq, lam_q), "exact"
-                except (FiniteTypeError, DegeneracyError):
-                    return None, "exact"
-        try:
-            return self.float_type(float(t), float(lam_q))
-        except (FiniteTypeError, DegeneracyError):
-            return None, "low"
-
-    def classify_event(self, t, lam):
-        d_t = self.detector.diff_t()
-        for lamq in _rational_candidates(lam):
-            for tq in _rational_candidates(t):
-                if self.detector.eval(tq, lamq) == 0 and d_t.eval(tq, lamq) == 0:
-                    try:
-                        a = self.exact_type(tq, lamq)
-                    except (FiniteTypeError, DegeneracyError):
-                        return None, "exact", float(tq), float(lamq)
-                    return a, "exact", float(tq), float(lamq)
-        try:
-            a, confidence = self.float_type(float(t), float(lam))
-        except (FiniteTypeError, DegeneracyError):
-            return None, "low", float(t), float(lam)
-        return a, confidence, float(t), float(lam)
-
 
 def _line_roots(detector: Poly, lam_q, window):
     """(roots, degenerate) of the square-free detector on one lambda line."""
     line = detector.subs_u(lam_q)
-    coeffs = _trim(line.t_coeffs())
+    coeffs = trim(line.t_coeffs())
     if not coeffs:
         return None, True
-    sq = _squarefree(coeffs)
-    return _real_roots_squarefree(sq, window[0], window[1]), False
+    return real_roots_squarefree(squarefree(coeffs), window[0], window[1]), False
 
 
 def _match_roots(prev, cur, gap):
@@ -617,15 +500,7 @@ def _refine_event(detector, lam_lo, lam_hi, window, depth=48):
     # the collision point is a root of the t-derivative of the detector; a few
     # Newton steps there sharpen t well below the bisection's sqrt-width blur
     d_t = detector.diff_t().subs_u(Fraction(lam_star).limit_denominator(10**12))
-    x = t_star
-    for _ in range(80):
-        fp = d_t.diff_t().evalf(x)
-        if fp == 0.0:
-            break
-        step = d_t.evalf(x) / fp
-        x -= step
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
-            break
+    x = newton(d_t, t_star, 80, 1e-15)
     if abs(x - t_star) < 0.05 * span:
         t_star = x
     return t_star, lam_star
@@ -806,12 +681,3 @@ def export_events_csv(events, path):
             ev.confidence,
         ]))
     atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-if __name__ == "__main__":
-    fam = CurvatureFamily.frenet(1, Poly.t() * Poly.t() - Poly.u())
-    res = scan_family(fam, np.linspace(-1, 1, 400), np.linspace(-0.2, 0.2, 81))
-    print("events:")
-    for ev in res.events:
-        print(" ", ev)
-    print("strata:", [(s.type, len(s.params)) for s in res.strata])

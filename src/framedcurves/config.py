@@ -10,14 +10,15 @@ they would smuggle in binary rounding.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .classify import CurvatureFamily
-from .curves import circle_curve, great_circle_curve, helix_curve, PolynomialCurve
-from .errors import ConfigError
+from .curves import STOCK_CURVES, PolynomialCurve
+from .errors import ConfigError, DomainError
 from .examples import BUILTIN_FIELDS, builtin_field
 from .frames import CurvatureData, Frame, integrate_structure_equation
 from .ratpoly import Poly
@@ -41,11 +42,8 @@ DEFAULTS = {
 }
 
 _GEOMETRIES = ("euclidean", "spherical", "hyperbolic")
-_BUILTIN_CURVES = {
-    "circle": circle_curve,
-    "helix": helix_curve,
-    "great-circle": great_circle_curve,
-}
+#: largest node count on any one grid axis
+MAX_GRID_COUNT = 100_000
 
 
 def _check_keys(mapping, allowed, where):
@@ -100,9 +98,14 @@ def _parse_grid(value, where):
     if (not isinstance(value, list) or len(value) != 3
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
         raise ConfigError(f"{where} must be [lo, hi, count]")
-    lo, hi, count = float(value[0]), float(value[1]), value[2]
-    if int(count) != count or int(count) < 2:
-        raise ConfigError(f"{where}: count must be an integer >= 2")
+    try:
+        lo, hi, count = (float(x) for x in value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: entry too large for a float") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ConfigError(f"{where}: lo, hi and hi - lo must be finite")
+    if not count.is_integer() or not 2 <= count <= MAX_GRID_COUNT:
+        raise ConfigError(f"{where}: count must be an integer in [2, {MAX_GRID_COUNT}]")
     if not lo < hi:
         raise ConfigError(f"{where}: need lo < hi")
     return [lo, hi, int(count)]
@@ -113,8 +116,8 @@ def _parse_curve(spec):
     kind = spec.get("kind")
     if kind == "builtin":
         name = spec.get("name")
-        if name not in _BUILTIN_CURVES and name not in BUILTIN_FIELDS:
-            known = sorted(_BUILTIN_CURVES) + sorted(BUILTIN_FIELDS)
+        if name not in STOCK_CURVES and name not in BUILTIN_FIELDS:
+            known = sorted(STOCK_CURVES) + sorted(BUILTIN_FIELDS)
             raise ConfigError(f"curve: unknown builtin {name!r}; choose from {known}")
         return {"kind": "builtin", "name": name}
     if kind == "polynomial":
@@ -181,8 +184,8 @@ class RunConfig:
         tolerances = {}
         for key, default in DEFAULTS["tolerances"].items():
             value = tol_in.get(key, default)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-                raise ConfigError(f"tolerances.{key} must be a positive number")
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < 1:
+                raise ConfigError(f"tolerances.{key} must be a number in (0, 1)")
             tolerances[key] = float(value)
 
         out_in = data.get("outputs", {})
@@ -288,8 +291,8 @@ class RunConfig:
                                     for comp in self.curve["coefficients"]])
         if kind == "builtin":
             name = self.curve["name"]
-            if name in _BUILTIN_CURVES:
-                return _BUILTIN_CURVES[name]()
+            if name in STOCK_CURVES:
+                return STOCK_CURVES[name]()
             return builtin_field(name)[0]
         raise ConfigError("curvature-data configs define a frame field, not a bare curve")
 
@@ -306,6 +309,8 @@ class RunConfig:
         if kind == "curvature":
             polys = self._kappa_polys()
             if lam is not None:
+                if not math.isfinite(lam):
+                    raise DomainError(f"the family parameter must be finite, got lambda={lam!r}")
                 polys = tuple(p.subs_u(Fraction(float(lam))) for p in polys)
             elif any(p.deg_u() > 0 for p in polys):
                 polys = tuple(p.subs_u(0) for p in polys)

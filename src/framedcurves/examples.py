@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import PolynomialCurve, circle_curve, helix_curve, monomial_curve
+from .curves import circle_curve, helix_curve, monomial_curve
 from .errors import ConfigError
 from .flags import FlagCurve, c_lift_monomial, flag_from_curve
-from .frames import FrameField, frame_field_from_function
+from .frames import frame_field_from_function
 from .ratpoly import Poly
 from .spaceform import space_form
 

@@ -102,24 +102,6 @@ class DiagonalData:
 # -- chart extraction -----------------------------------------------------------
 
 
-def _unit_lower_factor(matrix, t):
-    """L of the pivot-free factorization M = L U (L unit lower triangular)."""
-    m = np.asarray(matrix, dtype=float)
-    dim = m.shape[0]
-    u = m.copy()
-    lower = np.eye(dim)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    for k in range(dim):
-        piv = u[k, k]
-        if abs(piv) <= _PIVOT_TOL * scale:
-            raise ChartError(t)
-        for i in range(k + 1, dim):
-            f = u[i, k] / piv
-            lower[i, k] = f
-            u[i, :] -= f * u[k, :]
-    return lower
-
-
 def flag_from_frame(field, base=None) -> FlagCurve:
     """Flag coordinates of a frame field relative to a base frame.
 
@@ -134,9 +116,9 @@ def flag_from_frame(field, base=None) -> FlagCurve:
     coords = {(i, j): np.empty(len(field.s)) for j in range(dim - 1) for i in range(j + 1, dim)}
     for idx, t in enumerate(field.s):
         m = np.linalg.solve(base_matrix, field.matrices[idx])
-        lower = _unit_lower_factor(m, float(t))
+        lower, _ = _lu_pair(m.tolist(), float(t), exact=False)
         for (i, j), arr in coords.items():
-            arr[idx] = lower[i, j]
+            arr[idx] = lower[i][j]
     return FlagCurve(dim=dim, s=np.asarray(field.s, dtype=float), coords=coords, base=base_matrix)
 
 
@@ -272,32 +254,6 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
             derivs[(i, j)][idx] = float(ld[i][j])
     base_arr = np.array([[float(x) for x in row] for row in base])
     return FlagCurve(dim=dim, s=nodes, coords=coords, derivs=derivs, base=base_arr)
-
-
-def flag_segments(field):
-    """flag_from_frame with re-centering: each chart exit starts a new segment."""
-    segments = []
-    start = 0
-    n = len(field.s)
-    while start < n:
-        base = field.matrices[start]
-        stop = start + 1
-        while stop < n:
-            m = np.linalg.solve(base, field.matrices[stop])
-            try:
-                _unit_lower_factor(m, float(field.s[stop]))
-            except ChartError:
-                break
-            stop += 1
-        segments.append(flag_from_frame(_FieldSlice(field, start, stop)))
-        start = stop
-    return segments
-
-
-class _FieldSlice:
-    def __init__(self, field, start, stop=None):
-        self.s = field.s[start:stop]
-        self.matrices = field.matrices[start:stop]
 
 
 # -- derivatives on sampled coordinates ------------------------------------------

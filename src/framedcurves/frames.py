@@ -143,7 +143,13 @@ class CurvatureData:
 
     @classmethod
     def constant(cls, delta, values):
-        return cls.from_polys(delta, [[as_fraction(v)] for v in values])
+        try:
+            polys = [[as_fraction(v)] for v in values]
+        except TypeError as exc:
+            raise DomainError(
+                f"constant curvatures must be exact; write 0.1 as the string \"0.1\" ({exc})"
+            ) from exc
+        return cls.from_polys(delta, polys)
 
     def values(self, s):
         return tuple(f(s) for f in self.kappa)
@@ -404,13 +410,6 @@ def osculating_frame(curve, t, sf: SpaceForm, rank_tol=DEFAULT_RANK_TOL) -> Fram
     frame_cols = gram_schmidt_signed(cols, sf.form)
     frame_cols = _signed_det_fix(frame_cols)
     return Frame(np.stack(frame_cols, axis=1), sf)
-
-
-def osculating_frame_field(curve, sf: SpaceForm, nodes, rank_tol=DEFAULT_RANK_TOL) -> FrameField:
-    """Pointwise osculating frames at each node."""
-    nodes = np.asarray(nodes, dtype=float)
-    mats = np.stack([osculating_frame(curve, t, sf, rank_tol).matrix for t in nodes])
-    return FrameField(sf, nodes, mats)
 
 
 # -- frame dual -----------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionMismatch, FiniteTypeError
+from .errors import DegeneracyError, DimensionMismatch, DomainError, FiniteTypeError
 
 DEFAULT_RANK_TOL = 1e-8
 RANK_GAP_MIN = 1e3
@@ -29,19 +29,6 @@ def validate_type_vector(a):
     if a[0] < 1 or any(x >= y for x, y in zip(a, a[1:])):
         raise DimensionMismatch(f"type vector must be strictly increasing naturals, got {a}")
     return a
-
-
-# -- jets ---------------------------------------------------------------------
-
-
-def jet_matrix(curve, t, r):
-    """Columns gamma(t), gamma'(t), ..., gamma^(r)(t) as a float array."""
-    return curve.jet(t, r)
-
-
-def jet_matrix_exact(curve, t, r):
-    """Exact jet columns (list of Fraction columns) for exact providers."""
-    return curve.jet_exact(t, r)
 
 
 # -- rank profiles ------------------------------------------------------------
@@ -136,6 +123,8 @@ def _ranks_to_type(ranks, dim, r_max):
 
 def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="auto"):
     """Detect the type vector at t along with the evidence used."""
+    if isinstance(t, (float, np.floating)) and not np.isfinite(t):
+        raise DomainError(f"type detection needs a finite parameter, got t={t!r}")
     dim = curve.dim
     if r_max is None:
         r_max = dim + 4  # n + 6

@@ -7,12 +7,15 @@ that feeds a type vector can therefore be made exactly.
 
 Floats are deliberately rejected as coefficients.  Decimal strings such as
 ``"0.1"`` are accepted and parsed exactly.
+
+The module also holds the univariate root toolkit the family scans use:
+division, gcd and square-free parts of Fraction coefficient lists, a Newton
+polish, and the polished real roots of a square-free polynomial in a window.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -245,10 +248,6 @@ def _as_poly(x):
     return Poly.const(as_fraction(x))
 
 
-ZERO = Poly()
-ONE = Poly.const(1)
-
-
 def poly_det(matrix):
     """Determinant of a small square matrix of Poly entries (cofactor expansion)."""
     m = len(matrix)
@@ -265,63 +264,109 @@ def poly_det(matrix):
     return total
 
 
-def monomial_over_factorial(degree):
-    """t^degree / degree! as an exact polynomial."""
-    return Poly.monomial_t(degree, Fraction(1, factorial(degree)))
+# -- univariate root toolkit (Fraction coefficient lists, low degree first) --
 
 
-def real_roots_in_window(coeffs, lo, hi, tol=1e-12):
-    """Real roots of a univariate float-coefficient polynomial inside [lo, hi].
+def trim(coeffs):
+    """Copy of a coefficient list with its trailing zeros dropped."""
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    ``coeffs`` is low-degree-first.  Roots from the companion matrix are
-    filtered by imaginary part and window, then deduplicated.
-    """
-    arr = np.asarray([float(a) for a in coeffs], dtype=float)
-    nz = np.nonzero(np.abs(arr) > 0.0)[0]
-    if len(nz) == 0:
-        return None  # identically zero
-    arr = arr[: nz[-1] + 1]
-    if len(arr) == 1:
-        return []
-    scale = np.max(np.abs(arr))
-    roots = np.roots(arr[::-1] / scale)
-    span = abs(hi - lo)
-    out = []
-    for z in roots:
-        if abs(z.imag) < 1e-7 * max(1.0, abs(z.real)) + 1e-10:
-            x = float(z.real)
-            if lo - 1e-9 * span <= x <= hi + 1e-9 * span:
-                out.append(min(max(x, lo), hi))
-    out.sort()
-    merged = []
-    for x in out:
-        if merged and abs(x - merged[-1]) < tol:
+
+def poly_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists (low degree first)."""
+    a, b = trim(a), trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    lead = b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        if len(r) < len(b) + k:
             continue
-        merged.append(x)
-    return merged
+        c = r[len(b) + k - 1] / lead
+        if c:
+            q[k] = c
+            for i, bi in enumerate(b):
+                r[k + i] -= c * bi
+        del r[len(b) + k - 1]
+    return q, trim(r)
 
 
-def polish_root(poly: Poly, x0: float, u=None, iterations=60):
-    """Refine a root of a univariate (or u-substituted) polynomial by Newton steps.
+def poly_gcd(a, b):
+    """Monic greatest common divisor of two Fraction coefficient lists."""
+    a, b = trim(a), trim(b)
+    while b:
+        _, rem = poly_divmod(a, b)
+        a, b = b, rem
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
 
-    The derivative is taken exactly before float evaluation, so the iteration
-    is limited only by double precision.  Falls back to returning the best
-    iterate if Newton stalls.
+
+def squarefree(coeffs):
+    """Square-free part of a Fraction coefficient list (monic, low degree first)."""
+    p = trim(coeffs)
+    if len(p) <= 1:
+        return p
+    dp = [k * c for k, c in enumerate(p)][1:]
+    g = poly_gcd(p, dp)
+    if len(g) <= 1:
+        lead = p[-1]
+        return [c / lead for c in p]
+    q, rem = poly_divmod(p, g)
+    if rem:
+        raise ArithmeticError("square-free division left a remainder")
+    q = trim(q)
+    lead = q[-1]
+    return [c / lead for c in q]
+
+
+def newton(p: Poly, x, iterations, rel_tol):
+    """Newton iterates on a univariate Poly from float x; returns the last one.
+
+    The derivative is taken exactly once.  Stops at a zero derivative or once
+    a step falls below rel_tol * max(1, |x|).
     """
-    p = poly if u is None else poly.subs_u(u)
     dp = p.diff_t()
-    x = float(x0)
-    best, best_val = x, abs(p.evalf(x))
     for _ in range(iterations):
-        f = p.evalf(x)
         fp = dp.evalf(x)
         if fp == 0.0:
             break
-        step = f / fp
+        step = p.evalf(x) / fp
         x -= step
-        val = abs(p.evalf(x))
-        if val < best_val:
-            best, best_val = x, val
-        if abs(step) < 1e-16 * max(1.0, abs(x)):
+        if abs(step) < rel_tol * max(1.0, abs(x)):
             break
-    return best
+    return x
+
+
+def real_roots_squarefree(sq, lo, hi):
+    """Polished real roots in [lo, hi] of a square-free Fraction coefficient list.
+
+    Companion-matrix roots with a small imaginary part are Newton-polished,
+    clamped into the window and deduplicated.
+    """
+    if len(sq) <= 1:
+        return []
+    arr = np.array([float(c) for c in sq])
+    scale = np.max(np.abs(arr))
+    roots = np.roots(arr[::-1] / scale)
+    poly = Poly.from_t_coeffs(sq)
+    span = abs(hi - lo)
+    out = []
+    for z in roots:
+        if abs(z.imag) > 1e-7 * max(1.0, abs(z.real)) + 1e-10:
+            continue
+        x = newton(poly, float(z.real), 60, 1e-16)
+        if lo - 1e-9 * span <= x <= hi + 1e-9 * span:
+            out.append(min(max(x, lo), hi))
+    out.sort()
+    merged = []
+    for x in out:
+        if merged and abs(x - merged[-1]) < 1e-12 * max(1.0, abs(x)):
+            continue
+        merged.append(x)
+    return merged

@@ -1,9 +1,12 @@
 """Command-line surface: subcommands, exit codes, artifacts, and determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedcurves.cli import main
 
@@ -60,6 +63,48 @@ def test_degenerate_curve_is_a_numeric_failure(tmp_path, capsys):
     )
     assert main(["type", "--config", cfg, "--t", "0.0"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, curvature",
+    [
+        (["type", "--t", "nan"], False),
+        (["type", "--t", "inf"], False),
+        (["type", "--t=-inf"], False),
+        (["type", "--t", "nan"], True),
+        (["type", "--lam", "nan"], True),
+        (["frame", "--lam", "nan"], True),
+        (["envelope", "--lam", "inf"], True),
+    ],
+)
+def test_non_finite_parameters_are_numeric_failures(tmp_path, capsys, argv, curvature):
+    if curvature:
+        argv = argv + ["--config", _write_config(tmp_path, BUTTERFLY_CONFIG)]
+    if argv[0] != "type":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"grids": {"t": [0, float("inf"), 10]}},
+        {"grids": {"s": [0, 1, 1e9]}},
+        {"tolerances": {"rank_tol": 1e300}},
+    ],
+)
+def test_out_of_bounds_config_is_a_config_error(tmp_path, capsys, config):
+    assert main(["type", "--config", _write_config(tmp_path, config)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+# "--t=<value>" because argparse reads a detached "-1e-05" as an option name
+@settings(max_examples=60, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_type_exits_0_or_3_for_every_float(x):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["type", f"--t={x!r}"]) in (0, 3)
 
 
 # -- type -----------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from framedcurves import (
     detect_type,
     dual_curve_from_clift,
     dual_type,
+    enumerate_generic_types,
     flag_from_curve,
     flag_from_frame,
     helix_curve,
@@ -53,6 +54,14 @@ def test_monomial_clift_has_the_right_diagonal_orders(a):
         entry = fc.polys[(j + 1, j)]
         orders.append(_poly_order(entry.diff_t()) + 1)
     assert type_from_diagonal_orders(orders) == a
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "adapted", "osculating"])
+def test_diagonal_orders_of_monomial_lifts_give_back_the_type(mode):
+    for a in enumerate_generic_types(2, 3, mode):
+        orders = c_lift_monomial(a).diagonal_orders()
+        assert orders == (a[0], a[1] - a[0], a[2] - a[1]), a
+        assert type_from_diagonal_orders(orders) == a
 
 
 @pytest.mark.parametrize("a", BUILTIN_TYPES)

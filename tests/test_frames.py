@@ -114,7 +114,7 @@ def test_structure_poly_matrix_matches_pointwise():
 
 
 def test_curvature_constant_requires_exact_values():
-    with pytest.raises((TypeError, DomainError)):
+    with pytest.raises(DomainError, match='"0.1"'):
         CurvatureData.constant(0, (0.1, 0.0, 0.0))
     curv = CurvatureData.constant(0, (1, 0, 0))
     assert curv.kappa[0](3.7) == 1.0

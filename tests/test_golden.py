@@ -9,10 +9,23 @@ quadric strip paths through the spherical and hyperbolic geometries.
 
 import hashlib
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from framedcurves.classify import (
+    CurvatureFamily,
+    DiagonalFamily,
+    _refine_event,
+    classify_osculating_scan,
+    scan_family,
+)
 from framedcurves.cli import main
+from framedcurves.curves import helix_curve
+from framedcurves.examples import helix_frenet_field
+from framedcurves.flags import flag_from_curve, flag_from_frame
+from framedcurves.ratpoly import Poly
 
 KAPPA = [["1"], ["0"], ["0", "0", "1"]]
 CURVATURE_GRIDS = {"t": [0.0, 3.0, 40], "s": [-1.0, 1.0, 9]}
@@ -96,3 +109,82 @@ def test_report_counts_the_marked_vertices(tmp_path, name):
     marks = (out / "envelope.obj").read_text().count("\n# mark singular-locus\n")
     report = json.loads((out / "report.json").read_text())
     assert report["mesh"]["marked_singular"] == marks
+
+
+# -- scan, osculating-scan and flag-chart pins ---------------------------------------
+
+#: criterion 7's family kappa3 = t^2 - lambda (event at the origin only)
+BUTTERFLY_SCAN = {
+    "curve": {
+        "kind": "curvature",
+        "delta": 0,
+        "kappa": [["1"], ["0"], {"2,0": "1", "0,1": "-1"}],
+    },
+    "grids": {"t": [-1.0, 1.0, 400], "lambda": [-0.2, 0.2, 81]},
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_scan_exports_are_byte_stable(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(BUTTERFLY_SCAN))
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _sha256(out / "events.csv") == (
+        "b479f9dcbc2526fcb2bbcb87e99812f210d178c84cfdb96eceaede779aeabe85"
+    )
+    assert _sha256(out / "report.json") == (
+        "829cc3194eaa9a4c4ee132e572065a19be29f41151db2dee6c93a68ee2faf3b6"
+    )
+
+
+def test_osculating_scan_is_bit_stable():
+    t, u = Poly.t(), Poly.u()
+    fam = DiagonalFamily((t, t, t * t * t - u * t))
+    res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 201), np.linspace(-0.2, 0.2, 41))
+    events = np.array([[ev.lam, ev.t] for ev in res.events])
+    assert [(ev.type, ev.confidence) for ev in res.events] == [((1, 2, 5), "exact")]
+    assert _digest(events) == (
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
+    )
+    assert _digest(*(s.params for s in res.strata)) == (
+        "b77993b26666786ae5309ca0216dcba16b9e45a1bbb975ec56dd822f2e682eb1"
+    )
+
+
+def test_flag_charts_are_bit_stable():
+    nodes = np.linspace(-0.5, 0.5, 21)
+    _, field = helix_frenet_field(nodes)
+    from_frame = flag_from_frame(field)
+    from_curve = flag_from_curve(helix_curve(), nodes)
+    keys = sorted(from_frame.coords)
+    assert _digest(*(from_frame.coords[k] for k in keys)) == (
+        "03c732131ac718806fc21803dcc4d4cb60f16d22e54d61e072435aa9f7819b98"
+    )
+    assert _digest(*(from_curve.coords[k] for k in keys)) == (
+        "3211669e6c33e91cf4b01352eb877b1116b47fe53a3152b32838f95c428d3550"
+    )
+    assert _digest(*(from_curve.derivs[k] for k in keys)) == (
+        "7fa1dcbd946034559d532d6e95124a31e0772f71984192fff8e772ceb9cb47f2"
+    )
+
+
+def test_scan_family_roots_and_refinement_are_bit_stable():
+    # strata params carry the polished line roots; _refine_event's Newton
+    # estimate is pinned directly because the exact snap overwrites it
+    family = CurvatureFamily.frenet(1, Poly.t() * Poly.t() - Poly.u())
+    res = scan_family(family, np.linspace(-1.0, 1.0, 400), np.linspace(-0.2, 0.2, 81))
+    assert _digest(*(s.params for s in res.strata)) == (
+        "0adaba834ecfc7aefaaac7a9566e610e532e424d68558bc147b0cc68c05ebb47"
+    )
+    detector = family.detector()
+    hit = _refine_event(detector, Fraction(-1, 400), Fraction(1, 300), (-1.0, 1.0))
+    assert _digest(np.array(hit)) == (
+        "0a9e93f91a8aeaca78c748844aedc5b010508ce4b970aa700513298d1631c0c4"
+    )
