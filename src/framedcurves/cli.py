@@ -323,9 +323,43 @@ def build_parser():
     return parser
 
 
+#: flags that take one float, so the token after them is always their value
+_FLOAT_FLAGS = ("--t", "--lam")
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv):
+    """Rewrite ``--t -1e-05`` as ``--t=-1e-05`` for every float flag.
+
+    argparse reads a detached value that starts with '-' as an option name
+    unless it looks like a plain decimal such as ``-0.5``, so ``--t -1e-05``
+    and ``--lam -inf`` would stop with a usage error; joined to their flag,
+    they parse as the same floats as the ``--t=-1e-05`` form.
+    """
+    out = []
+    k = 0
+    while k < len(argv):
+        arg = argv[k]
+        value = argv[k + 1] if k + 1 < len(argv) else ""
+        if arg in _FLOAT_FLAGS and value.startswith("-") and _is_float(value):
+            out.append(f"{arg}={value}")
+            k += 2
+        else:
+            out.append(arg)
+            k += 1
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ConfigError as exc:

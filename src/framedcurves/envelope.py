@@ -25,13 +25,13 @@ from math import factorial
 import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DimensionMismatch, DomainError
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_open
 from .frames import FrameField, structure_matrix, structure_poly_matrix
 from .ratpoly import Poly
 from .spaceform import SpaceForm, inner_product, space_form
 
 DEFAULT_S_WINDOW = 1.5
-_EXPORT_CHUNK = 4096  # mesh rows formatted per batch in export_obj
+_EXPORT_CHUNK = 4096  # rows formatted and written per batch by the OBJ exporters
 
 
 # -- hyperplane families --------------------------------------------------------
@@ -416,18 +416,17 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S
         b_poly = ftt.subs_u(0)
         if a_poly.deg_u() > 0:
             raise DomainError("substituted second derivative is not linear in s")
-        records = []
-        for t in np.asarray(t_grid, dtype=float):
-            a_val = a_poly.evalf(float(t))
-            if abs(a_val) <= 1e-13:
-                records.append(None)
-                continue
-            s_star = -b_poly.evalf(float(t)) / a_val
-            x = (float(s_star),) + (
-                obj.x2_poly().evalf(float(t), float(s_star)),
-                obj.x3_poly().evalf(float(t), float(s_star)),
-            )
-            records.append(((float(t), float(s_star)), x, (1.0,) + x))
+        # array evalf equals scalar evalf bit for bit, so the nodes are solved at once
+        t = np.asarray(t_grid, dtype=float)
+        a_val = a_poly.evalf(t)
+        solved = ~(np.abs(a_val) <= 1e-13)  # a NaN coefficient is not skipped
+        ts = t[solved]
+        s_star = -b_poly.evalf(ts) / a_val[solved]
+        x2, x3 = obj.x2_poly().evalf(ts, s_star), obj.x3_poly().evalf(ts, s_star)
+        records = [None] * len(t)
+        rows = (np.flatnonzero(solved), ts, s_star, x2, x3)
+        for k, tk, sk, x2k, x3k in zip(*(col.tolist() for col in rows)):
+            records[k] = ((tk, sk), (sk, x2k, x3k), (1.0, sk, x2k, x3k))
         return _chain_records(records, chain_gap)
 
     if isinstance(obj, HyperplaneFamily):
@@ -511,43 +510,90 @@ def _chain_records(records, chain_gap):
 # -- exporters -------------------------------------------------------------------------
 
 
+_MARKS = np.array(["", "# mark singular-locus\n"], dtype=object)  # indexed by singular
+
+
+def _column_text(block):
+    """``repr`` text of every column of a (rows, cols) float block.
+
+    Each distinct column (by bytes) is formatted once, and so is each distinct
+    value within it, found by bit pattern so that -0.0, NaN and inf keep their
+    own ``repr``.  Equal columns share one list object.
+    """
+    seen = {}
+    out = []
+    for col in np.ascontiguousarray(block.T):
+        key = col.tobytes()
+        if key not in seen:
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            seen[key] = text[inverse].tolist()
+        out.append(seen[key])
+    return out
+
+
+def _vertex_text(params, ambient, points, singular):
+    """``# param``, ``# ambient``, optional mark and ``v`` lines of a block of rows."""
+    dim = ambient.shape[1]
+    text = _column_text(np.concatenate([params, ambient, points], axis=1))
+    t, s, amb, pts = text[0], text[1], text[2:2 + dim], text[2 + dim:]
+    xyz = list(map(" ".join, zip(*pts)))
+    if len(amb) == len(pts) + 1 and all(a is p for a, p in zip(amb[1:], pts)):
+        amb = [f"{x0} {rest}" for x0, rest in zip(amb[0], xyz)]
+    else:
+        amb = list(map(" ".join, zip(*amb)))
+    marks = _MARKS[singular.astype(np.intp)].tolist()
+    return "".join([
+        f"# param {a} {b}\n# ambient {c}\n{m}v {d}\n" for a, b, c, m, d in zip(t, s, amb, marks, xyz)
+    ])
+
+
+def _write_vertices(handle, params, ambient, points, singular):
+    """Vertex blocks, formatted and written ``_EXPORT_CHUNK`` rows at a time."""
+    params, ambient, points = (np.asarray(x, dtype=float) for x in (params, ambient, points))
+    for lo in range(0, len(params), _EXPORT_CHUNK):
+        hi = lo + _EXPORT_CHUNK
+        handle.write(_vertex_text(params[lo:hi], ambient[lo:hi], points[lo:hi], singular[lo:hi]))
+
+
+def _write_records(handle, tag, indices):
+    """One ``tag i j ...`` line per row of an integer array, in chunks."""
+    if not len(indices):
+        return
+    lo = int(indices.min())
+    names = np.array([str(i) for i in range(lo, int(indices.max()) + 1)], dtype=object)
+    head, sep = f"{tag} ", f"\n{tag} "
+    for start in range(0, len(indices), _EXPORT_CHUNK):
+        cols = names[indices[start:start + _EXPORT_CHUNK].T - lo].tolist()
+        handle.write(head + sep.join(map(" ".join, zip(*cols))) + "\n")
+
+
 def export_obj(mesh: EnvelopeMesh, path, triangulate=False):
     """ASCII mesh export: per-vertex comments and v lines, then 1-based faces.
 
-    Floats are written with ``repr`` (shortest round-trip form).  Rows are
-    formatted in chunks so the temporary Python objects stay bounded.
+    Floats are written with ``repr`` (shortest round-trip form).  The text is
+    built and written to disk in chunks of rows, so memory stays bounded.
     """
-    head = "# param {!r} {!r}\n# ambient " + " ".join(["{!r}"] * mesh.ambient.shape[1]) + "\n"
-    tail = "v " + " ".join(["{!r}"] * mesh.vertices.shape[1]) + "\n"
-    plain, marked = (head + tail).format, (head + "# mark singular-locus\n" + tail).format
-    rows = np.concatenate([mesh.params, mesh.ambient, mesh.vertices], axis=1)
     faces = mesh.faces + 1
     if triangulate:
         faces = faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    face = ("f" + " {}" * faces.shape[1] + "\n").format
-    blocks = []
-    for lo in range(0, len(rows), _EXPORT_CHUNK):
-        chunk = zip(rows[lo:lo + _EXPORT_CHUNK].tolist(), mesh.singular[lo:lo + _EXPORT_CHUNK].tolist())
-        blocks.append("".join((marked if m else plain)(*row) for row, m in chunk))
-    for lo in range(0, len(faces), _EXPORT_CHUNK):
-        blocks.append("".join(face(*row) for row in faces[lo:lo + _EXPORT_CHUNK].tolist()))
-    atomic_write_text(path, "".join(blocks) or "\n")
+    with atomic_open(path) as handle:
+        _write_vertices(handle, mesh.params, mesh.ambient, mesh.vertices, mesh.singular)
+        _write_records(handle, "f", faces)
+        if not len(mesh.params) and not len(faces):
+            handle.write("\n")
 
 
 def export_polylines(polylines, path):
     """ASCII polyline export: v lines plus 2-vertex l records."""
-    lines = []
-    offset = 0
-    segments = []
-    for pl in polylines:
-        for k in range(len(pl.points)):
-            t, s = pl.params[k]
-            lines.append(f"# param {format_float(t)} {format_float(s)}")
-            lines.append("# ambient " + " ".join(format_float(x) for x in pl.ambient[k]))
-            lines.append("v " + " ".join(format_float(x) for x in pl.points[k]))
-        for k in range(len(pl.points) - 1):
-            segments.append((offset + k + 1, offset + k + 2))
-        offset += len(pl.points)
-    for i, j in segments:
-        lines.append(f"l {i} {j}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    sizes = np.array([len(pl.points) for pl in polylines], dtype=int)
+    last = np.cumsum(sizes)[sizes > 0]  # 1-based index of each chain's last vertex
+    first = np.setdiff1d(np.arange(1, sizes.sum() + 1), last)  # every vertex with a successor
+    with atomic_open(path) as handle:
+        if not sizes.sum():
+            handle.write("\n")
+            return
+        _write_vertices(handle, *(np.concatenate([getattr(pl, key) for pl in polylines])
+                                  for key in ("params", "ambient", "points")),
+                        np.zeros(sizes.sum(), dtype=bool))
+        _write_records(handle, "l", np.column_stack([first, first + 1]))

@@ -28,6 +28,12 @@ from .ratpoly import Poly
 _PIVOT_TOL = 1e-10
 
 
+def _evalf_on(poly: Poly, nodes):
+    """poly(t) over a node array (array evalf equals scalar evalf bit for bit)."""
+    nodes = np.asarray(nodes, dtype=float)
+    return np.array(np.broadcast_to(poly.evalf(nodes), nodes.shape))
+
+
 # -- data types ----------------------------------------------------------------
 
 
@@ -55,8 +61,7 @@ class FlagCurve:
 
     def coord_values(self, i, j, nodes=None):
         if self.polys is not None:
-            nodes = self.s if nodes is None else np.asarray(nodes, dtype=float)
-            return np.array([self.polys[(i, j)].evalf(t) for t in nodes])
+            return _evalf_on(self.polys[(i, j)], self.s if nodes is None else nodes)
         return self.coords[(i, j)]
 
     def diagonal(self) -> "DiagonalData":
@@ -283,9 +288,7 @@ def _coord_and_derivative_tables(fc: FlagCurve, nodes):
     if fc.polys is not None:
         nodes = np.asarray(nodes, dtype=float)
         vals = {key: fc.coord_values(*key, nodes=nodes) for key in fc.pairs()}
-        ders = {
-            key: np.array([fc.polys[key].diff_t().evalf(t) for t in nodes]) for key in fc.pairs()
-        }
+        ders = {key: _evalf_on(fc.polys[key].diff_t(), nodes) for key in fc.pairs()}
         return nodes, vals, ders
     if fc.derivs is not None:
         return fc.s, dict(fc.coords), dict(fc.derivs)

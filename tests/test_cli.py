@@ -99,12 +99,48 @@ def test_out_of_bounds_config_is_a_config_error(tmp_path, capsys, config):
     assert "config error" in capsys.readouterr().err
 
 
-# "--t=<value>" because argparse reads a detached "-1e-05" as an option name
+def _run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# both the attached "--t=-1e-05" and the detached "--t -1e-05" form
 @settings(max_examples=60, deadline=None)
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_type_exits_0_or_3_for_every_float(x):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["type", f"--t={x!r}"]) in (0, 3)
+    attached = _run_quietly(["type", f"--t={x!r}"])
+    assert attached[0] in (0, 3)
+    assert _run_quietly(["type", "--t", repr(x)]) == attached
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-2.5E+1", "-inf", "-nan", "-0.5", "-3"])
+def test_detached_negative_float_flags_parse_like_attached_ones(tmp_path, value):
+    config = {**BUTTERFLY_CONFIG, "grids": {"t": [-1.0, 1.0, 5], "s": [-0.5, 0.5, 3]}}
+    cfg = _write_config(tmp_path, config)
+    for flags in (["--t", value], ["--lam", value], ["--t", value, "--lam", value]):
+        attached = [f"{flag}={v}" for flag, v in zip(flags[::2], flags[1::2])]
+        expect = _run_quietly(["type", "--config", cfg, *attached])
+        assert expect[0] in (0, 3)
+        assert _run_quietly(["type", "--config", cfg, *flags]) == expect
+
+
+def test_envelope_takes_a_detached_negative_lambda(tmp_path):
+    config = {**BUTTERFLY_CONFIG, "grids": {"t": [0.1, 1.0, 8], "s": [-0.5, 0.5, 3]}}
+    cfg = _write_config(tmp_path, config)
+    outs = []
+    for flags in (["--lam", "-1e-05"], ["--lam=-1e-05"]):
+        out = tmp_path / flags[-1]
+        assert _run_quietly(["envelope", "--config", cfg, *flags, "--out", str(out)])[0] == 0
+        outs.append([(out / name).read_bytes() for name in ("envelope.obj", "report.json")])
+    assert outs[0] == outs[1]
+
+
+def test_a_detached_non_number_is_still_a_usage_error():
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["type", "--t", "--lam", "0"])
+    assert exc.value.code == 2
 
 
 # -- type -----------------------------------------------------------------------------

@@ -5,10 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
+from framedcurves import envelope
 from framedcurves import (
     DimensionMismatch,
+    EnvelopeMesh,
     NormalFormFamily,
+    Polyline,
     discriminant_mesh,
     envelope_mesh,
     export_obj,
@@ -214,3 +218,120 @@ def test_export_is_deterministic(tmp_path):
     export_obj(mesh, p1)
     export_obj(mesh, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# -- exporter equivalence --------------------------------------------------------------
+
+
+def _reference_obj(mesh, triangulate=False):
+    """The per-row "{!r}" formatter that export_obj must match byte for byte."""
+    head = "# param {!r} {!r}\n# ambient " + " ".join(["{!r}"] * mesh.ambient.shape[1]) + "\n"
+    tail = "v " + " ".join(["{!r}"] * mesh.vertices.shape[1]) + "\n"
+    plain, marked = (head + tail).format, (head + "# mark singular-locus\n" + tail).format
+    rows = np.concatenate([mesh.params, mesh.ambient, mesh.vertices], axis=1).tolist()
+    faces = mesh.faces + 1
+    if triangulate:
+        faces = faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    face = ("f" + " {}" * faces.shape[1] + "\n").format
+    text = "".join((marked if m else plain)(*row) for row, m in zip(rows, mesh.singular.tolist()))
+    text += "".join(face(*row) for row in faces.tolist())
+    return text or "\n"
+
+
+def _reference_polylines(polylines):
+    """The per-value formatter that export_polylines must match byte for byte."""
+    lines, segments, offset = [], [], 0
+    for pl in polylines:
+        for k in range(len(pl.points)):
+            t, s = pl.params[k]
+            lines.append(f"# param {float(t)!r} {float(s)!r}")
+            lines.append("# ambient " + " ".join(repr(float(x)) for x in pl.ambient[k]))
+            lines.append("v " + " ".join(repr(float(x)) for x in pl.points[k]))
+        segments.extend((offset + k + 1, offset + k + 2) for k in range(len(pl.points) - 1))
+        offset += len(pl.points)
+    lines.extend(f"l {i} {j}" for i, j in segments)
+    return "\n".join(lines) + "\n"
+
+
+_NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+                         dtype=np.uint64).view(np.float64).tolist()
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 1.0, 0.1, *_NAN_PAYLOADS]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _meshes(draw):
+    m = draw(st.integers(0, 10))
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+    cell = st.one_of(_FLOATS, st.sampled_from(pool))  # pool draws repeat values
+
+    def block(cols):
+        rows = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=m, max_size=m))
+        return np.array(rows, dtype=float).reshape(m, cols)
+
+    params, ambient = block(2), block(4)
+    vertices = ambient[:, 1:].copy() if draw(st.booleans()) else block(3)
+    if m and draw(st.booleans()):
+        params[:, 1] = ambient[:, 1]  # x1 = s, as in a normal form
+    singular = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    quad = st.lists(st.integers(0, max(m - 1, 0)), min_size=4, max_size=4)
+    faces = np.array(draw(st.lists(quad, max_size=6)), dtype=int).reshape(-1, 4)
+    if m and draw(st.booleans()):  # cross chunk boundaries
+        reps = envelope._EXPORT_CHUNK // m + 2
+        params, ambient, vertices = (np.tile(x, (reps, 1)) for x in (params, ambient, vertices))
+        singular = np.tile(singular, reps)
+    return EnvelopeMesh(vertices=vertices, ambient=ambient, params=params, faces=faces,
+                        residuals=np.zeros((len(params), 2)), singular=singular)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_meshes(), st.booleans())
+def test_export_obj_matches_the_per_row_formatter(tmp_path_factory, mesh, triangulate):
+    path = tmp_path_factory.mktemp("obj") / "mesh.obj"
+    export_obj(mesh, path, triangulate=triangulate)
+    assert path.read_bytes() == _reference_obj(mesh, triangulate).encode()
+
+
+@st.composite
+def _polyline_sets(draw):
+    out = []
+    for k in draw(st.lists(st.integers(0, 6), max_size=4)):
+        rows = [draw(st.lists(_FLOATS, min_size=9, max_size=9)) for _ in range(k)]
+        block = np.array(rows, dtype=float).reshape(k, 9)
+        out.append(Polyline(params=block[:, :2], points=block[:, 2:5], ambient=block[:, 5:]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polyline_sets())
+def test_export_polylines_matches_the_per_value_formatter(tmp_path_factory, polylines):
+    path = tmp_path_factory.mktemp("locus") / "locus.obj"
+    export_polylines(polylines, path)
+    assert path.read_bytes() == _reference_polylines(polylines).encode()
+
+
+def test_export_obj_crosses_the_real_chunk_size(tmp_path):
+    nf = NormalFormFamily((1, 2, 4))
+    mesh = discriminant_mesh(nf, np.linspace(-1, 1, 70), np.linspace(-1, 1, 61))
+    assert len(mesh.params) > envelope._EXPORT_CHUNK
+    mesh.singular[::7] = True
+    path = tmp_path / "nf.obj"
+    export_obj(mesh, path, triangulate=True)
+    assert path.read_bytes() == _reference_obj(mesh, triangulate=True).encode()
+
+
+def test_failed_export_keeps_the_old_file(tmp_path, monkeypatch):
+    nf = NormalFormFamily((1, 2, 3))
+    mesh = discriminant_mesh(nf, np.linspace(-1, 1, 11), np.linspace(-1, 1, 5))
+    path = tmp_path / "mesh.obj"
+    path.write_text("old\n")
+
+    def fail(handle, tag, indices):
+        handle.write("f partial")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(envelope, "_write_records", fail)  # after the vertex lines
+    with pytest.raises(RuntimeError, match="disk full"):
+        export_obj(mesh, path)
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mesh.obj"]

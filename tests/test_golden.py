@@ -24,7 +24,14 @@ from framedcurves.classify import (
 from framedcurves.cli import main
 from framedcurves.curves import helix_curve
 from framedcurves.examples import helix_frenet_field
-from framedcurves.flags import flag_from_curve, flag_from_frame
+from framedcurves.flags import (
+    FlagCurve,
+    c_integrality_residual,
+    c_lift_monomial,
+    d_integrality_residual,
+    flag_from_curve,
+    flag_from_frame,
+)
 from framedcurves.ratpoly import Poly
 
 KAPPA = [["1"], ["0"], ["0", "0", "1"]]
@@ -103,6 +110,40 @@ def test_normal_form_exports_are_byte_stable(tmp_path):
     )
 
 
+#: the other five classified types at the default window: (mesh hash, locus hash)
+NORMAL_FORM_CASES = {
+    (1, 2, 3): (
+        "a68adbf019db3eefad79ca4559d31da267b1bd3b69eb3848934c4ae77af87a64",
+        "64eec3e06947ad6bc861386314052270d7d2581b17bb91aba94242941f016ca0",
+    ),
+    (1, 2, 4): (
+        "e6885e6608853254bc9aea08ecf74c9f83e6e104b1a34ad870fa7d464ce95df8",
+        "abd7141c859130151e65005486f4df64ad1a352805d860089924b9060382a8f6",
+    ),
+    (1, 3, 4): (
+        "018e49b3d939968afff44764d675e2ab8642025cb6481287443d3b3b1a9582f9",
+        "96be3a4e3d180349e111e1330caa0d58415fe37c617c9ca8977ba963a8405d53",
+    ),
+    (2, 3, 4): (
+        "3a6c2ad05459e02c71f779550d587ab610f24a6174ba735f0160fa6a4d8044a2",
+        "94647495afac11e8cef8bce6cb55a0561383d828d90b776124d5a7d0e8a636c8",
+    ),
+    (3, 4, 5): (
+        "71625aaf1819019a807e692d565415b065501e350e5bdedc1bd1b80e63253a9b",
+        "04c2545e6133018b57e0649ed2608af41192439c6e8e4eb71682ab734b00e7b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("a", sorted(NORMAL_FORM_CASES))
+def test_every_normal_form_export_is_byte_stable(tmp_path, a):
+    mesh_hash, locus_hash = NORMAL_FORM_CASES[a]
+    name = "".join(map(str, a))
+    assert main(["normal-form", "--type", ",".join(map(str, a)), "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / f"normal-form-{name}.obj") == mesh_hash
+    assert _sha256(tmp_path / f"normal-form-{name}.locus.obj") == locus_hash
+
+
 @pytest.mark.parametrize("name", ["helix-frenet", "euclidean-delta1", "spherical-delta1"])
 def test_report_counts_the_marked_vertices(tmp_path, name):
     out = _run_envelope(tmp_path, ENVELOPE_CASES[name][0])
@@ -173,6 +214,26 @@ def test_flag_charts_are_bit_stable():
     assert _digest(*(from_curve.derivs[k] for k in keys)) == (
         "7fa1dcbd946034559d532d6e95124a31e0772f71984192fff8e772ceb9cb47f2"
     )
+
+
+def test_exact_flag_residuals_are_bit_stable():
+    # the integral monomial lift (all residuals 0) and a bent copy of it
+    # (nonzero residuals), on the default nodes and on an off-center grid
+    exact = c_lift_monomial((1, 2, 3))
+    polys = dict(exact.polys)
+    polys[(2, 0)] = polys[(2, 0)] + Poly.monomial_t(3, Fraction(1, 7))
+    polys[(3, 1)] = polys[(3, 1)] + Poly.t() * Fraction(2, 3)
+    bent = FlagCurve(dim=exact.dim, polys=polys)
+    nodes = np.linspace(-0.7, 0.9, 17)
+    digests = [
+        _digest(c_integrality_residual(fc), d_integrality_residual(fc),
+                c_integrality_residual(fc, nodes), d_integrality_residual(fc, nodes))
+        for fc in (exact, bent)
+    ]
+    assert digests == [
+        "4beb641f77c3df2749a5dffc0a23f4270dc4b94e1e940287fc3ebfa05b720662",
+        "abc8cadcfc9df4351abd8d28f57faecb7b4849d4dcfd9ac2d1f7d60bcc3a8d0a",
+    ]
 
 
 def test_scan_family_roots_and_refinement_are_bit_stable():
