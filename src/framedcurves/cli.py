@@ -335,20 +335,28 @@ def _is_float(text):
     return True
 
 
+def _names_float_flag(arg):
+    """True if ``arg`` is a float flag or, as argparse abbreviates, a unique prefix of one."""
+    if arg in _FLOAT_FLAGS:
+        return True
+    return len(arg) > 2 and sum(flag.startswith(arg) for flag in _FLOAT_FLAGS) == 1
+
+
 def _attach_float_values(argv):
     """Rewrite ``--t -1e-05`` as ``--t=-1e-05`` for every float flag.
 
     argparse reads a detached value that starts with '-' as an option name
     unless it looks like a plain decimal such as ``-0.5``, so ``--t -1e-05``
     and ``--lam -inf`` would stop with a usage error; joined to their flag,
-    they parse as the same floats as the ``--t=-1e-05`` form.
+    they parse as the same floats as the ``--t=-1e-05`` form.  Abbreviations
+    such as ``--la`` are joined too, and argparse resolves them as usual.
     """
     out = []
     k = 0
     while k < len(argv):
         arg = argv[k]
         value = argv[k + 1] if k + 1 < len(argv) else ""
-        if arg in _FLOAT_FLAGS and value.startswith("-") and _is_float(value):
+        if _names_float_flag(arg) and value.startswith("-") and _is_float(value):
             out.append(f"{arg}={value}")
             k += 2
         else:

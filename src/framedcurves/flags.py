@@ -30,8 +30,7 @@ _PIVOT_TOL = 1e-10
 
 def _evalf_on(poly: Poly, nodes):
     """poly(t) over a node array (array evalf equals scalar evalf bit for bit)."""
-    nodes = np.asarray(nodes, dtype=float)
-    return np.array(np.broadcast_to(poly.evalf(nodes), nodes.shape))
+    return poly.evalf(np.asarray(nodes, dtype=float))
 
 
 # -- data types ----------------------------------------------------------------

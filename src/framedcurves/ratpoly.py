@@ -162,11 +162,13 @@ class Poly:
 
         Array powers are taken element by element with Python's float pow
         (numpy's vectorized pow can differ in the last bit), so an array
-        result equals the scalar evaluation at every point bit for bit.
+        result equals the scalar evaluation at every point bit for bit.  With
+        an array argument the result is an array of the broadcast shape, also
+        for the zero polynomial.
         """
         if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
             terms = (float(v) * _float_pow(t, i) * _float_pow(u, j) for (i, j), v in self.c.items())
-            return sum(terms, 0.0)
+            return sum(terms, np.zeros(np.broadcast_shapes(np.shape(t), np.shape(u))))
         total = 0.0
         for (i, j), v in self.c.items():
             total += float(v) * t**i * u**j

@@ -86,6 +86,16 @@ def test_non_finite_parameters_are_numeric_failures(tmp_path, capsys, argv, curv
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa1", ["1e400", "1e300"])
+def test_curvatures_beyond_float_range_are_numeric_failures(tmp_path, capsys, kappa1):
+    # 1e400 has no float; 1e300 overflows the flow, which must not stall the integrator
+    config = {"curve": {"kind": "curvature", "delta": 0, "kappa": [[kappa1], ["0"], ["1"]]},
+              "grids": {"t": [0.0, 1.0, 5], "s": [-1.0, 1.0, 3]}}
+    argv = ["frame", "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -119,7 +129,8 @@ def test_type_exits_0_or_3_for_every_float(x):
 def test_detached_negative_float_flags_parse_like_attached_ones(tmp_path, value):
     config = {**BUTTERFLY_CONFIG, "grids": {"t": [-1.0, 1.0, 5], "s": [-0.5, 0.5, 3]}}
     cfg = _write_config(tmp_path, config)
-    for flags in (["--t", value], ["--lam", value], ["--t", value, "--lam", value]):
+    for flags in (["--t", value], ["--lam", value], ["--la", value], ["--l", value],
+                  ["--t", value, "--lam", value], ["--t", value, "--la", value]):
         attached = [f"{flag}={v}" for flag, v in zip(flags[::2], flags[1::2])]
         expect = _run_quietly(["type", "--config", cfg, *attached])
         assert expect[0] in (0, 3)
@@ -140,6 +151,16 @@ def test_envelope_takes_a_detached_negative_lambda(tmp_path):
 def test_a_detached_non_number_is_still_a_usage_error():
     with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         main(["type", "--t", "--lam", "0"])
+    assert exc.value.code == 2
+
+
+def test_an_ambiguous_float_flag_prefix_is_still_a_usage_error(monkeypatch):
+    from framedcurves import cli
+
+    monkeypatch.setattr(cli, "_FLOAT_FLAGS", ("--t", "--lam", "--lab"))
+    assert _run_quietly(["type", "--lam", "-1e-05"])[0] == 0
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["type", "--la", "-1e-05"])
     assert exc.value.code == 2
 
 

@@ -4,7 +4,9 @@ Each case runs one subcommand and compares SHA-256 hashes of the OBJ files it
 writes.  A change to vertex order, float formatting, singular marks or face
 layout changes a hash.  The curvature cases put the degenerate node t = 0 of
 kappa = (1, 0, t^2) on the grid (39 of 40 strips survive) and reach both
-quadric strip paths through the spherical and hyperbolic geometries.
+quadric strip paths through the spherical and hyperbolic geometries.  Their
+hashes also pin the frame integrator's last bits, so each of them is checked
+against an independent DOP853 solution as well.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ from framedcurves.classify import (
     scan_family,
 )
 from framedcurves.cli import main
+from framedcurves.config import RunConfig
 from framedcurves.curves import helix_curve
 from framedcurves.examples import helix_frenet_field
 from framedcurves.flags import (
@@ -33,6 +36,7 @@ from framedcurves.flags import (
     flag_from_frame,
 )
 from framedcurves.ratpoly import Poly
+from frame_reference import dop853_frames, relative_frame_error
 
 KAPPA = [["1"], ["0"], ["0", "0", "1"]]
 CURVATURE_GRIDS = {"t": [0.0, 3.0, 40], "s": [-1.0, 1.0, 9]}
@@ -54,28 +58,18 @@ ENVELOPE_CASES = {
     ),
     "euclidean-delta0": (
         _curvature("euclidean", 0),
-        "722697c95e20f070fafe26e68557bfa1396344e923ac7cd5f187eb6ac297cd60",
-        "f175fdec8b57cb65b5683ef91f9045f1425dfd37d013ae4a959c2b45c5c2d78b",
-    ),
-    "euclidean-delta1": (
-        _curvature("euclidean", 1),
-        "4f79c893e0a148617df561c5a2fa949f85380b646a897c981eb79e52d4d0d745",
-        "db6a250870e60c8004227158d433a36afe450840627d0d93a40872336a57c883",
-    ),
-    "euclidean-delta-1": (
-        _curvature("euclidean", -1),
-        "6f84ec366e3dc55fbac0e410a14c7bbf68f0e7bd8df030d461bdf4d56dc08465",
-        "e4df2a6450ed3dcd9cd323e1f6134d7a3ab31ae79911409d75ca31f52b862bb7",
+        "86fc0252a4665f469321f82ad4f0cc40bdc8f4d02e9ad551fa62e075a3890d50",
+        "d60d3ff7795021735fa7b5607082824df4602e4c4feed8e62405179f58c3f0d4",
     ),
     "spherical-delta1": (
         _curvature("spherical", 1),
-        "bd7af28469afa11642d7cbcda7dba3d704f1f77b94b22f076826e51ec9b1d926",
-        "4825a5d7af9917ead66fd7073cc336c0c3217c884eb16822a0cfc7f7e50709a1",
+        "bee2839a5cd34b5b5f29cc383f39c04933c9e0240ed6e874d666452cae1e5a60",
+        "61af6f9764e1469ac01139c5fe8e8dfe4aa09abd1021c24511abb7c0294d76f5",
     ),
     "hyperbolic-delta-1": (
         _curvature("hyperbolic", -1),
-        "91d785aefae24fdbcf906ebbb21f16450478da5d9fcc1ab85b3e932940a831cf",
-        "2c188734d817c6533819c93ea6129ceac38d8f89d0b3ad306044eacb00bbef81",
+        "2e840fd8362f84f97db098729780ce0c8bbcedf52f8fa81c810c7e1f4cb1bbee",
+        "42d0d057088b465af11243ea5d2b2fbb0cfb97e414022f6bb3662b6edce00cab",
     ),
 }
 
@@ -92,12 +86,34 @@ def _run_envelope(tmp_path, config):
     return out
 
 
+@pytest.mark.parametrize("name", ["euclidean-delta0", "spherical-delta1", "hyperbolic-delta-1"])
+def test_curvature_case_frames_match_dop853(name):
+    # the hashes below pin the integrator's last bits; this pins what they mean
+    _, field = RunConfig.from_dict(ENVELOPE_CASES[name][0]).build_field()
+    reference = dop853_frames(field.curvature, field.s)
+    assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
+
+
 @pytest.mark.parametrize("name", sorted(ENVELOPE_CASES))
 def test_envelope_exports_are_byte_stable(tmp_path, name):
     config, mesh_hash, locus_hash = ENVELOPE_CASES[name]
     out = _run_envelope(tmp_path, config)
     assert _sha256(out / "envelope.obj") == mesh_hash
     assert _sha256(out / "envelope.locus.obj") == locus_hash
+
+
+@pytest.mark.parametrize(
+    "delta", [pytest.param(1, id="euclidean-delta1"), pytest.param(-1, id="euclidean-delta-1")]
+)
+def test_euclidean_curvature_with_nonzero_delta_is_a_numeric_failure(tmp_path, capsys, delta):
+    # the euclidean structure equation has delta = 0; any other value is not
+    # a euclidean curve, so the envelope is refused rather than written
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_curvature("euclidean", delta)))
+    out = tmp_path / "out"
+    assert main(["envelope", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numeric failure (DomainError)" in capsys.readouterr().err
+    assert not (out / "envelope.obj").exists()
 
 
 def test_normal_form_exports_are_byte_stable(tmp_path):
@@ -144,7 +160,7 @@ def test_every_normal_form_export_is_byte_stable(tmp_path, a):
     assert _sha256(tmp_path / f"normal-form-{name}.locus.obj") == locus_hash
 
 
-@pytest.mark.parametrize("name", ["helix-frenet", "euclidean-delta1", "spherical-delta1"])
+@pytest.mark.parametrize("name", ["helix-frenet", "euclidean-delta0", "spherical-delta1"])
 def test_report_counts_the_marked_vertices(tmp_path, name):
     out = _run_envelope(tmp_path, ENVELOPE_CASES[name][0])
     marks = (out / "envelope.obj").read_text().count("\n# mark singular-locus\n")

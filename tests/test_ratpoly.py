@@ -23,3 +23,14 @@ def test_array_evalf_equals_scalar_evalf_bit_for_bit(name):
     assert (grid == np.array(scalar)).all()
     column = p.evalf(t, 0.25)
     assert (column == np.array([[p.evalf(a, 0.25)] for a in t[:, 0].tolist()])).all()
+
+
+def test_array_evalf_of_the_zero_polynomial_is_an_array():
+    t = np.linspace(-1.0, 1.0, 5)
+    for args, shape in (((t,), (5,)), ((t[:, None], t[None, :3]), (5, 3)), ((0.5, t), (5,))):
+        value = Poly().evalf(*args)
+        assert isinstance(value, np.ndarray) and value.shape == shape
+        assert not value.any()
+    assert Poly().evalf(0.5) == 0.0
+    # a constant broadcasts over the argument too
+    assert (Poly.const(3).evalf(t) == 3.0).all()
