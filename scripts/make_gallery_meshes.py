@@ -55,7 +55,7 @@ def main():
         curve, field = factory(nodes)
         fam = hyperplane_family(field, curve)
         mesh = envelope_mesh(fam, s_grid=np.linspace(-1.5, 1.5, args.s_samples))
-        locus = singular_locus(fam, t_grid=nodes)
+        locus = singular_locus(fam)
         write_pair(args.out, name, mesh, locus)
 
 

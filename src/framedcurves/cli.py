@@ -132,11 +132,10 @@ def _cmd_envelope(args):
     cfg = _load_config(args)
     curve, field = cfg.build_field(lam=args.lam)
     fam = hyperplane_family(field, curve)
-    mesh = envelope_mesh(fam, s_grid=cfg.s_grid(), tol=cfg.mesh_tol,
-                         threads=args.threads)
+    mesh = envelope_mesh(fam, s_grid=cfg.s_grid(), tol=cfg.mesh_tol)
     mesh_path = _out_path(args, cfg, "mesh")
     export_obj(mesh, mesh_path)
-    locus = singular_locus(fam, tol=cfg.mesh_tol, t_grid=cfg.t_grid())
+    locus = singular_locus(fam, tol=cfg.mesh_tol)
     locus_path = _sibling(mesh_path, "locus")
     export_polylines(locus, locus_path)
     report_path = _out_path(args, cfg, "report")
@@ -296,7 +295,7 @@ def build_parser():
     p = subs.add_parser("envelope", help="write the envelope mesh and singular locus")
     _add_common(p)
     p.add_argument("--lam", type=float, default=None, help="family parameter")
-    p.add_argument("--threads", type=int, default=1, help="strip workers")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.set_defaults(func=_cmd_envelope)
 
     p = subs.add_parser("normal-form", help="write a discriminant normal-form mesh")

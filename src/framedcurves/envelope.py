@@ -17,7 +17,6 @@ linear in s.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import factorial
@@ -28,7 +27,7 @@ from .errors import CapabilityError, DegeneracyError, DimensionMismatch, DomainE
 from .fileio import atomic_open
 from .frames import FrameField, structure_matrix, structure_poly_matrix
 from .ratpoly import Poly
-from .spaceform import SpaceForm, inner_product, space_form
+from .spaceform import SpaceForm, space_form
 
 DEFAULT_S_WINDOW = 1.5
 _EXPORT_CHUNK = 4096  # rows formatted and written per batch by the OBJ exporters
@@ -108,16 +107,11 @@ def hyperplane_family(field: FrameField, curve=None) -> HyperplaneFamily:
     if sf.kind != "euclidean":
         return fam
 
-    n = len(field.s)
-    g0 = np.empty((n, sf.dim - 1))
-    g1 = np.empty_like(g0)
-    g2 = np.empty_like(g0)
-    for i, t in enumerate(field.s):
-        if curve is not None:
-            jet = curve.jet(float(t), 2)
-            g0[i], g1[i], g2[i] = jet[1:, 0], jet[1:, 1], jet[1:, 2]
-        else:
-            g0[i], g1[i], g2[i] = e0[i][1:, 0], e1[i][1:, 0], e2[i][1:, 0]
+    if curve is not None:
+        jets = np.stack([curve.jet(float(t), 2) for t in field.s])  # (n, dim, 3)
+        g0, g1, g2 = (np.ascontiguousarray(jets[:, 1:, k]) for k in range(3))
+    else:
+        g0, g1, g2 = (np.ascontiguousarray(m[:, 1:, 0]) for m in (e0, e1, e2))
     sp = slice(1, None)
     fam.offset = -np.einsum("ij,ij->i", g0, normal[:, sp])
     fam.offset1 = -(
@@ -203,65 +197,69 @@ def _assemble(sf, t, s_grid, keep, ambient, f, ft, ftt, tol, meta):
     )
 
 
-def _strip_euclidean(fam, i, s_grid, tol):
-    e = fam.normal[i][1:]
-    e1 = fam.normal1[i][1:]
-    cross = np.cross(e, e1)
-    norm = np.linalg.norm(cross)
-    if norm <= max(tol, 1e-13) * max(np.linalg.norm(e) * np.linalg.norm(e1), 1e-300):
-        return None
-    u = cross / norm
-    p0 = fam.base[i][1:]
-    pts = p0[None, :] + s_grid[:, None] * u[None, :]
-    amb = np.concatenate([np.ones((len(s_grid), 1)), pts], axis=1)
-    f = pts @ e + fam.offset[i]
-    ft = pts @ e1 + fam.offset1[i]
-    ftt = pts @ fam.normal2[i][1:] + fam.offset2[i]
-    return amb, f, ft, ftt, u
+def _dot(a, b):
+    """Row-wise dot products of (N, d) arrays, bit for bit ``a[i] @ b[i]``.
+
+    A stacked matmul runs the same BLAS dot per row; einsum and
+    ``norm(axis=1)`` sum in another order and differ in the last bit.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _strip_quadric(fam, i, s_grid, tol, prev_b2):
-    sf = fam.sf
-    j = sf.form.matrix
-    rows = np.stack([fam.normal[i] @ j, fam.normal1[i] @ j])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv[0] <= 0 or sv[1] <= max(tol, 1e-13) * sv[0]:
-        return None
-    _, _, vh = np.linalg.svd(rows)
-    w_basis = vh[2:]  # orthonormal basis of the solution plane
-    gamma = fam.base[i]
-    # pick the basis vector least aligned with gamma, project J-orthogonally
-    overlaps = [abs(float(w @ gamma)) for w in w_basis]
-    w = w_basis[int(np.argmin(overlaps))]
-    gg = inner_product(gamma, gamma, sf.form)
-    b2 = w - (inner_product(w, gamma, sf.form) / gg) * gamma
-    q = inner_product(b2, b2, sf.form)
-    if q <= max(tol, 1e-13):
-        return None
-    b2 = b2 / np.sqrt(q)
-    if prev_b2 is not None and float(b2 @ prev_b2) < 0:
-        b2 = -b2
+def _matvec(a, b):
+    """(K, ns, d) @ (K, d) -> (K, ns), bit for bit ``a[k] @ b[k]``."""
+    return (a @ b[:, :, None])[..., 0]
+
+
+# columns left after deleting column k of a 3x4 matrix, and the cofactor signs
+_MINOR_COLUMNS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_COFACTOR_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def _characteristic_lines(fam, tol):
+    """Keep mask over all nodes and the unit line direction at the kept ones.
+
+    At a kept node the characteristic line {F = F_t = 0} runs through gamma(t)
+    along u = e x e' / |e x e'| (euclidean) or b2 (quadrics).  b2 = J c, J-normalized,
+    where c is the cofactor vector of the 3x4 matrix [gamma; nu; nu'], that is
+    det[gamma; nu; nu'; x] = x . c; so b2 is J-orthogonal to gamma, nu and nu'.
+    On a frame with nu' = -kappa_3 e_2 both directions are sign(kappa_3) e_1,
+    and both are continuous in t between degenerate nodes.  A node is
+    degenerate when its two conditions are dependent to within
+    b = max(tol, 1e-13): |e x e'| <= b |e| |e'|, or <J c, J c>_J <= b^2, which
+    (gamma and nu being J-unit) is the J-square of the part of nu'
+    J-orthogonal to both.
+    """
+    bound = max(tol, 1e-13)
+    if fam.sf.kind == "euclidean":
+        e, e1 = fam.normal[:, 1:], fam.normal1[:, 1:]
+        cross = np.cross(e, e1)
+        norm = np.sqrt(_dot(cross, cross))
+        scale = np.maximum(np.sqrt(_dot(e, e)) * np.sqrt(_dot(e1, e1)), 1e-300)
+        keep = ~(norm <= bound * scale)
+        return keep, cross[keep] / norm[keep, None]
+    rows = np.stack([fam.base, fam.normal, fam.normal1], axis=1)  # (N, 3, 4)
+    minors = np.moveaxis(rows[:, :, _MINOR_COLUMNS], 2, 1)  # (N, 4, 3, 3)
+    jc = (np.linalg.det(minors) * _COFACTOR_SIGNS) @ fam.sf.form.matrix
+    q = _dot(jc @ fam.sf.form.matrix, jc)
+    keep = q > bound * bound
+    return keep, jc[keep] / np.sqrt(q[keep])[:, None]
+
+
+def _geodesic(sf, s):
+    """(cos, sin) of s on the sphere, (cosh, sinh) in hyperbolic space."""
     if sf.kind == "spherical":
-        amb = np.cos(s_grid)[:, None] * gamma[None, :] + np.sin(s_grid)[:, None] * b2[None, :]
-    else:
-        amb = np.cosh(s_grid)[:, None] * gamma[None, :] + np.sinh(s_grid)[:, None] * b2[None, :]
-    f = amb @ (j @ fam.normal[i])
-    ft = amb @ (j @ fam.normal1[i])
-    ftt = amb @ (j @ fam.normal2[i])
-    return amb, f, ft, ftt, b2
+        return np.cos(s), np.sin(s)
+    return np.cosh(s), np.sinh(s)
 
 
-def envelope_mesh(
-    fam: HyperplaneFamily,
-    s_grid=None,
-    tol=1e-9,
-    threads=1,
-) -> EnvelopeMesh:
+def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     """Mesh the envelope of a hyperplane family, one strip per parameter node.
 
     Per node the two incidence conditions cut a geodesic line through
     gamma(t); it is parametrized by signed arc length (angle / rapidity on the
-    quadrics) centered at gamma(t).  Nodes where the two conditions are not
+    quadrics) centered at gamma(t), along the direction of
+    ``_characteristic_lines``.  Nodes where the two conditions are not
     independent are excluded and recorded in meta["degenerate_nodes"].
     """
     sf = fam.sf
@@ -270,38 +268,20 @@ def envelope_mesh(
     if s_grid is None:
         s_grid = np.linspace(-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW, 51)
     s_grid = np.asarray(s_grid, dtype=float)
-
-    def build(i):
-        if sf.kind == "euclidean":
-            return _strip_euclidean(fam, i, s_grid, tol)
-        return _strip_quadric(fam, i, s_grid, tol, None)
-
-    indices = range(len(fam.t))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(build, indices))
-    else:
-        raw = [build(i) for i in indices]
-
-    # orientation continuity for the quadric strips (sequential pass)
-    if sf.kind != "euclidean":
-        prev = None
-        for i, strip in enumerate(raw):
-            if strip is None:
-                prev = None
-                continue
-            b2 = strip[4]
-            if prev is not None and float(b2 @ prev) < 0:
-                strip = _strip_quadric(fam, i, s_grid, tol, prev)
-                raw[i] = strip
-                b2 = strip[4]
-            prev = b2
-
-    keep = np.array([strip is not None for strip in raw], dtype=bool)
+    keep, direction = _characteristic_lines(fam, tol)
     if not keep.any():
         raise DegeneracyError(0, "hyperplane family is degenerate at every node")
-    strips = [strip[:4] for strip in raw if strip is not None]
-    amb, f, ft, ftt = (np.stack(col) for col in zip(*strips))
+    base, nu, nu1, nu2 = (fam.base[keep], fam.normal[keep], fam.normal1[keep], fam.normal2[keep])
+    if sf.kind == "euclidean":
+        pts = base[:, None, 1:] + s_grid[None, :, None] * direction[:, None, :]
+        amb = np.concatenate([np.ones(pts.shape[:2] + (1,)), pts], axis=2)
+        f, ft, ftt = (_matvec(pts, n[:, 1:]) + r[keep, None]
+                      for n, r in ((nu, fam.offset), (nu1, fam.offset1), (nu2, fam.offset2)))
+    else:
+        c, s = _geodesic(sf, s_grid)
+        amb = c[None, :, None] * base[:, None, :] + s[None, :, None] * direction[:, None, :]
+        j = sf.form.matrix
+        f, ft, ftt = (_matvec(amb, n @ j) for n in (nu, nu1, nu2))
     t = np.asarray(fam.t, dtype=float)
     meta = {"degenerate_nodes": t[~keep].tolist(), "s_grid": s_grid.tolist()}
     return _assemble(sf, t, s_grid, keep, amb, f, ft, ftt, tol, meta)
@@ -404,9 +384,11 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S
     """Points with the additional second-derivative incidence, as polylines.
 
     Normal-form families solve F_tt = 0 exactly on the discriminant (linear
-    in s); hyperplane families solve per node on the characteristic line.
-    Chains break where the solution leaves the s-window or jumps by more than
-    chain_gap.
+    in s) at the nodes of ``t_grid``, which applies to normal forms only.
+    Hyperplane families solve at their own nodes on the characteristic lines
+    of ``envelope_mesh``, so s is the mesh's s in every geometry; on the
+    sphere it is the root of F_tt with |s| <= pi/2.  Chains break where the
+    solution leaves the s-window or jumps by more than chain_gap.
     """
     if isinstance(obj, NormalFormFamily):
         if t_grid is None:
@@ -423,88 +405,57 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S
         ts = t[solved]
         s_star = -b_poly.evalf(ts) / a_val[solved]
         x2, x3 = obj.x2_poly().evalf(ts, s_star), obj.x3_poly().evalf(ts, s_star)
-        records = [None] * len(t)
-        rows = (np.flatnonzero(solved), ts, s_star, x2, x3)
-        for k, tk, sk, x2k, x3k in zip(*(col.tolist() for col in rows)):
-            records[k] = ((tk, sk), (sk, x2k, x3k), (1.0, sk, x2k, x3k))
-        return _chain_records(records, chain_gap)
+        points = np.column_stack([s_star, x2, x3])
+        ambient = np.column_stack([np.ones(len(ts)), points])
+        return _chain(np.flatnonzero(solved), ts, s_star, points, ambient, chain_gap)
+    if not isinstance(obj, HyperplaneFamily):
+        raise DomainError("singular_locus expects a NormalFormFamily or a HyperplaneFamily")
 
-    if isinstance(obj, HyperplaneFamily):
-        fam = obj
-        sf = fam.sf
-        records = []
-        for i, t in enumerate(fam.t):
-            rec = None
-            if sf.kind == "euclidean":
-                strip = _strip_euclidean(fam, i, np.array([0.0]), tol)
-                if strip is not None:
-                    u = strip[4]
-                    num = float(fam.base[i][1:] @ fam.normal2[i][1:]) + float(fam.offset2[i])
-                    den = float(u @ fam.normal2[i][1:])
-                    if abs(den) > 1e-13 * max(1.0, abs(num)):
-                        s_star = -num / den
-                        if abs(s_star) <= s_window:
-                            point = fam.base[i][1:] + s_star * u
-                            ambient = np.concatenate(([1.0], point))
-                            rec = ((float(t), float(s_star)), tuple(point), tuple(ambient))
-            else:
-                strip = _strip_quadric(fam, i, np.array([0.0]), tol, None)
-                if strip is not None:
-                    b2 = strip[4]
-                    jm = sf.form.matrix
-                    cg = float(fam.base[i] @ (jm @ fam.normal2[i]))
-                    cb = float(b2 @ (jm @ fam.normal2[i]))
-                    s_star = None
-                    if sf.kind == "spherical":
-                        if abs(cg) > 1e-13 or abs(cb) > 1e-13:
-                            s_star = float(np.arctan2(-cg, cb))
-                    else:
-                        if abs(cb) > 1e-13 and abs(cg / cb) < 1.0:
-                            s_star = float(np.arctanh(-cg / cb))
-                    if s_star is not None and abs(s_star) <= s_window:
-                        if sf.kind == "spherical":
-                            ambient = np.cos(s_star) * fam.base[i] + np.sin(s_star) * b2
-                        else:
-                            ambient = np.cosh(s_star) * fam.base[i] + np.sinh(s_star) * b2
-                        rec = ((float(t), s_star), tuple(project_point(ambient, sf)), tuple(ambient))
-            records.append(rec)
-        return _chain_records(records, chain_gap)
-
-    if isinstance(obj, EnvelopeMesh):
-        records = [
-            ((float(obj.params[k, 0]), float(obj.params[k, 1])), tuple(obj.vertices[k]), tuple(obj.ambient[k]))
-            for k in np.flatnonzero(obj.singular)
-        ]
-        return _chain_records(records, chain_gap)
-    raise DomainError("singular_locus expects a NormalFormFamily, HyperplaneFamily, or EnvelopeMesh")
+    fam, sf = obj, obj.sf
+    keep, direction = _characteristic_lines(fam, tol)
+    base, nu2 = fam.base[keep], fam.normal2[keep]
+    if sf.kind == "euclidean":
+        num = _dot(base[:, 1:], nu2[:, 1:]) + fam.offset2[keep]
+        den = _dot(direction, nu2[:, 1:])
+        solved = np.abs(den) > 1e-13 * np.maximum(1.0, np.abs(num))
+        s_star = -num / np.where(solved, den, 1.0)
+    else:
+        jn2 = nu2 @ sf.form.matrix
+        cg, cb = _dot(base, jn2), _dot(direction, jn2)
+        if sf.kind == "spherical":
+            # the roots of cg cos s + cb sin s are pi apart; take the one with |s| <= pi/2
+            solved = (np.abs(cg) > 1e-13) | (np.abs(cb) > 1e-13)
+            s_star = np.arctan2(np.where(cb < 0, cg, -cg), np.abs(cb))
+        else:
+            ratio = -cg / np.where(np.abs(cb) > 1e-13, cb, 1.0)
+            solved = (np.abs(cb) > 1e-13) & (np.abs(ratio) < 1.0)
+            s_star = np.arctanh(np.where(solved, ratio, 0.0))
+    solved &= np.abs(s_star) <= s_window
+    s_star, base, direction = s_star[solved], base[solved], direction[solved]
+    if sf.kind == "euclidean":
+        points = base[:, 1:] + s_star[:, None] * direction
+        ambient = np.concatenate([np.ones((len(points), 1)), points], axis=1)
+    else:
+        c, s = _geodesic(sf, s_star)
+        ambient = c[:, None] * base + s[:, None] * direction
+        points = project_point(ambient, sf)
+    index = np.flatnonzero(keep)[solved]
+    return _chain(index, fam.t[index], s_star, points, ambient, chain_gap)
 
 
-def _chain_records(records, chain_gap):
-    polylines = []
-    current = []
-    prev_s = None
-    for rec in records:
-        if rec is None:
-            if len(current) >= 2:
-                polylines.append(current)
-            current, prev_s = [], None
-            continue
-        (t, s), point, ambient = rec
-        if prev_s is not None and abs(s - prev_s) > chain_gap:
-            if len(current) >= 2:
-                polylines.append(current)
-            current = []
-        current.append(rec)
-        prev_s = s
-    if len(current) >= 2:
-        polylines.append(current)
-    out = []
-    for chain in polylines:
-        params = np.array([c[0] for c in chain])
-        points = np.array([c[1] for c in chain])
-        ambient = np.array([c[2] for c in chain])
-        out.append(Polyline(params=params, points=points, ambient=ambient))
-    return out
+def _chain(index, t, s, points, ambient, chain_gap):
+    """Polylines through the solutions at node numbers ``index`` (increasing).
+
+    A chain breaks at a node without a solution and where s jumps by more than
+    chain_gap; chains of fewer than two points are dropped.
+    """
+    cuts = np.flatnonzero((np.diff(index) != 1) | (np.abs(np.diff(s)) > chain_gap)) + 1
+    return [
+        Polyline(params=np.column_stack([t[lo:hi], s[lo:hi]]), points=points[lo:hi],
+                 ambient=ambient[lo:hi])
+        for lo, hi in zip([0, *cuts], [*cuts, len(index)])
+        if hi - lo >= 2
+    ]
 
 
 # -- exporters -------------------------------------------------------------------------

@@ -292,6 +292,10 @@ def reorthonormalize(matrix, sf: SpaceForm, noise_floor=1e-10):
 
 # -- structure-equation integration (adaptive 4th-order Magnus) ------------------
 
+#: accepted plus rejected Magnus steps one integration may take before it fails;
+#: kappa = (1, 0, t^2) at tol 1e-10 needs 4.2k-6.8k over span 20 and 14.5k-26.6k over span 40
+MAX_STEPS = 50_000
+
 _GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes at h/2 -+ sqrt(3) h / 6
 _COMMUTATOR = np.sqrt(3.0) / 12.0
 
@@ -350,7 +354,9 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
     structure group to round-off without any projection.  Step doubling sets
     the step size: two half steps are accepted when they differ from one full
     step by at most tol (1 + max|E|).  ``meta`` records the accepted and
-    rejected steps.  The geometry fixes delta (euclidean 0, spherical 1,
+    rejected steps; more than MAX_STEPS of them raise IntegrationError, so a
+    huge but finite curvature fails instead of stepping for as long as the
+    span lasts.  The geometry fixes delta (euclidean 0, spherical 1,
     hyperbolic -1); any other pair raises DomainError.
     """
     if init.dim != 4:
@@ -383,6 +389,9 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
 
     min_h = 1e-13 * max(abs(s1 - s0), 1.0)
     while next_idx < len(sorted_nodes):
+        if steps + rejected >= MAX_STEPS:
+            raise IntegrationError(s, f"integration took {MAX_STEPS} steps by s={s} "
+                                      "without finishing")
         target = sorted_nodes[next_idx]
         if direction * (s + h - target) > 0:
             h = target - s

@@ -96,6 +96,17 @@ def test_curvatures_beyond_float_range_are_numeric_failures(tmp_path, capsys, ka
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_integration_past_the_step_budget_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    from framedcurves import frames
+
+    monkeypatch.setattr(frames, "MAX_STEPS", 300)
+    config = {"curve": {"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], ["0"] * 200 + ["1"]]},
+              "grids": {"t": [0.0, 40.0, 40], "s": [-1.0, 1.0, 3]}}
+    argv = ["frame", "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "numeric failure (IntegrationError): integration took 300 steps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -262,6 +273,13 @@ def test_envelope_writes_mesh_locus_and_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["mesh"]["vertices"] > 0
     assert "residual_maxima" in report
+
+
+def test_envelope_threads_flag_is_accepted_and_ignored(tmp_path):
+    for name, extra in (("plain", []), ("threads", ["--threads", "4"])):
+        assert _run_quietly(["envelope", "--out", str(tmp_path / name), *extra])[0] == 0
+    for name in ("envelope.obj", "envelope.locus.obj", "report.json"):
+        assert (tmp_path / "threads" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_envelope_of_the_radial_circle_is_a_cylinder(tmp_path):

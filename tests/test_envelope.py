@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from framedcurves import envelope
 from framedcurves import (
+    CurvatureData,
     DimensionMismatch,
     EnvelopeMesh,
+    Frame,
     NormalFormFamily,
     Polyline,
     discriminant_mesh,
@@ -18,7 +20,9 @@ from framedcurves import (
     export_obj,
     export_polylines,
     hyperplane_family,
+    integrate_structure_equation,
     singular_locus,
+    space_form,
 )
 from framedcurves.examples import (
     cylinder_point,
@@ -53,18 +57,79 @@ def test_helix_envelope_is_its_tangent_developable():
     assert float(np.max(np.abs(mesh.vertices - expect))) < 1e-9
 
 
-def test_envelope_incidence_residuals_vanish():
-    curve, field = radial_circle_field(np.linspace(0.0, np.pi, 30))
-    fam = hyperplane_family(field, curve)
+def _curvature_family(kind, nodes, kappa=((1,), (0,), (0, 0, 1))):
+    """The hyperplane family of an integrated frame field, kappa as coefficient lists."""
+    sf = space_form(kind)
+    nodes = np.asarray(nodes, dtype=float)
+    curv = CurvatureData.from_polys(sf.delta, [list(k) for k in kappa])
+    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (nodes[0], nodes[-1]), nodes=nodes)
+    return hyperplane_family(field)
+
+
+def _circle_family(nodes):
+    curve, field = radial_circle_field(nodes)
+    return hyperplane_family(field, curve)
+
+
+FAMILIES = {
+    "circle": _circle_family,
+    "spherical": lambda nodes: _curvature_family("spherical", nodes),
+    "hyperbolic": lambda nodes: _curvature_family("hyperbolic", nodes),
+}
+
+
+def _geodesic(kind, s):
+    return (np.cos(s), np.sin(s)) if kind == "spherical" else (np.cosh(s), np.sinh(s))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_envelope_incidence_residuals_vanish(name):
+    fam = FAMILIES[name](np.linspace(0.5, np.pi, 30))
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.5, 0.5, 5))
-    assert float(np.max(np.abs(mesh.residuals))) < 1e-10
+    # F = <x, nu>_J and F_t = <x, nu'>_J, relative to the sizes they cancel from
+    scale = np.max(np.abs(mesh.ambient)) * max(np.max(np.abs(fam.normal)), np.max(np.abs(fam.normal1)))
+    assert float(np.max(np.abs(mesh.residuals))) < 1e-10 * scale
 
 
-def test_degenerate_node_leaves_a_gap():
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_characteristic_direction_is_unit_and_orthogonal(name):
+    fam = FAMILIES[name](np.linspace(0.5, np.pi, 30))
+    keep, direction = envelope._characteristic_lines(fam, 1e-9)
+    assert keep.all()
+    j = fam.sf.form.matrix
+    vectors = (fam.base, fam.normal, fam.normal1)
+    if fam.sf.kind == "euclidean":  # u is spatial, orthogonal to e and e'
+        j = np.diag([0.0, 1.0, 1.0, 1.0])
+        direction = np.column_stack([np.zeros(len(direction)), direction])
+        vectors = (fam.normal, fam.normal1)
+    np.testing.assert_allclose(np.einsum("ij,jk,ik->i", direction, j, direction), 1.0, rtol=0, atol=1e-12)
+    for v in vectors:
+        dots = np.einsum("ij,jk,ik->i", direction, j, v)
+        size = np.linalg.norm(direction, axis=1) * np.linalg.norm(v, axis=1)
+        assert float(np.max(np.abs(dots) / size)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_characteristic_direction_is_the_signed_tangent(kind):
+    # with kappa_2 = 0, nu' = -kappa_3 e_2, so the line runs along sign(kappa_3) e_1
+    # in every geometry; kappa_3 = t vanishes at the middle node, which is dropped
+    sf = space_form(kind)
+    nodes = np.linspace(-2.0, 2.0, 9)
+    curv = CurvatureData.from_polys(sf.delta, [[1], [0], [0, 1]])
+    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
+    keep, direction = envelope._characteristic_lines(hyperplane_family(field), 1e-9)
+    assert keep.tolist() == [True] * 4 + [False] + [True] * 4
+    tangent = np.sign(nodes[keep])[:, None] * field.matrices[keep, :, 1]
+    if kind == "euclidean":
+        tangent = tangent[:, 1:]
+    assert float(np.max(np.abs(direction - tangent))) < 1e-10 * float(np.max(np.abs(tangent)))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_degenerate_node_leaves_a_gap(name):
     # a vanishing normal derivative at one node makes its two incidence
     # conditions dependent: the strip is dropped and no quad bridges it
-    curve, field = radial_circle_field(np.linspace(0.0, np.pi, 12))
-    fam = hyperplane_family(field, curve)
+    fam = FAMILIES[name](np.linspace(0.5, np.pi, 12))
     gap = 5
     normal1 = fam.normal1.copy()
     normal1[gap] = 0.0
@@ -87,7 +152,7 @@ def test_helix_singular_locus_is_the_curve_itself():
     nodes = np.linspace(-1.0, 1.0, 81)
     curve, field = helix_frenet_field(nodes)
     fam = hyperplane_family(field, curve)
-    polylines = singular_locus(fam, t_grid=nodes)
+    polylines = singular_locus(fam)
     assert polylines, "expected a nonempty singular locus"
     worst = 0.0
     for pl in polylines:
@@ -95,6 +160,37 @@ def test_helix_singular_locus_is_the_curve_itself():
             assert abs(s) < 1e-9  # the ruling parameter of the edge is 0
             worst = max(worst, float(np.max(np.abs(p - helix_developable_point(t, 0.0)))))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind, nodes, kappa",
+    [
+        ("spherical", (0.0, 20.0, 800), ((1,), (0,), (0, 0, 1))),
+        ("hyperbolic", (-5.0, 5.0, 800), ((1,), (0,), (0, 0, 1))),
+        ("spherical", (-2.0, 2.0, 81), ((1,), (1,), (0, 1))),
+        ("hyperbolic", (-2.0, 2.0, 81), ((1,), (1,), (0, 1))),
+    ],
+)
+def test_quadric_locus_lies_on_the_mesh_lines(kind, nodes, kappa):
+    # every locus point is cos s* gamma + sin s* b2 (cosh / sinh) with the
+    # mesh's own b2 and the locus's s*, so s* is the mesh's parameter
+    fam = _curvature_family(kind, np.linspace(*nodes), kappa)
+    mesh = envelope_mesh(fam, s_grid=np.array([0.0, 1.0]))
+    strips = mesh.ambient.reshape(-1, 2, 4)
+    gamma = strips[:, 0]
+    c1, s1 = _geodesic(kind, 1.0)
+    b2 = (strips[:, 1] - c1 * gamma) / s1
+    node_t = mesh.params[::2, 0]
+    polylines = singular_locus(fam)
+    assert polylines
+    for pl in polylines:
+        k = np.searchsorted(node_t, pl.params[:, 0])
+        assert np.array_equal(node_t[k], pl.params[:, 0])
+        c, s = _geodesic(kind, pl.params[:, 1])
+        expect = c[:, None] * gamma[k] + s[:, None] * b2[k]
+        assert float(np.max(np.abs(expect - pl.ambient))) <= 1e-12 * float(np.max(np.abs(pl.ambient)))
+    if nodes == (0.0, 20.0, 800):  # t = 0 is the only degenerate node: one unbroken chain
+        assert [len(pl.params) for pl in polylines] == [799]
 
 
 # -- discriminant normal forms -------------------------------------------------------

@@ -28,6 +28,8 @@ from framedcurves import (
     structure_poly_matrix,
 )
 from framedcurves.examples import helix_frenet_field, radial_circle_field
+from framedcurves import frames
+from framedcurves.errors import IntegrationError
 from framedcurves.frames import _kappa_function, _magnus_propagators
 from framedcurves.ratpoly import Poly
 from frame_reference import dop853_frames, relative_frame_error
@@ -229,6 +231,24 @@ def test_integration_step_budget_over_span_20(kind):
     if kind != "hyperbolic":
         reference = dop853_frames(curv, field.s)
         assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
+
+
+def test_step_budget_ends_a_runaway_integration(monkeypatch):
+    # kappa_3 = t^200 forces ever smaller steps for as long as the span lasts;
+    # the budget stops it after exactly MAX_STEPS accepted plus rejected steps
+    attempts = []
+
+    def counted(*args):
+        attempts.append(args)
+        return _magnus_propagators(*args)
+
+    monkeypatch.setattr(frames, "MAX_STEPS", 300)
+    monkeypatch.setattr(frames, "_magnus_propagators", counted)
+    sf = space_form("euclidean")
+    curv = CurvatureData.from_polys(0, [[1], [0], [0] * 200 + [1]])
+    with pytest.raises(IntegrationError, match="took 300 steps"):
+        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 40.0), tol=1e-10)
+    assert len(attempts) == 300
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])

@@ -3,8 +3,8 @@
 Each case runs one subcommand and compares SHA-256 hashes of the OBJ files it
 writes.  A change to vertex order, float formatting, singular marks or face
 layout changes a hash.  The curvature cases put the degenerate node t = 0 of
-kappa = (1, 0, t^2) on the grid (39 of 40 strips survive) and reach both
-quadric strip paths through the spherical and hyperbolic geometries.  Their
+kappa = (1, 0, t^2) on the grid (39 of 40 strips survive) and reach the
+quadric characteristic lines through the spherical and hyperbolic geometries.  Their
 hashes also pin the frame integrator's last bits, so each of them is checked
 against an independent DOP853 solution as well.
 """
@@ -63,13 +63,13 @@ ENVELOPE_CASES = {
     ),
     "spherical-delta1": (
         _curvature("spherical", 1),
-        "bee2839a5cd34b5b5f29cc383f39c04933c9e0240ed6e874d666452cae1e5a60",
-        "61af6f9764e1469ac01139c5fe8e8dfe4aa09abd1021c24511abb7c0294d76f5",
+        "a3a442c122c162d0b40eb7fa7492310f0727ace9cd6334c2bc8d035bacf2c23c",
+        "3d4c99d484368826f41d88ad2c879c946691cccac4ad61df80dbcadf47e1a92a",
     ),
     "hyperbolic-delta-1": (
         _curvature("hyperbolic", -1),
-        "2e840fd8362f84f97db098729780ce0c8bbcedf52f8fa81c810c7e1f4cb1bbee",
-        "42d0d057088b465af11243ea5d2b2fbb0cfb97e414022f6bb3662b6edce00cab",
+        "d9a3b9f1ae3995a4d5fe66fa816a9ba0c63b05cccc58c06f84bdab36294fd1bc",
+        "bb0ac947065e070a61ace9431295bba534ac16bac5db001f098f81acdb444fc1",
     ),
 }
 
