@@ -107,11 +107,16 @@ def hyperplane_family(field: FrameField, curve=None) -> HyperplaneFamily:
     if sf.kind != "euclidean":
         return fam
 
-    if curve is not None:
-        jets = np.stack([curve.jet(float(t), 2) for t in field.s])  # (n, dim, 3)
-        g0, g1, g2 = (np.ascontiguousarray(jets[:, 1:, k]) for k in range(3))
-    else:
-        g0, g1, g2 = (np.ascontiguousarray(m[:, 1:, 0]) for m in (e0, e1, e2))
+    n = len(field.s)
+    g0 = np.empty((n, sf.dim - 1))
+    g1 = np.empty_like(g0)
+    g2 = np.empty_like(g0)
+    for i, t in enumerate(field.s):
+        if curve is not None:
+            jet = curve.jet(float(t), 2)
+            g0[i], g1[i], g2[i] = jet[1:, 0], jet[1:, 1], jet[1:, 2]
+        else:
+            g0[i], g1[i], g2[i] = e0[i][1:, 0], e1[i][1:, 0], e2[i][1:, 0]
     sp = slice(1, None)
     fam.offset = -np.einsum("ij,ij->i", g0, normal[:, sp])
     fam.offset1 = -(
@@ -224,11 +229,11 @@ def _characteristic_lines(fam, tol):
     where c is the cofactor vector of the 3x4 matrix [gamma; nu; nu'], that is
     det[gamma; nu; nu'; x] = x . c; so b2 is J-orthogonal to gamma, nu and nu'.
     On a frame with nu' = -kappa_3 e_2 both directions are sign(kappa_3) e_1,
-    and both are continuous in t between degenerate nodes.  A node is
-    degenerate when its two conditions are dependent to within
-    b = max(tol, 1e-13): |e x e'| <= b |e| |e'|, or <J c, J c>_J <= b^2, which
-    (gamma and nu being J-unit) is the J-square of the part of nu'
-    J-orthogonal to both.
+    so they flip where kappa_3 changes sign; ``_continued`` undoes such flips
+    between consecutive kept nodes.  A node is degenerate when its two
+    conditions are dependent to within b = max(tol, 1e-13):
+    |e x e'| <= b |e| |e'|, or <J c, J c>_J <= b^2, which (gamma and nu being
+    J-unit) is the J-square of the part of nu' J-orthogonal to both.
     """
     bound = max(tol, 1e-13)
     if fam.sf.kind == "euclidean":
@@ -237,13 +242,27 @@ def _characteristic_lines(fam, tol):
         norm = np.sqrt(_dot(cross, cross))
         scale = np.maximum(np.sqrt(_dot(e, e)) * np.sqrt(_dot(e1, e1)), 1e-300)
         keep = ~(norm <= bound * scale)
-        return keep, cross[keep] / norm[keep, None]
+        return keep, _continued(keep, cross[keep] / norm[keep, None])
     rows = np.stack([fam.base, fam.normal, fam.normal1], axis=1)  # (N, 3, 4)
     minors = np.moveaxis(rows[:, :, _MINOR_COLUMNS], 2, 1)  # (N, 4, 3, 3)
     jc = (np.linalg.det(minors) * _COFACTOR_SIGNS) @ fam.sf.form.matrix
     q = _dot(jc @ fam.sf.form.matrix, jc)
     keep = q > bound * bound
-    return keep, jc[keep] / np.sqrt(q[keep])[:, None]
+    return keep, _continued(keep, jc[keep] / np.sqrt(q[keep])[:, None])
+
+
+def _continued(keep, direction):
+    """Directions at the kept nodes, flipped so that consecutive ones have dot >= 0.
+
+    Each run of consecutive kept nodes keeps the sign of its first direction;
+    a degenerate node starts a new run.
+    """
+    index = np.flatnonzero(keep)
+    joined = np.diff(index, prepend=-2) == 1  # row k continues the run of row k - 1
+    flips = np.cumsum(joined & (_dot(direction, np.roll(direction, 1, axis=0)) < 0))
+    run_start = np.maximum.accumulate(np.where(joined, 0, np.arange(len(index))))
+    odd = (flips - flips[run_start]) % 2 == 1
+    return np.where(odd[:, None], -direction, direction)
 
 
 def _geodesic(sf, s):

@@ -292,7 +292,8 @@ def reorthonormalize(matrix, sf: SpaceForm, noise_floor=1e-10):
 
 # -- structure-equation integration (adaptive 4th-order Magnus) ------------------
 
-#: accepted plus rejected Magnus steps one integration may take before it fails;
+#: accepted plus rejected Magnus steps one integration may take before it fails,
+#: not counting the accepted steps cut short to end on a node;
 #: kappa = (1, 0, t^2) at tol 1e-10 needs 4.2k-6.8k over span 20 and 14.5k-26.6k over span 40
 MAX_STEPS = 50_000
 
@@ -354,10 +355,11 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
     structure group to round-off without any projection.  Step doubling sets
     the step size: two half steps are accepted when they differ from one full
     step by at most tol (1 + max|E|).  ``meta`` records the accepted and
-    rejected steps; more than MAX_STEPS of them raise IntegrationError, so a
-    huge but finite curvature fails instead of stepping for as long as the
-    span lasts.  The geometry fixes delta (euclidean 0, spherical 1,
-    hyperbolic -1); any other pair raises DomainError.
+    rejected steps.  Past MAX_STEPS of them, not counting accepted steps cut
+    short to end on a node (a dense node grid forces one per node), it raises
+    IntegrationError, so a huge but finite curvature fails instead of stepping
+    for as long as the span lasts.  The geometry fixes delta (euclidean 0,
+    spherical 1, hyperbolic -1); any other pair raises DomainError.
     """
     if init.dim != 4:
         raise DimensionMismatch("structure-equation integration is wired for n = 2")
@@ -380,7 +382,7 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
     h = direction * max(abs(s1 - s0), 1e-12) / 100.0
     out = np.empty((len(nodes), 4, 4))
     next_idx = 0
-    steps = rejected = 0
+    steps = rejected = landed = 0
 
     # emit any nodes at (or numerically before) the start
     while next_idx < len(sorted_nodes) and direction * (sorted_nodes[next_idx] - s) <= 1e-14:
@@ -389,11 +391,12 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
 
     min_h = 1e-13 * max(abs(s1 - s0), 1.0)
     while next_idx < len(sorted_nodes):
-        if steps + rejected >= MAX_STEPS:
+        if steps - landed + rejected >= MAX_STEPS:
             raise IntegrationError(s, f"integration took {MAX_STEPS} steps by s={s} "
                                       "without finishing")
         target = sorted_nodes[next_idx]
-        if direction * (s + h - target) > 0:
+        cut = bool(direction * (s + h - target) > 0)
+        if cut:
             h = target - s
         half = 0.5 * h
         p_half, p_rest, p_full = _magnus_propagators(delta, kappa, (s, s + half, s), (half, half, h))
@@ -402,6 +405,7 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
         err = float(np.max(np.abs(fine - coarse))) / (tol * (1.0 + float(np.max(np.abs(fine)))))
         if err <= 1.0:
             steps += 1
+            landed += cut
             s = s + h
             e = fine
             while (

@@ -125,6 +125,37 @@ def test_characteristic_direction_is_the_signed_tangent(kind):
     assert float(np.max(np.abs(direction - tangent))) < 1e-10 * float(np.max(np.abs(tangent)))
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kind):
+    # kappa_3 = t vanishes between the two middle nodes, where the raw
+    # direction sign(kappa_3) e_1 flips; the mesh's lines must not flip with it
+    sf = space_form(kind)
+    nodes = np.linspace(-2.0, 2.0, 10)
+    curv = CurvatureData.from_polys(sf.delta, [[1], [0], [0, 1]])
+    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
+    fam = hyperplane_family(field)
+    keep, direction = envelope._characteristic_lines(fam, 1e-9)
+    assert keep.all()
+    assert (np.einsum("ij,ij->i", direction[1:], direction[:-1]) > 0).all()
+    mesh = envelope_mesh(fam, s_grid=np.array([0.0, 1.0]))
+    strips = mesh.ambient.reshape(-1, 2, 4)
+    if kind == "euclidean":
+        lines = strips[:, 1] - strips[:, 0]
+    else:
+        c1, s1 = _geodesic(kind, 1.0)
+        lines = (strips[:, 1] - c1 * strips[:, 0]) / s1
+    assert (np.einsum("ij,ij->i", lines[1:], lines[:-1]) > 0).all()
+    # the singular locus lies on the same, continued lines
+    for pl in singular_locus(fam):
+        k = np.searchsorted(nodes, pl.params[:, 0])
+        if kind == "euclidean":
+            expect = strips[k, 0] + pl.params[:, 1, None] * lines[k]
+        else:
+            c, s = _geodesic(kind, pl.params[:, 1])
+            expect = c[:, None] * strips[k, 0] + s[:, None] * lines[k]
+        assert float(np.max(np.abs(expect - pl.ambient))) <= 1e-12 * float(np.max(np.abs(pl.ambient)))
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_degenerate_node_leaves_a_gap(name):
     # a vanishing normal derivative at one node makes its two incidence

@@ -235,7 +235,8 @@ def test_integration_step_budget_over_span_20(kind):
 
 def test_step_budget_ends_a_runaway_integration(monkeypatch):
     # kappa_3 = t^200 forces ever smaller steps for as long as the span lasts;
-    # the budget stops it after exactly MAX_STEPS accepted plus rejected steps
+    # with no node inside the span to cut a step short, the budget stops it
+    # after exactly MAX_STEPS accepted plus rejected steps
     attempts = []
 
     def counted(*args):
@@ -247,8 +248,25 @@ def test_step_budget_ends_a_runaway_integration(monkeypatch):
     sf = space_form("euclidean")
     curv = CurvatureData.from_polys(0, [[1], [0], [0] * 200 + [1]])
     with pytest.raises(IntegrationError, match="took 300 steps"):
-        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 40.0), tol=1e-10)
+        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 40.0), tol=1e-10,
+                                     nodes=[0.0, 40.0])
     assert len(attempts) == 300
+    # on a node grid the steps that land on a node are extra, and it still ends
+    with pytest.raises(IntegrationError, match="took 300 steps"):
+        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 40.0), tol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_steps_forced_by_a_dense_node_grid_are_outside_the_budget(monkeypatch, kind):
+    # constant curvature on 2,000 nodes takes at least one step per node,
+    # well past a budget of 300, and must still integrate
+    monkeypatch.setattr(frames, "MAX_STEPS", 300)
+    sf = space_form(kind)
+    curv = CurvatureData.from_polys(sf.delta, [[1], [0], [1]])
+    nodes = np.linspace(0.0, 20.0, 2000)
+    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 20.0), tol=1e-10, nodes=nodes)
+    assert field.meta["steps"] >= len(nodes) - 1 > frames.MAX_STEPS
+    assert float(np.max(field.gram_defects())) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
