@@ -52,8 +52,7 @@ def main():
         ("cylinder", radial_circle_field, np.linspace(0.0, 2 * np.pi, 200)),
         ("helix-developable", helix_frenet_field, np.linspace(-np.pi, np.pi, 200)),
     ):
-        curve, field = factory(nodes)
-        fam = hyperplane_family(field, curve)
+        fam = hyperplane_family(factory(nodes)[1])
         mesh = envelope_mesh(fam, s_grid=np.linspace(-1.5, 1.5, args.s_samples))
         locus = singular_locus(fam)
         write_pair(args.out, name, mesh, locus)

@@ -33,7 +33,6 @@ from .spaceform import (
 from .curves import (
     ClosedFormCurve,
     PolynomialCurve,
-    SampledCurve,
     circle_curve,
     great_circle_curve,
     helix_curve,

@@ -182,13 +182,13 @@ def criterion_5():
     start = time.time()
     from scipy.spatial import cKDTree
 
-    curve, field = radial_circle_field(np.linspace(0.0, 2.0 * np.pi, 200))
-    mesh = envelope_mesh(hyperplane_family(field, curve), s_grid=np.linspace(-1.5, 1.5, 50))
+    _, field = radial_circle_field(np.linspace(0.0, 2.0 * np.pi, 200))
+    mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 50))
     v = mesh.vertices
     cyl = float(np.max(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0)))
 
-    curve, field = helix_frenet_field(np.linspace(-np.pi, np.pi, 200))
-    mesh = envelope_mesh(hyperplane_family(field, curve), s_grid=np.linspace(-1.5, 1.5, 50))
+    _, field = helix_frenet_field(np.linspace(-np.pi, np.pi, 200))
+    mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 50))
     analytic = np.array([helix_developable_point(t, s) for t, s in mesh.params])
     tree_a, tree_m = cKDTree(analytic), cKDTree(mesh.vertices)
     hausdorff = max(

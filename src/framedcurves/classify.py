@@ -202,11 +202,6 @@ class CurvatureFamily:
         """Family with kappa_2 identically zero."""
         return cls(delta, (_family_poly(kappa1), Poly(), _family_poly(kappa3)))
 
-    def at_lambda(self, lam):
-        """Exact single-curve curvature data on the line lambda = lam."""
-        polys = tuple(p.subs_u(as_fraction(lam)) for p in self.kappa)
-        return CurvatureData.from_polys(self.delta, polys)
-
     def _carrier(self):
         # CurvatureData carrying the bivariate polynomials; the callables are
         # the lambda = 0 slice and are never used by the exact jet machinery.

@@ -94,8 +94,7 @@ def _event_record(ev):
 def _cmd_type(args):
     cfg = _load_config(args)
     if cfg.curve["kind"] == "curvature":
-        _, field = cfg.build_field(lam=args.lam)
-        target = frame_dual(field)
+        target = frame_dual(cfg.build_field(lam=args.lam))
         subject = "frame dual"
     else:
         target = cfg.build_curve()
@@ -114,7 +113,7 @@ def _cmd_type(args):
 
 def _cmd_frame(args):
     cfg = _load_config(args)
-    _, field = cfg.build_field(lam=args.lam)
+    field = cfg.build_field(lam=args.lam)
     defects = field.gram_defects()
     path = os.path.join(getattr(args, "out", None) or ".", "frames.txt")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -130,14 +129,15 @@ def _cmd_frame(args):
 
 def _cmd_envelope(args):
     cfg = _load_config(args)
-    curve, field = cfg.build_field(lam=args.lam)
-    fam = hyperplane_family(field, curve)
+    fam = hyperplane_family(cfg.build_field(lam=args.lam))
     mesh = envelope_mesh(fam, s_grid=cfg.s_grid(), tol=cfg.mesh_tol)
     mesh_path = _out_path(args, cfg, "mesh")
     export_obj(mesh, mesh_path)
     locus = singular_locus(fam, tol=cfg.mesh_tol)
     locus_path = _sibling(mesh_path, "locus")
     export_polylines(locus, locus_path)
+    # F = <x, nu> and F_t = <x, nu'> cancel down from these sizes
+    scale = np.max(np.abs(mesh.ambient)) * max(np.max(np.abs(fam.normal)), np.max(np.abs(fam.normal1)))
     report_path = _out_path(args, cfg, "report")
     export_report({
         "subcommand": "envelope",
@@ -146,7 +146,7 @@ def _cmd_envelope(args):
                  "marked_singular": int(np.count_nonzero(mesh.singular))},
         "singular_locus": {"path": os.path.basename(locus_path),
                            "polylines": len(locus)},
-        "residual_maxima": {"envelope": float(np.max(np.abs(mesh.residuals)))},
+        "residual_maxima": {"envelope": float(np.max(np.abs(mesh.residuals)) / scale)},
         "tolerances": cfg.tolerances,
         "arithmetic": {"envelope": "floating", "locus": "floating"},
     }, report_path)
@@ -154,6 +154,10 @@ def _cmd_envelope(args):
     print(f"singular locus: {locus_path}")
     print(f"report: {report_path}")
     return 0
+
+
+#: the largest type entry whose factorial a float holds (170! ~ 7.3e306)
+_MAX_TYPE_ENTRY = 170
 
 
 def _parse_type_flag(text):
@@ -165,6 +169,8 @@ def _parse_type_flag(text):
         raise ConfigError(f"--type expects exactly three entries, got {text!r}")
     if a[0] < 1 or not (a[0] < a[1] < a[2]):
         raise ConfigError(f"--type expects a strictly increasing triple, got {text!r}")
+    if a[2] > _MAX_TYPE_ENTRY:
+        raise ConfigError(f"--type entries must be at most {_MAX_TYPE_ENTRY}, got {text!r}")
     return a
 
 
@@ -300,7 +306,7 @@ def build_parser():
 
     p = subs.add_parser("normal-form", help="write a discriminant normal-form mesh")
     _add_common(p)
-    p.add_argument("--type", required=True, help="type vector a1,a2,a3")
+    p.add_argument("--type", required=True, help="type vector a1,a2,a3, increasing, at most 170")
     p.set_defaults(func=_cmd_normal_form)
 
     p = subs.add_parser("scan", help="scan a family and write the event CSV")

@@ -297,15 +297,12 @@ class RunConfig:
         raise ConfigError("curvature-data configs define a frame field, not a bare curve")
 
     def build_field(self, lam=None):
-        """(curve, field): built-in framed curves or integrated curvature data.
-
-        curve is None for curvature data (the frame field is the whole datum).
-        """
+        """The frame field of a built-in framed curve or of integrated curvature data."""
         self._require_n2("frame construction")
         kind = self.curve["kind"]
         if kind == "builtin" and self.curve["name"] in BUILTIN_FIELDS:
             nodes = self.t_grid()
-            return builtin_field(self.curve["name"], nodes)
+            return builtin_field(self.curve["name"], nodes)[1]
         if kind == "curvature":
             polys = self._kappa_polys()
             if lam is not None:
@@ -317,11 +314,10 @@ class RunConfig:
             curv = CurvatureData.from_polys(self.curve["delta"], polys)
             sf = self.space()
             t = self.t_grid()
-            field = integrate_structure_equation(
+            return integrate_structure_equation(
                 Frame(np.eye(self.n + 2), sf), curv, (float(t[0]), float(t[-1])),
                 tol=self.ode_tol, nodes=t,
             )
-            return None, field
         raise ConfigError(
             f"no frame construction for curve spec {self.curve!r}; use a framed "
             f"builtin ({sorted(BUILTIN_FIELDS)}) or curvature data"

@@ -1,12 +1,10 @@
 """Curve representations that can produce jets (point + derivative columns).
 
-Three representations are supported:
+Two representations are supported:
 
 * :class:`PolynomialCurve` -- exact rational coefficients; jets at rational
   parameters are exact, which is what the rank decisions downstream want.
 * :class:`ClosedFormCurve` -- analytic callables for each derivative order.
-* :class:`SampledCurve` -- dense uniform samples differentiated with central
-  stencils; trusted only up to modest derivative orders.
 
 All components are ambient coordinate vectors of length n+2 (euclidean curves
 carry their leading 1 explicitly, so derivatives carry a leading 0).
@@ -121,65 +119,6 @@ class ClosedFormCurve:
         for c in cols:
             if c.shape != (self.dim,):
                 raise DimensionMismatch("derivative callable returned wrong length")
-        return np.stack(cols, axis=1)
-
-
-# Central difference stencils on uniform grids: {order: (offsets, weights, accuracy)}
-_FD_STENCILS = {
-    1: ((-2, -1, 1, 2), (1 / 12, -2 / 3, 2 / 3, -1 / 12)),
-    2: ((-2, -1, 0, 1, 2), (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)),
-    3: ((-3, -2, -1, 1, 2, 3), (1 / 8, -1, 13 / 8, -13 / 8, 1, -1 / 8)),
-    4: ((-3, -2, -1, 0, 1, 2, 3), (-1 / 6, 2, -13 / 2, 28 / 3, -13 / 2, 2, -1 / 6)),
-}
-
-
-class SampledCurve:
-    """Uniformly sampled curve differentiated with 4th-order central stencils.
-
-    Derivatives above ``max_trusted_order`` (default 4) are refused: stacked
-    finite differences at those orders no longer carry usable precision.
-    """
-
-    exact = False
-
-    def __init__(self, t0, dt, values, max_trusted_order=4):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise DimensionMismatch("values must be (dim, N)")
-        self.t0 = float(t0)
-        self.dt = float(dt)
-        self.values = values
-        self.max_trusted_order = int(max_trusted_order)
-
-    @property
-    def dim(self):
-        return self.values.shape[0]
-
-    def max_order(self, t=None):
-        return min(self.max_trusted_order, len(_FD_STENCILS))
-
-    def _index_of(self, t):
-        idx = round((float(t) - self.t0) / self.dt)
-        if abs(self.t0 + idx * self.dt - float(t)) > 1e-9 * max(1.0, abs(self.dt)):
-            raise CapabilityError("sampled curves can only be differentiated at grid nodes")
-        return int(idx)
-
-    def jet(self, t, r):
-        if r > self.max_order():
-            raise CapabilityError(
-                f"finite differences are trusted to order {self.max_order()}, requested {r}"
-            )
-        idx = self._index_of(t)
-        n = self.values.shape[1]
-        cols = [self.values[:, idx].copy()]
-        for k in range(1, r + 1):
-            offsets, weights = _FD_STENCILS[k]
-            if idx + offsets[0] < 0 or idx + offsets[-1] >= n:
-                raise CapabilityError("not enough samples around t for the requested order")
-            col = np.zeros(self.dim)
-            for off, w in zip(offsets, weights):
-                col += w * self.values[:, idx + off]
-            cols.append(col / self.dt**k)
         return np.stack(cols, axis=1)
 
 

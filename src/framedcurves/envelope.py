@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DimensionMismatch, DomainError
 from .fileio import atomic_open
-from .frames import FrameField, structure_matrix, structure_poly_matrix
+from .frames import FrameField, structure_poly_matrix
 from .ratpoly import Poly
 from .spaceform import SpaceForm, space_form
 
@@ -57,45 +57,28 @@ class HyperplaneFamily:
 
 
 def _field_derivative_tables(field: FrameField):
-    """Per-node (E, E', E'') via the best available channel."""
+    """(E, E', E'') at every node: closed form, or E K and E (K K + K') from polynomial K."""
     mats = field.matrices
-    n = len(field.s)
-    if field.matrix_derivative_fn is not None:
-        fn = field.matrix_derivative_fn
+    fn = field.matrix_fn
+    if fn is not None:
         e1 = np.stack([np.asarray(fn(float(t), 1), dtype=float) for t in field.s])
         e2 = np.stack([np.asarray(fn(float(t), 2), dtype=float) for t in field.s])
         return mats, e1, e2
     curv = field.curvature
-    if curv is not None and curv.kappa_polys is not None:
-        kp = structure_poly_matrix(curv)
-        kp1 = [[p.diff_t() for p in row] for row in kp]
-        e1 = np.empty_like(mats)
-        e2 = np.empty_like(mats)
-        for i, t in enumerate(field.s):
-            k = np.array([[p.evalf(float(t)) for p in row] for row in kp])
-            k1 = np.array([[p.evalf(float(t)) for p in row] for row in kp1])
-            e1[i] = mats[i] @ k
-            e2[i] = mats[i] @ (k @ k + k1)
-        return mats, e1, e2
-    if curv is not None:
-        e1 = np.empty_like(mats)
-        for i, t in enumerate(field.s):
-            e1[i] = mats[i] @ structure_matrix(curv.delta, curv.values(float(t)))
-        e2 = np.gradient(e1, field.s, axis=0)
-        return mats, e1, e2
-    if n < 2:
-        raise CapabilityError("cannot differentiate a single-frame field")
-    e1 = np.gradient(mats, field.s, axis=0)
-    e2 = np.gradient(e1, field.s, axis=0)
-    return mats, e1, e2
+    if curv is None or curv.kappa_polys is None:
+        raise CapabilityError("hyperplane families need a closed-form field or polynomial curvatures")
+    kp = structure_poly_matrix(curv)
+    t = np.asarray(field.s, dtype=float)
+    k = np.stack([np.stack([p.evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
+    k1 = np.stack([np.stack([p.diff_t().evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
+    return mats, mats @ k, mats @ (k @ k + k1)
 
 
-def hyperplane_family(field: FrameField, curve=None) -> HyperplaneFamily:
+def hyperplane_family(field: FrameField) -> HyperplaneFamily:
     """The tangent-hyperplane family carried by e_{n+1} of a frame field.
 
     Euclidean offsets are r = -gamma . e_{n+1} with derivatives by the product
-    rule; gamma jets come from ``curve`` when given, else from the field's own
-    derivative channels.
+    rule; gamma and its derivatives are the e_0 columns of E, E' and E''.
     """
     sf = field.sf
     e0, e1, e2 = _field_derivative_tables(field)
@@ -107,16 +90,7 @@ def hyperplane_family(field: FrameField, curve=None) -> HyperplaneFamily:
     if sf.kind != "euclidean":
         return fam
 
-    n = len(field.s)
-    g0 = np.empty((n, sf.dim - 1))
-    g1 = np.empty_like(g0)
-    g2 = np.empty_like(g0)
-    for i, t in enumerate(field.s):
-        if curve is not None:
-            jet = curve.jet(float(t), 2)
-            g0[i], g1[i], g2[i] = jet[1:, 0], jet[1:, 1], jet[1:, 2]
-        else:
-            g0[i], g1[i], g2[i] = e0[i][1:, 0], e1[i][1:, 0], e2[i][1:, 0]
+    g0, g1, g2 = (np.ascontiguousarray(e[:, 1:, 0]) for e in (e0, e1, e2))
     sp = slice(1, None)
     fam.offset = -np.einsum("ij,ij->i", g0, normal[:, sp])
     fam.offset1 = -(

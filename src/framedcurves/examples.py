@@ -60,12 +60,7 @@ def radial_circle_field(nodes=None):
     if nodes is None:
         nodes = np.linspace(0.0, 2.0 * np.pi, 200)
     sf = space_form("euclidean")
-    field = frame_field_from_function(
-        sf,
-        _radial_circle_matrix,
-        np.asarray(nodes, dtype=float),
-        matrix_derivative_fn=_radial_circle_matrix,
-    )
+    field = frame_field_from_function(sf, _radial_circle_matrix, nodes)
     return circle_curve(), field
 
 
@@ -97,12 +92,7 @@ def helix_frenet_field(nodes=None):
     if nodes is None:
         nodes = np.linspace(-np.pi, np.pi, 200)
     sf = space_form("euclidean")
-    field = frame_field_from_function(
-        sf,
-        _helix_matrix,
-        np.asarray(nodes, dtype=float),
-        matrix_derivative_fn=_helix_matrix,
-    )
+    field = frame_field_from_function(sf, _helix_matrix, nodes)
     return helix_curve(), field
 
 

@@ -55,21 +55,10 @@ class FlagCurve:
     def pairs(self):
         return [(i, j) for j in range(self.dim - 1) for i in range(j + 1, self.dim)]
 
-    def coord_poly(self, i, j) -> Poly:
-        return self.polys[(i, j)]
-
     def coord_values(self, i, j, nodes=None):
         if self.polys is not None:
             return _evalf_on(self.polys[(i, j)], self.s if nodes is None else nodes)
         return self.coords[(i, j)]
-
-    def diagonal(self) -> "DiagonalData":
-        if self.polys is not None:
-            return DiagonalData(polys=tuple(self.polys[(j + 1, j)] for j in range(self.dim - 1)))
-        return DiagonalData(
-            s=self.s,
-            values=np.stack([self.coords[(j + 1, j)] for j in range(self.dim - 1)]),
-        )
 
     def diagonal_orders(self):
         """Vanishing orders of the diagonal entries at t = 0 (exact path)."""
@@ -87,20 +76,14 @@ class FlagCurve:
 
 @dataclass
 class DiagonalData:
-    """The diagonal entries x_j^{j-1}(t): exact polys, or samples, or callables."""
+    """The diagonal entries x_j^{j-1}(t): exact polys, or callables."""
 
     polys: tuple = None
     fns: tuple = None
     dfns: tuple = None
-    s: np.ndarray = None
-    values: np.ndarray = None
 
     def size(self):
-        if self.polys is not None:
-            return len(self.polys)
-        if self.fns is not None:
-            return len(self.fns)
-        return self.values.shape[0]
+        return len(self.polys if self.polys is not None else self.fns)
 
 
 # -- chart extraction -----------------------------------------------------------

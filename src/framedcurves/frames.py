@@ -25,7 +25,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .curves import SampledCurve
 from .errors import (
     CapabilityError,
     DegeneracyError,
@@ -49,13 +48,6 @@ class Frame:
 
     matrix: np.ndarray
     sf: SpaceForm
-
-    def column(self, i):
-        return self.matrix[:, i]
-
-    @property
-    def base_point(self):
-        return self.matrix[:, 0]
 
     @property
     def dim(self):
@@ -220,16 +212,16 @@ def dual_coefficient_jets(curv: CurvatureData, r):
 class FrameField:
     """Frames sampled along arc length / parameter nodes.
 
-    ``matrix_derivative_fn(t, k)``, when present, returns the k-th derivative
-    of the full frame matrix (analytic channel); ``curvature`` enables the
-    structure-equation channels.
+    Every field carries exact derivatives through one of two channels:
+    ``matrix_fn(t, k)`` returns the k-th derivative of the full frame matrix
+    (closed form), or ``curvature`` gives them by the structure equation.
     """
 
     sf: SpaceForm
     s: np.ndarray
     matrices: np.ndarray  # (N, dim, dim)
     curvature: CurvatureData = None
-    matrix_derivative_fn: object = None
+    matrix_fn: object = None
     meta: dict = dataclass_field(default_factory=dict)
 
     def __len__(self):
@@ -239,24 +231,15 @@ class FrameField:
     def dim(self):
         return self.matrices.shape[1]
 
-    def frame(self, i) -> Frame:
-        return Frame(self.matrices[i], self.sf)
-
-    def node_spacing(self):
-        ds = np.diff(self.s)
-        if len(ds) and not np.allclose(ds, ds[0], rtol=1e-9, atol=1e-12):
-            return None
-        return float(ds[0]) if len(ds) else 0.0
-
     def gram_defects(self):
         return np.array([gram_defect(m, self.sf) for m in self.matrices])
 
 
-def frame_field_from_function(sf, matrix_fn, nodes, matrix_derivative_fn=None):
-    """Sample a closed-form frame field at the given nodes."""
+def frame_field_from_function(sf, matrix_fn, nodes):
+    """Sample a closed-form frame field; ``matrix_fn(t, k)`` is the k-th derivative."""
     nodes = np.asarray(nodes, dtype=float)
-    mats = np.stack([np.asarray(matrix_fn(t), dtype=float) for t in nodes])
-    return FrameField(sf, nodes, mats, matrix_derivative_fn=matrix_derivative_fn)
+    mats = np.stack([np.asarray(matrix_fn(t, 0), dtype=float) for t in nodes])
+    return FrameField(sf, nodes, mats, matrix_fn=matrix_fn)
 
 
 # -- re-orthonormalization -----------------------------------------------------
@@ -493,21 +476,13 @@ class DualCurve:
         self.kind = field.sf.dual_kind
         self.s = field.s
         self.values = np.stack([_dual_value(m, field.sf) for m in field.matrices])
-        self._sampled = None
-        spacing = field.node_spacing()
-        if field.matrix_derivative_fn is None and field.curvature is None and spacing:
-            self._sampled = SampledCurve(field.s[0], spacing, self.values.T)
 
     @property
     def dim(self):
         return self.values.shape[1]
 
     def max_order(self, t=None):
-        if self.field.matrix_derivative_fn is not None:
-            return None
-        if self.field.curvature is not None:
-            return None
-        return self._sampled.max_order(t) if self._sampled is not None else 0
+        return None  # both derivative channels are exact to every order
 
     def _node_index(self, t):
         idx = int(np.argmin(np.abs(self.s - float(t))))
@@ -517,7 +492,7 @@ class DualCurve:
 
     def jet(self, t, r):
         sf = self.field.sf
-        fn = self.field.matrix_derivative_fn
+        fn = self.field.matrix_fn
         if fn is not None:
             mats = [np.asarray(fn(float(t), k), dtype=float) for k in range(r + 1)]
             return self._jet_from_matrix_derivs(mats, sf)
@@ -536,8 +511,6 @@ class DualCurve:
                     col = sf.form.matrix @ col  # J e_{n+1} -> e_{n+1}
                 cols.append(col)
             return np.stack(cols, axis=1)
-        if self._sampled is not None:
-            return self._sampled.jet(t, r)
         raise CapabilityError("frame field provides no derivative channel for dual jets")
 
     def _jet_from_matrix_derivs(self, mats, sf):

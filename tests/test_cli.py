@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -233,6 +234,24 @@ def test_normal_form_rejects_bad_type(capsys):
     assert main(["normal-form", "--type", "3,2,1"]) == 2
 
 
+@pytest.mark.parametrize("text", ["1,2,171", "1,2,1000000000"])
+def test_normal_form_rejects_a_type_entry_beyond_the_float_factorials(text, capsys):
+    # 171! does not fit a float; the bound is checked before any factorial
+    assert main(["normal-form", "--type", text]) == 2
+    assert "at most 170" in capsys.readouterr().err
+
+
+_TYPE_ENTRY = st.integers(min_value=-3, max_value=400) | st.sampled_from([10**9, 10**30])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_TYPE_ENTRY.map(str), max_size=4).map(",".join)
+       | st.text(alphabet="0123456789,-+ _.e", max_size=12))
+def test_normal_form_type_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as out:
+        assert _run_quietly(["normal-form", f"--type={text}", "--out", out])[0] in (0, 2)
+
+
 # -- scan ------------------------------------------------------------------------------------
 
 
@@ -273,6 +292,19 @@ def test_envelope_writes_mesh_locus_and_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["mesh"]["vertices"] > 0
     assert "residual_maxima" in report
+
+
+def test_envelope_residual_is_relative_to_the_frame_size(tmp_path):
+    # hyperbolic frames grow like e^t, so absolute |F|, |F_t| carry their round-off
+    config = {
+        "geometry": "hyperbolic",
+        "curve": {"kind": "curvature", "delta": -1, "kappa": [["1"], ["0"], ["0", "0", "1"]]},
+        "grids": {"t": [0.0, 10.0, 200]},
+    }
+    cfg, out = _write_config(tmp_path, config), tmp_path / "out"
+    assert _run_quietly(["envelope", "--config", cfg, "--out", str(out)])[0] == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["residual_maxima"]["envelope"] <= 1e-10
 
 
 def test_envelope_threads_flag_is_accepted_and_ignored(tmp_path):

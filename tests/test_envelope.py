@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from framedcurves import envelope
 from framedcurves import (
+    CapabilityError,
     CurvatureData,
     DimensionMismatch,
     EnvelopeMesh,
@@ -38,8 +39,8 @@ NORMAL_FORM_TYPES = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 4), (3, 
 
 
 def test_radial_circle_envelope_is_a_cylinder():
-    curve, field = radial_circle_field(np.linspace(0.0, 2 * np.pi, 60))
-    fam = hyperplane_family(field, curve)
+    _, field = radial_circle_field(np.linspace(0.0, 2 * np.pi, 60))
+    fam = hyperplane_family(field)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-1.0, 1.0, 9))
     assert len(mesh.vertices) == 60 * 9
     radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -50,11 +51,20 @@ def test_radial_circle_envelope_is_a_cylinder():
 
 
 def test_helix_envelope_is_its_tangent_developable():
-    curve, field = helix_frenet_field(np.linspace(-1.0, 1.0, 41))
-    fam = hyperplane_family(field, curve)
+    _, field = helix_frenet_field(np.linspace(-1.0, 1.0, 41))
+    fam = hyperplane_family(field)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.8, 0.8, 9))
     expect = np.stack([helix_developable_point(t, s) for t, s in mesh.params])
     assert float(np.max(np.abs(mesh.vertices - expect))) < 1e-9
+
+
+def test_hyperplane_family_needs_exact_derivatives():
+    # callable curvatures give E' = E K but no exact K', and nothing differences numerically
+    sf = space_form("spherical")
+    curv = CurvatureData(1, (lambda s: 1.0, lambda s: 0.0, lambda s: s * s))
+    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 1.0))
+    with pytest.raises(CapabilityError, match="polynomial curvatures"):
+        hyperplane_family(field)
 
 
 def _curvature_family(kind, nodes, kappa=((1,), (0,), (0, 0, 1))):
@@ -67,8 +77,8 @@ def _curvature_family(kind, nodes, kappa=((1,), (0,), (0, 0, 1))):
 
 
 def _circle_family(nodes):
-    curve, field = radial_circle_field(nodes)
-    return hyperplane_family(field, curve)
+    _, field = radial_circle_field(nodes)
+    return hyperplane_family(field)
 
 
 FAMILIES = {
@@ -181,8 +191,8 @@ def test_degenerate_node_leaves_a_gap(name):
 def test_helix_singular_locus_is_the_curve_itself():
     # the tangent developable is singular exactly along its edge of regression
     nodes = np.linspace(-1.0, 1.0, 81)
-    curve, field = helix_frenet_field(nodes)
-    fam = hyperplane_family(field, curve)
+    _, field = helix_frenet_field(nodes)
+    fam = hyperplane_family(field)
     polylines = singular_locus(fam)
     assert polylines, "expected a nonempty singular locus"
     worst = 0.0
@@ -298,8 +308,8 @@ def test_swallowtail_locus_as_cusped_curve():
 
 
 def test_export_obj_structure(tmp_path):
-    curve, field = radial_circle_field(np.linspace(0.0, np.pi, 10))
-    fam = hyperplane_family(field, curve)
+    _, field = radial_circle_field(np.linspace(0.0, np.pi, 10))
+    fam = hyperplane_family(field)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.5, 0.5, 4))
     path = tmp_path / "cyl.obj"
     export_obj(mesh, path)
@@ -315,8 +325,8 @@ def test_export_obj_structure(tmp_path):
 
 
 def test_export_obj_triangulated(tmp_path):
-    curve, field = radial_circle_field(np.linspace(0.0, np.pi, 10))
-    fam = hyperplane_family(field, curve)
+    _, field = radial_circle_field(np.linspace(0.0, np.pi, 10))
+    fam = hyperplane_family(field)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.5, 0.5, 4))
     path = tmp_path / "cyl-tri.obj"
     export_obj(mesh, path, triangulate=True)

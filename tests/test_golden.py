@@ -89,7 +89,7 @@ def _run_envelope(tmp_path, config):
 @pytest.mark.parametrize("name", ["euclidean-delta0", "spherical-delta1", "hyperbolic-delta-1"])
 def test_curvature_case_frames_match_dop853(name):
     # the hashes below pin the integrator's last bits; this pins what they mean
-    _, field = RunConfig.from_dict(ENVELOPE_CASES[name][0]).build_field()
+    field = RunConfig.from_dict(ENVELOPE_CASES[name][0]).build_field()
     reference = dop853_frames(field.curvature, field.s)
     assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
 
