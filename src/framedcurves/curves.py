@@ -53,13 +53,18 @@ class PolynomialCurve:
         return self._derivs[k]
 
     def jet(self, t, r):
-        """Float jet matrix of shape (dim, r+1): columns are gamma, gamma', ..."""
-        t = float(t)
-        out = np.empty((self.dim, r + 1))
+        """Float jet matrix of shape (dim, r+1): columns are gamma, gamma', ...
+
+        Over a node array the shape is (N, dim, r+1), and each derivative row
+        is evaluated once on the whole array (bit for bit the scalar values).
+        """
+        t = np.asarray(t, dtype=float)
+        arg = t if t.ndim else float(t)
+        out = np.empty(t.shape + (self.dim, r + 1))
         for k in range(r + 1):
             row = self._deriv_row(k)
             for i, p in enumerate(row):
-                out[i, k] = p.evalf(t)
+                out[..., i, k] = p.evalf(arg)
         return out
 
     def jet_exact(self, t, r):
@@ -111,6 +116,10 @@ class ClosedFormCurve:
         return len(self.derivative_fns) - 1
 
     def jet(self, t, r):
+        """Float jet matrix (dim, r+1), or (N, dim, r+1) node by node over an array."""
+        if np.ndim(t):
+            t = np.asarray(t, dtype=float)
+            return np.array([self.jet(x, r) for x in t.ravel()]).reshape(t.shape + (self.dim, r + 1))
         if r > self.max_order():
             raise CapabilityError(
                 f"closed form provides derivatives up to order {self.max_order()}, requested {r}"

@@ -38,11 +38,13 @@ def _evalf_on(poly: Poly, nodes):
 
 @dataclass
 class FlagCurve:
-    """Lower-triangular flag coordinates, exact (polys) or sampled (arrays).
+    """Lower-triangular flag coordinates: exact polys, or float arrays over s.
 
-    ``derivs``, when present, holds per-node coordinate derivatives computed
-    without finite differencing (see flag_from_curve); the residual tables
-    prefer it over the interior-stencil fallback.
+    Monomial lifts and polynomial reconstructions carry polys; the charts of
+    curves and frame fields are float arrays.  ``derivs``, when present, holds
+    per-node coordinate derivatives computed without finite differencing (see
+    flag_from_curve); the residual tables prefer it over the interior-stencil
+    fallback.
     """
 
     dim: int
@@ -99,81 +101,60 @@ def flag_from_frame(field, base=None) -> FlagCurve:
     """
     base_matrix = field.matrices[0] if base is None else getattr(base, "matrix", base)
     base_matrix = np.asarray(base_matrix, dtype=float)
-    dim = base_matrix.shape[0]
-    coords = {(i, j): np.empty(len(field.s)) for j in range(dim - 1) for i in range(j + 1, dim)}
-    for idx, t in enumerate(field.s):
-        m = np.linalg.solve(base_matrix, field.matrices[idx])
-        lower, _ = _lu_pair(m.tolist(), float(t), exact=False)
-        for (i, j), arr in coords.items():
-            arr[idx] = lower[i][j]
-    return FlagCurve(dim=dim, s=np.asarray(field.s, dtype=float), coords=coords, base=base_matrix)
+    s = np.asarray(field.s, dtype=float)
+    lower, _ = _doolittle(np.linalg.solve(base_matrix, field.matrices), s)
+    return FlagCurve(dim=base_matrix.shape[0], s=s, coords=_chart(lower), base=base_matrix)
 
 
-def _lu_pair(m, t, exact):
-    """Doolittle L (unit lower) and U of a nested-list matrix, no pivoting.
-
-    Works over Fractions (exact=True) and floats alike; any degenerate pivot
-    raises ChartError (the derivative formula below needs U invertible, so
-    the last pivot is checked too).
-    """
-    dim = len(m)
-    u = [list(row) for row in m]
-    one = 1 if exact else 1.0
-    zero = 0 if exact else 0.0
-    lower = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-    scale = 1.0 if exact else max(1.0, max(abs(float(x)) for row in m for x in row))
-    for k in range(dim):
-        piv = u[k][k]
-        bad = (piv == 0) if exact else (abs(piv) <= _PIVOT_TOL * scale)
-        if bad:
-            raise ChartError(t)
-        for i in range(k + 1, dim):
-            f = u[i][k] / piv
-            lower[i][k] = f
-            for c in range(k, dim):
-                u[i][c] = u[i][c] - f * u[k][c]
-    return lower, u
+def _chart(stack):
+    """(i, j) -> stack[:, i, j] over the strictly lower pairs."""
+    dim = stack.shape[-1]
+    return {(i, j): stack[:, i, j].copy() for j in range(dim - 1) for i in range(j + 1, dim)}
 
 
 def _matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
+    """a @ b over stacked matrices, each entry summed in k order from 0.0.
+
+    The fixed order, unlike BLAS, gives the same bits on every machine.
+    """
+    out = 0.0
+    for k in range(a.shape[-1]):
+        out = out + a[..., :, k, None] * b[..., k, None, :]
+    return out
 
 
-def _solve_unit_lower(lower, b):
-    """Y with L Y = B, L unit lower triangular."""
-    n, p = len(b), len(b[0])
-    y = [list(row) for row in b]
-    for i in range(n):
-        for k in range(i):
-            f = lower[i][k]
-            for j in range(p):
-                y[i][j] = y[i][j] - f * y[k][j]
-    return y
+def _doolittle(m, nodes):
+    """Unit-lower L and U of each matrix of an (N, d, d) stack, no pivoting.
 
-
-def _solve_right_upper(y, u):
-    """X with X U = Y, U upper triangular."""
-    n, p = len(y), len(y[0])
-    x = [[None] * p for _ in range(n)]
-    for r in range(n):
-        for c in range(p):
-            acc = y[r][c]
-            for k in range(c):
-                acc = acc - x[r][k] * u[k][c]
-            x[r][c] = acc / u[c][c]
-    return x
-
-
-def _invert(m, exact):
-    """Inverse via Gauss-Jordan with partial pivoting, generic entries."""
-    dim = len(m)
-    a = [list(row) for row in m]
-    one = 1 if exact else 1.0
-    zero = 0 if exact else 0.0
-    inv = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    A pivot with |p| <= _PIVOT_TOL * max(1, max|M|) raises ChartError at the
+    first such node in node order (the derivative formula below needs U
+    invertible, so the last pivot is checked too).  Such a node carries on
+    with pivot 1 until then, so nothing divides by zero.
+    """
+    dim = m.shape[-1]
+    u = np.array(m, dtype=float)
+    lower = np.zeros_like(u)
+    lower[:, range(dim), range(dim)] = 1.0
+    tol = _PIVOT_TOL * np.maximum(1.0, np.max(np.abs(u), axis=(-2, -1)))
+    bad = np.zeros(len(u), dtype=bool)
     for k in range(dim):
-        piv_row = max(range(k, dim), key=lambda r: abs(float(a[r][k])))
+        bad |= np.abs(u[:, k, k]) <= tol
+        piv = np.where(bad, 1.0, u[:, k, k])
+        f = u[:, k + 1 :, k] / piv[:, None]
+        lower[:, k + 1 :, k] = f
+        u[:, k + 1 :, k:] -= f[:, :, None] * u[:, k, None, k:]
+    if bad.any():
+        raise ChartError(float(nodes[np.argmax(bad)]))
+    return lower, u
+
+
+def _invert(m):
+    """Inverse of one base matrix via Gauss-Jordan with partial pivoting."""
+    dim = len(m)
+    a = np.asarray(m, dtype=float).tolist()
+    inv = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+    for k in range(dim):
+        piv_row = max(range(k, dim), key=lambda r: abs(a[r][k]))
         if a[piv_row][k] == 0:
             raise DomainError("singular base matrix for the flag chart")
         a[k], a[piv_row] = a[piv_row], a[k]
@@ -189,7 +170,7 @@ def _invert(m, exact):
                 continue
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
             inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return inv
+    return np.array(inv)
 
 
 def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
@@ -198,49 +179,31 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
     The unit-lower chart depends only on the column spans, so the raw jet
     matrix stands in for any orthonormalization of it (the change of basis is
     upper triangular and falls out of the LU factor).  Differentiating
-    M = L U gives strictlower(L^-1 M' U^-1) = L^-1 L', so both the chart and
-    its derivative come out exactly at each node -- rationally for exact
-    curves, to roundoff otherwise.  Degenerate nodes (where the plain jet
-    matrix loses rank) raise ChartError; sample around them.
+    M = L U gives strictlower(L^-1 M' U^-1) = L^-1 L', so the chart and its
+    derivative come out to roundoff from the jets, in floats, for all nodes
+    at once.  Degenerate nodes (where the plain jet matrix loses rank) raise
+    ChartError; sample around them.
     """
     nodes = np.asarray(nodes, dtype=float)
     dim = curve.dim
-    exact = bool(getattr(curve, "exact", False))
-
-    def jets_at(t):
-        if exact:
-            tq = Fraction(float(t))
-            cols = curve.jet_exact(tq, dim)
-            return (
-                [[cols[k][i] for k in range(dim)] for i in range(dim)],
-                [[cols[k + 1][i] for k in range(dim)] for i in range(dim)],
-            )
-        cols = np.asarray(curve.jet(float(t), dim), dtype=float)
-        return cols[:, :dim].tolist(), cols[:, 1 : dim + 1].tolist()
-
-    if base is None:
-        base, _ = jets_at(nodes[0])
-    elif not exact:
-        base = np.asarray(base, dtype=float).tolist()
-    inv_base = _invert(base, exact)
-
-    coords = {key: np.empty(len(nodes)) for key in
-              [(i, j) for j in range(dim - 1) for i in range(j + 1, dim)]}
-    derivs = {key: np.empty(len(nodes)) for key in coords}
-    for idx, t in enumerate(nodes):
-        j_mat, jd_mat = jets_at(t)
-        m = _matmul(inv_base, j_mat)
-        md = _matmul(inv_base, jd_mat)
-        lower, upper = _lu_pair(m, float(t), exact)
-        x = _solve_right_upper(_solve_unit_lower(lower, md), upper)
-        strict = [[x[i][j] if i > j else (0 if exact else 0.0) for j in range(dim)]
-                  for i in range(dim)]
-        ld = _matmul(lower, strict)
-        for (i, j) in coords:
-            coords[(i, j)][idx] = float(lower[i][j])
-            derivs[(i, j)][idx] = float(ld[i][j])
-    base_arr = np.array([[float(x) for x in row] for row in base])
-    return FlagCurve(dim=dim, s=nodes, coords=coords, derivs=derivs, base=base_arr)
+    jets = curve.jet(nodes, dim)  # (N, dim, dim + 1): gamma, gamma', ...
+    base = jets[0, :, :dim] if base is None else np.asarray(base, dtype=float)
+    m = _matmul(_invert(base), jets)
+    lower, upper = _doolittle(m[..., :dim], nodes)
+    # L^-1 M' by forward substitution, then (.) U^-1 column by column
+    y = m[..., 1:].copy()
+    for i in range(dim):
+        for k in range(i):
+            y[:, i, :] -= lower[:, i, k, None] * y[:, k, :]
+    x = np.empty_like(y)
+    for c in range(dim):
+        acc = y[:, :, c].copy()
+        for k in range(c):
+            acc -= x[:, :, k] * upper[:, k, c, None]
+        x[:, :, c] = acc / upper[:, c, c, None]
+    ld = _matmul(lower, np.tril(x, -1))
+    return FlagCurve(dim=dim, s=nodes, coords=_chart(lower), derivs=_chart(ld),
+                     base=np.array(base, dtype=float))
 
 
 # -- derivatives on sampled coordinates ------------------------------------------

@@ -1,11 +1,14 @@
 """Flag curve charts, integrality residuals, reconstruction, and monomial lifts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from framedcurves import (
+    ChartError,
     DiagonalData,
     DomainError,
     FlagCurve,
@@ -31,6 +34,7 @@ from framedcurves.examples import (
     helix_frenet_field,
     violation_witnesses,
 )
+from framedcurves.flags import _doolittle
 from framedcurves.ratpoly import Poly
 
 
@@ -118,6 +122,76 @@ def test_flag_charts_from_curve_and_frame_agree():
     from_frame = flag_from_frame(field, base=base)
     for key, table in from_curve.coords.items():
         assert np.allclose(table, from_frame.coords[key], atol=1e-9), key
+
+
+def _exact_chart(curve, t):
+    """Unit-lower L and L' = L strictlower(L^-1 M' U^-1) over Fractions at t."""
+    dim = curve.dim
+    cols = curve.jet_exact(t, dim)
+    m = [[cols[k][i] for k in range(dim)] for i in range(dim)]
+    upper = [row[:] for row in m]
+    lower = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for k in range(dim):
+        for i in range(k + 1, dim):
+            f = upper[i][k] / upper[k][k]
+            lower[i][k] = f
+            upper[i] = [a - f * b for a, b in zip(upper[i], upper[k])]
+    y = [[cols[k + 1][i] for k in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for k in range(i):
+            y[i] = [a - lower[i][k] * b for a, b in zip(y[i], y[k])]
+    x = [[Fraction(0)] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(dim):
+            x[r][c] = (y[r][c] - sum(x[r][k] * upper[k][c] for k in range(c))) / upper[c][c]
+    dlower = [[sum(lower[i][k] * x[k][j] for k in range(j + 1, i + 1)) for j in range(dim)]
+              for i in range(dim)]
+    return lower, dlower
+
+
+@pytest.mark.parametrize("a", BUILTIN_TYPES)
+def test_float_chart_matches_an_exact_reference(a):
+    # dyadic nodes are exact floats, so the exact chart at the same node is
+    # the reference for both the coordinates and their derivatives
+    nodes = [Fraction(k, 32) for k in range(4, 20)]
+    curve = monomial_curve(a)
+    fc = flag_from_curve(curve, np.array([float(t) for t in nodes]), base=np.eye(4))
+    for n, t in enumerate(nodes):
+        lower, dlower = _exact_chart(curve, t)
+        for i, j in fc.pairs():
+            for got, want in ((fc.coords[(i, j)][n], lower[i][j]),
+                              (fc.derivs[(i, j)][n], dlower[i][j])):
+                assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (t, i, j)
+
+
+def test_degenerate_curve_node_raises_chart_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError) as err:
+            flag_from_curve(monomial_curve((2, 3, 4)), np.linspace(-0.5, 0.5, 21), base=np.eye(4))
+    assert err.value.t == 0.0
+
+
+def test_frame_leaving_the_chart_raises_chart_error_without_warnings():
+    # swapping two base columns puts a zero pivot at the base node t = 0,
+    # while the earlier nodes stay inside the chart
+    nodes = np.linspace(-0.5, 0.5, 21)
+    _, field = helix_frenet_field(nodes)
+    base = field.matrices[10][:, [0, 2, 1, 3]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError) as err:
+            flag_from_frame(field, base=base)
+    assert err.value.t == 0.0
+
+
+def test_chart_error_names_the_first_degenerate_node():
+    # node 0 fails at the last pivot, node 1 already at the first one
+    late = np.diag([1.0, 1.0, 1.0, 0.0])
+    early = np.diag([0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ChartError) as err:
+        _doolittle(np.stack([np.eye(4), late, early]), np.array([0.1, 0.2, 0.3]))
+    assert err.value.t == 0.2
 
 
 # -- reconstruction ------------------------------------------------------------------
