@@ -34,7 +34,7 @@ from .errors import (
 )
 from .jets import DEFAULT_RANK_TOL, detect_type_report
 from .ratpoly import Poly, as_fraction
-from .spaceform import SpaceForm, inner_product, normalize_to_model
+from .spaceform import SpaceForm, group_exp, inner_product, normalize_to_model
 
 _GS_TOL = 1e-12
 
@@ -316,14 +316,12 @@ def _magnus_propagators(delta, kappa, starts, widths):
     K acts on the right, so the commutator carries the opposite sign of the
     textbook Y' = A Y form; with the textbook sign the step is 2nd order.
     """
-    from scipy.linalg import expm
-
     h = np.asarray(widths, dtype=float)[:, None, None]
     k1 = np.stack([structure_matrix(delta, kappa(s + (0.5 - _GAUSS) * w))
                    for s, w in zip(starts, widths)])
     k2 = np.stack([structure_matrix(delta, kappa(s + (0.5 + _GAUSS) * w))
                    for s, w in zip(starts, widths)])
-    return expm(0.5 * h * (k1 + k2) + _COMMUTATOR * h * h * (k1 @ k2 - k2 @ k1))
+    return group_exp(0.5 * h * (k1 + k2) + _COMMUTATOR * h * h * (k1 @ k2 - k2 @ k1))
 
 
 def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-10, nodes=None):
@@ -332,7 +330,7 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
     Adaptive 4th-order Magnus steps with K_1, K_2 at the Gauss nodes
     s + h/2 -+ sqrt(3) h / 6:
 
-        E <- E expm(h/2 (K_1 + K_2) + sqrt(3)/12 h^2 (K_1 K_2 - K_2 K_1)).
+        E <- E exp(h/2 (K_1 + K_2) + sqrt(3)/12 h^2 (K_1 K_2 - K_2 K_1)).
 
     Each step multiplies by a group element, so the frame stays in the
     structure group to round-off without any projection.  Step doubling sets

@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import framedcurves
 from framedcurves.cli import main
 
 BUTTERFLY_CONFIG = {
@@ -346,3 +350,31 @@ def test_help_lists_all_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("type", "frame", "envelope", "normal-form", "scan", "enumerate", "verify"):
         assert name in out
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from framedcurves.cli import main
+config, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify"]),
+             main(["frame", "--config", config, "--out", out + "/frame"]),
+             main(["envelope", "--config", config, "--out", out + "/envelope"])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def test_verify_frame_and_envelope_leave_scipy_unimported(tmp_path):
+    # scipy.linalg alone costs about 26 MB of peak memory; only the numeric
+    # branch of flags.c_integral_reconstruct needs scipy at all
+    config = {"geometry": "hyperbolic",
+              "curve": {"kind": "curvature", "delta": -1, "kappa": [["1"], ["0"], ["0", "0", "1"]]},
+              "grids": {"t": [0.0, 3.0, 40], "s": [-1.0, 1.0, 9]}}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(framedcurves.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, _write_config(tmp_path, config), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []

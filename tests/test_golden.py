@@ -58,18 +58,18 @@ ENVELOPE_CASES = {
     ),
     "euclidean-delta0": (
         _curvature("euclidean", 0),
-        "86fc0252a4665f469321f82ad4f0cc40bdc8f4d02e9ad551fa62e075a3890d50",
-        "d60d3ff7795021735fa7b5607082824df4602e4c4feed8e62405179f58c3f0d4",
+        "c59db8364cd93f3e4320f50f9768c52aa7a0e9c0574ff5cfb838a8f24c1f20dc",
+        "2a72d3d6fe1875496e644081ff1d6101336e1405e0de6e2034b017d5296e8e8d",
     ),
     "spherical-delta1": (
         _curvature("spherical", 1),
-        "a3a442c122c162d0b40eb7fa7492310f0727ace9cd6334c2bc8d035bacf2c23c",
-        "3d4c99d484368826f41d88ad2c879c946691cccac4ad61df80dbcadf47e1a92a",
+        "d7ed7c560825c8b602e6b15d492edcb39bbaf134269474839b2156f98d23ef8b",
+        "f7fc88030c13094a0cfbce891990430f780a5f698b66702651f698af6dd393b3",
     ),
     "hyperbolic-delta-1": (
         _curvature("hyperbolic", -1),
-        "d9a3b9f1ae3995a4d5fe66fa816a9ba0c63b05cccc58c06f84bdab36294fd1bc",
-        "bb0ac947065e070a61ace9431295bba534ac16bac5db001f098f81acdb444fc1",
+        "e2f392ff78332780cb285a699e40680109fd1e61f97b5b81746003574b5f61dc",
+        "df950f8a1c78b223d7fd7bdb835d6ae355cbd481954ada6966393c81b7861b3b",
     ),
 }
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from framedcurves import (
     AmbientForm,
+    DimensionMismatch,
     DomainError,
     Hyperplane,
     SpaceForm,
@@ -158,3 +159,8 @@ def test_dual_kind_names():
     assert space_form("euclidean").dual_kind == "offset-sphere"
     assert space_form("spherical").dual_kind == "sphere"
     assert space_form("hyperbolic").dual_kind == "de-sitter"
+
+
+def test_random_isometry_is_wired_for_n_2():
+    with pytest.raises(DimensionMismatch):
+        random_isometry(space_form("spherical", 3), np.random.default_rng(0))
