@@ -38,7 +38,17 @@ from .jets import (
     float_rank_profile,
     schubert_number,
 )
-from .ratpoly import Poly, as_fraction, newton, poly_det, real_roots_squarefree, squarefree, trim
+from .ratpoly import (
+    Poly,
+    as_fraction,
+    integer_coeffs,
+    newton,
+    poly_det,
+    real_roots_squarefree,
+    squarefree,
+    trim,
+    vanishes_at,
+)
 
 __all__ = [
     "SingularityClass",
@@ -323,7 +333,7 @@ class _AdaptedTypeOracle:
 
     ``classify`` and ``classify_event`` are the exact-snap skeleton every
     oracle shares; a subclass sets ``detector``/``detector_t`` and supplies
-    its own ``exact_type`` and ``float_type``.
+    its own ``exact_type`` and ``float_types``.
     """
 
     def __init__(self, family: CurvatureFamily, rank_tol, r_max=8):
@@ -332,39 +342,87 @@ class _AdaptedTypeOracle:
         self.detector_t = self.detector.diff_t()
         self.rank_tol = rank_tol
         self.r_max = r_max
+        # each jet entry as its (float coefficient, t degree, u degree) terms,
+        # in the order Poly.evalf visits them
+        try:
+            self._float_jets = [[tuple((float(v), i, j) for (i, j), v in p.c.items()) for p in d]
+                                for d in self.jets]
+        except OverflowError as exc:
+            raise DomainError(f"a dual-jet coefficient is beyond the float range ({exc})") from exc
+        self._degrees = (max((i for d in self.jets for p in d for i, _ in p.c), default=0),
+                         max((j for d in self.jets for p in d for _, j in p.c), default=0))
 
     def _columns_exact(self, tq, lamq):
         return [[p.eval(tq, lamq) for p in d] for d in self.jets]
+
+    def _columns_float(self, ts, lams):
+        """(points, 4, r_max + 1) stack of the dual jets at float points.
+
+        Each entry replays ``Poly.evalf``'s scalar loop over the compiled terms
+        (Python float powers, a sum from 0.0 in term order) on every point at
+        once, so it equals ``evalf`` there bit for bit.
+        """
+        tpow = [np.array([t**i for t in ts]) for i in range(self._degrees[0] + 1)]
+        upow = [np.array([u**j for u in lams]) for j in range(self._degrees[1] + 1)]
+        cols = np.empty((len(ts), 4, len(self._float_jets)))
+        for r, d in enumerate(self._float_jets):
+            for row, terms in enumerate(d):
+                total = np.zeros(len(ts))
+                for v, i, j in terms:
+                    total += v * tpow[i] * upow[j]
+                cols[:, row, r] = total
+        return cols
 
     def exact_type(self, tq, lamq):
         ranks = exact_rank_profile(self._columns_exact(tq, lamq))
         return _ranks_to_type(ranks, 4, self.r_max)
 
-    def float_type(self, t, lam):
-        cols = np.array([[p.evalf(t, lam) for p in d] for d in self.jets]).T
+    def float_types(self, ts, lams):
+        """[(type, confidence)] at float points, from one stacked rank profile."""
+        if not ts:
+            return []
+        cols = self._columns_float(ts, lams)
         # a jet column that vanishes at the point comes out ~1e-16 with a
         # perfectly clean direction; per-column normalization would promote it
         # to a full new direction, so kill columns far below the matrix scale
-        norms = np.linalg.norm(cols, axis=0)
-        cols[:, norms <= self.rank_tol * max(float(np.max(norms)), 1.0)] = 0.0
+        norms = np.linalg.norm(cols, axis=1)
+        floor = self.rank_tol * np.maximum(np.max(norms, axis=1), 1.0)
+        cols = np.where((norms <= floor[:, None])[:, None, :], 0.0, cols)
         ranks, min_gap = float_rank_profile(cols, self.rank_tol)
-        a = _ranks_to_type(ranks, 4, self.r_max)
-        confidence = "high" if min_gap >= RANK_GAP_MIN else "low"
-        return a, confidence
+        out = []
+        for rk, gap in zip(ranks.tolist(), min_gap.tolist()):
+            try:
+                a = _ranks_to_type(rk, 4, self.r_max)
+            except (FiniteTypeError, DegeneracyError):
+                out.append((None, "low"))
+            else:
+                out.append((a, "high" if gap >= RANK_GAP_MIN else "low"))
+        return out
 
-    def classify(self, t, lam_q):
-        """(type, confidence) at float t on the exact line u = lam_q."""
-        line = self.detector.subs_u(lam_q)
-        for tq in _rational_candidates(t):
-            if line.eval(tq) == 0:
-                try:
-                    return self.exact_type(tq, lam_q), "exact"
-                except (FiniteTypeError, DegeneracyError):
-                    return None, "exact"
-        try:
-            return self.float_type(float(t), float(lam_q))
-        except (FiniteTypeError, DegeneracyError):
-            return None, "low"
+    def classify(self, points):
+        """[(type, confidence)] at the points (t, lam_q, line) of a scan.
+
+        ``line`` is the detector on u = lam_q as integer coefficients.  A
+        small rational near t where the line vanishes exactly is classified
+        exactly; every other point goes through one batched float call.
+        """
+        out = [None] * len(points)
+        rest = []
+        for k, (t, lam_q, line) in enumerate(points):
+            for tq in _rational_candidates(t):
+                if vanishes_at(line, tq):
+                    try:
+                        out[k] = self.exact_type(tq, lam_q), "exact"
+                    except (FiniteTypeError, DegeneracyError):
+                        out[k] = None, "exact"
+                    break
+            else:
+                rest.append(k)
+        floats = self.float_types([float(points[k][0]) for k in rest],
+                                  [float(points[k][1]) for k in rest])
+        for k, res in zip(rest, floats):
+            out[k] = res
+        return out
 
     def classify_event(self, t, lam):
         """(type, confidence, t, lam) with exact snapping of a double point."""
@@ -376,10 +434,7 @@ class _AdaptedTypeOracle:
                     except (FiniteTypeError, DegeneracyError):
                         return None, "exact", float(tq), float(lamq)
                     return a, "exact", float(tq), float(lamq)
-        try:
-            a, confidence = self.float_type(float(t), float(lam))
-        except (FiniteTypeError, DegeneracyError):
-            return None, "low", float(t), float(lam)
+        a, confidence = self.float_types([float(t)], [float(lam)])[0]
         return a, confidence, float(t), float(lam)
 
 
@@ -427,14 +482,27 @@ class _OsculatingTypeOracle(_AdaptedTypeOracle):
         a = type_from_diagonal_orders(orders)
         return a, ("high" if min_gap >= RANK_GAP_MIN else "low")
 
+    def float_types(self, ts, lams):
+        out = []
+        for t, lam in zip(ts, lams):
+            try:
+                out.append(self.float_type(t, lam))
+            except (FiniteTypeError, DegeneracyError):
+                out.append((None, "low"))
+        return out
+
 
 def _line_roots(detector: Poly, lam_q, window):
-    """(roots, degenerate) of the square-free detector on one lambda line."""
-    line = detector.subs_u(lam_q)
-    coeffs = trim(line.t_coeffs())
-    if not coeffs:
-        return None, True
-    return real_roots_squarefree(squarefree(coeffs), window[0], window[1]), False
+    """(roots, line) of the detector on the lambda line u = lam_q.
+
+    ``line`` is the substituted line's dense coefficient list and ``roots``
+    the real roots of its square-free part in the window, or None when the
+    line vanishes identically.
+    """
+    line = trim(detector.subs_u(lam_q).t_coeffs())
+    if not line:
+        return None, line
+    return real_roots_squarefree(squarefree(line), window[0], window[1]), line
 
 
 def _match_roots(prev, cur, gap):
@@ -467,8 +535,8 @@ def _refine_event(detector, lam_lo, lam_hi, window, depth=48):
         if abs(float(lam_hi - lam_lo)) <= 1e-9:
             break
         mid = (lam_lo + lam_hi) / 2
-        roots_mid, degenerate = _line_roots(detector, mid, window)
-        if degenerate:
+        roots_mid, _ = _line_roots(detector, mid, window)
+        if roots_mid is None:
             break
         if len(roots_mid) == len(roots_lo):
             lam_lo, roots_lo = mid, roots_mid
@@ -521,24 +589,27 @@ def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
 
     lam_fracs = [Fraction(float(l)) for l in lambda_grid]
     lines = []
+    points = []
     degenerate_regions = []
     for lam, lam_q in zip(lambda_grid, lam_fracs):
-        roots, degenerate = _line_roots(detector, lam_q, window)
-        if degenerate:
+        roots, line = _line_roots(detector, lam_q, window)
+        if roots is None:
             degenerate_regions.append({"lambda": float(lam), "t_window": window})
-            lines.append(None)
-        else:
-            lines.append(roots)
+        elif roots:
+            ints = integer_coeffs(line)
+            points.extend((r, lam_q, ints) for r in roots)
+        lines.append(roots)
 
-    # persistent strata: classify each root and chain across lines
+    # persistent strata: classify every root of the scan at once, then chain
+    # them across lines
+    types = iter(oracle.classify(points))
     samples = []
-    for lam, lam_q, roots in zip(lambda_grid, lam_fracs, lines):
+    for lam, roots in zip(lambda_grid, lines):
         row = []
-        if roots:
-            for r in roots:
-                a, confidence = oracle.classify(r, lam_q)
-                row.append({"lam": float(lam), "t": float(r), "type": a,
-                            "confidence": confidence})
+        for r in roots or ():
+            a, confidence = next(types)
+            row.append({"lam": float(lam), "t": float(r), "type": a,
+                        "confidence": confidence})
         samples.append(row)
 
     strata = []

@@ -374,6 +374,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        for name, value in vars(args).items():
+            # argparse strips a lone "--" given as a flag's value (--type=--) and
+            # stores an unconverted empty list; no flag here takes a list
+            if isinstance(value, list):
+                raise ConfigError(f"--{name} needs a value, got {value!r}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

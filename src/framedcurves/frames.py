@@ -153,16 +153,16 @@ class CurvatureData:
 
 
 def structure_matrix(delta, kappa_values):
-    """K with E' = E K for n = 2."""
-    k1, k2, k3 = kappa_values
-    return np.array(
-        [
-            [0.0, -delta, 0.0, 0.0],
-            [1.0, 0.0, -k1, -k2],
-            [0.0, k1, 0.0, -k3],
-            [0.0, k2, k3, 0.0],
-        ]
-    )
+    """K with E' = E K for n = 2; ``(..., 3)`` curvature values give ``(..., 4, 4)``."""
+    kappa = np.asarray(kappa_values, dtype=float)
+    k1, k2, k3 = kappa[..., 0], kappa[..., 1], kappa[..., 2]
+    out = np.zeros(kappa.shape[:-1] + (4, 4))
+    out[..., 0, 1] = -delta
+    out[..., 1, 0] = 1.0
+    out[..., 1, 2], out[..., 2, 1] = -k1, k1
+    out[..., 1, 3], out[..., 3, 1] = -k2, k2
+    out[..., 2, 3], out[..., 3, 2] = -k3, k3
+    return out
 
 
 def structure_poly_matrix(curv: CurvatureData):
@@ -285,26 +285,32 @@ _COMMUTATOR = np.sqrt(3.0) / 12.0
 
 
 def _kappa_function(curv: CurvatureData):
-    """s -> (kappa_1, kappa_2, kappa_3) in floats.
+    """s -> (kappa_1, kappa_2, kappa_3) in floats, on a last axis of length 3.
 
     Exact univariate curvatures are evaluated by Horner's rule on float
-    coefficients prepared once; anything else goes through ``curv.kappa``.
+    coefficients prepared once, for the whole array s at once; anything else
+    calls ``curv.kappa`` at each s.
     """
     polys = curv.kappa_polys
     if polys is None or any(p.deg_u() for p in polys):
-        return curv.values
+        def values(s):
+            s = np.asarray(s, dtype=float)
+            return np.array([curv.values(x) for x in s.ravel()], dtype=float).reshape(s.shape + (3,))
+
+        return values
     try:
         coeffs = [p.t_coeff_floats()[::-1] for p in polys]
     except OverflowError as exc:
         raise DomainError(f"a curvature coefficient is beyond the float range ({exc})") from exc
 
     def values(s):
-        out = []
-        for c in coeffs:
-            acc = 0.0
+        s = np.asarray(s, dtype=float)
+        out = np.empty(s.shape + (3,))
+        for k, c in enumerate(coeffs):
+            acc = np.zeros(s.shape)
             for a in c:
                 acc = acc * s + a
-            out.append(acc)
+            out[..., k] = acc
         return out
 
     return values
@@ -316,11 +322,10 @@ def _magnus_propagators(delta, kappa, starts, widths):
     K acts on the right, so the commutator carries the opposite sign of the
     textbook Y' = A Y form; with the textbook sign the step is 2nd order.
     """
-    h = np.asarray(widths, dtype=float)[:, None, None]
-    k1 = np.stack([structure_matrix(delta, kappa(s + (0.5 - _GAUSS) * w))
-                   for s, w in zip(starts, widths)])
-    k2 = np.stack([structure_matrix(delta, kappa(s + (0.5 + _GAUSS) * w))
-                   for s, w in zip(starts, widths)])
+    h = np.asarray(widths, dtype=float)
+    nodes = np.asarray(starts, dtype=float) + np.array([[0.5 - _GAUSS], [0.5 + _GAUSS]]) * h
+    k1, k2 = structure_matrix(delta, kappa(nodes))
+    h = h[:, None, None]
     return group_exp(0.5 * h * (k1 + k2) + _COMMUTATOR * h * h * (k1 @ k2 - k2 @ k1))
 
 

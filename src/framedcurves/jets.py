@@ -57,40 +57,40 @@ def exact_rank_profile(columns):
     return ranks
 
 
-def _prefix_rank_svd(matrix, ncols, rank_tol):
-    """(rank, gap) of the first ncols columns, each column normalized."""
-    m = np.array(matrix[:, :ncols], dtype=float)
-    norms = np.linalg.norm(m, axis=0)
-    scale = np.where(norms > 0, norms, 1.0)
-    sv = np.linalg.svd(m / scale, compute_uv=False)
-    if sv[0] <= 0:
-        return 0, np.inf
-    rank = int(np.sum(sv > rank_tol * sv[0]))
-    if rank == 0 or rank >= len(sv) or sv[rank] == 0:
-        gap = np.inf
-    else:
-        gap = sv[rank - 1] / sv[rank]
-    return rank, gap
-
-
 def float_rank_profile(matrix, rank_tol=DEFAULT_RANK_TOL):
-    """(ranks, min_gap) over column prefixes of a float matrix.
+    """(ranks, min_gap) over column prefixes of a float matrix, or of a stack.
 
-    Ranks are forced monotone non-decreasing with unit steps, which is what
-    prefix ranks of a genuine jet matrix satisfy; min_gap is the smallest
+    Each prefix is decided by the singular values of its column-normalized
+    copy.  Ranks are forced monotone non-decreasing with unit steps, which is
+    what prefix ranks of a genuine jet matrix satisfy; min_gap is the smallest
     accepted/rejected singular value ratio seen at any truncation decision.
+
+    A ``(rows, cols)`` matrix gives a list of ranks and a float.  A
+    ``(..., rows, cols)`` stack gives ``(..., cols)`` ranks and ``(...)`` gaps
+    from one stacked SVD per prefix, each matrix decided bit for bit as on its
+    own.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    ranks = []
-    min_gap = np.inf
-    prev = 0
-    for r in range(matrix.shape[1]):
-        rank, gap = _prefix_rank_svd(matrix, r + 1, rank_tol)
-        rank = max(prev, min(rank, prev + 1))
-        if rank < r + 1:
-            min_gap = min(min_gap, gap)
-        ranks.append(rank)
+    stack = np.asarray(matrix, dtype=float)
+    lead, ncols = stack.shape[:-2], stack.shape[-1]
+    ranks = np.zeros(lead + (ncols,), dtype=int)
+    min_gap = np.full(lead, np.inf)
+    prev = np.zeros(lead, dtype=int)
+    for r in range(ncols):
+        m = stack[..., : r + 1]
+        norms = np.linalg.norm(m, axis=-2)
+        sv = np.linalg.svd(m / np.where(norms > 0, norms, 1.0)[..., None, :], compute_uv=False)
+        nsv = sv.shape[-1]
+        rank = np.sum(sv > rank_tol * sv[..., :1], axis=-1)
+        below = np.take_along_axis(sv, np.minimum(rank, nsv - 1)[..., None], -1)[..., 0]
+        above = np.take_along_axis(sv, np.maximum(rank - 1, 0)[..., None], -1)[..., 0]
+        sharp = (rank > 0) & (rank < nsv) & (below != 0)
+        gap = np.where(sharp, above / np.where(sharp, below, 1.0), np.inf)
+        rank = np.maximum(prev, np.minimum(rank, prev + 1))
+        min_gap = np.where((rank < r + 1) & (gap < min_gap), gap, min_gap)
+        ranks[..., r] = rank
         prev = rank
+    if not lead:
+        return ranks.tolist(), float(min_gap)
     return ranks, min_gap
 
 

@@ -15,6 +15,7 @@ polish, and the polished real roots of a square-free polynomial in a window.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -275,6 +276,26 @@ def trim(coeffs):
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def integer_coeffs(coeffs):
+    """The Fraction coefficient list times the lcm of its denominators, as ints."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs]
+
+
+def vanishes_at(ints, x):
+    """Whether the integer coefficient list (low degree first) vanishes at Fraction x.
+
+    With x = p/q in lowest terms, the homogeneous Horner sum of a_i p^i q^(n-i)
+    is p(x) times q^n, all in Python ints.
+    """
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
+    for a in reversed(ints):
+        acc = acc * p + a * qk
+        qk *= q
+    return acc == 0
 
 
 def poly_divmod(a, b):

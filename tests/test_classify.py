@@ -1,5 +1,7 @@
 """Singularity classes, duality consistency, and one-parameter family scans."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,8 +27,9 @@ from framedcurves import (
     scan_family,
     schubert_number,
 )
+from framedcurves.classify import _AdaptedTypeOracle, _line_roots
 from framedcurves.examples import helix_frenet_field, radial_circle_field
-from framedcurves.ratpoly import Poly
+from framedcurves.ratpoly import Poly, integer_coeffs
 
 increasing_triples = st.lists(
     st.integers(min_value=1, max_value=9), min_size=3, max_size=3, unique=True
@@ -227,6 +230,55 @@ def test_osculating_scan_of_a_diagonal_family():
 
 
 # -- CSV export -------------------------------------------------------------------------
+
+
+# -- the batched type oracle ---------------------------------------------------
+
+
+def _unfold_family(t0, lam0, c):
+    """kappa_3 = c((t - t0)^2 - (lambda - lam0)): a butterfly moved to (t0, lam0)."""
+    t, u = Poly.t(), Poly.u()
+    return CurvatureFamily.frenet(1, Poly.const(c) * ((t - Poly.const(t0)) ** 2 - (u - Poly.const(lam0))))
+
+
+def _scan_points(detector, lambdas, window):
+    """The (t, lam_q, line) points a scan classifies, over the given lambda lines."""
+    points = []
+    for lam in lambdas:
+        lam_q = Fraction(float(lam))
+        roots, line = _line_roots(detector, lam_q, window)
+        if roots:
+            ints = integer_coeffs(line)
+            points.extend((r, lam_q, ints) for r in roots)
+    return points
+
+
+@pytest.mark.parametrize("t0, lam0, c", [
+    (Fraction(1, 3), Fraction(0), Fraction(1)),
+    (Fraction(-2, 7), Fraction(3, 11), Fraction(1)),
+    (Fraction(1, 5), Fraction(1, 16), Fraction(-3, 2)),
+])
+def test_batched_oracle_equals_one_point_at_a_time(t0, lam0, c):
+    # lambda = lam0 + 1/16 puts rational roots t0 -+ 1/4 on the line when lam0
+    # is dyadic, so exact and float points mix in one batch
+    oracle = _AdaptedTypeOracle(_unfold_family(t0, lam0, c), 1e-8)
+    lambdas = list(float(lam0) + np.linspace(-0.2, 0.2, 41)) + [float(lam0 + Fraction(1, 16))]
+    points = _scan_points(oracle.detector, lambdas, (-1.0, 1.0))
+    batched = oracle.classify(points)
+    assert len(batched) == len(points) > 20
+    assert batched == [oracle.classify([p])[0] for p in points]
+    assert {confidence for _, confidence in batched} >= {"high"}
+    if lam0.denominator & (lam0.denominator - 1) == 0:
+        assert "exact" in {confidence for _, confidence in batched}
+
+
+def test_compiled_float_jets_equal_evalf_bit_for_bit():
+    oracle = _AdaptedTypeOracle(_unfold_family(Fraction(1, 5), Fraction(1, 16), Fraction(-3, 2)), 1e-8)
+    rng = np.random.default_rng(7)
+    ts, lams = rng.uniform(-1, 1, 9).tolist(), rng.uniform(-0.3, 0.3, 9).tolist()
+    cols = oracle._columns_float(ts, lams)
+    evalf = [[[p.evalf(t, lam) for p in d] for d in oracle.jets] for t, lam in zip(ts, lams)]
+    assert cols.tobytes() == np.array(evalf).transpose(0, 2, 1).tobytes()
 
 
 def test_event_csv_header_and_rows(tmp_path):

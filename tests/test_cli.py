@@ -101,6 +101,17 @@ def test_curvatures_beyond_float_range_are_numeric_failures(tmp_path, capsys, ka
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_scan_coefficient_beyond_float_range_is_a_numeric_failure(tmp_path, capsys):
+    # the dual jets of kappa_3 = 1e400 t^2 - lambda have no float coefficients
+    config = {"curve": {"kind": "curvature", "delta": 0,
+                        "kappa": [["1"], ["0"], {"2,0": "1e400", "0,1": "-1"}]},
+              "grids": {"t": [-1.0, 1.0, 50], "lambda": [-0.2, 0.2, 9]}}
+    argv = ["scan", "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "numeric failure (DomainError): a dual-jet coefficient is beyond the float range" in (
+        capsys.readouterr().err)
+
+
 def test_integration_past_the_step_budget_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     from framedcurves import frames
 
@@ -254,6 +265,14 @@ _TYPE_ENTRY = st.integers(min_value=-3, max_value=400) | st.sampled_from([10**9,
 def test_normal_form_type_exits_0_or_2(text):
     with tempfile.TemporaryDirectory() as out:
         assert _run_quietly(["normal-form", f"--type={text}", "--out", out])[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [["normal-form", "--type=--"], ["frame", "--lam=--"],
+                                  ["envelope", "--threads=--"], ["frame", "--seed=--"]])
+def test_a_lone_double_dash_value_is_a_config_error(tmp_path, capsys, argv):
+    # argparse turns "--flag=--" into an empty list that skips the flag's type
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "needs a value" in capsys.readouterr().err
 
 
 # -- scan ------------------------------------------------------------------------------------

@@ -109,6 +109,16 @@ def test_structure_matrix_is_form_antisymmetric_where_it_should_be(delta, kind):
         assert np.allclose(M, 0.0)
 
 
+def test_structure_matrix_of_a_stack_equals_its_slices():
+    kappa = np.random.default_rng(3).normal(size=(2, 3, 3))
+    kappa[0, 0] = 0.0
+    for delta in (0, 1, -1):
+        stack = structure_matrix(delta, kappa)
+        assert stack.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            assert stack[idx].tobytes() == structure_matrix(delta, tuple(kappa[idx])).tobytes()
+
+
 def test_structure_poly_matrix_matches_pointwise():
     kappa = (Poly.t(), Poly.const(1), Poly.from_t_coeffs([0, 0, Fraction(1, 2)]))
     curv = CurvatureData.from_polys(1, kappa)

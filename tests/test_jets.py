@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from framedcurves import (
     DegeneracyError,
@@ -159,6 +159,52 @@ def test_float_rank_profile_is_monotone_unit_step():
     assert ranks[0] >= 0 and gap > 0
     for r0, r1 in zip(ranks, ranks[1:]):
         assert r1 - r0 in (0, 1)
+
+
+def _reference_rank_profile(matrix, rank_tol=1e-8):
+    """One SVD per prefix of one matrix, with the unit-step rule in plain Python."""
+    ranks, min_gap, prev = [], np.inf, 0
+    for r in range(matrix.shape[1]):
+        m = np.array(matrix[:, : r + 1])
+        norms = np.linalg.norm(m, axis=0)
+        sv = np.linalg.svd(m / np.where(norms > 0, norms, 1.0), compute_uv=False)
+        rank, gap = 0, np.inf
+        if sv[0] > 0:
+            rank = int(np.sum(sv > rank_tol * sv[0]))
+            if 0 < rank < len(sv) and sv[rank] != 0:
+                gap = sv[rank - 1] / sv[rank]
+        rank = max(prev, min(rank, prev + 1))
+        if rank < r + 1:
+            min_gap = min(min_gap, gap)
+        ranks.append(rank)
+        prev = rank
+    return ranks, min_gap
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), ncols=st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_float_rank_profile_of_a_stack_equals_its_slices(seed, count, ncols):
+    # column scales from 1e-12 to 1e6, with zero, dependent and nearly
+    # dependent columns mixed in; the last put singular values near rank_tol
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(count, 4, ncols)) * 10.0 ** rng.uniform(-12, 6, size=(count, 1, ncols))
+    for m in stack:
+        kind, col, other = rng.integers(4), rng.integers(ncols), rng.integers(ncols)
+        if kind == 0:
+            m[:, col] = 0.0
+        elif kind == 1:
+            m[:, col] = rng.normal() * m[:, other]
+        elif kind == 2 and col != other:
+            noise = 10.0 ** rng.uniform(-9.5, -6.5) * np.abs(m[:, other]).max() * rng.normal(size=4)
+            m[:, col] = m[:, other] + noise
+    ranks, gaps = float_rank_profile(stack)
+    assert ranks.shape == (count, ncols) and gaps.shape == (count,)
+    for m, stacked_ranks, stacked_gap in zip(stack, ranks, gaps):
+        alone_ranks, alone_gap = float_rank_profile(m)
+        reference_ranks, reference_gap = _reference_rank_profile(m)
+        assert stacked_ranks.tolist() == alone_ranks == reference_ranks
+        assert stacked_gap.tobytes() == np.float64(alone_gap).tobytes()
+        assert np.float64(alone_gap).tobytes() == np.float64(reference_gap).tobytes()
 
 
 def test_degenerate_curve_raises():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from framedcurves import NormalFormFamily, Poly
+from framedcurves.ratpoly import integer_coeffs, trim, vanishes_at
 
 POLYS = {
     "x3 of (1,2,5)": NormalFormFamily((1, 2, 5)).x3_poly(),
@@ -34,3 +36,23 @@ def test_array_evalf_of_the_zero_polynomial_is_an_array():
     assert Poly().evalf(0.5) == 0.0
     # a constant broadcasts over the argument too
     assert (Poly.const(3).evalf(t) == 3.0).all()
+
+
+_RATIONAL = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@given(coeffs=st.lists(_RATIONAL, min_size=1, max_size=6), planted=st.lists(_RATIONAL, max_size=3),
+       x=_RATIONAL)
+def test_integer_zero_test_agrees_with_exact_evaluation(coeffs, planted, x):
+    line = Poly.from_t_coeffs(coeffs)
+    for r in planted:
+        line = line * (Poly.t() - Poly.const(r))
+    dense = trim(line.t_coeffs())
+    assume(dense)
+    ints = integer_coeffs(dense)
+    assert all(type(a) is int for a in ints)
+    scale = ints[-1] / dense[-1]
+    assert ints == [b * scale for b in dense]
+    for q in [x, *planted]:
+        assert vanishes_at(ints, q) == (line.eval(q) == 0)
+    assert all(vanishes_at(ints, r) for r in planted)
