@@ -9,10 +9,11 @@ module names the germs, classifies single points through the frame dual's
 type vector, and scans exact polynomial families for the full bifurcation
 picture: strata polylines, momentary events, and degenerate regions.
 
-All scanning is done on exact rational polynomials: per parameter line the
-detector polynomial is made square-free over Q, its real roots are isolated
-numerically and polished, and candidate special points are re-verified in
-exact arithmetic whenever they admit a small rational representative.
+All scanning is done on exact rational polynomials.  The detector is made
+square-free in t over Q[u] once per family; its lines then carry the real
+roots (strata), and the real roots of its t-discriminant in lambda carry the
+momentary events.  Candidate special points are re-verified in exact
+arithmetic whenever they admit a small rational representative.
 """
 
 from __future__ import annotations
@@ -42,10 +43,13 @@ from .ratpoly import (
     Poly,
     as_fraction,
     integer_coeffs,
-    newton,
+    isolate_real_roots,
     poly_det,
+    poly_gcd,
     real_roots_squarefree,
+    resultant_t,
     squarefree,
+    squarefree_t,
     trim,
     vanishes_at,
 )
@@ -318,12 +322,17 @@ _RATIONAL_LADDER = (1, 10**3, 10**6, 10**9)
 
 
 def _rational_candidates(x):
-    """Small-denominator rationals near x, simplest first."""
+    """Small-denominator rationals within 1e-9 (relative) of x, simplest first.
+
+    The bound keeps a coarse rung, such as the nearest integer, from
+    standing in for x when it happens to be another root of the same line.
+    """
     out = []
     fx = Fraction(float(x))
+    tol = 1e-9 * max(1.0, abs(float(x)))
     for cap in _RATIONAL_LADDER:
         q = fx.limit_denominator(cap)
-        if q not in out:
+        if q not in out and abs(q - fx) <= tol:
             out.append(q)
     return out
 
@@ -332,14 +341,13 @@ class _AdaptedTypeOracle:
     """Type detection for a curvature family, exact when the point is rational.
 
     ``classify`` and ``classify_event`` are the exact-snap skeleton every
-    oracle shares; a subclass sets ``detector``/``detector_t`` and supplies
-    its own ``exact_type`` and ``float_types``.
+    oracle shares; a subclass sets ``detector`` and supplies its own
+    ``exact_type`` and ``float_types``.
     """
 
     def __init__(self, family: CurvatureFamily, rank_tol, r_max=8):
         self.jets = family.dual_jet_polys(r_max)
         self.detector = family.detector()
-        self.detector_t = self.detector.diff_t()
         self.rank_tol = rank_tol
         self.r_max = r_max
         # each jet entry as its (float coefficient, t degree, u degree) terms,
@@ -425,17 +433,13 @@ class _AdaptedTypeOracle:
         return out
 
     def classify_event(self, t, lam):
-        """(type, confidence, t, lam) with exact snapping of a double point."""
-        for lamq in _rational_candidates(lam):
-            for tq in _rational_candidates(t):
-                if self.detector.eval(tq, lamq) == 0 and self.detector_t.eval(tq, lamq) == 0:
-                    try:
-                        a = self.exact_type(tq, lamq)
-                    except (FiniteTypeError, DegeneracyError):
-                        return None, "exact", float(tq), float(lamq)
-                    return a, "exact", float(tq), float(lamq)
-        a, confidence = self.float_types([float(t)], [float(lam)])[0]
-        return a, confidence, float(t), float(lam)
+        """(type, confidence) at an event point; exact when t and lam are Fractions."""
+        if isinstance(t, Fraction) and isinstance(lam, Fraction):
+            try:
+                return self.exact_type(t, lam), "exact"
+            except (FiniteTypeError, DegeneracyError):
+                return None, "exact"
+        return self.float_types([float(t)], [float(lam)])[0]
 
 
 class _OsculatingTypeOracle(_AdaptedTypeOracle):
@@ -446,7 +450,6 @@ class _OsculatingTypeOracle(_AdaptedTypeOracle):
     def __init__(self, family: DiagonalFamily, rank_tol):
         self.derivs = family.derivative_polys()
         self.detector = family.detector()
-        self.detector_t = self.detector.diff_t()
         self.rank_tol = rank_tol
 
     def _order_exact(self, p, tq, lamq):
@@ -492,81 +495,87 @@ class _OsculatingTypeOracle(_AdaptedTypeOracle):
         return out
 
 
-def _line_roots(detector: Poly, lam_q, window):
+class _FactoredDetector:
+    """A scan detector D(t, u), factored once per family.
+
+    D = c * content(u) * prod_i F_i^i with ``sf`` = prod_i F_i primitive and
+    square-free in t.  ``discriminant`` is the square-free part of
+    Res_t(sf, d sf/dt), a multiple of the leading coefficient lc(u) of sf: it
+    vanishes exactly where a line of sf loses degree or gains a multiple
+    root.  On every other line where the content does not vanish,
+    sf(., lambda) is the square-free part of D(., lambda).
+    """
+
+    def __init__(self, poly: Poly):
+        self.poly = poly
+        self.sf, content = squarefree_t(poly)
+        self.content = integer_coeffs(content)
+        self.discriminant = squarefree(resultant_t(self.sf, self.sf.diff_t()))
+        self._discriminant_ints = integer_coeffs(self.discriminant)
+
+    def squarefree_at(self, lam_q):
+        """Whether sf(., lam_q) is the square-free part of D(., lam_q)."""
+        return not (vanishes_at(self._discriminant_ints, lam_q) or vanishes_at(self.content, lam_q))
+
+
+def _line_roots(detector: _FactoredDetector, lam_q, window):
     """(roots, line) of the detector on the lambda line u = lam_q.
 
-    ``line`` is the substituted line's dense coefficient list and ``roots``
-    the real roots of its square-free part in the window, or None when the
-    line vanishes identically.
+    ``line`` is a dense coefficient list with the same real roots as the
+    detector's line, and ``roots`` its real roots in the window, or None
+    when the line vanishes identically.  Where sf(., lam_q) is already the
+    square-free part, ``line`` is that made monic, so it equals the
+    ``squarefree`` of the detector's line and gives the same roots.
     """
-    line = trim(detector.subs_u(lam_q).t_coeffs())
+    if detector.squarefree_at(lam_q):
+        line = detector.sf.subs_u(lam_q).t_coeffs()
+        line = [c / line[-1] for c in line]
+        return real_roots_squarefree(line, window[0], window[1]), line
+    line = trim(detector.poly.subs_u(lam_q).t_coeffs())
     if not line:
         return None, line
     return real_roots_squarefree(squarefree(line), window[0], window[1]), line
 
 
-def _match_roots(prev, cur, gap):
-    """Greedy nearest matching between two sorted root lists."""
-    pairs = []
-    used_prev, used_cur = set(), set()
-    cand = sorted(
-        (abs(p - c), i, j) for i, p in enumerate(prev) for j, c in enumerate(cur)
-    )
-    for d, i, j in cand:
-        if d > gap:
-            break
-        if i in used_prev or j in used_cur:
-            continue
-        used_prev.add(i)
-        used_cur.add(j)
-        pairs.append((i, j))
-    return pairs, used_prev, used_cur
+def _exact_roots(sq, lo, hi):
+    """[(x, exact)]: the real roots in [lo, hi] of a square-free Fraction coefficient list.
 
-
-def _refine_event(detector, lam_lo, lam_hi, window, depth=48):
-    """Bisect a root-count change to its (t, lambda), to ~1e-9 in lambda.
-
-    Returns (t_estimate, lam_estimate) or None when the change is a root
-    leaving through the window boundary rather than an interior collision.
+    x is a Fraction: the root itself where bisection hit it or one of its
+    small-denominator candidates verifies, else within 2^-100 of it.
     """
-    roots_lo, _ = _line_roots(detector, lam_lo, window)
-    roots_hi, _ = _line_roots(detector, lam_hi, window)
-    for _ in range(depth):
-        if abs(float(lam_hi - lam_lo)) <= 1e-9:
-            break
-        mid = (lam_lo + lam_hi) / 2
-        roots_mid, _ = _line_roots(detector, mid, window)
-        if roots_mid is None:
-            break
-        if len(roots_mid) == len(roots_lo):
-            lam_lo, roots_lo = mid, roots_mid
-        else:
-            lam_hi, roots_hi = mid, roots_mid
-    lam_star = float(lam_lo + lam_hi) / 2.0
-    span = window[1] - window[0]
-    margin = 1e-3 * span
-    rich, poor = (roots_lo, roots_hi) if len(roots_lo) > len(roots_hi) else (roots_hi, roots_lo)
-    _, used_rich, _ = _match_roots(rich, poor, gap=0.05 * span)
-    extra = [r for i, r in enumerate(rich) if i not in used_rich]
-    if not extra:
-        extra = rich
-    if len(extra) >= 2:
-        gaps = [(extra[i + 1] - extra[i], i) for i in range(len(extra) - 1)]
-        _, i = min(gaps)
-        t_star = 0.5 * (extra[i] + extra[i + 1])
-    elif extra:
-        t_star = extra[0]
-    else:
-        return None
-    if t_star < window[0] + margin or t_star > window[1] - margin:
-        return None
-    # the collision point is a root of the t-derivative of the detector; a few
-    # Newton steps there sharpen t well below the bisection's sqrt-width blur
-    d_t = detector.diff_t().subs_u(Fraction(lam_star).limit_denominator(10**12))
-    x = newton(d_t, t_star, 80, 1e-15)
-    if abs(x - t_star) < 0.05 * span:
-        t_star = x
-    return t_star, lam_star
+    ints = integer_coeffs(sq)
+    out = []
+    for x, exact in isolate_real_roots(ints, lo, hi):
+        if not exact:
+            q = next((q for q in _rational_candidates(x) if vanishes_at(ints, q)), None)
+            x, exact = (x, False) if q is None else (q, True)
+        out.append((x, exact))
+    return out
+
+
+def _refine_event(detector: _FactoredDetector, lam_q, exact, window):
+    """The multiple roots in the t window of the detector's line at lam_q.
+
+    ``lam_q`` is a real root of the detector's discriminant, ``exact`` or
+    within 2^-100 of it.  On an exact line the multiple roots are the roots
+    of gcd(sf, d sf/dt), each a Fraction when it is verified rational, else a
+    float.  Otherwise they are the critical points of sf on the line, as
+    floats, where sf vanishes to 1e-20 of the size of its terms: at a
+    multiple root sf is of the order of the 2^-100 narrowing, elsewhere of
+    the order of the root spacing.
+    """
+    line = detector.sf.subs_u(lam_q).t_coeffs()
+    slope = [k * c for k, c in enumerate(line)][1:]
+    if exact:
+        return [t if t_exact else float(t)
+                for t, t_exact in _exact_roots(squarefree(poly_gcd(line, slope)), *window)]
+    line_poly = Poly.from_t_coeffs(line)
+    out = []
+    for t, _ in isolate_real_roots(integer_coeffs(squarefree(slope)), *window):
+        size = sum(abs(c) * abs(t) ** k for k, c in enumerate(line))
+        if abs(line_poly.eval(t)) <= 1e-20 * size:
+            out.append(float(t))
+    return out
 
 
 def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
@@ -587,11 +596,12 @@ def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
             meta={"reason": "detector vanishes identically"},
         )
 
-    lam_fracs = [Fraction(float(l)) for l in lambda_grid]
+    detector = _FactoredDetector(detector)
     lines = []
     points = []
     degenerate_regions = []
-    for lam, lam_q in zip(lambda_grid, lam_fracs):
+    for lam in lambda_grid:
+        lam_q = Fraction(float(lam))
         roots, line = _line_roots(detector, lam_q, window)
         if roots is None:
             degenerate_regions.append({"lambda": float(lam), "t_window": window})
@@ -652,23 +662,24 @@ def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
         if len(ch["points"]) >= 2
     ]
 
-    # momentary events: interior root-count changes between adjacent lines
+    # momentary events: the real roots of the discriminant in the lambda window
+    lam_stars = _exact_roots(detector.discriminant, float(min(lambda_grid)), float(max(lambda_grid)))
     events = []
+    for lam_q, exact in lam_stars:
+        lam_star = lam_q if exact else float(lam_q)
+        for t_star in _refine_event(detector, lam_q, exact, window):
+            a, confidence = oracle.classify_event(t_star, lam_star)
+            events.append(_event_from_type(lam_star, t_star, a, confidence))
+    # a root-count change with no discriminant root between the lines is a
+    # root crossing the window boundary
     boundary = []
     for i in range(len(lines) - 1):
-        if lines[i] is None or lines[i + 1] is None:
+        if lines[i] is None or lines[i + 1] is None or len(lines[i]) == len(lines[i + 1]):
             continue
-        if len(lines[i]) == len(lines[i + 1]):
-            continue
-        hit = _refine_event(detector, lam_fracs[i], lam_fracs[i + 1], window)
-        if hit is None:
-            boundary.append((float(lambda_grid[i]), float(lambda_grid[i + 1])))
-            continue
-        t_star, lam_star = hit
-        a, confidence, t_fin, lam_fin = oracle.classify_event(t_star, lam_star)
-        events.append(_event_from_type(lam_fin, t_fin, a, confidence))
+        lo, hi = float(lambda_grid[i]), float(lambda_grid[i + 1])
+        if not any(lo <= lam <= hi for lam, _ in lam_stars):
+            boundary.append((lo, hi))
 
-    events = _dedup_events(events)
     events.sort(key=lambda e: (e.lam, e.t))
     strata_out.sort(key=lambda s: (s.params[0, 0], s.params[0, 1]))
     return ScanResult(
@@ -685,27 +696,18 @@ def _weaker(a, b):
     return a if order[a] >= order[b] else b
 
 
-def _dedup_events(events, tol=1e-5):
-    kept = []
-    order = {"exact": 0, "high": 1, "low": 2}
-    for ev in sorted(events, key=lambda e: order[e.confidence]):
-        if any(abs(ev.lam - k.lam) <= tol and abs(ev.t - k.t) <= tol for k in kept):
-            continue
-        kept.append(ev)
-    return kept
-
-
 def scan_family(family: CurvatureFamily, t_grid, lambda_grid, tol=DEFAULT_RANK_TOL,
                 chain_gap=None) -> ScanResult:
     """Bifurcation scan of a one-parameter family of framed curves.
 
     The detector det[d_0 .. d_3] of the frame dual's co-moving jets vanishes
-    exactly where the dual type leaves (1, 2, 3).  Per lambda line its
-    square-free part is solved for real roots (persistent strata); changes in
-    the interior root count between neighbouring lines are bisected to the
-    momentary event and snapped to exact rationals when possible.  The t grid
-    fixes the window and the chaining scale; the roots themselves come from
-    the polynomial, not the grid.
+    exactly where the dual type leaves (1, 2, 3).  Its square-free part in t
+    is taken once; per lambda line that part is solved for real roots
+    (persistent strata).  The momentary events are the real roots of its
+    t-discriminant in the lambda window, each with the multiple t-roots of
+    its line, exact when rational.  The t grid fixes the window and the
+    chaining scale; the roots and events come from the polynomial, not the
+    grid.
     """
     oracle = _AdaptedTypeOracle(family, tol)
     return _scan_core(oracle.detector, oracle, t_grid, lambda_grid, chain_gap)

@@ -8,9 +8,11 @@ that feeds a type vector can therefore be made exactly.
 Floats are deliberately rejected as coefficients.  Decimal strings such as
 ``"0.1"`` are accepted and parsed exactly.
 
-The module also holds the univariate root toolkit the family scans use:
-division, gcd and square-free parts of Fraction coefficient lists, a Newton
-polish, and the polished real roots of a square-free polynomial in a window.
+The module also holds the root toolkit the family scans use: gcd and
+square-free parts of coefficient lists, the square-free part in t and the
+resultant in t of a bivariate polynomial (both by the subresultant PRS over
+Z[u]), exact real-root isolation by Descartes' rule, a Newton polish, and the
+polished real roots of a square-free polynomial in a window.
 """
 
 from __future__ import annotations
@@ -284,8 +286,8 @@ def integer_coeffs(coeffs):
     return [c.numerator * (lcm // c.denominator) for c in coeffs]
 
 
-def vanishes_at(ints, x):
-    """Whether the integer coefficient list (low degree first) vanishes at Fraction x.
+def sign_at(ints, x):
+    """Sign (-1, 0 or 1) of the integer coefficient list (low degree first) at Fraction x.
 
     With x = p/q in lowest terms, the homogeneous Horner sum of a_i p^i q^(n-i)
     is p(x) times q^n, all in Python ints.
@@ -295,39 +297,99 @@ def vanishes_at(ints, x):
     for a in reversed(ints):
         acc = acc * p + a * qk
         qk *= q
-    return acc == 0
+    return (acc > 0) - (acc < 0)
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder of Fraction coefficient lists (low degree first)."""
-    a, b = trim(a), trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        if len(r) < len(b) + k:
-            continue
-        c = r[len(b) + k - 1] / lead
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                r[k + i] -= c * bi
-        del r[len(b) + k - 1]
-    return q, trim(r)
+def vanishes_at(ints, x):
+    """Whether the integer coefficient list (low degree first) vanishes at Fraction x."""
+    return sign_at(ints, x) == 0
+
+
+def _taylor_shift_1(a):
+    """Coefficients of a(x + 1), for a coefficient list low degree first."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _descartes_count(a):
+    """Sign variations of (x + 1)^n a(1/(x + 1)): bounds the roots of a in (0, 1), exact for 0 and 1."""
+    signs = [c > 0 for c in _taylor_shift_1(a[::-1]) if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def isolate_real_roots(ints, lo, hi, bits=100):
+    """The real roots in [lo, hi] of a square-free integer coefficient list.
+
+    Descartes' rule of signs with bisection (Collins and Akritas) isolates
+    them, in exact arithmetic.  Each root comes back, in order, as (x,
+    exact): x is the root itself where a bisection point hit it, else the
+    midpoint of its isolating interval narrowed by sign bisection to a width
+    of 2^-bits (hi - lo).
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    width = hi - lo
+    if width < 0 or not trim(ints):
+        return []
+    if width == 0:
+        return [(lo, True)] if vanishes_at(ints, lo) else []
+    # q(x) = p(lo + width x), so the window becomes [0, 1]; Horner step
+    # q <- q * (lo + width x) + a
+    q = []
+    for a in reversed(ints):
+        q = [lo * (q[i] if i < len(q) else 0) + (width * q[i - 1] if i else a)
+             for i in range(len(q) + 1)]
+    q = integer_coeffs(trim(q))
+    exact = [hi] if sum(q) == 0 else []
+    boxes = []
+    # nodes (p, c, k): p(x) is q on [c/2^k, (c+1)/2^k], rescaled to [0, 1]
+    stack = [(q, 0, 0)]
+    while stack:
+        p, c, k = stack.pop()
+        if p[0] == 0:
+            exact.append(lo + width * Fraction(c, 2**k))
+            p = p[1:]
+        count = _descartes_count(p)
+        if count == 1:
+            boxes.append((lo + width * Fraction(c, 2**k), lo + width * Fraction(c + 1, 2**k)))
+        elif count > 1:
+            n = len(p) - 1
+            left = [a << (n - i) for i, a in enumerate(p)]
+            stack.append((_taylor_shift_1(left), 2 * c + 1, k + 1))
+            stack.append((left, 2 * c, k + 1))
+    # with the exact roots divided out, the sign changes across every box
+    for x in exact:
+        ints = _u_div(ints, [-x.numerator, x.denominator])
+    out = [(x, True) for x in exact]
+    for a, b in boxes:
+        s_a = sign_at(ints, a)
+        while b - a > width / 2**bits:
+            mid = (a + b) / 2
+            s = sign_at(ints, mid)
+            if s == 0:
+                a = b = mid
+                break
+            a, b = (mid, b) if s == s_a else (a, mid)
+        out.append(((a + b) / 2, a == b))
+    return sorted(out)
 
 
 def poly_gcd(a, b):
-    """Monic greatest common divisor of two Fraction coefficient lists."""
+    """Monic greatest common divisor of two coefficient lists (low degree first).
+
+    The last element of the integer subresultant PRS of the two, made monic:
+    Euclid's remainders over Q would grow without bound.
+    """
     a, b = trim(a), trim(b)
-    while b:
-        _, rem = poly_divmod(a, b)
-        a, b = b, rem
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+    if len(a) < len(b):
+        a, b = b, a
+    if b:
+        rows = [[[c] if c else [] for c in integer_coeffs(x)] for x in (a, b)]
+        g, rest, _, _ = _subresultant_prs(*rows)
+        a = [1] if rest else [row[0] if row else 0 for row in g]
+    return [Fraction(c) / a[-1] for c in a]
 
 
 def squarefree(coeffs):
@@ -335,17 +397,181 @@ def squarefree(coeffs):
     p = trim(coeffs)
     if len(p) <= 1:
         return p
-    dp = [k * c for k, c in enumerate(p)][1:]
-    g = poly_gcd(p, dp)
-    if len(g) <= 1:
-        lead = p[-1]
-        return [c / lead for c in p]
-    q, rem = poly_divmod(p, g)
-    if rem:
-        raise ArithmeticError("square-free division left a remainder")
-    q = trim(q)
-    lead = q[-1]
-    return [c / lead for c in q]
+    sf = squarefree_t(Poly.from_t_coeffs(p))[0].t_coeffs()
+    return [c / sf[-1] for c in sf]
+
+
+# -- bivariate toolkit: polynomials in t over Z[u] ---------------------------
+#
+# A t-row list holds a bivariate polynomial as its coefficients in t, low
+# degree first, each a trimmed coefficient list in u.  The PRS works on
+# integer rows: Python ints are several times faster than Fractions here.
+
+
+def _integer_rows(p: Poly):
+    """(rows, scale): the t-row list of scale * p, with integer entries."""
+    scale = math.lcm(*(v.denominator for v in p.c.values()))
+    rows = [[] for _ in range(p.deg_t() + 1)] if p.c else []
+    for (i, j), v in p.c.items():
+        row = rows[i]
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = v.numerator * (scale // v.denominator)
+    return rows, scale
+
+
+def _u_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _u_pow(a, k):
+    out = [1]
+    for _ in range(k):
+        out = _u_mul(out, a)
+    return out
+
+
+def _u_sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return trim(out)
+
+
+def _u_div(a, b):
+    """Exact quotient of integer coefficient lists."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(a[k + len(b) - 1], b[-1])
+        if rem:
+            raise ArithmeticError("inexact division in Z[u]")
+        q[k] = c
+        for i, bi in enumerate(b):
+            a[k + i] -= c * bi
+    if any(a):
+        raise ArithmeticError("inexact division in Z[u]")
+    return trim(q)
+
+
+def _pseudo_rem(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b for t-row lists, deg a >= deg b."""
+    lead = b[-1]
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        top, shift = r[-1], len(r) - len(b)
+        r = [_u_mul(lead, c) for c in r]
+        for i, bi in enumerate(b):
+            r[shift + i] = _u_sub(r[shift + i], _u_mul(top, bi))
+        while r and not r[-1]:
+            r.pop()
+        steps -= 1
+    scale = _u_pow(lead, steps)
+    return [_u_mul(scale, c) for c in r]
+
+
+def _primitive(rows):
+    """(primitive part, monic u-content) of a nonzero integer t-row list.
+
+    The content is the ``poly_gcd`` of the rows, a monic Fraction list; the
+    primitive part is scaled to coprime integer coefficients.
+    """
+    content = []
+    for row in rows:
+        content = poly_gcd(content, row)
+    divisor = integer_coeffs(content)
+    rows = [_u_div(row, divisor) for row in rows]
+    g = math.gcd(*(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows], content
+
+
+def _subresultant_prs(a, b):
+    """Run the subresultant PRS of integer t-row lists, deg a >= deg b >= 0, to its end.
+
+    Every division it makes is exact in Z[u], so coefficients grow only
+    linearly along the sequence (Collins; Brown and Traub), without the u-gcd
+    of each remainder that a primitive PRS takes.  Returns (a, b, h, sign): a
+    is the last element of positive degree, b the one after it, a constant in
+    t or [] when a divides its predecessor (then a is their gcd up to a
+    u-content), h the subresultant scale and sign the resultant's sign.
+    """
+    sign, g, h = 1, [1], [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b, [], h, sign
+        divisor = _u_mul(g, _u_pow(h, delta))
+        a, b = b, [_u_div(c, divisor) for c in r]
+        # h <- g^delta / h^(delta - 1), with g the new leading coefficient
+        g = a[-1]
+        h = _u_div(_u_mul(h, _u_pow(g, delta)), _u_pow(h, delta))
+    return a, b, h, sign
+
+
+def _from_rows(rows):
+    return Poly({(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+
+
+def squarefree_t(p: Poly):
+    """(sf, content): the primitive square-free part in t of p, and its u-content.
+
+    p = c * content(u) * prod_i F_i(t, u)^i for a rational c and primitive
+    square-free F_i; ``sf`` is prod_i F_i with coprime integer coefficients,
+    the primitive part of p divided by its gcd with dp/dt.  ``content`` is a
+    monic Fraction coefficient list in u: p vanishes identically on the lines
+    where it does.
+    """
+    if p.is_zero():
+        raise ZeroDivisionError("square-free part of the zero polynomial")
+    a, content = _primitive(_integer_rows(p)[0])
+    if len(a) == 1:
+        return Poly.const(1), content
+    g, rest, _, _ = _subresultant_prs(a, [[k * x for x in row] for k, row in enumerate(a)][1:])
+    if rest:
+        return _from_rows(a), content
+    g = _primitive(g)[0]
+    # exact division a / g in Z[u][t]: g is primitive and divides a
+    quotient = [[] for _ in range(len(a) - len(g) + 1)]
+    for k in range(len(quotient) - 1, -1, -1):
+        c = quotient[k] = _u_div(a[k + len(g) - 1], g[-1])
+        for i, gi in enumerate(g):
+            a[k + i] = _u_sub(a[k + i], _u_mul(c, gi))
+    return _from_rows(quotient), content
+
+
+def resultant_t(p: Poly, q: Poly):
+    """Res_t(p, q) as a Fraction coefficient list in u (low degree first).
+
+    Taken from the subresultant PRS of the integer multiples of p and q, not
+    from the cofactor expansion of the Sylvester matrix.  Zero is the empty
+    list.
+    """
+    if p.is_zero() or q.is_zero():
+        return []
+    (a, scale_a), (b, scale_b) = _integer_rows(p), _integer_rows(q)
+    # Res(sa * p, sb * q) = sa^deg(q) * sb^deg(p) * Res(p, q)
+    scale = scale_a ** (len(b) - 1) * scale_b ** (len(a) - 1)
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    a, b, h, prs_sign = _subresultant_prs(a, b)
+    if not b:
+        return []
+    # b is a nonzero constant in t: the resultant is b^deg(a) / h^(deg(a) - 1)
+    n = len(a) - 1
+    res = _u_pow(b[0], n)
+    if n > 1:
+        res = _u_div(res, _u_pow(h, n - 1))
+    return [Fraction(sign * prs_sign * c, scale) for c in res]
 
 
 def newton(p: Poly, x, iterations, rel_tol):
@@ -370,11 +596,18 @@ def real_roots_squarefree(sq, lo, hi):
     """Polished real roots in [lo, hi] of a square-free Fraction coefficient list.
 
     Companion-matrix roots with a small imaginary part are Newton-polished,
-    clamped into the window and deduplicated.
+    clamped into the window and deduplicated.  A list with a coefficient
+    beyond the float range is first scaled by a power of two, exactly.
     """
     if len(sq) <= 1:
         return []
-    arr = np.array([float(c) for c in sq])
+    try:
+        arr = np.array([float(c) for c in sq])
+    except OverflowError:
+        top = max(sq, key=abs)
+        shift = top.numerator.bit_length() - top.denominator.bit_length()
+        sq = [c / 2**shift for c in sq]
+        arr = np.array([float(c) for c in sq])
     scale = np.max(np.abs(arr))
     roots = np.roots(arr[::-1] / scale)
     poly = Poly.from_t_coeffs(sq)
@@ -383,7 +616,10 @@ def real_roots_squarefree(sq, lo, hi):
     for z in roots:
         if abs(z.imag) > 1e-7 * max(1.0, abs(z.real)) + 1e-10:
             continue
-        x = newton(poly, float(z.real), 60, 1e-16)
+        try:
+            x = newton(poly, float(z.real), 60, 1e-16)
+        except OverflowError:  # a float power of a root far outside any window
+            continue
         if lo - 1e-9 * span <= x <= hi + 1e-9 * span:
             out.append(min(max(x, lo), hi))
     out.sort()

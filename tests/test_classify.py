@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from framedcurves import (
     CLASS_BY_DUAL_TYPE,
@@ -27,9 +27,9 @@ from framedcurves import (
     scan_family,
     schubert_number,
 )
-from framedcurves.classify import _AdaptedTypeOracle, _line_roots
+from framedcurves.classify import _AdaptedTypeOracle, _FactoredDetector, _line_roots
 from framedcurves.examples import helix_frenet_field, radial_circle_field
-from framedcurves.ratpoly import Poly, integer_coeffs
+from framedcurves.ratpoly import Poly, integer_coeffs, real_roots_squarefree, squarefree, trim, vanishes_at
 
 increasing_triples = st.lists(
     st.integers(min_value=1, max_value=9), min_size=3, max_size=3, unique=True
@@ -243,10 +243,11 @@ def _unfold_family(t0, lam0, c):
 
 def _scan_points(detector, lambdas, window):
     """The (t, lam_q, line) points a scan classifies, over the given lambda lines."""
+    factored = _FactoredDetector(detector)
     points = []
     for lam in lambdas:
         lam_q = Fraction(float(lam))
-        roots, line = _line_roots(detector, lam_q, window)
+        roots, line = _line_roots(factored, lam_q, window)
         if roots:
             ints = integer_coeffs(line)
             points.extend((r, lam_q, ints) for r in roots)
@@ -270,6 +271,95 @@ def test_batched_oracle_equals_one_point_at_a_time(t0, lam0, c):
     assert {confidence for _, confidence in batched} >= {"high"}
     if lam0.denominator & (lam0.denominator - 1) == 0:
         assert "exact" in {confidence for _, confidence in batched}
+
+
+# -- events from the discriminant ------------------------------------------------
+
+
+#: 20 examples take about 1 s in tier-1
+@settings(max_examples=20, deadline=None)
+@given(t0=st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=12),
+       lam0=st.fractions(Fraction(-1, 10), Fraction(1, 10), max_denominator=20),
+       c=st.fractions(Fraction(-2), Fraction(2), max_denominator=4).filter(bool))
+def test_a_moved_butterfly_is_one_exact_event_at_its_point(t0, lam0, c):
+    res = scan_family(_unfold_family(t0, lam0, c), np.linspace(-1.0, 1.0, 41), np.linspace(-0.2, 0.2, 9))
+    assert [(ev.t, ev.lam, ev.type, ev.confidence) for ev in res.events] == [
+        (float(t0), float(lam0), (3, 4, 5), "exact")]
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("lines", [400, 401])
+def test_an_event_that_keeps_the_root_count_is_found_on_either_grid_parity(sign, lines):
+    # kappa3 = t^2 -+ lambda^2: with an even line count no line passes lambda = 0
+    t, u = Poly.t(), Poly.u()
+    fam = _frenet_family(Poly.const(1), t * t + Poly.const(sign) * u * u)
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 201), np.linspace(-1.0, 1.0, lines))
+    assert [(ev.t, ev.lam, ev.type, ev.confidence) for ev in res.events] == [(0.0, 0.0, (3, 4, 5), "exact")]
+
+
+def test_an_irrational_event_is_located_in_floats():
+    # kappa3 = (t - 1/3)^2 - (lambda^2 - 1/50): events at lambda = -+sqrt(1/50)
+    t, u = Poly.t(), Poly.u()
+    third = Poly.const(Fraction(1, 3))
+    fam = _frenet_family(Poly.const(1), (t - third) ** 2 - (u * u - Poly.const(Fraction(1, 50))))
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.2, 0.2, 41))
+    assert len(res.events) == 2
+    for ev, lam in zip(res.events, (-np.sqrt(0.02), np.sqrt(0.02))):
+        assert abs(ev.lam - lam) < 1e-15 and abs(ev.t - 1 / 3) < 1e-12
+        assert ev.type == (3, 4, 5) and ev.confidence != "exact"
+
+
+def _split_detector():
+    """(t^2 - u)^2 (t - 1/3)(u + 1/2): a square, a u-content and two events."""
+    t, u = Poly.t(), Poly.u()
+    return (t * t - u) ** 2 * (t - Poly.const(Fraction(1, 3))) * (u + Poly.const(Fraction(1, 2)))
+
+
+def test_a_line_on_a_discriminant_root_takes_the_detector_line():
+    detector = _split_detector()
+    factored = _FactoredDetector(detector)
+    window = (-1.0, 1.0)
+    # off every root: the monic square-free part, with no squarefree() call
+    lam = Fraction(1, 4)
+    assert factored.squarefree_at(lam)
+    roots, line = _line_roots(factored, lam, window)
+    assert line == squarefree(trim(detector.subs_u(lam).t_coeffs()))
+    assert len(roots) == 3
+    # the discriminant vanishes at 0 (t = 0 is double) and at 1/9 (t = 1/3 is
+    # on both factors): those lines are the detector's own, with exact roots
+    for lam, exact in ((Fraction(0), [Fraction(0), Fraction(1, 3)]),
+                       (Fraction(1, 9), [Fraction(-1, 3), Fraction(1, 3)])):
+        assert not factored.squarefree_at(lam)
+        roots, line = _line_roots(factored, lam, window)
+        assert line == trim(detector.subs_u(lam).t_coeffs())
+        assert roots == real_roots_squarefree(squarefree(line), *window)
+        assert [Fraction(r).limit_denominator(100) for r in roots] == exact
+        assert all(vanishes_at(integer_coeffs(line), x) for x in exact)
+    # the content vanishes at -1/2: the whole line does
+    assert _line_roots(factored, Fraction(-1, 2), window) == (None, [])
+
+
+def test_osculating_scan_events_of_a_non_square_free_detector():
+    # diagonal entries whose t-derivatives multiply to the split detector
+    t, u = Poly.t(), Poly.u()
+    entries = ((t * t - u) ** 2, t - Poly.const(Fraction(1, 3)), u + Poly.const(Fraction(1, 2)))
+    fam = DiagonalFamily(tuple(p.integrate_t() for p in entries))
+    assert fam.detector() == _split_detector()
+    res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
+    assert [(ev.t, ev.lam, ev.confidence) for ev in res.events] == [(0.0, 0.0, "exact"),
+                                                                     (1 / 3, 1 / 9, "exact")]
+    assert res.degenerate_regions == [{"lambda": -0.5, "t_window": (-1.0, 1.0)}]
+
+
+def test_a_root_is_not_classified_at_another_rational_root_of_its_line():
+    # every line has the roots 1 and 7/10 + lambda; the nearest integer to
+    # the second is the first, a root of the same line, which the exact snap
+    # must not take
+    t, u = Poly.t(), Poly.u()
+    entries = ((t - Poly.const(1)) ** 2, t - Poly.const(Fraction(7, 10)) - u, Poly.const(1))
+    fam = DiagonalFamily(tuple(p.integrate_t() for p in entries))
+    res = classify_osculating_scan(fam, np.linspace(-2.0, 2.0, 101), np.linspace(-0.1, 0.1, 5))
+    assert [(s.type, round(s.params[2, 1], 9)) for s in res.strata] == [((1, 3, 4), 0.7), ((3, 4, 5), 1.0)]
 
 
 def test_compiled_float_jets_equal_evalf_bit_for_bit():

@@ -112,6 +112,16 @@ def test_scan_coefficient_beyond_float_range_is_a_numeric_failure(tmp_path, caps
         capsys.readouterr().err)
 
 
+def test_scan_coefficient_below_float_range_exits_0_or_3(tmp_path):
+    # kappa_3 = 1e-400 t^2 - lambda: 1e-400 rounds to 0.0, but the monic
+    # lines carry 1e400 lambda, beyond the float range
+    config = {"curve": {"kind": "curvature", "delta": 0,
+                        "kappa": [["1"], ["0"], {"2,0": "1e-400", "0,1": "-1"}]},
+              "grids": {"t": [-1.0, 1.0, 50], "lambda": [-0.2, 0.2, 9]}}
+    argv = ["scan", "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
+    assert main(argv) in (0, 3)
+
+
 def test_integration_past_the_step_budget_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     from framedcurves import frames
 

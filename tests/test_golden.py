@@ -19,6 +19,8 @@ import pytest
 from framedcurves.classify import (
     CurvatureFamily,
     DiagonalFamily,
+    _exact_roots,
+    _FactoredDetector,
     _refine_event,
     classify_osculating_scan,
     scan_family,
@@ -253,15 +255,16 @@ def test_exact_flag_residuals_are_bit_stable():
 
 
 def test_scan_family_roots_and_refinement_are_bit_stable():
-    # strata params carry the polished line roots; _refine_event's Newton
-    # estimate is pinned directly because the exact snap overwrites it
+    # strata params carry the polished line roots; _refine_event locates the
+    # event at each discriminant root in the lambda bracket
     family = CurvatureFamily.frenet(1, Poly.t() * Poly.t() - Poly.u())
     res = scan_family(family, np.linspace(-1.0, 1.0, 400), np.linspace(-0.2, 0.2, 81))
     assert _digest(*(s.params for s in res.strata)) == (
         "0adaba834ecfc7aefaaac7a9566e610e532e424d68558bc147b0cc68c05ebb47"
     )
-    detector = family.detector()
-    hit = _refine_event(detector, Fraction(-1, 400), Fraction(1, 300), (-1.0, 1.0))
+    detector = _FactoredDetector(family.detector())
+    hit = [(t, lam) for lam, exact in _exact_roots(detector.discriminant, -1 / 400, 1 / 300)
+           for t in _refine_event(detector, lam, exact, (-1.0, 1.0))]
     assert _digest(np.array(hit)) == (
-        "0a9e93f91a8aeaca78c748844aedc5b010508ce4b970aa700513298d1631c0c4"
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
     )

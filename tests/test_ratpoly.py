@@ -1,11 +1,22 @@
-"""Float evaluation of exact polynomials on broadcast grids."""
+"""Float evaluation of exact polynomials, and the root toolkit of the scans."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from framedcurves import NormalFormFamily, Poly
-from framedcurves.ratpoly import integer_coeffs, trim, vanishes_at
+from framedcurves.ratpoly import (
+    integer_coeffs,
+    isolate_real_roots,
+    real_roots_squarefree,
+    resultant_t,
+    squarefree_t,
+    trim,
+    vanishes_at,
+)
 
 POLYS = {
     "x3 of (1,2,5)": NormalFormFamily((1, 2, 5)).x3_poly(),
@@ -56,3 +67,120 @@ def test_integer_zero_test_agrees_with_exact_evaluation(coeffs, planted, x):
     for q in [x, *planted]:
         assert vanishes_at(ints, q) == (line.eval(q) == 0)
     assert all(vanishes_at(ints, r) for r in planted)
+
+
+# -- the bivariate toolkit against sympy (a test-only oracle) --------------------
+
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 2)), _RATIONAL, min_size=1, max_size=5)
+_FACTOR_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), _RATIONAL, min_size=1,
+                                max_size=4)
+_U_TERMS = st.dictionaries(st.tuples(st.just(0), st.integers(0, 2)), _RATIONAL, min_size=1, max_size=3)
+
+
+def _sympy_t_poly(sympy, p):
+    """p as a sympy polynomial in t over QQ[u]."""
+    t, u = sympy.symbols("t u")
+    expr = sum((sympy.Rational(v.numerator, v.denominator) * t**i * u**j for (i, j), v in p.c.items()),
+               sympy.Integer(0))
+    return sympy.Poly(expr, t, domain="QQ[u]")
+
+
+def _sympy_u_expr(sympy, coeffs):
+    u = sympy.symbols("u")
+    return sum((sympy.Rational(c.numerator, c.denominator) * u**i for i, c in enumerate(coeffs)),
+               sympy.Integer(0))
+
+
+def _proportional(sympy, a, b):
+    """Whether two nonzero expressions differ by a nonzero rational factor."""
+    ratio = sympy.cancel(a / b)
+    return ratio.is_Rational and ratio != 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=_TERMS, q=_TERMS)
+def test_resultant_in_t_matches_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    p, q = Poly(p), Poly(q)
+    assume(not p.is_zero() and not q.is_zero())
+    # the determinant of the Sylvester matrix itself: sympy's resultant()
+    # loses the sign (-1)^(deg p deg q) when deg p < deg q
+    sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
+    a, b = _sympy_t_poly(sympy, p), _sympy_t_poly(sympy, q)
+    expected = sylvester(a.as_expr(), b.as_expr(), a.gens[0]).det(method="berkowitz")
+    assert sympy.expand(_sympy_u_expr(sympy, resultant_t(p, q)) - expected) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=_FACTOR_TERMS, b=_FACTOR_TERMS, c=_U_TERMS)
+def test_squarefree_part_in_t_matches_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    a, b, c = Poly(a), Poly(b), Poly(c)
+    assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
+    p = c * a * a * b
+    sf, content = squarefree_t(p)
+    content_expected, prim = _sympy_t_poly(sympy, p).primitive()
+    sf_expected = prim.quo(prim.gcd(prim.diff(prim.gens[0])))
+    assert _proportional(sympy, _sympy_t_poly(sympy, sf).as_expr(), sf_expected.as_expr())
+    assert _proportional(sympy, _sympy_u_expr(sympy, content), sympy.sympify(content_expected))
+    assert content[-1] == 1
+    # the part has no u-content and coprime integer coefficients
+    assert sympy.sympify(_sympy_t_poly(sympy, sf).primitive()[0]).is_Rational
+    assert all(v.denominator == 1 for v in sf.c.values())
+    assert math.gcd(*(v.numerator for v in sf.c.values())) == 1
+
+
+def test_a_square_free_detector_of_degree_8_keeps_its_discriminant():
+    sympy = pytest.importorskip("sympy")
+    t, u = Poly.t(), Poly.u()
+    d = (t**8 - u * t**5 + (u * u - Poly.const(Fraction(1, 3))) * t**2 + Poly.const(Fraction(2, 7)) * u * t
+         - u + Poly.const(Fraction(5, 11)))
+    sf, content = squarefree_t(d)
+    assert content == [1]
+    assert _proportional(sympy, _sympy_t_poly(sympy, sf).as_expr(), _sympy_t_poly(sympy, d).as_expr())
+    res = resultant_t(sf, sf.diff_t())
+    poly = _sympy_t_poly(sympy, sf)
+    assert sympy.expand(_sympy_u_expr(sympy, res) - sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))) == 0
+
+
+def test_squarefree_part_of_a_power_and_of_a_u_only_polynomial():
+    t, u = Poly.t(), Poly.u()
+    cube = (Poly.const(3) * t * t - u) ** 3 * (u - Poly.const(Fraction(1, 2)))
+    sf, content = squarefree_t(cube)
+    assert sf in (Poly.const(3) * t * t - u, u - Poly.const(3) * t * t)
+    assert content == [Fraction(-1, 2), 1]
+    sf, content = squarefree_t(u * u - Poly.const(4))
+    assert sf == Poly.const(1) and content == [-4, 0, 1]
+    with pytest.raises(ZeroDivisionError):
+        squarefree_t(Poly())
+
+
+def test_resultant_of_a_common_factor_is_zero_and_of_a_constant_a_power():
+    t, u = Poly.t(), Poly.u()
+    assert resultant_t((t - u) * (t + Poly.const(1)), (t - u) * t) == []
+    assert resultant_t(Poly.const(5), t * t + u) == [25]
+    assert resultant_t(t * t + u, t * Poly.const(2)) == [0, 4]
+
+
+def test_real_roots_beyond_the_float_range_are_scaled_exactly():
+    big = Fraction(10**400)
+    assert real_roots_squarefree([-big / 4, Fraction(0), big], -1.0, 1.0) == [-0.5, 0.5]
+    # a monic line whose constant term overflows has no root in the window
+    assert real_roots_squarefree([-big, Fraction(0), Fraction(1)], -1.0, 1.0) == []
+
+
+def test_real_roots_are_isolated_exactly_also_when_they_nearly_coincide():
+    # two rational roots 1e-12 apart beside a complex pair: the companion
+    # matrix can see the close pair as complex, Descartes' rule separates it
+    sympy = pytest.importorskip("sympy")
+    third, eps = Fraction(1, 3), Fraction(1, 10**12)
+    line = Poly.t() - Poly.const(third)
+    p = line * (line - Poly.const(eps)) * (Poly.t() ** 2 + Poly.const(1)) * (Poly.t() ** 2 - Poly.const(2))
+    ints = integer_coeffs(p.t_coeffs())
+    roots = isolate_real_roots(ints, -1, 1)
+    expected = [r for r in sympy.Poly(ints[::-1], sympy.symbols("x")).real_roots() if -1 <= r <= 1]
+    assert len(roots) == len(expected) == 2
+    for (x, exact), r in zip(roots, expected):
+        assert not exact and abs(sympy.Rational(x.numerator, x.denominator) - r) < sympy.Rational(1, 2**99)
+    # roots on the window ends and on a bisection point come back exact
+    assert isolate_real_roots([0, -1, 0, 1], -1, 1) == [(-1, True), (0, True), (1, True)]
