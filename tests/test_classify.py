@@ -297,6 +297,15 @@ def test_an_event_that_keeps_the_root_count_is_found_on_either_grid_parity(sign,
     assert [(ev.t, ev.lam, ev.type, ev.confidence) for ev in res.events] == [(0.0, 0.0, (3, 4, 5), "exact")]
 
 
+def test_a_root_leaving_the_window_is_a_boundary_crossing_not_an_event():
+    # kappa3 = t^2 - lambda on t in [-0.3, 0.3]: the roots +-sqrt(lambda) meet
+    # at the origin and leave the window at lambda = 0.09
+    fam = _frenet_family(Poly.const(1), Poly.t() * Poly.t() - Poly.u())
+    res = scan_family(fam, np.linspace(-0.3, 0.3, 61), np.linspace(-0.2, 0.2, 21))
+    assert [(ev.t, ev.lam) for ev in res.events] == [(0.0, 0.0)]
+    assert np.allclose(res.meta["boundary_crossings"], [(0.08, 0.1)], rtol=0, atol=1e-12)
+
+
 def test_an_irrational_event_is_located_in_floats():
     # kappa3 = (t - 1/3)^2 - (lambda^2 - 1/50): events at lambda = -+sqrt(1/50)
     t, u = Poly.t(), Poly.u()
