@@ -320,14 +320,14 @@ def _descartes_count(a):
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def isolate_real_roots(ints, lo, hi, bits=100):
+def isolate_real_roots(ints, lo, hi):
     """The real roots in [lo, hi] of a square-free integer coefficient list.
 
     Descartes' rule of signs with bisection (Collins and Akritas) isolates
     them, in exact arithmetic.  Each root comes back, in order, as (x,
     exact): x is the root itself where a bisection point hit it, else the
     midpoint of its isolating interval narrowed by sign bisection to a width
-    of 2^-bits (hi - lo).
+    of 2^-100 (hi - lo).
     """
     lo, hi = Fraction(lo), Fraction(hi)
     width = hi - lo
@@ -365,7 +365,7 @@ def isolate_real_roots(ints, lo, hi, bits=100):
     out = [(x, True) for x in exact]
     for a, b in boxes:
         s_a = sign_at(ints, a)
-        while b - a > width / 2**bits:
+        while b - a > width / 2**100:
             mid = (a + b) / 2
             s = sign_at(ints, mid)
             if s == 0:
