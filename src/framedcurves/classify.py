@@ -44,8 +44,9 @@ from .ratpoly import (
     as_fraction,
     integer_coeffs,
     isolate_real_roots,
+    line_gcd_split,
     poly_det,
-    poly_gcd,
+    poly_quotient,
     real_roots_squarefree,
     resultant_t,
     squarefree,
@@ -500,45 +501,51 @@ class _FactoredDetector:
 
     D = c * content(u) * prod_i F_i^i with ``sf`` = prod_i F_i primitive and
     square-free in t.  ``discriminant`` is the square-free part of
-    Res_t(sf, d sf/dt), a multiple of the leading coefficient lc(u) of sf: it
-    vanishes exactly where a line of sf loses degree or gains a multiple
-    root.  On every other line where the content does not vanish,
-    sf(., lambda) is the square-free part of D(., lambda).
+    Res_t(sf, d sf/dt) as integers, a multiple of the leading coefficient
+    lc(u) of sf: it vanishes exactly where a line of sf loses degree or gains
+    a multiple root.  Wherever the content does not vanish, D(., lambda) and
+    sf(., lambda) have the same monic square-free part, and off the
+    discriminant's roots that part is sf(., lambda) made monic.
     """
 
     def __init__(self, poly: Poly):
-        self.poly = poly
         self.sf, content = squarefree_t(poly)
         self.content = integer_coeffs(content)
-        self.discriminant = squarefree(resultant_t(self.sf, self.sf.diff_t()))
-        self._discriminant_ints = integer_coeffs(self.discriminant)
+        self.discriminant = integer_coeffs(squarefree(resultant_t(self.sf, self.sf.diff_t())))
 
-    def squarefree_at(self, lam_q):
-        """Whether sf(., lam_q) is the square-free part of D(., lam_q)."""
-        return not (vanishes_at(self._discriminant_ints, lam_q) or vanishes_at(self.content, lam_q))
+    def multiple_root_lines(self):
+        """[(e, line, gcd)]: the discriminant's roots, split by the multiple roots of sf there.
+
+        At every root u* of e, the distinct roots of line(., u*) / gcd(., u*)
+        are the multiple roots of sf(., u*): the roots of gcd(sf, d sf/dt)
+        there.
+        """
+        out = []
+        for e, _, multiple in line_gcd_split(self.sf, self.discriminant):
+            if multiple.deg_t() > 0:
+                out += line_gcd_split(multiple, e)
+        return out
 
 
 def _line_roots(detector: _FactoredDetector, lam_q, window):
     """(roots, line) of the detector on the lambda line u = lam_q.
 
-    ``line`` is a dense coefficient list with the same real roots as the
-    detector's line, and ``roots`` its real roots in the window, or None
-    when the line vanishes identically.  Where sf(., lam_q) is already the
-    square-free part, ``line`` is that made monic, so it equals the
-    ``squarefree`` of the detector's line and gives the same roots.
+    ``line`` is the monic square-free part of the detector's line, and
+    ``roots`` its real roots in the window, or None when the line vanishes
+    identically.  Off the discriminant's roots the line of sf made monic is
+    that part already, with no gcd to take.
     """
-    if detector.squarefree_at(lam_q):
-        line = detector.sf.subs_u(lam_q).t_coeffs()
-        line = [c / line[-1] for c in line]
-        return real_roots_squarefree(line, window[0], window[1]), line
-    line = trim(detector.poly.subs_u(lam_q).t_coeffs())
-    if not line:
-        return None, line
-    return real_roots_squarefree(squarefree(line), window[0], window[1]), line
+    if vanishes_at(detector.content, lam_q):
+        return None, []
+    line = trim(detector.sf.subs_u(lam_q).t_coeffs())
+    line = [c / line[-1] for c in line]
+    if vanishes_at(detector.discriminant, lam_q):
+        line = squarefree(line)
+    return real_roots_squarefree(line, window[0], window[1]), line
 
 
 def _exact_roots(sq, lo, hi):
-    """[(x, exact)]: the real roots in [lo, hi] of a square-free Fraction coefficient list.
+    """[(x, exact)]: the real roots in [lo, hi] of a square-free coefficient list.
 
     x is a Fraction: the root itself where bisection hit it or one of its
     small-denominator candidates verifies, else within 2^-100 of it.
@@ -553,29 +560,17 @@ def _exact_roots(sq, lo, hi):
     return out
 
 
-def _refine_event(detector: _FactoredDetector, lam_q, exact, window):
-    """The multiple roots in the t window of the detector's line at lam_q.
+def _refine_event(line: Poly, gcd: Poly, lam_q, window):
+    """The distinct real roots in the t window of line(., lam_q) / gcd(., lam_q).
 
-    ``lam_q`` is a real root of the detector's discriminant, ``exact`` or
-    within 2^-100 of it.  On an exact line the multiple roots are the roots
-    of gcd(sf, d sf/dt), each a Fraction when it is verified rational, else a
-    float.  Otherwise they are the critical points of sf on the line, as
-    floats, where sf vanishes to 1e-20 of the size of its terms: at a
-    multiple root sf is of the order of the 2^-100 narrowing, elsewhere of
-    the order of the root spacing.
+    ``(line, gcd)`` comes from ``multiple_root_lines`` and ``lam_q`` is a
+    root of its factor, exact or within 2^-100 of it, so the quotient is the
+    square-free part of the line there, exact or as close, and its roots are
+    the event's t.  Each is a Fraction when it is exact, else a float: no
+    threshold decides which critical point is a root.
     """
-    line = detector.sf.subs_u(lam_q).t_coeffs()
-    slope = [k * c for k, c in enumerate(line)][1:]
-    if exact:
-        return [t if t_exact else float(t)
-                for t, t_exact in _exact_roots(squarefree(poly_gcd(line, slope)), *window)]
-    line_poly = Poly.from_t_coeffs(line)
-    out = []
-    for t, _ in isolate_real_roots(integer_coeffs(squarefree(slope)), *window):
-        size = sum(abs(c) * abs(t) ** k for k, c in enumerate(line))
-        if abs(line_poly.eval(t)) <= 1e-20 * size:
-            out.append(float(t))
-    return out
+    quotient = poly_quotient(trim(line.subs_u(lam_q).t_coeffs()), trim(gcd.subs_u(lam_q).t_coeffs()))
+    return [t if exact else float(t) for t, exact in _exact_roots(quotient, *window)]
 
 
 def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
@@ -662,22 +657,27 @@ def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
         if len(ch["points"]) >= 2
     ]
 
-    # momentary events: the real roots of the discriminant in the lambda window
-    lam_stars = _exact_roots(detector.discriminant, float(min(lambda_grid)), float(max(lambda_grid)))
+    # momentary events: the multiple t-roots of sf on the discriminant's real
+    # roots in the lambda window
     events = []
-    for lam_q, exact in lam_stars:
-        lam_star = lam_q if exact else float(lam_q)
-        for t_star in _refine_event(detector, lam_q, exact, window):
-            a, confidence = oracle.classify_event(t_star, lam_star)
-            events.append(_event_from_type(lam_star, t_star, a, confidence))
-    # a root-count change with no discriminant root between the lines is a
-    # root crossing the window boundary
+    event_lams = []
+    for e, line, gcd in detector.multiple_root_lines():
+        for lam_q, exact in _exact_roots(e, float(min(lambda_grid)), float(max(lambda_grid))):
+            lam_star = lam_q if exact else float(lam_q)
+            t_stars = _refine_event(line, gcd, lam_q, window)
+            if t_stars:
+                event_lams.append(lam_q)
+            for t_star in t_stars:
+                a, confidence = oracle.classify_event(t_star, lam_star)
+                events.append(_event_from_type(lam_star, t_star, a, confidence))
+    # a root-count change with no event between the lines is a root crossing
+    # the window boundary
     boundary = []
     for i in range(len(lines) - 1):
         if lines[i] is None or lines[i + 1] is None or len(lines[i]) == len(lines[i + 1]):
             continue
         lo, hi = float(lambda_grid[i]), float(lambda_grid[i + 1])
-        if not any(lo <= lam <= hi for lam, _ in lam_stars):
+        if not any(lo <= lam <= hi for lam in event_lams):
             boundary.append((lo, hi))
 
     events.sort(key=lambda e: (e.lam, e.t))

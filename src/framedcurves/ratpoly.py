@@ -10,9 +10,10 @@ Floats are deliberately rejected as coefficients.  Decimal strings such as
 
 The module also holds the root toolkit the family scans use: gcd and
 square-free parts of coefficient lists, the square-free part in t and the
-resultant in t of a bivariate polynomial (both by the subresultant PRS over
-Z[u]), exact real-root isolation by Descartes' rule, a Newton polish, and the
-polished real roots of a square-free polynomial in a window.
+resultant in t of a bivariate polynomial, and the split of a set of u-roots
+by the gcd of its t-lines with their derivatives (all by the subresultant
+PRS over Z[u]), exact real-root isolation by Descartes' rule, a Newton
+polish, and the polished real roots of a square-free polynomial in a window.
 """
 
 from __future__ import annotations
@@ -387,8 +388,8 @@ def poly_gcd(a, b):
         a, b = b, a
     if b:
         rows = [[[c] if c else [] for c in integer_coeffs(x)] for x in (a, b)]
-        g, rest, _, _ = _subresultant_prs(*rows)
-        a = [1] if rest else [row[0] if row else 0 for row in g]
+        g = _subresultant_prs(*rows)[0][-1][0]
+        a = [1] if len(g) == 1 else [row[0] if row else 0 for row in g]
     return [Fraction(c) / a[-1] for c in a]
 
 
@@ -494,25 +495,34 @@ def _subresultant_prs(a, b):
 
     Every division it makes is exact in Z[u], so coefficients grow only
     linearly along the sequence (Collins; Brown and Traub), without the u-gcd
-    of each remainder that a primitive PRS takes.  Returns (a, b, h, sign): a
-    is the last element of positive degree, b the one after it, a constant in
-    t or [] when a divides its predecessor (then a is their gcd up to a
-    u-content), h the subresultant scale and sign the resultant's sign.
+    of each remainder that a primitive PRS takes.  Returns (chain, sign):
+    ``chain`` holds (F, h) for b and every later element F, with h the
+    principal coefficient of the subresultant S_deg(F) = h / lc(F) * F, and
+    ``sign`` is the resultant's.  The last F is a constant in t, or divides
+    its predecessor (then it is the gcd of a and b up to a u-content).
     """
     sign, g, h = 1, [1], [1]
-    while len(b) > 1:
+    chain = []
+    while True:
         delta = len(a) - len(b)
+        divisor = _u_mul(g, _u_pow(h, delta))
+        # h <- g^delta / h^(delta - 1), with g the new leading coefficient
+        g = b[-1]
+        h = _u_div(_u_mul(h, _u_pow(g, delta)), _u_pow(h, delta))
+        chain.append((b, h))
+        if len(b) == 1:
+            return chain, sign
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
         r = _pseudo_rem(a, b)
         if not r:
-            return b, [], h, sign
-        divisor = _u_mul(g, _u_pow(h, delta))
+            return chain, sign
         a, b = b, [_u_div(c, divisor) for c in r]
-        # h <- g^delta / h^(delta - 1), with g the new leading coefficient
-        g = a[-1]
-        h = _u_div(_u_mul(h, _u_pow(g, delta)), _u_pow(h, delta))
-    return a, b, h, sign
+
+
+def _slope_rows(rows):
+    """The t-derivative of a t-row list."""
+    return [[k * x for x in row] for k, row in enumerate(rows)][1:]
 
 
 def _from_rows(rows):
@@ -533,8 +543,8 @@ def squarefree_t(p: Poly):
     a, content = _primitive(_integer_rows(p)[0])
     if len(a) == 1:
         return Poly.const(1), content
-    g, rest, _, _ = _subresultant_prs(a, [[k * x for x in row] for k, row in enumerate(a)][1:])
-    if rest:
+    g = _subresultant_prs(a, _slope_rows(a))[0][-1][0]
+    if len(g) == 1:
         return _from_rows(a), content
     g = _primitive(g)[0]
     # exact division a / g in Z[u][t]: g is primitive and divides a
@@ -563,15 +573,79 @@ def resultant_t(p: Poly, q: Poly):
         a, b = b, a
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -1
-    a, b, h, prs_sign = _subresultant_prs(a, b)
-    if not b:
+    chain, prs_sign = _subresultant_prs(a, b)
+    last, res = chain[-1]
+    if len(last) > 1:
         return []
-    # b is a nonzero constant in t: the resultant is b^deg(a) / h^(deg(a) - 1)
-    n = len(a) - 1
-    res = _u_pow(b[0], n)
-    if n > 1:
-        res = _u_div(res, _u_pow(h, n - 1))
+    # the last element is a nonzero constant in t: its subresultant S_0 is
+    # the resultant
     return [Fraction(sign * prs_sign * c, scale) for c in res]
+
+
+_PRIME = 2**61 - 1
+
+
+def _coprime_mod_p(a, b):
+    """Whether integer lists a and b are coprime modulo the prime 2^61 - 1.
+
+    Then they are coprime over Q too, as their leading coefficients do not
+    vanish mod p: a common factor would divide both images with its degree.
+    A False says nothing, and the caller takes the gcd over Q.
+    """
+    a, b = [x % _PRIME for x in a], [x % _PRIME for x in b]
+    if not (a[-1] and b[-1]):
+        return False
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % _PRIME, len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % _PRIME
+            a = trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def line_gcd_split(p: Poly, e):
+    """The roots of e split by the gcd of p's line with its t-derivative there.
+
+    ``e`` is a square-free integer coefficient list in u.  Returns [(e_i,
+    line_i, gcd_i)]: the e_i are non-constant integer lists that divide e and
+    share no root, and at every root u* of e_i, line_i(., u*) and
+    gcd_i(., u*) are p(., u*) and gcd(p(., u*), dp/dt(., u*)) up to nonzero
+    factors, both with a nonzero leading coefficient.  By the subresultant
+    theorem that gcd is the subresultant S_j of p and dp/dt of least j whose
+    principal coefficient does not vanish at u*, wherever the line keeps its
+    degree; the roots where it does not are split again on p without its top
+    row.  Roots where p's line is a constant are left out.
+    """
+    rows = _integer_rows(p)[0]
+    e = trim(e)
+    out = []
+    while len(e) > 1 and len(rows) > 1:
+        for f, h in reversed(_subresultant_prs(rows, _slope_rows(rows))[0]):
+            common = [1] if _coprime_mod_p(e, h) else integer_coeffs(poly_gcd(e, h))
+            part = _u_div(e, common)
+            if len(part) > 1:
+                gcd = [_u_div(_u_mul(c, h), f[-1]) for c in f]
+                out.append((part, _from_rows(rows), _from_rows(gcd)))
+            e = common
+            if len(e) == 1:
+                return out
+        # every principal coefficient vanishes where the leading one does
+        rows = trim(rows[:-1])
+    return out
+
+
+def poly_quotient(a, b):
+    """Quotient of Fraction coefficient lists (low degree first), the remainder dropped."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1] / b[-1]
+        for i, bi in enumerate(b):
+            a[k + i] -= c * bi
+    return q
 
 
 def newton(p: Poly, x, iterations, rel_tol):

@@ -306,6 +306,18 @@ def test_a_root_leaving_the_window_is_a_boundary_crossing_not_an_event():
     assert np.allclose(res.meta["boundary_crossings"], [(0.08, 0.1)], rtol=0, atol=1e-12)
 
 
+def test_a_crossing_beside_an_event_outside_the_t_window_is_still_a_crossing():
+    # detector ((t - 1/2)^2 - lambda)(t - 29/100 - lambda) on t in [-0.3, 0.3]:
+    # the discriminant root lambda = 0 has its double root t = 1/2 outside
+    # the window, and the root 29/100 + lambda leaves it at lambda = 0.01
+    t, u = Poly.t(), Poly.u()
+    entries = ((t - Poly.const(Fraction(1, 2))) ** 2 - u, t - Poly.const(Fraction(29, 100)) - u, Poly.const(1))
+    fam = DiagonalFamily(tuple(p.integrate_t() for p in entries))
+    res = classify_osculating_scan(fam, np.linspace(-0.3, 0.3, 61), np.linspace(-0.02, 0.02, 3))
+    assert res.events == []
+    assert res.meta["boundary_crossings"] == [(0.0, 0.02)]
+
+
 def test_an_irrational_event_is_located_in_floats():
     # kappa3 = (t - 1/3)^2 - (lambda^2 - 1/50): events at lambda = -+sqrt(1/50)
     t, u = Poly.t(), Poly.u()
@@ -318,32 +330,76 @@ def test_an_irrational_event_is_located_in_floats():
         assert ev.type == (3, 4, 5) and ev.confidence != "exact"
 
 
+def test_an_irrational_event_at_t_zero_is_found():
+    # kappa3 = t^2 - lambda^2 + 1/50: the multiple root sits at t = 0 on both
+    # lines lambda = -+sqrt(1/50)
+    t, u = Poly.t(), Poly.u()
+    fam = _frenet_family(Poly.const(1), t * t - u * u + Poly.const(Fraction(1, 50)))
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.2, 0.2, 41))
+    assert [ev.t for ev in res.events] == [0.0, 0.0]
+    for ev, lam in zip(res.events, (-np.sqrt(0.02), np.sqrt(0.02))):
+        assert abs(ev.lam - lam) < 1e-15
+        assert ev.type == (3, 4, 5) and ev.confidence != "exact"
+    assert res.meta["boundary_crossings"] == []
+
+
+def test_two_double_roots_on_one_irrational_line_are_two_events():
+    # kappa3 = (t^2 - 1/4)^2 - (lambda^2 - 1/50): on lambda = -+sqrt(1/50) the
+    # line has double roots at -+1/2, so its gcd with the slope is quadratic
+    t, u = Poly.t(), Poly.u()
+    quarter, fiftieth = Poly.const(Fraction(1, 4)), Poly.const(Fraction(1, 50))
+    fam = _frenet_family(Poly.const(1), (t * t - quarter) ** 2 - (u * u - fiftieth))
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.2, 0.2, 41))
+    assert [ev.t for ev in res.events] == [-0.5, 0.5, -0.5, 0.5]
+    assert all(abs(abs(ev.lam) - np.sqrt(0.02)) < 1e-15 and ev.type == (3, 4, 5) for ev in res.events)
+
+
+@pytest.mark.parametrize("name", ["triple root", "moving triple root", "degree drop"])
+def test_an_osculating_event_on_an_irrational_line_needs_no_threshold(name):
+    # where a = lambda^2 - 1/50 vanishes, t^3 + a and (t - lambda)^3 + a t have
+    # a triple root at t = 0 and t = lambda, and a t^3 + t^2 - a loses its
+    # cubic term and keeps a double root at t = 0
+    t, u = Poly.t(), Poly.u()
+    a = u * u - Poly.const(Fraction(1, 50))
+    entry = {"triple root": t**3 + a, "moving triple root": (t - u) ** 3 + a * t,
+             "degree drop": a * t**3 + t * t - a}[name]
+    fam = DiagonalFamily((entry.integrate_t(), t, t))
+    res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
+    # (t - lambda)^3 + a t also has two double roots off those lines
+    on_a = [ev for ev in res.events if abs(abs(ev.lam) - np.sqrt(0.02)) < 1e-15]
+    assert len(on_a) == 2 and len(res.events) == (4 if name == "moving triple root" else 2)
+    for ev in on_a:
+        assert ev.confidence != "exact"
+        assert abs(ev.t - ev.lam) < 1e-15 if name == "moving triple root" else ev.t == 0.0
+
+
 def _split_detector():
     """(t^2 - u)^2 (t - 1/3)(u + 1/2): a square, a u-content and two events."""
     t, u = Poly.t(), Poly.u()
     return (t * t - u) ** 2 * (t - Poly.const(Fraction(1, 3))) * (u + Poly.const(Fraction(1, 2)))
 
 
-def test_a_line_on_a_discriminant_root_takes_the_detector_line():
+def test_a_line_on_a_discriminant_root_keeps_its_exact_roots():
     detector = _split_detector()
     factored = _FactoredDetector(detector)
     window = (-1.0, 1.0)
     # off every root: the monic square-free part, with no squarefree() call
     lam = Fraction(1, 4)
-    assert factored.squarefree_at(lam)
+    assert not vanishes_at(factored.discriminant, lam)
     roots, line = _line_roots(factored, lam, window)
     assert line == squarefree(trim(detector.subs_u(lam).t_coeffs()))
     assert len(roots) == 3
     # the discriminant vanishes at 0 (t = 0 is double) and at 1/9 (t = 1/3 is
-    # on both factors): those lines are the detector's own, with exact roots
+    # on both factors): the roots are those of the detector's own line
     for lam, exact in ((Fraction(0), [Fraction(0), Fraction(1, 3)]),
                        (Fraction(1, 9), [Fraction(-1, 3), Fraction(1, 3)])):
-        assert not factored.squarefree_at(lam)
+        assert vanishes_at(factored.discriminant, lam)
+        own = trim(detector.subs_u(lam).t_coeffs())
         roots, line = _line_roots(factored, lam, window)
-        assert line == trim(detector.subs_u(lam).t_coeffs())
-        assert roots == real_roots_squarefree(squarefree(line), *window)
+        assert line == squarefree(own)
+        assert roots == real_roots_squarefree(squarefree(own), *window)
         assert [Fraction(r).limit_denominator(100) for r in roots] == exact
-        assert all(vanishes_at(integer_coeffs(line), x) for x in exact)
+        assert all(vanishes_at(integer_coeffs(own), x) for x in exact)
     # the content vanishes at -1/2: the whole line does
     assert _line_roots(factored, Fraction(-1, 2), window) == (None, [])
 

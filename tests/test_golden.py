@@ -256,15 +256,16 @@ def test_exact_flag_residuals_are_bit_stable():
 
 def test_scan_family_roots_and_refinement_are_bit_stable():
     # strata params carry the polished line roots; _refine_event locates the
-    # event at each discriminant root in the lambda bracket
+    # event at each root of the discriminant's factors in the lambda bracket
     family = CurvatureFamily.frenet(1, Poly.t() * Poly.t() - Poly.u())
     res = scan_family(family, np.linspace(-1.0, 1.0, 400), np.linspace(-0.2, 0.2, 81))
     assert _digest(*(s.params for s in res.strata)) == (
         "0adaba834ecfc7aefaaac7a9566e610e532e424d68558bc147b0cc68c05ebb47"
     )
     detector = _FactoredDetector(family.detector())
-    hit = [(t, lam) for lam, exact in _exact_roots(detector.discriminant, -1 / 400, 1 / 300)
-           for t in _refine_event(detector, lam, exact, (-1.0, 1.0))]
+    hit = [(t, lam) for e, line, gcd in detector.multiple_root_lines()
+           for lam, _ in _exact_roots(e, -1 / 400, 1 / 300)
+           for t in _refine_event(line, gcd, lam, (-1.0, 1.0))]
     assert _digest(np.array(hit)) == (
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
     )

@@ -11,6 +11,7 @@ from framedcurves import NormalFormFamily, Poly
 from framedcurves.ratpoly import (
     integer_coeffs,
     isolate_real_roots,
+    line_gcd_split,
     real_roots_squarefree,
     resultant_t,
     squarefree_t,
@@ -141,6 +142,42 @@ def test_a_square_free_detector_of_degree_8_keeps_its_discriminant():
     res = resultant_t(sf, sf.diff_t())
     poly = _sympy_t_poly(sympy, sf)
     assert sympy.expand(_sympy_u_expr(sympy, res) - sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))) == 0
+
+
+def _check_line_gcd_split(sympy, p, e):
+    """Check line_gcd_split(p, e) at every root of e, exactly, over Q(root)."""
+    t, u = sympy.symbols("t u")
+    split = [(sympy.Poly(_sympy_u_expr(sympy, e_i), u), line_i, gcd_i)
+             for e_i, line_i, gcd_i in line_gcd_split(p, integer_coeffs(e))]
+    expr = _sympy_t_poly(sympy, p).as_expr()
+    for factor, _ in sympy.Poly(_sympy_u_expr(sympy, e), u).factor_list()[1]:
+        owners = [(line_i, gcd_i) for e_i, line_i, gcd_i in split if e_i.rem(factor).is_zero]
+        for r in sympy.roots(factor):
+            line = sympy.Poly(expr.subs(u, r), t, extension=True)
+            if line.degree() <= 0:
+                assert owners == []
+                continue
+            assert len(owners) == 1
+            (line_i, gcd_i), = owners
+            mine = [sympy.Poly(_sympy_t_poly(sympy, q).as_expr().subs(u, r), t, extension=True)
+                    for q in (line_i, gcd_i)]
+            # both keep their degree at the root, and agree with sympy there
+            assert [q.degree() for q in mine] == [line_i.deg_t(), gcd_i.deg_t()]
+            assert (mine[0].monic() - line.monic()).is_zero
+            assert (mine[1].monic() - line.gcd(line.diff(t)).monic()).is_zero
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=_U_TERMS, b=_FACTOR_TERMS, c=_FACTOR_TERMS, u0=_RATIONAL,
+       k=st.sampled_from([Fraction(2), Fraction(1, 50), Fraction(3, 7)]))
+def test_line_gcd_split_gives_the_gcd_of_every_line_on_e(a, b, c, u0, k):
+    # a double root at t = a(u) planted on the roots u0 and +-sqrt(k) of e
+    sympy = pytest.importorskip("sympy")
+    t, u = Poly.t(), Poly.u()
+    e = (u - Poly.const(u0)) * (u * u - Poly.const(k))
+    p = (t - Poly(a)) ** 2 * Poly(b) + e * Poly(c)
+    assume(p.deg_t() > 0)
+    _check_line_gcd_split(sympy, p, [e.c.get((0, j), Fraction(0)) for j in range(e.deg_u() + 1)])
 
 
 def test_squarefree_part_of_a_power_and_of_a_u_only_polynomial():
