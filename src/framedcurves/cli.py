@@ -27,7 +27,7 @@ from .envelope import (
     singular_locus,
 )
 from .errors import ConfigError, FramedCurveError
-from .fileio import atomic_write_text, format_float
+from .fileio import atomic_write_text, format_float, format_floats, rows_text, spaced
 from .frames import frame_dual
 from .jets import (
     codim_adapted,
@@ -117,11 +117,10 @@ def _cmd_frame(args):
     defects = field.gram_defects()
     path = os.path.join(getattr(args, "out", None) or ".", "frames.txt")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    lines = ["# t  e0..e3 column-major (16 entries)  gram_defect"]
-    for i, t in enumerate(field.s):
-        entries = " ".join(format_float(x) for x in field.matrices[i].T.ravel())
-        lines.append(f"{format_float(t)} {entries} {format_float(defects[i])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    entries = np.swapaxes(field.matrices, 1, 2).reshape(len(field.s), -1)  # column-major
+    text = format_floats(np.column_stack([field.s, entries, defects]))
+    atomic_write_text(path, "# t  e0..e3 column-major (16 entries)  gram_defect\n"
+                      + rows_text([*spaced(text.T), "\n"]))
     print(f"frame table: {path}")
     print(f"nodes: {len(field.s)}  max Gram defect: {float(np.max(defects)):.3e}")
     return 0

@@ -24,7 +24,7 @@ from math import factorial
 import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DimensionMismatch, DomainError
-from .fileio import atomic_open
+from .fileio import atomic_open, format_floats, rows_text, spaced
 from .frames import FrameField, structure_poly_matrix
 from .ratpoly import Poly
 from .spaceform import SpaceForm, space_form
@@ -454,50 +454,30 @@ def _chain(index, t, s, points, ambient, chain_gap):
 # -- exporters -------------------------------------------------------------------------
 
 
-_MARKS = np.array(["", "# mark singular-locus\n"], dtype=object)  # indexed by singular
-
-
-def _column_text(block):
-    """``repr`` text of every column of a (rows, cols) float block.
-
-    Each distinct column (by bytes) is formatted once, and so is each distinct
-    value within it, found by bit pattern so that -0.0, NaN and inf keep their
-    own ``repr``.  Equal columns share one list object.
-    """
-    seen = {}
-    out = []
-    for col in np.ascontiguousarray(block.T):
-        key = col.tobytes()
-        if key not in seen:
-            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            seen[key] = text[inverse].tolist()
-        out.append(seen[key])
-    return out
-
-
-def _vertex_text(params, ambient, points, singular):
-    """``# param``, ``# ambient``, optional mark and ``v`` lines of a block of rows."""
-    dim = ambient.shape[1]
-    text = _column_text(np.concatenate([params, ambient, points], axis=1))
-    t, s, amb, pts = text[0], text[1], text[2:2 + dim], text[2 + dim:]
-    xyz = list(map(" ".join, zip(*pts)))
-    if len(amb) == len(pts) + 1 and all(a is p for a, p in zip(amb[1:], pts)):
-        amb = [f"{x0} {rest}" for x0, rest in zip(amb[0], xyz)]
-    else:
-        amb = list(map(" ".join, zip(*amb)))
-    marks = _MARKS[singular.astype(np.intp)].tolist()
-    return "".join([
-        f"# param {a} {b}\n# ambient {c}\n{m}v {d}\n" for a, b, c, m, d in zip(t, s, amb, marks, xyz)
-    ])
-
-
 def _write_vertices(handle, params, ambient, points, singular):
-    """Vertex blocks, formatted and written ``_EXPORT_CHUNK`` rows at a time."""
+    """``# param``, ``# ambient``, optional mark and ``v`` lines of every row,
+    formatted and written ``_EXPORT_CHUNK`` rows at a time.
+
+    A column equal to an earlier one shares its text, and each distinct value
+    of the other columns (by bit pattern, so that -0.0, NaN and inf keep their
+    own ``repr``) is formatted once.
+    """
     params, ambient, points = (np.asarray(x, dtype=float) for x in (params, ambient, points))
+    dim = ambient.shape[1]
     for lo in range(0, len(params), _EXPORT_CHUNK):
         hi = lo + _EXPORT_CHUNK
-        handle.write(_vertex_text(params[lo:hi], ambient[lo:hi], points[lo:hi], singular[lo:hi]))
+        block = np.concatenate([params[lo:hi], ambient[lo:hi], points[lo:hi]], axis=1)
+        keys = [col.tobytes() for col in block.T]
+        first = [keys.index(key) for key in keys]
+        own = sorted(set(first))
+        bits, inverse = np.unique(block[:, own].view(np.int64), return_inverse=True)
+        text = format_floats(bits.view(np.float64))[inverse.reshape(len(block), len(own))]
+        cols = [text[:, own.index(j)] for j in first]
+        marked = singular[lo:hi]
+        mark = np.where(marked, b"# mark singular-locus\n", b"") if marked.any() else ""
+        handle.write(rows_text(["# param ", *spaced(cols[:2]), "\n# ambient ",
+                                *spaced(cols[2:2 + dim]), "\n", mark, "v ",
+                                *spaced(cols[2 + dim:]), "\n"]))
 
 
 def _write_records(handle, tag, indices):

@@ -1,10 +1,14 @@
-"""Small deterministic file-writing helpers shared by exporters and the CLI."""
+"""Deterministic file-writing helpers shared by exporters and the CLI: atomic writes,
+the shortest round-trip text of floats, and rows of text assembled in numpy."""
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from contextlib import contextmanager
+
+import numpy as np
 
 
 @contextmanager
@@ -37,3 +41,197 @@ def atomic_write_text(path, text):
 def format_float(x):
     """Shortest round-trip decimal form; stable across runs."""
     return repr(float(x))
+
+
+# -- shortest round-trip text of float arrays ---------------------------------------
+#
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) finds the
+# shortest decimal d * 10**k that rounds back to a double, the one nearest to it
+# when several do, in fixed-width integer arithmetic that vectorizes over uint64.
+# That is the digit string of ``repr``; ``repr``'s layout is then gathered from
+# per-layout byte templates.
+
+FLOAT_FIELD = 24  # bytes of the longest float64 repr, '-2.2250738585072014e-308'
+_DIGITS = 17  # a shortest float64 decimal has at most 17 significant digits
+# Per-value source bytes of a template: the 17 digits (zero-padded), the 3
+# digits of the exponent's magnitude, then the constant characters.
+_ALPHABET = "0.-e+\0"
+_SOURCE = _DIGITS + 3 + len(_ALPHABET)
+_FORMS = 24  # decimal points -3..16 in fixed notation, then e+XX, e+XXX, e-XX, e-XXX
+_POW10 = 10 ** np.arange(_DIGITS + 1, dtype=np.uint64)
+_LOW32 = 0xFFFFFFFF
+
+
+@functools.cache
+def _pow10_table():
+    """g(e) = ceil(10**e * 2**(127 - floor(log2 10**e))) as (hi, lo) uint64 words,
+    and floor(log2 10**e), for e in [-292, 324] at index e + 292."""
+    hi, lo, log2 = [], [], []
+    for e in range(-292, 325):
+        log2.append((10**e).bit_length() - 1 if e >= 0 else -(10**-e).bit_length())
+        s = 127 - log2[-1]
+        g = -(-(10 ** max(e, 0) << max(s, 0)) // (10 ** max(-e, 0) << max(-s, 0)))
+        hi.append(g >> 64)
+        lo.append(g & (2**64 - 1))
+    return np.array(hi, np.uint64), np.array(lo, np.uint64), np.array(log2, np.int64)
+
+
+def _mul(a, b):
+    """High and low words of the 128-bit products of two uint64 arrays."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), (mid << 32) | (p00 & _LOW32)
+
+
+def _shifted(g_hi, g_lo, s):
+    """g << s as three words, low first, for shifts s in [1, 63]."""
+    return g_lo << s, (g_hi << s) | (g_lo >> (64 - s)), g_hi >> (64 - s)
+
+
+def _shortest_digits(bits):
+    """Digits d (no trailing zeros) and exponent k with repr(v) = d * 10**k, for
+    the bit patterns of normal float64 values v (Giulietti, figures 4 and 6)."""
+    frac = bits & ((1 << 52) - 1)
+    biased = (bits >> 52) & 0x7FF
+    c = frac | (1 << 52)
+    q = biased.astype(np.int64) - 1075  # v = c * 2**q
+    closer = (frac == 0) & (biased > 1)  # the next double down is half as far
+    k = (q * 1262611 - closer * 524031) >> 22  # floor(log10(2**q)), or of 3/4 * 2**q
+    g_hi, g_lo, log2 = (table[292 - k] for table in _pow10_table())
+    h = (q + log2 + 1).astype(np.uint64)
+    # p = (4c << h) * g in three words; the bounds (4c + 2) and (4c - 2 + closer)
+    # differ from 4c by g << (h + 1) and g << (h + 1 - closer)
+    x_hi, p0 = _mul(g_lo, c << (h + 2))
+    p2, p1 = _mul(g_hi, c << (h + 2))
+    p1 += x_hi
+    p2 += p1 < x_hi
+    d0, d1, d2 = _shifted(g_hi, g_lo, h + 1)
+    u0, u1 = p0 + d0, p1 + d1
+    u2 = p2 + d2 + ((u1 < d1) | ((u1 == 2**64 - 1) & (u0 < d0)))
+    u1 += u0 < d0
+    d0, d1, d2 = _shifted(g_hi, g_lo, h + 1 - closer)
+    l1 = p1 - d1
+    l2 = p2 - d2 - ((p1 < d1) | ((l1 == 0) & (p0 < d0)))
+    l1 -= p0 < d0
+    # each rounded to odd: the top word, its lowest bit set if the rest is not 0
+    odd = c & 1  # an even c keeps the rounding interval's ends
+    vb = p2 | (p1 > 1)
+    lower = (l2 | (l1 > 1)) + odd
+    upper = (u2 | (u1 > 1)) - odd
+    s, sp = vb >> 2, vb // 40
+    up_in, wp_in = lower <= 40 * sp, 40 * sp + 40 <= upper
+    u_in, w_in = lower <= 4 * s, 4 * s + 4 <= upper
+    mid = 4 * s + 2
+    nearest = s + ((vb > mid) | ((vb == mid) & (s & 1).astype(bool)))
+    short = (s >= 10) & (up_in != wp_in)
+    d = np.where(short, sp + wp_in, np.where(u_in != w_in, s + w_in, nearest))
+    k += short
+    zeros = np.flatnonzero(d % 10 == 0)
+    if len(zeros):
+        dz, kz = d[zeros], k[zeros]
+        for z in (16, 8, 4, 2, 1):
+            strip = dz % _POW10[z] == 0
+            dz = np.where(strip, dz // _POW10[z], dz)
+            kz += strip * z
+        d[zeros], k[zeros] = dz, kz
+    return d, k
+
+
+@functools.cache
+def _templates():
+    """Byte templates of the ``repr`` layouts, one row per (sign, digit count,
+    form): source byte j < _DIGITS + 3 stands for itself, a constant character
+    c for byte _DIGITS + 3 + _ALPHABET.index(c)."""
+    source = {chr(j): j for j in range(_DIGITS + 3)}
+    constant = {ch: _DIGITS + 3 + i for i, ch in enumerate(_ALPHABET)}
+    rows = []
+    for neg in (False, True):
+        for n in range(1, _DIGITS + 1):
+            digits = "".join(map(chr, range(n)))
+            for form in range(_FORMS):
+                decpt = form - 3
+                if form >= 20:
+                    exponent = "".join(map(chr, range(_DIGITS + 1 - form % 2, _DIGITS + 3)))
+                    body = (digits[0] + ("." + digits[1:] if n > 1 else "") + "e"
+                            + "+-"[form >= 22] + exponent)
+                elif decpt <= 0:
+                    body = "0." + "0" * -decpt + digits
+                elif decpt < n:
+                    body = digits[:decpt] + "." + digits[decpt:]
+                else:
+                    body = digits + "0" * (decpt - n) + ".0"
+                row = [source.get(ch, constant.get(ch)) for ch in "-" * neg + body]
+                rows.append(row + [constant["\0"]] * (FLOAT_FIELD - len(row)))
+    return np.array(rows, np.intp)
+
+
+def format_floats(values):
+    """``repr`` of every float64 of an array, as NUL-padded ``FLOAT_FIELD``-byte
+    strings: an array of dtype ``S24`` and the shape of ``values``.
+
+    Normal values take the vectorized Schubfach path; ±0, subnormals, ±inf and
+    NaNs (whatever their payload) take ``repr`` itself.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.ravel()  # contiguous
+    bits = flat.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    special = np.flatnonzero((biased == 0) | (biased == 0x7FF))
+    if len(special):
+        bits = bits.copy()
+        bits[special] = np.float64(1.0).view(np.uint64)
+    d, k = _shortest_digits(bits)
+    n = np.searchsorted(_POW10, d, side="right")
+    decpt = n + k  # repr(v) = 0.d * 10**decpt
+    exponent = np.abs(decpt - 1)
+    form = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
+                    20 + 2 * (decpt < 1) + (exponent >= 100))
+    src = np.empty((len(flat), _SOURCE), np.uint8)
+    src[:, _DIGITS + 3:] = np.frombuffer(_ALPHABET.encode(), np.uint8)
+    padded = d * _POW10[_DIGITS - n]
+    for number, first, end in ((padded // 10**8, 0, 9), (padded % 10**8, 9, _DIGITS),
+                               (exponent, _DIGITS, _DIGITS + 3)):
+        number = number.astype(np.uint32)  # 32-bit division is the faster
+        for j in range(end - 1, first - 1, -1):
+            tens = number // 10
+            src[:, j] = number - tens * 10 + ord("0")
+            number = tens
+    index = _templates().take(((bits >> 63).astype(np.intp) * _DIGITS + n - 1) * _FORMS + form,
+                              axis=0)
+    index += np.arange(0, src.size, _SOURCE)[:, None]
+    out = src.ravel().take(index)
+    if len(special):
+        text = [repr(x) for x in flat[special].tolist()]
+        out[special] = np.array(text, f"S{FLOAT_FIELD}").view(np.uint8).reshape(-1, FLOAT_FIELD)
+    return out.view(f"S{FLOAT_FIELD}").reshape(values.shape)
+
+
+def spaced(columns):
+    """``rows_text`` parts for the columns with one space between neighbours."""
+    return [part for column in columns for part in (" ", column)][1:]
+
+
+def rows_text(parts):
+    """Text of one group of lines per row, the concatenation of ``parts``: constant
+    strings and 1-D arrays of NUL-padded bytes (numpy ``S`` dtype), one per row.
+
+    The rows are laid out in one buffer at fixed offsets; the padding NULs are
+    then dropped.
+    """
+    template, names, formats, offsets = b"", [], [], []
+    for part in parts:
+        if isinstance(part, str):
+            template += part.encode()
+        else:
+            names.append(f"f{len(names)}")
+            formats.append(part.dtype)
+            offsets.append(len(template))
+            template += bytes(part.dtype.itemsize)
+    arrays = [part for part in parts if not isinstance(part, str)]
+    buffer = bytearray(template) * len(arrays[0])
+    rows = np.frombuffer(buffer, np.dtype({"names": names, "formats": formats,
+                                            "offsets": offsets, "itemsize": len(template)}))
+    for name, array in zip(names, arrays):
+        rows[name] = array
+    return buffer.translate(None, b"\0").decode("ascii")

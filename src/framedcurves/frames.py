@@ -62,6 +62,9 @@ def gram_defect(frame, sf=None):
     the position part of e_0 is free.  Lorentz frames far out on the
     hyperbolic sheet have entries of size e^s, and E^T J E cancels down from
     |E[:, j]|^2, so the hyperbolic defect is max|E^T J E - J| / max_j |E[:, j]|^2.
+
+    A bare matrix may be a (..., dim, dim) stack; it gives an array of the
+    stack's shape, and a single frame gives a float.
     """
     if isinstance(frame, Frame):
         matrix, sf = frame.matrix, frame.sf
@@ -70,15 +73,16 @@ def gram_defect(frame, sf=None):
         if sf is None:
             raise DimensionMismatch("need a SpaceForm for a bare matrix")
     if sf.kind == "euclidean":
-        lead = max(abs(matrix[0, 0] - 1.0), float(np.max(np.abs(matrix[0, 1:]))))
-        block = matrix[1:, 1:]
-        ortho = float(np.max(np.abs(block.T @ block - np.eye(block.shape[1]))))
-        return max(lead, ortho)
-    j = sf.form.matrix
-    defect = float(np.max(np.abs(matrix.T @ j @ matrix - j)))
-    if sf.kind == "hyperbolic":
-        defect /= float(np.max(np.sum(matrix * matrix, axis=0)))
-    return defect
+        lead = np.maximum(np.abs(matrix[..., 0, 0] - 1.0), np.max(np.abs(matrix[..., 0, 1:]), axis=-1))
+        block = matrix[..., 1:, 1:]
+        gram = np.swapaxes(block, -1, -2) @ block - np.eye(block.shape[-1])
+        defect = np.maximum(lead, np.max(np.abs(gram), axis=(-2, -1)))
+    else:
+        j = sf.form.matrix
+        defect = np.max(np.abs(np.swapaxes(matrix, -1, -2) @ j @ matrix - j), axis=(-2, -1))
+        if sf.kind == "hyperbolic":
+            defect = defect / np.max(np.sum(matrix * matrix, axis=-2), axis=-1)
+    return float(defect) if defect.ndim == 0 else defect
 
 
 # -- signed Gram-Schmidt ------------------------------------------------------
@@ -232,7 +236,7 @@ class FrameField:
         return self.matrices.shape[1]
 
     def gram_defects(self):
-        return np.array([gram_defect(m, self.sf) for m in self.matrices])
+        return gram_defect(self.matrices, self.sf)
 
 
 def frame_field_from_function(sf, matrix_fn, nodes):

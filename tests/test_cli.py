@@ -14,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import framedcurves
 from framedcurves.cli import main
+from framedcurves.config import RunConfig
+from framedcurves.fileio import format_float
+from framedcurves.frames import gram_defect
 
 BUTTERFLY_CONFIG = {
     "curve": {
@@ -368,6 +371,38 @@ def test_frame_writes_orthonormal_table(tmp_path, capsys):
     assert len(lines) > 100
     out_text = capsys.readouterr().out
     assert "gram" in out_text.lower()
+
+
+def _reference_frame_table(field):
+    """The per-entry ``format_float`` rows that frames.txt must match byte for byte."""
+    lines = ["# t  e0..e3 column-major (16 entries)  gram_defect"]
+    for t, matrix in zip(field.s, field.matrices):
+        entries = " ".join(format_float(x) for x in matrix.T.ravel())
+        lines.append(f"{format_float(t)} {entries} {format_float(gram_defect(matrix, field.sf))}")
+    return "\n".join(lines) + "\n"
+
+
+def _curvature_config(geometry, delta):
+    return {"geometry": geometry, "grids": {"t": [0.0, 10.0, 101]},
+            "curve": {"kind": "curvature", "delta": delta, "kappa": [["1"], ["0"], ["0", "0", "1"]]}}
+
+
+#: a closed-form field, and kappa = (1, 0, t^2) integrated in each geometry
+FRAME_TABLE_CASES = {
+    "helix-frenet": {},
+    "euclidean": _curvature_config("euclidean", 0),
+    "spherical": _curvature_config("spherical", 1),
+    "hyperbolic": _curvature_config("hyperbolic", -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_TABLE_CASES))
+def test_frame_table_matches_the_per_entry_formatter(tmp_path, name):
+    config = FRAME_TABLE_CASES[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["frame", "--config", _write_config(tmp_path, config), "--out", str(tmp_path)]) == 0
+    field = RunConfig.from_dict(config).build_field()
+    assert (tmp_path / "frames.txt").read_bytes() == _reference_frame_table(field).encode()
 
 
 # -- help and argument basics -----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Envelope meshes, discriminant normal forms, singular loci, and exports."""
 
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from framedcurves import envelope
+from framedcurves.cli import main
+from framedcurves.config import DEFAULTS
 from framedcurves import (
     CapabilityError,
     CurvatureData,
@@ -455,6 +459,20 @@ def test_export_obj_crosses_the_real_chunk_size(tmp_path):
     path = tmp_path / "nf.obj"
     export_obj(mesh, path, triangulate=True)
     assert path.read_bytes() == _reference_obj(mesh, triangulate=True).encode()
+
+
+@pytest.mark.parametrize("a", [(150, 160, 170), (1, 2, 170)])
+def test_normal_form_exports_at_the_exponent_extremes_match_the_reference(tmp_path, a):
+    # type (150, 160, 170) writes values near 1e-300, with 3-digit exponents
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["normal-form", "--type", ",".join(map(str, a)), "--out", str(tmp_path)]) == 0
+    nf = NormalFormFamily(a)
+    t_grid, tol = np.linspace(-1.0, 1.0, 200), DEFAULTS["tolerances"]["mesh_tol"]
+    mesh = discriminant_mesh(nf, t_grid, np.linspace(0.0, 1.5, 50), tol=tol)  # the CLI's window
+    name = "normal-form-" + "".join(map(str, a))
+    assert (tmp_path / f"{name}.obj").read_bytes() == _reference_obj(mesh).encode()
+    locus = singular_locus(nf, tol=tol, t_grid=t_grid)
+    assert (tmp_path / f"{name}.locus.obj").read_bytes() == _reference_polylines(locus).encode()
 
 
 def test_failed_export_keeps_the_old_file(tmp_path, monkeypatch):

@@ -1,0 +1,72 @@
+"""Vectorized float text: every value's bytes are those of ``repr``."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from framedcurves.fileio import FLOAT_FIELD, format_floats, rows_text, spaced
+
+
+def _assert_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = format_floats(values).tolist()
+    want = [repr(x).encode() for x in values.tolist()]
+    bad = [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+# 300 batches of up to 64 patterns and their negatives; about 0.9 s of tier-1 time
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_every_bit_pattern_formats_as_its_repr(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    _assert_repr(np.concatenate([values, -values]))
+
+
+def test_powers_of_two_and_ten_format_as_their_repr():
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_repr(_with_neighbours(np.concatenate([twos, tens, -twos, -tens])))
+
+
+def test_the_notation_switch_points_format_as_their_repr():
+    # repr turns exponential below 1e-4 and from 1e16 on
+    edges = np.array([1e16, 1e-4, 1e-5, 1e15, 9999999999999998.0, 0.00009999999999999999])
+    near = [np.nextafter(x, direction) for x in edges for direction in (0.0, np.inf)]
+    _assert_repr(_with_neighbours(np.concatenate([edges, near, -edges])))
+
+
+def test_integers_and_short_decimals_format_as_their_repr():
+    rng = np.random.default_rng(0)
+    integers = np.concatenate([np.arange(1, 10001), rng.integers(1, 2**53, 10000),
+                               2**53 - np.arange(100), 10 ** np.arange(16)]).astype(np.float64)
+    decimals = rng.integers(-10**6, 10**6, 10000) / 10.0 ** rng.integers(0, 8, 10000)
+    _assert_repr(np.concatenate([integers, -integers, decimals]))
+
+
+def test_zeros_subnormals_infinities_and_nans_format_as_their_repr():
+    rng = np.random.default_rng(1)
+    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    payloads = (rng.integers(1, 2**52, 100, dtype=np.uint64) | np.uint64(0x7FF << 52)).view(np.float64)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.225073858507201e-308]
+    _assert_repr(np.concatenate([special, subnormals, -subnormals, payloads, -payloads]))
+
+
+def test_format_floats_keeps_the_shape_and_pads_with_nuls():
+    values = np.array([[1.0, -2.2250738585072014e-308], [0.5, np.nan]])
+    text = format_floats(values)
+    assert text.shape == (2, 2) and text.dtype == np.dtype(f"S{FLOAT_FIELD}")
+    assert text.tobytes()[:FLOAT_FIELD] == b"1.0".ljust(FLOAT_FIELD, b"\0")
+    assert format_floats(np.empty(0)).shape == (0,)
+    assert format_floats(np.float64(0.5)).shape == ()
+    assert format_floats(values.T).tolist() == [[b"1.0", b"0.5"], [b"-2.2250738585072014e-308", b"nan"]]
+
+
+def test_rows_text_joins_constants_and_fields_row_by_row():
+    columns = format_floats(np.array([[1.0, 0.25], [-3.0, 1e22]])).T
+    mark = np.array([b"", b"# mark\n"])
+    assert rows_text(["v ", *spaced(columns), "\n", mark]) == "v 1.0 0.25\nv -3.0 1e+22\n# mark\n"

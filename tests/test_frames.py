@@ -238,6 +238,8 @@ def test_integration_step_budget_over_span_20(kind):
     assert field.meta["steps"] + field.meta["rejected"] <= STEP_BUDGET[kind]
     # hyperbolic frames reach |E| ~ 1e8 here, so only the relative defect is small
     assert float(np.max(field.gram_defects())) <= 1e-12
+    # the stacked defect is the per-frame one, bit for bit
+    assert np.array_equal(field.gram_defects(), [gram_defect(m, sf) for m in field.matrices])
     if kind != "hyperbolic":
         reference = dop853_frames(curv, field.s)
         assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
