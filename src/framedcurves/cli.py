@@ -135,7 +135,8 @@ def _cmd_envelope(args):
     locus = singular_locus(fam, tol=cfg.mesh_tol)
     locus_path = _sibling(mesh_path, "locus")
     export_polylines(locus, locus_path)
-    # F = <x, nu> and F_t = <x, nu'> cancel down from these sizes
+    # F = <x - gamma, nu>_G and F_t = <x - gamma, nu'>_G (G the form matrix, or
+    # diag(0, 1, 1, 1) in euclidean space) cancel down from these sizes
     scale = np.max(np.abs(mesh.ambient)) * max(np.max(np.abs(fam.normal)), np.max(np.abs(fam.normal1)))
     report_path = _out_path(args, cfg, "report")
     export_report({

@@ -1,10 +1,14 @@
 """Envelopes of tangent-hyperplane families and discriminants of normal forms.
 
-For a framed curve the hyperplanes are carried by the last frame vector; the
-envelope is swept out, per parameter value, by the solution set of the two
-incidence conditions (the hyperplane equation and its t-derivative).  For
-n = 2 that solution set is a geodesic line through the curve point itself,
-so every strip is centered at gamma(t).
+For a framed curve the hyperplanes are carried by the last frame vector: in
+frame coordinates xi = E(t)^{-1} x the family is F(t, x) = xi_3, in all three
+geometries.  With K = E^{-1} E' this gives F_t = -(K xi)_3 and
+F_tt = ((K K - K') xi)_3, so rows 3 of K and of K K - K' decide everything.
+The envelope is swept out, per parameter value, by the characteristic line
+{F = F_t = 0}; for n = 2 (and K_30 = <gamma', nu> = 0) it is the geodesic
+through the curve point xi = e_0 along w = (K_32 e_1 - K_31 e_2) /
+hypot(K_31, K_32), so every strip is centered at gamma(t).  The edge of
+regression is where F_tt = 0 as well.
 
 Normal-form generating families
 
@@ -38,32 +42,38 @@ _EXPORT_CHUNK = 4096  # rows formatted and written per batch by the OBJ exporter
 
 @dataclass
 class HyperplaneFamily:
-    """Tangent-hyperplane samples with first and second derivative access.
+    """The family F(t, x) = (E(t)^{-1} x)_3 of a frame field, sampled at its nodes.
 
-    ``normal*`` rows are full ambient vectors (euclidean normals keep their
-    leading zero); euclidean families also carry offsets r, r', r''.  ``base``
-    holds gamma(t), which lies on every characteristic line.
+    ``frames`` holds E, whose e_0 column gamma(t) lies on every characteristic
+    line.  ``k3`` and ``q3`` are row 3 of K = E^{-1} E' and of K K - K', so that
+    F_t = -k3 . xi and F_tt = q3 . xi in frame coordinates xi = E^{-1} x.
+    ``normal`` and ``normal1`` are the ambient nu = e_3 and nu', which the
+    ambient residuals <x - gamma, nu>_G and <x - gamma, nu'>_G use.
     """
 
     sf: SpaceForm
     t: np.ndarray
-    normal: np.ndarray
-    normal1: np.ndarray
-    normal2: np.ndarray
-    offset: np.ndarray = None
-    offset1: np.ndarray = None
-    offset2: np.ndarray = None
-    base: np.ndarray = None
+    frames: np.ndarray  # (N, dim, dim)
+    normal: np.ndarray  # (N, dim)
+    normal1: np.ndarray  # (N, dim)
+    k3: np.ndarray  # (N, dim)
+    q3: np.ndarray  # (N, dim)
 
 
 def _field_derivative_tables(field: FrameField):
-    """(E, E', E'') at every node: closed form, or E K and E (K K + K') from polynomial K."""
+    """(E, E' e_3, K, K K - K') at every node, with K = E^{-1} E'.
+
+    Closed-form fields solve K = E^{-1} E' and K K - K' = 2 K K - E^{-1} E''
+    from E' and E''; curvature fields evaluate K and K' from the polynomial
+    structure matrix.
+    """
     mats = field.matrices
     fn = field.matrix_fn
     if fn is not None:
-        e1 = np.stack([np.asarray(fn(float(t), 1), dtype=float) for t in field.s])
-        e2 = np.stack([np.asarray(fn(float(t), 2), dtype=float) for t in field.s])
-        return mats, e1, e2
+        e1, e2 = (np.stack([np.asarray(fn(float(t), order), dtype=float) for t in field.s])
+                  for order in (1, 2))
+        k = np.linalg.solve(mats, e1)
+        return mats, e1[:, :, -1], k, 2.0 * (k @ k) - np.linalg.solve(mats, e2)
     curv = field.curvature
     if curv is None or curv.kappa_polys is None:
         raise CapabilityError("hyperplane families need a closed-form field or polynomial curvatures")
@@ -71,37 +81,14 @@ def _field_derivative_tables(field: FrameField):
     t = np.asarray(field.s, dtype=float)
     k = np.stack([np.stack([p.evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
     k1 = np.stack([np.stack([p.diff_t().evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
-    return mats, mats @ k, mats @ (k @ k + k1)
+    return mats, (mats @ k)[:, :, -1], k, k @ k - k1
 
 
 def hyperplane_family(field: FrameField) -> HyperplaneFamily:
-    """The tangent-hyperplane family carried by e_{n+1} of a frame field.
-
-    Euclidean offsets are r = -gamma . e_{n+1} with derivatives by the product
-    rule; gamma and its derivatives are the e_0 columns of E, E' and E''.
-    """
-    sf = field.sf
-    e0, e1, e2 = _field_derivative_tables(field)
-    normal = e0[:, :, -1].copy()
-    normal1 = e1[:, :, -1].copy()
-    normal2 = e2[:, :, -1].copy()
-    base = e0[:, :, 0].copy()
-    fam = HyperplaneFamily(sf, np.asarray(field.s, dtype=float), normal, normal1, normal2, base=base)
-    if sf.kind != "euclidean":
-        return fam
-
-    g0, g1, g2 = (np.ascontiguousarray(e[:, 1:, 0]) for e in (e0, e1, e2))
-    sp = slice(1, None)
-    fam.offset = -np.einsum("ij,ij->i", g0, normal[:, sp])
-    fam.offset1 = -(
-        np.einsum("ij,ij->i", g1, normal[:, sp]) + np.einsum("ij,ij->i", g0, normal1[:, sp])
-    )
-    fam.offset2 = -(
-        np.einsum("ij,ij->i", g2, normal[:, sp])
-        + 2.0 * np.einsum("ij,ij->i", g1, normal1[:, sp])
-        + np.einsum("ij,ij->i", g0, normal2[:, sp])
-    )
-    return fam
+    """The tangent-hyperplane family carried by e_{n+1} of a frame field."""
+    mats, normal1, k, q = _field_derivative_tables(field)
+    return HyperplaneFamily(field.sf, np.asarray(field.s, dtype=float), mats, mats[:, :, -1],
+                            normal1, k[:, -1], q[:, -1])
 
 
 # -- meshes ----------------------------------------------------------------------
@@ -190,43 +177,34 @@ def _matvec(a, b):
     return (a @ b[:, :, None])[..., 0]
 
 
-# columns left after deleting column k of a 3x4 matrix, and the cofactor signs
-_MINOR_COLUMNS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-_COFACTOR_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
-
-
 def _characteristic_lines(fam, tol):
-    """Keep mask over all nodes and the unit line direction at the kept ones.
+    """Keep mask over all nodes; at the kept ones the ambient line direction
+    E w and the coefficients (a, b) of F_tt = c(s) a + sigma(s) b on the line.
 
-    At a kept node the characteristic line {F = F_t = 0} runs through gamma(t)
-    along u = e x e' / |e x e'| (euclidean) or b2 (quadrics).  b2 = J c, J-normalized,
-    where c is the cofactor vector of the 3x4 matrix [gamma; nu; nu'], that is
-    det[gamma; nu; nu'; x] = x . c; so b2 is J-orthogonal to gamma, nu and nu'.
-    On a frame with nu' = -kappa_3 e_2 both directions are sign(kappa_3) e_1,
-    so they flip where kappa_3 changes sign; ``_continued`` undoes such flips
-    between consecutive kept nodes.  A node is degenerate when its two
-    conditions are dependent to within b = max(tol, 1e-13):
-    |e x e'| <= b |e| |e'|, or <J c, J c>_J <= b^2, which (gamma and nu being
-    J-unit) is the J-square of the part of nu' J-orthogonal to both.
+    F = xi_3 = 0 and F_t = -(K xi)_3 = 0 cut out the line through xi = e_0
+    along w = (K_32 e_1 - K_31 e_2) / hypot(K_31, K_32), so E w is J-unit and
+    J-orthogonal to gamma, nu and nu' to within the frame's Gram defect.  On
+    xi = c e_0 + sigma w, F_tt = (K K - K')_3 . xi gives a = (K K - K')_30
+    and b = (K K - K')_3 . w.  For the structure matrix w is
+    (kappa_3 e_1 - kappa_2 e_2) / hypot(kappa_2, kappa_3); it flips where
+    kappa_3 changes sign with kappa_2 = 0, and ``_continued`` undoes such
+    flips between consecutive kept nodes.  A node is degenerate when
+    hypot(K_31, K_32) <= max(tol, 1e-13), in every geometry.
     """
-    bound = max(tol, 1e-13)
-    if fam.sf.kind == "euclidean":
-        e, e1 = fam.normal[:, 1:], fam.normal1[:, 1:]
-        cross = np.cross(e, e1)
-        norm = np.sqrt(_dot(cross, cross))
-        scale = np.maximum(np.sqrt(_dot(e, e)) * np.sqrt(_dot(e1, e1)), 1e-300)
-        keep = ~(norm <= bound * scale)
-        return keep, _continued(keep, cross[keep] / norm[keep, None])
-    rows = np.stack([fam.base, fam.normal, fam.normal1], axis=1)  # (N, 3, 4)
-    minors = np.moveaxis(rows[:, :, _MINOR_COLUMNS], 2, 1)  # (N, 4, 3, 3)
-    jc = (np.linalg.det(minors) * _COFACTOR_SIGNS) @ fam.sf.form.matrix
-    q = _dot(jc @ fam.sf.form.matrix, jc)
-    keep = q > bound * bound
-    return keep, _continued(keep, jc[keep] / np.sqrt(q[keep])[:, None])
+    k31, k32 = fam.k3[:, 1], fam.k3[:, 2]
+    size = np.hypot(k31, k32)
+    keep = size > max(tol, 1e-13)
+    w = np.zeros((np.count_nonzero(keep), fam.frames.shape[-1]))
+    w[:, 1], w[:, 2] = k32[keep] / size[keep], -k31[keep] / size[keep]
+    direction = _matvec(fam.frames[keep], w)
+    sign = _continued(keep, direction)
+    q = fam.q3[keep]
+    return keep, sign[:, None] * direction, q[:, 0], sign * _dot(q, w)
 
 
 def _continued(keep, direction):
-    """Directions at the kept nodes, flipped so that consecutive ones have dot >= 0.
+    """Signs (+-1) for the directions at the kept nodes that make consecutive
+    ones have dot >= 0.
 
     Each run of consecutive kept nodes keeps the sign of its first direction;
     a degenerate node starts a new run.
@@ -235,12 +213,14 @@ def _continued(keep, direction):
     joined = np.diff(index, prepend=-2) == 1  # row k continues the run of row k - 1
     flips = np.cumsum(joined & (_dot(direction, np.roll(direction, 1, axis=0)) < 0))
     run_start = np.maximum.accumulate(np.where(joined, 0, np.arange(len(index))))
-    odd = (flips - flips[run_start]) % 2 == 1
-    return np.where(odd[:, None], -direction, direction)
+    return np.where((flips - flips[run_start]) % 2 == 1, -1.0, 1.0)
 
 
 def _geodesic(sf, s):
-    """(cos, sin) of s on the sphere, (cosh, sinh) in hyperbolic space."""
+    """(c, sigma) of the geodesic c gamma + sigma v: (1, s) in euclidean space,
+    (cos, sin) of s on the sphere, (cosh, sinh) in hyperbolic space."""
+    if sf.kind == "euclidean":
+        return np.ones_like(s), s
     if sf.kind == "spherical":
         return np.cos(s), np.sin(s)
     return np.cosh(s), np.sinh(s)
@@ -253,7 +233,10 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     gamma(t); it is parametrized by signed arc length (angle / rapidity on the
     quadrics) centered at gamma(t), along the direction of
     ``_characteristic_lines``.  Nodes where the two conditions are not
-    independent are excluded and recorded in meta["degenerate_nodes"].
+    independent are excluded and recorded in meta["degenerate_nodes"].  The
+    residuals are the ambient (F, F_t) = (<x - gamma, nu>_G, <x - gamma, nu'>_G),
+    G the form matrix or diag(0, 1, ..., 1) on the euclidean slice; a vertex
+    is singular where |F_tt| <= tol, with F_tt in frame coordinates.
     """
     sf = fam.sf
     if sf.n != 2:
@@ -261,20 +244,17 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     if s_grid is None:
         s_grid = np.linspace(-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW, 51)
     s_grid = np.asarray(s_grid, dtype=float)
-    keep, direction = _characteristic_lines(fam, tol)
+    keep, direction, a, b = _characteristic_lines(fam, tol)
     if not keep.any():
         raise DegeneracyError(0, "hyperplane family is degenerate at every node")
-    base, nu, nu1, nu2 = (fam.base[keep], fam.normal[keep], fam.normal1[keep], fam.normal2[keep])
+    gamma = fam.frames[keep, :, 0]
+    c, s = _geodesic(sf, s_grid)
+    amb = c[None, :, None] * gamma[:, None, :] + s[None, :, None] * direction[:, None, :]
+    g = sf.form.matrix
     if sf.kind == "euclidean":
-        pts = base[:, None, 1:] + s_grid[None, :, None] * direction[:, None, :]
-        amb = np.concatenate([np.ones(pts.shape[:2] + (1,)), pts], axis=2)
-        f, ft, ftt = (_matvec(pts, n[:, 1:]) + r[keep, None]
-                      for n, r in ((nu, fam.offset), (nu1, fam.offset1), (nu2, fam.offset2)))
-    else:
-        c, s = _geodesic(sf, s_grid)
-        amb = c[None, :, None] * base[:, None, :] + s[None, :, None] * direction[:, None, :]
-        j = sf.form.matrix
-        f, ft, ftt = (_matvec(amb, n @ j) for n in (nu, nu1, nu2))
+        g[0, 0] = 0.0
+    f, ft = (_matvec(amb - gamma[:, None, :], n[keep] @ g) for n in (fam.normal, fam.normal1))
+    ftt = c[None, :] * a[:, None] + s[None, :] * b[:, None]
     t = np.asarray(fam.t, dtype=float)
     meta = {"degenerate_nodes": t[~keep].tolist(), "s_grid": s_grid.tolist()}
     return _assemble(sf, t, s_grid, keep, amb, f, ft, ftt, tol, meta)
@@ -378,9 +358,10 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S
 
     Normal-form families solve F_tt = 0 exactly on the discriminant (linear
     in s) at the nodes of ``t_grid``, which applies to normal forms only.
-    Hyperplane families solve at their own nodes on the characteristic lines
-    of ``envelope_mesh``, so s is the mesh's s in every geometry; on the
-    sphere it is the root of F_tt with |s| <= pi/2.  Chains break where the
+    Hyperplane families solve F_tt = c(s) a + sigma(s) b = 0 (frame
+    coordinates) at their own nodes on the characteristic lines of
+    ``envelope_mesh``, so s is the mesh's s in every geometry; on the sphere
+    it is the root with |s| <= pi/2.  Chains break where the
     solution leaves the s-window or jumps by more than chain_gap.
     """
     if isinstance(obj, NormalFormFamily):
@@ -405,35 +386,24 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S
         raise DomainError("singular_locus expects a NormalFormFamily or a HyperplaneFamily")
 
     fam, sf = obj, obj.sf
-    keep, direction = _characteristic_lines(fam, tol)
-    base, nu2 = fam.base[keep], fam.normal2[keep]
+    keep, direction, a, b = _characteristic_lines(fam, tol)
     if sf.kind == "euclidean":
-        num = _dot(base[:, 1:], nu2[:, 1:]) + fam.offset2[keep]
-        den = _dot(direction, nu2[:, 1:])
-        solved = np.abs(den) > 1e-13 * np.maximum(1.0, np.abs(num))
-        s_star = -num / np.where(solved, den, 1.0)
+        solved = np.abs(b) > 1e-13 * np.maximum(1.0, np.abs(a))
+        s_star = -a / np.where(solved, b, 1.0)
+    elif sf.kind == "spherical":
+        # the roots of a cos s + b sin s are pi apart; take the one with |s| <= pi/2
+        solved = (np.abs(a) > 1e-13) | (np.abs(b) > 1e-13)
+        s_star = np.arctan2(np.where(b < 0, a, -a), np.abs(b))
     else:
-        jn2 = nu2 @ sf.form.matrix
-        cg, cb = _dot(base, jn2), _dot(direction, jn2)
-        if sf.kind == "spherical":
-            # the roots of cg cos s + cb sin s are pi apart; take the one with |s| <= pi/2
-            solved = (np.abs(cg) > 1e-13) | (np.abs(cb) > 1e-13)
-            s_star = np.arctan2(np.where(cb < 0, cg, -cg), np.abs(cb))
-        else:
-            ratio = -cg / np.where(np.abs(cb) > 1e-13, cb, 1.0)
-            solved = (np.abs(cb) > 1e-13) & (np.abs(ratio) < 1.0)
-            s_star = np.arctanh(np.where(solved, ratio, 0.0))
+        ratio = -a / np.where(np.abs(b) > 1e-13, b, 1.0)
+        solved = (np.abs(b) > 1e-13) & (np.abs(ratio) < 1.0)
+        s_star = np.arctanh(np.where(solved, ratio, 0.0))
     solved &= np.abs(s_star) <= s_window
-    s_star, base, direction = s_star[solved], base[solved], direction[solved]
-    if sf.kind == "euclidean":
-        points = base[:, 1:] + s_star[:, None] * direction
-        ambient = np.concatenate([np.ones((len(points), 1)), points], axis=1)
-    else:
-        c, s = _geodesic(sf, s_star)
-        ambient = c[:, None] * base + s[:, None] * direction
-        points = project_point(ambient, sf)
+    s_star = s_star[solved] + 0.0  # an exact root a = 0 gives -0.0; write it as 0.0
+    c, s = _geodesic(sf, s_star)
+    ambient = c[:, None] * fam.frames[keep, :, 0][solved] + s[:, None] * direction[solved]
     index = np.flatnonzero(keep)[solved]
-    return _chain(index, fam.t[index], s_star, points, ambient, chain_gap)
+    return _chain(index, fam.t[index], s_star, project_point(ambient, sf), ambient, chain_gap)
 
 
 def _chain(index, t, s, points, ambient, chain_gap):

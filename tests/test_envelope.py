@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from framedcurves import envelope
 from framedcurves.cli import main
 from framedcurves.config import DEFAULTS
+from framedcurves.frames import gram_defect
 from framedcurves import (
     CapabilityError,
     CurvatureData,
@@ -100,7 +101,7 @@ def _geodesic(kind, s):
 def test_envelope_incidence_residuals_vanish(name):
     fam = FAMILIES[name](np.linspace(0.5, np.pi, 30))
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.5, 0.5, 5))
-    # F = <x, nu>_J and F_t = <x, nu'>_J, relative to the sizes they cancel from
+    # F = <x - gamma, nu>_G and F_t = <x - gamma, nu'>_G, relative to the sizes they cancel from
     scale = np.max(np.abs(mesh.ambient)) * max(np.max(np.abs(fam.normal)), np.max(np.abs(fam.normal1)))
     assert float(np.max(np.abs(mesh.residuals))) < 1e-10 * scale
 
@@ -108,19 +109,22 @@ def test_envelope_incidence_residuals_vanish(name):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_characteristic_direction_is_unit_and_orthogonal(name):
     fam = FAMILIES[name](np.linspace(0.5, np.pi, 30))
-    keep, direction = envelope._characteristic_lines(fam, 1e-9)
+    keep, direction, _, _ = envelope._characteristic_lines(fam, 1e-9)
     assert keep.all()
     j = fam.sf.form.matrix
-    vectors = (fam.base, fam.normal, fam.normal1)
-    if fam.sf.kind == "euclidean":  # u is spatial, orthogonal to e and e'
+    vectors = (fam.frames[:, :, 0], fam.normal, fam.normal1)
+    if fam.sf.kind == "euclidean":  # E w is spatial, orthogonal to e and e'
         j = np.diag([0.0, 1.0, 1.0, 1.0])
-        direction = np.column_stack([np.zeros(len(direction)), direction])
         vectors = (fam.normal, fam.normal1)
     np.testing.assert_allclose(np.einsum("ij,jk,ik->i", direction, j, direction), 1.0, rtol=0, atol=1e-12)
+    # <E w, e_k>_J = sum_i w_i (E^T J E - J)_ik with |w|_1 <= sqrt 2: E w inherits
+    # the frame's Gram defect
+    defect = float(np.max(gram_defect(fam.frames, fam.sf)))
     for v in vectors:
         dots = np.einsum("ij,jk,ik->i", direction, j, v)
         size = np.linalg.norm(direction, axis=1) * np.linalg.norm(v, axis=1)
         assert float(np.max(np.abs(dots) / size)) < 1e-12
+        assert float(np.max(np.abs(dots) / size)) <= 2.0 * defect
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
@@ -131,11 +135,9 @@ def test_characteristic_direction_is_the_signed_tangent(kind):
     nodes = np.linspace(-2.0, 2.0, 9)
     curv = CurvatureData.from_polys(sf.delta, [[1], [0], [0, 1]])
     field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
-    keep, direction = envelope._characteristic_lines(hyperplane_family(field), 1e-9)
+    keep, direction, _, _ = envelope._characteristic_lines(hyperplane_family(field), 1e-9)
     assert keep.tolist() == [True] * 4 + [False] + [True] * 4
     tangent = np.sign(nodes[keep])[:, None] * field.matrices[keep, :, 1]
-    if kind == "euclidean":
-        tangent = tangent[:, 1:]
     assert float(np.max(np.abs(direction - tangent))) < 1e-10 * float(np.max(np.abs(tangent)))
 
 
@@ -148,7 +150,7 @@ def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kin
     curv = CurvatureData.from_polys(sf.delta, [[1], [0], [0, 1]])
     field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
     fam = hyperplane_family(field)
-    keep, direction = envelope._characteristic_lines(fam, 1e-9)
+    keep, direction, _, _ = envelope._characteristic_lines(fam, 1e-9)
     assert keep.all()
     assert (np.einsum("ij,ij->i", direction[1:], direction[:-1]) > 0).all()
     mesh = envelope_mesh(fam, s_grid=np.array([0.0, 1.0]))
@@ -172,13 +174,13 @@ def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kin
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_degenerate_node_leaves_a_gap(name):
-    # a vanishing normal derivative at one node makes its two incidence
+    # a vanishing row 3 of K = E^-1 E' at one node makes its two incidence
     # conditions dependent: the strip is dropped and no quad bridges it
     fam = FAMILIES[name](np.linspace(0.5, np.pi, 12))
     gap = 5
-    normal1 = fam.normal1.copy()
-    normal1[gap] = 0.0
-    holed = dataclasses.replace(fam, normal1=normal1)
+    k3 = fam.k3.copy()
+    k3[gap] = 0.0
+    holed = dataclasses.replace(fam, k3=k3)
     s_grid = np.linspace(-0.5, 0.5, 4)
     ns = len(s_grid)
     full = envelope_mesh(fam, s_grid=s_grid)
@@ -190,6 +192,21 @@ def test_degenerate_node_leaves_a_gap(name):
     assert (node.max(axis=1) - node.min(axis=1) == 1).all()
     assert not (node == gap).any()
     assert len(mesh.faces) == len(full.faces) - 2 * (ns - 1)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_long_spans_drop_only_the_flat_node_and_keep_their_marks(kind):
+    # kappa = (1, 0, t^2) vanishes in kappa_3 at t = 0 only; the frame grows
+    # like e^t in hyperbolic space, and neither the keep rule nor the marks may
+    # depend on that size
+    marks = []
+    for end in (15.0, 20.0):
+        fam = _curvature_family(kind, np.linspace(0.0, end, 200))
+        mesh = envelope_mesh(fam, s_grid=np.linspace(-1.0, 1.0, 9))
+        assert mesh.meta["degenerate_nodes"] == [0.0]
+        assert len(singular_locus(fam)) == 1
+        marks.append(int(mesh.singular.sum()))
+    assert marks[0] == marks[1]
 
 
 def test_helix_singular_locus_is_the_curve_itself():

@@ -4,7 +4,7 @@ Each case runs one subcommand and compares SHA-256 hashes of the OBJ files it
 writes.  A change to vertex order, float formatting, singular marks or face
 layout changes a hash.  The curvature cases put the degenerate node t = 0 of
 kappa = (1, 0, t^2) on the grid (39 of 40 strips survive) and reach the
-quadric characteristic lines through the spherical and hyperbolic geometries.  Their
+frame-relative characteristic lines in all three geometries.  Their
 hashes also pin the frame integrator's last bits, so each of them is checked
 against an independent DOP853 solution as well.
 """
@@ -55,23 +55,23 @@ def _curvature(geometry, delta):
 ENVELOPE_CASES = {
     "helix-frenet": (
         {"curve": {"kind": "builtin", "name": "helix-frenet"}},
-        "e908f882479a5d87d7293e7edeeb09918dd3d52d01c9e58b4118a456c7a58463",
-        "ba517e766503e22d6b73547fe26c7c201f160343964b44688458e5a7eed1b7a3",
+        "6552ee8542f7f2547e5c007784030f53ed55ffee9b120bddd456f456214628e1",
+        "6f2012d17954bf6b96bb0dad9b92fd2ce4928133a4395cdd8f05b4c98e5a8288",
     ),
     "euclidean-delta0": (
         _curvature("euclidean", 0),
-        "c59db8364cd93f3e4320f50f9768c52aa7a0e9c0574ff5cfb838a8f24c1f20dc",
-        "2a72d3d6fe1875496e644081ff1d6101336e1405e0de6e2034b017d5296e8e8d",
+        "c09f5a047f0f072c8581d7776551bb82f7646eb346a16185d5c83bb19374a9c0",
+        "07edfa469b485b3ee85e08722687b02ce0e4003dc06668d771457de48402904b",
     ),
     "spherical-delta1": (
         _curvature("spherical", 1),
-        "d7ed7c560825c8b602e6b15d492edcb39bbaf134269474839b2156f98d23ef8b",
-        "f7fc88030c13094a0cfbce891990430f780a5f698b66702651f698af6dd393b3",
+        "f2922757f6791680b3217c417fe7a3fdc370fa30538fa6b05417c420f038ec86",
+        "2c93354d93b1682345cf1b3598c03f9a3d6b4c1069aedad1fc72a6182a278839",
     ),
     "hyperbolic-delta-1": (
         _curvature("hyperbolic", -1),
-        "e2f392ff78332780cb285a699e40680109fd1e61f97b5b81746003574b5f61dc",
-        "df950f8a1c78b223d7fd7bdb835d6ae355cbd481954ada6966393c81b7861b3b",
+        "f24f2158314db4a06f0fdc41b83f67a3aa04f20568d93549488feb3b5d280974",
+        "b1f189f41c5e299f165188bfc2701830ba0da4c43cc9ba370482522238edceeb",
     ),
 }
 
