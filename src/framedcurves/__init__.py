@@ -70,7 +70,6 @@ from .frames import (
     structure_poly_matrix,
 )
 from .flags import (
-    DiagonalData,
     FlagCurve,
     c_integral_reconstruct,
     c_integrality_residual,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapabilityError, DegeneracyError, DimensionMismatch, DomainError
 from .fileio import atomic_open, format_floats, rows_text, spaced
-from .frames import FrameField, structure_poly_matrix
+from .frames import FrameField, field_derivatives
 from .ratpoly import Poly
 from .spaceform import SpaceForm, space_form
 
@@ -60,35 +60,11 @@ class HyperplaneFamily:
     q3: np.ndarray  # (N, dim)
 
 
-def _field_derivative_tables(field: FrameField):
-    """(E, E' e_3, K, K K - K') at every node, with K = E^{-1} E'.
-
-    Closed-form fields solve K = E^{-1} E' and K K - K' = 2 K K - E^{-1} E''
-    from E' and E''; curvature fields evaluate K and K' from the polynomial
-    structure matrix.
-    """
-    mats = field.matrices
-    fn = field.matrix_fn
-    if fn is not None:
-        e1, e2 = (np.stack([np.asarray(fn(float(t), order), dtype=float) for t in field.s])
-                  for order in (1, 2))
-        k = np.linalg.solve(mats, e1)
-        return mats, e1[:, :, -1], k, 2.0 * (k @ k) - np.linalg.solve(mats, e2)
-    curv = field.curvature
-    if curv is None or curv.kappa_polys is None:
-        raise CapabilityError("hyperplane families need a closed-form field or polynomial curvatures")
-    kp = structure_poly_matrix(curv)
-    t = np.asarray(field.s, dtype=float)
-    k = np.stack([np.stack([p.evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
-    k1 = np.stack([np.stack([p.diff_t().evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
-    return mats, (mats @ k)[:, :, -1], k, k @ k - k1
-
-
 def hyperplane_family(field: FrameField) -> HyperplaneFamily:
     """The tangent-hyperplane family carried by e_{n+1} of a frame field."""
-    mats, normal1, k, q = _field_derivative_tables(field)
+    mats, e1, k, q = field_derivatives(field)
     return HyperplaneFamily(field.sf, np.asarray(field.s, dtype=float), mats, mats[:, :, -1],
-                            normal1, k[:, -1], q[:, -1])
+                            e1[:, :, -1], k[:, -1], q[:, -1])
 
 
 # -- meshes ----------------------------------------------------------------------

@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import PolynomialCurve
-from .errors import ChartError, DimensionMismatch, DomainError
+from .errors import CapabilityError, ChartError, DomainError
+from .frames import field_derivatives
 from .ratpoly import Poly
 
 _PIVOT_TOL = 1e-10
@@ -41,10 +42,10 @@ class FlagCurve:
     """Lower-triangular flag coordinates: exact polys, or float arrays over s.
 
     Monomial lifts and polynomial reconstructions carry polys; the charts of
-    curves and frame fields are float arrays.  ``derivs``, when present, holds
-    per-node coordinate derivatives computed without finite differencing (see
-    flag_from_curve); the residual tables prefer it over the interior-stencil
-    fallback.
+    curves and frame fields are float arrays, with ``derivs`` holding the
+    per-node coordinate derivatives from their exact derivative channels (see
+    _chart_derivative).  The residuals of float coordinates without ``derivs``
+    raise DomainError.
     """
 
     dim: int
@@ -76,34 +77,26 @@ class FlagCurve:
         return tuple(orders)
 
 
-@dataclass
-class DiagonalData:
-    """The diagonal entries x_j^{j-1}(t): exact polys, or callables."""
-
-    polys: tuple = None
-    fns: tuple = None
-    dfns: tuple = None
-
-    def size(self):
-        return len(self.polys if self.polys is not None else self.fns)
-
-
 # -- chart extraction -----------------------------------------------------------
 
 
 def flag_from_frame(field, base=None) -> FlagCurve:
-    """Flag coordinates of a frame field relative to a base frame.
+    """Flag coordinates of a frame field relative to a base frame, with derivatives.
 
     The chart is centered at the base (default: the field's first frame), so
-    a frame field equal to the base has all coordinates zero.  A singular
-    pivot minor means the field left the chart: ChartError with the exit
-    parameter.
+    a frame field equal to the base has all coordinates zero.  The
+    derivatives come from M' = base^-1 E', read off the field's exact
+    derivative channel (frames.field_derivatives), so a field with callable
+    curvatures raises CapabilityError.  A singular pivot minor means the
+    field left the chart: ChartError with the exit parameter.
     """
-    base_matrix = field.matrices[0] if base is None else getattr(base, "matrix", base)
+    mats, e1, _, _ = field_derivatives(field)
+    base_matrix = mats[0] if base is None else getattr(base, "matrix", base)
     base_matrix = np.asarray(base_matrix, dtype=float)
     s = np.asarray(field.s, dtype=float)
-    lower, _ = _doolittle(np.linalg.solve(base_matrix, field.matrices), s)
-    return FlagCurve(dim=base_matrix.shape[0], s=s, coords=_chart(lower), base=base_matrix)
+    lower, upper = _doolittle(np.linalg.solve(base_matrix, mats), s)
+    derivs = _chart_derivative(lower, upper, np.linalg.solve(base_matrix, e1))
+    return FlagCurve(dim=base_matrix.shape[0], s=s, coords=_chart(lower), derivs=derivs, base=base_matrix)
 
 
 def _chart(stack):
@@ -178,11 +171,11 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
 
     The unit-lower chart depends only on the column spans, so the raw jet
     matrix stands in for any orthonormalization of it (the change of basis is
-    upper triangular and falls out of the LU factor).  Differentiating
-    M = L U gives strictlower(L^-1 M' U^-1) = L^-1 L', so the chart and its
-    derivative come out to roundoff from the jets, in floats, for all nodes
-    at once.  Degenerate nodes (where the plain jet matrix loses rank) raise
-    ChartError; sample around them.
+    upper triangular and falls out of the LU factor).  With M' from the next
+    jet, the chart and its derivative come out to roundoff from the jets, in
+    floats, for all nodes at once (_chart_derivative).  Degenerate nodes
+    (where the plain jet matrix loses rank) raise ChartError; sample around
+    them.
     """
     nodes = np.asarray(nodes, dtype=float)
     dim = curve.dim
@@ -190,8 +183,19 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
     base = jets[0, :, :dim] if base is None else np.asarray(base, dtype=float)
     m = _matmul(_invert(base), jets)
     lower, upper = _doolittle(m[..., :dim], nodes)
+    return FlagCurve(dim=dim, s=nodes, coords=_chart(lower),
+                     derivs=_chart_derivative(lower, upper, m[..., 1:]), base=np.array(base, dtype=float))
+
+
+def _chart_derivative(lower, upper, m_prime):
+    """The chart of L' = L strictlower(L^-1 M' U^-1), for M = L U per node.
+
+    Differentiating M = L U gives L^-1 L' + U' U^-1 = L^-1 M' U^-1, whose
+    strictly lower part is L^-1 L' (unit-lower L, upper U).
+    """
+    dim = lower.shape[-1]
     # L^-1 M' by forward substitution, then (.) U^-1 column by column
-    y = m[..., 1:].copy()
+    y = np.array(m_prime, dtype=float)
     for i in range(dim):
         for k in range(i):
             y[:, i, :] -= lower[:, i, k, None] * y[:, k, :]
@@ -201,31 +205,10 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
         for k in range(c):
             acc -= x[:, :, k] * upper[:, k, c, None]
         x[:, :, c] = acc / upper[:, c, c, None]
-    ld = _matmul(lower, np.tril(x, -1))
-    return FlagCurve(dim=dim, s=nodes, coords=_chart(lower), derivs=_chart(ld),
-                     base=np.array(base, dtype=float))
+    return _chart(_matmul(lower, np.tril(x, -1)))
 
 
-# -- derivatives on sampled coordinates ------------------------------------------
-
-_FD5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-
-
-def _sampled_derivative(values, ds):
-    """4th-order central derivative at interior nodes (2 trimmed per side)."""
-    v = np.asarray(values, dtype=float)
-    if len(v) < 5:
-        raise DimensionMismatch("need at least 5 nodes for the residual stencils")
-    return (
-        _FD5[0] * v[:-4] + _FD5[1] * v[1:-3] + _FD5[2] * v[2:-2] + _FD5[3] * v[3:-1] + _FD5[4] * v[4:]
-    ) / ds
-
-
-def _uniform_spacing(s):
-    ds = np.diff(s)
-    if not len(ds) or not np.allclose(ds, ds[0], rtol=1e-9, atol=1e-12):
-        raise DomainError("sampled residuals need uniform nodes")
-    return float(ds[0])
+# -- integrality residuals -------------------------------------------------------
 
 
 def _coord_and_derivative_tables(fc: FlagCurve, nodes):
@@ -235,13 +218,9 @@ def _coord_and_derivative_tables(fc: FlagCurve, nodes):
         vals = {key: fc.coord_values(*key, nodes=nodes) for key in fc.pairs()}
         ders = {key: _evalf_on(fc.polys[key].diff_t(), nodes) for key in fc.pairs()}
         return nodes, vals, ders
-    if fc.derivs is not None:
-        return fc.s, dict(fc.coords), dict(fc.derivs)
-    ds = _uniform_spacing(fc.s)
-    inner = fc.s[2:-2]
-    vals = {key: fc.coords[key][2:-2] for key in fc.pairs()}
-    ders = {key: _sampled_derivative(fc.coords[key], ds) for key in fc.pairs()}
-    return inner, vals, ders
+    if fc.derivs is None:
+        raise DomainError("residuals of float flag coordinates need their derivatives")
+    return fc.s, fc.coords, fc.derivs
 
 
 def c_integrality_residual(fc: FlagCurve, nodes=None):
@@ -282,72 +261,24 @@ def d_integrality_residual(fc: FlagCurve, nodes=None):
 # -- reconstruction ---------------------------------------------------------------
 
 
-def c_integral_reconstruct(diag: DiagonalData, tol=1e-10, window=(-1.0, 1.0), num=201):
+def c_integral_reconstruct(diagonal) -> FlagCurve:
     """The unique C-integral flag curve through the base with a given diagonal.
 
-    Rows are filled in increasing i-j order: each x_i^j integrates the already
-    known x_i^{j+1} (x_{j+1}^j)'.  Polynomial diagonals reconstruct exactly;
-    callable diagonals (with derivative callables) integrate numerically.
+    ``diagonal`` holds the entries x_{j+1}^j(t) as exact polys; a non-Poly
+    entry raises CapabilityError.  Rows are filled in increasing i-j order:
+    each x_i^j integrates the already known x_i^{j+1} (x_{j+1}^j)' exactly,
+    with the off-diagonal entries vanishing at t = 0.
     """
-    size = diag.size()
-    dim = size + 1
-    if diag.polys is not None:
-        polys = {(j + 1, j): p for j, p in enumerate(diag.polys)}
-        for gap in range(2, dim):
-            for j in range(0, dim - gap):
-                i = j + gap
-                polys[(i, j)] = (polys[(i, j + 1)] * polys[(j + 1, j)].diff_t()).integrate_t()
-        return FlagCurve(dim=dim, polys=polys)
-
-    if diag.fns is None or diag.dfns is None:
-        raise DomainError("numeric reconstruction needs diagonal callables and derivatives")
-
-    from scipy.integrate import solve_ivp
-
-    keys = [(j + 1, j) for j in range(size)]
+    diagonal = tuple(diagonal)
+    if not all(isinstance(p, Poly) for p in diagonal):
+        raise CapabilityError("reconstruction needs exact polynomial diagonal entries")
+    dim = len(diagonal) + 1
+    polys = {(j + 1, j): p for j, p in enumerate(diagonal)}
     for gap in range(2, dim):
-        keys += [(j + gap, j) for j in range(0, dim - gap)]
-    off_keys = [k for k in keys if k[0] - k[1] >= 2]
-    index = {key: pos for pos, key in enumerate(off_keys)}
-
-    def value(key, t, y):
-        i, j = key
-        return diag.fns[j](t) if i - j == 1 else y[index[key]]
-
-    def rhs(t, y):
-        dy = np.empty(len(off_keys))
-        for key, pos in index.items():
-            i, j = key
-            dy[pos] = value((i, j + 1), t, y) * diag.dfns[j](t)
-        return dy
-
-    nodes = np.linspace(window[0], window[1], num)
-    # pin the integration constants where the exact branch pins them: the
-    # off-diagonals vanish at t = 0 when the window straddles it, at the left
-    # endpoint otherwise
-    t0 = 0.0 if window[0] <= 0.0 <= window[1] else window[0]
-
-    def _solve(t_end, t_eval):
-        if len(t_eval) == 0 or t_end == t0:
-            return np.zeros((len(off_keys), len(t_eval)))
-        sol = solve_ivp(
-            rhs,
-            (t0, t_end),
-            np.zeros(len(off_keys)),
-            t_eval=t_eval,
-            rtol=tol,
-            atol=tol,
-            method="RK45",
-        )
-        return sol.y
-
-    left = nodes[nodes < t0][::-1]
-    right = nodes[nodes >= t0]
-    y = np.concatenate([_solve(window[0], left)[:, ::-1], _solve(window[1], right)], axis=1)
-    coords = {key: np.array([diag.fns[key[1]](t) for t in nodes]) for key in keys if key[0] - key[1] == 1}
-    for key, pos in index.items():
-        coords[key] = y[pos]
-    return FlagCurve(dim=dim, s=nodes, coords=coords)
+        for j in range(0, dim - gap):
+            i = j + gap
+            polys[(i, j)] = (polys[(i, j + 1)] * polys[(j + 1, j)].diff_t()).integrate_t()
+    return FlagCurve(dim=dim, polys=polys)
 
 
 def projection_curve(fc: FlagCurve) -> PolynomialCurve:

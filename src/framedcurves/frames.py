@@ -219,6 +219,7 @@ class FrameField:
     Every field carries exact derivatives through one of two channels:
     ``matrix_fn(t, k)`` returns the k-th derivative of the full frame matrix
     (closed form), or ``curvature`` gives them by the structure equation.
+    ``field_derivatives`` reads both.
     """
 
     sf: SpaceForm
@@ -244,6 +245,31 @@ def frame_field_from_function(sf, matrix_fn, nodes):
     nodes = np.asarray(nodes, dtype=float)
     mats = np.stack([np.asarray(matrix_fn(t, 0), dtype=float) for t in nodes])
     return FrameField(sf, nodes, mats, matrix_fn=matrix_fn)
+
+
+def field_derivatives(field: FrameField):
+    """(E, E', K, K K - K') at every node, with K = E^{-1} E'.
+
+    The one exact derivative channel of a field.  Closed-form fields solve
+    K = E^{-1} E' and K K - K' = 2 K K - E^{-1} E'' from E' and E'';
+    curvature fields evaluate K and K' from the polynomial structure matrix
+    and give E' = E K.  Callable curvatures raise CapabilityError.
+    """
+    mats = field.matrices
+    fn = field.matrix_fn
+    if fn is not None:
+        e1, e2 = (np.stack([np.asarray(fn(float(t), order), dtype=float) for t in field.s])
+                  for order in (1, 2))
+        k = np.linalg.solve(mats, e1)
+        return mats, e1, k, 2.0 * (k @ k) - np.linalg.solve(mats, e2)
+    curv = field.curvature
+    if curv is None or curv.kappa_polys is None:
+        raise CapabilityError("exact frame derivatives need a closed-form field or polynomial curvatures")
+    kp = structure_poly_matrix(curv)
+    t = np.asarray(field.s, dtype=float)
+    k = np.stack([np.stack([p.evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
+    k1 = np.stack([np.stack([p.diff_t().evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
+    return mats, mats @ k, k, k @ k - k1
 
 
 # -- re-orthonormalization -----------------------------------------------------

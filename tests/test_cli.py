@@ -419,26 +419,33 @@ def test_help_lists_all_subcommands(capsys):
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from framedcurves.cli import main
-config, out = sys.argv[1:]
+config, scan_config, out = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["verify"]),
+    codes = [main(["type", "--t", "0.5"]),
              main(["frame", "--config", config, "--out", out + "/frame"]),
-             main(["envelope", "--config", config, "--out", out + "/envelope"])]
+             main(["envelope", "--config", config, "--out", out + "/envelope"]),
+             main(["normal-form", "--type", "1,2,3", "--out", out + "/normal-form"]),
+             main(["scan", "--config", scan_config, "--out", out + "/scan"]),
+             main(["enumerate", "--n", "2", "--budget", "2", "--out", out + "/enumerate"]),
+             main(["verify"])]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
 """
 
 
-def test_verify_frame_and_envelope_leave_scipy_unimported(tmp_path):
-    # scipy.linalg alone costs about 26 MB of peak memory; only the numeric
-    # branch of flags.c_integral_reconstruct needs scipy at all
+def test_every_subcommand_leaves_scipy_unimported(tmp_path):
+    # scipy is a test-only dependency (tests/frame_reference.py): no
+    # subcommand may import it, and scipy.linalg alone would cost about 26 MB
+    # of peak memory
     config = {"geometry": "hyperbolic",
               "curve": {"kind": "curvature", "delta": -1, "kappa": [["1"], ["0"], ["0", "0", "1"]]},
               "grids": {"t": [0.0, 3.0, 40], "s": [-1.0, 1.0, 9]}}
+    scan_config = _write_config(tmp_path, BUTTERFLY_CONFIG, name="scan.json")
     src = os.path.dirname(os.path.dirname(os.path.abspath(framedcurves.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, _write_config(tmp_path, config), str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, _write_config(tmp_path, config), scan_config,
+                          str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
+    assert codes == [0] * 7
     assert scipy_modules == []

@@ -8,10 +8,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from framedcurves import (
+    CapabilityError,
     ChartError,
-    DiagonalData,
+    CurvatureData,
     DomainError,
     FlagCurve,
+    Frame,
     c_integral_reconstruct,
     c_integrality_residual,
     c_lift_monomial,
@@ -22,7 +24,9 @@ from framedcurves import (
     enumerate_generic_types,
     flag_from_curve,
     flag_from_frame,
+    frame_field_from_function,
     helix_curve,
+    integrate_structure_equation,
     monomial_curve,
     projection_curve,
     type_from_diagonal_orders,
@@ -36,6 +40,7 @@ from framedcurves.examples import (
 )
 from framedcurves.flags import _doolittle
 from framedcurves.ratpoly import Poly
+from framedcurves.spaceform import space_form
 
 
 def _poly_order(p: Poly) -> int:
@@ -114,7 +119,7 @@ def test_builtin_examples_all_integral():
 def test_flag_charts_from_curve_and_frame_agree():
     # the Frenet frame differs from the jet matrix by a right upper-triangular
     # factor, which drops out of the unit-lower chart -- so relative to a
-    # common base matrix the two charts coincide
+    # common base matrix the two charts and their derivatives coincide
     nodes = np.linspace(-0.5, 0.5, 21)
     curve, field = helix_frenet_field(nodes)
     base = field.matrices[0]
@@ -122,13 +127,12 @@ def test_flag_charts_from_curve_and_frame_agree():
     from_frame = flag_from_frame(field, base=base)
     for key, table in from_curve.coords.items():
         assert np.allclose(table, from_frame.coords[key], atol=1e-9), key
+        assert np.allclose(from_curve.derivs[key], from_frame.derivs[key], atol=1e-9), key
 
 
-def _exact_chart(curve, t):
-    """Unit-lower L and L' = L strictlower(L^-1 M' U^-1) over Fractions at t."""
-    dim = curve.dim
-    cols = curve.jet_exact(t, dim)
-    m = [[cols[k][i] for k in range(dim)] for i in range(dim)]
+def _exact_lu_derivative(m, m_prime):
+    """Unit-lower L and L' = L strictlower(L^-1 M' U^-1) of M = L U over Fractions."""
+    dim = len(m)
     upper = [row[:] for row in m]
     lower = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     for k in range(dim):
@@ -136,7 +140,7 @@ def _exact_chart(curve, t):
             f = upper[i][k] / upper[k][k]
             lower[i][k] = f
             upper[i] = [a - f * b for a, b in zip(upper[i], upper[k])]
-    y = [[cols[k + 1][i] for k in range(dim)] for i in range(dim)]
+    y = [row[:] for row in m_prime]
     for i in range(dim):
         for k in range(i):
             y[i] = [a - lower[i][k] * b for a, b in zip(y[i], y[k])]
@@ -149,6 +153,24 @@ def _exact_chart(curve, t):
     return lower, dlower
 
 
+def _exact_chart(curve, t):
+    """The exact chart at t of the jet matrix M = (gamma, ..., gamma^(n+1))."""
+    dim = curve.dim
+    cols = curve.jet_exact(t, dim)
+    m = [[cols[k][i] for k in range(dim)] for i in range(dim)]
+    m_prime = [[cols[k + 1][i] for k in range(dim)] for i in range(dim)]
+    return _exact_lu_derivative(m, m_prime)
+
+
+def _assert_chart_matches(fc, nodes, exact):
+    for n, t in enumerate(nodes):
+        lower, dlower = exact(t)
+        for i, j in fc.pairs():
+            for got, want in ((fc.coords[(i, j)][n], lower[i][j]),
+                              (fc.derivs[(i, j)][n], dlower[i][j])):
+                assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (t, i, j)
+
+
 @pytest.mark.parametrize("a", BUILTIN_TYPES)
 def test_float_chart_matches_an_exact_reference(a):
     # dyadic nodes are exact floats, so the exact chart at the same node is
@@ -156,12 +178,81 @@ def test_float_chart_matches_an_exact_reference(a):
     nodes = [Fraction(k, 32) for k in range(4, 20)]
     curve = monomial_curve(a)
     fc = flag_from_curve(curve, np.array([float(t) for t in nodes]), base=np.eye(4))
-    for n, t in enumerate(nodes):
-        lower, dlower = _exact_chart(curve, t)
-        for i, j in fc.pairs():
-            for got, want in ((fc.coords[(i, j)][n], lower[i][j]),
-                              (fc.derivs[(i, j)][n], dlower[i][j])):
-                assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (t, i, j)
+    _assert_chart_matches(fc, nodes, lambda t: _exact_chart(curve, t))
+
+
+# E(t) = A + B t + C t^2 entrywise, integer coefficients (1, t, t^2); its
+# leading minors stay >= 0.55 and its chart entries >= 0.33 in size on the
+# nodes below, so a relative tolerance is meaningful for every entry
+_POLY_FRAME = [[Poly.from_t_coeffs(c) for c in row] for row in (
+    ((4, -2, -1), (-3, 0, -3), (-3, 0, -3), (2, -1, 2)),
+    ((-1, -3, -2), (4, -2, -3), (0, -2, 3), (2, 1, -2)),
+    ((3, -1, 2), (3, 2, -3), (-4, 1, 1), (-3, 3, 0)),
+    ((-3, -2, -3), (0, -1, 1), (1, -1, 0), (4, 2, 3)),
+)]
+
+
+def _poly_frame_derivative(k):
+    rows = _POLY_FRAME
+    for _ in range(k):
+        rows = [[p.diff_t() for p in row] for row in rows]
+    return rows
+
+
+def _poly_frame_fn(t, k):
+    return np.array([[p.evalf(t) for p in row] for row in _poly_frame_derivative(k)])
+
+
+def test_frame_chart_matches_an_exact_reference():
+    # a closed-form field whose matrix_fn gives exact derivatives of a
+    # polynomial matrix; at dyadic nodes E is exact in floats, and with the
+    # identity base the chart of E is the reference over Fractions
+    nodes = [Fraction(k, 32) for k in range(4, 20)]
+    field = frame_field_from_function(space_form("euclidean"), _poly_frame_fn,
+                                      [float(t) for t in nodes])
+    fc = flag_from_frame(field, base=np.eye(4))
+
+    def exact(t):
+        m, m_prime = ([[p.eval(t) for p in row] for row in _poly_frame_derivative(k)] for k in (0, 1))
+        return _exact_lu_derivative(m, m_prime)
+
+    _assert_chart_matches(fc, nodes, exact)
+
+
+_UNIFORM = np.linspace(0.2, 1.2, 31)
+
+
+@pytest.mark.parametrize("nodes", [_UNIFORM, np.sort(np.append(_UNIFORM, 0.5123))],
+                         ids=["uniform", "extra-node"])
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_integrated_frame_chart_is_integral_at_every_node(kind, nodes):
+    # an integrated frame field is the osculating lift of its curve, so both
+    # residuals vanish at every node, uniform or not, to roundoff
+    sf = space_form(kind)
+    curv = CurvatureData.from_polys(sf.delta, [[1], [0], [0, 0, 1]])
+    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (nodes[0], nodes[-1]), nodes=nodes)
+    fc = flag_from_frame(field)
+    for residual in (c_integrality_residual(fc), d_integrality_residual(fc)):
+        assert residual.shape == nodes.shape
+        assert float(np.max(residual)) <= 1e-14
+
+
+def test_frame_chart_of_callable_curvatures_raises_capability_error():
+    sf = space_form("euclidean")
+    curv = CurvatureData(0, (lambda s: 1.0, lambda s: 0.0, lambda s: s))
+    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 1.0), nodes=np.linspace(0.0, 1.0, 11))
+    with pytest.raises(CapabilityError):
+        flag_from_frame(field)
+
+
+def test_residuals_of_coordinates_without_derivatives_raise_domain_error():
+    nodes = np.linspace(-0.5, 0.5, 21)
+    _, field = helix_frenet_field(nodes)
+    chart = flag_from_frame(field)
+    bare = FlagCurve(dim=chart.dim, s=chart.s, coords=chart.coords, base=chart.base)
+    for residual in (c_integrality_residual, d_integrality_residual):
+        with pytest.raises(DomainError):
+            residual(bare)
 
 
 def test_degenerate_curve_node_raises_chart_error_without_warnings():
@@ -200,8 +291,7 @@ def test_chart_error_names_the_first_degenerate_node():
 def test_reconstruct_round_trips_polynomial_diagonal():
     a = (1, 2, 5)
     fc = c_lift_monomial(a)
-    diag = DiagonalData(polys=tuple(fc.polys[(j + 1, j)] for j in range(fc.dim - 1)))
-    rebuilt = c_integral_reconstruct(diag)
+    rebuilt = c_integral_reconstruct(fc.polys[(j + 1, j)] for j in range(fc.dim - 1))
     for key, p in fc.polys.items():
         assert (rebuilt.polys[key] - p).is_zero(), key
 
@@ -214,33 +304,18 @@ def test_reconstruct_round_trips_polynomial_diagonal():
 @settings(max_examples=25)
 def test_reconstruct_is_always_integral(c1, c2, c3):
     # any diagonal reconstructs to a flag curve satisfying both conditions
-    diag = DiagonalData(
-        polys=(
-            Poly.from_t_coeffs([0] + c1),
-            Poly.from_t_coeffs([0] + c2),
-            Poly.from_t_coeffs([0] + c3),
-        )
+    fc = c_integral_reconstruct(
+        (Poly.from_t_coeffs([0] + c1), Poly.from_t_coeffs([0] + c2), Poly.from_t_coeffs([0] + c3))
     )
-    fc = c_integral_reconstruct(diag)
     assert float(np.max(c_integrality_residual(fc))) < 1e-10
     assert float(np.max(d_integrality_residual(fc))) < 1e-10
 
 
-def test_reconstruct_numeric_matches_exact():
-    # feed the same diagonal once as polynomials and once as callables
-    polys = (
-        Poly.from_t_coeffs([0, 1]),
-        Poly.from_t_coeffs([0, 0, Fraction(1, 2)]),
-        Poly.from_t_coeffs([0, -1, 0, Fraction(1, 3)]),
-    )
-    exact = c_integral_reconstruct(DiagonalData(polys=polys))
-    fns = tuple((lambda p: (lambda t: p.evalf(t)))(p) for p in polys)
-    dfns = tuple((lambda p: (lambda t: p.diff_t().evalf(t)))(p) for p in polys)
-    nodes = np.linspace(-1.0, 1.0, 201)
-    numeric = c_integral_reconstruct(DiagonalData(fns=fns, dfns=dfns), tol=1e-12)
-    for key, table in numeric.coords.items():
-        want = np.array([exact.polys[key].evalf(t) for t in nodes])
-        assert np.allclose(table, want, atol=1e-8), key
+def test_reconstruct_rejects_a_callable_diagonal_entry():
+    # reconstruction is exact only: a callable entry has no exact antiderivative
+    diagonal = (Poly.from_t_coeffs([0, 1]), lambda t: 0.5 * t * t, Poly.from_t_coeffs([0, -1]))
+    with pytest.raises(CapabilityError):
+        c_integral_reconstruct(diagonal)
 
 
 # -- diagonal orders ------------------------------------------------------------------

@@ -226,6 +226,9 @@ def test_flag_charts_are_bit_stable():
     assert _digest(*(from_frame.coords[k] for k in keys)) == (
         "03c732131ac718806fc21803dcc4d4cb60f16d22e54d61e072435aa9f7819b98"
     )
+    assert _digest(*(from_frame.derivs[k] for k in keys)) == (
+        "adc297d98837f29e2bb5e795c1bfe6e00db49a4ecee0b81a92767f5d5d0b1c87"
+    )
     assert _digest(*(from_curve.coords[k] for k in keys)) == (
         "3211669e6c33e91cf4b01352eb877b1116b47fe53a3152b32838f95c428d3550"
     )
