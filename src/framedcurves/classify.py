@@ -18,6 +18,7 @@ arithmetic whenever they admit a small rational representative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,7 +48,6 @@ from .ratpoly import (
     line_gcd_split,
     poly_det,
     poly_quotient,
-    real_roots_squarefree,
     resultant_t,
     squarefree,
     squarefree_t,
@@ -341,9 +341,9 @@ def _rational_candidates(x):
 class _AdaptedTypeOracle:
     """Type detection for a curvature family, exact when the point is rational.
 
-    ``classify`` and ``classify_event`` are the exact-snap skeleton every
-    oracle shares; a subclass sets ``detector`` and supplies its own
-    ``exact_type`` and ``float_types``.
+    ``classify`` and ``classify_event`` are the skeleton every oracle shares:
+    Fraction points go to ``exact_type`` and float points to ``float_types``.
+    A subclass sets ``detector`` and supplies its own two.
     """
 
     def __init__(self, family: CurvatureFamily, rank_tol, r_max=8):
@@ -360,26 +360,46 @@ class _AdaptedTypeOracle:
             raise DomainError(f"a dual-jet coefficient is beyond the float range ({exc})") from exc
         self._degrees = (max((i for d in self.jets for p in d for i, _ in p.c), default=0),
                          max((j for d in self.jets for p in d for _, j in p.c), default=0))
+        # and as integer terms, all scaled by one positive factor
+        scale = math.lcm(*(v.denominator for d in self.jets for p in d for v in p.c.values()))
+        self._int_jets = [[tuple((v.numerator * (scale // v.denominator), i, j) for (i, j), v in p.c.items())
+                           for p in d] for d in self.jets]
 
     def _columns_exact(self, tq, lamq):
-        return [[p.eval(tq, lamq) for p in d] for d in self.jets]
+        """The dual jets at (p/q, r/s), every entry times one positive factor.
+
+        Each entry is the integer sum of C p^i q^(I - i) r^j s^(J - j) over its
+        terms, with I and J the largest degrees: the factor q^I s^J times the
+        jets' common denominator leaves every prefix rank unchanged.
+        """
+        (n_t, n_u), (p, q), (r, s) = self._degrees, tq.as_integer_ratio(), lamq.as_integer_ratio()
+        tpow = [p**i * q ** (n_t - i) for i in range(n_t + 1)]
+        upow = [r**j * s ** (n_u - j) for j in range(n_u + 1)]
+        return [[sum(c * tpow[i] * upow[j] for c, i, j in terms) for terms in d] for d in self._int_jets]
 
     def _columns_float(self, ts, lams):
         """(points, 4, r_max + 1) stack of the dual jets at float points.
 
         Each entry replays ``Poly.evalf``'s scalar loop over the compiled terms
         (Python float powers, a sum from 0.0 in term order) on every point at
-        once, so it equals ``evalf`` there bit for bit.
+        once, so it equals ``evalf`` there bit for bit.  A point where a jet
+        leaves the float range raises ``DomainError``.
         """
-        tpow = [np.array([t**i for t in ts]) for i in range(self._degrees[0] + 1)]
-        upow = [np.array([u**j for u in lams]) for j in range(self._degrees[1] + 1)]
+        try:
+            tpow = [np.array([t**i for t in ts]) for i in range(self._degrees[0] + 1)]
+            upow = [np.array([u**j for u in lams]) for j in range(self._degrees[1] + 1)]
+        except OverflowError as exc:
+            raise DomainError(f"a power of a point is beyond the float range ({exc})") from exc
         cols = np.empty((len(ts), 4, len(self._float_jets)))
-        for r, d in enumerate(self._float_jets):
-            for row, terms in enumerate(d):
-                total = np.zeros(len(ts))
-                for v, i, j in terms:
-                    total += v * tpow[i] * upow[j]
-                cols[:, row, r] = total
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, d in enumerate(self._float_jets):
+                for row, terms in enumerate(d):
+                    total = np.zeros(len(ts))
+                    for v, i, j in terms:
+                        total += v * tpow[i] * upow[j]
+                    cols[:, row, r] = total
+        if not np.isfinite(cols).all():
+            raise DomainError("a dual jet is beyond the float range at a point")
         return cols
 
     def exact_type(self, tq, lamq):
@@ -409,22 +429,19 @@ class _AdaptedTypeOracle:
         return out
 
     def classify(self, points):
-        """[(type, confidence)] at the points (t, lam_q, line) of a scan.
+        """[(type, confidence)] at the points (t, lam).
 
-        ``line`` is the detector on u = lam_q as integer coefficients.  A
-        small rational near t where the line vanishes exactly is classified
-        exactly; every other point goes through one batched float call.
+        A point whose t and lam are both Fractions is classified exactly;
+        every other point goes through one batched float call.
         """
         out = [None] * len(points)
         rest = []
-        for k, (t, lam_q, line) in enumerate(points):
-            for tq in _rational_candidates(t):
-                if vanishes_at(line, tq):
-                    try:
-                        out[k] = self.exact_type(tq, lam_q), "exact"
-                    except (FiniteTypeError, DegeneracyError):
-                        out[k] = None, "exact"
-                    break
+        for k, (t, lam) in enumerate(points):
+            if isinstance(t, Fraction) and isinstance(lam, Fraction):
+                try:
+                    out[k] = self.exact_type(t, lam), "exact"
+                except (FiniteTypeError, DegeneracyError):
+                    out[k] = None, "exact"
             else:
                 rest.append(k)
         floats = self.float_types([float(points[k][0]) for k in rest],
@@ -434,13 +451,8 @@ class _AdaptedTypeOracle:
         return out
 
     def classify_event(self, t, lam):
-        """(type, confidence) at an event point; exact when t and lam are Fractions."""
-        if isinstance(t, Fraction) and isinstance(lam, Fraction):
-            try:
-                return self.exact_type(t, lam), "exact"
-            except (FiniteTypeError, DegeneracyError):
-                return None, "exact"
-        return self.float_types([float(t)], [float(lam)])[0]
+        """(type, confidence) at one point; exact when t and lam are Fractions."""
+        return self.classify([(t, lam)])[0]
 
 
 class _OsculatingTypeOracle(_AdaptedTypeOracle):
@@ -527,6 +539,42 @@ class _FactoredDetector:
         return out
 
 
+def _exact_roots(sq, lo, hi):
+    """[(x, exact)]: the real roots in [lo, hi] of a square-free coefficient list.
+
+    x is a Fraction: the root itself where bisection hit it or one of its
+    small-denominator candidates verifies, else within 2^-100 of it.  This
+    is the one place a root snaps to a small rational, so a scan point is
+    classified exactly just when its t is a Fraction.
+    """
+    ints = integer_coeffs(sq)
+    out = []
+    for x, exact in isolate_real_roots(ints, lo, hi):
+        if not exact:
+            q = next((q for q in _rational_candidates(x) if vanishes_at(ints, q)), None)
+            x, exact = (x, False) if q is None else (q, True)
+        out.append((x, exact))
+    return out
+
+
+def _window_roots(sq, window):
+    """The real roots in the window of a square-free list: a Fraction when exact, else a float."""
+    return [x if exact else float(x) for x, exact in _exact_roots(sq, *window)]
+
+
+def _refine_event(line: Poly, gcd: Poly, lam_q, window):
+    """The distinct real roots in the t window of line(., lam_q) / gcd(., lam_q).
+
+    ``(line, gcd)`` comes from ``multiple_root_lines`` and ``lam_q`` is a
+    root of its factor, exact or within 2^-100 of it, so the quotient is the
+    square-free part of the line there, exact or as close, and its roots are
+    the event's t.  Each is a Fraction when it is exact, else a float: no
+    threshold decides which critical point is a root.
+    """
+    quotient = poly_quotient(trim(line.subs_u(lam_q).t_coeffs()), trim(gcd.subs_u(lam_q).t_coeffs()))
+    return _window_roots(quotient, window)
+
+
 def _line_roots(detector: _FactoredDetector, lam_q, window):
     """(roots, line) of the detector on the lambda line u = lam_q.
 
@@ -541,36 +589,7 @@ def _line_roots(detector: _FactoredDetector, lam_q, window):
     line = [c / line[-1] for c in line]
     if vanishes_at(detector.discriminant, lam_q):
         line = squarefree(line)
-    return real_roots_squarefree(line, window[0], window[1]), line
-
-
-def _exact_roots(sq, lo, hi):
-    """[(x, exact)]: the real roots in [lo, hi] of a square-free coefficient list.
-
-    x is a Fraction: the root itself where bisection hit it or one of its
-    small-denominator candidates verifies, else within 2^-100 of it.
-    """
-    ints = integer_coeffs(sq)
-    out = []
-    for x, exact in isolate_real_roots(ints, lo, hi):
-        if not exact:
-            q = next((q for q in _rational_candidates(x) if vanishes_at(ints, q)), None)
-            x, exact = (x, False) if q is None else (q, True)
-        out.append((x, exact))
-    return out
-
-
-def _refine_event(line: Poly, gcd: Poly, lam_q, window):
-    """The distinct real roots in the t window of line(., lam_q) / gcd(., lam_q).
-
-    ``(line, gcd)`` comes from ``multiple_root_lines`` and ``lam_q`` is a
-    root of its factor, exact or within 2^-100 of it, so the quotient is the
-    square-free part of the line there, exact or as close, and its roots are
-    the event's t.  Each is a Fraction when it is exact, else a float: no
-    threshold decides which critical point is a root.
-    """
-    quotient = poly_quotient(trim(line.subs_u(lam_q).t_coeffs()), trim(gcd.subs_u(lam_q).t_coeffs()))
-    return [t if exact else float(t) for t, exact in _exact_roots(quotient, *window)]
+    return _window_roots(line, window), line
 
 
 def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
@@ -597,12 +616,11 @@ def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
     degenerate_regions = []
     for lam in lambda_grid:
         lam_q = Fraction(float(lam))
-        roots, line = _line_roots(detector, lam_q, window)
+        roots, _ = _line_roots(detector, lam_q, window)
         if roots is None:
             degenerate_regions.append({"lambda": float(lam), "t_window": window})
-        elif roots:
-            ints = integer_coeffs(line)
-            points.extend((r, lam_q, ints) for r in roots)
+        else:
+            points.extend((r, lam_q) for r in roots)
         lines.append(roots)
 
     # persistent strata: classify every root of the scan at once, then chain

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .acceptance import run_all
-from .classify import export_events_csv, scan_family
+from .classify import _AdaptedTypeOracle, export_events_csv, scan_family
 from .config import DEFAULTS, RunConfig
 from .envelope import (
     NormalFormFamily,
@@ -26,9 +27,8 @@ from .envelope import (
     hyperplane_family,
     singular_locus,
 )
-from .errors import ConfigError, FramedCurveError
+from .errors import ConfigError, DomainError, FiniteTypeError, FramedCurveError
 from .fileio import atomic_write_text, format_float, format_floats, rows_text, spaced
-from .frames import frame_dual
 from .jets import (
     codim_adapted,
     codim_osculating,
@@ -94,20 +94,28 @@ def _event_record(ev):
 def _cmd_type(args):
     cfg = _load_config(args)
     if cfg.curve["kind"] == "curvature":
-        target = frame_dual(cfg.build_field(lam=args.lam))
-        subject = "frame dual"
+        # the frame dual's type from the family's co-moving dual jets at
+        # (t, lambda) in floats, as a scan types its roots; no frame field is
+        # integrated, so t need not be a grid node
+        if not (math.isfinite(args.t) and math.isfinite(args.lam)):
+            raise DomainError(f"t and lambda must be finite, got t={args.t!r}, lambda={args.lam!r}")
+        oracle = _AdaptedTypeOracle(cfg.curvature_family(), cfg.rank_tol)
+        a, confidence = oracle.classify_event(args.t, args.lam)
+        if a is None:
+            raise FiniteTypeError(None, oracle.r_max, "the frame dual does not reach full rank "
+                                  f"within r_max={oracle.r_max} at t={args.t!r}, lambda={args.lam!r}")
+        subject, mode = "frame dual", "float"
     else:
-        target = cfg.build_curve()
+        report = detect_type_report(cfg.build_curve(), args.t, rank_tol=cfg.rank_tol)
+        a, mode, confidence = report.type, report.mode, report.confidence
         subject = "curve"
-    report = detect_type_report(target, args.t, rank_tol=cfg.rank_tol)
-    a = report.type
     print(f"subject: {subject}")
     print(f"t: {format_float(args.t)}  lambda: {format_float(args.lam)}")
     print(f"type: ({', '.join(str(x) for x in a)})")
     print(f"schubert: {schubert_number(a)}")
     print(f"codim_D: {codim_adapted(a)}")
     print(f"codim_C: {codim_osculating(a)}")
-    print(f"mode: {report.mode}  confidence: {report.confidence}")
+    print(f"mode: {mode}  confidence: {confidence}")
     return 0
 
 
@@ -231,7 +239,7 @@ def _cmd_scan(args):
         "tolerances": cfg.tolerances,
         "arithmetic": {
             "detector": "exact-rational",
-            "roots": "companion-matrix + Newton polish",
+            "roots": "exact isolation by Descartes' rule, narrowed to 2^-100",
             "events": "exact when a rational representative verifies, else floating",
         },
     }, report_path)

@@ -499,7 +499,9 @@ class DualCurve:
     """The dual curve gamma_hat of a framed curve; acts as a jet provider.
 
     Values per geometry: euclidean -> (-gamma . e_{n+1}, e_{n+1}) in the
-    offset-sphere model; spherical/hyperbolic -> e_{n+1} itself.
+    offset-sphere model; spherical/hyperbolic -> e_{n+1} itself.  Jets need a
+    closed-form field; a curvature family is typed from its exact co-moving
+    jets by the scan's type oracle instead.
     """
 
     exact = False
@@ -515,36 +517,14 @@ class DualCurve:
         return self.values.shape[1]
 
     def max_order(self, t=None):
-        return None  # both derivative channels are exact to every order
-
-    def _node_index(self, t):
-        idx = int(np.argmin(np.abs(self.s - float(t))))
-        if abs(self.s[idx] - float(t)) > 1e-9 * max(1.0, float(np.max(np.abs(self.s)))):
-            return None
-        return idx
+        return None  # the closed-form channel is exact to every order
 
     def jet(self, t, r):
-        sf = self.field.sf
         fn = self.field.matrix_fn
-        if fn is not None:
-            mats = [np.asarray(fn(float(t), k), dtype=float) for k in range(r + 1)]
-            return self._jet_from_matrix_derivs(mats, sf)
-        if self.field.curvature is not None and self.field.curvature.kappa_polys is not None:
-            idx = self._node_index(t)
-            if idx is None:
-                raise CapabilityError("dual jets from curvature data are available at nodes only")
-            d = dual_coefficient_jets(self.field.curvature, r)
-            e = self.field.matrices[idx]
-            f = np.linalg.inv(e).T
-            cols = []
-            for k in range(r + 1):
-                dk = np.array([p.evalf(float(t)) for p in d[k]])
-                col = f @ dk
-                if sf.kind == "hyperbolic":
-                    col = sf.form.matrix @ col  # J e_{n+1} -> e_{n+1}
-                cols.append(col)
-            return np.stack(cols, axis=1)
-        raise CapabilityError("frame field provides no derivative channel for dual jets")
+        if fn is None:
+            raise CapabilityError("frame field provides no derivative channel for dual jets")
+        mats = [np.asarray(fn(float(t), k), dtype=float) for k in range(r + 1)]
+        return self._jet_from_matrix_derivs(mats, self.field.sf)
 
     def _jet_from_matrix_derivs(self, mats, sf):
         e_last = [m[:, -1] for m in mats]

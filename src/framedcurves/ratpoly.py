@@ -8,12 +8,13 @@ that feeds a type vector can therefore be made exactly.
 Floats are deliberately rejected as coefficients.  Decimal strings such as
 ``"0.1"`` are accepted and parsed exactly.
 
-The module also holds the root toolkit the family scans use: gcd and
+The module also holds the one root toolkit the family scans use.  Gcds and
 square-free parts of coefficient lists, the square-free part in t and the
 resultant in t of a bivariate polynomial, and the split of a set of u-roots
-by the gcd of its t-lines with their derivatives (all by the subresultant
-PRS over Z[u]), exact real-root isolation by Descartes' rule, a Newton
-polish, and the polished real roots of a square-free polynomial in a window.
+by the gcd of its t-lines with their derivatives all come from the
+subresultant PRS over Z[u].  Real roots are isolated exactly by Descartes'
+rule and narrowed by sign bisection, both in Python ints; there is no float
+root finder.
 """
 
 from __future__ import annotations
@@ -287,18 +288,25 @@ def integer_coeffs(coeffs):
     return [c.numerator * (lcm // c.denominator) for c in coeffs]
 
 
-def sign_at(ints, x):
-    """Sign (-1, 0 or 1) of the integer coefficient list (low degree first) at Fraction x.
+def _horner(ints, p, q):
+    """q^n times the integer coefficient list (low degree first, degree n) at p/q.
 
-    With x = p/q in lowest terms, the homogeneous Horner sum of a_i p^i q^(n-i)
-    is p(x) times q^n, all in Python ints.
+    The homogeneous Horner sum of a_i p^i q^(n-i), all in Python ints.
     """
-    p, q = x.numerator, x.denominator
     acc, qk = 0, 1
     for a in reversed(ints):
         acc = acc * p + a * qk
         qk *= q
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def sign_at(ints, x):
+    """Sign (-1, 0 or 1) of the integer coefficient list (low degree first) at Fraction x."""
+    return _sign(_horner(ints, x.numerator, x.denominator))
 
 
 def vanishes_at(ints, x):
@@ -336,45 +344,48 @@ def isolate_real_roots(ints, lo, hi):
         return []
     if width == 0:
         return [(lo, True)] if vanishes_at(ints, lo) else []
-    # q(x) = p(lo + width x), so the window becomes [0, 1]; Horner step
-    # q <- q * (lo + width x) + a
-    q = []
-    for a in reversed(ints):
-        q = [lo * (q[i] if i < len(q) else 0) + (width * q[i - 1] if i else a)
+    # with lo = v/d and width = w/d, q(x) = d^n p((v + w x)/d) is p on the
+    # window rescaled to [0, 1]; Horner step q <- q * (v + w x) + c d^k
+    d = math.lcm(lo.denominator, width.denominator)
+    v, w = lo.numerator * (d // lo.denominator), width.numerator * (d // width.denominator)
+    q, dk = [], 1
+    for c in reversed(ints):
+        q = [v * (q[i] if i < len(q) else 0) + (w * q[i - 1] if i else c * dk)
              for i in range(len(q) + 1)]
-    q = integer_coeffs(trim(q))
-    exact = [hi] if sum(q) == 0 else []
+        dk *= d
+    q = trim(q)
+    g = math.gcd(*q)
+    q = [c // g for c in q]
+    exact = [1] if sum(q) == 0 else []
     boxes = []
     # nodes (p, c, k): p(x) is q on [c/2^k, (c+1)/2^k], rescaled to [0, 1]
     stack = [(q, 0, 0)]
     while stack:
         p, c, k = stack.pop()
         if p[0] == 0:
-            exact.append(lo + width * Fraction(c, 2**k))
+            exact.append(Fraction(c, 2**k))
             p = p[1:]
         count = _descartes_count(p)
         if count == 1:
-            boxes.append((lo + width * Fraction(c, 2**k), lo + width * Fraction(c + 1, 2**k)))
+            boxes.append((c, k))
         elif count > 1:
             n = len(p) - 1
             left = [a << (n - i) for i, a in enumerate(p)]
             stack.append((_taylor_shift_1(left), 2 * c + 1, k + 1))
             stack.append((left, 2 * c, k + 1))
-    # with the exact roots divided out, the sign changes across every box
-    for x in exact:
-        ints = _u_div(ints, [-x.numerator, x.denominator])
+    # narrow each box [m/2^j, (m+1)/2^j] by the sign of q at its midpoint; as
+    # q is square-free, just right of a root it has the sign of its slope
+    slope = [i * c for i, c in enumerate(q)][1:]
     out = [(x, True) for x in exact]
-    for a, b in boxes:
-        s_a = sign_at(ints, a)
-        while b - a > width / 2**100:
-            mid = (a + b) / 2
-            s = sign_at(ints, mid)
-            if s == 0:
-                a = b = mid
-                break
-            a, b = (mid, b) if s == s_a else (a, mid)
-        out.append(((a + b) / 2, a == b))
-    return sorted(out)
+    for m, j in boxes:
+        s_m = _sign(_horner(q, m, 2**j)) or _sign(_horner(slope, m, 2**j))
+        s = 1
+        while j < 100 and s:
+            s = _sign(_horner(q, 2 * m + 1, 2 ** (j + 1)))
+            if s:
+                m, j = 2 * m + (s == s_m), j + 1
+        out.append((Fraction(2 * m + 1, 2 ** (j + 1)), not s))
+    return sorted((lo + width * x, hit) for x, hit in out)
 
 
 def poly_gcd(a, b):
@@ -646,60 +657,3 @@ def poly_quotient(a, b):
         for i, bi in enumerate(b):
             a[k + i] -= c * bi
     return q
-
-
-def newton(p: Poly, x, iterations, rel_tol):
-    """Newton iterates on a univariate Poly from float x; returns the last one.
-
-    The derivative is taken exactly once.  Stops at a zero derivative or once
-    a step falls below rel_tol * max(1, |x|).
-    """
-    dp = p.diff_t()
-    for _ in range(iterations):
-        fp = dp.evalf(x)
-        if fp == 0.0:
-            break
-        step = p.evalf(x) / fp
-        x -= step
-        if abs(step) < rel_tol * max(1.0, abs(x)):
-            break
-    return x
-
-
-def real_roots_squarefree(sq, lo, hi):
-    """Polished real roots in [lo, hi] of a square-free Fraction coefficient list.
-
-    Companion-matrix roots with a small imaginary part are Newton-polished,
-    clamped into the window and deduplicated.  A list with a coefficient
-    beyond the float range is first scaled by a power of two, exactly.
-    """
-    if len(sq) <= 1:
-        return []
-    try:
-        arr = np.array([float(c) for c in sq])
-    except OverflowError:
-        top = max(sq, key=abs)
-        shift = top.numerator.bit_length() - top.denominator.bit_length()
-        sq = [c / 2**shift for c in sq]
-        arr = np.array([float(c) for c in sq])
-    scale = np.max(np.abs(arr))
-    roots = np.roots(arr[::-1] / scale)
-    poly = Poly.from_t_coeffs(sq)
-    span = abs(hi - lo)
-    out = []
-    for z in roots:
-        if abs(z.imag) > 1e-7 * max(1.0, abs(z.real)) + 1e-10:
-            continue
-        try:
-            x = newton(poly, float(z.real), 60, 1e-16)
-        except OverflowError:  # a float power of a root far outside any window
-            continue
-        if lo - 1e-9 * span <= x <= hi + 1e-9 * span:
-            out.append(min(max(x, lo), hi))
-    out.sort()
-    merged = []
-    for x in out:
-        if merged and abs(x - merged[-1]) < 1e-12 * max(1.0, abs(x)):
-            continue
-        merged.append(x)
-    return merged

@@ -27,9 +27,9 @@ from framedcurves import (
     scan_family,
     schubert_number,
 )
-from framedcurves.classify import _AdaptedTypeOracle, _FactoredDetector, _line_roots
+from framedcurves.classify import _AdaptedTypeOracle, _exact_roots, _FactoredDetector, _line_roots
 from framedcurves.examples import helix_frenet_field, radial_circle_field
-from framedcurves.ratpoly import Poly, integer_coeffs, real_roots_squarefree, squarefree, trim, vanishes_at
+from framedcurves.ratpoly import Poly, integer_coeffs, squarefree, trim, vanishes_at
 
 increasing_triples = st.lists(
     st.integers(min_value=1, max_value=9), min_size=3, max_size=3, unique=True
@@ -242,15 +242,13 @@ def _unfold_family(t0, lam0, c):
 
 
 def _scan_points(detector, lambdas, window):
-    """The (t, lam_q, line) points a scan classifies, over the given lambda lines."""
+    """The (t, lam_q) points a scan classifies, over the given lambda lines."""
     factored = _FactoredDetector(detector)
     points = []
     for lam in lambdas:
         lam_q = Fraction(float(lam))
-        roots, line = _line_roots(factored, lam_q, window)
-        if roots:
-            ints = integer_coeffs(line)
-            points.extend((r, lam_q, ints) for r in roots)
+        roots, _ = _line_roots(factored, lam_q, window)
+        points.extend((r, lam_q) for r in roots)
     return points
 
 
@@ -271,6 +269,32 @@ def test_batched_oracle_equals_one_point_at_a_time(t0, lam0, c):
     assert {confidence for _, confidence in batched} >= {"high"}
     if lam0.denominator & (lam0.denominator - 1) == 0:
         assert "exact" in {confidence for _, confidence in batched}
+
+
+# -- line roots beside an event ---------------------------------------------------
+
+
+def test_a_line_just_past_an_event_has_no_phantom_root():
+    # on lambda = 0.04999999999999999, lambda - 1/20 is -1.1e-17: the double
+    # root of the event at (1/3, 1/20) has left the real line
+    fam = _unfold_family(Fraction(1, 3), Fraction(1, 20), Fraction(3, 2))
+    lam_q = Fraction(0.04999999999999999)
+    assert lam_q < Fraction(1, 20)
+    roots, _ = _line_roots(_FactoredDetector(fam.detector()), lam_q, (-1.0, 1.0))
+    assert roots == []
+
+
+def test_two_roots_beside_an_event_stay_two_strata():
+    # kappa3 = (t - 1/3)^2 - lambda on lambda = 2^-64, 2^-62, 2^-60: each line
+    # has the roots 1/3 -+ 2^-32 ... 2^-30, far closer than any float threshold
+    fam = _unfold_family(Fraction(1, 3), Fraction(0), Fraction(1))
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 401), [2.0**-64, 2.0**-62, 2.0**-60])
+    assert [len(s.params) for s in res.strata] == [3, 3]
+    third = Fraction(1, 3)
+    for s, sign in zip(res.strata, (-1, 1)):
+        expect = [float(third + sign * Fraction(1, 2**k)) for k in (32, 31, 30)]
+        assert s.params[:, 1].tolist() == expect
+    assert 0.33333333333333337 not in [t for s in res.strata for t in s.params[:, 1]]
 
 
 # -- events from the discriminant ------------------------------------------------
@@ -397,8 +421,8 @@ def test_a_line_on_a_discriminant_root_keeps_its_exact_roots():
         own = trim(detector.subs_u(lam).t_coeffs())
         roots, line = _line_roots(factored, lam, window)
         assert line == squarefree(own)
-        assert roots == real_roots_squarefree(squarefree(own), *window)
-        assert [Fraction(r).limit_denominator(100) for r in roots] == exact
+        assert roots == [x if hit else float(x) for x, hit in _exact_roots(squarefree(own), *window)]
+        assert roots == exact
         assert all(vanishes_at(integer_coeffs(own), x) for x in exact)
     # the content vanishes at -1/2: the whole line does
     assert _line_roots(factored, Fraction(-1, 2), window) == (None, [])

@@ -229,6 +229,24 @@ def test_type_of_monomial_polynomial(tmp_path, capsys):
     assert "(1, 2, 4)" in out
 
 
+def test_type_of_a_curvature_family_comes_from_its_exact_jets(tmp_path, capsys):
+    # kappa3 = t^2 - lambda: (1/10, 1/100) is on the (2, 3, 4) branch t^2 = lambda,
+    # whatever the t grid, and a t between its nodes is typed as well
+    config = {**BUTTERFLY_CONFIG, "grids": {"t": [-1.0, 1.0, 401], "lambda": [-0.2, 0.2, 41]}}
+    assert main(["type", "--config", _write_config(tmp_path, config), "--t", "0.1", "--lam", "0.01"]) == 0
+    out = capsys.readouterr().out
+    assert "subject: frame dual" in out and "type: (2, 3, 4)" in out
+    assert "mode: float  confidence: high" in out
+    assert main(["type", "--config", _write_config(tmp_path, BUTTERFLY_CONFIG), "--t", "0.123"]) == 0
+    assert "type: (1, 2, 3)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("t", ["1e200", "1e150", "-3e30"])
+def test_type_of_a_curvature_family_beyond_the_float_range_is_a_numeric_failure(tmp_path, capsys, t):
+    assert main(["type", "--config", _write_config(tmp_path, BUTTERFLY_CONFIG), f"--t={t}"]) == 3
+    assert "numeric failure (DomainError)" in capsys.readouterr().err
+
+
 # -- enumerate --------------------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from framedcurves.acceptance import criterion_7
 from framedcurves.classify import (
     CurvatureFamily,
     DiagonalFamily,
@@ -199,7 +200,7 @@ def test_scan_exports_are_byte_stable(tmp_path):
         "b479f9dcbc2526fcb2bbcb87e99812f210d178c84cfdb96eceaede779aeabe85"
     )
     assert _sha256(out / "report.json") == (
-        "829cc3194eaa9a4c4ee132e572065a19be29f41151db2dee6c93a68ee2faf3b6"
+        "c54247e4b3eec3c3c995401e6aca5a8e82ea108d28532d717a8ee8c1fa56ac96"
     )
 
 
@@ -213,8 +214,22 @@ def test_osculating_scan_is_bit_stable():
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
     )
     assert _digest(*(s.params for s in res.strata)) == (
-        "b77993b26666786ae5309ca0216dcba16b9e45a1bbb975ec56dd822f2e682eb1"
+        "0738867ab34750da6ccab9b4e353df748a74651fca85fadb3964eb96bc176d9b"
     )
+
+
+def test_scans_take_no_float_root_path(monkeypatch):
+    # every root of a scan comes from exact isolation: with numpy's companion
+    # matrix and eigenvalue solvers gone, criterion 7 and the osculating scan
+    # still pass with the same bytes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float root finder was called")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    res = criterion_7()
+    assert res.ok, res.line()
+    test_osculating_scan_is_bit_stable()
 
 
 def test_flag_charts_are_bit_stable():
@@ -258,12 +273,13 @@ def test_exact_flag_residuals_are_bit_stable():
 
 
 def test_scan_family_roots_and_refinement_are_bit_stable():
-    # strata params carry the polished line roots; _refine_event locates the
-    # event at each root of the discriminant's factors in the lambda bracket
+    # strata params carry the exactly isolated line roots, rounded to floats;
+    # _refine_event locates the event at each root of the discriminant's
+    # factors in the lambda bracket
     family = CurvatureFamily.frenet(1, Poly.t() * Poly.t() - Poly.u())
     res = scan_family(family, np.linspace(-1.0, 1.0, 400), np.linspace(-0.2, 0.2, 81))
     assert _digest(*(s.params for s in res.strata)) == (
-        "0adaba834ecfc7aefaaac7a9566e610e532e424d68558bc147b0cc68c05ebb47"
+        "46438444620206ea210e8066daab6bfa11b90925b5b5828f5bc341906611d3e0"
     )
     detector = _FactoredDetector(family.detector())
     hit = [(t, lam) for e, line, gcd in detector.multiple_root_lines()

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framedcurves import NormalFormFamily, Poly
+from framedcurves.classify import _exact_roots
 from framedcurves.ratpoly import (
     integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
-    real_roots_squarefree,
     resultant_t,
     squarefree_t,
     trim,
@@ -201,9 +201,10 @@ def test_resultant_of_a_common_factor_is_zero_and_of_a_constant_a_power():
 
 def test_real_roots_beyond_the_float_range_are_scaled_exactly():
     big = Fraction(10**400)
-    assert real_roots_squarefree([-big / 4, Fraction(0), big], -1.0, 1.0) == [-0.5, 0.5]
+    half = Fraction(1, 2)
+    assert _exact_roots([-big / 4, Fraction(0), big], -1.0, 1.0) == [(-half, True), (half, True)]
     # a monic line whose constant term overflows has no root in the window
-    assert real_roots_squarefree([-big, Fraction(0), Fraction(1)], -1.0, 1.0) == []
+    assert _exact_roots([-big, Fraction(0), Fraction(1)], -1.0, 1.0) == []
 
 
 def test_real_roots_are_isolated_exactly_also_when_they_nearly_coincide():
