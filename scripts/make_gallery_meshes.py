@@ -53,8 +53,9 @@ def main():
         ("helix-developable", helix_frenet_field, np.linspace(-np.pi, np.pi, 200)),
     ):
         fam = hyperplane_family(factory(nodes)[1])
-        mesh = envelope_mesh(fam, s_grid=np.linspace(-1.5, 1.5, args.s_samples))
-        locus = singular_locus(fam)
+        strip_grid = np.linspace(-1.5, 1.5, args.s_samples)
+        mesh = envelope_mesh(fam, s_grid=strip_grid)
+        locus = singular_locus(fam, s_grid=strip_grid)
         write_pair(args.out, name, mesh, locus)
 
 

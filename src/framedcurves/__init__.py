@@ -19,16 +19,9 @@ from .errors import (
 )
 from .spaceform import (
     AmbientForm,
-    Hyperplane,
     SpaceForm,
-    hyperplane_eval,
     inner_product,
-    model_residual,
-    normalize_to_model,
-    random_isometry,
     space_form,
-    tangent_residual,
-    transform_hyperplane,
 )
 from .curves import (
     ClosedFormCurve,
@@ -64,21 +57,17 @@ from .frames import (
     gram_schmidt_signed,
     integrate_structure_equation,
     legendre_residuals,
-    osculating_frame,
     reorthonormalize,
     structure_matrix,
     structure_poly_matrix,
 )
 from .flags import (
     FlagCurve,
-    c_integral_reconstruct,
     c_integrality_residual,
     c_lift_monomial,
     d_integrality_residual,
     dual_curve_from_clift,
     flag_from_curve,
-    flag_from_frame,
-    projection_curve,
     type_from_diagonal_orders,
 )
 from .envelope import (

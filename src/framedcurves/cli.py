@@ -137,10 +137,11 @@ def _cmd_frame(args):
 def _cmd_envelope(args):
     cfg = _load_config(args)
     fam = hyperplane_family(cfg.build_field(lam=args.lam))
-    mesh = envelope_mesh(fam, s_grid=cfg.s_grid(), tol=cfg.mesh_tol)
+    s_grid = cfg.s_grid()
+    mesh = envelope_mesh(fam, s_grid=s_grid, tol=cfg.mesh_tol)
     mesh_path = _out_path(args, cfg, "mesh")
     export_obj(mesh, mesh_path)
-    locus = singular_locus(fam, tol=cfg.mesh_tol)
+    locus = singular_locus(fam, tol=cfg.mesh_tol, s_grid=s_grid)
     locus_path = _sibling(mesh_path, "locus")
     export_polylines(locus, locus_path)
     # F = <x - gamma, nu>_G and F_t = <x - gamma, nu'>_G (G the form matrix, or

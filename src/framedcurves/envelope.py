@@ -202,6 +202,14 @@ def _geodesic(sf, s):
     return np.cosh(s), np.sinh(s)
 
 
+def _strip_grid(s_grid):
+    """The strip parameters as floats; None gives the default 51 nodes on
+    [-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW]."""
+    if s_grid is None:
+        return np.linspace(-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW, 51)
+    return np.asarray(s_grid, dtype=float)
+
+
 def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     """Mesh the envelope of a hyperplane family, one strip per parameter node.
 
@@ -217,9 +225,7 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     sf = fam.sf
     if sf.n != 2:
         raise CapabilityError("envelope meshing is wired for n = 2")
-    if s_grid is None:
-        s_grid = np.linspace(-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW, 51)
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _strip_grid(s_grid)
     keep, direction, a, b = _characteristic_lines(fam, tol)
     if not keep.any():
         raise DegeneracyError(0, "hyperplane family is degenerate at every node")
@@ -329,16 +335,18 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
 # -- singular locus -------------------------------------------------------------------
 
 
-def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S_WINDOW):
+def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_grid=None):
     """Points with the additional second-derivative incidence, as polylines.
 
     Normal-form families solve F_tt = 0 exactly on the discriminant (linear
     in s) at the nodes of ``t_grid``, which applies to normal forms only.
-    Hyperplane families solve F_tt = c(s) a + sigma(s) b = 0 (frame
+    Tangent-hyperplane families solve F_tt = c(s) a + sigma(s) b = 0 (frame
     coordinates) at their own nodes on the characteristic lines of
     ``envelope_mesh``, so s is the mesh's s in every geometry; on the sphere
-    it is the root with |s| <= pi/2.  Chains break where the
-    solution leaves the s-window or jumps by more than chain_gap.
+    it is the root with |s| <= pi/2.  Their roots are kept within the range
+    of ``s_grid``, the strip parameters ``envelope_mesh`` takes (same
+    default), so every locus point lies on the mesh.  Chains break where the
+    solution leaves that range or jumps by more than chain_gap.
     """
     if isinstance(obj, NormalFormFamily):
         if t_grid is None:
@@ -374,7 +382,8 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_window=DEFAULT_S
         ratio = -a / np.where(np.abs(b) > 1e-13, b, 1.0)
         solved = (np.abs(b) > 1e-13) & (np.abs(ratio) < 1.0)
         s_star = np.arctanh(np.where(solved, ratio, 0.0))
-    solved &= np.abs(s_star) <= s_window
+    s_grid = _strip_grid(s_grid)
+    solved &= (s_star >= np.min(s_grid)) & (s_star <= np.max(s_grid))
     s_star = s_star[solved] + 0.0  # an exact root a = 0 gives -0.0; write it as 0.0
     c, s = _geodesic(sf, s_star)
     ambient = c[:, None] * fam.frames[keep, :, 0][solved] + s[:, None] * direction[solved]
@@ -438,15 +447,13 @@ def _write_records(handle, tag, indices):
         handle.write(head + sep.join(map(" ".join, zip(*cols))) + "\n")
 
 
-def export_obj(mesh: EnvelopeMesh, path, triangulate=False):
+def export_obj(mesh: EnvelopeMesh, path):
     """ASCII mesh export: per-vertex comments and v lines, then 1-based faces.
 
     Floats are written with ``repr`` (shortest round-trip form).  The text is
     built and written to disk in chunks of rows, so memory stays bounded.
     """
     faces = mesh.faces + 1
-    if triangulate:
-        faces = faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
     with atomic_open(path) as handle:
         _write_vertices(handle, mesh.params, mesh.ambient, mesh.vertices, mesh.singular)
         _write_records(handle, "f", faces)

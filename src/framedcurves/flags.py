@@ -1,9 +1,10 @@
-"""Flag coordinates near a base frame, integrality residuals, reconstruction.
+"""Flag coordinates near a base frame, integrality residuals, monomial lifts.
 
 A full flag close to the standard one has a unique basis in column echelon
 form: column j is e_j plus multiples x_i^j of the later e_i (0 <= j < i <=
-n+1).  Concretely, the coordinates of a frame field E(t) relative to a base
-frame are the unit-lower-triangular factor of base^{-1} E(t).
+n+1).  Concretely, the coordinates of a curve's osculating flag relative to
+a base frame are the unit-lower-triangular factor of base^{-1} M(t), M the
+jet matrix (gamma, gamma', ..., gamma^(n+1)).
 
 Two exterior systems live on these coordinates:
 
@@ -22,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import PolynomialCurve
-from .errors import CapabilityError, ChartError, DomainError
-from .frames import field_derivatives
+from .errors import ChartError, DomainError
 from .ratpoly import Poly
 
 _PIVOT_TOL = 1e-10
@@ -41,11 +41,10 @@ def _evalf_on(poly: Poly, nodes):
 class FlagCurve:
     """Lower-triangular flag coordinates: exact polys, or float arrays over s.
 
-    Monomial lifts and polynomial reconstructions carry polys; the charts of
-    curves and frame fields are float arrays, with ``derivs`` holding the
-    per-node coordinate derivatives from their exact derivative channels (see
-    _chart_derivative).  The residuals of float coordinates without ``derivs``
-    raise DomainError.
+    Monomial lifts carry polys; the chart of a curve (flag_from_curve) is
+    float arrays, with ``derivs`` holding the per-node coordinate derivatives
+    taken from its jets (see _chart_derivative).  The residuals of float
+    coordinates without ``derivs`` raise DomainError.
     """
 
     dim: int
@@ -78,25 +77,6 @@ class FlagCurve:
 
 
 # -- chart extraction -----------------------------------------------------------
-
-
-def flag_from_frame(field, base=None) -> FlagCurve:
-    """Flag coordinates of a frame field relative to a base frame, with derivatives.
-
-    The chart is centered at the base (default: the field's first frame), so
-    a frame field equal to the base has all coordinates zero.  The
-    derivatives come from M' = base^-1 E', read off the field's exact
-    derivative channel (frames.field_derivatives), so a field with callable
-    curvatures raises CapabilityError.  A singular pivot minor means the
-    field left the chart: ChartError with the exit parameter.
-    """
-    mats, e1, _, _ = field_derivatives(field)
-    base_matrix = mats[0] if base is None else getattr(base, "matrix", base)
-    base_matrix = np.asarray(base_matrix, dtype=float)
-    s = np.asarray(field.s, dtype=float)
-    lower, upper = _doolittle(np.linalg.solve(base_matrix, mats), s)
-    derivs = _chart_derivative(lower, upper, np.linalg.solve(base_matrix, e1))
-    return FlagCurve(dim=base_matrix.shape[0], s=s, coords=_chart(lower), derivs=derivs, base=base_matrix)
 
 
 def _chart(stack):
@@ -256,37 +236,6 @@ def d_integrality_residual(fc: FlagCurve, nodes=None):
     for i in range(1, fc.dim):
         res = res + w[i] * ders[(i, 0)]
     return np.abs(res)
-
-
-# -- reconstruction ---------------------------------------------------------------
-
-
-def c_integral_reconstruct(diagonal) -> FlagCurve:
-    """The unique C-integral flag curve through the base with a given diagonal.
-
-    ``diagonal`` holds the entries x_{j+1}^j(t) as exact polys; a non-Poly
-    entry raises CapabilityError.  Rows are filled in increasing i-j order:
-    each x_i^j integrates the already known x_i^{j+1} (x_{j+1}^j)' exactly,
-    with the off-diagonal entries vanishing at t = 0.
-    """
-    diagonal = tuple(diagonal)
-    if not all(isinstance(p, Poly) for p in diagonal):
-        raise CapabilityError("reconstruction needs exact polynomial diagonal entries")
-    dim = len(diagonal) + 1
-    polys = {(j + 1, j): p for j, p in enumerate(diagonal)}
-    for gap in range(2, dim):
-        for j in range(0, dim - gap):
-            i = j + gap
-            polys[(i, j)] = (polys[(i, j + 1)] * polys[(j + 1, j)].diff_t()).integrate_t()
-    return FlagCurve(dim=dim, polys=polys)
-
-
-def projection_curve(fc: FlagCurve) -> PolynomialCurve:
-    """The point curve (1, x_1^0, ..., x_{n+1}^0) of an exact flag curve."""
-    if fc.polys is None:
-        raise DomainError("projection to a polynomial curve needs exact coordinates")
-    comps = [Poly.const(1)] + [fc.polys[(i, 0)] for i in range(1, fc.dim)]
-    return PolynomialCurve(comps)
 
 
 # -- order bookkeeping -------------------------------------------------------------

@@ -32,9 +32,8 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .jets import DEFAULT_RANK_TOL, detect_type_report
 from .ratpoly import Poly, as_fraction
-from .spaceform import SpaceForm, group_exp, inner_product, normalize_to_model
+from .spaceform import SpaceForm, group_exp, inner_product
 
 _GS_TOL = 1e-12
 
@@ -441,47 +440,6 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
             raise IntegrationError(s)
 
     return FrameField(sf, nodes, out, curvature=curv, meta={"steps": steps, "rejected": rejected})
-
-
-# -- osculating frames ----------------------------------------------------------
-
-
-def _signed_det_fix(cols):
-    """Flip the last column if needed so the matrix determinant is positive."""
-    m = np.stack(cols, axis=1)
-    if np.linalg.det(m) < 0:
-        cols[-1] = -cols[-1]
-    return cols
-
-
-def osculating_frame(curve, t, sf: SpaceForm, rank_tol=DEFAULT_RANK_TOL) -> Frame:
-    """Frame spanning the osculating flag of the curve at t.
-
-    The flag generators are gamma and the derivatives at the rank-jump orders
-    gamma^(a_1), ..., gamma^(a_{n+1}); Gram-Schmidt against the model's form
-    produces the frame.  Signs: e_k keeps the direction of its generator for
-    k <= n, and e_{n+1} is flipped if needed to make det > 0.
-    """
-    report = detect_type_report(curve, t, rank_tol=rank_tol)
-    a = report.type
-    jet = curve.jet(t, a[-1])
-    cols = [jet[:, 0]] + [jet[:, ai] for ai in a]
-
-    if sf.kind == "euclidean":
-        base = normalize_to_model(cols[0], sf)
-        spatial = gram_schmidt_signed([c[1:] for c in cols[1:]], sf.form_spatial)
-        spatial = _signed_det_fix(spatial)
-        dim = curve.dim
-        mat = np.zeros((dim, dim))
-        mat[:, 0] = base
-        for j, col in enumerate(spatial):
-            mat[1:, j + 1] = col
-        return Frame(mat, sf)
-
-    cols[0] = normalize_to_model(cols[0], sf)
-    frame_cols = gram_schmidt_signed(cols, sf.form)
-    frame_cols = _signed_det_fix(frame_cols)
-    return Frame(np.stack(frame_cols, axis=1), sf)
 
 
 # -- frame dual -----------------------------------------------------------------

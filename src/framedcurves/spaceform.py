@@ -8,9 +8,11 @@ All three geometries live in an (n+2)-dimensional coordinate space:
 * ``hyperbolic`` -- the upper sheet {x . x = -1, x0 > 0} of the Lorentz
   form  x . y = -x0 y0 + x1 y1 + ... .
 
-Hyperplane elements pair a unit conormal with an offset; in the two quadric
-geometries the offset is unused and the conormal lives on the dual quadric
-(unit sphere, respectively de Sitter space).
+A hyperplane is given by a unit conormal, for a framed curve its last frame
+vector e_{n+1} (see ``envelope``).  In the two quadric geometries the
+conormal lives on the dual quadric (unit sphere, respectively de Sitter
+space); a euclidean hyperplane also carries an offset, so its dual model is
+R x S^n (``SpaceForm.dual_kind``).
 """
 
 from __future__ import annotations
@@ -133,85 +135,6 @@ def space_form(kind: str, n: int = 2) -> SpaceForm:
     return SpaceForm(kind, n)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """A totally geodesic hyperplane: unit conormal plus (euclidean) offset.
-
-    For the quadric geometries the hyperplane is {x : x . conormal = 0} and
-    ``offset`` must be 0.  For euclidean it is {x : x . conormal + offset = 0}
-    with a conormal of leading coordinate 0.
-    """
-
-    conormal: tuple
-    offset: float = 0.0
-
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.conormal, dtype=float)
-
-
-def normalize_to_model(x, sf: SpaceForm) -> np.ndarray:
-    """Scale a coordinate vector onto the model.
-
-    euclidean: divide by the leading coordinate (must be nonzero);
-    spherical: positive scaling onto {x.x = 1} (x must be nonzero);
-    hyperbolic: scaling onto {x.x = -1} with a sign flip onto the upper
-    sheet x0 > 0 (x must be timelike).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sf.dim,):
-        raise DimensionMismatch(f"expected a vector of length {sf.dim}, got {x.shape}")
-    if sf.kind == EUCLIDEAN:
-        if x[0] == 0.0:
-            raise DomainError("euclidean point has zero leading coordinate; not in the affine chart")
-        return x / x[0]
-    q = inner_product(x, x, sf.form)
-    if sf.kind == SPHERICAL:
-        if q <= 0.0:
-            raise DomainError("cannot scale the zero vector onto the sphere quadric {x.x = 1}")
-        return x / np.sqrt(q)
-    # hyperbolic
-    if q >= 0.0:
-        raise DomainError("vector is not timelike; cannot scale onto the quadric {x.x = -1}")
-    y = x / np.sqrt(-q)
-    if y[0] < 0.0:
-        y = -y
-    return y
-
-
-def model_residual(x, sf: SpaceForm) -> float:
-    """Distance of x from the defining equation of the model (0 when on it)."""
-    x = np.asarray(x, dtype=float)
-    if sf.kind == EUCLIDEAN:
-        return abs(x[0] - 1.0)
-    target = 1.0 if sf.kind == SPHERICAL else -1.0
-    return abs(inner_product(x, x, sf.form) - target)
-
-
-def hyperplane_eval(x, h: Hyperplane, sf: SpaceForm) -> float:
-    """Signed incidence value of a point against a hyperplane (0 = on it)."""
-    x = np.asarray(x, dtype=float)
-    v = h.vector()
-    if sf.kind == EUCLIDEAN:
-        return inner_product(x, v, sf.form) + h.offset
-    if h.offset != 0.0:
-        raise DomainError(f"{sf.kind} hyperplanes carry no offset")
-    return inner_product(x, v, sf.form)
-
-
-def tangent_residual(x, v, sf: SpaceForm) -> float:
-    """How far v is from being tangent to the model at x (0 = tangent).
-
-    In the quadric geometries tangency is x . v = 0; in the euclidean chart
-    tangent vectors are exactly those with vanishing leading coordinate.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (sf.dim,):
-        raise DimensionMismatch(f"expected a vector of length {sf.dim}, got {v.shape}")
-    if sf.kind == EUCLIDEAN:
-        return abs(float(v[0]))
-    return abs(inner_product(x, v, sf.form))
-
-
 #: max(|y1|, |y2|) up to which group_exp sums the Taylor series of exp
 _SERIES_RADIUS = 4.0
 #: beyond it, y1 and y2 count as close when ((y1 - y2) / 2)^2 < _CLOSE_ROOTS |y1 + y2| / 2
@@ -298,43 +221,3 @@ def group_exp(omega) -> np.ndarray:
     c = np.array(coeffs).reshape(a.shape + (4, 1, 1))
     c0, c1, c2, c3 = (c[..., k, :, :] for k in range(4))
     return c0 * _EYE4 + c1 * omega + c2 * o2 + c3 * (o2 @ omega)
-
-
-def random_isometry(sf: SpaceForm, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """A random element of the isometry group, as an ambient matrix (n = 2).
-
-    Used by the invariance tests.  For euclidean the matrix acts on the
-    affine chart (block [[1, 0], [b, R]]); for the quadric geometries it is
-    the exponential of a form-antisymmetric generator, which lands in the
-    identity component.
-    """
-    d = sf.dim
-    if d != 4:
-        raise DimensionMismatch(f"random_isometry is wired for n = 2, got n = {sf.n}")
-    if sf.kind == EUCLIDEAN:
-        A = rng.normal(scale=scale, size=(d - 1, d - 1))
-        S = np.zeros((d, d))
-        S[1:, 1:] = A - A.T
-        g = group_exp(S)
-        g[1:, 0] = rng.normal(scale=scale, size=d - 1)
-        return g
-    A = rng.normal(scale=scale, size=(d, d))
-    S = A - A.T
-    if sf.kind == SPHERICAL:
-        return group_exp(S)
-    return group_exp(sf.form.matrix @ S)
-
-
-def transform_hyperplane(g: np.ndarray, h: Hyperplane, sf: SpaceForm) -> Hyperplane:
-    """Push a hyperplane forward by an isometry so incidence is preserved."""
-    v = h.vector()
-    if sf.kind == EUCLIDEAN:
-        R = g[1:, 1:]
-        b = g[1:, 0]
-        w = np.zeros_like(v)
-        w[1:] = R @ v[1:]
-        return Hyperplane(tuple(w), h.offset - float(b @ w[1:]))
-    J = sf.form.matrix
-    # conormals transform by the inverse transpose with respect to the form
-    w = J @ np.linalg.inv(g).T @ J @ v
-    return Hyperplane(tuple(w), 0.0)

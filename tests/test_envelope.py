@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -255,6 +256,35 @@ def test_quadric_locus_lies_on_the_mesh_lines(kind, nodes, kappa):
         assert [len(pl.params) for pl in polylines] == [799]
 
 
+@pytest.mark.parametrize(
+    "kappa2, s_grid, expect",
+    [
+        # constant curvatures put the edge of regression at one s* at every
+        # node: s* ~ -1.818 lies outside the default window but on this mesh,
+        (3, [-3.0, 3.0, 61], [-1.8184464592320677] * 40),
+        # and s* ~ -1.444 inside the default window but off this one
+        (2, [-1.0, 1.0, 9], []),
+    ],
+    ids=["wide", "narrow"],
+)
+def test_locus_is_kept_within_the_mesh_s_grid(tmp_path, kappa2, s_grid, expect):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "geometry": "hyperbolic",
+        "curve": {"kind": "curvature", "delta": -1, "kappa": [["1"], [str(kappa2)], ["1"]]},
+        "grids": {"t": [0.0, 3.0, 40], "s": s_grid},
+    }))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["envelope", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["singular_locus"]["polylines"] == (1 if expect else 0)
+    s = [float(line.split()[3]) for line in (out / "envelope.locus.obj").read_text().splitlines()
+         if line.startswith("# param ")]
+    assert len(s) == len(expect)
+    assert np.allclose(s, expect, rtol=0.0, atol=1e-12)
+
+
 # -- discriminant normal forms -------------------------------------------------------
 
 
@@ -345,17 +375,6 @@ def test_export_obj_structure(tmp_path):
         assert all(1 <= i <= len(mesh.vertices) for i in idx)  # 1-based
 
 
-def test_export_obj_triangulated(tmp_path):
-    _, field = radial_circle_field(np.linspace(0.0, np.pi, 10))
-    fam = hyperplane_family(field)
-    mesh = envelope_mesh(fam, s_grid=np.linspace(-0.5, 0.5, 4))
-    path = tmp_path / "cyl-tri.obj"
-    export_obj(mesh, path, triangulate=True)
-    f_lines = [l for l in path.read_text().splitlines() if l.startswith("f ")]
-    assert len(f_lines) == 2 * len(mesh.faces)
-    assert all(len(l.split()) == 4 for l in f_lines)
-
-
 def test_export_polylines_structure(tmp_path):
     nf = NormalFormFamily((1, 2, 3))
     polylines = singular_locus(nf, t_grid=np.linspace(-1.0, 1.0, 11))
@@ -381,18 +400,14 @@ def test_export_is_deterministic(tmp_path):
 # -- exporter equivalence --------------------------------------------------------------
 
 
-def _reference_obj(mesh, triangulate=False):
+def _reference_obj(mesh):
     """The per-row "{!r}" formatter that export_obj must match byte for byte."""
     head = "# param {!r} {!r}\n# ambient " + " ".join(["{!r}"] * mesh.ambient.shape[1]) + "\n"
     tail = "v " + " ".join(["{!r}"] * mesh.vertices.shape[1]) + "\n"
     plain, marked = (head + tail).format, (head + "# mark singular-locus\n" + tail).format
     rows = np.concatenate([mesh.params, mesh.ambient, mesh.vertices], axis=1).tolist()
-    faces = mesh.faces + 1
-    if triangulate:
-        faces = faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    face = ("f" + " {}" * faces.shape[1] + "\n").format
     text = "".join((marked if m else plain)(*row) for row, m in zip(rows, mesh.singular.tolist()))
-    text += "".join(face(*row) for row in faces.tolist())
+    text += "".join("f {} {} {} {}\n".format(*row) for row in (mesh.faces + 1).tolist())
     return text or "\n"
 
 
@@ -443,11 +458,11 @@ def _meshes(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_meshes(), st.booleans())
-def test_export_obj_matches_the_per_row_formatter(tmp_path_factory, mesh, triangulate):
+@given(_meshes())
+def test_export_obj_matches_the_per_row_formatter(tmp_path_factory, mesh):
     path = tmp_path_factory.mktemp("obj") / "mesh.obj"
-    export_obj(mesh, path, triangulate=triangulate)
-    assert path.read_bytes() == _reference_obj(mesh, triangulate).encode()
+    export_obj(mesh, path)
+    assert path.read_bytes() == _reference_obj(mesh).encode()
 
 
 @st.composite
@@ -474,8 +489,8 @@ def test_export_obj_crosses_the_real_chunk_size(tmp_path):
     assert len(mesh.params) > envelope._EXPORT_CHUNK
     mesh.singular[::7] = True
     path = tmp_path / "nf.obj"
-    export_obj(mesh, path, triangulate=True)
-    assert path.read_bytes() == _reference_obj(mesh, triangulate=True).encode()
+    export_obj(mesh, path)
+    assert path.read_bytes() == _reference_obj(mesh).encode()
 
 
 @pytest.mark.parametrize("a", [(150, 160, 170), (1, 2, 170)])

@@ -20,8 +20,6 @@ from framedcurves import (
     inner_product,
     integrate_structure_equation,
     legendre_residuals,
-    monomial_curve,
-    osculating_frame,
     reorthonormalize,
     space_form,
     structure_matrix,
@@ -379,18 +377,6 @@ def test_dual_coefficient_recursion():
             for j in range(4):
                 derived = derived - K[j][i] * d[k][j]
             assert (derived - d[k + 1][i]).is_zero()
-
-
-# -- frames from curve jets -------------------------------------------------------
-
-
-def test_osculating_frame_of_monomial_curve():
-    sf = space_form("euclidean")
-    curve = monomial_curve((1, 2, 3))
-    fr = osculating_frame(curve, 0.0, sf)
-    assert gram_defect(fr) < 1e-12
-    # at t=0 the jets already point along the axes
-    assert np.allclose(fr.matrix, np.eye(4), atol=1e-12)
 
 
 def test_frame_field_from_function_spacing():

@@ -29,14 +29,12 @@ from framedcurves.classify import (
 from framedcurves.cli import main
 from framedcurves.config import RunConfig
 from framedcurves.curves import helix_curve
-from framedcurves.examples import helix_frenet_field
 from framedcurves.flags import (
     FlagCurve,
     c_integrality_residual,
     c_lift_monomial,
     d_integrality_residual,
     flag_from_curve,
-    flag_from_frame,
 )
 from framedcurves.ratpoly import Poly
 from frame_reference import dop853_frames, relative_frame_error
@@ -234,16 +232,8 @@ def test_scans_take_no_float_root_path(monkeypatch):
 
 def test_flag_charts_are_bit_stable():
     nodes = np.linspace(-0.5, 0.5, 21)
-    _, field = helix_frenet_field(nodes)
-    from_frame = flag_from_frame(field)
     from_curve = flag_from_curve(helix_curve(), nodes)
-    keys = sorted(from_frame.coords)
-    assert _digest(*(from_frame.coords[k] for k in keys)) == (
-        "03c732131ac718806fc21803dcc4d4cb60f16d22e54d61e072435aa9f7819b98"
-    )
-    assert _digest(*(from_frame.derivs[k] for k in keys)) == (
-        "adc297d98837f29e2bb5e795c1bfe6e00db49a4ecee0b81a92767f5d5d0b1c87"
-    )
+    keys = sorted(from_curve.coords)
     assert _digest(*(from_curve.coords[k] for k in keys)) == (
         "3211669e6c33e91cf4b01352eb877b1116b47fe53a3152b32838f95c428d3550"
     )
