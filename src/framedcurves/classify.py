@@ -32,17 +32,18 @@ from .jets import (
     DEFAULT_RANK_TOL,
     RANK_GAP_MIN,
     _ranks_to_type,
+    algebraic_rank_profile,
     codim_adapted,
     codim_osculating,
     detect_type_report,
     dual_type,
-    exact_rank_profile,
     float_rank_profile,
     schubert_number,
 )
 from .ratpoly import (
     Poly,
     as_fraction,
+    has_root_in,
     integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
@@ -301,211 +302,104 @@ class ScanResult:
 
 def _event_from_type(lam, t, a, confidence):
     if a is None:
-        return BifurcationEvent(float(lam), float(t), None, DEGENERATE, None,
-                                None, None, None, confidence)
-    return BifurcationEvent(
-        float(lam),
-        float(t),
-        a,
-        class_of(a),
-        dual_type(a),
-        codim_adapted(a),
-        codim_osculating(a),
-        schubert_number(a),
-        confidence,
-    )
+        return BifurcationEvent(float(lam), float(t), None, DEGENERATE, None, None, None, None, confidence)
+    return BifurcationEvent(float(lam), float(t), a, class_of(a), dual_type(a), codim_adapted(a),
+                            codim_osculating(a), schubert_number(a), confidence)
 
 
 # -- the scan core ---------------------------------------------------------------
 
 
-_RATIONAL_LADDER = (1, 10**3, 10**6, 10**9)
-
-
-def _rational_candidates(x):
-    """Small-denominator rationals within 1e-9 (relative) of x, simplest first.
-
-    The bound keeps a coarse rung, such as the nearest integer, from
-    standing in for x when it happens to be another root of the same line.
-    """
-    out = []
-    fx = Fraction(float(x))
-    tol = 1e-9 * max(1.0, abs(float(x)))
-    for cap in _RATIONAL_LADDER:
-        q = fx.limit_denominator(cap)
-        if q not in out and abs(q - fx) <= tol:
-            out.append(q)
-    return out
-
-
 class _AdaptedTypeOracle:
-    """Type detection for a curvature family, exact when the point is rational.
+    """Type detection for a curvature family, exact at every rational lambda.
 
     ``classify`` and ``classify_event`` are the skeleton every oracle shares:
-    Fraction points go to ``exact_type`` and float points to ``float_types``.
-    A subclass sets ``detector`` and supplies its own two.
+    a subclass sets ``detector``, ``dim`` and its ``groups`` of columns of
+    Polys in (t, u), and turns their prefix ranks into a type.  A point is
+    (root, lam), with root = (m, a, b) as for ``algebraic_rank_profile``.
     """
 
+    dim = 4
+
     def __init__(self, family: CurvatureFamily, rank_tol, r_max=8):
-        self.jets = family.dual_jet_polys(r_max)
         self.detector = family.detector()
         self.rank_tol = rank_tol
         self.r_max = r_max
-        # each jet entry as its (float coefficient, t degree, u degree) terms,
-        # in the order Poly.evalf visits them
+        self.groups = [family.dual_jet_polys(r_max)]
+
+    def _type(self, ranks):
+        return _ranks_to_type(ranks[0], 4, self.r_max)
+
+    @staticmethod
+    def _columns(group, lam):
+        """The group's columns at u = lam, as integer lists in t with one scale per column."""
+        for col in group:
+            entries = [trim(p.subs_u(lam).t_coeffs()) for p in col]
+            scale = math.lcm(*(c.denominator for x in entries for c in x))
+            yield [[c.numerator * (scale // c.denominator) for c in x] for x in entries]
+
+    def classify(self, root, lam):
+        """(type, "exact") at the root of a rational lambda line; the type is None off finite type."""
         try:
-            self._float_jets = [[tuple((float(v), i, j) for (i, j), v in p.c.items()) for p in d]
-                                for d in self.jets]
-        except OverflowError as exc:
-            raise DomainError(f"a dual-jet coefficient is beyond the float range ({exc})") from exc
-        self._degrees = (max((i for d in self.jets for p in d for i, _ in p.c), default=0),
-                         max((j for d in self.jets for p in d for _, j in p.c), default=0))
-        # and as integer terms, all scaled by one positive factor
-        scale = math.lcm(*(v.denominator for d in self.jets for p in d for v in p.c.values()))
-        self._int_jets = [[tuple((v.numerator * (scale // v.denominator), i, j) for (i, j), v in p.c.items())
-                           for p in d] for d in self.jets]
+            ranks = [algebraic_rank_profile(self._columns(g, lam), self.dim, root) for g in self.groups]
+            return self._type(ranks), "exact"
+        except (FiniteTypeError, DegeneracyError):
+            return None, "exact"
 
-    def _columns_exact(self, tq, lamq):
-        """The dual jets at (p/q, r/s), every entry times one positive factor.
+    def classify_event(self, root, lam):
+        """(type, confidence) at an event: exact at a Fraction lambda.
 
-        Each entry is the integer sum of C p^i q^(I - i) r^j s^(J - j) over its
-        terms, with I and J the largest degrees: the factor q^I s^J times the
-        jets' common denominator leaves every prefix rank unchanged.
+        At an irrational lambda* (a float) the singular-value profile of the
+        columns at the root's midpoint decides, "high" or "low" by its gap.
+        A column that vanishes there comes out ~1e-16 in a clean direction
+        that normalization would promote, so columns far below the matrix
+        scale are zeroed first.
         """
-        (n_t, n_u), (p, q), (r, s) = self._degrees, tq.as_integer_ratio(), lamq.as_integer_ratio()
-        tpow = [p**i * q ** (n_t - i) for i in range(n_t + 1)]
-        upow = [r**j * s ** (n_u - j) for j in range(n_u + 1)]
-        return [[sum(c * tpow[i] * upow[j] for c, i, j in terms) for terms in d] for d in self._int_jets]
-
-    def _columns_float(self, ts, lams):
-        """(points, 4, r_max + 1) stack of the dual jets at float points.
-
-        Each entry replays ``Poly.evalf``'s scalar loop over the compiled terms
-        (Python float powers, a sum from 0.0 in term order) on every point at
-        once, so it equals ``evalf`` there bit for bit.  A point where a jet
-        leaves the float range raises ``DomainError``.
-        """
+        if isinstance(lam, Fraction):
+            return self.classify(root, lam)
+        t, ranks, gap = float((root[1] + root[2]) / 2), [], np.inf
         try:
-            tpow = [np.array([t**i for t in ts]) for i in range(self._degrees[0] + 1)]
-            upow = [np.array([u**j for u in lams]) for j in range(self._degrees[1] + 1)]
+            for group in self.groups:
+                cols = np.array([[p.evalf(t, lam) for p in col] for col in group]).T
+                norms = np.linalg.norm(cols, axis=0)
+                if not np.isfinite(norms).all():
+                    raise OverflowError("a jet is not finite")
+                cols[:, norms <= self.rank_tol * max(norms.max(), 1.0)] = 0.0
+                rk, g = float_rank_profile(cols, self.rank_tol)
+                ranks.append(rk)
+                gap = min(gap, g)
         except OverflowError as exc:
-            raise DomainError(f"a power of a point is beyond the float range ({exc})") from exc
-        cols = np.empty((len(ts), 4, len(self._float_jets)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r, d in enumerate(self._float_jets):
-                for row, terms in enumerate(d):
-                    total = np.zeros(len(ts))
-                    for v, i, j in terms:
-                        total += v * tpow[i] * upow[j]
-                    cols[:, row, r] = total
-        if not np.isfinite(cols).all():
-            raise DomainError("a dual jet is beyond the float range at a point")
-        return cols
-
-    def exact_type(self, tq, lamq):
-        ranks = exact_rank_profile(self._columns_exact(tq, lamq))
-        return _ranks_to_type(ranks, 4, self.r_max)
-
-    def float_types(self, ts, lams):
-        """[(type, confidence)] at float points, from one stacked rank profile."""
-        if not ts:
-            return []
-        cols = self._columns_float(ts, lams)
-        # a jet column that vanishes at the point comes out ~1e-16 with a
-        # perfectly clean direction; per-column normalization would promote it
-        # to a full new direction, so kill columns far below the matrix scale
-        norms = np.linalg.norm(cols, axis=1)
-        floor = self.rank_tol * np.maximum(np.max(norms, axis=1), 1.0)
-        cols = np.where((norms <= floor[:, None])[:, None, :], 0.0, cols)
-        ranks, min_gap = float_rank_profile(cols, self.rank_tol)
-        out = []
-        for rk, gap in zip(ranks.tolist(), min_gap.tolist()):
-            try:
-                a = _ranks_to_type(rk, 4, self.r_max)
-            except (FiniteTypeError, DegeneracyError):
-                out.append((None, "low"))
-            else:
-                out.append((a, "high" if gap >= RANK_GAP_MIN else "low"))
-        return out
-
-    def classify(self, points):
-        """[(type, confidence)] at the points (t, lam).
-
-        A point whose t and lam are both Fractions is classified exactly;
-        every other point goes through one batched float call.
-        """
-        out = [None] * len(points)
-        rest = []
-        for k, (t, lam) in enumerate(points):
-            if isinstance(t, Fraction) and isinstance(lam, Fraction):
-                try:
-                    out[k] = self.exact_type(t, lam), "exact"
-                except (FiniteTypeError, DegeneracyError):
-                    out[k] = None, "exact"
-            else:
-                rest.append(k)
-        floats = self.float_types([float(points[k][0]) for k in rest],
-                                  [float(points[k][1]) for k in rest])
-        for k, res in zip(rest, floats):
-            out[k] = res
-        return out
-
-    def classify_event(self, t, lam):
-        """(type, confidence) at one point; exact when t and lam are Fractions."""
-        return self.classify([(t, lam)])[0]
+            raise DomainError(f"a jet is beyond the float range at an event ({exc})") from exc
+        try:
+            return self._type(ranks), "high" if gap >= RANK_GAP_MIN else "low"
+        except (FiniteTypeError, DegeneracyError):
+            return None, "low"
 
 
 class _OsculatingTypeOracle(_AdaptedTypeOracle):
-    """Type detection from diagonal-entry derivatives of an osculating family."""
+    """Type detection from diagonal-entry derivatives of an osculating family.
 
+    Each entry derivative p gives a group of one-row columns p, p', p'', ...,
+    whose rank reaches 1 at p's vanishing order.
+    """
+
+    dim = 1
     _MAX_ORDER = 9
 
     def __init__(self, family: DiagonalFamily, rank_tol):
-        self.derivs = family.derivative_polys()
         self.detector = family.detector()
         self.rank_tol = rank_tol
+        self.groups = []
+        for p in family.derivative_polys():
+            derivs = [p]
+            while len(derivs) < self._MAX_ORDER:
+                derivs.append(derivs[-1].diff_t())
+            self.groups.append([[d] for d in derivs])
 
-    def _order_exact(self, p, tq, lamq):
-        for k in range(self._MAX_ORDER):
-            if p.eval(tq, lamq) != 0:
-                return k
-            p = p.diff_t()
-        raise FiniteTypeError(0, self._MAX_ORDER)
-
-    def _order_float(self, p, t, lam):
-        scale = max(1.0, max((abs(float(c)) for c in p.c.values()), default=0.0))
-        best_gap = np.inf
-        for k in range(self._MAX_ORDER):
-            val = abs(p.evalf(t, lam))
-            if val > self.rank_tol * scale:
-                return k, min(best_gap, val / (self.rank_tol * scale))
-            if val > 0:
-                best_gap = min(best_gap, self.rank_tol * scale / val)
-            p = p.diff_t()
-        raise FiniteTypeError(0, self._MAX_ORDER)
-
-    def exact_type(self, tq, lamq):
-        orders = [1 + self._order_exact(p, tq, lamq) for p in self.derivs]
-        return type_from_diagonal_orders(orders)
-
-    def float_type(self, t, lam):
-        orders = []
-        min_gap = np.inf
-        for p in self.derivs:
-            k, gap = self._order_float(p, t, lam)
-            orders.append(1 + k)
-            min_gap = min(min_gap, gap)
-        a = type_from_diagonal_orders(orders)
-        return a, ("high" if min_gap >= RANK_GAP_MIN else "low")
-
-    def float_types(self, ts, lams):
-        out = []
-        for t, lam in zip(ts, lams):
-            try:
-                out.append(self.float_type(t, lam))
-            except (FiniteTypeError, DegeneracyError):
-                out.append((None, "low"))
-        return out
+    def _type(self, ranks):
+        if not all(r[-1] for r in ranks):
+            raise FiniteTypeError(0, self._MAX_ORDER)
+        return type_from_diagonal_orders([1 + r.index(1) for r in ranks])
 
 
 class _FactoredDetector:
@@ -539,49 +433,84 @@ class _FactoredDetector:
         return out
 
 
+def _box(x, lo, hi):
+    """The isolating interval of a root ``isolate_real_roots`` gave on [lo, hi] as its midpoint x."""
+    lo, width = Fraction(lo), Fraction(hi) - Fraction(lo)
+    half = width / ((x - lo) / width).denominator
+    return x - half, x + half
+
+
 def _exact_roots(sq, lo, hi):
     """[(x, exact)]: the real roots in [lo, hi] of a square-free coefficient list.
 
-    x is a Fraction: the root itself where bisection hit it or one of its
-    small-denominator candidates verifies, else within 2^-100 of it.  This
-    is the one place a root snaps to a small rational, so a scan point is
-    classified exactly just when its t is a Fraction.
+    x is a Fraction: the root itself where bisection hit it or where the
+    rational nearest the midpoint of its isolating interval with denominator
+    below (4 h)^-1/2, h the half-width, verifies (a rational root that simple
+    always does), else that midpoint, within 2^-100 (hi - lo) of the root.
     """
     ints = integer_coeffs(sq)
     out = []
     for x, exact in isolate_real_roots(ints, lo, hi):
         if not exact:
-            q = next((q for q in _rational_candidates(x) if vanishes_at(ints, q)), None)
-            x, exact = (x, False) if q is None else (q, True)
+            a, b = _box(x, lo, hi)
+            q = x.limit_denominator(math.isqrt(int(1 / (4 * (b - x)))) or 1)
+            x, exact = (q, True) if a < q < b and vanishes_at(ints, q) else (x, False)
         out.append((x, exact))
     return out
 
 
-def _window_roots(sq, window):
-    """The real roots in the window of a square-free list: a Fraction when exact, else a float."""
-    return [x if exact else float(x) for x, exact in _exact_roots(sq, *window)]
+def _root(sq, x, window):
+    """(m, a, b) for a root x that ``_exact_roots`` gave for sq on the window.
+
+    m is sq as integers and (a, b) the root's isolating interval, or m is
+    linear and a == b == x when x is the root itself.
+    """
+    ints = integer_coeffs(sq)
+    if vanishes_at(ints, x):
+        return [-x.numerator, x.denominator], x, x
+    return (ints, *_box(x, *window))
+
+
+def _side(x, root):
+    """-1, 0 or 1 as the Fraction x lies below, at or above the root (m, a, b)."""
+    m, a, b = root
+    if not a < x < b:
+        return (x >= b) - (x <= a)
+    return 0 if vanishes_at(m, x) else -1 if has_root_in(m, x, b) else 1
+
+
+def _simplest(lo, hi):
+    """The rational of least denominator in [lo, hi], the one nearest 0 among those."""
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -_simplest(-hi, -lo)
+    n = math.ceil(lo)
+    if n <= hi:
+        return Fraction(n)
+    return n - 1 + 1 / _simplest(1 / (hi - n + 1), 1 / (lo - n + 1))
 
 
 def _refine_event(line: Poly, gcd: Poly, lam_q, window):
-    """The distinct real roots in the t window of line(., lam_q) / gcd(., lam_q).
+    """(roots, quotient): line(., lam_q) / gcd(., lam_q) and its real roots in the t window.
 
     ``(line, gcd)`` comes from ``multiple_root_lines`` and ``lam_q`` is a
     root of its factor, exact or within 2^-100 of it, so the quotient is the
-    square-free part of the line there, exact or as close, and its roots are
-    the event's t.  Each is a Fraction when it is exact, else a float: no
-    threshold decides which critical point is a root.
+    square-free part of the line there, exact or as close, and its roots, as
+    ``_exact_roots`` gives them, are the event's t: no threshold decides
+    which critical point is a root.
     """
     quotient = poly_quotient(trim(line.subs_u(lam_q).t_coeffs()), trim(gcd.subs_u(lam_q).t_coeffs()))
-    return _window_roots(quotient, window)
+    return [x for x, _ in _exact_roots(quotient, *window)], quotient
 
 
 def _line_roots(detector: _FactoredDetector, lam_q, window):
     """(roots, line) of the detector on the lambda line u = lam_q.
 
     ``line`` is the monic square-free part of the detector's line, and
-    ``roots`` its real roots in the window, or None when the line vanishes
-    identically.  Off the discriminant's roots the line of sf made monic is
-    that part already, with no gcd to take.
+    ``roots`` its real roots in the window as ``_exact_roots`` gives them,
+    or None when the line vanishes identically.  Off the discriminant's roots
+    the line of sf made monic is that part already, with no gcd to take.
     """
     if vanishes_at(detector.content, lam_q):
         return None, []
@@ -589,150 +518,143 @@ def _line_roots(detector: _FactoredDetector, lam_q, window):
     line = [c / line[-1] for c in line]
     if vanishes_at(detector.discriminant, lam_q):
         line = squarefree(line)
-    return _window_roots(line, window), line
+    return [x for x, _ in _exact_roots(line, *window)], line
 
 
-def _scan_core(detector, oracle, t_grid, lambda_grid, chain_gap):
+def _scan_core(detector, oracle, t_grid, lambda_grid):
+    """Events, strata and degenerate lines of a detector over the grids' window.
+
+    Events are the multiple t-roots of sf in the t window on the real roots
+    of the discriminant R in the lambda window.  Strata are the real t-roots
+    of the lambda lines, chained into branches, each typed once:
+
+    - The type is upper semicontinuous, and at a point of type a the
+      detector's t-order is the Wronskian order sum(a_i - i).  So a type
+      change along a branch raises that order: there the branch's root is a
+      multiple root of sf, on a root of R, or the content vanishes.  Between
+      consecutive events and content roots a branch keeps its type.
+    - Roots of one line are distinct and move continuously.  Between those
+      critical lines and the real roots of sf(t_lo, lambda) and
+      sf(t_hi, lambda), where a root crosses a window end, the k-th root of
+      a line continues the k-th root of the next.  Across one crossing at
+      t_lo the index shifts by the change in the root count, across one at
+      t_hi it stays, and across one event at a rational lambda* the branches
+      through the simple roots below and above its points go on.  Any other
+      critical value ends the branches.
+    - A branch is typed exactly at the simplest rational lambda of its gap,
+      a root there as the root of a square-free m in Z[t].  An event is
+      typed exactly at a rational lambda*, and in floats at an irrational one.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     window = (float(t_grid[0]), float(t_grid[-1]))
     if window[1] <= window[0] or len(lambda_grid) < 2:
         raise DomainError("scan grids must be increasing with at least two lambda lines")
-    if chain_gap is None:
-        chain_gap = 12.0 * (window[1] - window[0]) / max(len(t_grid) - 1, 1)
 
     if detector.is_zero():
-        return ScanResult(
-            events=[],
-            strata=[],
-            degenerate=True,
-            degenerate_regions=[{"lambda": None, "t_window": window}],
-            meta={"reason": "detector vanishes identically"},
-        )
+        return ScanResult([], [], True, [{"lambda": None, "t_window": window}],
+                          {"reason": "detector vanishes identically"})
 
     detector = _FactoredDetector(detector)
-    lines = []
-    points = []
-    degenerate_regions = []
-    for lam in lambda_grid:
-        lam_q = Fraction(float(lam))
-        roots, _ = _line_roots(detector, lam_q, window)
-        if roots is None:
-            degenerate_regions.append({"lambda": float(lam), "t_window": window})
-        else:
-            points.extend((r, lam_q) for r in roots)
-        lines.append(roots)
-
-    # persistent strata: classify every root of the scan at once, then chain
-    # them across lines
-    types = iter(oracle.classify(points))
-    samples = []
-    for lam, roots in zip(lambda_grid, lines):
-        row = []
-        for r in roots or ():
-            a, confidence = next(types)
-            row.append({"lam": float(lam), "t": float(r), "type": a,
-                        "confidence": confidence})
-        samples.append(row)
-
-    strata = []
-    open_chains = []
-    for row in samples:
-        next_open = []
-        unmatched = list(range(len(row)))
-        for chain in open_chains:
-            best = None
-            for idx in unmatched:
-                s = row[idx]
-                if s["type"] != chain["type"]:
-                    continue
-                d = abs(s["t"] - chain["last_t"])
-                if d <= chain_gap and (best is None or d < best[0]):
-                    best = (d, idx)
-            if best is not None:
-                idx = best[1]
-                unmatched.remove(idx)
-                chain["points"].append((row[idx]["lam"], row[idx]["t"]))
-                chain["last_t"] = row[idx]["t"]
-                chain["confidence"] = _weaker(chain["confidence"], row[idx]["confidence"])
-                next_open.append(chain)
-            else:
-                strata.append(chain)
-        for idx in unmatched:
-            s = row[idx]
-            next_open.append({"type": s["type"], "points": [(s["lam"], s["t"])],
-                              "last_t": s["t"], "confidence": s["confidence"]})
-        open_chains = next_open
-    strata.extend(open_chains)
-    strata_out = [
-        Stratum(
-            type=ch["type"],
-            class_=class_of(ch["type"]) if ch["type"] is not None else DEGENERATE,
-            params=np.array(ch["points"]),
-            confidence=ch["confidence"],
-        )
-        for ch in strata
-        if len(ch["points"]) >= 2
-    ]
-
-    # momentary events: the multiple t-roots of sf on the discriminant's real
-    # roots in the lambda window
+    lams = [Fraction(float(lam)) for lam in lambda_grid]
+    lam_window = (min(lams), max(lams))
     events = []
-    event_lams = []
+    # [(root, kind, (low, high))]: the lambda values that bound the branches,
+    # and how many of a line's lowest and highest roots go on across each
+    critical = []
     for e, line, gcd in detector.multiple_root_lines():
-        for lam_q, exact in _exact_roots(e, float(min(lambda_grid)), float(max(lambda_grid))):
+        for lam_q, exact in _exact_roots(e, *lam_window):
             lam_star = lam_q if exact else float(lam_q)
-            t_stars = _refine_event(line, gcd, lam_q, window)
-            if t_stars:
-                event_lams.append(lam_q)
-            for t_star in t_stars:
-                a, confidence = oracle.classify_event(t_star, lam_star)
+            t_stars, quotient = _refine_event(line, gcd, lam_q, window)
+            stars = [_root(quotient, t, window) for t in t_stars]
+            if stars:
+                roots, line_s = _line_roots(detector, lam_q, window) if exact else ([], [])
+                simple = [_root(line_s, r, window) for r in roots or ()]
+                low, high = min(a for _, a, _ in stars), max(b for _, _, b in stars)
+                keep = sum(b < low for _, _, b in simple), sum(a > high for _, a, _ in simple)
+                critical.append((_root(e, lam_q, lam_window), "event", keep))
+            for t_star, star in zip(t_stars, stars):
+                a, confidence = oracle.classify_event(star, lam_star)
                 events.append(_event_from_type(lam_star, t_star, a, confidence))
-    # a root-count change with no event between the lines is a root crossing
-    # the window boundary
+    edges = {kind: Poly({(j, i): v for (i, j), v in detector.sf.c.items()}).subs_u(Fraction(end)).t_coeffs()
+             for kind, end in zip(("lo", "hi"), window)}
+    for kind, sq, keep in (("content", detector.content, (0, 0)), ("lo", edges["lo"], (0, math.inf)),
+                           ("hi", edges["hi"], (math.inf, 0))):
+        sq = squarefree(sq)
+        if len(sq) > 1:
+            critical += [(_root(sq, x, lam_window), kind, keep) for x, _ in _exact_roots(sq, *lam_window)]
+
+    lines = [_line_roots(detector, lam, window) for lam in lams]
+    sides = [tuple(_side(lam, root) for root, _, _ in critical) for lam in lams]
+    chains, open_chains, degenerate_regions = [], {}, []
+    for i, (roots, _) in enumerate(lines):
+        if roots is None:
+            degenerate_regions.append({"lambda": float(lambda_grid[i]), "t_window": window})
+            open_chains = {}
+            continue
+        cut = [keep for (_, _, keep), s, p in zip(critical, sides[i], sides[i - 1]) if not s == p != 0]
+        low, high = cut[0] if len(cut) == 1 else (0, 0) if cut else (math.inf, 0)
+        current = {}
+        for k, r in enumerate(roots):
+            top = k >= len(roots) - high
+            chain = open_chains.get(k if k < low else k + len(open_chains) - len(roots) if top else None)
+            if chain is None:
+                chain = {"points": [], "at": (i, k)}
+                chains.append(chain)
+            chain["points"].append((float(lambda_grid[i]), float(r)))
+            current[k] = chain
+        open_chains = current
+
+    # each branch at the simplest rational of the gap its first line lies in,
+    # strictly between that line and the critical values around it
+    strata = []
+    gap_lines = {}
+    for chain in (c for c in chains if len(c["points"]) >= 2):
+        i, k = chain["at"]
+        lam, side = lams[i], sides[i]
+        if 0 not in side and side not in gap_lines:
+            below = [b for ((_, _, b), _, _), s in zip(critical, side) if s > 0]
+            above = [a for ((_, a, _), _, _), s in zip(critical, side) if s < 0]
+            lam_s = _simplest(min((max(below) + lam) / 2, lam) if below else lam_window[0],
+                              max((min(above) + lam) / 2, lam) if above else lam_window[1])
+            gap_lines[side] = lam_s, _line_roots(detector, lam_s, window)
+        lam, (roots, line) = gap_lines.get(side, (lam, lines[i]))
+        a, confidence = oracle.classify(_root(line, roots[k], window), lam)
+        strata.append(Stratum(type=a, class_=class_of(a) if a is not None else DEGENERATE,
+                              params=np.array(chain["points"]), confidence=confidence))
+
+    # a root crosses a window end between two lines, or on one where the count changes
     boundary = []
     for i in range(len(lines) - 1):
-        if lines[i] is None or lines[i + 1] is None or len(lines[i]) == len(lines[i + 1]):
-            continue
-        lo, hi = float(lambda_grid[i]), float(lambda_grid[i + 1])
-        if not any(lo <= lam <= hi for lam in event_lams):
-            boundary.append((lo, hi))
+        r0, r1 = lines[i][0], lines[i + 1][0]
+        if r0 is not None and r1 is not None and any(
+                kind in edges and (s * p < 0 or s * p == 0 and len(r0) != len(r1))
+                for (_, kind, _), s, p in zip(critical, sides[i], sides[i + 1])):
+            boundary.append((float(lambda_grid[i]), float(lambda_grid[i + 1])))
 
     events.sort(key=lambda e: (e.lam, e.t))
-    strata_out.sort(key=lambda s: (s.params[0, 0], s.params[0, 1]))
-    return ScanResult(
-        events=events,
-        strata=strata_out,
-        degenerate=False,
-        degenerate_regions=degenerate_regions,
-        meta={"boundary_crossings": boundary, "chain_gap": float(chain_gap)},
-    )
+    strata.sort(key=lambda s: (s.params[0, 0], s.params[0, 1]))
+    return ScanResult(events, strata, False, degenerate_regions, {"boundary_crossings": boundary})
 
 
-def _weaker(a, b):
-    order = {"exact": 0, "high": 1, "low": 2}
-    return a if order[a] >= order[b] else b
-
-
-def scan_family(family: CurvatureFamily, t_grid, lambda_grid, tol=DEFAULT_RANK_TOL,
-                chain_gap=None) -> ScanResult:
+def scan_family(family: CurvatureFamily, t_grid, lambda_grid, tol=DEFAULT_RANK_TOL) -> ScanResult:
     """Bifurcation scan of a one-parameter family of framed curves.
 
     The detector det[d_0 .. d_3] of the frame dual's co-moving jets vanishes
     exactly where the dual type leaves (1, 2, 3).  Its square-free part in t
     is taken once; per lambda line that part is solved for real roots
-    (persistent strata).  The momentary events are the real roots of its
-    t-discriminant in the lambda window, each with the multiple t-roots of
-    its line, exact when rational.  The t grid fixes the window and the
-    chaining scale; the roots and events come from the polynomial, not the
+    (persistent strata), and each branch of them is typed once, exactly.
+    The momentary events are the real roots of its t-discriminant in the
+    lambda window, each with the multiple t-roots of its line.  The t grid
+    fixes the window; the roots and events come from the polynomial, not the
     grid.
     """
     oracle = _AdaptedTypeOracle(family, tol)
-    return _scan_core(oracle.detector, oracle, t_grid, lambda_grid, chain_gap)
+    return _scan_core(oracle.detector, oracle, t_grid, lambda_grid)
 
 
 def classify_osculating_scan(family: DiagonalFamily, t_grid, lambda_grid,
-                             tol=DEFAULT_RANK_TOL, chain_gap=None) -> ScanResult:
+                             tol=DEFAULT_RANK_TOL) -> ScanResult:
     """Bifurcation scan of an osculating family given by chart diagonals.
 
     Same sweep as ``scan_family`` with the detector replaced by the product of
@@ -742,7 +664,7 @@ def classify_osculating_scan(family: DiagonalFamily, t_grid, lambda_grid,
     than Degenerate.
     """
     oracle = _OsculatingTypeOracle(family, tol)
-    return _scan_core(oracle.detector, oracle, t_grid, lambda_grid, chain_gap)
+    return _scan_core(oracle.detector, oracle, t_grid, lambda_grid)
 
 
 # -- event table export ------------------------------------------------------------

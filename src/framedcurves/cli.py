@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,17 +95,18 @@ def _event_record(ev):
 def _cmd_type(args):
     cfg = _load_config(args)
     if cfg.curve["kind"] == "curvature":
-        # the frame dual's type from the family's co-moving dual jets at
-        # (t, lambda) in floats, as a scan types its roots; no frame field is
+        # the frame dual's type from the family's co-moving dual jets, exactly
+        # at the decimals given for t and lambda; no frame field is
         # integrated, so t need not be a grid node
         if not (math.isfinite(args.t) and math.isfinite(args.lam)):
             raise DomainError(f"t and lambda must be finite, got t={args.t!r}, lambda={args.lam!r}")
         oracle = _AdaptedTypeOracle(cfg.curvature_family(), cfg.rank_tol)
-        a, confidence = oracle.classify_event(args.t, args.lam)
+        t_q = Fraction(repr(args.t))
+        a, confidence = oracle.classify(([-t_q.numerator, t_q.denominator], t_q, t_q), Fraction(repr(args.lam)))
         if a is None:
             raise FiniteTypeError(None, oracle.r_max, "the frame dual does not reach full rank "
                                   f"within r_max={oracle.r_max} at t={args.t!r}, lambda={args.lam!r}")
-        subject, mode = "frame dual", "float"
+        subject, mode = "frame dual", "exact"
     else:
         report = detect_type_report(cfg.build_curve(), args.t, rank_tol=cfg.rank_tol)
         a, mode, confidence = report.type, report.mode, report.confidence
@@ -213,7 +215,10 @@ def _cmd_scan(args):
     res = scan_family(family, cfg.t_grid(), cfg.lambda_grid(), tol=cfg.rank_tol)
     events_path = _out_path(args, cfg, "events")
     export_events_csv(res.events, events_path)
-    detector = family.detector()
+    detector = family.detector()  # exact at the reported points: no coefficient overflows
+    residual = max((abs(detector.eval(Fraction(ev.t), Fraction(ev.lam))) for ev in res.events), default=0)
+    if residual > sys.float_info.max:
+        raise DomainError("the detector at an event is beyond the float range")
     report_path = _out_path(args, cfg, "report")
     export_report({
         "subcommand": "scan",
@@ -232,16 +237,14 @@ def _cmd_scan(args):
         "degenerate": res.degenerate,
         "degenerate_regions": res.degenerate_regions,
         "residual_maxima": {
-            "detector_at_events": max(
-                (abs(detector.evalf(ev.t, ev.lam)) for ev in res.events),
-                default=0.0,
-            ),
+            "detector_at_events": float(residual),
         },
         "tolerances": cfg.tolerances,
         "arithmetic": {
             "detector": "exact-rational",
             "roots": "exact isolation by Descartes' rule, narrowed to 2^-100",
-            "events": "exact when a rational representative verifies, else floating",
+            "strata": "one exact type per branch, at a rational lambda between events",
+            "events": "exact at a rational lambda, floating at an irrational one",
         },
     }, report_path)
     print(f"events: {events_path} ({len(res.events)} rows)")

@@ -34,6 +34,7 @@ from .ratpoly import Poly
 from .spaceform import SpaceForm, space_form
 
 DEFAULT_S_WINDOW = 1.5
+_CHAIN_GAP = 0.5  # a locus polyline breaks where s jumps by more than this
 _EXPORT_CHUNK = 4096  # rows formatted and written per batch by the OBJ exporters
 
 
@@ -335,7 +336,7 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
 # -- singular locus -------------------------------------------------------------------
 
 
-def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_grid=None):
+def singular_locus(obj, tol=1e-9, t_grid=None, s_grid=None):
     """Points with the additional second-derivative incidence, as polylines.
 
     Normal-form families solve F_tt = 0 exactly on the discriminant (linear
@@ -343,10 +344,10 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_grid=None):
     Tangent-hyperplane families solve F_tt = c(s) a + sigma(s) b = 0 (frame
     coordinates) at their own nodes on the characteristic lines of
     ``envelope_mesh``, so s is the mesh's s in every geometry; on the sphere
-    it is the root with |s| <= pi/2.  Their roots are kept within the range
-    of ``s_grid``, the strip parameters ``envelope_mesh`` takes (same
-    default), so every locus point lies on the mesh.  Chains break where the
-    solution leaves that range or jumps by more than chain_gap.
+    both roots s* (|s*| <= pi/2) and s* -+ pi count.  They are kept within
+    the range of ``s_grid``, the strip parameters ``envelope_mesh`` takes
+    (same default), so every locus point lies on the mesh.  Chains break
+    where the solution leaves that range or jumps by more than _CHAIN_GAP.
     """
     if isinstance(obj, NormalFormFamily):
         if t_grid is None:
@@ -365,7 +366,7 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_grid=None):
         x2, x3 = obj.x2_poly().evalf(ts, s_star), obj.x3_poly().evalf(ts, s_star)
         points = np.column_stack([s_star, x2, x3])
         ambient = np.column_stack([np.ones(len(ts)), points])
-        return _chain(np.flatnonzero(solved), ts, s_star, points, ambient, chain_gap)
+        return _chain(np.flatnonzero(solved), ts, s_star, points, ambient)
     if not isinstance(obj, HyperplaneFamily):
         raise DomainError("singular_locus expects a NormalFormFamily or a HyperplaneFamily")
 
@@ -375,7 +376,7 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_grid=None):
         solved = np.abs(b) > 1e-13 * np.maximum(1.0, np.abs(a))
         s_star = -a / np.where(solved, b, 1.0)
     elif sf.kind == "spherical":
-        # the roots of a cos s + b sin s are pi apart; take the one with |s| <= pi/2
+        # the roots of a cos s + b sin s are pi apart: s* with |s*| <= pi/2 and s* -+ pi
         solved = (np.abs(a) > 1e-13) | (np.abs(b) > 1e-13)
         s_star = np.arctan2(np.where(b < 0, a, -a), np.abs(b))
     else:
@@ -383,21 +384,25 @@ def singular_locus(obj, tol=1e-9, t_grid=None, chain_gap=0.5, s_grid=None):
         solved = (np.abs(b) > 1e-13) & (np.abs(ratio) < 1.0)
         s_star = np.arctanh(np.where(solved, ratio, 0.0))
     s_grid = _strip_grid(s_grid)
-    solved &= (s_star >= np.min(s_grid)) & (s_star <= np.max(s_grid))
-    s_star = s_star[solved] + 0.0  # an exact root a = 0 gives -0.0; write it as 0.0
-    c, s = _geodesic(sf, s_star)
-    ambient = c[:, None] * fam.frames[keep, :, 0][solved] + s[:, None] * direction[solved]
-    index = np.flatnonzero(keep)[solved]
-    return _chain(index, fam.t[index], s_star, project_point(ambient, sf), ambient, chain_gap)
+    polylines = []
+    for shift in (0.0, -np.pi, np.pi) if sf.kind == "spherical" else (0.0,):
+        s_k = s_star + shift
+        on = solved & (s_k >= np.min(s_grid)) & (s_k <= np.max(s_grid))
+        s_k = s_k[on] + 0.0  # an exact root a = 0 gives -0.0; write it as 0.0
+        c, s = _geodesic(sf, s_k)
+        ambient = c[:, None] * fam.frames[keep, :, 0][on] + s[:, None] * direction[on]
+        index = np.flatnonzero(keep)[on]
+        polylines += _chain(index, fam.t[index], s_k, project_point(ambient, sf), ambient)
+    return polylines
 
 
-def _chain(index, t, s, points, ambient, chain_gap):
+def _chain(index, t, s, points, ambient):
     """Polylines through the solutions at node numbers ``index`` (increasing).
 
     A chain breaks at a node without a solution and where s jumps by more than
-    chain_gap; chains of fewer than two points are dropped.
+    _CHAIN_GAP; chains of fewer than two points are dropped.
     """
-    cuts = np.flatnonzero((np.diff(index) != 1) | (np.abs(np.diff(s)) > chain_gap)) + 1
+    cuts = np.flatnonzero((np.diff(index) != 1) | (np.abs(np.diff(s)) > _CHAIN_GAP)) + 1
     return [
         Polyline(params=np.column_stack([t[lo:hi], s[lo:hi]]), points=points[lo:hi],
                  ambient=ambient[lo:hi])

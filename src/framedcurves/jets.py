@@ -6,17 +6,30 @@ full rank n+2.  The type vector a = (a_1, ..., a_{n+1}) records the minimal
 orders at which the rank jumps to 2, 3, ..., n+2.
 
 Two rank back-ends are provided: an exact fraction-free path for polynomial
-curves at rational parameters, and a singular-value path for everything else.
+columns at algebraic (and so rational) parameters, and a singular-value path
+for everything else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegeneracyError, DimensionMismatch, DomainError, FiniteTypeError
+from .ratpoly import (
+    _coprime_mod_p,
+    _horner,
+    _u_div,
+    _u_mul,
+    _u_sub,
+    has_root_in,
+    integer_coeffs,
+    poly_gcd,
+    trim,
+)
 
 DEFAULT_RANK_TOL = 1e-8
 RANK_GAP_MIN = 1e3
@@ -34,27 +47,74 @@ def validate_type_vector(a):
 # -- rank profiles ------------------------------------------------------------
 
 
-def exact_rank_profile(columns):
-    """Ranks of the column prefixes of an exact matrix.
+def _reduce(a, m, steps):
+    """lc(m)^steps * a mod m for integer lists, steps >= deg a - deg m + 1 (a as it is if <= 0).
 
-    Incremental fraction-free elimination: we keep an echelonized basis of the
-    span so far and reduce each new column against it.
+    All entries of one column take the same steps, so the column keeps one scale.
     """
-    basis = []
-    pivots = []
-    ranks = []
+    if steps <= 0 or not a:
+        return a
+    n, lead = len(m) - 1, m[-1]
+    if n == 1:  # the value at the root -m_0/lead, homogenized
+        return trim([_horner(a, -m[0], lead) * lead ** (steps - len(a) + 1)])
+    r = list(a) + [0] * (n + steps - len(a))
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        for i in range(n):
+            r[top - n + i] -= c * m[i]
+    return trim(r)
+
+
+def algebraic_rank_profile(columns, dim, root):
+    """Prefix ranks, up to ``dim``, of integer polynomial columns at an algebraic t*.
+
+    ``root`` is (m, a, b): t* is the one root of the square-free integer list
+    m in the open interval (a, b), or a == b == t* with m linear.  A column
+    is a list of integer coefficient lists in t with one positive scale.  The
+    elimination is fraction-free over Z[t]/(m) and scales whole columns, so
+    each prefix rank is the rank at t*.  An entry is zero at t* when its gcd
+    with m vanishes there: a proper gcd splits m, and the factor with its
+    root in (a, b) goes on (dynamic evaluation, "D5": Della Dora, Dicrescenzo
+    and Duval, EUROCAL 1985).
+    """
+    m, a, b = root
+    basis, ranks = [], []
     for col in columns:
-        v = [Fraction(x) for x in col]
-        for row, p in zip(basis, pivots):
+        n = len(m) - 1
+        v = [_reduce(x, m, max(map(len, col)) - n) for x in col]
+        for row, p in basis:
             if v[p]:
-                f = v[p] / row[p]
-                v = [vi - f * ri for vi, ri in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is not None:
-            basis.append(v)
-            pivots.append(pivot)
+                v = [_u_sub(_reduce(_u_mul(row[p], x), m, n - 1), _reduce(_u_mul(v[p], y), m, n - 1))
+                     for x, y in zip(v, row)]
+        content = math.gcd(*(c for x in v for c in x))
+        v = [[c // content for c in x] for x in v]
+        for i, x in enumerate(v):
+            if not x or len(m) == 2 or _coprime_mod_p(x, m):
+                f = m
+            else:
+                g = integer_coeffs(poly_gcd(x, m))
+                f = m if len(g) == 1 else g if has_root_in(g, a, b) else _u_div(m, g)
+            if f is not m:
+                steps = len(m) - len(f)
+                basis = [([_reduce(y, f, steps) for y in row], p) for row, p in basis]
+                v, m = [_reduce(y, f, steps) for y in v], f
+            if v[i]:
+                basis.append((v, i))
+                break
         ranks.append(len(basis))
+        if len(basis) == dim:
+            break
     return ranks
+
+
+def exact_rank_profile(columns):
+    """Ranks of the column prefixes of an exact matrix of ints or Fractions.
+
+    The algebraic profile at a rational point, with each column as constants.
+    """
+    columns = [[[c] if c else [] for c in integer_coeffs([Fraction(x) for x in col])] for col in columns]
+    return algebraic_rank_profile(columns, math.inf, ([0, 1], 0, 0))
 
 
 def float_rank_profile(matrix, rank_tol=DEFAULT_RANK_TOL):

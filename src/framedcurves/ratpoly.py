@@ -388,6 +388,11 @@ def isolate_real_roots(ints, lo, hi):
     return sorted((lo + width * x, hit) for x, hit in out)
 
 
+def has_root_in(ints, a, b):
+    """Whether the square-free integer coefficient list has a root in the open interval (a, b)."""
+    return any(a < x < b for x, _ in isolate_real_roots(ints, a, b))
+
+
 def poly_gcd(a, b):
     """Monic greatest common divisor of two coefficient lists (low degree first).
 

@@ -27,7 +27,7 @@ from framedcurves import (
     scan_family,
     schubert_number,
 )
-from framedcurves.classify import _AdaptedTypeOracle, _exact_roots, _FactoredDetector, _line_roots
+from framedcurves.classify import _AdaptedTypeOracle, _exact_roots, _FactoredDetector, _line_roots, _root
 from framedcurves.examples import helix_frenet_field, radial_circle_field
 from framedcurves.ratpoly import Poly, integer_coeffs, squarefree, trim, vanishes_at
 
@@ -232,7 +232,7 @@ def test_osculating_scan_of_a_diagonal_family():
 # -- CSV export -------------------------------------------------------------------------
 
 
-# -- the batched type oracle ---------------------------------------------------
+# -- branch types ------------------------------------------------------------------
 
 
 def _unfold_family(t0, lam0, c):
@@ -241,34 +241,30 @@ def _unfold_family(t0, lam0, c):
     return CurvatureFamily.frenet(1, Poly.const(c) * ((t - Poly.const(t0)) ** 2 - (u - Poly.const(lam0))))
 
 
-def _scan_points(detector, lambdas, window):
-    """The (t, lam_q) points a scan classifies, over the given lambda lines."""
-    factored = _FactoredDetector(detector)
-    points = []
-    for lam in lambdas:
-        lam_q = Fraction(float(lam))
-        roots, _ = _line_roots(factored, lam_q, window)
-        points.extend((r, lam_q) for r in roots)
-    return points
+small_fractions = st.fractions(-2, 2, max_denominator=4)
 
 
-@pytest.mark.parametrize("t0, lam0, c", [
-    (Fraction(1, 3), Fraction(0), Fraction(1)),
-    (Fraction(-2, 7), Fraction(3, 11), Fraction(1)),
-    (Fraction(1, 5), Fraction(1, 16), Fraction(-3, 2)),
-])
-def test_batched_oracle_equals_one_point_at_a_time(t0, lam0, c):
-    # lambda = lam0 + 1/16 puts rational roots t0 -+ 1/4 on the line when lam0
-    # is dyadic, so exact and float points mix in one batch
-    oracle = _AdaptedTypeOracle(_unfold_family(t0, lam0, c), 1e-8)
-    lambdas = list(float(lam0) + np.linspace(-0.2, 0.2, 41)) + [float(lam0 + Fraction(1, 16))]
-    points = _scan_points(oracle.detector, lambdas, (-1.0, 1.0))
-    batched = oracle.classify(points)
-    assert len(batched) == len(points) > 20
-    assert batched == [oracle.classify([p])[0] for p in points]
-    assert {confidence for _, confidence in batched} >= {"high"}
-    if lam0.denominator & (lam0.denominator - 1) == 0:
-        assert "exact" in {confidence for _, confidence in batched}
+#: 15 examples take about 1.6 s in tier-1
+@settings(max_examples=15, deadline=None)
+@given(a=small_fractions, b=small_fractions, c=small_fractions.filter(bool), d=small_fractions,
+       e=small_fractions)
+def test_a_branch_has_the_exact_type_of_every_root_it_carries(a, b, c, d, e):
+    # kappa = (1 + a t^2 - e lambda t, 0, t^2 + b t + c lambda + d): a branch is
+    # typed once, at the simplest rational lambda of its gap; every root it
+    # carries must have that type on its own grid line
+    t, u = Poly.t(), Poly.u()
+    kappa1 = Poly.const(1) + Poly.const(a) * t * t - Poly.const(e) * u * t
+    fam = CurvatureFamily(0, (kappa1, Poly(), t * t + Poly.const(b) * t + Poly.const(c) * u + Poly.const(d)))
+    window = (-1.0, 1.0)
+    res = scan_family(fam, np.linspace(*window, 21), np.linspace(-1.0, 1.0, 9))
+    oracle = _AdaptedTypeOracle(fam, 1e-8)
+    factored = _FactoredDetector(oracle.detector)
+    for s in res.strata:
+        assert s.confidence == "exact"
+        for lam, t_float in s.params:
+            roots, line = _line_roots(factored, Fraction(lam), window)
+            r = next(r for r in roots if float(r) == t_float)
+            assert oracle.classify(_root(line, r, window), Fraction(lam)) == (s.type, "exact")
 
 
 # -- line roots beside an event ---------------------------------------------------
@@ -290,11 +286,19 @@ def test_two_roots_beside_an_event_stay_two_strata():
     fam = _unfold_family(Fraction(1, 3), Fraction(0), Fraction(1))
     res = scan_family(fam, np.linspace(-1.0, 1.0, 401), [2.0**-64, 2.0**-62, 2.0**-60])
     assert [len(s.params) for s in res.strata] == [3, 3]
+    assert [(s.type, s.confidence) for s in res.strata] == [((2, 3, 4), "exact")] * 2
     third = Fraction(1, 3)
     for s, sign in zip(res.strata, (-1, 1)):
         expect = [float(third + sign * Fraction(1, 2**k)) for k in (32, 31, 30)]
         assert s.params[:, 1].tolist() == expect
     assert 0.33333333333333337 not in [t for s in res.strata for t in s.params[:, 1]]
+    # the points on either side of the event where a float oracle saw (3, 4, 5)
+    # and (2, 3, 5)
+    oracle = _AdaptedTypeOracle(fam, 1e-8)
+    for k in (20, 32):
+        for t_q in (third - Fraction(1, 2**k), third + Fraction(1, 2**k)):
+            root = ([-t_q.numerator, t_q.denominator], t_q, t_q)
+            assert oracle.classify(root, Fraction(1, 2 ** (2 * k))) == ((2, 3, 4), "exact")
 
 
 # -- events from the discriminant ------------------------------------------------
@@ -449,15 +453,6 @@ def test_a_root_is_not_classified_at_another_rational_root_of_its_line():
     fam = DiagonalFamily(tuple(p.integrate_t() for p in entries))
     res = classify_osculating_scan(fam, np.linspace(-2.0, 2.0, 101), np.linspace(-0.1, 0.1, 5))
     assert [(s.type, round(s.params[2, 1], 9)) for s in res.strata] == [((1, 3, 4), 0.7), ((3, 4, 5), 1.0)]
-
-
-def test_compiled_float_jets_equal_evalf_bit_for_bit():
-    oracle = _AdaptedTypeOracle(_unfold_family(Fraction(1, 5), Fraction(1, 16), Fraction(-3, 2)), 1e-8)
-    rng = np.random.default_rng(7)
-    ts, lams = rng.uniform(-1, 1, 9).tolist(), rng.uniform(-0.3, 0.3, 9).tolist()
-    cols = oracle._columns_float(ts, lams)
-    evalf = [[[p.evalf(t, lam) for p in d] for d in oracle.jets] for t, lam in zip(ts, lams)]
-    assert cols.tobytes() == np.array(evalf).transpose(0, 2, 1).tobytes()
 
 
 def test_event_csv_header_and_rows(tmp_path):

@@ -104,15 +104,18 @@ def test_curvatures_beyond_float_range_are_numeric_failures(tmp_path, capsys, ka
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_scan_coefficient_beyond_float_range_is_a_numeric_failure(tmp_path, capsys):
-    # the dual jets of kappa_3 = 1e400 t^2 - lambda have no float coefficients
+def test_scan_coefficient_beyond_float_range_is_scanned_exactly(tmp_path):
+    # kappa_3 = 1e400 t^2 - lambda has no float coefficients, and needs none:
+    # its butterfly at the origin and its two branches are typed exactly
     config = {"curve": {"kind": "curvature", "delta": 0,
                         "kappa": [["1"], ["0"], {"2,0": "1e400", "0,1": "-1"}]},
               "grids": {"t": [-1.0, 1.0, 50], "lambda": [-0.2, 0.2, 9]}}
-    argv = ["scan", "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
-    assert main(argv) == 3
-    assert "numeric failure (DomainError): a dual-jet coefficient is beyond the float range" in (
-        capsys.readouterr().err)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [(ev["type"], ev["confidence"]) for ev in report["events"]] == [([3, 4, 5], "exact")]
+    assert [(s["type"], s["points"], s["confidence"]) for s in report["strata"]] == [([2, 3, 4], 4, "exact")] * 2
+    assert report["residual_maxima"]["detector_at_events"] == 0.0
 
 
 def test_scan_coefficient_below_float_range_exits_0_or_3(tmp_path):
@@ -230,21 +233,17 @@ def test_type_of_monomial_polynomial(tmp_path, capsys):
 
 
 def test_type_of_a_curvature_family_comes_from_its_exact_jets(tmp_path, capsys):
-    # kappa3 = t^2 - lambda: (1/10, 1/100) is on the (2, 3, 4) branch t^2 = lambda,
-    # whatever the t grid, and a t between its nodes is typed as well
+    # kappa3 = t^2 - lambda: (1/10, 1/100), the decimals as typed, is on the
+    # (2, 3, 4) branch t^2 = lambda, whatever the t grid, and a t between its
+    # nodes or far outside the grid is typed as well
     config = {**BUTTERFLY_CONFIG, "grids": {"t": [-1.0, 1.0, 401], "lambda": [-0.2, 0.2, 41]}}
     assert main(["type", "--config", _write_config(tmp_path, config), "--t", "0.1", "--lam", "0.01"]) == 0
     out = capsys.readouterr().out
     assert "subject: frame dual" in out and "type: (2, 3, 4)" in out
-    assert "mode: float  confidence: high" in out
-    assert main(["type", "--config", _write_config(tmp_path, BUTTERFLY_CONFIG), "--t", "0.123"]) == 0
-    assert "type: (1, 2, 3)" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("t", ["1e200", "1e150", "-3e30"])
-def test_type_of_a_curvature_family_beyond_the_float_range_is_a_numeric_failure(tmp_path, capsys, t):
-    assert main(["type", "--config", _write_config(tmp_path, BUTTERFLY_CONFIG), f"--t={t}"]) == 3
-    assert "numeric failure (DomainError)" in capsys.readouterr().err
+    assert "mode: exact  confidence: exact" in out
+    for t in ("0.123", "4", "1e200", "1e150", "-3e30"):
+        assert main(["type", "--config", _write_config(tmp_path, BUTTERFLY_CONFIG), f"--t={t}"]) == 0
+        assert "type: (1, 2, 3)" in capsys.readouterr().out
 
 
 # -- enumerate --------------------------------------------------------------------------

@@ -210,6 +210,17 @@ def test_long_spans_drop_only_the_flat_node_and_keep_their_marks(kind):
     assert marks[0] == marks[1]
 
 
+def test_spherical_locus_keeps_both_roots_on_a_wide_s_grid():
+    # a cos s + b sin s = 0 has the roots s* and s* + pi; with s in [-3, 3] both
+    # are on the mesh, and so on the edge of regression
+    fam = _curvature_family("spherical", np.linspace(0.0, 3.0, 40), ((1,), (3,), (1,)))
+    polylines = singular_locus(fam, s_grid=np.linspace(-3.0, 3.0, 61))
+    assert [len(pl.params) for pl in polylines] == [40, 40]
+    low, high = (pl.params[:, 1] for pl in polylines)
+    assert np.allclose(low, -0.759, atol=1e-3) and np.allclose(high - low, np.pi, rtol=0, atol=1e-12)
+    assert [len(pl.params) for pl in singular_locus(fam)] == [40]
+
+
 def test_helix_singular_locus_is_the_curve_itself():
     # the tangent developable is singular exactly along its edge of regression
     nodes = np.linspace(-1.0, 1.0, 81)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from framedcurves import jets
 from framedcurves.acceptance import criterion_7
 from framedcurves.classify import (
     CurvatureFamily,
@@ -198,7 +199,7 @@ def test_scan_exports_are_byte_stable(tmp_path):
         "b479f9dcbc2526fcb2bbcb87e99812f210d178c84cfdb96eceaede779aeabe85"
     )
     assert _sha256(out / "report.json") == (
-        "c54247e4b3eec3c3c995401e6aca5a8e82ea108d28532d717a8ee8c1fa56ac96"
+        "db9fe8487507f78ba378f7c161378ba477a5ee29f7055b44dc0bfd9dbed6d6f2"
     )
 
 
@@ -217,14 +218,17 @@ def test_osculating_scan_is_bit_stable():
 
 
 def test_scans_take_no_float_root_path(monkeypatch):
-    # every root of a scan comes from exact isolation: with numpy's companion
-    # matrix and eigenvalue solvers gone, criterion 7 and the osculating scan
-    # still pass with the same bytes
+    # every root of a scan comes from exact isolation and every type at a
+    # rational lambda from exact ranks: with numpy's companion matrix,
+    # eigenvalue and singular-value solvers and the float rank profile gone,
+    # criterion 7 and the osculating scan still pass with the same bytes
     def refuse(*args, **kwargs):
-        raise AssertionError("a float root finder was called")
+        raise AssertionError("a float root finder or rank profile was called")
 
     monkeypatch.setattr(np, "roots", refuse)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(jets, "float_rank_profile", refuse)
     res = criterion_7()
     assert res.ok, res.line()
     test_osculating_scan_is_bit_stable()
@@ -274,7 +278,7 @@ def test_scan_family_roots_and_refinement_are_bit_stable():
     detector = _FactoredDetector(family.detector())
     hit = [(t, lam) for e, line, gcd in detector.multiple_root_lines()
            for lam, _ in _exact_roots(e, -1 / 400, 1 / 300)
-           for t in _refine_event(line, gcd, lam, (-1.0, 1.0))]
+           for t in _refine_event(line, gcd, lam, (-1.0, 1.0))[0]]
     assert _digest(np.array(hit)) == (
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
     )

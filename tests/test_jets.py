@@ -21,6 +21,8 @@ from framedcurves import (
     schubert_number,
     validate_type_vector,
 )
+from framedcurves.classify import _exact_roots, _root
+from framedcurves.jets import algebraic_rank_profile
 
 OSCULATING_N2 = [
     (1, 2, 3),
@@ -150,6 +152,16 @@ def test_exact_rank_profile_counts_pivots():
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
     assert exact_rank_profile(cols) == [1, 1, 2, 3]
+
+
+def test_algebraic_rank_profile_splits_its_modulus_at_each_root():
+    # m = (t^2 - 2)(t^2 - 3): the second column (t^2 - 2)(1, 1) vanishes at
+    # -+sqrt(2) only, which the zero test finds by splitting m
+    m = [6, 0, -5, 0, 1]
+    columns = [[[1], [0, 1]], [[-2, 0, 1], [-2, 0, 1]], [[0, 1], [3]]]
+    roots = [x for x, _ in _exact_roots(m, -2.0, 2.0)]
+    ranks = [algebraic_rank_profile(columns, 2, _root(m, x, (-2.0, 2.0))) for x in roots]
+    assert ranks == [[1, 2], [1, 1, 2], [1, 1, 2], [1, 2]]
 
 
 def test_float_rank_profile_is_monotone_unit_step():
