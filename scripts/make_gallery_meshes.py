@@ -52,7 +52,7 @@ def main():
         ("cylinder", radial_circle_field, np.linspace(0.0, 2 * np.pi, 200)),
         ("helix-developable", helix_frenet_field, np.linspace(-np.pi, np.pi, 200)),
     ):
-        fam = hyperplane_family(factory(nodes)[1])
+        fam = hyperplane_family(factory(nodes))
         strip_grid = np.linspace(-1.5, 1.5, args.s_samples)
         mesh = envelope_mesh(fam, s_grid=strip_grid)
         locus = singular_locus(fam, s_grid=strip_grid)

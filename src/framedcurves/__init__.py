@@ -23,14 +23,7 @@ from .spaceform import (
     inner_product,
     space_form,
 )
-from .curves import (
-    ClosedFormCurve,
-    PolynomialCurve,
-    circle_curve,
-    great_circle_curve,
-    helix_curve,
-    monomial_curve,
-)
+from .curves import ClosedFormCurve, PolynomialCurve, monomial_curve
 from .jets import (
     DEFAULT_RANK_TOL,
     TypeDetection,
@@ -47,16 +40,13 @@ from .jets import (
 )
 from .frames import (
     CurvatureData,
-    DualCurve,
     Frame,
     FrameField,
     dual_coefficient_jets,
-    frame_dual,
     frame_field_from_function,
     gram_defect,
     gram_schmidt_signed,
     integrate_structure_equation,
-    legendre_residuals,
     reorthonormalize,
     structure_matrix,
     structure_poly_matrix,
@@ -100,7 +90,6 @@ from .classify import (
     Stratum,
     class_of,
     classify_osculating_scan,
-    classify_point,
     consistency_check,
     export_events_csv,
     scan_family,
@@ -109,10 +98,13 @@ from .classify import (
 from .ratpoly import Poly, poly_det
 from .config import DEFAULTS, RunConfig
 from .examples import (
+    BUILTINS,
     builtin_adapted_examples,
     builtin_clift_examples,
-    builtin_field,
+    circle_curve,
     cylinder_point,
+    great_circle_curve,
+    helix_curve,
     helix_developable_point,
     helix_frenet_field,
     radial_circle_field,

@@ -184,12 +184,12 @@ def criterion_5():
     own (t, s), which bounds the Hausdorff distance between the two surfaces.
     """
     start = time.time()
-    _, field = radial_circle_field(np.linspace(0.0, 2.0 * np.pi, 200))
+    field = radial_circle_field(np.linspace(0.0, 2.0 * np.pi, 200))
     mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 50))
     v = mesh.vertices
     cyl = float(np.max(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0)))
 
-    _, field = helix_frenet_field(np.linspace(-np.pi, np.pi, 200))
+    field = helix_frenet_field(np.linspace(-np.pi, np.pi, 200))
     mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 50))
     analytic = helix_developable_point(mesh.params[:, 0], mesh.params[:, 1]).T
     dev = float(np.max(np.linalg.norm(mesh.vertices - analytic, axis=1)))

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, FiniteTypeError
 from .fileio import atomic_write_text, format_float
 from .flags import type_from_diagonal_orders
-from .frames import CurvatureData, dual_coefficient_jets, frame_dual, legendre_residuals
+from .frames import dual_coefficient_jets
 from .jets import (
     DEFAULT_RANK_TOL,
     RANK_GAP_MIN,
@@ -35,7 +35,6 @@ from .jets import (
     algebraic_rank_profile,
     codim_adapted,
     codim_osculating,
-    detect_type_report,
     dual_type,
     float_rank_profile,
     schubert_number,
@@ -69,7 +68,6 @@ __all__ = [
     "CLASS_BY_DUAL_TYPE",
     "class_of",
     "consistency_check",
-    "classify_point",
     "CurvatureFamily",
     "DiagonalFamily",
     "BifurcationEvent",
@@ -157,34 +155,6 @@ def consistency_check(type_of_dual):
     return class_of(a), partner
 
 
-_ADAPTED_TOL = 1e-6
-
-
-def classify_point(curve, field, t, tol=DEFAULT_RANK_TOL):
-    """Classify the envelope germ of a framed curve at parameter t.
-
-    The decision runs entirely through the frame dual: detect its type at t
-    and look the germ up in the class table.  When the curve is supplied the
-    field is first checked to be adapted to it (the hyperplanes must actually
-    be tangent, else the envelope is not a wavefront of this curve).  A dual
-    that never reaches full rank within the jet budget is reported Degenerate
-    rather than raising.
-    """
-    if curve is not None:
-        res = legendre_residuals(field, curve)
-        node = int(np.argmin(np.abs(np.asarray(field.s) - t)))
-        if res[node] > _ADAPTED_TOL:
-            raise DomainError(
-                f"field is not adapted to the curve near t={t}: residual {res[node]:.3g}"
-            )
-    dual = frame_dual(field)
-    try:
-        report = detect_type_report(dual, t, rank_tol=tol)
-    except (FiniteTypeError, DegeneracyError):
-        return DEGENERATE
-    return class_of(report.type)
-
-
 # -- polynomial families ---------------------------------------------------------
 
 
@@ -218,15 +188,9 @@ class CurvatureFamily:
         """Family with kappa_2 identically zero."""
         return cls(delta, (_family_poly(kappa1), Poly(), _family_poly(kappa3)))
 
-    def _carrier(self):
-        # CurvatureData carrying the bivariate polynomials; the callables are
-        # the lambda = 0 slice and are never used by the exact jet machinery.
-        fns = tuple((lambda s, p=p: p.evalf(s, 0.0)) for p in self.kappa)
-        return CurvatureData(self.delta, fns, self.kappa)
-
     def dual_jet_polys(self, r):
         """Co-moving dual jets d_0 .. d_r as 4-vectors of (t, u) polynomials."""
-        return dual_coefficient_jets(self._carrier(), r)
+        return dual_coefficient_jets(self, r)
 
     def detector(self):
         """det[d_0 .. d_3](t, u): zero exactly where the dual type leaves (1,2,3)."""

@@ -94,21 +94,20 @@ def _event_record(ev):
 
 def _cmd_type(args):
     cfg = _load_config(args)
+    if not (math.isfinite(args.t) and math.isfinite(args.lam)):
+        raise DomainError(f"t and lambda must be finite, got t={args.t!r}, lambda={args.lam!r}")
+    t_q = Fraction(repr(args.t))  # the decimal given, exactly
     if cfg.curve["kind"] == "curvature":
-        # the frame dual's type from the family's co-moving dual jets, exactly
-        # at the decimals given for t and lambda; no frame field is
-        # integrated, so t need not be a grid node
-        if not (math.isfinite(args.t) and math.isfinite(args.lam)):
-            raise DomainError(f"t and lambda must be finite, got t={args.t!r}, lambda={args.lam!r}")
+        # the frame dual's type from the family's co-moving dual jets, exactly;
+        # no frame field is integrated, so t need not be a grid node
         oracle = _AdaptedTypeOracle(cfg.curvature_family(), cfg.rank_tol)
-        t_q = Fraction(repr(args.t))
         a, confidence = oracle.classify(([-t_q.numerator, t_q.denominator], t_q, t_q), Fraction(repr(args.lam)))
         if a is None:
             raise FiniteTypeError(None, oracle.r_max, "the frame dual does not reach full rank "
                                   f"within r_max={oracle.r_max} at t={args.t!r}, lambda={args.lam!r}")
         subject, mode = "frame dual", "exact"
     else:
-        report = detect_type_report(cfg.build_curve(), args.t, rank_tol=cfg.rank_tol)
+        report = detect_type_report(cfg.build_curve(), t_q, rank_tol=cfg.rank_tol)
         a, mode, confidence = report.type, report.mode, report.confidence
         subject = "curve"
     print(f"subject: {subject}")
@@ -274,8 +273,6 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
-    if args.seed is not None:
-        np.random.seed(args.seed)
     ok = run_all(print)
     return 0 if ok else 1
 
@@ -334,7 +331,7 @@ def build_parser():
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("verify", help="run the acceptance suite")
-    _add_common(p, config=False, out=False)
+    _add_common(p, config=False, out=False, seed=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import CurvatureFamily
-from .curves import STOCK_CURVES, PolynomialCurve
+from .curves import PolynomialCurve
 from .errors import ConfigError, DomainError
-from .examples import BUILTIN_FIELDS, builtin_field
+from .examples import BUILTINS
 from .frames import CurvatureData, Frame, integrate_structure_equation
 from .ratpoly import Poly
 from .spaceform import space_form
@@ -116,9 +116,8 @@ def _parse_curve(spec):
     kind = spec.get("kind")
     if kind == "builtin":
         name = spec.get("name")
-        if name not in STOCK_CURVES and name not in BUILTIN_FIELDS:
-            known = sorted(STOCK_CURVES) + sorted(BUILTIN_FIELDS)
-            raise ConfigError(f"curve: unknown builtin {name!r}; choose from {known}")
+        if name not in BUILTINS:
+            raise ConfigError(f"curve: unknown builtin {name!r}; choose from {list(BUILTINS)}")
         return {"kind": "builtin", "name": name}
     if kind == "polynomial":
         comps = spec.get("coefficients")
@@ -290,19 +289,16 @@ class RunConfig:
             return PolynomialCurve([[Fraction(c) for c in comp]
                                     for comp in self.curve["coefficients"]])
         if kind == "builtin":
-            name = self.curve["name"]
-            if name in STOCK_CURVES:
-                return STOCK_CURVES[name]()
-            return builtin_field(name)[0]
+            return BUILTINS[self.curve["name"]][0]()
         raise ConfigError("curvature-data configs define a frame field, not a bare curve")
 
     def build_field(self, lam=None):
         """The frame field of a built-in framed curve or of integrated curvature data."""
         self._require_n2("frame construction")
         kind = self.curve["kind"]
-        if kind == "builtin" and self.curve["name"] in BUILTIN_FIELDS:
-            nodes = self.t_grid()
-            return builtin_field(self.curve["name"], nodes)[1]
+        field_factory = BUILTINS[self.curve["name"]][1] if kind == "builtin" else None
+        if field_factory is not None:
+            return field_factory(self.t_grid())
         if kind == "curvature":
             polys = self._kappa_polys()
             if lam is not None:
@@ -311,14 +307,15 @@ class RunConfig:
                 polys = tuple(p.subs_u(Fraction(float(lam))) for p in polys)
             elif any(p.deg_u() > 0 for p in polys):
                 polys = tuple(p.subs_u(0) for p in polys)
-            curv = CurvatureData.from_polys(self.curve["delta"], polys)
+            curv = CurvatureData(self.curve["delta"], polys)
             sf = self.space()
             t = self.t_grid()
             return integrate_structure_equation(
                 Frame(np.eye(self.n + 2), sf), curv, (float(t[0]), float(t[-1])),
                 tol=self.ode_tol, nodes=t,
             )
+        framed = [name for name, (_, factory) in BUILTINS.items() if factory is not None]
         raise ConfigError(
             f"no frame construction for curve spec {self.curve!r}; use a framed "
-            f"builtin ({sorted(BUILTIN_FIELDS)}) or curvature data"
+            f"builtin ({framed}) or curvature data"
         )

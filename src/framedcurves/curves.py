@@ -4,7 +4,7 @@ Two representations are supported:
 
 * :class:`PolynomialCurve` -- exact rational coefficients; jets at rational
   parameters are exact, which is what the rank decisions downstream want.
-* :class:`ClosedFormCurve` -- analytic callables for each derivative order.
+* :class:`ClosedFormCurve` -- an analytic callable of (t, derivative order).
 
 All components are ambient coordinate vectors of length n+2 (euclidean curves
 carry their leading 1 explicitly, so derivatives carry a leading 0).
@@ -95,43 +95,39 @@ class PolynomialCurve:
 
 
 class ClosedFormCurve:
-    """Curve given by analytic derivative callables.
+    """Curve given by one analytic derivative callable.
 
-    Parameters
-    ----------
-    derivative_fns : sequence of callables
-        ``derivative_fns[k](t)`` returns the k-th derivative as a length-dim
-        array.  The list length bounds the available jet order.
+    ``derivative(t, k)`` returns the k-th derivative at t as a length-``dim``
+    array, for every order k up to ``max_order``.
     """
 
     exact = False
 
-    def __init__(self, derivative_fns, dim):
-        if not derivative_fns:
-            raise CapabilityError("need at least the order-0 callable")
-        self.derivative_fns = tuple(derivative_fns)
+    def __init__(self, derivative, dim, max_order):
+        self.derivative = derivative
         self.dim = dim
+        self._max_order = max_order
 
     def max_order(self, t=None):
-        return len(self.derivative_fns) - 1
+        return self._max_order
 
     def jet(self, t, r):
         """Float jet matrix (dim, r+1), or (N, dim, r+1) node by node over an array."""
         if np.ndim(t):
             t = np.asarray(t, dtype=float)
             return np.array([self.jet(x, r) for x in t.ravel()]).reshape(t.shape + (self.dim, r + 1))
-        if r > self.max_order():
+        if r > self._max_order:
             raise CapabilityError(
-                f"closed form provides derivatives up to order {self.max_order()}, requested {r}"
+                f"closed form provides derivatives up to order {self._max_order}, requested {r}"
             )
-        cols = [np.asarray(f(float(t)), dtype=float) for f in self.derivative_fns[: r + 1]]
+        cols = [np.asarray(self.derivative(float(t), k), dtype=float) for k in range(r + 1)]
         for c in cols:
             if c.shape != (self.dim,):
                 raise DimensionMismatch("derivative callable returned wrong length")
         return np.stack(cols, axis=1)
 
 
-# -- stock curves used across tests, examples, and the CLI -------------------
+# -- the model curves of type vectors ----------------------------------------
 
 
 def monomial_curve(a, dim=None) -> PolynomialCurve:
@@ -145,61 +141,3 @@ def monomial_curve(a, dim=None) -> PolynomialCurve:
     comps += [Poly.monomial_t(ai, Fraction(1, factorial(ai))) for ai in a]
     comps += [Poly() for _ in range(dim - len(a) - 1)]
     return PolynomialCurve(comps)
-
-
-def circle_curve() -> ClosedFormCurve:
-    """Unit circle in the euclidean plane z = 0, ambient (1, cos t, sin t, 0)."""
-
-    def deriv(k):
-        def f(t, k=k):
-            lead = 1.0 if k == 0 else 0.0
-            c = np.cos(t + k * np.pi / 2)
-            s = np.sin(t + k * np.pi / 2)
-            return np.array([lead, c, s, 0.0])
-
-        return f
-
-    return ClosedFormCurve([deriv(k) for k in range(12)], dim=4)
-
-
-def helix_curve() -> ClosedFormCurve:
-    """Arc-length helix (cos t, sin t, t)/sqrt(2), ambient leading 1."""
-    rt2 = np.sqrt(2.0)
-
-    def deriv(k):
-        def f(t, k=k):
-            lead = 1.0 if k == 0 else 0.0
-            c = np.cos(t + k * np.pi / 2) / rt2
-            s = np.sin(t + k * np.pi / 2) / rt2
-            if k == 0:
-                z = t / rt2
-            elif k == 1:
-                z = 1.0 / rt2
-            else:
-                z = 0.0
-            return np.array([lead, c, s, z])
-
-        return f
-
-    return ClosedFormCurve([deriv(k) for k in range(12)], dim=4)
-
-
-def great_circle_curve() -> ClosedFormCurve:
-    """Great circle (cos t, sin t, 0, 0) on the unit 3-sphere."""
-
-    def deriv(k):
-        def f(t, k=k):
-            c = np.cos(t + k * np.pi / 2)
-            s = np.sin(t + k * np.pi / 2)
-            return np.array([c, s, 0.0, 0.0])
-
-        return f
-
-    return ClosedFormCurve([deriv(k) for k in range(12)], dim=4)
-
-
-STOCK_CURVES = {
-    "circle": circle_curve,
-    "helix": helix_curve,
-    "great-circle": great_circle_curve,
-}

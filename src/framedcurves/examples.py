@@ -3,21 +3,24 @@
 Everything here has a closed form, so the examples double as oracles: the
 circle-with-radial-frame envelope is the unit cylinder, the helix envelope is
 its tangent developable, and the monomial flag lifts have exactly rational
-chart coordinates.  Tests and the command line both pull from this gallery.
+chart coordinates.  Tests and the command line both pull from this gallery,
+the command line by name through ``BUILTINS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import circle_curve, helix_curve, monomial_curve
-from .errors import ConfigError
+from .curves import ClosedFormCurve, monomial_curve
 from .flags import FlagCurve, c_lift_monomial, flag_from_curve
 from .frames import frame_field_from_function
 from .ratpoly import Poly
 from .spaceform import space_form
 
 __all__ = [
+    "circle_curve",
+    "helix_curve",
+    "great_circle_curve",
     "radial_circle_field",
     "helix_frenet_field",
     "cylinder_point",
@@ -25,8 +28,7 @@ __all__ = [
     "builtin_clift_examples",
     "builtin_adapted_examples",
     "violation_witnesses",
-    "builtin_field",
-    "BUILTIN_FIELDS",
+    "BUILTINS",
 ]
 
 _SQ2 = np.sqrt(2.0)
@@ -35,6 +37,15 @@ _SQ2 = np.sqrt(2.0)
 def _phase(t, k):
     """cos / sin of t shifted by k quarter turns: the k-th derivative pair."""
     return np.cos(t + 0.5 * np.pi * k), np.sin(t + 0.5 * np.pi * k)
+
+
+#: derivative orders the closed-form curves provide
+_MAX_ORDER = 11
+
+
+def _base_point_curve(matrix_fn):
+    """The framed curve e_0 of a closed-form frame: derivative k is matrix_fn(t, k)[:, 0]."""
+    return ClosedFormCurve(lambda t, k: matrix_fn(t, k)[:, 0], dim=4, max_order=_MAX_ORDER)
 
 
 # -- circle with radial framing ------------------------------------------------
@@ -50,18 +61,21 @@ def _radial_circle_matrix(t, k=0):
     return np.stack([e0, e1, e2, e3], axis=1)
 
 
+def circle_curve() -> ClosedFormCurve:
+    """Unit circle in the euclidean plane z = 0, ambient (1, cos t, sin t, 0)."""
+    return _base_point_curve(_radial_circle_matrix)
+
+
 def radial_circle_field(nodes=None):
     """Unit circle in E^3 framed so the hyperplane normal points radially.
 
     The tangent planes of the moving hyperplane family envelope the unit
     cylinder around the z axis, which makes this the standard smoke test for
-    the envelope machinery.  Returns (curve, field).
+    the envelope machinery.
     """
     if nodes is None:
         nodes = np.linspace(0.0, 2.0 * np.pi, 200)
-    sf = space_form("euclidean")
-    field = frame_field_from_function(sf, _radial_circle_matrix, nodes)
-    return circle_curve(), field
+    return frame_field_from_function(space_form("euclidean"), _radial_circle_matrix, nodes)
 
 
 def cylinder_point(t, s):
@@ -83,17 +97,19 @@ def _helix_matrix(t, k=0):
     return np.stack([e0, e1, e2, e3], axis=1)
 
 
+def helix_curve() -> ClosedFormCurve:
+    """Arc-length helix (cos t, sin t, t)/sqrt(2), ambient leading 1."""
+    return _base_point_curve(_helix_matrix)
+
+
 def helix_frenet_field(nodes=None):
     """Arc-length helix with Frenet framing (e3 = binormal).
 
     The osculating-plane family envelopes the helix's tangent developable.
-    Returns (curve, field).
     """
     if nodes is None:
         nodes = np.linspace(-np.pi, np.pi, 200)
-    sf = space_form("euclidean")
-    field = frame_field_from_function(sf, _helix_matrix, nodes)
-    return helix_curve(), field
+    return frame_field_from_function(space_form("euclidean"), _helix_matrix, nodes)
 
 
 def helix_developable_point(t, s):
@@ -147,21 +163,27 @@ def violation_witnesses():
     return FlagCurve(dim=4, polys=broken_c), FlagCurve(dim=4, polys=broken_d)
 
 
+# -- great circle ------------------------------------------------------------------
+
+
+def great_circle_curve() -> ClosedFormCurve:
+    """Great circle (cos t, sin t, 0, 0) on the unit 3-sphere."""
+
+    def derivative(t, k):
+        c, s = _phase(t, k)
+        return np.array([c, s, 0.0, 0.0])
+
+    return ClosedFormCurve(derivative, dim=4, max_order=_MAX_ORDER)
+
+
 # -- lookup used by the command line ----------------------------------------------
 
-BUILTIN_FIELDS = {
-    "circle-radial": radial_circle_field,
-    "helix-frenet": helix_frenet_field,
+#: every built-in name: (bare curve, frame field or None); a framed builtin's
+#: curve is the base point of its frame
+BUILTINS = {
+    "circle": (circle_curve, None),
+    "great-circle": (great_circle_curve, None),
+    "helix": (helix_curve, None),
+    "circle-radial": (circle_curve, radial_circle_field),
+    "helix-frenet": (helix_curve, helix_frenet_field),
 }
-
-
-def builtin_field(name, nodes=None):
-    """(curve, field) for a named built-in framed curve."""
-    try:
-        factory = BUILTIN_FIELDS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown built-in framed curve {name!r}; "
-            f"choose from {sorted(BUILTIN_FIELDS)}"
-        ) from None
-    return factory(nodes)

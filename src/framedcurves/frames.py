@@ -16,7 +16,7 @@ For n = 2 the structure equation in arc length reads
 i.e. E' = E K with the coefficient matrix K below.  The dual curve of a frame
 field is gamma_hat = E^{-T} w, w = (0, ..., 0, 1); its derivative jets satisfy
 the companion recursion d_{k+1} = d_k' + L d_k with L = -K^T, which stays in
-exact rational arithmetic whenever the curvatures are polynomials.
+exact rational arithmetic because the curvatures are polynomials.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import (
-    CapabilityError,
     DegeneracyError,
     DimensionMismatch,
     DomainError,
@@ -117,29 +116,24 @@ def gram_schmidt_signed(vectors, form, orientation=None):
 # -- curvature data and structure matrices ------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureData:
-    """delta in {0, 1, -1} plus the curvature functions (kappa_1..kappa_3).
+    """delta in {0, 1, -1} plus the curvatures (kappa_1, kappa_2, kappa_3).
 
-    ``kappa`` holds callables of arc length; ``kappa_polys`` optionally holds
-    the same functions as exact polynomials, unlocking exact dual jets.
+    Each curvature is an exact polynomial in arc length; a coefficient list
+    (low degree first) is read as one.
     """
 
     delta: int
     kappa: tuple
-    kappa_polys: tuple = None
 
     def __post_init__(self):
         if self.delta not in (0, 1, -1):
             raise DomainError(f"delta must be 0, 1 or -1, got {self.delta}")
         if len(self.kappa) != 3:
             raise DimensionMismatch("structure equation is wired for n = 2 (three curvatures)")
-
-    @classmethod
-    def from_polys(cls, delta, polys):
-        polys = tuple(p if isinstance(p, Poly) else Poly.from_t_coeffs(p) for p in polys)
-        fns = tuple((lambda s, p=p: p.evalf(s)) for p in polys)
-        return cls(delta, fns, polys)
+        kappa = tuple(p if isinstance(p, Poly) else Poly.from_t_coeffs(p) for p in self.kappa)
+        object.__setattr__(self, "kappa", kappa)
 
     @classmethod
     def constant(cls, delta, values):
@@ -149,10 +143,7 @@ class CurvatureData:
             raise DomainError(
                 f"constant curvatures must be exact; write 0.1 as the string \"0.1\" ({exc})"
             ) from exc
-        return cls.from_polys(delta, polys)
-
-    def values(self, s):
-        return tuple(f(s) for f in self.kappa)
+        return cls(delta, polys)
 
 
 def structure_matrix(delta, kappa_values):
@@ -168,11 +159,13 @@ def structure_matrix(delta, kappa_values):
     return out
 
 
-def structure_poly_matrix(curv: CurvatureData):
-    """K as a 4x4 matrix of exact polynomials (needs kappa_polys)."""
-    if curv.kappa_polys is None:
-        raise CapabilityError("exact structure matrix needs polynomial curvatures")
-    k1, k2, k3 = curv.kappa_polys
+def structure_poly_matrix(curv):
+    """K as a 4x4 matrix of exact polynomials.
+
+    ``curv`` is anything with ``delta`` and three ``kappa`` polynomials: a
+    CurvatureData, or a CurvatureFamily whose curvatures also carry lambda.
+    """
+    k1, k2, k3 = curv.kappa
     z, d = Poly(), Poly.const(curv.delta)
     return [
         [z, Poly() - d, z, z],
@@ -182,15 +175,14 @@ def structure_poly_matrix(curv: CurvatureData):
     ]
 
 
-def dual_coefficient_jets(curv: CurvatureData, r):
+def dual_coefficient_jets(curv, r):
     """Exact jets of the dual curve in the co-moving basis.
 
     gamma_hat = E^{-T} w satisfies gamma_hat^{(k)} = E^{-T} d_k with d_0 = w
     and d_{k+1} = d_k' + L d_k, L = -K^T.  Because E^{-T} is invertible, rank
-    questions about the dual's jets reduce to the d_k alone.
+    questions about the dual's jets reduce to the d_k alone.  ``curv`` is as
+    for ``structure_poly_matrix``.
     """
-    if curv.kappa_polys is None:
-        raise CapabilityError("exact dual jets need polynomial curvatures")
     k = structure_poly_matrix(curv)
     size = 4
     l_matrix = [[Poly() - k[j][i] for j in range(size)] for i in range(size)]
@@ -252,7 +244,7 @@ def field_derivatives(field: FrameField):
     The one exact derivative channel of a field.  Closed-form fields solve
     K = E^{-1} E' and K K - K' = 2 K K - E^{-1} E'' from E' and E'';
     curvature fields evaluate K and K' from the polynomial structure matrix
-    and give E' = E K.  Callable curvatures raise CapabilityError.
+    and give E' = E K.
     """
     mats = field.matrices
     fn = field.matrix_fn
@@ -261,10 +253,7 @@ def field_derivatives(field: FrameField):
                   for order in (1, 2))
         k = np.linalg.solve(mats, e1)
         return mats, e1, k, 2.0 * (k @ k) - np.linalg.solve(mats, e2)
-    curv = field.curvature
-    if curv is None or curv.kappa_polys is None:
-        raise CapabilityError("exact frame derivatives need a closed-form field or polynomial curvatures")
-    kp = structure_poly_matrix(curv)
+    kp = structure_poly_matrix(field.curvature)
     t = np.asarray(field.s, dtype=float)
     k = np.stack([np.stack([p.evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
     k1 = np.stack([np.stack([p.diff_t().evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
@@ -316,19 +305,11 @@ _COMMUTATOR = np.sqrt(3.0) / 12.0
 def _kappa_function(curv: CurvatureData):
     """s -> (kappa_1, kappa_2, kappa_3) in floats, on a last axis of length 3.
 
-    Exact univariate curvatures are evaluated by Horner's rule on float
-    coefficients prepared once, for the whole array s at once; anything else
-    calls ``curv.kappa`` at each s.
+    Horner's rule on float coefficients prepared once, for the whole array s
+    at once.
     """
-    polys = curv.kappa_polys
-    if polys is None or any(p.deg_u() for p in polys):
-        def values(s):
-            s = np.asarray(s, dtype=float)
-            return np.array([curv.values(x) for x in s.ravel()], dtype=float).reshape(s.shape + (3,))
-
-        return values
     try:
-        coeffs = [p.t_coeff_floats()[::-1] for p in polys]
+        coeffs = [p.t_coeff_floats()[::-1] for p in curv.kappa]
     except OverflowError as exc:
         raise DomainError(f"a curvature coefficient is beyond the float range ({exc})") from exc
 
@@ -440,93 +421,3 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
             raise IntegrationError(s)
 
     return FrameField(sf, nodes, out, curvature=curv, meta={"steps": steps, "rejected": rejected})
-
-
-# -- frame dual -----------------------------------------------------------------
-
-
-def _dual_value(matrix, sf: SpaceForm):
-    e_last = matrix[:, -1]
-    if sf.kind == "euclidean":
-        point = matrix[1:, 0]
-        return np.concatenate(([-float(point @ e_last[1:])], e_last[1:]))
-    return e_last.copy()
-
-
-class DualCurve:
-    """The dual curve gamma_hat of a framed curve; acts as a jet provider.
-
-    Values per geometry: euclidean -> (-gamma . e_{n+1}, e_{n+1}) in the
-    offset-sphere model; spherical/hyperbolic -> e_{n+1} itself.  Jets need a
-    closed-form field; a curvature family is typed from its exact co-moving
-    jets by the scan's type oracle instead.
-    """
-
-    exact = False
-
-    def __init__(self, field: FrameField):
-        self.field = field
-        self.kind = field.sf.dual_kind
-        self.s = field.s
-        self.values = np.stack([_dual_value(m, field.sf) for m in field.matrices])
-
-    @property
-    def dim(self):
-        return self.values.shape[1]
-
-    def max_order(self, t=None):
-        return None  # the closed-form channel is exact to every order
-
-    def jet(self, t, r):
-        fn = self.field.matrix_fn
-        if fn is None:
-            raise CapabilityError("frame field provides no derivative channel for dual jets")
-        mats = [np.asarray(fn(float(t), k), dtype=float) for k in range(r + 1)]
-        return self._jet_from_matrix_derivs(mats, self.field.sf)
-
-    def _jet_from_matrix_derivs(self, mats, sf):
-        e_last = [m[:, -1] for m in mats]
-        if sf.kind != "euclidean":
-            return np.stack(e_last, axis=1)
-        gamma = [m[1:, 0] for m in mats]
-        r = len(mats) - 1
-        cols = []
-        binom = [[1]]
-        for k in range(1, r + 1):
-            binom.append([1] + [binom[-1][j - 1] + binom[-1][j] for j in range(1, k)] + [1])
-        for k in range(r + 1):
-            off = -sum(binom[k][j] * float(gamma[j] @ e_last[k - j][1:]) for j in range(k + 1))
-            cols.append(np.concatenate(([off], e_last[k][1:])))
-        return np.stack(cols, axis=1)
-
-
-def frame_dual(field: FrameField) -> DualCurve:
-    """Dual curve of a frame field (per-geometry hyperplane coordinates)."""
-    return DualCurve(field)
-
-
-# -- Legendre (integrality) residuals -------------------------------------------
-
-
-def legendre_residuals(field: FrameField, curve=None):
-    """Per-node |<gamma_hat, gamma'>| -- zero iff the lift is integral.
-
-    With no curve given, gamma' is read off the structure equation as e_1.
-    The pairing is the dual space's incidence pairing: plain dot against the
-    (0, gamma'-spatial) vector in the euclidean affine convention, the ambient
-    form otherwise.
-    """
-    sf = field.sf
-    res = np.empty(len(field.s))
-    for i, t in enumerate(field.s):
-        m = field.matrices[i]
-        if curve is None:
-            vel = m[:, 1]
-        else:
-            vel = curve.jet(t, 1)[:, 1]
-        dual = _dual_value(m, sf)
-        if sf.kind == "euclidean":
-            res[i] = abs(float(dual[1:] @ vel[1:]))
-        else:
-            res[i] = abs(inner_product(dual, vel, sf.form))
-    return res

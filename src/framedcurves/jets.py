@@ -118,40 +118,30 @@ def exact_rank_profile(columns):
 
 
 def float_rank_profile(matrix, rank_tol=DEFAULT_RANK_TOL):
-    """(ranks, min_gap) over column prefixes of a float matrix, or of a stack.
+    """(ranks, min_gap) over the column prefixes of a float matrix.
 
     Each prefix is decided by the singular values of its column-normalized
     copy.  Ranks are forced monotone non-decreasing with unit steps, which is
     what prefix ranks of a genuine jet matrix satisfy; min_gap is the smallest
     accepted/rejected singular value ratio seen at any truncation decision.
-
-    A ``(rows, cols)`` matrix gives a list of ranks and a float.  A
-    ``(..., rows, cols)`` stack gives ``(..., cols)`` ranks and ``(...)`` gaps
-    from one stacked SVD per prefix, each matrix decided bit for bit as on its
-    own.
     """
-    stack = np.asarray(matrix, dtype=float)
-    lead, ncols = stack.shape[:-2], stack.shape[-1]
-    ranks = np.zeros(lead + (ncols,), dtype=int)
-    min_gap = np.full(lead, np.inf)
-    prev = np.zeros(lead, dtype=int)
-    for r in range(ncols):
-        m = stack[..., : r + 1]
-        norms = np.linalg.norm(m, axis=-2)
-        sv = np.linalg.svd(m / np.where(norms > 0, norms, 1.0)[..., None, :], compute_uv=False)
-        nsv = sv.shape[-1]
-        rank = np.sum(sv > rank_tol * sv[..., :1], axis=-1)
-        below = np.take_along_axis(sv, np.minimum(rank, nsv - 1)[..., None], -1)[..., 0]
-        above = np.take_along_axis(sv, np.maximum(rank - 1, 0)[..., None], -1)[..., 0]
-        sharp = (rank > 0) & (rank < nsv) & (below != 0)
-        gap = np.where(sharp, above / np.where(sharp, below, 1.0), np.inf)
-        rank = np.maximum(prev, np.minimum(rank, prev + 1))
-        min_gap = np.where((rank < r + 1) & (gap < min_gap), gap, min_gap)
-        ranks[..., r] = rank
+    matrix = np.asarray(matrix, dtype=float)
+    ranks, min_gap, prev = [], np.inf, 0
+    for r in range(matrix.shape[1]):
+        m = matrix[:, : r + 1]
+        norms = np.linalg.norm(m, axis=0)
+        sv = np.linalg.svd(m / np.where(norms > 0, norms, 1.0), compute_uv=False)
+        rank = int(np.sum(sv > rank_tol * sv[0]))
+        if 0 < rank < len(sv) and sv[rank] != 0:
+            gap = sv[rank - 1] / sv[rank]
+        else:
+            gap = np.inf
+        rank = max(prev, min(rank, prev + 1))
+        if rank < r + 1 and gap < min_gap:
+            min_gap = gap
+        ranks.append(rank)
         prev = rank
-    if not lead:
-        return ranks.tolist(), float(min_gap)
-    return ranks, min_gap
+    return ranks, float(min_gap)
 
 
 # -- type detection -----------------------------------------------------------
@@ -164,7 +154,7 @@ class TypeDetection:
     type: tuple
     ranks: list
     mode: str  # "exact" or "float"
-    confidence: str  # "high" / "low" (float path gap certificate)
+    confidence: str  # "exact", or "high" / "low" (float path gap certificate)
     min_gap: float
     r_used: int
 
@@ -182,7 +172,11 @@ def _ranks_to_type(ranks, dim, r_max):
 
 
 def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="auto"):
-    """Detect the type vector at t along with the evidence used."""
+    """Detect the type vector at t along with the evidence used.
+
+    ``mode`` "auto" takes the exact path for an exact curve at an exact t (an
+    int, a Fraction or a decimal string) and the float path otherwise.
+    """
     if isinstance(t, (float, np.floating)) and not np.isfinite(t):
         raise DomainError(f"type detection needs a finite parameter, got t={t!r}")
     dim = curve.dim
@@ -191,34 +185,24 @@ def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="au
     cap = curve.max_order(t)
     r_used = r_max if cap is None else min(r_max, cap)
 
-    use_exact = mode == "exact" or (mode == "auto" and getattr(curve, "exact", False))
-    if use_exact:
-        try:
-            cols = curve.jet_exact(t, r_used)
-        except (TypeError, ValueError):
-            if mode == "exact":
-                raise
-            use_exact = False
-    if use_exact:
-        ranks = exact_rank_profile(cols)
-        try:
-            a = _ranks_to_type(ranks, dim, r_max)
-        except FiniteTypeError:
-            if r_used < r_max:
-                raise FiniteTypeError(max(ranks), r_used)
-            raise
-        return TypeDetection(a, ranks, "exact", "high", np.inf, r_used)
-
-    jet = curve.jet(t, r_used)
-    ranks, min_gap = float_rank_profile(jet, rank_tol)
+    if mode == "auto":
+        mode = "exact" if curve.exact and isinstance(t, (int, Fraction, str)) else "float"
+    if mode == "exact":
+        ranks, min_gap = exact_rank_profile(curve.jet_exact(t, r_used)), np.inf
+    else:
+        mode = "float"
+        ranks, min_gap = float_rank_profile(curve.jet(t, r_used), rank_tol)
     try:
         a = _ranks_to_type(ranks, dim, r_max)
     except FiniteTypeError:
         if r_used < r_max:
             raise FiniteTypeError(max(ranks), r_used)
         raise
-    confidence = "high" if min_gap >= RANK_GAP_MIN else "low"
-    return TypeDetection(a, ranks, "float", confidence, float(min_gap), r_used)
+    if mode == "exact":
+        confidence = "exact"
+    else:
+        confidence = "high" if min_gap >= RANK_GAP_MIN else "low"
+    return TypeDetection(a, ranks, mode, confidence, float(min_gap), r_used)
 
 
 def detect_type(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="auto"):
@@ -264,29 +248,27 @@ _CODIM_BY_MODE = {
 def enumerate_generic_types(n, budget, mode="ordinary"):
     """All type vectors of length n+1 whose mode-codimension is <= budget.
 
-    Sorted lexicographically.  The budget bounds every entry (a_i <= i +
-    budget for the entries the mode's codimension counts), so the search space
-    is finite.
+    Sorted lexicographically.  Every mode bounds every entry by a_i <= i +
+    budget, and a prefix is dropped once its cheapest completion (each later
+    entry one above the last) is over budget, so each prefix searched leads to
+    at least one output.  The search runs on an explicit stack.
     """
     if n < 1:
         raise DimensionMismatch("need n >= 1")
     if mode not in _CODIM_BY_MODE:
         raise DimensionMismatch(f"unknown enumeration mode {mode!r}")
     codim = _CODIM_BY_MODE[mode]
-    top_bound = (n + 1) + budget
+    size = n + 1
     out = []
-
-    def extend(prefix):
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
         i = len(prefix) + 1
         lo = prefix[-1] + 1 if prefix else 1
-        for ai in range(lo, top_bound + 1):
-            cand = prefix + (ai,)
-            if len(cand) == n + 1:
-                if codim(cand) <= budget:
-                    out.append(cand)
-            else:
-                extend(cand)
-
-    extend(())
-    out.sort()
+        children = [prefix + (ai,) for ai in range(lo, i + budget + 1)
+                    if codim(prefix + tuple(range(ai, ai + 1 + size - i))) <= budget]
+        if i == size:
+            out.extend(children)
+        else:
+            stack.extend(reversed(children))  # popped smallest first: lexicographic order
     return out

@@ -12,7 +12,7 @@ A hyperplane is given by a unit conormal, for a framed curve its last frame
 vector e_{n+1} (see ``envelope``).  In the two quadric geometries the
 conormal lives on the dual quadric (unit sphere, respectively de Sitter
 space); a euclidean hyperplane also carries an offset, so its dual model is
-R x S^n (``SpaceForm.dual_kind``).
+R x S^n.
 """
 
 from __future__ import annotations
@@ -120,15 +120,6 @@ class SpaceForm:
     def delta(self) -> int:
         """Curvature sign in the structure equation: 0, +1, -1."""
         return {EUCLIDEAN: 0, SPHERICAL: 1, HYPERBOLIC: -1}[self.kind]
-
-    @property
-    def dual_kind(self) -> str:
-        """Name of the space the hyperplane conormals live in."""
-        return {
-            EUCLIDEAN: "offset-sphere",   # R x S^n: (offset, unit conormal)
-            SPHERICAL: "sphere",          # unit sphere of the same dimension
-            HYPERBOLIC: "de-sitter",      # {x . x = +1} of the Lorentz form
-        }[self.kind]
 
 
 def space_form(kind: str, n: int = 2) -> SpaceForm:

@@ -18,7 +18,6 @@ from framedcurves import (
     SingularityClass,
     class_of,
     classify_osculating_scan,
-    classify_point,
     codim_adapted,
     codim_osculating,
     consistency_check,
@@ -86,30 +85,6 @@ def test_every_classified_type_pairs_with_a_developable_partner():
         cls, partner = consistency_check(a)
         assert cls.name != "Unresolved"
         assert dual_type(partner) == a
-
-
-# -- pointwise classification -----------------------------------------------------
-
-
-def test_helix_frenet_is_a_cuspidal_edge_everywhere():
-    curve, field = helix_frenet_field()
-    assert classify_point(curve, field, 0.0) == CUSPIDAL_EDGE
-    assert classify_point(curve, field, 0.7) == CUSPIDAL_EDGE
-
-
-def test_radial_circle_dual_is_degenerate():
-    # the radial dual of a circle is a circle of hyperplanes through one axis:
-    # its jets never span, so no wavefront germ is assigned
-    curve, field = radial_circle_field()
-    assert classify_point(curve, field, 0.0) == DEGENERATE
-
-
-def test_classify_point_rejects_non_adapted_fields():
-    from framedcurves import circle_curve
-
-    _, field = helix_frenet_field()
-    with pytest.raises(DomainError):
-        classify_point(circle_curve(), field, 0.0)
 
 
 # -- curvature-family scans ---------------------------------------------------------

@@ -159,13 +159,24 @@ def _run_quietly(argv):
     return code, out.getvalue()
 
 
-# both the attached "--t=-1e-05" and the detached "--t -1e-05" form
+#: (1, t, t^2, t^3): exact coefficients, so typed on the exact path
+TWISTED_CUBIC = {"curve": {"kind": "polynomial",
+                           "coefficients": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]}}
+
+
+# both the attached "--t=-1e-05" and the detached "--t -1e-05" form, on the
+# default builtin (float path) and on a polynomial curve (exact path)
 @settings(max_examples=60, deadline=None)
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_type_exits_0_or_3_for_every_float(x):
-    attached = _run_quietly(["type", f"--t={x!r}"])
-    assert attached[0] in (0, 3)
-    assert _run_quietly(["type", "--t", repr(x)]) == attached
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cubic.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(TWISTED_CUBIC, handle)
+        for config in ([], ["--config", path]):
+            attached = _run_quietly(["type", *config, f"--t={x!r}"])
+            assert attached[0] in (0, 3)
+            assert _run_quietly(["type", *config, "--t", repr(x)]) == attached
 
 
 @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+1", "-inf", "-nan", "-0.5", "-3"])
@@ -254,6 +265,14 @@ def test_type_of_a_curvature_family_beyond_the_float_range_is_typed_exactly(tmp_
     assert "type: (1, 2, 3)" in out and "mode: exact  confidence: exact" in out
 
 
+@pytest.mark.parametrize("t", ["0", "1000"])
+def test_type_of_a_polynomial_curve_is_typed_exactly(tmp_path, capsys, t):
+    # at t = 1000 the float jet's singular values stall at rank 3
+    assert main(["type", "--config", _write_config(tmp_path, TWISTED_CUBIC), f"--t={t}"]) == 0
+    out = capsys.readouterr().out
+    assert "type: (1, 2, 3)" in out and "mode: exact  confidence: exact" in out
+
+
 # -- enumerate --------------------------------------------------------------------------
 
 
@@ -264,6 +283,14 @@ def test_enumerate_adapted_table(capsys):
     assert lines[1] == "1,2,3,0,0,0"
     assert lines[-1] == "2,3,4,3,2,1"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("n,budget,rows", [(30, 4, 12), (1000, 0, 1)])
+def test_enumerate_of_a_long_type_vector_finishes(capsys, n, budget, rows):
+    assert main(["enumerate", "--n", str(n), "--budget", str(budget)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + rows
+    assert lines[1].startswith(",".join(str(i) for i in range(1, n + 2)) + ",0,0,0")
 
 
 def test_enumerate_writes_csv(tmp_path, capsys):

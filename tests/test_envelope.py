@@ -45,7 +45,7 @@ NORMAL_FORM_TYPES = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 4), (3, 
 
 
 def test_radial_circle_envelope_is_a_cylinder():
-    _, field = radial_circle_field(np.linspace(0.0, 2 * np.pi, 60))
+    field = radial_circle_field(np.linspace(0.0, 2 * np.pi, 60))
     fam = hyperplane_family(field)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-1.0, 1.0, 9))
     assert len(mesh.vertices) == 60 * 9
@@ -57,33 +57,24 @@ def test_radial_circle_envelope_is_a_cylinder():
 
 
 def test_helix_envelope_is_its_tangent_developable():
-    _, field = helix_frenet_field(np.linspace(-1.0, 1.0, 41))
+    field = helix_frenet_field(np.linspace(-1.0, 1.0, 41))
     fam = hyperplane_family(field)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.8, 0.8, 9))
     expect = np.stack([helix_developable_point(t, s) for t, s in mesh.params])
     assert float(np.max(np.abs(mesh.vertices - expect))) < 1e-9
 
 
-def test_hyperplane_family_needs_exact_derivatives():
-    # callable curvatures give E' = E K but no exact K', and nothing differences numerically
-    sf = space_form("spherical")
-    curv = CurvatureData(1, (lambda s: 1.0, lambda s: 0.0, lambda s: s * s))
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 1.0))
-    with pytest.raises(CapabilityError, match="polynomial curvatures"):
-        hyperplane_family(field)
-
-
 def _curvature_family(kind, nodes, kappa=((1,), (0,), (0, 0, 1))):
     """The hyperplane family of an integrated frame field, kappa as coefficient lists."""
     sf = space_form(kind)
     nodes = np.asarray(nodes, dtype=float)
-    curv = CurvatureData.from_polys(sf.delta, [list(k) for k in kappa])
+    curv = CurvatureData(sf.delta, [list(k) for k in kappa])
     field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (nodes[0], nodes[-1]), nodes=nodes)
     return hyperplane_family(field)
 
 
 def _circle_family(nodes):
-    _, field = radial_circle_field(nodes)
+    field = radial_circle_field(nodes)
     return hyperplane_family(field)
 
 
@@ -134,7 +125,7 @@ def test_characteristic_direction_is_the_signed_tangent(kind):
     # in every geometry; kappa_3 = t vanishes at the middle node, which is dropped
     sf = space_form(kind)
     nodes = np.linspace(-2.0, 2.0, 9)
-    curv = CurvatureData.from_polys(sf.delta, [[1], [0], [0, 1]])
+    curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
     field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
     keep, direction, _, _ = envelope._characteristic_lines(hyperplane_family(field), 1e-9)
     assert keep.tolist() == [True] * 4 + [False] + [True] * 4
@@ -148,7 +139,7 @@ def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kin
     # direction sign(kappa_3) e_1 flips; the mesh's lines must not flip with it
     sf = space_form(kind)
     nodes = np.linspace(-2.0, 2.0, 10)
-    curv = CurvatureData.from_polys(sf.delta, [[1], [0], [0, 1]])
+    curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
     field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
     fam = hyperplane_family(field)
     keep, direction, _, _ = envelope._characteristic_lines(fam, 1e-9)
@@ -224,7 +215,7 @@ def test_spherical_locus_keeps_both_roots_on_a_wide_s_grid():
 def test_helix_singular_locus_is_the_curve_itself():
     # the tangent developable is singular exactly along its edge of regression
     nodes = np.linspace(-1.0, 1.0, 81)
-    _, field = helix_frenet_field(nodes)
+    field = helix_frenet_field(nodes)
     fam = hyperplane_family(field)
     polylines = singular_locus(fam)
     assert polylines, "expected a nonempty singular locus"
@@ -370,7 +361,7 @@ def test_swallowtail_locus_as_cusped_curve():
 
 
 def test_export_obj_structure(tmp_path):
-    _, field = radial_circle_field(np.linspace(0.0, np.pi, 10))
+    field = radial_circle_field(np.linspace(0.0, np.pi, 10))
     fam = hyperplane_family(field)
     mesh = envelope_mesh(fam, s_grid=np.linspace(-0.5, 0.5, 4))
     path = tmp_path / "cyl.obj"

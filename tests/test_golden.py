@@ -29,7 +29,7 @@ from framedcurves.classify import (
 )
 from framedcurves.cli import main
 from framedcurves.config import RunConfig
-from framedcurves.curves import helix_curve
+from framedcurves.examples import helix_curve
 from framedcurves.flags import (
     FlagCurve,
     c_integrality_residual,

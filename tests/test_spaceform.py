@@ -35,9 +35,3 @@ def test_unknown_kind_rejected():
     with pytest.raises(DomainError):
         AmbientForm(4, "split")
 
-
-def test_dual_kind_names():
-    assert space_form("euclidean").dual_kind == "offset-sphere"
-    assert space_form("spherical").dual_kind == "sphere"
-    assert space_form("hyperbolic").dual_kind == "de-sitter"
-
