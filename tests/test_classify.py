@@ -9,11 +9,8 @@ from hypothesis import given, settings, strategies as st
 from framedcurves import (
     CLASS_BY_DUAL_TYPE,
     CUSPIDAL_BUTTERFLY,
-    CUSPIDAL_EDGE,
     CurvatureFamily,
-    DEGENERATE,
     DiagonalFamily,
-    DomainError,
     EVENT_CSV_HEADER,
     SingularityClass,
     class_of,
@@ -27,7 +24,6 @@ from framedcurves import (
     schubert_number,
 )
 from framedcurves.classify import _AdaptedTypeOracle, _exact_roots, _FactoredDetector, _line_roots, _root
-from framedcurves.examples import helix_frenet_field, radial_circle_field
 from framedcurves.ratpoly import Poly, integer_coeffs, squarefree, trim, vanishes_at
 
 increasing_triples = st.lists(

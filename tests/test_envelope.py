@@ -15,7 +15,6 @@ from framedcurves.cli import main
 from framedcurves.config import DEFAULTS
 from framedcurves.frames import gram_defect
 from framedcurves import (
-    CapabilityError,
     CurvatureData,
     DimensionMismatch,
     EnvelopeMesh,
