@@ -17,12 +17,7 @@ from .errors import (
     FramedCurveError,
     IntegrationError,
 )
-from .spaceform import (
-    AmbientForm,
-    SpaceForm,
-    inner_product,
-    space_form,
-)
+from .spaceform import SpaceForm
 from .curves import ClosedFormCurve, PolynomialCurve, monomial_curve
 from .jets import (
     DEFAULT_RANK_TOL,
@@ -40,7 +35,6 @@ from .jets import (
 )
 from .frames import (
     CurvatureData,
-    Frame,
     FrameField,
     dual_coefficient_jets,
     frame_field_from_function,

@@ -28,7 +28,7 @@ from .examples import (
     violation_witnesses,
 )
 from .flags import c_integrality_residual, c_lift_monomial, d_integrality_residual, dual_curve_from_clift
-from .frames import CurvatureData, Frame, integrate_structure_equation
+from .frames import CurvatureData, integrate_structure_equation
 from .jets import (
     codim_adapted,
     codim_osculating,
@@ -38,7 +38,7 @@ from .jets import (
     schubert_number,
 )
 from .ratpoly import Poly
-from .spaceform import space_form
+from .spaceform import SpaceForm
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all"] + [f"criterion_{k}" for k in range(1, 9)]
 
@@ -75,12 +75,12 @@ def criterion_1():
     bad = []
     exact_cases = _triples(7)
     for a in exact_cases:
-        got = detect_type(monomial_curve(a), 0, mode="exact")
+        got = detect_type(monomial_curve(a), 0)
         if got != a:
             bad.append((a, got, "exact"))
     float_cases = _triples(5)
     for a in float_cases:
-        got = detect_type(monomial_curve(a), 0.0, rank_tol=1e-8, mode="float")
+        got = detect_type(monomial_curve(a), 0.0, rank_tol=1e-8)
         if got != a:
             bad.append((a, got, "float"))
     detail = (f"exact {len(exact_cases) - sum(b[2] == 'exact' for b in bad)}/{len(exact_cases)}, "
@@ -106,7 +106,7 @@ def criterion_2():
     numeric = _triples(6)
     for a in numeric:
         dual = dual_curve_from_clift(c_lift_monomial(a))
-        got = detect_type(dual, 0, mode="exact")
+        got = detect_type(dual, 0)
         if got != dual_type(a):
             bad.append(("lift", a, got))
     detail = f"involution on {count} types, {len(numeric)} lifted duals detected"
@@ -165,9 +165,8 @@ def criterion_4():
     drifts = []
     ok = True
     for delta, kappa, kind in cases:
-        sf = space_form(kind)
         curv = CurvatureData.constant(delta, kappa)
-        field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 20.0), tol=1e-10)
+        field = integrate_structure_equation(SpaceForm(kind), curv, (0.0, 20.0), tol=1e-10)
         drift = float(np.max(field.gram_defects()))
         drifts.append(f"{kind} {drift:.2e}")
         ok = ok and drift <= 1e-8

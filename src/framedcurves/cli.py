@@ -1,8 +1,8 @@
 """Command-line front end: config ingestion, run orchestration, file export.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
-failure.  All file writes go through atomic renames, and a given config +
-seed always produces byte-identical CSV and report files.
+failure.  All file writes go through atomic renames, and a given config
+always produces byte-identical CSV and report files.
 """
 
 from __future__ import annotations
@@ -54,12 +54,8 @@ def export_report(payload, path):
 
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig.from_dict({})
-    if getattr(args, "seed", None) is not None:
-        cfg = RunConfig.from_dict({**cfg.resolved(), "seed": args.seed})
-    return cfg
+        return RunConfig.from_file(args.config)
+    return RunConfig.from_dict({})
 
 
 def _out_path(args, cfg, key):
@@ -280,13 +276,11 @@ def _cmd_verify(args):
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, config=True, out=True, seed=True):
+def _add_common(sub, config=True, out=True):
     if config:
         sub.add_argument("--config", help="JSON run configuration")
     if out:
         sub.add_argument("--out", help="output directory (default: current)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None, help="seed recorded in reports")
 
 
 def build_parser():
@@ -331,7 +325,6 @@ def build_parser():
     p.set_defaults(func=_cmd_enumerate)
 
     p = subs.add_parser("verify", help="run the acceptance suite")
-    _add_common(p, config=False, out=False, seed=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser

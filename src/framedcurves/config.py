@@ -20,16 +20,15 @@ from .classify import CurvatureFamily
 from .curves import PolynomialCurve
 from .errors import ConfigError, DomainError
 from .examples import BUILTINS
-from .frames import CurvatureData, Frame, integrate_structure_equation
+from .frames import CurvatureData, integrate_structure_equation
 from .ratpoly import Poly
-from .spaceform import space_form
+from .spaceform import SpaceForm
 
 __all__ = ["RunConfig", "DEFAULTS"]
 
 
 DEFAULTS = {
     "geometry": "euclidean",
-    "n": 2,
     "curve": {"kind": "builtin", "name": "helix-frenet"},
     "grids": {
         "t": [-1.0, 1.0, 200],
@@ -38,7 +37,6 @@ DEFAULTS = {
     },
     "tolerances": {"rank_tol": 1e-8, "ode_tol": 1e-10, "mesh_tol": 1e-9},
     "outputs": {"mesh": "envelope.obj", "events": "events.csv", "report": "report.json"},
-    "seed": 0,
 }
 
 _GEOMETRIES = ("euclidean", "spherical", "hyperbolic")
@@ -152,12 +150,10 @@ class RunConfig:
     """Fully validated, fully defaulted run settings."""
 
     geometry: str
-    n: int
     curve: dict
     grids: dict
     tolerances: dict
     outputs: dict
-    seed: int
 
     # -- construction -------------------------------------------------------
 
@@ -167,9 +163,6 @@ class RunConfig:
         geometry = data.get("geometry", DEFAULTS["geometry"])
         if geometry not in _GEOMETRIES:
             raise ConfigError(f"geometry must be one of {_GEOMETRIES}, got {geometry!r}")
-        n = data.get("n", DEFAULTS["n"])
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError(f"n must be a positive integer, got {n!r}")
 
         curve = _parse_curve(data.get("curve", DEFAULTS["curve"]))
 
@@ -196,12 +189,8 @@ class RunConfig:
                 raise ConfigError(f"outputs.{key} must be a nonempty path string")
             outputs[key] = value
 
-        seed = data.get("seed", DEFAULTS["seed"])
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-
-        return cls(geometry=geometry, n=n, curve=curve, grids=grids,
-                   tolerances=tolerances, outputs=outputs, seed=seed)
+        return cls(geometry=geometry, curve=curve, grids=grids,
+                   tolerances=tolerances, outputs=outputs)
 
     @classmethod
     def from_text(cls, text) -> "RunConfig":
@@ -226,18 +215,13 @@ class RunConfig:
         """The complete effective config; re-running from it reproduces a run."""
         return {
             "geometry": self.geometry,
-            "n": self.n,
             "curve": self.curve,
             "grids": self.grids,
             "tolerances": self.tolerances,
             "outputs": self.outputs,
-            "seed": self.seed,
         }
 
     # -- derived objects ------------------------------------------------------
-
-    def space(self):
-        return space_form(self.geometry, self.n)
 
     def _axis(self, name):
         lo, hi, count = self.grids[name]
@@ -264,10 +248,6 @@ class RunConfig:
     def mesh_tol(self):
         return self.tolerances["mesh_tol"]
 
-    def _require_n2(self, what):
-        if self.n != 2:
-            raise ConfigError(f"{what} is wired for n = 2 (4x4 frames); config has n = {self.n}")
-
     def _kappa_polys(self):
         return tuple(
             Poly({tuple(int(p) for p in key.split(",")): Fraction(coeff)
@@ -277,7 +257,6 @@ class RunConfig:
 
     def curvature_family(self) -> CurvatureFamily:
         """The lambda-dependent curvature model (scan subcommand)."""
-        self._require_n2("scanning")
         if self.curve["kind"] != "curvature":
             raise ConfigError("scanning needs a curve of kind 'curvature'")
         return CurvatureFamily(self.curve["delta"], self._kappa_polys())
@@ -294,10 +273,12 @@ class RunConfig:
 
     def build_field(self, lam=None):
         """The frame field of a built-in framed curve or of integrated curvature data."""
-        self._require_n2("frame construction")
         kind = self.curve["kind"]
         field_factory = BUILTINS[self.curve["name"]][1] if kind == "builtin" else None
         if field_factory is not None:
+            if self.geometry != "euclidean":
+                raise ConfigError(f"the built-in framed curve {self.curve['name']!r} is euclidean; "
+                                  f"config has geometry {self.geometry!r}")
             return field_factory(self.t_grid())
         if kind == "curvature":
             polys = self._kappa_polys()
@@ -308,10 +289,9 @@ class RunConfig:
             elif any(p.deg_u() > 0 for p in polys):
                 polys = tuple(p.subs_u(0) for p in polys)
             curv = CurvatureData(self.curve["delta"], polys)
-            sf = self.space()
             t = self.t_grid()
             return integrate_structure_equation(
-                Frame(np.eye(self.n + 2), sf), curv, (float(t[0]), float(t[-1])),
+                SpaceForm(self.geometry), curv, (float(t[0]), float(t[-1])),
                 tol=self.ode_tol, nodes=t,
             )
         framed = [name for name, (_, factory) in BUILTINS.items() if factory is not None]

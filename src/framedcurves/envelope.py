@@ -27,11 +27,11 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapabilityError, DegeneracyError, DimensionMismatch, DomainError
+from .errors import DegeneracyError, DimensionMismatch, DomainError
 from .fileio import atomic_open, format_floats, rows_text, spaced
 from .frames import FrameField, field_derivatives
 from .ratpoly import Poly
-from .spaceform import SpaceForm, space_form
+from .spaceform import SpaceForm
 
 DEFAULT_S_WINDOW = 1.5
 _CHAIN_GAP = 0.5  # a locus polyline breaks where s jumps by more than this
@@ -54,11 +54,11 @@ class HyperplaneFamily:
 
     sf: SpaceForm
     t: np.ndarray
-    frames: np.ndarray  # (N, dim, dim)
-    normal: np.ndarray  # (N, dim)
-    normal1: np.ndarray  # (N, dim)
-    k3: np.ndarray  # (N, dim)
-    q3: np.ndarray  # (N, dim)
+    frames: np.ndarray  # (N, 4, 4)
+    normal: np.ndarray  # (N, 4)
+    normal1: np.ndarray  # (N, 4)
+    k3: np.ndarray  # (N, 4)
+    q3: np.ndarray  # (N, 4)
 
 
 def hyperplane_family(field: FrameField) -> HyperplaneFamily:
@@ -224,8 +224,6 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     is singular where |F_tt| <= tol, with F_tt in frame coordinates.
     """
     sf = fam.sf
-    if sf.n != 2:
-        raise CapabilityError("envelope meshing is wired for n = 2")
     s_grid = _strip_grid(s_grid)
     keep, direction, a, b = _characteristic_lines(fam, tol)
     if not keep.any():
@@ -233,9 +231,7 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     gamma = fam.frames[keep, :, 0]
     c, s = _geodesic(sf, s_grid)
     amb = c[None, :, None] * gamma[:, None, :] + s[None, :, None] * direction[:, None, :]
-    g = sf.form.matrix
-    if sf.kind == "euclidean":
-        g[0, 0] = 0.0
+    g = np.diag([0.0, 1.0, 1.0, 1.0]) if sf.kind == "euclidean" else sf.form
     f, ft = (_matvec(amb - gamma[:, None, :], n[keep] @ g) for n in (fam.normal, fam.normal1))
     ftt = c[None, :] * a[:, None] + s[None, :] * b[:, None]
     t = np.asarray(fam.t, dtype=float)
@@ -328,7 +324,7 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
     ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
     keep = np.ones(len(t_grid), dtype=bool)
     return _assemble(
-        space_form("euclidean"), t_grid, s_grid, keep, ambient, nf.f(t, x), nf.f_t(t, x),
+        SpaceForm("euclidean"), t_grid, s_grid, keep, ambient, nf.f(t, x), nf.f_t(t, x),
         nf.f_tt_on_discriminant().evalf(t, s), tol, {"normal_form": nf.a},
     )
 

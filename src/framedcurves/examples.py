@@ -15,7 +15,7 @@ from .curves import ClosedFormCurve, monomial_curve
 from .flags import FlagCurve, c_lift_monomial, flag_from_curve
 from .frames import frame_field_from_function
 from .ratpoly import Poly
-from .spaceform import space_form
+from .spaceform import SpaceForm
 
 __all__ = [
     "circle_curve",
@@ -75,7 +75,7 @@ def radial_circle_field(nodes=None):
     """
     if nodes is None:
         nodes = np.linspace(0.0, 2.0 * np.pi, 200)
-    return frame_field_from_function(space_form("euclidean"), _radial_circle_matrix, nodes)
+    return frame_field_from_function(SpaceForm("euclidean"), _radial_circle_matrix, nodes)
 
 
 def cylinder_point(t, s):
@@ -109,7 +109,7 @@ def helix_frenet_field(nodes=None):
     """
     if nodes is None:
         nodes = np.linspace(-np.pi, np.pi, 200)
-    return frame_field_from_function(space_form("euclidean"), _helix_matrix, nodes)
+    return frame_field_from_function(SpaceForm("euclidean"), _helix_matrix, nodes)
 
 
 def helix_developable_point(t, s):

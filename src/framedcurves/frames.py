@@ -1,12 +1,13 @@
 """Adapted and osculating frames along curves in the three model geometries.
 
-A frame is an (n+2)x(n+2) matrix whose columns are (e_0, ..., e_{n+1}) with
-e_0 the base point on the model.  Signed orthonormality means E^T J E = J for
-the quadric models; in the euclidean affine convention e_0 has leading
-coordinate 1, the remaining columns have leading coordinate 0 and spatially
-orthonormal parts, and the position part of e_0 is unconstrained.
+A frame is a 4x4 matrix whose columns are (e_0, e_1, e_2, e_3) with e_0 the
+base point on the model (curves in 3-space, n = 2).  Signed orthonormality
+means E^T J E = J for the quadric models; in the euclidean affine convention
+e_0 has leading coordinate 1, the remaining columns have leading coordinate 0
+and spatially orthonormal parts, and the position part of e_0 is
+unconstrained.
 
-For n = 2 the structure equation in arc length reads
+The structure equation in arc length reads
 
     e_0' = e_1
     e_1' = -delta e_0 + kappa_1 e_2 + kappa_2 e_3
@@ -14,7 +15,7 @@ For n = 2 the structure equation in arc length reads
     e_3' = -kappa_2 e_1 - kappa_3 e_2
 
 i.e. E' = E K with the coefficient matrix K below.  The dual curve of a frame
-field is gamma_hat = E^{-T} w, w = (0, ..., 0, 1); its derivative jets satisfy
+field is gamma_hat = E^{-T} w, w = (0, 0, 0, 1); its derivative jets satisfy
 the companion recursion d_{k+1} = d_k' + L d_k with L = -K^T, which stays in
 exact rational arithmetic because the curvatures are polynomials.
 """
@@ -32,7 +33,7 @@ from .errors import (
     IntegrationError,
 )
 from .ratpoly import Poly, as_fraction
-from .spaceform import SpaceForm, group_exp, inner_product
+from .spaceform import SpaceForm, group_exp
 
 _GS_TOL = 1e-12
 
@@ -40,43 +41,26 @@ _GS_TOL = 1e-12
 # -- frames -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Frame matrix with columns (e_0, ..., e_{n+1}) over a space form."""
-
-    matrix: np.ndarray
-    sf: SpaceForm
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-def gram_defect(frame, sf=None):
+def gram_defect(matrix, sf: SpaceForm):
     """How far a frame matrix is from signed orthonormality (sup norm).
 
     Euclidean frames are affine: the defect combines the leading-row pattern
-    (1, 0, ..., 0) with orthonormality of the spatial block of e_1..e_{n+1};
+    (1, 0, 0, 0) with orthonormality of the spatial block of e_1, e_2, e_3;
     the position part of e_0 is free.  Lorentz frames far out on the
     hyperbolic sheet have entries of size e^s, and E^T J E cancels down from
     |E[:, j]|^2, so the hyperbolic defect is max|E^T J E - J| / max_j |E[:, j]|^2.
 
-    A bare matrix may be a (..., dim, dim) stack; it gives an array of the
-    stack's shape, and a single frame gives a float.
+    A (..., 4, 4) stack gives an array of the stack's shape, and a single
+    frame gives a float.
     """
-    if isinstance(frame, Frame):
-        matrix, sf = frame.matrix, frame.sf
-    else:
-        matrix = np.asarray(frame, dtype=float)
-        if sf is None:
-            raise DimensionMismatch("need a SpaceForm for a bare matrix")
+    matrix = np.asarray(matrix, dtype=float)
     if sf.kind == "euclidean":
         lead = np.maximum(np.abs(matrix[..., 0, 0] - 1.0), np.max(np.abs(matrix[..., 0, 1:]), axis=-1))
         block = matrix[..., 1:, 1:]
-        gram = np.swapaxes(block, -1, -2) @ block - np.eye(block.shape[-1])
+        gram = np.swapaxes(block, -1, -2) @ block - np.eye(3)
         defect = np.maximum(lead, np.max(np.abs(gram), axis=(-2, -1)))
     else:
-        j = sf.form.matrix
+        j = sf.form
         defect = np.max(np.abs(np.swapaxes(matrix, -1, -2) @ j @ matrix - j), axis=(-2, -1))
         if sf.kind == "hyperbolic":
             defect = defect / np.max(np.sum(matrix * matrix, axis=-2), axis=-1)
@@ -86,28 +70,25 @@ def gram_defect(frame, sf=None):
 # -- signed Gram-Schmidt ------------------------------------------------------
 
 
-def gram_schmidt_signed(vectors, form, orientation=None):
-    """Orthonormalize an ordered list against a (possibly indefinite) form.
+def gram_schmidt_signed(vectors, form):
+    """Orthonormalize an ordered list against a (possibly indefinite) form matrix.
 
     Each output vector spans the same leading flag as the input.  The sign of
-    output k is chosen so that <input_k, output_k> > 0, then multiplied by
-    orientation[k] if given.  A vector whose projection is null for the form
-    (|<v,v>| below tolerance relative to its size) raises a degeneracy error
-    naming its index.
+    output k is chosen so that <input_k, output_k> > 0.  A vector whose
+    projection is null for the form (|<v,v>| below tolerance relative to its
+    size) raises a degeneracy error naming its index.
     """
     out = []
     signs = []
     for i, v in enumerate(vectors):
         v = np.asarray(v, dtype=float).copy()
         for e, sgn in zip(out, signs):
-            v -= sgn * inner_product(v, e, form) * e
-        q = inner_product(v, v, form)
+            v -= sgn * float(v @ form @ e) * e
+        q = float(v @ form @ v)
         scale = float(np.dot(v, v))
         if abs(q) <= _GS_TOL * max(scale, 1.0):
             raise DegeneracyError(i)
         e = v / np.sqrt(abs(q))
-        if orientation is not None and orientation[i] < 0:
-            e = -e
         out.append(e)
         signs.append(1.0 if q > 0 else -1.0)
     return out
@@ -215,17 +196,13 @@ class FrameField:
 
     sf: SpaceForm
     s: np.ndarray
-    matrices: np.ndarray  # (N, dim, dim)
+    matrices: np.ndarray  # (N, 4, 4)
     curvature: CurvatureData = None
     matrix_fn: object = None
     meta: dict = dataclass_field(default_factory=dict)
 
     def __len__(self):
         return len(self.s)
-
-    @property
-    def dim(self):
-        return self.matrices.shape[1]
 
     def gram_defects(self):
         return gram_defect(self.matrices, self.sf)
@@ -263,26 +240,30 @@ def field_derivatives(field: FrameField):
 # -- re-orthonormalization -----------------------------------------------------
 
 
-def reorthonormalize(matrix, sf: SpaceForm, noise_floor=1e-10):
+#: relative noise |column|^2 * eps beyond which reorthonormalize leaves a Lorentz frame alone
+_NOISE_FLOOR = 1e-10
+
+
+def reorthonormalize(matrix, sf: SpaceForm):
     """Project a near-frame back onto the signed-orthonormal set.
 
     Lorentz frames far out on the upper sheet have coordinates of size e^s,
     and evaluating the indefinite form there cancels catastrophically: the
     projection injects relative noise of order |column|^2 * eps per call.
-    Once that exceeds ``noise_floor`` the matrix is returned unchanged.
+    Once that exceeds ``_NOISE_FLOOR`` the matrix is returned unchanged.
     """
     matrix = np.asarray(matrix, dtype=float)
     if sf.kind == "euclidean":
         out = matrix.copy()
         out[0, 0] = 1.0
         out[0, 1:] = 0.0
-        spatial = gram_schmidt_signed(list(matrix[1:, 1:].T), sf.form_spatial)
+        spatial = gram_schmidt_signed(list(matrix[1:, 1:].T), np.eye(3))
         for j, col in enumerate(spatial):
             out[1:, j + 1] = col
         return out
     if sf.kind == "hyperbolic":
         size2 = float(np.max(np.sum(matrix * matrix, axis=0)))
-        if size2 * np.finfo(float).eps > noise_floor:
+        if size2 * np.finfo(float).eps > _NOISE_FLOOR:
             return matrix
     try:
         cols = gram_schmidt_signed(list(matrix.T), sf.form)
@@ -339,8 +320,11 @@ def _magnus_propagators(delta, kappa, starts, widths):
     return group_exp(0.5 * h * (k1 + k2) + _COMMUTATOR * h * h * (k1 @ k2 - k2 @ k1))
 
 
-def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-10, nodes=None):
-    """Propagate a frame by E' = E K(s), returning a FrameField at the nodes.
+def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1e-10, nodes=None):
+    """Propagate the identity frame by E' = E K(s), returning a FrameField at the nodes.
+
+    The frame is the 4x4 identity at s = span[0]; the field from another
+    start E_0 is E_0 times this one.
 
     Adaptive 4th-order Magnus steps with K_1, K_2 at the Gauss nodes
     s + h/2 -+ sqrt(3) h / 6:
@@ -357,9 +341,6 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
     for as long as the span lasts.  The geometry fixes delta (euclidean 0,
     spherical 1, hyperbolic -1); any other pair raises DomainError.
     """
-    if init.dim != 4:
-        raise DimensionMismatch("structure-equation integration is wired for n = 2")
-    sf = init.sf
     if curv.delta != sf.delta:
         raise DomainError(
             f"the {sf.kind} structure equation needs delta = {sf.delta}, got delta = {curv.delta}"
@@ -373,7 +354,7 @@ def integrate_structure_equation(init: Frame, curv: CurvatureData, span, tol=1e-
     sorted_nodes = nodes[order]
 
     delta, kappa = curv.delta, _kappa_function(curv)
-    e = init.matrix.astype(float)
+    e = np.eye(4)
     s = s0
     h = direction * max(abs(s1 - s0), 1e-12) / 100.0
     out = np.empty((len(nodes), 4, 4))

@@ -171,11 +171,12 @@ def _ranks_to_type(ranks, dim, r_max):
     return tuple(a)
 
 
-def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="auto"):
+def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
     """Detect the type vector at t along with the evidence used.
 
-    ``mode`` "auto" takes the exact path for an exact curve at an exact t (an
-    int, a Fraction or a decimal string) and the float path otherwise.
+    An exact curve at an exact t (an int, a Fraction or a decimal string)
+    takes the exact path, anything else the float path; ``mode`` on the
+    result says which ran.
     """
     if isinstance(t, (float, np.floating)) and not np.isfinite(t):
         raise DomainError(f"type detection needs a finite parameter, got t={t!r}")
@@ -185,12 +186,10 @@ def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="au
     cap = curve.max_order(t)
     r_used = r_max if cap is None else min(r_max, cap)
 
-    if mode == "auto":
-        mode = "exact" if curve.exact and isinstance(t, (int, Fraction, str)) else "float"
+    mode = "exact" if curve.exact and isinstance(t, (int, Fraction, str)) else "float"
     if mode == "exact":
         ranks, min_gap = exact_rank_profile(curve.jet_exact(t, r_used)), np.inf
     else:
-        mode = "float"
         ranks, min_gap = float_rank_profile(curve.jet(t, r_used), rank_tol)
     try:
         a = _ranks_to_type(ranks, dim, r_max)
@@ -205,9 +204,9 @@ def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="au
     return TypeDetection(a, ranks, mode, confidence, float(min_gap), r_used)
 
 
-def detect_type(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL, mode="auto"):
+def detect_type(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
     """Type vector (a_1, ..., a_{n+1}) of the curve at t."""
-    return detect_type_report(curve, t, r_max=r_max, rank_tol=rank_tol, mode=mode).type
+    return detect_type_report(curve, t, r_max=r_max, rank_tol=rank_tol).type
 
 
 # -- codimension calculus -----------------------------------------------------

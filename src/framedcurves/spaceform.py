@@ -1,6 +1,7 @@
 """Constant-curvature ambient models and their shared linear algebra.
 
-All three geometries live in an (n+2)-dimensional coordinate space:
+All three geometries of framed curves in 3-space (n = 2) live in coordinate
+4-space:
 
 * ``euclidean``  -- the affine slice {x0 = 1}; points carry a leading 1,
   tangent vectors a leading 0; the bilinear form is the standard dot.
@@ -9,10 +10,10 @@ All three geometries live in an (n+2)-dimensional coordinate space:
   form  x . y = -x0 y0 + x1 y1 + ... .
 
 A hyperplane is given by a unit conormal, for a framed curve its last frame
-vector e_{n+1} (see ``envelope``).  In the two quadric geometries the
+vector e_3 (see ``envelope``).  In the two quadric geometries the
 conormal lives on the dual quadric (unit sphere, respectively de Sitter
 space); a euclidean hyperplane also carries an offset, so its dual model is
-R x S^n.
+R x S^2.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
-
-POSITIVE_DEFINITE = "positive-definite"
-LORENTZ = "lorentz"
+from .errors import DomainError
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
@@ -36,94 +34,24 @@ _KINDS = (EUCLIDEAN, SPHERICAL, HYPERBOLIC)
 
 
 @dataclass(frozen=True)
-class AmbientForm:
-    """Symmetric bilinear form on coordinate (n+2)-space.
-
-    Parameters
-    ----------
-    dimension : int
-        Ambient dimension, at least 3.
-    signature : str
-        ``"positive-definite"`` or ``"lorentz"`` (one minus sign, first slot).
-    """
-
-    dimension: int
-    signature: str = POSITIVE_DEFINITE
-
-    def __post_init__(self):
-        if self.dimension < 3:
-            raise DimensionMismatch(f"ambient dimension must be >= 3, got {self.dimension}")
-        if self.signature not in (POSITIVE_DEFINITE, LORENTZ):
-            raise DomainError(f"unknown signature {self.signature!r}")
-
-    @property
-    def signs(self) -> np.ndarray:
-        s = np.ones(self.dimension)
-        if self.signature == LORENTZ:
-            s[0] = -1.0
-        return s
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.signs)
-
-
-def inner_product(u, v, form: AmbientForm) -> float:
-    """Evaluate the bilinear form on a pair of coordinate vectors.
-
-    Raises
-    ------
-    DimensionMismatch
-        If either vector does not have ``form.dimension`` entries.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (form.dimension,) or v.shape != (form.dimension,):
-        raise DimensionMismatch(
-            f"expected vectors of length {form.dimension}, got {u.shape} and {v.shape}"
-        )
-    prod = u * v
-    if form.signature == LORENTZ:
-        return float(prod[1:].sum() - prod[0])
-    return float(prod.sum())
-
-
-@dataclass(frozen=True)
 class SpaceForm:
-    """One of the three curve geometries, with its ambient form and dual model."""
+    """One of the three curve geometries in coordinate 4-space (n = 2)."""
 
     kind: str
-    n: int
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown geometry {self.kind!r}")
-        if self.n < 1:
-            raise DimensionMismatch("curve codimension parameter n must be >= 1")
 
     @property
-    def dim(self) -> int:
-        """Ambient coordinate dimension n+2."""
-        return self.n + 2
-
-    @property
-    def form(self) -> AmbientForm:
-        sig = LORENTZ if self.kind == HYPERBOLIC else POSITIVE_DEFINITE
-        return AmbientForm(self.dim, sig)
-
-    @property
-    def form_spatial(self) -> AmbientForm:
-        """Positive-definite form on the spatial coordinates (affine charts)."""
-        return AmbientForm(self.dim - 1, POSITIVE_DEFINITE)
+    def form(self) -> np.ndarray:
+        """The 4x4 form matrix J: diag(-1, 1, 1, 1) in hyperbolic space, else the identity."""
+        return np.diag([-1.0, 1.0, 1.0, 1.0]) if self.kind == HYPERBOLIC else np.eye(4)
 
     @property
     def delta(self) -> int:
         """Curvature sign in the structure equation: 0, +1, -1."""
         return {EUCLIDEAN: 0, SPHERICAL: 1, HYPERBOLIC: -1}[self.kind]
-
-
-def space_form(kind: str, n: int = 2) -> SpaceForm:
-    return SpaceForm(kind, n)
 
 
 #: max(|y1|, |y2|) up to which group_exp sums the Taylor series of exp

@@ -43,6 +43,23 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("n", 2), ("seed", 0)])
+def test_n_and_seed_are_unknown_config_keys(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, {key: value})
+    assert main(["frame", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name,geometry", [("envelope", "helix-frenet", "hyperbolic"),
+                                                   ("frame", "circle-radial", "spherical")])
+def test_a_framed_builtin_is_euclidean_only(tmp_path, capsys, command, name, geometry):
+    cfg = _write_config(tmp_path, {"geometry": geometry, "curve": {"kind": "builtin", "name": name}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{name!r} is euclidean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_geometry_is_a_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"geometry": "parabolic"})
     assert main(["type", "--config", cfg, "--t", "0.0"]) == 2
@@ -333,7 +350,7 @@ def test_normal_form_type_exits_0_or_2(text):
 
 
 @pytest.mark.parametrize("argv", [["normal-form", "--type=--"], ["frame", "--lam=--"],
-                                  ["envelope", "--threads=--"], ["frame", "--seed=--"]])
+                                  ["envelope", "--threads=--"]])
 def test_a_lone_double_dash_value_is_a_config_error(tmp_path, capsys, argv):
     # argparse turns "--flag=--" into an empty list that skips the flag's type
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

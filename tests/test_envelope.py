@@ -18,9 +18,9 @@ from framedcurves import (
     CurvatureData,
     DimensionMismatch,
     EnvelopeMesh,
-    Frame,
     NormalFormFamily,
     Polyline,
+    SpaceForm,
     discriminant_mesh,
     envelope_mesh,
     export_obj,
@@ -28,7 +28,6 @@ from framedcurves import (
     hyperplane_family,
     integrate_structure_equation,
     singular_locus,
-    space_form,
 )
 from framedcurves.examples import (
     cylinder_point,
@@ -65,10 +64,10 @@ def test_helix_envelope_is_its_tangent_developable():
 
 def _curvature_family(kind, nodes, kappa=((1,), (0,), (0, 0, 1))):
     """The hyperplane family of an integrated frame field, kappa as coefficient lists."""
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     nodes = np.asarray(nodes, dtype=float)
     curv = CurvatureData(sf.delta, [list(k) for k in kappa])
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (nodes[0], nodes[-1]), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, (nodes[0], nodes[-1]), nodes=nodes)
     return hyperplane_family(field)
 
 
@@ -102,7 +101,7 @@ def test_characteristic_direction_is_unit_and_orthogonal(name):
     fam = FAMILIES[name](np.linspace(0.5, np.pi, 30))
     keep, direction, _, _ = envelope._characteristic_lines(fam, 1e-9)
     assert keep.all()
-    j = fam.sf.form.matrix
+    j = fam.sf.form
     vectors = (fam.frames[:, :, 0], fam.normal, fam.normal1)
     if fam.sf.kind == "euclidean":  # E w is spatial, orthogonal to e and e'
         j = np.diag([0.0, 1.0, 1.0, 1.0])
@@ -122,10 +121,10 @@ def test_characteristic_direction_is_unit_and_orthogonal(name):
 def test_characteristic_direction_is_the_signed_tangent(kind):
     # with kappa_2 = 0, nu' = -kappa_3 e_2, so the line runs along sign(kappa_3) e_1
     # in every geometry; kappa_3 = t vanishes at the middle node, which is dropped
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     nodes = np.linspace(-2.0, 2.0, 9)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, (-2.0, 2.0), nodes=nodes)
     keep, direction, _, _ = envelope._characteristic_lines(hyperplane_family(field), 1e-9)
     assert keep.tolist() == [True] * 4 + [False] + [True] * 4
     tangent = np.sign(nodes[keep])[:, None] * field.matrices[keep, :, 1]
@@ -136,10 +135,10 @@ def test_characteristic_direction_is_the_signed_tangent(kind):
 def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kind):
     # kappa_3 = t vanishes between the two middle nodes, where the raw
     # direction sign(kappa_3) e_1 flips; the mesh's lines must not flip with it
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     nodes = np.linspace(-2.0, 2.0, 10)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (-2.0, 2.0), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, (-2.0, 2.0), nodes=nodes)
     fam = hyperplane_family(field)
     keep, direction, _, _ = envelope._characteristic_lines(fam, 1e-9)
     assert keep.all()

@@ -82,7 +82,7 @@ def test_projection_of_clift_is_the_monomial_curve():
 @pytest.mark.parametrize("a", [(1, 2, 4), (2, 3, 4), (1, 3, 4), (3, 4, 5)])
 def test_dual_extraction_inverts_to_the_dual_type(a):
     dual = dual_curve_from_clift(c_lift_monomial(a))
-    assert detect_type(dual, 0, mode="exact") == dual_type(a)
+    assert detect_type(dual, 0) == dual_type(a)
 
 
 # -- integrality violations ----------------------------------------------------------

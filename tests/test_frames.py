@@ -8,18 +8,15 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from framedcurves import (
-    AmbientForm,
     CurvatureData,
     DegeneracyError,
     DomainError,
-    Frame,
+    SpaceForm,
     frame_field_from_function,
     gram_defect,
     gram_schmidt_signed,
-    inner_product,
     integrate_structure_equation,
     reorthonormalize,
-    space_form,
     structure_matrix,
     structure_poly_matrix,
 )
@@ -38,15 +35,15 @@ from frame_reference import dop853_frames, relative_frame_error
 @settings(max_examples=30)
 def test_gram_schmidt_definite_properties(seed):
     rng = np.random.default_rng(seed)
-    form = AmbientForm(4)
+    form = np.eye(4)
     vectors = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
     out = gram_schmidt_signed(list(vectors), form)
     for i, e in enumerate(out):
-        assert abs(inner_product(e, e, form) - 1.0) < 1e-10
+        assert abs(e @ form @ e - 1.0) < 1e-10
         # sign convention: positive pairing with the input it came from
-        assert inner_product(vectors[i], e, form) > 0
+        assert vectors[i] @ form @ e > 0
         for f in out[:i]:
-            assert abs(inner_product(e, f, form)) < 1e-10
+            assert abs(e @ form @ f) < 1e-10
     # leading flags agree: each input lies in the span of the outputs so far
     for k in range(1, 5):
         basis = np.stack(out[:k], axis=1)
@@ -55,7 +52,7 @@ def test_gram_schmidt_definite_properties(seed):
 
 
 def test_gram_schmidt_lorentz_timelike_first():
-    form = AmbientForm(4, "lorentz")
+    form = np.diag([-1.0, 1.0, 1.0, 1.0])
     vectors = [
         np.array([2.0, 0.5, 0.0, 0.0]),  # timelike
         np.array([0.0, 1.0, 0.3, 0.0]),
@@ -63,12 +60,12 @@ def test_gram_schmidt_lorentz_timelike_first():
         np.array([0.0, 0.0, 0.0, 1.0]),
     ]
     out = gram_schmidt_signed(vectors, form)
-    gram = np.array([[inner_product(a, b, form) for b in out] for a in out])
+    gram = np.array([[a @ form @ b for b in out] for a in out])
     assert np.allclose(gram, np.diag([-1.0, 1.0, 1.0, 1.0]), atol=1e-10)
 
 
 def test_gram_schmidt_null_vector_raises():
-    form = AmbientForm(4, "lorentz")
+    form = np.diag([-1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DegeneracyError):
         gram_schmidt_signed([np.array([1.0, 1.0, 0.0, 0.0])], form)  # null outright
     vectors = [
@@ -79,15 +76,6 @@ def test_gram_schmidt_null_vector_raises():
         gram_schmidt_signed(vectors, form)
 
 
-def test_gram_schmidt_orientation_flips():
-    form = AmbientForm(3)
-    vectors = [np.array([2.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])]
-    plain = gram_schmidt_signed(vectors, form)
-    flipped = gram_schmidt_signed(vectors, form, orientation=[1, -1])
-    assert np.allclose(flipped[0], plain[0])
-    assert np.allclose(flipped[1], -plain[1])
-
-
 # -- structure matrices --------------------------------------------------------
 
 
@@ -96,8 +84,8 @@ def test_structure_matrix_is_form_antisymmetric_where_it_should_be(delta, kind):
     # frames stay orthonormal iff K^T J + J K = 0 on the spatial block;
     # the euclidean first row is the affine translation channel instead
     K = structure_matrix(delta, (0.7, -0.3, 1.1))
-    sf = space_form(kind)
-    J = sf.form.matrix
+    sf = SpaceForm(kind)
+    J = sf.form
     M = K.T @ J + J @ K
     if delta == 0:
         assert np.allclose(M[1:, 1:], 0.0)
@@ -140,19 +128,18 @@ def test_curvature_constant_requires_exact_values():
     [("euclidean", 0, (1, 0, 0)), ("spherical", 1, (1, 0, 0)), ("hyperbolic", -1, (2, 0, 0))],
 )
 def test_integration_preserves_gram_structure(kind, delta, kappa):
-    sf = space_form(kind)
-    init = Frame(np.eye(4), sf)
+    sf = SpaceForm(kind)
     curv = CurvatureData.constant(delta, kappa)
-    field = integrate_structure_equation(init, curv, (0.0, 8.0), tol=1e-10)
+    field = integrate_structure_equation(sf, curv, (0.0, 8.0), tol=1e-10)
     assert float(np.max(field.gram_defects())) < 1e-8
 
 
 def test_integration_solves_the_ode():
     # central differences of the frames against E * K at interior nodes
-    sf = space_form("spherical")
+    sf = SpaceForm("spherical")
     curv = CurvatureData.constant(1, (1, 0, 0))
     nodes = np.linspace(0.0, 2.0, 401)
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 2.0), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, (0.0, 2.0), nodes=nodes)
     h = nodes[1] - nodes[0]
     K = structure_matrix(1, (1.0, 0.0, 0.0))
     worst = 0.0
@@ -164,10 +151,10 @@ def test_integration_solves_the_ode():
 
 def test_integration_euclidean_circle_base_point():
     # delta=0, kappa=(1,0,0): the base point traces a unit-speed circle
-    sf = space_form("euclidean")
+    sf = SpaceForm("euclidean")
     curv = CurvatureData.constant(0, (1, 0, 0))
     nodes = np.linspace(0.0, 2 * np.pi, 201)
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 2 * np.pi), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, (0.0, 2 * np.pi), nodes=nodes)
     pts = np.stack([m[1:, 0] for m in field.matrices])
     radii = np.hypot(pts[:, 0] - 0.0, pts[:, 1] - 1.0)  # center sits at (0, 1, 0)
     assert float(np.max(np.abs(radii - 1.0))) < 1e-8
@@ -178,13 +165,13 @@ def test_integration_euclidean_circle_base_point():
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
 @pytest.mark.parametrize("delta", [0, 1, -1])
 def test_integration_needs_the_geometry_delta(kind, delta):
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     curv = CurvatureData.constant(delta, (1, 0, 0))
     if delta == sf.delta:
-        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 1.0))
+        integrate_structure_equation(sf, curv, (0.0, 1.0))
         return
     with pytest.raises(DomainError, match=f"needs delta = {sf.delta}"):
-        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 1.0))
+        integrate_structure_equation(sf, curv, (0.0, 1.0))
 
 
 _COEFF = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -198,7 +185,7 @@ _COEFF = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 def test_magnus_step_is_fourth_order(kind, coeffs):
     # fixed steps h = 1/8 and 1/16 over [0, 1]: a 4th-order step cuts the
     # error 16-fold; the textbook (left-acting) commutator sign gives 4-fold
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, coeffs)
     reference = dop853_frames(curv, [0.0, 1.0])[-1]
     kappa = _kappa_function(curv)
@@ -218,9 +205,9 @@ STEP_BUDGET = {"euclidean": 4300, "spherical": 5950, "hyperbolic": 7000}
 
 @pytest.mark.parametrize("kind", sorted(STEP_BUDGET))
 def test_integration_step_budget_over_span_20(kind):
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 20.0), tol=1e-10)
+    field = integrate_structure_equation(sf, curv, (0.0, 20.0), tol=1e-10)
     assert field.meta["steps"] + field.meta["rejected"] <= STEP_BUDGET[kind]
     # hyperbolic frames reach |E| ~ 1e8 here, so only the relative defect is small
     assert float(np.max(field.gram_defects())) <= 1e-12
@@ -243,15 +230,15 @@ def test_step_budget_ends_a_runaway_integration(monkeypatch):
 
     monkeypatch.setattr(frames, "MAX_STEPS", 300)
     monkeypatch.setattr(frames, "_magnus_propagators", counted)
-    sf = space_form("euclidean")
+    sf = SpaceForm("euclidean")
     curv = CurvatureData(0, [[1], [0], [0] * 200 + [1]])
     with pytest.raises(IntegrationError, match="took 300 steps"):
-        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 40.0), tol=1e-10,
+        integrate_structure_equation(sf, curv, (0.0, 40.0), tol=1e-10,
                                      nodes=[0.0, 40.0])
     assert len(attempts) == 300
     # on a node grid the steps that land on a node are extra, and it still ends
     with pytest.raises(IntegrationError, match="took 300 steps"):
-        integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 40.0), tol=1e-10)
+        integrate_structure_equation(sf, curv, (0.0, 40.0), tol=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
@@ -259,19 +246,19 @@ def test_steps_forced_by_a_dense_node_grid_are_outside_the_budget(monkeypatch, k
     # constant curvature on 2,000 nodes takes at least one step per node,
     # well past a budget of 300, and must still integrate
     monkeypatch.setattr(frames, "MAX_STEPS", 300)
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, [[1], [0], [1]])
     nodes = np.linspace(0.0, 20.0, 2000)
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 20.0), tol=1e-10, nodes=nodes)
+    field = integrate_structure_equation(sf, curv, (0.0, 20.0), tol=1e-10, nodes=nodes)
     assert field.meta["steps"] >= len(nodes) - 1 > frames.MAX_STEPS
     assert float(np.max(field.gram_defects())) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
 def test_integration_matches_dop853_over_span_10(kind):
-    sf = space_form(kind)
+    sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
-    field = integrate_structure_equation(Frame(np.eye(4), sf), curv, (0.0, 10.0), tol=1e-10)
+    field = integrate_structure_equation(sf, curv, (0.0, 10.0), tol=1e-10)
     reference = dop853_frames(curv, field.s)
     assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
 
@@ -280,30 +267,30 @@ def test_integration_matches_dop853_over_span_10(kind):
 
 
 def test_reorthonormalize_repairs_small_drift():
-    sf = space_form("spherical")
+    sf = SpaceForm("spherical")
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     drifted = q + 1e-6 * rng.normal(size=(4, 4))
     fixed = reorthonormalize(drifted, sf)
-    assert gram_defect(Frame(fixed, sf)) < 1e-12
+    assert gram_defect(fixed, sf) < 1e-12
     assert np.max(np.abs(fixed - q)) < 1e-5
 
 
 def test_hyperbolic_gram_defect_is_relative_to_the_frame_size():
     # a boost of rapidity 10 has entries ~ e^10 / 2; E^T J E cancels from ~e^20
-    sf = space_form("hyperbolic")
+    sf = SpaceForm("hyperbolic")
     c, s = np.cosh(10.0), np.sinh(10.0)
     boost = np.array([[c, s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    j = sf.form.matrix
+    j = sf.form
     absolute = float(np.max(np.abs(boost.T @ j @ boost - j)))
-    assert gram_defect(Frame(boost, sf)) == absolute / (c * c + s * s)
-    assert gram_defect(Frame(boost, sf)) < 1e-15
+    assert gram_defect(boost, sf) == absolute / (c * c + s * s)
+    assert gram_defect(boost, sf) < 1e-15
     # a relative error of 1e-6 in one entry still reads as about 1e-6
     bent = boost.copy()
     bent[0, 1] *= 1.0 + 1e-6
-    assert 1e-7 < gram_defect(Frame(bent, sf)) < 1e-5
+    assert 1e-7 < gram_defect(bent, sf) < 1e-5
     # the quadric and euclidean defects stay absolute
-    sph = space_form("spherical")
+    sph = SpaceForm("spherical")
     assert gram_defect(2.0 * np.eye(4), sph) == 3.0
 
 
@@ -355,7 +342,7 @@ def test_frame_field_from_function_stores_the_order_zero_matrices():
     def matrix_fn(t, k):
         return np.full((4, 4), t + 10.0 * k)
 
-    field = frame_field_from_function(space_form("euclidean"), matrix_fn, nodes)
+    field = frame_field_from_function(SpaceForm("euclidean"), matrix_fn, nodes)
     assert field.matrix_fn is matrix_fn
     for t, m in zip(nodes, field.matrices):
         assert np.array_equal(m, matrix_fn(t, 0))

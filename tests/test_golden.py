@@ -199,7 +199,7 @@ def test_scan_exports_are_byte_stable(tmp_path):
         "b479f9dcbc2526fcb2bbcb87e99812f210d178c84cfdb96eceaede779aeabe85"
     )
     assert _sha256(out / "report.json") == (
-        "db9fe8487507f78ba378f7c161378ba477a5ee29f7055b44dc0bfd9dbed6d6f2"
+        "45488d41ea660e976a71555f1368bddf30b6286621ab63332000967403da2d55"
     )
 
 

@@ -46,20 +46,20 @@ increasing_triples = st.lists(
 
 @pytest.mark.parametrize("a", OSCULATING_N2)
 def test_monomial_curve_detects_exactly(a):
-    assert detect_type(monomial_curve(a), 0, mode="exact") == a
+    assert detect_type(monomial_curve(a), 0) == a
 
 
 @pytest.mark.parametrize("a", OSCULATING_N2[:6])
 def test_monomial_curve_detects_in_float_mode(a):
-    report = detect_type_report(monomial_curve(a), 0.0, mode="float")
+    report = detect_type_report(monomial_curve(a), 0.0)
     assert report.type == a
     assert report.confidence == "high"
 
 
 def test_monomial_curve_is_regular_away_from_zero():
     curve = monomial_curve((1, 3, 5))
-    assert detect_type(curve, Fraction(1, 2), mode="exact") == (1, 2, 3)
-    assert detect_type(curve, -0.37, mode="float") == (1, 2, 3)
+    assert detect_type(curve, Fraction(1, 2)) == (1, 2, 3)
+    assert detect_type(curve, -0.37) == (1, 2, 3)
     # auto mode: exact at an exact parameter, float at a float one
     for t in (1000, Fraction(1, 2), "0.5"):
         report = detect_type_report(curve, t)
@@ -77,8 +77,8 @@ def test_detection_invariant_under_linear_maps():
         [2, 0, 0, -1],
     ]
     mapped = curve.linearly_mapped(g)
-    assert detect_type(mapped, 0, mode="exact") == (2, 3, 5)
-    assert detect_type(mapped, 0.0, mode="float") == (2, 3, 5)
+    assert detect_type(mapped, 0) == (2, 3, 5)
+    assert detect_type(mapped, 0.0) == (2, 3, 5)
 
 
 def test_detection_sees_through_reparametrization():
@@ -87,7 +87,7 @@ def test_detection_sees_through_reparametrization():
     curve = monomial_curve((1, 2, 4))
     # phi(t) = t + t^2 fixes 0 with phi'(0) = 1, so the type at 0 survives
     phi = Poly.t() + Poly.t() * Poly.t()
-    assert detect_type(curve.reparametrized(phi), 0, mode="exact") == (1, 2, 4)
+    assert detect_type(curve.reparametrized(phi), 0) == (1, 2, 4)
 
 
 @given(increasing_triples)
@@ -241,7 +241,7 @@ def test_degenerate_curve_raises():
     # all components proportional: the jet flag never reaches full dimension
     curve = monomial_curve((1,), dim=4)
     with pytest.raises((DegeneracyError, FiniteTypeError)):
-        detect_type(curve, 0, mode="exact")
+        detect_type(curve, 0)
 
 
 def test_validate_type_vector_rejects_bad_input():

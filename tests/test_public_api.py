@@ -78,3 +78,60 @@ def test_every_public_method_of_an_export_has_a_caller_outside_the_tests():
     referenced = set().union(*(_referenced_names(p) for p in _program_files()))
     methods = _public_methods(_exported_names())
     assert {m for m in methods if m.partition(".")[2] not in referenced} == set(UNREFERENCED_METHODS)
+
+
+#: subcommand flags whose value the program never reads, and why each stays
+UNREAD_FLAGS = {
+    "threads": "perfbench passes `--threads 1`",
+}
+
+
+def _run_config_fields_read_outside_resolved():
+    """(RunConfig fields, field names read as an attribute outside RunConfig.resolved).
+
+    The argparse namespace ``args`` is left out: its attributes are flags,
+    which the flag test below covers.
+    """
+    fields, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skipped = set()
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+                fields.update(item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+                skipped.update(id(n) for item in node.body
+                               if isinstance(item, ast.FunctionDef) and item.name == "resolved"
+                               for n in ast.walk(item))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and id(node) not in skipped
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "args"))
+    return fields, read
+
+
+def test_every_config_field_is_read_outside_the_resolved_view():
+    # a field that only RunConfig.resolved reads is echoed into reports and
+    # changes nothing else: a knob with no effect
+    fields, read = _run_config_fields_read_outside_resolved()
+    assert fields and fields <= read, f"fields read only by resolved(): {sorted(fields - read)}"
+
+
+def _flag_dests_and_reads():
+    """(dest of every add_argument flag in cli.py, names cli.py reads off ``args``)."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    dests, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "add_argument":
+                dest = next((k.value.value for k in node.keywords if k.arg == "dest"), None)
+                dests.add(dest or node.args[0].value.lstrip("-").replace("-", "_"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "args"):
+            read.add(node.args[1].value)
+    return dests, read
+
+
+def test_every_subcommand_flag_is_read():
+    dests, read = _flag_dests_and_reads()
+    assert dests - read == set(UNREAD_FLAGS)
