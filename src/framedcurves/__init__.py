@@ -7,7 +7,6 @@ scans of one-parameter families.
 """
 
 from .errors import (
-    CapabilityError,
     ChartError,
     ConfigError,
     DegeneracyError,
@@ -18,7 +17,7 @@ from .errors import (
     IntegrationError,
 )
 from .spaceform import SpaceForm
-from .curves import ClosedFormCurve, PolynomialCurve, monomial_curve
+from .curves import BasePointCurve, PolynomialCurve, monomial_curve
 from .jets import (
     DEFAULT_RANK_TOL,
     TypeDetection,
@@ -37,7 +36,6 @@ from .frames import (
     CurvatureData,
     FrameField,
     dual_coefficient_jets,
-    frame_field_from_function,
     gram_defect,
     gram_schmidt_signed,
     integrate_structure_equation,

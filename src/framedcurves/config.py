@@ -272,17 +272,26 @@ class RunConfig:
         raise ConfigError("curvature-data configs define a frame field, not a bare curve")
 
     def build_field(self, lam=None):
-        """The frame field of a built-in framed curve or of integrated curvature data."""
+        """The frame field of a built-in framed curve or of integrated curvature data.
+
+        ``lam`` fixes the family parameter; a curve with no lambda refuses one.
+        """
         kind = self.curve["kind"]
         field_factory = BUILTINS[self.curve["name"]][1] if kind == "builtin" else None
         if field_factory is not None:
             if self.geometry != "euclidean":
                 raise ConfigError(f"the built-in framed curve {self.curve['name']!r} is euclidean; "
                                   f"config has geometry {self.geometry!r}")
+            if lam is not None:
+                raise ConfigError(f"lambda = {lam!r} given, but the built-in framed curve "
+                                  f"{self.curve['name']!r} has no family parameter")
             return field_factory(self.t_grid())
         if kind == "curvature":
             polys = self._kappa_polys()
             if lam is not None:
+                if all(p.deg_u() == 0 for p in polys):
+                    raise ConfigError(f"lambda = {lam!r} given, but no curvature of this config "
+                                      "depends on lambda")
                 if not math.isfinite(lam):
                     raise DomainError(f"the family parameter must be finite, got lambda={lam!r}")
                 polys = tuple(p.subs_u(Fraction(float(lam))) for p in polys)

@@ -4,7 +4,8 @@ Two representations are supported:
 
 * :class:`PolynomialCurve` -- exact rational coefficients; jets at rational
   parameters are exact, which is what the rank decisions downstream want.
-* :class:`ClosedFormCurve` -- an analytic callable of (t, derivative order).
+* :class:`BasePointCurve` -- the base point of a closed-form frame with
+  constant curvatures; its jets are float.
 
 All components are ambient coordinate vectors of length n+2 (euclidean curves
 carry their leading 1 explicitly, so derivatives carry a leading 0).
@@ -17,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionMismatch
+from .errors import DimensionMismatch
 from .ratpoly import Poly, as_fraction
 
 
@@ -43,9 +44,6 @@ class PolynomialCurve:
     @property
     def dim(self):
         return len(self.components)
-
-    def max_order(self, t=None):
-        return None  # unlimited
 
     def _deriv_row(self, k):
         while len(self._derivs) <= k:
@@ -94,37 +92,26 @@ class PolynomialCurve:
         return PolynomialCurve(comps)
 
 
-class ClosedFormCurve:
-    """Curve given by one analytic derivative callable.
+class BasePointCurve:
+    """The base point e_0 of a frame field E(t) with a constant structure matrix K.
 
-    ``derivative(t, k)`` returns the k-th derivative at t as a length-``dim``
-    array, for every order k up to ``max_order``.
+    E' = E K makes the k-th derivative (E(t) K^k)[:, 0], so one closed-form
+    ``frame`` (a parameter array to (..., dim, dim) frames) gives every order.
     """
 
     exact = False
 
-    def __init__(self, derivative, dim, max_order):
-        self.derivative = derivative
-        self.dim = dim
-        self._max_order = max_order
-
-    def max_order(self, t=None):
-        return self._max_order
+    def __init__(self, frame, k):
+        self.frame = frame
+        self.k = np.asarray(k, dtype=float)
+        self.dim = len(self.k)
 
     def jet(self, t, r):
-        """Float jet matrix (dim, r+1), or (N, dim, r+1) node by node over an array."""
-        if np.ndim(t):
-            t = np.asarray(t, dtype=float)
-            return np.array([self.jet(x, r) for x in t.ravel()]).reshape(t.shape + (self.dim, r + 1))
-        if r > self._max_order:
-            raise CapabilityError(
-                f"closed form provides derivatives up to order {self._max_order}, requested {r}"
-            )
-        cols = [np.asarray(self.derivative(float(t), k), dtype=float) for k in range(r + 1)]
-        for c in cols:
-            if c.shape != (self.dim,):
-                raise DimensionMismatch("derivative callable returned wrong length")
-        return np.stack(cols, axis=1)
+        """Float jet matrix (dim, r+1), or (N, dim, r+1) over a node array."""
+        cols = [np.eye(self.dim)[:, 0]]
+        for _ in range(r):
+            cols.append(self.k @ cols[-1])
+        return self.frame(np.asarray(t, dtype=float)) @ np.stack(cols, axis=1)
 
 
 # -- the model curves of type vectors ----------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionMismatch, DomainError
 from .fileio import atomic_open, format_floats, rows_text, spaced
-from .frames import FrameField, field_derivatives
+from .frames import FrameField
 from .ratpoly import Poly
 from .spaceform import SpaceForm
 
@@ -62,10 +62,13 @@ class HyperplaneFamily:
 
 
 def hyperplane_family(field: FrameField) -> HyperplaneFamily:
-    """The tangent-hyperplane family carried by e_{n+1} of a frame field."""
-    mats, e1, k, q = field_derivatives(field)
+    """The tangent-hyperplane family carried by e_{n+1} of a frame field.
+
+    E' = E K and K K - K' come from the K and K' the field carries.
+    """
+    mats, k = field.matrices, field.k
     return HyperplaneFamily(field.sf, np.asarray(field.s, dtype=float), mats, mats[:, :, -1],
-                            e1[:, :, -1], k[:, -1], q[:, -1])
+                            (mats @ k)[:, :, -1], k[:, -1], (k @ k - field.dk)[:, -1])
 
 
 # -- meshes ----------------------------------------------------------------------

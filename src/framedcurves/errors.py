@@ -52,9 +52,5 @@ class ChartError(FramedCurveError, ValueError):
         super().__init__(message or f"flag left the coordinate chart near t={t}")
 
 
-class CapabilityError(FramedCurveError, ValueError):
-    """The curve representation cannot deliver the requested derivative order."""
-
-
 class ConfigError(FramedCurveError, ValueError):
     """Run configuration is malformed or inconsistent."""

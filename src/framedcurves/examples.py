@@ -3,17 +3,19 @@
 Everything here has a closed form, so the examples double as oracles: the
 circle-with-radial-frame envelope is the unit cylinder, the helix envelope is
 its tangent developable, and the monomial flag lifts have exactly rational
-chart coordinates.  Tests and the command line both pull from this gallery,
-the command line by name through ``BUILTINS``.
+chart coordinates.  Each built-in curve is the base point of a frame E(t)
+written in closed form, with constant curvatures: K is constant, so
+E' = E K and every derivative is E K^k.  Tests and the command line both
+pull from this gallery, the command line by name through ``BUILTINS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import ClosedFormCurve, monomial_curve
+from .curves import BasePointCurve, monomial_curve
 from .flags import FlagCurve, c_lift_monomial, flag_from_curve
-from .frames import frame_field_from_function
+from .frames import FrameField, structure_matrix
 from .ratpoly import Poly
 from .spaceform import SpaceForm
 
@@ -34,36 +36,34 @@ __all__ = [
 _SQ2 = np.sqrt(2.0)
 
 
-def _phase(t, k):
-    """cos / sin of t shifted by k quarter turns: the k-th derivative pair."""
-    return np.cos(t + 0.5 * np.pi * k), np.sin(t + 0.5 * np.pi * k)
+def _frame(t, *columns):
+    """(..., 4, 4) frames at t from the columns e_0, ..., e_3, each four entries (arrays or numbers)."""
+    shape = np.shape(t)
+    return np.stack([np.stack([np.broadcast_to(x, shape) for x in col], axis=-1) for col in columns],
+                    axis=-1)
 
 
-#: derivative orders the closed-form curves provide
-_MAX_ORDER = 11
-
-
-def _base_point_curve(matrix_fn):
-    """The framed curve e_0 of a closed-form frame: derivative k is matrix_fn(t, k)[:, 0]."""
-    return ClosedFormCurve(lambda t, k: matrix_fn(t, k)[:, 0], dim=4, max_order=_MAX_ORDER)
+def _euclidean_field(frame, kappa, nodes):
+    """A closed-form euclidean frame field with constant curvatures: K constant, K' = 0."""
+    nodes = np.asarray(nodes, dtype=float)
+    k = np.broadcast_to(structure_matrix(0, kappa), (len(nodes), 4, 4))
+    return FrameField(SpaceForm("euclidean"), nodes, frame(nodes), k, np.broadcast_to(0.0, k.shape))
 
 
 # -- circle with radial framing ------------------------------------------------
 
-
-def _radial_circle_matrix(t, k=0):
-    c, s = _phase(t, k)
-    one = 1.0 if k == 0 else 0.0
-    e0 = np.array([one, c, s, 0.0])
-    e1 = np.array([0.0, -s, c, 0.0])
-    e2 = np.array([0.0, 0.0, 0.0, one])
-    e3 = np.array([0.0, c, s, 0.0])
-    return np.stack([e0, e1, e2, e3], axis=1)
+#: kappa = (0, -1, 0): e_1' = -e_3, and the normal e_3 turns with the radius
+_RADIAL_KAPPA = (0.0, -1.0, 0.0)
 
 
-def circle_curve() -> ClosedFormCurve:
+def _radial_circle_frame(t):
+    c, s = np.cos(t), np.sin(t)
+    return _frame(t, [1.0, c, s, 0.0], [0.0, -s, c, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, c, s, 0.0])
+
+
+def circle_curve() -> BasePointCurve:
     """Unit circle in the euclidean plane z = 0, ambient (1, cos t, sin t, 0)."""
-    return _base_point_curve(_radial_circle_matrix)
+    return BasePointCurve(_radial_circle_frame, structure_matrix(0, _RADIAL_KAPPA))
 
 
 def radial_circle_field(nodes=None):
@@ -75,7 +75,7 @@ def radial_circle_field(nodes=None):
     """
     if nodes is None:
         nodes = np.linspace(0.0, 2.0 * np.pi, 200)
-    return frame_field_from_function(SpaceForm("euclidean"), _radial_circle_matrix, nodes)
+    return _euclidean_field(_radial_circle_frame, _RADIAL_KAPPA, nodes)
 
 
 def cylinder_point(t, s):
@@ -85,21 +85,19 @@ def cylinder_point(t, s):
 
 # -- helix with its arc-length Frenet framing ------------------------------------
 
-
-def _helix_matrix(t, k=0):
-    c, s = _phase(t, k)
-    one = 1.0 if k == 0 else 0.0
-    lin = t if k == 0 else (1.0 if k == 1 else 0.0)
-    e0 = np.array([one, c / _SQ2, s / _SQ2, lin / _SQ2])
-    e1 = np.array([0.0, -s, c, one]) / _SQ2
-    e2 = np.array([0.0, -c, -s, 0.0])
-    e3 = np.array([0.0, s, -c, one]) / _SQ2
-    return np.stack([e0, e1, e2, e3], axis=1)
+#: the arc-length helix has curvature kappa_1 and torsion kappa_3 both 1/sqrt(2)
+_HELIX_KAPPA = (1.0 / _SQ2, 0.0, 1.0 / _SQ2)
 
 
-def helix_curve() -> ClosedFormCurve:
+def _helix_frame(t):
+    c, s = np.cos(t), np.sin(t)
+    return _frame(t, [1.0, c / _SQ2, s / _SQ2, t / _SQ2], [0.0, -s / _SQ2, c / _SQ2, 1.0 / _SQ2],
+                  [0.0, -c, -s, 0.0], [0.0, s / _SQ2, -c / _SQ2, 1.0 / _SQ2])
+
+
+def helix_curve() -> BasePointCurve:
     """Arc-length helix (cos t, sin t, t)/sqrt(2), ambient leading 1."""
-    return _base_point_curve(_helix_matrix)
+    return BasePointCurve(_helix_frame, structure_matrix(0, _HELIX_KAPPA))
 
 
 def helix_frenet_field(nodes=None):
@@ -109,7 +107,7 @@ def helix_frenet_field(nodes=None):
     """
     if nodes is None:
         nodes = np.linspace(-np.pi, np.pi, 200)
-    return frame_field_from_function(SpaceForm("euclidean"), _helix_matrix, nodes)
+    return _euclidean_field(_helix_frame, _HELIX_KAPPA, nodes)
 
 
 def helix_developable_point(t, s):
@@ -166,14 +164,14 @@ def violation_witnesses():
 # -- great circle ------------------------------------------------------------------
 
 
-def great_circle_curve() -> ClosedFormCurve:
-    """Great circle (cos t, sin t, 0, 0) on the unit 3-sphere."""
+def _great_circle_frame(t):
+    c, s = np.cos(t), np.sin(t)
+    return _frame(t, [c, s, 0.0, 0.0], [-s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0])
 
-    def derivative(t, k):
-        c, s = _phase(t, k)
-        return np.array([c, s, 0.0, 0.0])
 
-    return ClosedFormCurve(derivative, dim=4, max_order=_MAX_ORDER)
+def great_circle_curve() -> BasePointCurve:
+    """Great circle (cos t, sin t, 0, 0) on the unit 3-sphere: delta = 1, kappa = 0."""
+    return BasePointCurve(_great_circle_frame, structure_matrix(1, (0.0, 0.0, 0.0)))
 
 
 # -- lookup used by the command line ----------------------------------------------

@@ -186,19 +186,19 @@ def dual_coefficient_jets(curv, r):
 
 @dataclass
 class FrameField:
-    """Frames sampled along arc length / parameter nodes.
+    """Frames E sampled along arc length / parameter nodes, with K and K' there.
 
-    Every field carries exact derivatives through one of two channels:
-    ``matrix_fn(t, k)`` returns the k-th derivative of the full frame matrix
-    (closed form), or ``curvature`` gives them by the structure equation.
-    ``field_derivatives`` reads both.
+    ``k`` is the structure matrix K = E^{-1} E' at every node and ``dk`` its
+    derivative K', so E' = E K and E'' = E (K K + K') are exact wherever E
+    is.  Integrated fields evaluate both from the curvature polynomials; the
+    built-in fields have constant curvatures, a constant K and K' = 0.
     """
 
     sf: SpaceForm
     s: np.ndarray
     matrices: np.ndarray  # (N, 4, 4)
-    curvature: CurvatureData = None
-    matrix_fn: object = None
+    k: np.ndarray  # (N, 4, 4)
+    dk: np.ndarray  # (N, 4, 4)
     meta: dict = dataclass_field(default_factory=dict)
 
     def __len__(self):
@@ -206,35 +206,6 @@ class FrameField:
 
     def gram_defects(self):
         return gram_defect(self.matrices, self.sf)
-
-
-def frame_field_from_function(sf, matrix_fn, nodes):
-    """Sample a closed-form frame field; ``matrix_fn(t, k)`` is the k-th derivative."""
-    nodes = np.asarray(nodes, dtype=float)
-    mats = np.stack([np.asarray(matrix_fn(t, 0), dtype=float) for t in nodes])
-    return FrameField(sf, nodes, mats, matrix_fn=matrix_fn)
-
-
-def field_derivatives(field: FrameField):
-    """(E, E', K, K K - K') at every node, with K = E^{-1} E'.
-
-    The one exact derivative channel of a field.  Closed-form fields solve
-    K = E^{-1} E' and K K - K' = 2 K K - E^{-1} E'' from E' and E'';
-    curvature fields evaluate K and K' from the polynomial structure matrix
-    and give E' = E K.
-    """
-    mats = field.matrices
-    fn = field.matrix_fn
-    if fn is not None:
-        e1, e2 = (np.stack([np.asarray(fn(float(t), order), dtype=float) for t in field.s])
-                  for order in (1, 2))
-        k = np.linalg.solve(mats, e1)
-        return mats, e1, k, 2.0 * (k @ k) - np.linalg.solve(mats, e2)
-    kp = structure_poly_matrix(field.curvature)
-    t = np.asarray(field.s, dtype=float)
-    k = np.stack([np.stack([p.evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
-    k1 = np.stack([np.stack([p.diff_t().evalf(t) for p in row], axis=-1) for row in kp], axis=-2)
-    return mats, mats @ k, k, k @ k - k1
 
 
 # -- re-orthonormalization -----------------------------------------------------
@@ -332,7 +303,8 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
         E <- E exp(h/2 (K_1 + K_2) + sqrt(3)/12 h^2 (K_1 K_2 - K_2 K_1)).
 
     Each step multiplies by a group element, so the frame stays in the
-    structure group to round-off without any projection.  Step doubling sets
+    structure group to round-off without any projection.  The field carries K
+    and K' evaluated from the curvature polynomials at the nodes.  Step doubling sets
     the step size: two half steps are accepted when they differ from one full
     step by at most tol (1 + max|E|).  ``meta`` records the accepted and
     rejected steps.  Past MAX_STEPS of them, not counting accepted steps cut
@@ -401,4 +373,10 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
         if abs(h) < min_h:
             raise IntegrationError(s)
 
-    return FrameField(sf, nodes, out, curvature=curv, meta={"steps": steps, "rejected": rejected})
+    kp = structure_poly_matrix(curv)
+    try:
+        k = np.stack([np.stack([p.evalf(nodes) for p in row], axis=-1) for row in kp], axis=-2)
+        k1 = np.stack([np.stack([p.diff_t().evalf(nodes) for p in row], axis=-1) for row in kp], axis=-2)
+    except OverflowError as exc:  # a power t^i past the float range, even where its term is not
+        raise DomainError(f"a curvature term is beyond the float range at a node ({exc})") from exc
+    return FrameField(sf, nodes, out, k, k1, meta={"steps": steps, "rejected": rejected})

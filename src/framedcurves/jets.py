@@ -156,7 +156,6 @@ class TypeDetection:
     mode: str  # "exact" or "float"
     confidence: str  # "exact", or "high" / "low" (float path gap certificate)
     min_gap: float
-    r_used: int
 
 
 def _ranks_to_type(ranks, dim, r_max):
@@ -183,25 +182,18 @@ def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
     dim = curve.dim
     if r_max is None:
         r_max = dim + 4  # n + 6
-    cap = curve.max_order(t)
-    r_used = r_max if cap is None else min(r_max, cap)
 
     mode = "exact" if curve.exact and isinstance(t, (int, Fraction, str)) else "float"
     if mode == "exact":
-        ranks, min_gap = exact_rank_profile(curve.jet_exact(t, r_used)), np.inf
+        ranks, min_gap = exact_rank_profile(curve.jet_exact(t, r_max)), np.inf
     else:
-        ranks, min_gap = float_rank_profile(curve.jet(t, r_used), rank_tol)
-    try:
-        a = _ranks_to_type(ranks, dim, r_max)
-    except FiniteTypeError:
-        if r_used < r_max:
-            raise FiniteTypeError(max(ranks), r_used)
-        raise
+        ranks, min_gap = float_rank_profile(curve.jet(t, r_max), rank_tol)
+    a = _ranks_to_type(ranks, dim, r_max)
     if mode == "exact":
         confidence = "exact"
     else:
         confidence = "high" if min_gap >= RANK_GAP_MIN else "low"
-    return TypeDetection(a, ranks, mode, confidence, float(min_gap), r_used)
+    return TypeDetection(a, ranks, mode, confidence, float(min_gap))
 
 
 def detect_type(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
@@ -237,37 +229,40 @@ def dual_type(a):
     return tuple(top - x for x in reversed(a[:-1])) + (top,)
 
 
-_CODIM_BY_MODE = {
-    "ordinary": schubert_number,
-    "adapted": codim_adapted,
-    "osculating": codim_osculating,
-}
-
-
 def enumerate_generic_types(n, budget, mode="ordinary"):
     """All type vectors of length n+1 whose mode-codimension is <= budget.
 
-    Sorted lexicographically.  Every mode bounds every entry by a_i <= i +
-    budget, and a prefix is dropped once its cheapest completion (each later
-    entry one above the last) is over budget, so each prefix searched leads to
-    at least one output.  The search runs on an explicit stack.
+    Sorted lexicographically.  Each mode's codimension sums a_i - i over the
+    entries it counts, and a prefix is dropped once its cheapest completion
+    (each later entry one above the last, so each later a_j - j equals the
+    last a_i - i) is over budget; each prefix searched leads to at least one
+    output.  The search runs on an explicit stack that carries each prefix's
+    codimension, and the prefix itself lives in one shared list, so the work
+    is linear in the output.
     """
     if n < 1:
         raise DimensionMismatch("need n >= 1")
-    if mode not in _CODIM_BY_MODE:
+    if mode not in ("ordinary", "adapted", "osculating"):
         raise DimensionMismatch(f"unknown enumeration mode {mode!r}")
-    codim = _CODIM_BY_MODE[mode]
     size = n + 1
-    out = []
-    stack = [()]
+    weight = [1] * size  # 1 where a_i - i counts towards the mode's codimension
+    if mode == "adapted":
+        weight[0] = 0
+    elif mode == "osculating":
+        weight[:n] = [0] * n
+    rest = weight[:]  # rest[i]: the counted entries from index i on (0-based)
+    for i in range(size - 2, -1, -1):
+        rest[i] += rest[i + 1]
+    a, out = [0] * size, []
+    # (index, value, codimension of a[:index]); a value is pushed only if the
+    # cheapest completion through it, cost + rest[index] (value - index - 1), is within budget
+    stack = [(0, v, 0) for v in range(1 + budget // rest[0], 0, -1)]
     while stack:
-        prefix = stack.pop()
-        i = len(prefix) + 1
-        lo = prefix[-1] + 1 if prefix else 1
-        children = [prefix + (ai,) for ai in range(lo, i + budget + 1)
-                    if codim(prefix + tuple(range(ai, ai + 1 + size - i))) <= budget]
-        if i == size:
-            out.extend(children)
-        else:
-            stack.extend(reversed(children))  # popped smallest first: lexicographic order
+        i, v, cost = stack.pop()
+        a[i] = v
+        cost += weight[i] * (v - i - 1)
+        if i + 1 == size:
+            out.append(tuple(a))
+        else:  # pushed largest first, popped smallest first: lexicographic order
+            stack.extend((i + 1, w, cost) for w in range(i + 2 + (budget - cost) // rest[i + 1], v, -1))
     return out

@@ -111,6 +111,31 @@ def test_non_finite_parameters_are_numeric_failures(tmp_path, capsys, argv, curv
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["frame", "envelope"])
+def test_a_curvature_power_beyond_the_float_range_is_a_numeric_failure(tmp_path, capsys, command):
+    # 1e-330 rounds to 0.0, so the flow integrates, but 40^200 at the last node has no float
+    config = {"curve": {"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], {"200,0": "1e-330"}]},
+              "grids": {"t": [0.0, 40.0, 5], "s": [-1.0, 1.0, 3]}}
+    argv = [command, "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "numeric failure (DomainError)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["frame", "envelope"])
+@pytest.mark.parametrize("curve", [
+    pytest.param({"kind": "builtin", "name": "helix-frenet"}, id="builtin"),
+    pytest.param({"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], ["0", "0", "1"]]},
+                 id="curvature"),
+])
+def test_lam_on_a_curve_without_lambda_is_a_config_error(tmp_path, capsys, command, curve):
+    config = {"curve": curve, "grids": {"t": [0.1, 1.0, 8], "s": [-0.5, 0.5, 3]}}
+    out = tmp_path / "out"
+    argv = [command, "--config", _write_config(tmp_path, config), "--lam", "0.3", "--out", str(out)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kappa1", ["1e400", "1e300"])
 def test_curvatures_beyond_float_range_are_numeric_failures(tmp_path, capsys, kappa1):
     # 1e400 has no float; 1e300 overflows the flow, which must not stall the integrator

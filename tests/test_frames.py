@@ -12,7 +12,6 @@ from framedcurves import (
     DegeneracyError,
     DomainError,
     SpaceForm,
-    frame_field_from_function,
     gram_defect,
     gram_schmidt_signed,
     integrate_structure_equation,
@@ -20,7 +19,7 @@ from framedcurves import (
     structure_matrix,
     structure_poly_matrix,
 )
-from framedcurves.examples import helix_frenet_field, radial_circle_field
+from framedcurves.examples import BUILTINS, helix_frenet_field, radial_circle_field
 from framedcurves import frames
 from framedcurves.errors import IntegrationError
 from framedcurves.frames import _kappa_function, _magnus_propagators
@@ -307,9 +306,61 @@ def test_builtin_fields_are_integral_lifts():
     # the hyperplane normal e_3 is orthogonal to the velocity of the base point e_0
     for factory in (radial_circle_field, helix_frenet_field):
         field = factory()
-        for t, m in zip(field.s, field.matrices):
-            velocity = field.matrix_fn(t, 1)[:, 0]
+        for m, k in zip(field.matrices, field.k):
+            velocity = (m @ k)[:, 0]
             assert abs(float(m[1:, 3] @ velocity[1:])) < 1e-12
+
+
+def _phase(t, k):
+    """cos / sin of t shifted by k quarter turns: the k-th derivative pair."""
+    return np.cos(t + 0.5 * np.pi * k), np.sin(t + 0.5 * np.pi * k)
+
+
+def _radial_circle_derivative(t, k):
+    c, s = _phase(t, k)
+    one = 1.0 if k == 0 else 0.0
+    return np.stack([[one, c, s, 0.0], [0.0, -s, c, 0.0], [0.0, 0.0, 0.0, one], [0.0, c, s, 0.0]], axis=1)
+
+
+def _helix_derivative(t, k):
+    c, s = _phase(t, k)
+    one = 1.0 if k == 0 else 0.0
+    lin = t if k == 0 else (1.0 if k == 1 else 0.0)
+    sq2 = np.sqrt(2.0)
+    return np.stack([[one, c / sq2, s / sq2, lin / sq2], np.array([0.0, -s, c, one]) / sq2,
+                     [0.0, -c, -s, 0.0], np.array([0.0, s, -c, one]) / sq2], axis=1)
+
+
+def _great_circle_derivative(t, k):
+    c, s = _phase(t, k)
+    return np.array([[c], [s], [0.0], [0.0]])  # the curve alone, as a one-column frame
+
+
+#: the k-th derivative of each built-in frame (or curve) at t, written out in trig
+TRIG_DERIVATIVES = {
+    "circle-radial": _radial_circle_derivative,
+    "helix-frenet": _helix_derivative,
+    "great-circle": _great_circle_derivative,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIG_DERIVATIVES))
+def test_builtins_match_their_trig_derivatives(name):
+    # E^(k) = E K^k and gamma^(k) = (E K^k)[:, 0] through order 11, on the
+    # mesh-export window t in [-3, 6]; the frames themselves are the same
+    # cos / sin expressions, bit for bit
+    t = np.linspace(-3.0, 6.0, 181)
+    tol = 1e-14 * (1.0 + np.abs(t))[:, None]
+    curve_factory, field_factory = BUILTINS[name]
+    jets = curve_factory().jet(t, 11)
+    field = field_factory(t) if field_factory is not None else None
+    for k in range(12):
+        want = np.stack([TRIG_DERIVATIVES[name](x, k) for x in t])
+        assert np.all(np.abs(jets[:, :, k] - want[:, :, 0]) <= tol)
+        if field is not None:
+            got = field.matrices @ np.linalg.matrix_power(field.k, k)
+            assert np.all(np.abs(got - want) <= tol[:, :, None])
+            assert k > 0 or np.array_equal(field.matrices, want)
 
 
 def test_dual_coefficient_recursion():
@@ -329,20 +380,3 @@ def test_dual_coefficient_recursion():
             for j in range(4):
                 derived = derived - K[j][i] * d[k][j]
             assert (derived - d[k + 1][i]).is_zero()
-
-
-def test_frame_field_from_function_spacing():
-    field = radial_circle_field(np.linspace(0.0, 1.0, 11))
-    assert len(field.s) == 11
-
-
-def test_frame_field_from_function_stores_the_order_zero_matrices():
-    nodes = np.linspace(-1.0, 2.0, 7)
-
-    def matrix_fn(t, k):
-        return np.full((4, 4), t + 10.0 * k)
-
-    field = frame_field_from_function(SpaceForm("euclidean"), matrix_fn, nodes)
-    assert field.matrix_fn is matrix_fn
-    for t, m in zip(nodes, field.matrices):
-        assert np.array_equal(m, matrix_fn(t, 0))

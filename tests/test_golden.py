@@ -30,6 +30,7 @@ from framedcurves.classify import (
 from framedcurves.cli import main
 from framedcurves.config import RunConfig
 from framedcurves.examples import helix_curve
+from framedcurves.frames import CurvatureData
 from framedcurves.flags import (
     FlagCurve,
     c_integrality_residual,
@@ -55,8 +56,8 @@ def _curvature(geometry, delta):
 ENVELOPE_CASES = {
     "helix-frenet": (
         {"curve": {"kind": "builtin", "name": "helix-frenet"}},
-        "6552ee8542f7f2547e5c007784030f53ed55ffee9b120bddd456f456214628e1",
-        "6f2012d17954bf6b96bb0dad9b92fd2ce4928133a4395cdd8f05b4c98e5a8288",
+        "2f2a3bc84f7f95eaafb617687e7f44cfd4e8ced0a6cdd23fd8be355e297f8c50",
+        "388b403500cf28958661274a18f34b362bd05f64e9ad0b1a254ccc0c4932d5c9",
     ),
     "euclidean-delta0": (
         _curvature("euclidean", 0),
@@ -91,8 +92,10 @@ def _run_envelope(tmp_path, config):
 @pytest.mark.parametrize("name", ["euclidean-delta0", "spherical-delta1", "hyperbolic-delta-1"])
 def test_curvature_case_frames_match_dop853(name):
     # the hashes below pin the integrator's last bits; this pins what they mean
-    field = RunConfig.from_dict(ENVELOPE_CASES[name][0]).build_field()
-    reference = dop853_frames(field.curvature, field.s)
+    cfg = RunConfig.from_dict(ENVELOPE_CASES[name][0])
+    curv = CurvatureData(cfg.curve["delta"], [[Fraction(c) for c in kappa] for kappa in KAPPA])
+    field = cfg.build_field()
+    reference = dop853_frames(curv, field.s)
     assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
 
 
@@ -239,10 +242,10 @@ def test_flag_charts_are_bit_stable():
     from_curve = flag_from_curve(helix_curve(), nodes)
     keys = sorted(from_curve.coords)
     assert _digest(*(from_curve.coords[k] for k in keys)) == (
-        "3211669e6c33e91cf4b01352eb877b1116b47fe53a3152b32838f95c428d3550"
+        "4f953dd86779a2970538c8510fe93d8afba172aa77ade4fd0d2a8d6b860a7c18"
     )
     assert _digest(*(from_curve.derivs[k] for k in keys)) == (
-        "7fa1dcbd946034559d532d6e95124a31e0772f71984192fff8e772ceb9cb47f2"
+        "eb5138a30489b312cc50017801455ce493d74a14984cb1d87d018bc49f5de5f7"
     )
 
 
