@@ -22,7 +22,9 @@ exact rational arithmetic because the curvatures are polynomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .ratpoly import Poly, as_fraction
+from .ratpoly import Poly, as_fraction, integer_coeffs, isolate_real_roots, squarefree, trim
 from .spaceform import SpaceForm, group_exp
 
 _GS_TOL = 1e-12
@@ -243,31 +245,39 @@ def reorthonormalize(matrix, sf: SpaceForm):
     return np.stack(cols, axis=1)
 
 
-# -- structure-equation integration (adaptive 4th-order Magnus) ------------------
+# -- structure-equation integration (batched 6th-order Magnus bisection) ----------
 
-#: accepted plus rejected Magnus steps one integration may take before it fails,
-#: not counting the accepted steps cut short to end on a node;
-#: kappa = (1, 0, t^2) at tol 1e-10 needs 4.2k-6.8k over span 20 and 14.5k-26.6k over span 40
+#: the floor of an integration's interval budget: past its node grid it may split
+#: into this many intervals, or into its derived budget where that is larger;
+#: kappa = (1, 0, t^2) at tol 1e-10 ends with 3.7k intervals over span 20, 19k
+#: over [0, 40], 49k over hyperbolic [0, 60] and 96k over [0, 80]
 MAX_STEPS = 50_000
+#: the derived budget stops at this multiple of MAX_STEPS, so that a runaway
+#: curvature such as t^200 fails after a bounded amount of work
+_BUDGET_CEILING = 4
+#: intervals per tol^(-1/7) times the integral of max|K| over the span
+_BUDGET_SCALE = 0.1
+#: pending intervals one round evaluates, in one group_exp call; this bounds a round's memory
+_ROUND_SIZE = 1024
 
-_GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes at h/2 -+ sqrt(3) h / 6
-_COMMUTATOR = np.sqrt(3.0) / 12.0
+_GAUSS = 0.5 + np.sqrt(15.0) / 10.0 * np.array([[-1.0], [0.0], [1.0]])  # the three Gauss nodes
 
 
-def _kappa_function(curv: CurvatureData):
-    """s -> (kappa_1, kappa_2, kappa_3) in floats, on a last axis of length 3.
+def _kappa_function(polys):
+    """s -> the polynomials' values in floats, on a last axis of length len(polys).
 
     Horner's rule on float coefficients prepared once, for the whole array s
-    at once.
+    at once.  The flow reads kappa through it, and the field's K and K' at the
+    nodes come from it too, so they are the curvatures the flow saw.
     """
     try:
-        coeffs = [p.t_coeff_floats()[::-1] for p in curv.kappa]
+        coeffs = [p.t_coeff_floats()[::-1] for p in polys]
     except OverflowError as exc:
         raise DomainError(f"a curvature coefficient is beyond the float range ({exc})") from exc
 
     def values(s):
         s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape + (3,))
+        out = np.empty(s.shape + (len(coeffs),))
         for k, c in enumerate(coeffs):
             acc = np.zeros(s.shape)
             for a in c:
@@ -278,40 +288,99 @@ def _kappa_function(curv: CurvatureData):
     return values
 
 
-def _magnus_propagators(delta, kappa, starts, widths):
-    """Propagators P_i with E(s_i + h_i) = E(s_i) P_i, one 4th-order Magnus step each.
+def _bracket(x, y):
+    return x @ y - y @ x
 
-    K acts on the right, so the commutator carries the opposite sign of the
-    textbook Y' = A Y form; with the textbook sign the step is 2nd order.
+
+def _magnus_propagators(delta, kappa, starts, widths):
+    """Propagators P_i with E(s_i + h_i) = E(s_i) P_i, one 6th-order Magnus step each.
+
+    The three-Gauss-node step of Blanes, Casas and Ros (BIT 40, 2000) is
+    written for Y' = A Y.  K acts on the right, so it is taken for Y = E^T
+    and A = K^T, and Omega is transposed back.
     """
     h = np.asarray(widths, dtype=float)
-    nodes = np.asarray(starts, dtype=float) + np.array([[0.5 - _GAUSS], [0.5 + _GAUSS]]) * h
-    k1, k2 = structure_matrix(delta, kappa(nodes))
+    k_nodes = structure_matrix(delta, kappa(np.asarray(starts, dtype=float) + _GAUSS * h))
+    a1, a2, a3 = np.swapaxes(k_nodes, -1, -2)
     h = h[:, None, None]
-    return group_exp(0.5 * h * (k1 + k2) + _COMMUTATOR * h * h * (k1 @ k2 - k2 @ k1))
+    b1 = h * a2
+    b2 = np.sqrt(15.0) / 3.0 * h * (a3 - a1)
+    b3 = 10.0 / 3.0 * h * (a3 - 2.0 * a2 + a1)
+    c1 = _bracket(b1, b2)
+    c2 = _bracket(b1, 2.0 * b3 + c1) / -60.0
+    omega = b1 + b3 / 12.0 + _bracket(c1 - 20.0 * b1 - b3, b2 + c2) / 240.0
+    return group_exp(np.swapaxes(omega, -1, -2))
+
+
+def _abs_integral(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    """The integral of |p| over [lo, hi], split at p's real roots there.
+
+    Exact but for the placement of each irrational root, which
+    ``isolate_real_roots`` narrows to 2^-100 of the window.
+    """
+    coeffs = trim(p.t_coeffs())
+    if not coeffs:
+        return Fraction(0)
+    roots = [x for x, _ in isolate_real_roots(integer_coeffs(squarefree(coeffs)), lo, hi)]
+    antiderivative = p.integrate_t()
+    cuts = [lo, *roots, hi]
+    return sum((abs(antiderivative.eval(b) - antiderivative.eval(a)) for a, b in zip(cuts, cuts[1:])),
+               Fraction(0))
+
+
+def _interval_budget(curv: CurvatureData, s0, s1, tol):
+    """How many intervals past its node grid one integration may use.
+
+    A 6th-order step's local error grows as (h max|K|)^7, so passing the local
+    test takes about tol^(-1/7) times the integral of max|K| intervals.  The
+    entries of K are 1, delta and the curvatures, so that integral is at most
+    the span plus the integrals of the |kappa_i|, which are exact for
+    polynomials.  The budget is _BUDGET_SCALE times the estimate, at least
+    MAX_STEPS and at most _BUDGET_CEILING * MAX_STEPS.
+    """
+    lo, hi = sorted((Fraction(s0), Fraction(s1)))
+    try:
+        total = float(hi - lo + sum(_abs_integral(p, lo, hi) for p in curv.kappa))
+    except OverflowError:
+        total = math.inf
+    derived = _BUDGET_SCALE * total * tol ** (-1.0 / 7.0)
+    return int(max(MAX_STEPS, min(derived, _BUDGET_CEILING * MAX_STEPS)))
 
 
 def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1e-10, nodes=None):
     """Propagate the identity frame by E' = E K(s), returning a FrameField at the nodes.
 
-    The frame is the 4x4 identity at s = span[0]; the field from another
-    start E_0 is E_0 times this one.
+    The frame is the 4x4 identity at s = span[0] (and at any node not past
+    it); the field from another start E_0 is E_0 times this one.
 
-    Adaptive 4th-order Magnus steps with K_1, K_2 at the Gauss nodes
-    s + h/2 -+ sqrt(3) h / 6:
+    Each interval [s, s + h] carries a 6th-order Magnus propagator P(s, h)
+    with E(s + h) = E(s) P(s, h) (``_magnus_propagators``).  A propagator
+    depends on (s, h) alone, never on E, so the mesh is found by bisection
+    before any frame is formed.  The intervals between the nodes start it.
+    An interval passes when its two halves agree with the whole step,
 
-        E <- E exp(h/2 (K_1 + K_2) + sqrt(3)/12 h^2 (K_1 K_2 - K_2 K_1)).
+        max|P(s, h/2) P(s + h/2, h/2) - P(s, h)| <= tol,
 
-    Each step multiplies by a group element, so the frame stays in the
-    structure group to round-off without any projection.  The field carries K
-    and K' evaluated from the curvature polynomials at the nodes.  Step doubling sets
-    the step size: two half steps are accepted when they differ from one full
-    step by at most tol (1 + max|E|).  ``meta`` records the accepted and
-    rejected steps.  Past MAX_STEPS of them, not counting accepted steps cut
-    short to end on a node (a dense node grid forces one per node), it raises
-    IntegrationError, so a huge but finite curvature fails instead of stepping
-    for as long as the span lasts.  The geometry fixes delta (euclidean 0,
-    spherical 1, hyperbolic -1); any other pair raises DomainError.
+    and is cut in two otherwise; a NaN or inf propagator (an overflowing
+    hyperbolic step) never passes.  The two half-step propagators become the
+    halves' own whole-step ones, so a half costs two new exponentials.  Each
+    round evaluates up to _ROUND_SIZE pending intervals, the first in s
+    order, in one ``group_exp`` call.  E is then the sequential product
+    E <- E P(s, h/2) P(s + h/2, h/2) over the passed intervals in s order,
+    taken as soon as every interval before them has passed.  As the halves
+    of a cut interval go first, a run holds at most about _ROUND_SIZE
+    intervals per level of bisection besides its nodes, however long the
+    span.  Each factor is a group element, so the frame stays in the
+    structure group to round-off without any projection.
+
+    The partition may hold the node grid's intervals plus the budget of
+    ``_interval_budget``; a round that would start past that raises
+    IntegrationError, as does a half narrower than 1e-13 max(|s0|, |s1|, 1)
+    or a frame that overflows.  ``meta`` records the passed intervals
+    (``steps``), the cut ones (``rejected``), the ``rounds`` and the
+    ``cap``.  The field's K and K' come from the same Horner coefficients as
+    the flow's kappa.  The geometry fixes delta (euclidean 0, spherical 1,
+    hyperbolic -1); any other pair raises DomainError.
     """
     if curv.delta != sf.delta:
         raise DomainError(
@@ -322,61 +391,77 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
         nodes = np.linspace(s0, s1, 201)
     nodes = np.asarray(nodes, dtype=float)
     direction = 1.0 if s1 >= s0 else -1.0
-    order = np.argsort(direction * nodes)
-    sorted_nodes = nodes[order]
+    past = direction * (nodes - s0) > 0
+    ends = direction * np.unique(direction * nodes[past])
+    grid = np.concatenate([[s0], ends])
+    kappa, dkappa = _kappa_function(curv.kappa), _kappa_function([p.diff_t() for p in curv.kappa])
+    cap = len(ends) + _interval_budget(curv, s0, s1, tol)
+    min_h = 1e-13 * max(abs(s0), abs(s1), 1.0)
 
-    delta, kappa = curv.delta, _kappa_function(curv)
-    e = np.eye(4)
-    s = s0
-    h = direction * max(abs(s1 - s0), 1e-12) / 100.0
-    out = np.empty((len(nodes), 4, 4))
-    next_idx = 0
-    steps = rejected = landed = 0
+    at_grid = np.empty((len(grid), 4, 4))
+    at_grid[0] = e = np.eye(4)
+    # pending intervals in s order: start, width, the grid point each ends on
+    # (-1 for none) and, once known, its whole-step propagator
+    starts, widths, tags = grid[:-1], np.diff(grid), np.arange(1, len(grid))
+    whole = np.empty((len(ends), 4, 4))
+    known = np.zeros(len(ends), dtype=bool)
+    # passed intervals after a pending one, waiting for their turn in the product
+    w_starts, w_props, w_tags = np.empty(0), np.empty((0, 4, 4)), np.empty(0, dtype=int)
+    steps = rejected = rounds = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(starts):
+            if steps + len(starts) > cap:
+                raise IntegrationError(float(starts[0]), f"integration needs more than {cap} intervals "
+                                                         f"by s={starts[0]} without finishing")
+            n = min(len(starts), _ROUND_SIZE)
+            a, h, tag, fresh = starts[:n], widths[:n], tags[:n], ~known[:n]
+            half = 0.5 * h
+            props = _magnus_propagators(curv.delta, kappa, np.concatenate([a[fresh], a, a + half]),
+                                        np.concatenate([h[fresh], half, half]))
+            m = int(np.count_nonzero(fresh))
+            full = whole[:n].copy()
+            full[fresh] = props[:m]
+            left, right = props[m:m + n], props[m + n:]
+            fine = left @ right
+            ok = np.max(np.abs(fine - full), axis=(-2, -1)) <= tol
+            cut = ~ok
+            rounds += 1
+            steps += int(np.count_nonzero(ok))
+            rejected += int(np.count_nonzero(cut))
+            cut_a, cut_half = a[cut], half[cut]
+            too_short = np.abs(cut_half) < min_h
+            if np.any(too_short):
+                raise IntegrationError(float(cut_a[too_short][0]))
+            # each cut interval becomes its two halves, in place
+            starts = np.concatenate([np.column_stack([cut_a, cut_a + cut_half]).ravel(), starts[n:]])
+            widths = np.concatenate([np.repeat(cut_half, 2), widths[n:]])
+            tags = np.concatenate([np.column_stack([np.full(len(cut_a), -1), tag[cut]]).ravel(),
+                                   tags[n:]])
+            whole = np.concatenate([np.stack([left[cut], right[cut]], axis=1).reshape(-1, 4, 4),
+                                    whole[n:]])
+            known = np.concatenate([np.ones(2 * len(cut_a), dtype=bool), known[n:]])
 
-    # emit any nodes at (or numerically before) the start
-    while next_idx < len(sorted_nodes) and direction * (sorted_nodes[next_idx] - s) <= 1e-14:
-        out[order[next_idx]] = e
-        next_idx += 1
+            w_starts = np.concatenate([w_starts, a[ok]])
+            order = np.argsort(direction * w_starts, kind="stable")
+            w_starts = w_starts[order]
+            w_props = np.concatenate([w_props, fine[ok]])[order]
+            w_tags = np.concatenate([w_tags, tag[ok]])[order]
+            done = len(w_starts) if not len(starts) else int(
+                np.searchsorted(direction * w_starts, direction * starts[0]))
+            for p, j in zip(w_props[:done], w_tags[:done].tolist()):
+                e = e @ p
+                if j >= 0:
+                    at_grid[j] = e
+            if not np.all(np.isfinite(e)):
+                raise IntegrationError(float(w_starts[done - 1]), "the frame overflowed by "
+                                                                  f"s={w_starts[done - 1]}")
+            w_starts, w_props, w_tags = w_starts[done:], w_props[done:], w_tags[done:]
 
-    min_h = 1e-13 * max(abs(s1 - s0), 1.0)
-    while next_idx < len(sorted_nodes):
-        if steps - landed + rejected >= MAX_STEPS:
-            raise IntegrationError(s, f"integration took {MAX_STEPS} steps by s={s} "
-                                      "without finishing")
-        target = sorted_nodes[next_idx]
-        cut = bool(direction * (s + h - target) > 0)
-        if cut:
-            h = target - s
-        half = 0.5 * h
-        p_half, p_rest, p_full = _magnus_propagators(delta, kappa, (s, s + half, s), (half, half, h))
-        fine = e @ p_half @ p_rest
-        coarse = e @ p_full
-        err = float(np.max(np.abs(fine - coarse))) / (tol * (1.0 + float(np.max(np.abs(fine)))))
-        if err <= 1.0:
-            steps += 1
-            landed += cut
-            s = s + h
-            e = fine
-            while (
-                next_idx < len(sorted_nodes)
-                and direction * (sorted_nodes[next_idx] - s) <= 1e-12 * max(1.0, abs(s))
-            ):
-                out[order[next_idx]] = e
-                next_idx += 1
-        else:
-            rejected += 1
-        if err > 0.0:
-            factor = 0.9 * err**-0.2
-        else:  # 0 for an exact step; NaN once the flow overflows, which must shrink h
-            factor = 5.0 if err == 0.0 else 0.2
-        h *= min(5.0, max(0.2, factor))
-        if abs(h) < min_h:
-            raise IntegrationError(s)
-
-    kp = structure_poly_matrix(curv)
-    try:
-        k = np.stack([np.stack([p.evalf(nodes) for p in row], axis=-1) for row in kp], axis=-2)
-        k1 = np.stack([np.stack([p.diff_t().evalf(nodes) for p in row], axis=-1) for row in kp], axis=-2)
-    except OverflowError as exc:  # a power t^i past the float range, even where its term is not
-        raise DomainError(f"a curvature term is beyond the float range at a node ({exc})") from exc
-    return FrameField(sf, nodes, out, k, k1, meta={"steps": steps, "rejected": rejected})
+        k = structure_matrix(curv.delta, kappa(nodes))
+        dk = structure_matrix(0, dkappa(nodes))
+    dk[..., 1, 0] = 0.0  # K' has no constant entry
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(dk))):
+        raise DomainError("a curvature or its derivative is beyond the float range at a node")
+    out = at_grid[np.where(past, np.searchsorted(direction * ends, direction * nodes) + 1, 0)]
+    meta = {"steps": steps, "rejected": rejected, "rounds": rounds, "cap": cap}
+    return FrameField(sf, nodes, out, k, dk, meta=meta)

@@ -121,11 +121,18 @@ def float_rank_profile(matrix, rank_tol=DEFAULT_RANK_TOL):
     """(ranks, min_gap) over the column prefixes of a float matrix.
 
     Each prefix is decided by the singular values of its column-normalized
-    copy.  Ranks are forced monotone non-decreasing with unit steps, which is
-    what prefix ranks of a genuine jet matrix satisfy; min_gap is the smallest
-    accepted/rejected singular value ratio seen at any truncation decision.
+    copy.  Scaling rows and columns changes no rank, so every column and then
+    every row is first divided by its max-abs entry: no norm overflows, and a
+    point far from the origin (entries of 1e200 beside entries of 1) does not
+    swamp the rest.  Ranks are forced monotone non-decreasing with unit steps,
+    which is what prefix ranks of a genuine jet matrix satisfy; min_gap is the
+    smallest accepted/rejected singular value ratio seen at any truncation
+    decision.
     """
     matrix = np.asarray(matrix, dtype=float)
+    for axis in (0, 1):
+        scale = np.max(np.abs(matrix), axis=axis, keepdims=True)
+        matrix = matrix / np.where(scale > 0, scale, 1.0)
     ranks, min_gap, prev = [], np.inf, 0
     for r in range(matrix.shape[1]):
         m = matrix[:, : r + 1]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -112,13 +113,21 @@ def test_non_finite_parameters_are_numeric_failures(tmp_path, capsys, argv, curv
 
 
 @pytest.mark.parametrize("command", ["frame", "envelope"])
-def test_a_curvature_power_beyond_the_float_range_is_a_numeric_failure(tmp_path, capsys, command):
-    # 1e-330 rounds to 0.0, so the flow integrates, but 40^200 at the last node has no float
-    config = {"curve": {"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], {"200,0": "1e-330"}]},
-              "grids": {"t": [0.0, 40.0, 5], "s": [-1.0, 1.0, 3]}}
-    argv = [command, "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
-    assert main(argv) == 3
-    assert "numeric failure (DomainError)" in capsys.readouterr().err
+def test_a_curvature_below_the_float_range_reads_as_the_flow_read_it(tmp_path, capsys, command):
+    # 1e-330 rounds to 0.0, so the flow integrates kappa_3 = 0, and K at the
+    # nodes reads it the same way, though 40^200 alone has no float: the run
+    # is that of kappa_3 = 0 (whose hyperplane family is degenerate)
+    runs = []
+    for name, kappa_3 in (("tiny", {"200,0": "1e-330"}), ("zero", ["0"])):
+        config = {"curve": {"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], kappa_3]},
+                  "grids": {"t": [0.0, 40.0, 5], "s": [-1.0, 1.0, 3]}}
+        out = tmp_path / name
+        code = main([command, "--config", _write_config(tmp_path, config, f"{name}.json"),
+                     "--out", str(out)])
+        frames_txt = (out / "frames.txt").read_bytes() if (out / "frames.txt").exists() else None
+        runs.append((code, capsys.readouterr().err, frames_txt))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if command == "frame" else 3)
 
 
 @pytest.mark.parametrize("command", ["frame", "envelope"])
@@ -178,7 +187,9 @@ def test_integration_past_the_step_budget_is_a_numeric_failure(tmp_path, capsys,
               "grids": {"t": [0.0, 40.0, 40], "s": [-1.0, 1.0, 3]}}
     argv = ["frame", "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
     assert main(argv) == 3
-    assert "numeric failure (IntegrationError): integration took 300 steps" in capsys.readouterr().err
+    # 39 node intervals plus the budget's ceiling, 4 * 300, as t^200 has no float integral
+    assert ("numeric failure (IntegrationError): integration needs more than 1239 intervals"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +230,18 @@ def test_type_exits_0_or_3_for_every_float(x):
             attached = _run_quietly(["type", *config, f"--t={x!r}"])
             assert attached[0] in (0, 3)
             assert _run_quietly(["type", *config, "--t", repr(x)]) == attached
+
+
+@pytest.mark.parametrize("t", ["1e200", "-1e300"])
+def test_type_of_the_helix_far_out_is_its_regular_type(tmp_path, t):
+    # the jet's point column holds 1e200 beside entries of size 1, and its
+    # norm would overflow; scaled rows and columns keep every rank
+    cfg = _write_config(tmp_path, {"curve": {"kind": "builtin", "name": "helix"}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run_quietly(["type", "--config", cfg, "--t", t])
+    assert code == 0
+    assert "type: (1, 2, 3)" in out
 
 
 @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+1", "-inf", "-nan", "-0.5", "-3"])

@@ -1,6 +1,7 @@
 """Moving frames: orthonormalization, the structure equation, and dual curves."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -181,25 +182,26 @@ _COEFF = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     coeffs=st.lists(st.lists(_COEFF, min_size=3, max_size=3), min_size=3, max_size=3),
 )
 @settings(max_examples=25, deadline=None)
-def test_magnus_step_is_fourth_order(kind, coeffs):
-    # fixed steps h = 1/8 and 1/16 over [0, 1]: a 4th-order step cuts the
-    # error 16-fold; the textbook (left-acting) commutator sign gives 4-fold
+def test_magnus_step_is_sixth_order(kind, coeffs):
+    # fixed steps h = 1/8 and 1/16 over [0, 1]: a 6th-order step cuts the
+    # error 64-fold; with K in place of K^T the commutators flip sign and the
+    # step is 2nd order
     sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, coeffs)
     reference = dop853_frames(curv, [0.0, 1.0])[-1]
-    kappa = _kappa_function(curv)
+    kappa = _kappa_function(curv.kappa)
     errors = []
     for n in (8, 16):
         steps = _magnus_propagators(sf.delta, kappa, np.arange(n) / n, np.full(n, 1.0 / n))
         frame = functools.reduce(np.matmul, steps, np.eye(4))
         errors.append(float(np.max(np.abs(frame - reference))))
     assume(errors[0] > 1e-9)  # constant curvatures make every step exact
-    assert errors[0] / errors[1] >= 12.0
+    assert errors[0] / errors[1] >= 48.0
 
 
-#: accepted + rejected steps for kappa = (1, 0, t^2) on [0, 20] at tol 1e-10,
-#: recorded as 4224, 5833 and 6846, with about 2% headroom
-STEP_BUDGET = {"euclidean": 4300, "spherical": 5950, "hyperbolic": 7000}
+#: passed + cut intervals for kappa = (1, 0, t^2) on [0, 20] at tol 1e-10,
+#: recorded as 7282, 7286 and 7276, with about 2% headroom
+STEP_BUDGET = {"euclidean": 7430, "spherical": 7430, "hyperbolic": 7420}
 
 
 @pytest.mark.parametrize("kind", sorted(STEP_BUDGET))
@@ -208,6 +210,8 @@ def test_integration_step_budget_over_span_20(kind):
     curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
     field = integrate_structure_equation(sf, curv, (0.0, 20.0), tol=1e-10)
     assert field.meta["steps"] + field.meta["rejected"] <= STEP_BUDGET[kind]
+    # the partition never outgrows the cap: 200 node intervals plus the floor
+    assert field.meta["steps"] <= field.meta["cap"] == 200 + frames.MAX_STEPS
     # hyperbolic frames reach |E| ~ 1e8 here, so only the relative defect is small
     assert float(np.max(field.gram_defects())) <= 1e-12
     # the stacked defect is the per-frame one, bit for bit
@@ -218,26 +222,90 @@ def test_integration_step_budget_over_span_20(kind):
 
 
 def test_step_budget_ends_a_runaway_integration(monkeypatch):
-    # kappa_3 = t^200 forces ever smaller steps for as long as the span lasts;
-    # with no node inside the span to cut a step short, the budget stops it
-    # after exactly MAX_STEPS accepted plus rejected steps
-    attempts = []
+    # kappa_3 = t^200 forces ever shorter intervals for as long as the span
+    # lasts; its integral is past the float range, so the budget is its
+    # ceiling, and no round starts once the partition holds more intervals
+    propagators = []
 
-    def counted(*args):
-        attempts.append(args)
-        return _magnus_propagators(*args)
+    def counted(delta, kappa, starts, widths):
+        propagators.append(len(widths))
+        return _magnus_propagators(delta, kappa, starts, widths)
 
     monkeypatch.setattr(frames, "MAX_STEPS", 300)
+    monkeypatch.setattr(frames, "_ROUND_SIZE", 64)
     monkeypatch.setattr(frames, "_magnus_propagators", counted)
     sf = SpaceForm("euclidean")
     curv = CurvatureData(0, [[1], [0], [0] * 200 + [1]])
-    with pytest.raises(IntegrationError, match="took 300 steps"):
-        integrate_structure_equation(sf, curv, (0.0, 40.0), tol=1e-10,
-                                     nodes=[0.0, 40.0])
-    assert len(attempts) == 300
-    # on a node grid the steps that land on a node are extra, and it still ends
-    with pytest.raises(IntegrationError, match="took 300 steps"):
+    cap = 1 + frames._BUDGET_CEILING * 300
+    with pytest.raises(IntegrationError, match=f"more than {cap} intervals"):
+        integrate_structure_equation(sf, curv, (0.0, 40.0), tol=1e-10, nodes=[0.0, 40.0])
+    # one node interval: each cut adds one interval to the partition, and the
+    # last round started at no more than cap of them, so fewer than
+    # 2 (cap + 64) intervals were evaluated, at two half steps each
+    assert sum(propagators) <= 1 + 4 * (cap + 64)
+    # the node grid's own intervals are on top of the budget, and it still ends
+    with pytest.raises(IntegrationError, match=f"more than {200 + cap - 1} intervals"):
         integrate_structure_equation(sf, curv, (0.0, 40.0), tol=1e-10)
+
+
+def test_the_budget_grows_with_the_curvature_integral(monkeypatch):
+    # kappa = (1, 0, t^2) over [0, 20] needs 3.7k intervals, past a floor of
+    # 2,000; the budget 0.1 * (20 + 20 + 20^3 / 3) * 1e10^(1/7) = 7.2k, below
+    # the ceiling of 8,000, lets it finish
+    monkeypatch.setattr(frames, "MAX_STEPS", 2000)
+    sf = SpaceForm("hyperbolic")
+    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    field = integrate_structure_equation(sf, curv, (0.0, 20.0), tol=1e-10)
+    budget = int(frames._BUDGET_SCALE * float(40 + Fraction(8000, 3)) * 1e-10 ** (-1.0 / 7.0))
+    assert field.meta["cap"] == 200 + budget
+    assert 200 + 2000 < field.meta["steps"] <= field.meta["cap"]
+
+
+@pytest.mark.parametrize("kind,span", [("hyperbolic", 60.0), ("euclidean", 80.0)])
+def test_long_spans_finish(kind, span):
+    # a fixed budget of 50,000 steps ended hyperbolic [0, 60] at s = 55.6; the
+    # derived budget takes euclidean [0, 80] to 96k intervals
+    sf = SpaceForm(kind)
+    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    nodes = np.linspace(0.0, span, 21)
+    field = integrate_structure_equation(sf, curv, (0.0, span), tol=1e-10, nodes=nodes)
+    assert field.meta["steps"] <= field.meta["cap"]
+    assert float(np.max(field.gram_defects())) <= 1e-11
+
+
+@pytest.mark.parametrize("kind,kappa,span,error", [
+    # t^200 past the float range at the far Gauss nodes, then the budget
+    ("euclidean", [[1], [0], [0] * 200 + [1]], 40.0, "intervals"),
+    # a single 20-long hyperbolic step is NaN until it is cut
+    ("hyperbolic", [[1], [0], [0, 0, 1]], 20.0, None),
+    # frames of size e^s pass the float range near s = 710
+    ("hyperbolic", [[0], [0], [1]], 800.0, "overflowed"),
+])
+def test_no_runtime_warning_escapes_the_integrator(monkeypatch, kind, kappa, span, error):
+    if error == "intervals":
+        monkeypatch.setattr(frames, "MAX_STEPS", 300)
+    sf = SpaceForm(kind)
+    curv = CurvatureData(sf.delta, kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            integrate_structure_equation(sf, curv, (0.0, span), tol=1e-10, nodes=[0.0, span])
+        else:
+            with pytest.raises(IntegrationError, match=error):
+                integrate_structure_equation(sf, curv, (0.0, span), tol=1e-10)
+
+
+def test_node_curvatures_are_the_ones_the_flow_read():
+    # 1e-330 rounds to 0.0, so the flow integrates kappa_3 = 0; K and K' at
+    # the nodes read it the same way, though 40^200 alone has no float
+    sf = SpaceForm("euclidean")
+    tiny = CurvatureData(0, [[1], [0], [0] * 200 + [Fraction(1, 10**330)]])
+    flat = CurvatureData(0, [[1], [0], [0]])
+    nodes = np.linspace(0.0, 40.0, 5)
+    got, want = (integrate_structure_equation(sf, c, (0.0, 40.0), nodes=nodes) for c in (tiny, flat))
+    for name in ("matrices", "k", "dk"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert not np.any(want.dk)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])

@@ -61,18 +61,18 @@ ENVELOPE_CASES = {
     ),
     "euclidean-delta0": (
         _curvature("euclidean", 0),
-        "c09f5a047f0f072c8581d7776551bb82f7646eb346a16185d5c83bb19374a9c0",
-        "07edfa469b485b3ee85e08722687b02ce0e4003dc06668d771457de48402904b",
+        "f42ba005e0411cafbc967ec0b524706f508d0b96135604c4ffe4ef15677891b4",
+        "15ebb3bde5dd50c6b90ea4fcbe5c9b246649843ac3003aa70567df27fa1893a9",
     ),
     "spherical-delta1": (
         _curvature("spherical", 1),
-        "f2922757f6791680b3217c417fe7a3fdc370fa30538fa6b05417c420f038ec86",
-        "2c93354d93b1682345cf1b3598c03f9a3d6b4c1069aedad1fc72a6182a278839",
+        "b39474a8736ec90f68962377e2ad0c465e0d7e64cd1380ea94227ad0d37899e4",
+        "ece16a80cb419b39b8cb9591e611cf08eb41950692ea51dd23d55c431a435fb2",
     ),
     "hyperbolic-delta-1": (
         _curvature("hyperbolic", -1),
-        "f24f2158314db4a06f0fdc41b83f67a3aa04f20568d93549488feb3b5d280974",
-        "b1f189f41c5e299f165188bfc2701830ba0da4c43cc9ba370482522238edceeb",
+        "231ad11ea1988b30504790cf76413d668353d6aded060043b16ca1808b4dd7c5",
+        "75e4486b997128e072b1eded305d44ca5a89f9f275c43bfda6b0f0183b08a66a",
     ),
 }
 

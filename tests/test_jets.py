@@ -205,7 +205,17 @@ def test_float_rank_profile_is_monotone_unit_step():
 
 
 def _reference_rank_profile(matrix, rank_tol=1e-8):
-    """One SVD per prefix of one matrix, with the unit-step rule in plain Python."""
+    """One SVD per prefix of one matrix, with the unit-step rule in plain Python.
+
+    The matrix is first scaled column by column, then row by row, to max-abs 1.
+    """
+    matrix = np.array(matrix)
+    for j in range(matrix.shape[1]):
+        if np.any(matrix[:, j]):
+            matrix[:, j] /= np.max(np.abs(matrix[:, j]))
+    for i in range(matrix.shape[0]):
+        if np.any(matrix[i]):
+            matrix[i] /= np.max(np.abs(matrix[i]))
     ranks, min_gap, prev = [], np.inf, 0
     for r in range(matrix.shape[1]):
         m = np.array(matrix[:, : r + 1])

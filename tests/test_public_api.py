@@ -23,7 +23,6 @@ UNREFERENCED = {
 
 #: public methods of exported classes with no caller outside the tests, and why each stays
 UNREFERENCED_METHODS = {
-    "Poly.integrate_t": "builds diagonal families from their t-derivatives in the scan tests",
     "PolynomialCurve.reparametrized": "checks that the type survives an exact reparametrization",
     "PolynomialCurve.linearly_mapped": "checks that the type survives an exact linear map",
     "NormalFormFamily.f_tt": "checks that F_tt vanishes on the computed singular locus",
