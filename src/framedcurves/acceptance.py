@@ -247,7 +247,8 @@ def criterion_6():
     for a in _NORMAL_FORM_TYPES:
         x2, x3 = _eliminate_discriminant(a)
         mesh = discriminant_mesh(NormalFormFamily(a), t_grid, s_grid)
-        oracle = np.array([[s, x2.evalf(t, s), x3.evalf(t, s)] for t, s in mesh.params])
+        t, s = mesh.params.T
+        oracle = np.column_stack([s, x2.evalf(t, s), x3.evalf(t, s)])
         err = float(np.max(np.abs(mesh.vertices - oracle)))
         worst = max(worst, err)
         if err > 1e-12:

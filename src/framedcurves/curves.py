@@ -57,12 +57,11 @@ class PolynomialCurve:
         is evaluated once on the whole array (bit for bit the scalar values).
         """
         t = np.asarray(t, dtype=float)
-        arg = t if t.ndim else float(t)
         out = np.empty(t.shape + (self.dim, r + 1))
         for k in range(r + 1):
             row = self._deriv_row(k)
             for i, p in enumerate(row):
-                out[..., i, k] = p.evalf(arg)
+                out[..., i, k] = p.evalf(t)
         return out
 
     def jet_exact(self, t, r):

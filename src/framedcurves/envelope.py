@@ -169,11 +169,12 @@ def _characteristic_lines(fam, tol):
     (kappa_3 e_1 - kappa_2 e_2) / hypot(kappa_2, kappa_3); it flips where
     kappa_3 changes sign with kappa_2 = 0, and ``_continued`` undoes such
     flips between consecutive kept nodes.  A node is degenerate when
-    hypot(K_31, K_32) <= max(tol, 1e-13), in every geometry.
+    hypot(K_31, K_32) <= tol max|K_3.|, the max over the whole field, in every
+    geometry; scaling row 3 of K keeps the same nodes.
     """
     k31, k32 = fam.k3[:, 1], fam.k3[:, 2]
     size = np.hypot(k31, k32)
-    keep = size > max(tol, 1e-13)
+    keep = size > tol * np.max(np.abs(fam.k3), initial=0.0)
     w = np.zeros((np.count_nonzero(keep), fam.frames.shape[-1]))
     w[:, 1], w[:, 2] = k32[keep] / size[keep], -k31[keep] / size[keep]
     direction = _matvec(fam.frames[keep], w)

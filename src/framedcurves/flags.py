@@ -28,12 +28,6 @@ from .ratpoly import Poly
 
 _PIVOT_TOL = 1e-10
 
-
-def _evalf_on(poly: Poly, nodes):
-    """poly(t) over a node array (array evalf equals scalar evalf bit for bit)."""
-    return poly.evalf(np.asarray(nodes, dtype=float))
-
-
 # -- data types ----------------------------------------------------------------
 
 
@@ -56,11 +50,6 @@ class FlagCurve:
 
     def pairs(self):
         return [(i, j) for j in range(self.dim - 1) for i in range(j + 1, self.dim)]
-
-    def coord_values(self, i, j, nodes=None):
-        if self.polys is not None:
-            return _evalf_on(self.polys[(i, j)], self.s if nodes is None else nodes)
-        return self.coords[(i, j)]
 
     def diagonal_orders(self):
         """Vanishing orders of the diagonal entries at t = 0 (exact path)."""
@@ -121,29 +110,16 @@ def _doolittle(m, nodes):
     return lower, u
 
 
-def _invert(m):
-    """Inverse of one base matrix via Gauss-Jordan with partial pivoting."""
-    dim = len(m)
-    a = np.asarray(m, dtype=float).tolist()
-    inv = [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
-    for k in range(dim):
-        piv_row = max(range(k, dim), key=lambda r: abs(a[r][k]))
-        if a[piv_row][k] == 0:
-            raise DomainError("singular base matrix for the flag chart")
-        a[k], a[piv_row] = a[piv_row], a[k]
-        inv[k], inv[piv_row] = inv[piv_row], inv[k]
-        piv = a[k][k]
-        a[k] = [x / piv for x in a[k]]
-        inv[k] = [x / piv for x in inv[k]]
-        for i in range(dim):
-            if i == k:
-                continue
-            f = a[i][k]
-            if f == 0:
-                continue
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-            inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return np.array(inv)
+def _substitute(tri, rhs, upper=False):
+    """tri^-1 rhs for stacked lower (or upper) triangular tri, by forward (back) substitution."""
+    dim = tri.shape[-1]
+    x = np.array(rhs, dtype=float)
+    order = range(dim - 1, -1, -1) if upper else range(dim)
+    for n, i in enumerate(order):
+        for k in order[:n]:
+            x[..., i, :] -= tri[..., i, k, None] * x[..., k, :]
+        x[..., i, :] /= tri[..., i, i, None]
+    return x
 
 
 def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
@@ -151,17 +127,23 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
 
     The unit-lower chart depends only on the column spans, so the raw jet
     matrix stands in for any orthonormalization of it (the change of basis is
-    upper triangular and falls out of the LU factor).  With M' from the next
-    jet, the chart and its derivative come out to roundoff from the jets, in
-    floats, for all nodes at once (_chart_derivative).  Degenerate nodes
-    (where the plain jet matrix loses rank) raise ChartError; sample around
-    them.
+    upper triangular and falls out of the LU factor).  The jets are taken to
+    the base by the base's own unpivoted LU factors (``_doolittle``); a base
+    with a pivot below the chart's tolerance raises DomainError.  With M'
+    from the next jet, the chart and its derivative come out to roundoff from
+    the jets, in floats, for all nodes at once (_chart_derivative).
+    Degenerate nodes (where the plain jet matrix loses rank) raise
+    ChartError; sample around them.
     """
     nodes = np.asarray(nodes, dtype=float)
     dim = curve.dim
     jets = curve.jet(nodes, dim)  # (N, dim, dim + 1): gamma, gamma', ...
     base = jets[0, :, :dim] if base is None else np.asarray(base, dtype=float)
-    m = _matmul(_invert(base), jets)
+    try:
+        base_lower, base_upper = _doolittle(base[None], nodes)
+    except ChartError:
+        raise DomainError("singular base matrix for the flag chart") from None
+    m = _substitute(base_upper, _substitute(base_lower, jets), upper=True)
     lower, upper = _doolittle(m[..., :dim], nodes)
     return FlagCurve(dim=dim, s=nodes, coords=_chart(lower),
                      derivs=_chart_derivative(lower, upper, m[..., 1:]), base=np.array(base, dtype=float))
@@ -173,18 +155,9 @@ def _chart_derivative(lower, upper, m_prime):
     Differentiating M = L U gives L^-1 L' + U' U^-1 = L^-1 M' U^-1, whose
     strictly lower part is L^-1 L' (unit-lower L, upper U).
     """
-    dim = lower.shape[-1]
-    # L^-1 M' by forward substitution, then (.) U^-1 column by column
-    y = np.array(m_prime, dtype=float)
-    for i in range(dim):
-        for k in range(i):
-            y[:, i, :] -= lower[:, i, k, None] * y[:, k, :]
-    x = np.empty_like(y)
-    for c in range(dim):
-        acc = y[:, :, c].copy()
-        for k in range(c):
-            acc -= x[:, :, k] * upper[:, k, c, None]
-        x[:, :, c] = acc / upper[:, c, c, None]
+    # L^-1 M' by forward substitution, then (.) U^-1 = (U^-T (.)^T)^T
+    y = np.swapaxes(_substitute(lower, m_prime), -1, -2)
+    x = np.swapaxes(_substitute(np.swapaxes(upper, -1, -2), y), -1, -2)
     return _chart(_matmul(lower, np.tril(x, -1)))
 
 
@@ -195,8 +168,8 @@ def _coord_and_derivative_tables(fc: FlagCurve, nodes):
     """values[(i,j)] and derivatives[(i,j)] over a common node set."""
     if fc.polys is not None:
         nodes = np.asarray(nodes, dtype=float)
-        vals = {key: fc.coord_values(*key, nodes=nodes) for key in fc.pairs()}
-        ders = {key: _evalf_on(fc.polys[key].diff_t(), nodes) for key in fc.pairs()}
+        vals = {key: fc.polys[key].evalf(nodes) for key in fc.pairs()}
+        ders = {key: fc.polys[key].diff_t().evalf(nodes) for key in fc.pairs()}
         return nodes, vals, ders
     if fc.derivs is None:
         raise DomainError("residuals of float flag coordinates need their derivatives")

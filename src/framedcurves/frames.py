@@ -263,29 +263,9 @@ _ROUND_SIZE = 1024
 _GAUSS = 0.5 + np.sqrt(15.0) / 10.0 * np.array([[-1.0], [0.0], [1.0]])  # the three Gauss nodes
 
 
-def _kappa_function(polys):
-    """s -> the polynomials' values in floats, on a last axis of length len(polys).
-
-    Horner's rule on float coefficients prepared once, for the whole array s
-    at once.  The flow reads kappa through it, and the field's K and K' at the
-    nodes come from it too, so they are the curvatures the flow saw.
-    """
-    try:
-        coeffs = [p.t_coeff_floats()[::-1] for p in polys]
-    except OverflowError as exc:
-        raise DomainError(f"a curvature coefficient is beyond the float range ({exc})") from exc
-
-    def values(s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape + (len(coeffs),))
-        for k, c in enumerate(coeffs):
-            acc = np.zeros(s.shape)
-            for a in c:
-                acc = acc * s + a
-            out[..., k] = acc
-        return out
-
-    return values
+def _kappa_at(polys, s):
+    """The polynomials' values at the array s (``Poly.evalf``), on a last axis of length len(polys)."""
+    return np.stack([p.evalf(s) for p in polys], axis=-1)
 
 
 def _bracket(x, y):
@@ -295,12 +275,14 @@ def _bracket(x, y):
 def _magnus_propagators(delta, kappa, starts, widths):
     """Propagators P_i with E(s_i + h_i) = E(s_i) P_i, one 6th-order Magnus step each.
 
+    ``kappa`` holds the three curvature polynomials.
+
     The three-Gauss-node step of Blanes, Casas and Ros (BIT 40, 2000) is
     written for Y' = A Y.  K acts on the right, so it is taken for Y = E^T
     and A = K^T, and Omega is transposed back.
     """
     h = np.asarray(widths, dtype=float)
-    k_nodes = structure_matrix(delta, kappa(np.asarray(starts, dtype=float) + _GAUSS * h))
+    k_nodes = structure_matrix(delta, _kappa_at(kappa, np.asarray(starts, dtype=float) + _GAUSS * h))
     a1, a2, a3 = np.swapaxes(k_nodes, -1, -2)
     h = h[:, None, None]
     b1 = h * a2
@@ -378,9 +360,11 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
     IntegrationError, as does a half narrower than 1e-13 max(|s0|, |s1|, 1)
     or a frame that overflows.  ``meta`` records the passed intervals
     (``steps``), the cut ones (``rejected``), the ``rounds`` and the
-    ``cap``.  The field's K and K' come from the same Horner coefficients as
-    the flow's kappa.  The geometry fixes delta (euclidean 0, spherical 1,
-    hyperbolic -1); any other pair raises DomainError.
+    ``cap``.  The flow and the field's K and K' at the nodes read kappa
+    through ``Poly.evalf``; a curvature coefficient beyond the float range
+    raises DomainError before the flow starts.  The geometry fixes delta
+    (euclidean 0, spherical 1, hyperbolic -1); any other pair raises
+    DomainError.
     """
     if curv.delta != sf.delta:
         raise DomainError(
@@ -394,7 +378,12 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
     past = direction * (nodes - s0) > 0
     ends = direction * np.unique(direction * nodes[past])
     grid = np.concatenate([[s0], ends])
-    kappa, dkappa = _kappa_function(curv.kappa), _kappa_function([p.diff_t() for p in curv.kappa])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = structure_matrix(curv.delta, _kappa_at(curv.kappa, nodes))
+            dk = structure_matrix(0, _kappa_at([p.diff_t() for p in curv.kappa], nodes))
+    except OverflowError as exc:
+        raise DomainError(f"a curvature coefficient is beyond the float range ({exc})") from exc
     cap = len(ends) + _interval_budget(curv, s0, s1, tol)
     min_h = 1e-13 * max(abs(s0), abs(s1), 1.0)
 
@@ -416,7 +405,7 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
             n = min(len(starts), _ROUND_SIZE)
             a, h, tag, fresh = starts[:n], widths[:n], tags[:n], ~known[:n]
             half = 0.5 * h
-            props = _magnus_propagators(curv.delta, kappa, np.concatenate([a[fresh], a, a + half]),
+            props = _magnus_propagators(curv.delta, curv.kappa, np.concatenate([a[fresh], a, a + half]),
                                         np.concatenate([h[fresh], half, half]))
             m = int(np.count_nonzero(fresh))
             full = whole[:n].copy()
@@ -457,8 +446,6 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
                                                                   f"s={w_starts[done - 1]}")
             w_starts, w_props, w_tags = w_starts[done:], w_props[done:], w_tags[done:]
 
-        k = structure_matrix(curv.delta, kappa(nodes))
-        dk = structure_matrix(0, dkappa(nodes))
     dk[..., 1, 0] = 0.0  # K' has no constant entry
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(dk))):
         raise DomainError("a curvature or its derivative is beyond the float range at a node")

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 
 def as_fraction(x):
     """Coerce ints, Fractions and decimal strings to Fraction, reject floats."""
@@ -163,20 +161,24 @@ class Poly:
         return total
 
     def evalf(self, t, u=0.0):
-        """Float evaluation; t and u may be floats or broadcastable arrays.
+        """Float evaluation by Horner's rule in t, over rows taken by Horner in u.
 
-        Array powers are taken element by element with Python's float pow
-        (numpy's vectorized pow can differ in the last bit), so an array
-        result equals the scalar evaluation at every point bit for bit.  With
-        an array argument the result is an array of the broadcast shape, also
-        for the zero polynomial.
+        t and u may be floats or broadcastable arrays.  Scalars and arrays go
+        through the same operations, so an array result equals the scalar
+        evaluation at every point bit for bit; it has the broadcast shape, also
+        for the zero polynomial.  No power |t|^i is formed on its own, so a
+        small term c t^i stays finite past |t|^i's float range.  A coefficient
+        beyond the float range raises OverflowError.
         """
-        if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
-            terms = (float(v) * _float_pow(t, i) * _float_pow(u, j) for (i, j), v in self.c.items())
-            return sum(terms, np.zeros(np.broadcast_shapes(np.shape(t), np.shape(u))))
-        total = 0.0
+        rows = [[0.0] * (self.deg_u() + 1) for _ in range(self.deg_t() + 1)]
         for (i, j), v in self.c.items():
-            total += float(v) * t**i * u**j
+            rows[i][j] = float(v)
+        total = 0.0
+        for row in reversed(rows):
+            value = 0.0
+            for a in reversed(row):
+                value = value * u + a
+            total = total * t + value
         return total
 
     def subs_u(self, u):
@@ -215,9 +217,6 @@ class Poly:
             out[i] = v
         return out
 
-    def t_coeff_floats(self):
-        return [float(q) for q in self.t_coeffs()]
-
     def deg_t(self):
         return max((i for (i, _) in self.c), default=0)
 
@@ -240,13 +239,6 @@ class Poly:
                 term += f"*u^{j}" if j > 1 else "*u"
             bits.append(term)
         return "Poly(" + " + ".join(bits) + ")"
-
-
-def _float_pow(x, k):
-    """x**k, taken one element at a time through Python's float pow for arrays."""
-    if not isinstance(x, np.ndarray):
-        return x**k
-    return np.array([v**k for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 def _as_poly(x):

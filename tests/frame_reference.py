@@ -13,7 +13,7 @@ _KAPPA_SLOTS = ((2, 1), (3, 1), (3, 2))
 
 def _structure_coefficients(curv):
     """M_d with K(s) = sum_d M_d s^d, highest degree first."""
-    coeffs = [p.t_coeff_floats() for p in curv.kappa]
+    coeffs = [[float(c) for c in p.t_coeffs()] for p in curv.kappa]
     mats = np.zeros((max(len(c) for c in coeffs), 4, 4))
     mats[0, 1, 0] = 1.0
     mats[0, 0, 1] = -curv.delta

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from framedcurves import envelope
 from framedcurves.cli import main
 from framedcurves.config import DEFAULTS
-from framedcurves.frames import gram_defect
+from framedcurves.frames import FrameField, gram_defect, structure_matrix
+from framedcurves.ratpoly import Poly
 from framedcurves import (
     CurvatureData,
     DimensionMismatch,
@@ -197,6 +198,53 @@ def test_long_spans_drop_only_the_flat_node_and_keep_their_marks(kind):
         assert len(singular_locus(fam)) == 1
         marks.append(int(mesh.singular.sum()))
     assert marks[0] == marks[1]
+
+
+_DYADIC = st.integers(min_value=-8, max_value=8).map(lambda k: Fraction(k, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k2=st.lists(_DYADIC, min_size=1, max_size=3), k3=st.lists(_DYADIC, min_size=1, max_size=3),
+       roots=st.lists(st.integers(min_value=-8, max_value=8), max_size=3),
+       shift=st.integers(min_value=0, max_value=40))
+def test_scaling_the_curvatures_keeps_the_degenerate_nodes(k2, k3, roots, shift):
+    # kappa_2 and kappa_3 share the roots r/8, which are nodes, and carry a
+    # factor 2^-shift that sets the field's size; dyadic data evaluate exactly
+    # at the dyadic nodes, so a shared root gives K_31 = K_32 = 0 there, and
+    # at any other node hypot(K_31, K_32) / max|K_3.| >= 2^-17 / 48.  Scaling
+    # (kappa_2, kappa_3) by 1e-6 or 1e6 must keep the same nodes (60
+    # examples, about 0.3 s)
+    nodes = np.arange(-8, 9) / 8.0
+    common = Poly.const(Fraction(1, 2**shift))
+    for r in roots:
+        common = common * Poly.from_t_coeffs([Fraction(-r, 8), 1])
+    kappa = [common * Poly.from_t_coeffs(k2), common * Poly.from_t_coeffs(k3)]
+
+    def degenerate(scale):
+        values = [np.ones(len(nodes))] + [(p * scale).evalf(nodes) for p in kappa]
+        k = structure_matrix(0, np.stack(values, axis=-1))
+        frames = np.broadcast_to(np.eye(4), k.shape).copy()
+        field = FrameField(SpaceForm("euclidean"), nodes, frames, k, np.zeros_like(k))
+        keep = envelope._characteristic_lines(hyperplane_family(field), 1e-9)[0]
+        return nodes[~keep].tolist()
+
+    flat = degenerate(1)
+    assert {r / 8 for r in roots} <= set(flat)
+    for scale in (Fraction(1, 10**6), 10**6):
+        assert degenerate(scale) == flat
+
+
+def test_curvatures_far_below_the_mesh_tolerance_still_mesh(tmp_path):
+    # the keep rule compares with the field's own scale, not with mesh_tol
+    # itself: kappa = (1, 1e-12, 1e-12) has the same lines as (1, 1, 1)
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"curve": {"kind": "curvature", "delta": 0,
+                                            "kappa": [["1"], ["1e-12"], ["1e-12"]]}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["envelope", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["mesh"]["vertices"] == 200 * 50
 
 
 def test_spherical_locus_keeps_both_roots_on_a_wide_s_grid():

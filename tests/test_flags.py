@@ -188,6 +188,15 @@ def test_frame_leaving_the_chart_raises_chart_error_without_warnings():
     assert err.value.t == 0.0
 
 
+def test_singular_base_raises_domain_error_without_warnings():
+    # the base is factored by the chart's own LU: a zero pivot there is a bad
+    # base, not a node leaving the chart
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="singular base"):
+            flag_from_curve(helix_curve(), np.linspace(-0.5, 0.5, 21), base=np.diag([0.0, 1.0, 1.0, 1.0]))
+
+
 def test_chart_error_names_the_first_degenerate_node():
     # node 0 fails at the last pivot, node 1 already at the first one
     late = np.diag([1.0, 1.0, 1.0, 0.0])

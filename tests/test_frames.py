@@ -23,7 +23,7 @@ from framedcurves import (
 from framedcurves.examples import BUILTINS, helix_frenet_field, radial_circle_field
 from framedcurves import frames
 from framedcurves.errors import IntegrationError
-from framedcurves.frames import _kappa_function, _magnus_propagators
+from framedcurves.frames import _magnus_propagators
 from framedcurves.ratpoly import Poly
 from frame_reference import dop853_frames, relative_frame_error
 
@@ -189,10 +189,9 @@ def test_magnus_step_is_sixth_order(kind, coeffs):
     sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, coeffs)
     reference = dop853_frames(curv, [0.0, 1.0])[-1]
-    kappa = _kappa_function(curv.kappa)
     errors = []
     for n in (8, 16):
-        steps = _magnus_propagators(sf.delta, kappa, np.arange(n) / n, np.full(n, 1.0 / n))
+        steps = _magnus_propagators(sf.delta, curv.kappa, np.arange(n) / n, np.full(n, 1.0 / n))
         frame = functools.reduce(np.matmul, steps, np.eye(4))
         errors.append(float(np.max(np.abs(frame - reference))))
     assume(errors[0] > 1e-9)  # constant curvatures make every step exact

@@ -124,34 +124,34 @@ def test_euclidean_curvature_with_nonzero_delta_is_a_numeric_failure(tmp_path, c
 def test_normal_form_exports_are_byte_stable(tmp_path):
     assert main(["normal-form", "--type", "1,2,5", "--out", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "normal-form-125.obj") == (
-        "49a2f498fde6dfea0145c4753da2d61875c34b3b54939985637834c2d06a425a"
+        "a71cc27630752bfa318e44ac532ca84e26b189083757523864c57fa9153d767b"
     )
     assert _sha256(tmp_path / "normal-form-125.locus.obj") == (
-        "e230d6bb69fa1a0a915dd43f1237f2decf6eef48407921a701e7a2a1836d32d0"
+        "bbe708838dd91df4fc4420403bf26286003d546cde42ce24a1508298ccc9ceec"
     )
 
 
 #: the other five classified types at the default window: (mesh hash, locus hash)
 NORMAL_FORM_CASES = {
     (1, 2, 3): (
-        "a68adbf019db3eefad79ca4559d31da267b1bd3b69eb3848934c4ae77af87a64",
-        "64eec3e06947ad6bc861386314052270d7d2581b17bb91aba94242941f016ca0",
+        "a614ad0b2957757f4fb59043ccd3d69d39797190674dd5894ce4609324c6bd9a",
+        "9f82415470f80efb7b6795098829c7a921f8e0a332b6ccafb39ceb10c8e0f2a8",
     ),
     (1, 2, 4): (
-        "e6885e6608853254bc9aea08ecf74c9f83e6e104b1a34ad870fa7d464ce95df8",
-        "abd7141c859130151e65005486f4df64ad1a352805d860089924b9060382a8f6",
+        "9099f230ce8144d3bd645f5170ec262cf8cd94c680ae938173b2e93524db506c",
+        "3973712eb604ac5dda64e79e81b789bff491bab0b8930e62c4915bc7108a66b5",
     ),
     (1, 3, 4): (
-        "018e49b3d939968afff44764d675e2ab8642025cb6481287443d3b3b1a9582f9",
-        "96be3a4e3d180349e111e1330caa0d58415fe37c617c9ca8977ba963a8405d53",
+        "2adeeb08f849da788f4fe1228f403fe9f4cd3012e85b99b4cc19f2b7d28378a3",
+        "40fc800646b52c8fd8c815c5cffa4eca36486dd0d3d5bae4fd7a3720cb285205",
     ),
     (2, 3, 4): (
-        "3a6c2ad05459e02c71f779550d587ab610f24a6174ba735f0160fa6a4d8044a2",
-        "94647495afac11e8cef8bce6cb55a0561383d828d90b776124d5a7d0e8a636c8",
+        "e1e7f0c385253d77e0b3717a9cf7fc2f01f74290a6de5634aa3a433e74175979",
+        "c1227e2ed73725eec65f9679f689d397afad249f48617dac6f8457d512fb0773",
     ),
     (3, 4, 5): (
-        "71625aaf1819019a807e692d565415b065501e350e5bdedc1bd1b80e63253a9b",
-        "04c2545e6133018b57e0649ed2608af41192439c6e8e4eb71682ab734b00e7b0",
+        "788307cbb1f6ab2b353bbe0f3e338290a7c0ef2eb878c02e77c5fd0b455972c9",
+        "c4c6d50a88c950cdd7e942eb69a637e929a0a14ccbc89c5f339bd40fc03b6a77",
     ),
 }
 
@@ -242,10 +242,10 @@ def test_flag_charts_are_bit_stable():
     from_curve = flag_from_curve(helix_curve(), nodes)
     keys = sorted(from_curve.coords)
     assert _digest(*(from_curve.coords[k] for k in keys)) == (
-        "4f953dd86779a2970538c8510fe93d8afba172aa77ade4fd0d2a8d6b860a7c18"
+        "e779292d15aa37bcdc31876e517bf87a2b44a81ec9b03db4f0d0de2cf7f12a26"
     )
     assert _digest(*(from_curve.derivs[k] for k in keys)) == (
-        "eb5138a30489b312cc50017801455ce493d74a14984cb1d87d018bc49f5de5f7"
+        "1ddd7631b8c05737c36c5e1b1def8b2e9dc711651fdaaed0b715eb9d53c3a219"
     )
 
 
@@ -265,7 +265,7 @@ def test_exact_flag_residuals_are_bit_stable():
     ]
     assert digests == [
         "4beb641f77c3df2749a5dffc0a23f4270dc4b94e1e940287fc3ebfa05b720662",
-        "abc8cadcfc9df4351abd8d28f57faecb7b4849d4dcfd9ac2d1f7d60bcc3a8d0a",
+        "35e90cfef5d66cd01ce99a2446b07ffce01b6181728f997c991dd2ef85baec3c",
     ]
 
 

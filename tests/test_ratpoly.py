@@ -50,6 +50,16 @@ def test_array_evalf_of_the_zero_polynomial_is_an_array():
     assert (Poly.const(3).evalf(t) == 3.0).all()
 
 
+def test_evalf_of_a_small_term_past_the_power_range_is_finite():
+    # 10^400 has no float, but 10^-300 t^400 at t = 10 is 1e100: Horner's rule
+    # never forms the power on its own
+    p = Poly({(400, 0): Fraction(1, 10**300)})
+    value = p.evalf(10.0)
+    assert abs(value - 1e100) <= 1e-13 * 1e100
+    array = p.evalf(np.array([10.0, 10.0]))
+    assert array.tolist() == [value, value]
+
+
 _RATIONAL = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
