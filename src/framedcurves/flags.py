@@ -142,7 +142,8 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
     try:
         base_lower, base_upper = _doolittle(base[None], nodes)
     except ChartError:
-        raise DomainError("singular base matrix for the flag chart") from None
+        raise DomainError("the flag chart's base has a vanishing pivot (singular, or it needs "
+                          "row exchanges)") from None
     m = _substitute(base_upper, _substitute(base_lower, jets), upper=True)
     lower, upper = _doolittle(m[..., :dim], nodes)
     return FlagCurve(dim=dim, s=nodes, coords=_chart(lower),

@@ -193,7 +193,7 @@ def test_singular_base_raises_domain_error_without_warnings():
     # base, not a node leaving the chart
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="singular base"):
+        with pytest.raises(DomainError, match="vanishing pivot"):
             flag_from_curve(helix_curve(), np.linspace(-0.5, 0.5, 21), base=np.diag([0.0, 1.0, 1.0, 1.0]))
 
 
