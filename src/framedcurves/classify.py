@@ -46,6 +46,7 @@ from .ratpoly import (
     integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
+    midpoint,
     poly_det,
     poly_quotient,
     resultant_t,
@@ -311,17 +312,17 @@ class _AdaptedTypeOracle:
             return None, "exact"
 
     def classify_event(self, root, lam):
-        """(type, confidence) at an event: exact at a Fraction lambda.
+        """(type, confidence) at an event whose lambda* is the root record ``lam``: exact when rational.
 
-        At an irrational lambda* (a float) the singular-value profile of the
-        columns at the root's midpoint decides, "high" or "low" by its gap.
+        At an irrational lambda* the singular-value profile of the columns at
+        the midpoints of both records decides, "high" or "low" by its gap.
         A column that vanishes there comes out ~1e-16 in a clean direction
         that normalization would promote, so columns far below the matrix
         scale are zeroed first.
         """
-        if isinstance(lam, Fraction):
-            return self.classify(root, lam)
-        t, ranks, gap = float((root[1] + root[2]) / 2), [], np.inf
+        if lam[1] == lam[2]:
+            return self.classify(root, lam[1])
+        t, lam, ranks, gap = float(midpoint(root)), float(midpoint(lam)), [], np.inf
         try:
             for group in self.groups:
                 cols = np.array([[p.evalf(t, lam) for p in col] for col in group]).T
@@ -397,44 +398,6 @@ class _FactoredDetector:
         return out
 
 
-def _box(x, lo, hi):
-    """The isolating interval of a root ``isolate_real_roots`` gave on [lo, hi] as its midpoint x."""
-    lo, width = Fraction(lo), Fraction(hi) - Fraction(lo)
-    half = width / ((x - lo) / width).denominator
-    return x - half, x + half
-
-
-def _exact_roots(sq, lo, hi):
-    """[(x, exact)]: the real roots in [lo, hi] of a square-free coefficient list.
-
-    x is a Fraction: the root itself where bisection hit it or where the
-    rational nearest the midpoint of its isolating interval with denominator
-    below (4 h)^-1/2, h the half-width, verifies (a rational root that simple
-    always does), else that midpoint, within 2^-100 (hi - lo) of the root.
-    """
-    ints = integer_coeffs(sq)
-    out = []
-    for x, exact in isolate_real_roots(ints, lo, hi):
-        if not exact:
-            a, b = _box(x, lo, hi)
-            q = x.limit_denominator(math.isqrt(int(1 / (4 * (b - x)))) or 1)
-            x, exact = (q, True) if a < q < b and vanishes_at(ints, q) else (x, False)
-        out.append((x, exact))
-    return out
-
-
-def _root(sq, x, window):
-    """(m, a, b) for a root x that ``_exact_roots`` gave for sq on the window.
-
-    m is sq as integers and (a, b) the root's isolating interval, or m is
-    linear and a == b == x when x is the root itself.
-    """
-    ints = integer_coeffs(sq)
-    if vanishes_at(ints, x):
-        return [-x.numerator, x.denominator], x, x
-    return (ints, *_box(x, *window))
-
-
 def _side(x, root):
     """-1, 0 or 1 as the Fraction x lies below, at or above the root (m, a, b)."""
     m, a, b = root
@@ -455,26 +418,27 @@ def _simplest(lo, hi):
     return n - 1 + 1 / _simplest(1 / (hi - n + 1), 1 / (lo - n + 1))
 
 
-def _refine_event(line: Poly, gcd: Poly, lam_q, window):
-    """(roots, quotient): line(., lam_q) / gcd(., lam_q) and its real roots in the t window.
+def _refine_event(line: Poly, gcd: Poly, lam, window):
+    """The real roots in the t window of line(., lam*) / gcd(., lam*), as records.
 
-    ``(line, gcd)`` comes from ``multiple_root_lines`` and ``lam_q`` is a
-    root of its factor, exact or within 2^-100 of it, so the quotient is the
-    square-free part of the line there, exact or as close, and its roots, as
-    ``_exact_roots`` gives them, are the event's t: no threshold decides
-    which critical point is a root.
+    ``(line, gcd)`` comes from ``multiple_root_lines`` and ``lam`` is the
+    record of a root lam* of its factor; lam* is taken as its midpoint,
+    exact or within 2^-100 of it.  So the quotient is the square-free part
+    of the line there, exact or as close, and its roots are the event's t:
+    no threshold decides which critical point is a root.
     """
-    quotient = poly_quotient(trim(line.subs_u(lam_q).t_coeffs()), trim(gcd.subs_u(lam_q).t_coeffs()))
-    return [x for x, _ in _exact_roots(quotient, *window)], quotient
+    lam = midpoint(lam)
+    quotient = poly_quotient(trim(line.subs_u(lam).t_coeffs()), trim(gcd.subs_u(lam).t_coeffs()))
+    return isolate_real_roots(integer_coeffs(quotient), *window)
 
 
 def _line_roots(detector: _FactoredDetector, lam_q, window):
     """(roots, line) of the detector on the lambda line u = lam_q.
 
     ``line`` is the monic square-free part of the detector's line, and
-    ``roots`` its real roots in the window as ``_exact_roots`` gives them,
-    or None when the line vanishes identically.  Off the discriminant's roots
-    the line of sf made monic is that part already, with no gcd to take.
+    ``roots`` the records of its real roots in the window, or None when the
+    line vanishes identically.  Off the discriminant's roots the line of sf
+    made monic is that part already, with no gcd to take.
     """
     if vanishes_at(detector.content, lam_q):
         return None, []
@@ -482,7 +446,7 @@ def _line_roots(detector: _FactoredDetector, lam_q, window):
     line = [c / line[-1] for c in line]
     if vanishes_at(detector.discriminant, lam_q):
         line = squarefree(line)
-    return [x for x, _ in _exact_roots(line, *window)], line
+    return isolate_real_roots(integer_coeffs(line), *window), line
 
 
 def _scan_core(detector, oracle, t_grid, lambda_grid):
@@ -527,26 +491,23 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
     # and how many of a line's lowest and highest roots go on across each
     critical = []
     for e, line, gcd in detector.multiple_root_lines():
-        for lam_q, exact in _exact_roots(e, *lam_window):
-            lam_star = lam_q if exact else float(lam_q)
-            t_stars, quotient = _refine_event(line, gcd, lam_q, window)
-            stars = [_root(quotient, t, window) for t in t_stars]
+        for lam_star in isolate_real_roots(e, *lam_window):
+            stars = _refine_event(line, gcd, lam_star, window)
             if stars:
-                roots, line_s = _line_roots(detector, lam_q, window) if exact else ([], [])
-                simple = [_root(line_s, r, window) for r in roots or ()]
+                simple = _line_roots(detector, lam_star[1], window)[0] if lam_star[1] == lam_star[2] else []
                 low, high = min(a for _, a, _ in stars), max(b for _, _, b in stars)
-                keep = sum(b < low for _, _, b in simple), sum(a > high for _, a, _ in simple)
-                critical.append((_root(e, lam_q, lam_window), "event", keep))
-            for t_star, star in zip(t_stars, stars):
+                keep = sum(b < low for _, _, b in simple or ()), sum(a > high for _, a, _ in simple or ())
+                critical.append((lam_star, "event", keep))
+            for star in stars:
                 a, confidence = oracle.classify_event(star, lam_star)
-                events.append(_event_from_type(lam_star, t_star, a, confidence))
+                events.append(_event_from_type(midpoint(lam_star), midpoint(star), a, confidence))
     edges = {kind: Poly({(j, i): v for (i, j), v in detector.sf.c.items()}).subs_u(Fraction(end)).t_coeffs()
              for kind, end in zip(("lo", "hi"), window)}
     for kind, sq, keep in (("content", detector.content, (0, 0)), ("lo", edges["lo"], (0, math.inf)),
                            ("hi", edges["hi"], (math.inf, 0))):
         sq = squarefree(sq)
         if len(sq) > 1:
-            critical += [(_root(sq, x, lam_window), kind, keep) for x, _ in _exact_roots(sq, *lam_window)]
+            critical += [(root, kind, keep) for root in isolate_real_roots(integer_coeffs(sq), *lam_window)]
 
     lines = [_line_roots(detector, lam, window) for lam in lams]
     sides = [tuple(_side(lam, root) for root, _, _ in critical) for lam in lams]
@@ -565,7 +526,7 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
             if chain is None:
                 chain = {"points": [], "at": (i, k)}
                 chains.append(chain)
-            chain["points"].append((float(lambda_grid[i]), float(r)))
+            chain["points"].append((float(lambda_grid[i]), float(midpoint(r))))
             current[k] = chain
         open_chains = current
 
@@ -582,8 +543,8 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
             lam_s = _simplest(min((max(below) + lam) / 2, lam) if below else lam_window[0],
                               max((min(above) + lam) / 2, lam) if above else lam_window[1])
             gap_lines[side] = lam_s, _line_roots(detector, lam_s, window)
-        lam, (roots, line) = gap_lines.get(side, (lam, lines[i]))
-        a, confidence = oracle.classify(_root(line, roots[k], window), lam)
+        lam, (roots, _) = gap_lines.get(side, (lam, lines[i]))
+        a, confidence = oracle.classify(roots[k], lam)
         strata.append(Stratum(type=a, class_=class_of(a) if a is not None else DEGENERATE,
                               params=np.array(chain["points"]), confidence=confidence))
 

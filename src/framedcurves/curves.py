@@ -5,7 +5,8 @@ Two representations are supported:
 * :class:`PolynomialCurve` -- exact rational coefficients; jets at rational
   parameters are exact, which is what the rank decisions downstream want.
 * :class:`BasePointCurve` -- the base point of a closed-form frame with
-  constant curvatures; its jets are float.
+  constant curvatures; its jets are float, and its exact rank evidence is
+  the Krylov columns of its structure matrix.
 
 All components are ambient coordinate vectors of length n+2 (euclidean curves
 carry their leading 1 explicitly, so derivatives carry a leading 0).
@@ -96,9 +97,11 @@ class BasePointCurve:
 
     E' = E K makes the k-th derivative (E(t) K^k)[:, 0], so one closed-form
     ``frame`` (a parameter array to (..., dim, dim) frames) gives every order.
+    As E(t) is invertible, the jets have the ranks of the Krylov columns
+    K^k e_0, which ``jet_exact`` gives exactly at every t.
     """
 
-    exact = False
+    exact = True
 
     def __init__(self, frame, k):
         self.frame = frame
@@ -111,6 +114,14 @@ class BasePointCurve:
         for _ in range(r):
             cols.append(self.k @ cols[-1])
         return self.frame(np.asarray(t, dtype=float)) @ np.stack(cols, axis=1)
+
+    def jet_exact(self, t, r):
+        """The Krylov columns e_0, K e_0, ..., K^r e_0 as lists of Fractions of K's floats (any t)."""
+        k = [[Fraction(x) for x in row] for row in self.k.tolist()]
+        cols = [[Fraction(int(i == 0)) for i in range(self.dim)]]
+        for _ in range(r):
+            cols.append([sum((a * b for a, b in zip(row, cols[-1])), Fraction(0)) for row in k])
+        return cols
 
 
 # -- the model curves of type vectors ----------------------------------------

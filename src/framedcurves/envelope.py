@@ -259,20 +259,13 @@ class NormalFormFamily:
         object.__setattr__(self, "a", a)
 
     def f(self, t, x):
-        a1, a2, a3 = self.a
-        x1, x2, x3 = x
-        return (
-            t**a3 / factorial(a3)
-            + x1 * t ** (a3 - a1) / factorial(a3 - a1)
-            + x2 * t ** (a3 - a2) / factorial(a3 - a2)
-            + x3
-        )
+        return self._derivative(t, x, 0)
 
     def _derivative(self, t, x, order):
         a1, a2, a3 = self.a
         x1, x2, x3 = x
         total = 0.0
-        for coeff, deg in ((1.0, a3), (x1, a3 - a1), (x2, a3 - a2)):
+        for coeff, deg in ((1.0, a3), (x1, a3 - a1), (x2, a3 - a2), (x3, 0)):
             d = deg - order
             if d >= 0:
                 total = total + coeff * t**d / factorial(d)

@@ -34,7 +34,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .ratpoly import Poly, as_fraction, integer_coeffs, isolate_real_roots, squarefree, trim
+from .ratpoly import Poly, as_fraction, integer_coeffs, isolate_real_roots, midpoint, squarefree, trim
 from .spaceform import SpaceForm, group_exp
 
 _GS_TOL = 1e-12
@@ -297,15 +297,16 @@ def _magnus_propagators(delta, kappa, starts, widths):
 def _abs_integral(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     """The integral of |p| over [lo, hi], split at p's real roots there.
 
-    Exact but for the placement of each irrational root, which
-    ``isolate_real_roots`` narrows to 2^-100 of the window.
+    Exact but for the placement of each irrational root, cut at the
+    midpoint of its record, which ``isolate_real_roots`` narrows to 2^-100
+    of the window.
     """
     coeffs = trim(p.t_coeffs())
     if not coeffs:
         return Fraction(0)
-    roots = [x for x, _ in isolate_real_roots(integer_coeffs(squarefree(coeffs)), lo, hi)]
+    roots = isolate_real_roots(integer_coeffs(squarefree(coeffs)), lo, hi)
     antiderivative = p.integrate_t()
-    cuts = [lo, *roots, hi]
+    cuts = [lo, *map(midpoint, roots), hi]
     return sum((abs(antiderivative.eval(b) - antiderivative.eval(a)) for a, b in zip(cuts, cuts[1:])),
                Fraction(0))
 

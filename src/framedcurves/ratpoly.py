@@ -14,7 +14,8 @@ resultant in t of a bivariate polynomial, and the split of a set of u-roots
 by the gcd of its t-lines with their derivatives all come from the
 subresultant PRS over Z[u].  Real roots are isolated exactly by Descartes'
 rule and narrowed by sign bisection, both in Python ints; there is no float
-root finder.
+root finder.  A root is a record (m, a, b): the one root of the square-free
+integer list m in the open interval (a, b), or a == b, the root itself.
 """
 
 from __future__ import annotations
@@ -321,21 +322,33 @@ def _descartes_count(a):
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+def _sign_beside(ints, p, q, side=1):
+    """Sign of the square-free integer list just right (side 1) or left (side -1) of p/q, q > 0.
+
+    The value's sign, else, at a root, the slope's times ``side``.
+    """
+    slope = [i * c for i, c in enumerate(ints)][1:]
+    return _sign(_horner(ints, p, q)) or side * _sign(_horner(slope, p, q))
+
+
 def isolate_real_roots(ints, lo, hi):
-    """The real roots in [lo, hi] of a square-free integer coefficient list.
+    """The real roots in [lo, hi] of a square-free integer coefficient list, as records (m, a, b).
 
     Descartes' rule of signs with bisection (Collins and Akritas) isolates
-    them, in exact arithmetic.  Each root comes back, in order, as (x,
-    exact): x is the root itself where a bisection point hit it, else the
-    midpoint of its isolating interval narrowed by sign bisection to a width
-    of 2^-100 (hi - lo).
+    them, in exact arithmetic, and the records come back sorted.  A rational
+    root x = p/q is ([-p, q], x, x): where a bisection point hits it, or
+    where it is the rational nearest the midpoint of its isolating interval
+    with denominator below (4 h)^-1/2, h the half-width (a rational root that
+    simple always is).  Any other root is (ints, a, b): the one root of ints
+    in the open interval (a, b), narrowed by sign bisection to a width of
+    2^-100 (hi - lo).
     """
     lo, hi = Fraction(lo), Fraction(hi)
     width = hi - lo
     if width < 0 or not trim(ints):
         return []
     if width == 0:
-        return [(lo, True)] if vanishes_at(ints, lo) else []
+        return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
     # with lo = v/d and width = w/d, q(x) = d^n p((v + w x)/d) is p on the
     # window rescaled to [0, 1]; Horner step q <- q * (v + w x) + c d^k
     d = math.lcm(lo.denominator, width.denominator)
@@ -365,24 +378,37 @@ def isolate_real_roots(ints, lo, hi):
             left = [a << (n - i) for i, a in enumerate(p)]
             stack.append((_taylor_shift_1(left), 2 * c + 1, k + 1))
             stack.append((left, 2 * c, k + 1))
-    # narrow each box [m/2^j, (m+1)/2^j] by the sign of q at its midpoint; as
-    # q is square-free, just right of a root it has the sign of its slope
-    slope = [i * c for i, c in enumerate(q)][1:]
-    out = [(x, True) for x in exact]
+    # narrow each box (m/2^j, (m+1)/2^j) by the sign of q at its midpoint
+    exact, out = [lo + width * x for x in exact], []
     for m, j in boxes:
-        s_m = _sign(_horner(q, m, 2**j)) or _sign(_horner(slope, m, 2**j))
-        s = 1
+        s_m, s = _sign_beside(q, m, 2**j), 1
         while j < 100 and s:
             s = _sign(_horner(q, 2 * m + 1, 2 ** (j + 1)))
             if s:
                 m, j = 2 * m + (s == s_m), j + 1
-        out.append((Fraction(2 * m + 1, 2 ** (j + 1)), not s))
-    return sorted((lo + width * x, hit) for x, hit in out)
+        a, b = lo + width * Fraction(m, 2**j), lo + width * Fraction(m + 1, 2**j)
+        x = (a + b) / 2
+        if s:  # no hit: test the rational nearest x with denominator below (4 h)^-1/2
+            x = x.limit_denominator(math.isqrt(int(1 / (2 * (b - a)))) or 1)
+            if not (a < x < b and vanishes_at(ints, x)):
+                out.append((ints, a, b))
+                continue
+        exact.append(x)
+    return sorted(out + [([-x.numerator, x.denominator], x, x) for x in exact], key=lambda root: root[1:])
 
 
 def has_root_in(ints, a, b):
-    """Whether the square-free integer coefficient list has a root in the open interval (a, b)."""
-    return any(a < x < b for x, _ in isolate_real_roots(ints, a, b))
+    """Whether the square-free integer coefficient list has a root in the open interval (a, b).
+
+    The caller knows it has at most one there, so it has one exactly when
+    its signs just right of a and just left of b differ.
+    """
+    return _sign_beside(ints, a.numerator, a.denominator) != _sign_beside(ints, b.numerator, b.denominator, -1)
+
+
+def midpoint(root):
+    """The midpoint (a + b) / 2 of a root record (m, a, b): the root itself when a == b."""
+    return (root[1] + root[2]) / 2
 
 
 def poly_gcd(a, b):

@@ -125,18 +125,19 @@ def group_exp(omega) -> np.ndarray:
     nearly coincide.  The roots are real for the three algebras; rounding
     near a double root can make them complex, which changes nothing.  An
     exponential beyond the float range comes out as NaN entries instead of
-    raising.
+    raising or warning.
     """
     omega = np.asarray(omega, dtype=float)
-    o2 = omega @ omega
-    a = -0.5 * np.trace(o2, axis1=-2, axis2=-1)
-    b = np.linalg.det(omega)
-    coeffs = []
-    for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
-        try:
-            coeffs.append(_exp_coefficients(ai, bi))
-        except (OverflowError, ValueError, ZeroDivisionError):  # cosh past 710, inf or NaN input
-            coeffs.append(_NAN_COEFFICIENTS)
-    c = np.array(coeffs).reshape(a.shape + (4, 1, 1))
-    c0, c1, c2, c3 = (c[..., k, :, :] for k in range(4))
-    return c0 * _EYE4 + c1 * omega + c2 * o2 + c3 * (o2 @ omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        o2 = omega @ omega
+        a = -0.5 * np.trace(o2, axis1=-2, axis2=-1)
+        b = np.linalg.det(omega)
+        coeffs = []
+        for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
+            try:
+                coeffs.append(_exp_coefficients(ai, bi))
+            except (OverflowError, ValueError, ZeroDivisionError):  # cosh past 710, inf or NaN input
+                coeffs.append(_NAN_COEFFICIENTS)
+        c = np.array(coeffs).reshape(a.shape + (4, 1, 1))
+        c0, c1, c2, c3 = (c[..., k, :, :] for k in range(4))
+        return c0 * _EYE4 + c1 * omega + c2 * o2 + c3 * (o2 @ omega)

@@ -23,8 +23,8 @@ from framedcurves import (
     scan_family,
     schubert_number,
 )
-from framedcurves.classify import _AdaptedTypeOracle, _exact_roots, _FactoredDetector, _line_roots, _root
-from framedcurves.ratpoly import Poly, integer_coeffs, squarefree, trim, vanishes_at
+from framedcurves.classify import _AdaptedTypeOracle, _FactoredDetector, _line_roots
+from framedcurves.ratpoly import Poly, integer_coeffs, isolate_real_roots, midpoint, squarefree, trim, vanishes_at
 
 increasing_triples = st.lists(
     st.integers(min_value=1, max_value=9), min_size=3, max_size=3, unique=True
@@ -234,8 +234,9 @@ def test_a_branch_has_the_exact_type_of_every_root_it_carries(a, b, c, d, e):
         assert s.confidence == "exact"
         for lam, t_float in s.params:
             roots, line = _line_roots(factored, Fraction(lam), window)
-            r = next(r for r in roots if float(r) == t_float)
-            assert oracle.classify(_root(line, r, window), Fraction(lam)) == (s.type, "exact")
+            r = next(r for r in roots if float(midpoint(r)) == t_float)
+            assert r[1] == r[2] or r[0] == integer_coeffs(line)
+            assert oracle.classify(r, Fraction(lam)) == (s.type, "exact")
 
 
 # -- line roots beside an event ---------------------------------------------------
@@ -396,8 +397,8 @@ def test_a_line_on_a_discriminant_root_keeps_its_exact_roots():
         own = trim(detector.subs_u(lam).t_coeffs())
         roots, line = _line_roots(factored, lam, window)
         assert line == squarefree(own)
-        assert roots == [x if hit else float(x) for x, hit in _exact_roots(squarefree(own), *window)]
-        assert roots == exact
+        assert roots == isolate_real_roots(integer_coeffs(squarefree(own)), *window)
+        assert roots == [([-x.numerator, x.denominator], x, x) for x in exact]
         assert all(vanishes_at(integer_coeffs(own), x) for x in exact)
     # the content vanishes at -1/2: the whole line does
     assert _line_roots(factored, Fraction(-1, 2), window) == (None, [])

@@ -234,14 +234,25 @@ def test_type_exits_0_or_3_for_every_float(x):
 
 @pytest.mark.parametrize("t", ["1e200", "-1e300"])
 def test_type_of_the_helix_far_out_is_its_regular_type(tmp_path, t):
-    # the jet's point column holds 1e200 beside entries of size 1, and its
-    # norm would overflow; scaled rows and columns keep every rank
+    # the jet's point column holds 1e200 beside entries of size 1; the exact
+    # path ranks the Krylov columns K^k e_0 instead, which do not depend on t
     cfg = _write_config(tmp_path, {"curve": {"kind": "builtin", "name": "helix"}})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = _run_quietly(["type", "--config", cfg, "--t", t])
     assert code == 0
     assert "type: (1, 2, 3)" in out
+    assert "mode: exact  confidence: exact" in out
+
+
+@pytest.mark.parametrize("name, code", [("helix", 0), ("circle", 3), ("great-circle", 3)])
+def test_type_of_a_builtin_is_exact_at_every_t(tmp_path, name, code):
+    # a planar circle never reaches full rank, exactly as its Krylov columns say
+    cfg = _write_config(tmp_path, {"curve": {"kind": "builtin", "name": name}})
+    for t in ("0.5", "1e200", "-1e300"):
+        got, out = _run_quietly(["type", "--config", cfg, "--t", t])
+        assert got == code
+        assert ("mode: exact  confidence: exact" in out) == (code == 0)
 
 
 @pytest.mark.parametrize("value", ["-1e-05", "-2.5E+1", "-inf", "-nan", "-0.5", "-3"])

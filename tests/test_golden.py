@@ -21,7 +21,6 @@ from framedcurves.acceptance import criterion_7
 from framedcurves.classify import (
     CurvatureFamily,
     DiagonalFamily,
-    _exact_roots,
     _FactoredDetector,
     _refine_event,
     classify_osculating_scan,
@@ -38,7 +37,7 @@ from framedcurves.flags import (
     d_integrality_residual,
     flag_from_curve,
 )
-from framedcurves.ratpoly import Poly
+from framedcurves.ratpoly import Poly, isolate_real_roots, midpoint
 from frame_reference import dop853_frames, relative_frame_error
 
 KAPPA = [["1"], ["0"], ["0", "0", "1"]]
@@ -279,9 +278,9 @@ def test_scan_family_roots_and_refinement_are_bit_stable():
         "46438444620206ea210e8066daab6bfa11b90925b5b5828f5bc341906611d3e0"
     )
     detector = _FactoredDetector(family.detector())
-    hit = [(t, lam) for e, line, gcd in detector.multiple_root_lines()
-           for lam, _ in _exact_roots(e, -1 / 400, 1 / 300)
-           for t in _refine_event(line, gcd, lam, (-1.0, 1.0))[0]]
+    hit = [(midpoint(t), midpoint(lam)) for e, line, gcd in detector.multiple_root_lines()
+           for lam in isolate_real_roots(e, -1 / 400, 1 / 300)
+           for t in _refine_event(line, gcd, lam, (-1.0, 1.0))]
     assert _digest(np.array(hit)) == (
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
     )

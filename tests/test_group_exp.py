@@ -169,6 +169,18 @@ def test_group_exp_overflows_to_non_finite_entries_without_raising():
     assert np.isfinite(group_exp(_rotation(1000.0, 1.0, np.random.default_rng(0)))).all()
 
 
+def test_group_exp_of_entries_past_the_float_range_is_nan_without_warnings():
+    # Omega^2 and det(Omega) overflow before any coefficient is formed
+    huge = structure_matrix(-1, (1e300, 0.0, 1e300))
+    stack = np.stack([huge, structure_matrix(-1, (1.0, 0.0, 0.5))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = group_exp(stack)
+        assert np.isnan(group_exp(huge)).all()
+    assert np.isnan(out[0]).all()
+    assert np.array_equal(out[1], group_exp(stack[1]))
+
+
 def test_group_exp_keeps_the_stack_shape():
     omega = np.stack([_magnus_exponent(1, (1.0, 0.0, 0.5), (0.5, 0.5, 0.5), h) for h in (0.1, 0.2, 0.3)])
     out = group_exp(omega.reshape(3, 1, 4, 4))

@@ -24,8 +24,8 @@ from framedcurves import (
     schubert_number,
     validate_type_vector,
 )
-from framedcurves.classify import _exact_roots, _root
 from framedcurves.jets import algebraic_rank_profile
+from framedcurves.ratpoly import isolate_real_roots
 
 OSCULATING_N2 = [
     (1, 2, 3),
@@ -190,8 +190,9 @@ def test_algebraic_rank_profile_splits_its_modulus_at_each_root():
     # -+sqrt(2) only, which the zero test finds by splitting m
     m = [6, 0, -5, 0, 1]
     columns = [[[1], [0, 1]], [[-2, 0, 1], [-2, 0, 1]], [[0, 1], [3]]]
-    roots = [x for x, _ in _exact_roots(m, -2.0, 2.0)]
-    ranks = [algebraic_rank_profile(columns, 2, _root(m, x, (-2.0, 2.0))) for x in roots]
+    roots = isolate_real_roots(m, -2.0, 2.0)
+    assert [r[0] for r in roots] == [m] * 4
+    ranks = [algebraic_rank_profile(columns, 2, root) for root in roots]
     assert ranks == [[1, 2], [1, 1, 2], [1, 1, 2], [1, 2]]
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from framedcurves import NormalFormFamily, Poly
-from framedcurves.classify import _exact_roots
 from framedcurves.ratpoly import (
+    has_root_in,
     integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
@@ -212,9 +212,10 @@ def test_resultant_of_a_common_factor_is_zero_and_of_a_constant_a_power():
 def test_real_roots_beyond_the_float_range_are_scaled_exactly():
     big = Fraction(10**400)
     half = Fraction(1, 2)
-    assert _exact_roots([-big / 4, Fraction(0), big], -1.0, 1.0) == [(-half, True), (half, True)]
+    assert isolate_real_roots(integer_coeffs([-big / 4, Fraction(0), big]), -1.0, 1.0) == [
+        ([1, 2], -half, -half), ([-1, 2], half, half)]
     # a monic line whose constant term overflows has no root in the window
-    assert _exact_roots([-big, Fraction(0), Fraction(1)], -1.0, 1.0) == []
+    assert isolate_real_roots(integer_coeffs([-big, Fraction(0), Fraction(1)]), -1.0, 1.0) == []
 
 
 def test_real_roots_are_isolated_exactly_also_when_they_nearly_coincide():
@@ -228,7 +229,62 @@ def test_real_roots_are_isolated_exactly_also_when_they_nearly_coincide():
     roots = isolate_real_roots(ints, -1, 1)
     expected = [r for r in sympy.Poly(ints[::-1], sympy.symbols("x")).real_roots() if -1 <= r <= 1]
     assert len(roots) == len(expected) == 2
-    for (x, exact), r in zip(roots, expected):
-        assert not exact and abs(sympy.Rational(x.numerator, x.denominator) - r) < sympy.Rational(1, 2**99)
+    for (_, x, _), r in zip(roots, expected):
+        assert abs(sympy.Rational(x.numerator, x.denominator) - r) < sympy.Rational(1, 2**99)
+    # both are simple enough rationals to come back exact
+    assert roots == [([-1, 3], third, third), ([-(third + eps).numerator, (third + eps).denominator],
+                                                third + eps, third + eps)]
     # roots on the window ends and on a bisection point come back exact
-    assert isolate_real_roots([0, -1, 0, 1], -1, 1) == [(-1, True), (0, True), (1, True)]
+    assert isolate_real_roots([0, -1, 0, 1], -1, 1) == [([1, 1], -1, -1), ([0, 1], 0, 0), ([-1, 1], 1, 1)]
+
+
+# (r, s, n): the quadratic (x - r)^2 - s^2 n with the irrational roots r -+ s sqrt(n)
+_QUADRATIC = st.tuples(_RATIONAL, st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+                       st.sampled_from([2, 3, 5, 6, 7]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted=st.lists(_RATIONAL, unique=True, max_size=4), quadratics=st.lists(_QUADRATIC, max_size=2),
+       window=st.lists(_RATIONAL, min_size=2, max_size=2, unique=True).map(sorted),
+       cut=st.fractions(min_value=Fraction(1, 64), max_value=Fraction(63, 64), max_denominator=64))
+def test_root_records_isolate_every_root_and_decide_one_sided_sign_tests(planted, quadratics, window, cut):
+    # records against sympy's exact root counts (a test-only oracle); the
+    # rational roots come back exact and the irrational ones as open boxes
+    sympy = pytest.importorskip("sympy")
+    p = Poly.const(1)
+    for r in planted:
+        p = p * (Poly.t() - Poly.const(r))
+    for r, s, n in quadratics:
+        p = p * ((Poly.t() - Poly.const(r)) ** 2 - Poly.const(s * s * n))
+    coeffs = trim(p.t_coeffs())
+    assume(len(coeffs) > 1 and squarefree_t(p)[0].deg_t() == len(coeffs) - 1)
+    ints = integer_coeffs(coeffs)
+    lo, hi = window
+    records = isolate_real_roots(ints, lo, hi)
+    big = sympy.Poly(ints[::-1], sympy.symbols("x"))
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def open_count(a, b):
+        return big.count_roots(q(a), q(b)) - (big.eval(q(a)) == 0) - (big.eval(q(b)) == 0)
+
+    assert len(records) == big.count_roots(q(lo), q(hi))
+    assert [a for _, a, b in records if a == b] == [
+        r for r in big.real_roots() if r.is_Rational and q(lo) <= r <= q(hi)]
+    for (_, a0, b0), (_, a1, b1) in zip(records, records[1:]):
+        assert b0 <= a1 and (a0, b0) != (a1, b1)
+        # between two records, with a root or a box end at either end
+        if a0 < a1:
+            assert has_root_in(ints, a0, a1) == (a0 < b0) == (open_count(a0, a1) == 1)
+        if b0 < b1:
+            assert has_root_in(ints, b0, b1) == (a1 < b1) == (open_count(b0, b1) == 1)
+    for m, a, b in records:
+        assert lo <= a <= b <= hi
+        if a == b:
+            assert m == [-a.numerator, a.denominator] and vanishes_at(ints, a)
+            continue
+        assert m == ints and open_count(a, b) == 1 and b - a <= (hi - lo) / 2**100
+        x = a + (b - a) * cut
+        assert has_root_in(ints, x, b) == (open_count(x, b) == 1)
+        assert has_root_in(ints, a, x) == (open_count(a, x) == 1) != has_root_in(ints, x, b)
