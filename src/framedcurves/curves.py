@@ -26,8 +26,6 @@ from .ratpoly import Poly, as_fraction
 class PolynomialCurve:
     """Curve whose components are exact rational polynomials in t."""
 
-    exact = True
-
     def __init__(self, components):
         comps = []
         for comp in components:
@@ -100,8 +98,6 @@ class BasePointCurve:
     As E(t) is invertible, the jets have the ranks of the Krylov columns
     K^k e_0, which ``jet_exact`` gives exactly at every t.
     """
-
-    exact = True
 
     def __init__(self, frame, k):
         self.frame = frame

@@ -313,17 +313,24 @@ class NormalFormFamily:
 
 
 def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> EnvelopeMesh:
-    """Mesh of {F = F_t = 0} with x1 = s as the strip parameter."""
+    """Mesh of {F = F_t = 0} with x1 = s as the strip parameter.
+
+    A node whose vertices or residuals leave the float range raises DomainError.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
     t, s = t_grid[:, None], s_grid[None, :]
-    x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
-    ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
+        ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
+        f, ft, ftt = nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
+    finite = np.isfinite(ambient).all(axis=-1) & np.isfinite(f) & np.isfinite(ft) & np.isfinite(ftt)
+    finite = finite.all(axis=1)
+    if not finite.all():
+        raise DomainError(f"the discriminant at t = {float(t_grid[~finite][0])!r} is beyond the float range")
     keep = np.ones(len(t_grid), dtype=bool)
-    return _assemble(
-        SpaceForm("euclidean"), t_grid, s_grid, keep, ambient, nf.f(t, x), nf.f_t(t, x),
-        nf.f_tt_on_discriminant().evalf(t, s), tol, {"normal_form": nf.a},
-    )
+    return _assemble(SpaceForm("euclidean"), t_grid, s_grid, keep, ambient, f, ft, ftt, tol,
+                     {"normal_form": nf.a})
 
 
 # -- singular locus -------------------------------------------------------------------

@@ -180,9 +180,9 @@ def _ranks_to_type(ranks, dim, r_max):
 def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
     """Detect the type vector at t along with the evidence used.
 
-    An exact curve at an exact t (an int, a Fraction or a decimal string)
-    takes the exact path, anything else the float path; ``mode`` on the
-    result says which ran.
+    Both curve kinds have exact jets, so t's type alone picks the path: an
+    exact t (an int, a Fraction or a decimal string) takes the exact one,
+    anything else the float one; ``mode`` on the result says which ran.
     """
     if isinstance(t, (float, np.floating)) and not np.isfinite(t):
         raise DomainError(f"type detection needs a finite parameter, got t={t!r}")
@@ -190,7 +190,7 @@ def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
     if r_max is None:
         r_max = dim + 4  # n + 6
 
-    mode = "exact" if curve.exact and isinstance(t, (int, Fraction, str)) else "float"
+    mode = "exact" if isinstance(t, (int, Fraction, str)) else "float"
     if mode == "exact":
         ranks, min_gap = exact_rank_profile(curve.jet_exact(t, r_max)), np.inf
     else:

@@ -18,7 +18,6 @@ R x S^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,63 +53,11 @@ class SpaceForm:
         return {EUCLIDEAN: 0, SPHERICAL: 1, HYPERBOLIC: -1}[self.kind]
 
 
-#: max(|y1|, |y2|) up to which group_exp sums the Taylor series of exp
+#: max(|y1|, |y2|) up to which group_exp sums the Taylor series of exp;
+#: a larger exponent is halved into it and the sum squared back
 _SERIES_RADIUS = 4.0
-#: beyond it, y1 and y2 count as close when ((y1 - y2) / 2)^2 < _CLOSE_ROOTS |y1 + y2| / 2
-_CLOSE_ROOTS = 1.0 / 16.0
-_INV_FACTORIALS = [1.0 / math.factorial(k) for k in range(32)]
-_NAN_COEFFICIENTS = (math.nan,) * 4
+_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(32)])
 _EYE4 = np.eye(4)
-
-
-def _sinhc(z):
-    return cmath.sinh(z) / z if z else 1.0
-
-
-def _exp_coefficients(a, b):
-    """(c0, c1, c2, c3) with exp(Omega) = c0 I + c1 Omega + c2 Omega^2 + c3 Omega^3.
-
-    Omega^4 + a Omega^2 + b I = 0.  With y1, y2 the roots of y^2 + a y + b,
-    c0 + c2 y interpolates cosh(sqrt y) and c1 + c3 y interpolates
-    sinhc(sqrt y) = sinh(sqrt y) / sqrt y at y1 and y2.
-    """
-    m = -0.5 * a
-    disc = m * m - b
-    r = cmath.sqrt(disc)
-    rho = abs(m) + abs(r)  # max(|y1|, |y2|)
-    if rho <= _SERIES_RADIUS:
-        # y^k = -b H_{k-2} + H_{k-1} y modulo the quadratic, where
-        # H_k = -a H_{k-1} - b H_{k-2} are the complete symmetric sums of y1, y2
-        t0 = t1 = t2 = t3 = 0.0
-        h_prev, h, k, bound = 0.0, 1.0, 1, 1.0
-        while True:
-            f = 2 * k
-            t0 += h * _INV_FACTORIALS[f]
-            t1 += h * _INV_FACTORIALS[f + 1]
-            t2 += h * _INV_FACTORIALS[f + 2]
-            t3 += h * _INV_FACTORIALS[f + 3]
-            bound *= rho  # |H_k| <= (k + 1) rho^k
-            if (k + 1) * bound * _INV_FACTORIALS[f + 2] < 1e-17:
-                return 1.0 - b * t2, 1.0 - b * t3, t0, t1
-            h_prev, h = h, -a * h - b * h_prev
-            k += 1
-    # c2 = (cosh u - cosh v) / (u^2 - v^2) = sinhc(p) sinhc(q) / 2 with
-    # u, v = sqrt(y1), sqrt(y2), p, q = (u + v) / 2, (u - v) / 2 and p^2 - q^2 = uv = w
-    w = cmath.sqrt(b)
-    p, q = cmath.sqrt(0.5 * (m + w)), cmath.sqrt(0.5 * (m - w))
-    sp, sq = _sinhc(p), _sinhc(q)
-    c2 = 0.5 * sp * sq
-    y1 = m - r if m < 0.0 else m + r  # the root of larger modulus
-    y2 = b / y1
-    v = cmath.sqrt(y2)
-    sv = _sinhc(v)
-    if abs(disc) >= _CLOSE_ROOTS * abs(m):
-        c3 = (_sinhc(cmath.sqrt(y1)) - sv) / (y1 - y2)
-    else:
-        # y1 ~ y2 far from 0: the same quotient rewritten in p and q has no
-        # cancellation there, since |p^2 - q^2| = |w| ~ |m|
-        c3 = (cmath.cosh(p) * sq - sp * cmath.cosh(q)) / (2.0 * w)
-    return (cmath.cosh(v) - c2 * y2).real, (sv - c3 * y2).real, c2.real, c3.real
 
 
 def group_exp(omega) -> np.ndarray:
@@ -118,26 +65,47 @@ def group_exp(omega) -> np.ndarray:
 
     The characteristic polynomial of such a generator is x^4 + a x^2 + b with
     a = -tr(Omega^2) / 2 and b = det(Omega), so by Cayley-Hamilton
-    exp(Omega) = c0 I + c1 Omega + c2 Omega^2 + c3 Omega^3.  The four
-    coefficients come from Python complex scalars per matrix: a Taylor series
-    while both roots y of y^2 + a y + b are small, closed forms otherwise,
-    with the divided difference of sinhc(sqrt y) rewritten where the roots
-    nearly coincide.  The roots are real for the three algebras; rounding
-    near a double root can make them complex, which changes nothing.  An
-    exponential beyond the float range comes out as NaN entries instead of
-    raising or warning.
+    exp(Omega) = c0 I + c1 Omega + c2 Omega^2 + c3 Omega^3, where c0 + c2 y
+    interpolates cosh(sqrt y) and c1 + c3 y interpolates sinh(sqrt y) / sqrt y
+    at the roots y1, y2 of y^2 + a y + b.  Each Omega is halved s times, by
+    exact powers of two, until max(|y1|, |y2|) <= _SERIES_RADIUS (scaling and
+    squaring, Moler and Van Loan, SIAM Review 45, 2003); the four coefficients
+    of every matrix come from one Taylor series over the whole stack, and the
+    result is squared s times.  An exponent with a non-finite invariant,
+    beyond the float range, comes out as NaN entries without a warning.
     """
     omega = np.asarray(omega, dtype=float)
+    shape = omega.shape
+    omega = omega.reshape(-1, 4, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         o2 = omega @ omega
         a = -0.5 * np.trace(o2, axis1=-2, axis2=-1)
         b = np.linalg.det(omega)
-        coeffs = []
-        for ai, bi in zip(a.ravel().tolist(), b.ravel().tolist()):
-            try:
-                coeffs.append(_exp_coefficients(ai, bi))
-            except (OverflowError, ValueError, ZeroDivisionError):  # cosh past 710, inf or NaN input
-                coeffs.append(_NAN_COEFFICIENTS)
-        c = np.array(coeffs).reshape(a.shape + (4, 1, 1))
-        c0, c1, c2, c3 = (c[..., k, :, :] for k in range(4))
-        return c0 * _EYE4 + c1 * omega + c2 * o2 + c3 * (o2 @ omega)
+        m = -0.5 * a
+        rho = np.abs(m) + np.sqrt(np.abs(m * m - b))  # max(|y1|, |y2|)
+        finite = np.isfinite(rho)
+        rho[~finite] = 0.0
+        # Omega / 2^s has the roots y / 4^s: a / 4^s, b / 16^s, rho / 4^s
+        s = np.ceil(0.5 * np.log2(np.maximum(rho, _SERIES_RADIUS) / _SERIES_RADIUS)).astype(int)
+        a, b, rho = np.ldexp(a, -2 * s), np.ldexp(b, -4 * s), np.ldexp(rho, -2 * s)
+        # y^k = -b H_{k-2} + H_{k-1} y modulo the quadratic, where
+        # H_k = -a H_{k-1} - b H_{k-2} are the complete symmetric sums of y1, y2;
+        # a matrix stops summing once |H_k| <= (k + 1) rho^k makes its next term
+        # below 1e-17
+        t = np.zeros((4, len(rho)))
+        h_prev, h, bound = np.zeros_like(rho), np.ones_like(rho), np.ones_like(rho)
+        active, k = np.ones(len(rho), dtype=bool), 1
+        while active.any():
+            f = 2 * k
+            t[:, active] += h[active] * _INV_FACTORIALS[f:f + 4, None]
+            bound = bound * rho
+            active &= (k + 1) * bound * _INV_FACTORIALS[f + 2] >= 1e-17
+            h_prev, h = h, -a * h - b * h_prev
+            k += 1
+        w = np.ldexp(1.0, -s)[:, None, None]  # (Omega / 2^s)^j = w^j Omega^j
+        c0, c1, c2, c3 = (c[:, None, None] for c in (1.0 - b * t[2], 1.0 - b * t[3], t[0], t[1]))
+        e = c0 * _EYE4 + c1 * w * omega + c2 * w * w * o2 + c3 * w * w * w * (o2 @ omega)
+        for j in range(s.max(initial=0)):
+            e[s > j] = e[s > j] @ e[s > j]
+        e[~finite] = np.nan
+        return e.reshape(shape)

@@ -397,6 +397,18 @@ def test_normal_form_rejects_a_type_entry_beyond_the_float_factorials(text, caps
     assert "at most 170" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, t_max", [("1,2,3", 1e300), ("1,2,5", 1e100)])
+def test_normal_form_past_the_float_range_is_a_domain_error(tmp_path, capsys, text, t_max):
+    # t^a3 / a3! overflows at the window's ends: no inf vertex is written
+    cfg = _write_config(tmp_path, {"grids": {"t": [-t_max, t_max, 3]}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["normal-form", "--type", text, "--config", cfg, "--out", str(out)]) == 3
+    assert f"t = {-t_max!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _TYPE_ENTRY = st.integers(min_value=-3, max_value=400) | st.sampled_from([10**9, 10**30])
 
 

@@ -1,8 +1,9 @@
-"""The closed-form group exponential against a 40-digit mpmath oracle.
+"""The group exponential against a 40-digit mpmath oracle.
 
 Every Magnus exponent of the frame integrator lies in so(4), se(3) or
 so(3,1); ``group_exp`` must match ``mpmath.expm`` to 1e-14 relative to
-max|exp| there and land in the group to 1e-13.
+max|exp| there and land in the group to 1e-13, inside the Taylor series'
+radius and past it, where the exponent is halved and the sum squared back.
 """
 
 import warnings
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framedcurves.frames import structure_matrix
-from framedcurves.spaceform import _CLOSE_ROOTS, _SERIES_RADIUS, _exp_coefficients, group_exp
+from framedcurves.spaceform import _SERIES_RADIUS, group_exp
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -81,43 +82,29 @@ def test_group_exp_of_a_magnus_exponent_matches_mpmath(delta, kappa, log_h):
     _assert_in_group(_assert_exact(omega), delta)
 
 
+def _assert_isoclinic(omega, theta):
+    # Omega^2 = -theta^2 I, where exp(Omega) = cos(theta) I + sin(theta) / theta Omega
+    want = np.cos(theta) * np.eye(4) + np.sin(theta) / theta * omega
+    assert float(np.max(np.abs(group_exp(omega) - want))) <= 1e-15
+
+
 def test_group_exp_with_a_double_root():
     # an isoclinic rotation: Omega^2 = -theta^2 I, so y1 = y2 = -theta^2,
     # once inside the series radius and once past it
     for theta in (1.5, 3.0):
         omega = structure_matrix(1, (0.0, 0.0, 1.0)) * theta
         _assert_in_group(_assert_exact(omega), 1)
-        # the coefficients at the exact invariants a = 2 theta^2, b = theta^4,
-        # where exp(Omega) = cos(theta) I + sin(theta) / theta Omega
-        c0, c1, c2, c3 = _exp_coefficients(2.0 * theta**2, theta**4)
-        assert abs(c0 - c2 * theta**2 - np.cos(theta)) <= 1e-15
-        assert abs(c1 - c3 * theta**2 - np.sin(theta) / theta) <= 1e-15
-
-
-def _exact_coefficients(a, b):
-    """(c0, c1, c2, c3) as divided differences at the roots, in 40-digit mpmath."""
-    with mpmath.workdps(40):
-        m = -mpmath.mpf(a) / 2
-        r = mpmath.sqrt(mpmath.mpc(m * m - b))
-        y1, y2 = m + r, m - r
-        c2 = (mpmath.cosh(mpmath.sqrt(y1)) - mpmath.cosh(mpmath.sqrt(y2))) / (y1 - y2)
-        sinhc1, sinhc2 = (mpmath.sinh(mpmath.sqrt(y)) / mpmath.sqrt(y) for y in (y1, y2))
-        c3 = (sinhc1 - sinhc2) / (y1 - y2)
-        c0 = mpmath.cosh(mpmath.sqrt(y1)) - c2 * y1
-        return [float(mpmath.re(c)) for c in (c0, sinhc1 - c3 * y1, c2, c3)]
+        _assert_isoclinic(omega, theta)
 
 
 @pytest.mark.parametrize("factor", [1e-6, 0.01, 0.5, 1.0, 2.0])
 def test_group_exp_on_both_sides_of_the_close_root_switch(factor):
-    # |y1 + y2| / 2 = 9, past the series radius; the roots count as close
-    # below a gap |y1 - y2| of 2 sqrt(9 _CLOSE_ROOTS)
-    gap = factor * 2.0 * np.sqrt(9.0 * _CLOSE_ROOTS)
+    # |y1 + y2| / 2 = 9, past the series radius, with a root gap |y1 - y2|
+    # from 1.5e-6, nearly a double root, to 3
+    gap = 1.5 * factor
     theta1_sq, theta2_sq = 9.0 + gap / 2, 9.0 - gap / 2
-    # each coefficient, not only their sum exp(Omega), where errors in c1 and
-    # c3 cancel to first order
-    a, b = theta1_sq + theta2_sq, theta1_sq * theta2_sq
-    for got, want in zip(_exp_coefficients(a, b), _exact_coefficients(a, b)):
-        assert abs(got - want) <= 1e-14 * abs(want)
+    # the double root the gap closes to, where Omega is isoclinic
+    _assert_isoclinic(structure_matrix(1, (0.0, 0.0, 1.0)) * 3.0, 3.0)
     rng = np.random.default_rng(41)
     for _ in range(5):
         omega = _rotation(np.sqrt(theta1_sq), np.sqrt(theta2_sq), rng)
@@ -182,8 +169,11 @@ def test_group_exp_of_entries_past_the_float_range_is_nan_without_warnings():
 
 
 def test_group_exp_keeps_the_stack_shape():
-    omega = np.stack([_magnus_exponent(1, (1.0, 0.0, 0.5), (0.5, 0.5, 0.5), h) for h in (0.1, 0.2, 0.3)])
-    out = group_exp(omega.reshape(3, 1, 4, 4))
-    assert out.shape == (3, 1, 4, 4)
-    for k in range(3):
-        assert np.array_equal(out[k, 0], group_exp(omega[k]))
+    # h = 0.1, 0.2, 0.3 lie inside the series radius; the boosts have
+    # max(|y1|, |y2|) = 2.25, 9 and 144, so they are halved 0, 1 and 3 times
+    omega = np.stack([_magnus_exponent(1, (1.0, 0.0, 0.5), (0.5, 0.5, 0.5), h) for h in (0.1, 0.2, 0.3)]
+                     + [_lorentz(rapidity, 0.5) for rapidity in (1.5, 3.0, 12.0)])
+    out = group_exp(omega.reshape(3, 2, 4, 4))
+    assert out.shape == (3, 2, 4, 4)
+    for k in range(6):
+        assert np.array_equal(out.reshape(6, 4, 4)[k], group_exp(omega[k]))
