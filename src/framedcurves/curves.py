@@ -15,12 +15,12 @@ carry their leading 1 explicitly, so derivatives carry a leading 0).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ratpoly import Poly, as_fraction
+from .ratpoly import Poly, as_fraction, integer_coeffs, taylor_shift
 
 
 class PolynomialCurve:
@@ -39,6 +39,8 @@ class PolynomialCurve:
             raise DimensionMismatch("need at least 3 components (ambient dimension n+2 >= 3)")
         self.components = tuple(comps)
         self._derivs = [self.components]
+        # each component as (its coefficients times D, D), D their lcm denominator
+        self._ints = [(integer_coeffs(c), lcm(*(x.denominator for x in c))) for c in map(Poly.t_coeffs, comps)]
 
     @property
     def dim(self):
@@ -64,13 +66,21 @@ class PolynomialCurve:
         return out
 
     def jet_exact(self, t, r):
-        """Exact jet columns as nested lists of Fractions (t must be rational)."""
+        """Exact jet columns as nested lists of Fractions (t must be rational).
+
+        At t = p/q one Taylor shift of D * q^n * gamma_i((p + x)/q) gives
+        every derivative of a component: k! times its x^k coefficient over
+        D * q^(n-k).
+        """
         tq = as_fraction(t)
-        cols = []
-        for k in range(r + 1):
-            row = self._deriv_row(k)
-            cols.append([p.eval(tq) for p in row])
-        return cols
+        p, q = tq.numerator, tq.denominator
+        zero, rows = Fraction(0), []
+        for ints, den in self._ints:
+            shifted = taylor_shift(ints, p, 1, q)
+            n = len(ints) - 1
+            rows.append([Fraction(factorial(k) * shifted[k], den * q ** (n - k)) if k <= n and shifted[k]
+                         else zero for k in range(r + 1)])
+        return [list(col) for col in zip(*rows)]
 
     def reparametrized(self, phi: Poly) -> "PolynomialCurve":
         """Exact composition gamma(phi(t)) for reparametrization checks."""

@@ -113,7 +113,7 @@ def exact_rank_profile(columns):
 
     The algebraic profile at a rational point, with each column as constants.
     """
-    columns = [[[c] if c else [] for c in integer_coeffs([Fraction(x) for x in col])] for col in columns]
+    columns = [[[c] if c else [] for c in integer_coeffs(col)] for col in columns]
     return algebraic_rank_profile(columns, math.inf, ([0, 1], 0, 0))
 
 

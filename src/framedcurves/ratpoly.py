@@ -13,9 +13,10 @@ square-free parts of coefficient lists, the square-free part in t and the
 resultant in t of a bivariate polynomial, and the split of a set of u-roots
 by the gcd of its t-lines with their derivatives all come from the
 subresultant PRS over Z[u].  Real roots are isolated exactly by Descartes'
-rule and narrowed by sign bisection, both in Python ints; there is no float
-root finder.  A root is a record (m, a, b): the one root of the square-free
-integer list m in the open interval (a, b), or a == b, the root itself.
+rule and narrowed by certified Newton jumps, both in Python ints; there is
+no float root finder.  A root is a record (m, a, b): the one root of the
+square-free integer list m in the open interval (a, b), or a == b, the root
+itself.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ def as_fraction(x):
 class Poly:
     """Polynomial in (t, u) stored as {(deg_t, deg_u): Fraction}."""
 
-    __slots__ = ("c",)
+    # ``c`` is never changed after construction, so ``evalf`` keeps its float
+    # table in the lazily filled ``_rows``
+    __slots__ = ("c", "_rows")
 
     def __init__(self, terms=None):
         c = {}
@@ -171,13 +174,17 @@ class Poly:
         small term c t^i stays finite past |t|^i's float range.  A coefficient
         beyond the float range raises OverflowError.
         """
-        rows = [[0.0] * (self.deg_u() + 1) for _ in range(self.deg_t() + 1)]
-        for (i, j), v in self.c.items():
-            rows[i][j] = float(v)
+        rows = getattr(self, "_rows", None)
+        if rows is None:  # the table, highest degrees first
+            n, m = self.deg_t(), self.deg_u()
+            rows = [[0.0] * (m + 1) for _ in range(n + 1)]
+            for (i, j), v in self.c.items():
+                rows[n - i][m - j] = float(v)
+            self._rows = rows  # only once every coefficient has its float
         total = 0.0
-        for row in reversed(rows):
+        for row in rows:
             value = 0.0
-            for a in reversed(row):
+            for a in row:
                 value = value * u + a
             total = total * t + value
         return total
@@ -307,18 +314,24 @@ def vanishes_at(ints, x):
     return sign_at(ints, x) == 0
 
 
-def _taylor_shift_1(a):
-    """Coefficients of a(x + 1), for a coefficient list low degree first."""
-    a = list(a)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += a[j + 1]
-    return a
+def taylor_shift(ints, v, w=1, d=1):
+    """Coefficients of d^n f((v + w x)/d), f the integer coefficient list of degree n.
+
+    Lists low degree first, in Python ints.  With w = d = 1 it is f(x + v);
+    with w = 1 the x^k coefficient is d^(n-k) f^(k)(v/d) / k!, so one shift
+    gives every derivative at v/d.
+    """
+    n = len(ints) - 1
+    a = [c * d ** (n - i) for i, c in enumerate(ints)] if d != 1 else list(ints)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += v * a[j + 1]
+    return a if w == 1 else [c * w**k for k, c in enumerate(a)]
 
 
 def _descartes_count(a):
     """Sign variations of (x + 1)^n a(1/(x + 1)): bounds the roots of a in (0, 1), exact for 0 and 1."""
-    signs = [c > 0 for c in _taylor_shift_1(a[::-1]) if c]
+    signs = [c > 0 for c in taylor_shift(a[::-1], 1) if c]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
@@ -340,8 +353,8 @@ def isolate_real_roots(ints, lo, hi):
     where it is the rational nearest the midpoint of its isolating interval
     with denominator below (4 h)^-1/2, h the half-width (a rational root that
     simple always is).  Any other root is (ints, a, b): the one root of ints
-    in the open interval (a, b), narrowed by sign bisection to a width of
-    2^-100 (hi - lo).
+    in the open interval (a, b), the box of width 2^-100 (hi - lo) that sign
+    bisection narrows to, reached by certified Newton jumps.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     width = hi - lo
@@ -350,15 +363,10 @@ def isolate_real_roots(ints, lo, hi):
     if width == 0:
         return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
     # with lo = v/d and width = w/d, q(x) = d^n p((v + w x)/d) is p on the
-    # window rescaled to [0, 1]; Horner step q <- q * (v + w x) + c d^k
+    # window rescaled to [0, 1]
     d = math.lcm(lo.denominator, width.denominator)
     v, w = lo.numerator * (d // lo.denominator), width.numerator * (d // width.denominator)
-    q, dk = [], 1
-    for c in reversed(ints):
-        q = [v * (q[i] if i < len(q) else 0) + (w * q[i - 1] if i else c * dk)
-             for i in range(len(q) + 1)]
-        dk *= d
-    q = trim(q)
+    q = trim(taylor_shift(ints, v, w, d))
     g = math.gcd(*q)
     q = [c // g for c in q]
     exact = [1] if sum(q) == 0 else []
@@ -376,16 +384,30 @@ def isolate_real_roots(ints, lo, hi):
         elif count > 1:
             n = len(p) - 1
             left = [a << (n - i) for i, a in enumerate(p)]
-            stack.append((_taylor_shift_1(left), 2 * c + 1, k + 1))
+            stack.append((taylor_shift(left, 1), 2 * c + 1, k + 1))
             stack.append((left, 2 * c, k + 1))
-    # narrow each box (m/2^j, (m+1)/2^j) by the sign of q at its midpoint
-    exact, out = [lo + width * x for x in exact], []
+    # narrow each box (m/2^j, (m+1)/2^j) to level 100 (Abbott's quadratic
+    # interval refinement, ACM Comm. Computer Algebra 48, 2014): the box of
+    # level k = j + n around the Newton step from the midpoint is taken when
+    # q changes sign across it, and n doubles; it is the box bisection
+    # reaches, as a root strictly inside is no dyadic point of level <= k.
+    # Else n halves and q's sign at the midpoint takes one bisection step
+    exact, out, slope = [lo + width * x for x in exact], [], [i * c for i, c in enumerate(q)][1:]
     for m, j in boxes:
-        s_m, s = _sign_beside(q, m, 2**j), 1
-        while j < 100 and s:
-            s = _sign(_horner(q, 2 * m + 1, 2 ** (j + 1)))
-            if s:
-                m, j = 2 * m + (s == s_m), j + 1
+        s_m, s, n = _sign_beside(q, m, 2**j), 1, 1
+        while j < 100:
+            value = _horner(q, 2 * m + 1, 2 ** (j + 1))
+            s = _sign(value)
+            if not s:
+                break
+            # the box (lead, k) around the Newton step x - q(x)/q'(x) from x = (2m + 1)/2^(j+1)
+            k, w = min(j + n, 100), _horner(slope, 2 * m + 1, 2 ** (j + 1))
+            lead = (((2 * m + 1) * w - value) << (k - j - 1)) // w if w else -1
+            s_lead = (m << (k - j)) <= lead < ((m + 1) << (k - j)) and _sign(_horner(q, lead, 2**k))
+            if s_lead and _sign(_horner(q, lead + 1, 2**k)) == -s_lead:
+                m, j, s_m, n = lead, k, s_lead, 2 * n
+            else:
+                m, j, n = 2 * m + (s == s_m), j + 1, max(n // 2, 1)
         a, b = lo + width * Fraction(m, 2**j), lo + width * Fraction(m + 1, 2**j)
         x = (a + b) / 2
         if s:  # no hit: test the rational nearest x with denominator below (4 h)^-1/2

@@ -77,7 +77,8 @@ def group_exp(omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     shape = omega.shape
     omega = omega.reshape(-1, 4, 4)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the LU behind det can flag a division by zero at a subnormal pivot
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         o2 = omega @ omega
         a = -0.5 * np.trace(o2, axis1=-2, axis2=-1)
         b = np.linalg.det(omega)

@@ -24,8 +24,9 @@ from framedcurves import (
     schubert_number,
     validate_type_vector,
 )
+from framedcurves.curves import PolynomialCurve
 from framedcurves.jets import algebraic_rank_profile
-from framedcurves.ratpoly import isolate_real_roots
+from framedcurves.ratpoly import Poly, isolate_real_roots
 
 OSCULATING_N2 = [
     (1, 2, 3),
@@ -48,6 +49,38 @@ increasing_triples = st.lists(
 @pytest.mark.parametrize("a", OSCULATING_N2)
 def test_monomial_curve_detects_exactly(a):
     assert detect_type(monomial_curve(a), 0) == a
+
+
+def test_every_triple_up_to_7_detects_exactly():
+    # the exact cases of acceptance criterion 1
+    for a in itertools.combinations(range(1, 8), 3):
+        assert detect_type(monomial_curve(a), 0) == a
+
+
+def _differentiated_jet(curve, t, r):
+    """Jet columns by repeated ``diff_t`` and exact ``eval`` (the reference)."""
+    row, cols = curve.components, []
+    for _ in range(r + 1):
+        cols.append([p.eval(t) for p in row])
+        row = tuple(p.diff_t() for p in row)
+    return cols
+
+
+_COEFF = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+# 0, small rationals of either sign, and huge numerators and denominators
+_POINT = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-20, max_value=20, max_denominator=1000),
+                   st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+
+
+# 150 examples take about 3 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=150, deadline=None)
+@given(comps=st.lists(st.lists(_COEFF, max_size=9), min_size=3, max_size=5), t=_POINT, r=st.integers(0, 12))
+def test_jet_exact_equals_the_differentiated_jet(comps, t, r):
+    # r runs past the degree (at most 8), where every column is zero
+    curve = PolynomialCurve([Poly.from_t_coeffs(c) for c in comps])
+    jet = curve.jet_exact(t, r)
+    assert jet == _differentiated_jet(curve, t, r)
+    assert all(type(x) is Fraction for col in jet for x in col)
 
 
 @pytest.mark.parametrize("a", OSCULATING_N2[:6])

@@ -9,12 +9,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from framedcurves import NormalFormFamily, Poly
 from framedcurves.ratpoly import (
+    _descartes_count,
+    _horner,
+    _sign,
+    _sign_beside,
     has_root_in,
     integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
     resultant_t,
     squarefree_t,
+    taylor_shift,
     trim,
     vanishes_at,
 )
@@ -58,6 +63,14 @@ def test_evalf_of_a_small_term_past_the_power_range_is_finite():
     assert abs(value - 1e100) <= 1e-13 * 1e100
     array = p.evalf(np.array([10.0, 10.0]))
     assert array.tolist() == [value, value]
+
+
+def test_evalf_of_a_coefficient_past_the_float_range_raises_on_every_call():
+    # the float table is kept only once it is whole
+    p = Poly({(2, 0): Fraction(10**400), (0, 0): 1})
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            p.evalf(0.5)
 
 
 _RATIONAL = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -288,3 +301,76 @@ def test_root_records_isolate_every_root_and_decide_one_sided_sign_tests(planted
         x = a + (b - a) * cut
         assert has_root_in(ints, x, b) == (open_count(x, b) == 1)
         assert has_root_in(ints, a, x) == (open_count(a, x) == 1) != has_root_in(ints, x, b)
+
+
+def _bisection_records(ints, lo, hi):
+    """``isolate_real_roots`` with its boxes narrowed by one-bit sign bisection (the reference)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    width = hi - lo
+    if width < 0 or not trim(ints):
+        return []
+    if width == 0:
+        return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
+    d = math.lcm(lo.denominator, width.denominator)
+    v, w = lo.numerator * (d // lo.denominator), width.numerator * (d // width.denominator)
+    q = trim(taylor_shift(ints, v, w, d))
+    g = math.gcd(*q)
+    q = [c // g for c in q]
+    exact, boxes, stack = [1] if sum(q) == 0 else [], [], [(q, 0, 0)]
+    while stack:
+        p, c, k = stack.pop()
+        if p[0] == 0:
+            exact.append(Fraction(c, 2**k))
+            p = p[1:]
+        count = _descartes_count(p)
+        if count == 1:
+            boxes.append((c, k))
+        elif count > 1:
+            n = len(p) - 1
+            left = [a << (n - i) for i, a in enumerate(p)]
+            stack.append((taylor_shift(left, 1), 2 * c + 1, k + 1))
+            stack.append((left, 2 * c, k + 1))
+    exact, out = [lo + width * x for x in exact], []
+    for m, j in boxes:
+        s_m, s = _sign_beside(q, m, 2**j), 1
+        while j < 100 and s:
+            s = _sign(_horner(q, 2 * m + 1, 2 ** (j + 1)))
+            if s:
+                m, j = 2 * m + (s == s_m), j + 1
+        a, b = lo + width * Fraction(m, 2**j), lo + width * Fraction(m + 1, 2**j)
+        x = (a + b) / 2
+        if s:
+            x = x.limit_denominator(math.isqrt(int(1 / (2 * (b - a)))) or 1)
+            if not (a < x < b and vanishes_at(ints, x)):
+                out.append((ints, a, b))
+                continue
+        exact.append(x)
+    return sorted(out + [([-x.numerator, x.denominator], x, x) for x in exact], key=lambda root: root[1:])
+
+
+# a window end: an integer, a rational of small denominator, or one over 3^25
+_END = st.one_of(st.integers(-6, 6).map(Fraction),
+                 st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                 st.builds(Fraction, st.integers(-6 * 3**25, 6 * 3**25), st.just(3**25)))
+# a root at x in [0, 1] of the window's scale: an odd k / 2^e hits a
+# midpoint of the bisection (the exact-hit path), any other x is narrowed
+_SPOT = st.one_of(st.integers(1, 20).flatmap(lambda e: st.integers(0, 2 ** (e - 1) - 1).map(
+                      lambda k: Fraction(2 * k + 1, 2**e))),
+                  st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+
+
+# 200 examples take about 3 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=200, deadline=None)
+@given(window=st.lists(_END, min_size=2, max_size=2, unique=True).map(sorted),
+       spots=st.lists(_SPOT, max_size=4), quadratics=st.lists(_QUADRATIC, max_size=2), lead=st.integers(1, 5))
+def test_newton_narrowing_returns_the_bisection_records(window, spots, quadratics, lead):
+    lo, hi = window
+    p = Poly.const(lead)
+    for x in spots:
+        p = p * (Poly.t() - Poly.const(lo + (hi - lo) * x))
+    for r, s, n in quadratics:
+        p = p * ((Poly.t() - Poly.const(r)) ** 2 - Poly.const(s * s * n))
+    coeffs = trim(p.t_coeffs())
+    assume(len(coeffs) > 1 and squarefree_t(p)[0].deg_t() == len(coeffs) - 1)
+    ints = integer_coeffs(coeffs)
+    assert isolate_real_roots(ints, lo, hi) == _bisection_records(ints, lo, hi)
