@@ -43,13 +43,14 @@ from .ratpoly import (
     Poly,
     as_fraction,
     has_root_in,
-    integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
     midpoint,
     poly_det,
     poly_quotient,
     resultant_t,
+    rows_at,
+    slope_rows,
     squarefree,
     squarefree_t,
     trim,
@@ -371,18 +372,17 @@ class _FactoredDetector:
     """A scan detector D(t, u), factored once per family.
 
     D = c * content(u) * prod_i F_i^i with ``sf`` = prod_i F_i primitive and
-    square-free in t.  ``discriminant`` is the square-free part of
-    Res_t(sf, d sf/dt) as integers, a multiple of the leading coefficient
-    lc(u) of sf: it vanishes exactly where a line of sf loses degree or gains
-    a multiple root.  Wherever the content does not vanish, D(., lambda) and
-    sf(., lambda) have the same monic square-free part, and off the
-    discriminant's roots that part is sf(., lambda) made monic.
+    square-free in t, held as integer t-rows.  ``discriminant`` is the
+    square-free part of Res_t(sf, d sf/dt), a multiple of the leading
+    coefficient lc(u) of sf: it vanishes exactly where a line of sf loses
+    degree or gains a multiple root.  Wherever the content does not vanish,
+    D(., lambda) and sf(., lambda) have the same square-free part up to a
+    factor, and off the discriminant's roots that part is sf(., lambda).
     """
 
     def __init__(self, poly: Poly):
-        self.sf, content = squarefree_t(poly)
-        self.content = integer_coeffs(content)
-        self.discriminant = integer_coeffs(squarefree(resultant_t(self.sf, self.sf.diff_t())))
+        self.sf, self.content = squarefree_t(poly)
+        self.discriminant = squarefree(resultant_t(self.sf, slope_rows(self.sf)))
 
     def multiple_root_lines(self):
         """[(e, line, gcd)]: the discriminant's roots, split by the multiple roots of sf there.
@@ -393,7 +393,7 @@ class _FactoredDetector:
         """
         out = []
         for e, _, multiple in line_gcd_split(self.sf, self.discriminant):
-            if multiple.deg_t() > 0:
+            if len(multiple) > 1:
                 out += line_gcd_split(multiple, e)
         return out
 
@@ -418,35 +418,33 @@ def _simplest(lo, hi):
     return n - 1 + 1 / _simplest(1 / (hi - n + 1), 1 / (lo - n + 1))
 
 
-def _refine_event(line: Poly, gcd: Poly, lam, window):
+def _refine_event(line, gcd, lam, window):
     """The real roots in the t window of line(., lam*) / gcd(., lam*), as records.
 
-    ``(line, gcd)`` comes from ``multiple_root_lines`` and ``lam`` is the
-    record of a root lam* of its factor; lam* is taken as its midpoint,
-    exact or within 2^-100 of it.  So the quotient is the square-free part
-    of the line there, exact or as close, and its roots are the event's t:
-    no threshold decides which critical point is a root.
+    ``(line, gcd)`` are t-rows from ``multiple_root_lines`` and ``lam`` is
+    the record of a root lam* of its factor; lam* is taken as its midpoint,
+    exact or within 2^-100 of it.  So the pseudo-quotient is a multiple of
+    the line's square-free part there, exact or as close, and its roots are
+    the event's t: no threshold decides which critical point is a root.
     """
     lam = midpoint(lam)
-    quotient = poly_quotient(trim(line.subs_u(lam).t_coeffs()), trim(gcd.subs_u(lam).t_coeffs()))
-    return isolate_real_roots(integer_coeffs(quotient), *window)
+    return isolate_real_roots(poly_quotient(rows_at(line, lam), rows_at(gcd, lam)), *window)
 
 
 def _line_roots(detector: _FactoredDetector, lam_q, window):
     """(roots, line) of the detector on the lambda line u = lam_q.
 
-    ``line`` is the monic square-free part of the detector's line, and
-    ``roots`` the records of its real roots in the window, or None when the
-    line vanishes identically.  Off the discriminant's roots the line of sf
-    made monic is that part already, with no gcd to take.
+    ``line`` is the square-free part of the detector's line as an integer
+    list, and ``roots`` the records of its real roots in the window, or None
+    when the line vanishes identically.  Off the discriminant's roots the
+    line of sf is that part already, with no gcd to take.
     """
     if vanishes_at(detector.content, lam_q):
         return None, []
-    line = trim(detector.sf.subs_u(lam_q).t_coeffs())
-    line = [c / line[-1] for c in line]
+    line = rows_at(detector.sf, lam_q)
     if vanishes_at(detector.discriminant, lam_q):
         line = squarefree(line)
-    return isolate_real_roots(integer_coeffs(line), *window), line
+    return isolate_real_roots(line, *window), line
 
 
 def _scan_core(detector, oracle, t_grid, lambda_grid):
@@ -501,13 +499,14 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
             for star in stars:
                 a, confidence = oracle.classify_event(star, lam_star)
                 events.append(_event_from_type(midpoint(lam_star), midpoint(star), a, confidence))
-    edges = {kind: Poly({(j, i): v for (i, j), v in detector.sf.c.items()}).subs_u(Fraction(end)).t_coeffs()
-             for kind, end in zip(("lo", "hi"), window)}
-    for kind, sq, keep in (("content", detector.content, (0, 0)), ("lo", edges["lo"], (0, math.inf)),
-                           ("hi", edges["hi"], (math.inf, 0))):
+    # sf at the window ends t = lo, hi: its rows transposed, at u = lo, hi
+    by_u = [[row[j] if j < len(row) else 0 for row in detector.sf] for j in range(max(map(len, detector.sf)))]
+    lo, hi = (rows_at(by_u, Fraction(end)) for end in window)
+    for kind, sq, keep in (("content", detector.content, (0, 0)), ("lo", lo, (0, math.inf)),
+                           ("hi", hi, (math.inf, 0))):
         sq = squarefree(sq)
         if len(sq) > 1:
-            critical += [(root, kind, keep) for root in isolate_real_roots(integer_coeffs(sq), *lam_window)]
+            critical += [(root, kind, keep) for root in isolate_real_roots(sq, *lam_window)]
 
     lines = [_line_roots(detector, lam, window) for lam in lams]
     sides = [tuple(_side(lam, root) for root, _, _ in critical) for lam in lams]
@@ -553,7 +552,7 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
     for i in range(len(lines) - 1):
         r0, r1 = lines[i][0], lines[i + 1][0]
         if r0 is not None and r1 is not None and any(
-                kind in edges and (s * p < 0 or s * p == 0 and len(r0) != len(r1))
+                kind in ("lo", "hi") and (s * p < 0 or s * p == 0 and len(r0) != len(r1))
                 for (_, kind, _), s, p in zip(critical, sides[i], sides[i + 1])):
             boundary.append((float(lambda_grid[i]), float(lambda_grid[i + 1])))
 

@@ -109,7 +109,7 @@ def _parse_grid(value, where):
     return [lo, hi, int(count)]
 
 
-def _parse_curve(spec):
+def _parse_curve(spec, geometry):
     _check_keys(spec, {"kind", "name", "coefficients", "delta", "kappa"}, "curve")
     kind = spec.get("kind")
     if kind == "builtin":
@@ -128,9 +128,11 @@ def _parse_curve(spec):
             parsed.append([str(_exact_number(c, f"curve.coefficients[{idx}]")) for c in comp])
         return {"kind": "polynomial", "coefficients": parsed}
     if kind == "curvature":
-        delta = spec.get("delta")
-        if delta not in (0, 1, -1):
-            raise ConfigError("curve: curvature delta must be 0, 1 or -1")
+        # the geometry fixes delta; an explicit one must agree with it
+        delta = SpaceForm(geometry).delta
+        given = spec.get("delta", delta)
+        if type(given) is not int or given != delta:
+            raise ConfigError(f"curve: delta {given!r} disagrees with geometry {geometry!r} (delta {delta})")
         kappa = spec.get("kappa")
         if not isinstance(kappa, list) or len(kappa) != 3:
             raise ConfigError("curve: curvature needs exactly three kappa entries")
@@ -164,7 +166,7 @@ class RunConfig:
         if geometry not in _GEOMETRIES:
             raise ConfigError(f"geometry must be one of {_GEOMETRIES}, got {geometry!r}")
 
-        curve = _parse_curve(data.get("curve", DEFAULTS["curve"]))
+        curve = _parse_curve(data.get("curve", DEFAULTS["curve"]), geometry)
 
         grids_in = data.get("grids", {})
         _check_keys(grids_in, set(DEFAULTS["grids"]), "grids")

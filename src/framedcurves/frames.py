@@ -34,7 +34,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .ratpoly import Poly, as_fraction, integer_coeffs, isolate_real_roots, midpoint, squarefree, trim
+from .ratpoly import Poly, as_fraction, integer_coeffs, isolate_real_roots, midpoint, squarefree
 from .spaceform import SpaceForm, group_exp
 
 _GS_TOL = 1e-12
@@ -301,10 +301,9 @@ def _abs_integral(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     midpoint of its record, which ``isolate_real_roots`` narrows to 2^-100
     of the window.
     """
-    coeffs = trim(p.t_coeffs())
-    if not coeffs:
+    if p.is_zero():
         return Fraction(0)
-    roots = isolate_real_roots(integer_coeffs(squarefree(coeffs)), lo, hi)
+    roots = isolate_real_roots(squarefree(integer_coeffs(p.t_coeffs())), lo, hi)
     antiderivative = p.integrate_t()
     cuts = [lo, *map(midpoint, roots), hi]
     return sum((abs(antiderivative.eval(b) - antiderivative.eval(a)) for a, b in zip(cuts, cuts[1:])),

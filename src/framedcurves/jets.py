@@ -93,7 +93,7 @@ def algebraic_rank_profile(columns, dim, root):
             if not x or len(m) == 2 or _coprime_mod_p(x, m):
                 f = m
             else:
-                g = integer_coeffs(poly_gcd(x, m))
+                g = poly_gcd(x, m)
                 f = m if len(g) == 1 else g if has_root_in(g, a, b) else _u_div(m, g)
             if f is not m:
                 steps = len(m) - len(f)

@@ -8,15 +8,16 @@ that feeds a type vector can therefore be made exactly.
 Floats are deliberately rejected as coefficients.  Decimal strings such as
 ``"0.1"`` are accepted and parsed exactly.
 
-The module also holds the one root toolkit the family scans use.  Gcds and
-square-free parts of coefficient lists, the square-free part in t and the
-resultant in t of a bivariate polynomial, and the split of a set of u-roots
-by the gcd of its t-lines with their derivatives all come from the
-subresultant PRS over Z[u].  Real roots are isolated exactly by Descartes'
-rule and narrowed by certified Newton jumps, both in Python ints; there is
-no float root finder.  A root is a record (m, a, b): the one root of the
-square-free integer list m in the open interval (a, b), or a == b, the root
-itself.
+The module also holds the one root toolkit the family scans use.  It speaks
+one format: integer coefficient lists, low degree first, and integer t-rows
+(below), which a Poly enters once.  Gcds and square-free parts of the lists,
+the square-free part in t and the resultant in t of t-rows, and the split of
+a set of u-roots by the gcd of its t-lines with their derivatives all come
+from the subresultant PRS over Z[u].  Real roots are isolated exactly by
+Descartes' rule and narrowed by certified Newton jumps, both in Python ints;
+there is no float root finder.  A root is a record (m, a, b): the one root
+of the square-free integer list m in the open interval (a, b), or a == b,
+the root itself.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def poly_det(matrix):
     return total
 
 
-# -- univariate root toolkit (Fraction coefficient lists, low degree first) --
+# -- univariate root toolkit (integer coefficient lists, low degree first) ---
 
 
 def trim(coeffs):
@@ -304,14 +305,9 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def sign_at(ints, x):
-    """Sign (-1, 0 or 1) of the integer coefficient list (low degree first) at Fraction x."""
-    return _sign(_horner(ints, x.numerator, x.denominator))
-
-
 def vanishes_at(ints, x):
     """Whether the integer coefficient list (low degree first) vanishes at Fraction x."""
-    return sign_at(ints, x) == 0
+    return _horner(ints, x.numerator, x.denominator) == 0
 
 
 def taylor_shift(ints, v, w=1, d=1):
@@ -433,29 +429,48 @@ def midpoint(root):
     return (root[1] + root[2]) / 2
 
 
-def poly_gcd(a, b):
-    """Monic greatest common divisor of two coefficient lists (low degree first).
+def _primitive_list(a):
+    """The integer list divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*a)
+    g = -g if a and a[-1] < 0 else g
+    return [c // g for c in a]
 
-    The last element of the integer subresultant PRS of the two, made monic:
-    Euclid's remainders over Q would grow without bound.
+
+def poly_gcd(a, b):
+    """Primitive greatest common divisor of two integer coefficient lists (low degree first).
+
+    The last element of the subresultant PRS of their primitive parts, made
+    primitive with a positive leading coefficient: Euclid's remainders over
+    Q would grow without bound.
     """
-    a, b = trim(a), trim(b)
+    a, b = _primitive_list(trim(a)), _primitive_list(trim(b))
     if len(a) < len(b):
         a, b = b, a
     if b:
-        rows = [[[c] if c else [] for c in integer_coeffs(x)] for x in (a, b)]
-        g = _subresultant_prs(*rows)[0][-1][0]
-        a = [1] if len(g) == 1 else [row[0] if row else 0 for row in g]
-    return [Fraction(c) / a[-1] for c in a]
+        g = _subresultant_prs([[c] if c else [] for c in a], [[c] if c else [] for c in b])[0][-1][0]
+        a = [1] if len(g) == 1 else _primitive_list([row[0] if row else 0 for row in g])
+    return a
 
 
-def squarefree(coeffs):
-    """Square-free part of a Fraction coefficient list (monic, low degree first)."""
-    p = trim(coeffs)
+def squarefree(ints):
+    """Square-free part p / gcd(p, p') of an integer coefficient list, primitive (see ``poly_gcd``)."""
+    p = _primitive_list(trim(ints))
     if len(p) <= 1:
         return p
-    sf = squarefree_t(Poly.from_t_coeffs(p))[0].t_coeffs()
-    return [c / sf[-1] for c in sf]
+    return _u_div(p, poly_gcd(p, [i * c for i, c in enumerate(p)][1:]))
+
+
+def poly_quotient(a, b):
+    """lc(b)^(deg a - deg b + 1) times the quotient of integer lists, the remainder dropped: the same roots."""
+    n = len(b) - 1
+    k = max(len(a) - n, 0)
+    a = [c * b[-1] ** k for c in a]
+    q = [0] * k
+    for j in range(k - 1, -1, -1):
+        c = q[j] = a[j + n] // b[-1]
+        for i, bi in enumerate(b):
+            a[j + i] -= c * bi
+    return q
 
 
 # -- bivariate toolkit: polynomials in t over Z[u] ---------------------------
@@ -466,14 +481,21 @@ def squarefree(coeffs):
 
 
 def _integer_rows(p: Poly):
-    """(rows, scale): the t-row list of scale * p, with integer entries."""
+    """The t-row list of p times the lcm of its denominators, with integer entries."""
     scale = math.lcm(*(v.denominator for v in p.c.values()))
     rows = [[] for _ in range(p.deg_t() + 1)] if p.c else []
     for (i, j), v in p.c.items():
         row = rows[i]
         row.extend([0] * (j + 1 - len(row)))
         row[j] = v.numerator * (scale // v.denominator)
-    return rows, scale
+    return rows
+
+
+def rows_at(rows, x):
+    """q^d times the t-row list at u = x = p/q, d its degree in u, by homogeneous Horner: an integer list in t."""
+    p, q = x.numerator, x.denominator
+    d = max(map(len, rows), default=1) - 1
+    return trim([_horner(row, p, q) * q ** (d + 1 - len(row)) for row in rows])
 
 
 def _u_mul(a, b):
@@ -532,16 +554,11 @@ def _pseudo_rem(a, b):
 
 
 def _primitive(rows):
-    """(primitive part, monic u-content) of a nonzero integer t-row list.
-
-    The content is the ``poly_gcd`` of the rows, a monic Fraction list; the
-    primitive part is scaled to coprime integer coefficients.
-    """
+    """(primitive part with coprime integer coefficients, ``poly_gcd`` of the rows) of a nonzero t-row list."""
     content = []
     for row in rows:
         content = poly_gcd(content, row)
-    divisor = integer_coeffs(content)
-    rows = [_u_div(row, divisor) for row in rows]
+    rows = [_u_div(row, content) for row in rows]
     g = math.gcd(*(c for row in rows for c in row))
     return [[c // g for c in row] for row in rows], content
 
@@ -576,32 +593,28 @@ def _subresultant_prs(a, b):
         a, b = b, [_u_div(c, divisor) for c in r]
 
 
-def _slope_rows(rows):
+def slope_rows(rows):
     """The t-derivative of a t-row list."""
     return [[k * x for x in row] for k, row in enumerate(rows)][1:]
 
 
-def _from_rows(rows):
-    return Poly({(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
-
-
 def squarefree_t(p: Poly):
-    """(sf, content): the primitive square-free part in t of p, and its u-content.
+    """(sf, content): the primitive square-free part in t of p as t-rows, and its u-content.
 
     p = c * content(u) * prod_i F_i(t, u)^i for a rational c and primitive
-    square-free F_i; ``sf`` is prod_i F_i with coprime integer coefficients,
-    the primitive part of p divided by its gcd with dp/dt.  ``content`` is a
-    monic Fraction coefficient list in u: p vanishes identically on the lines
-    where it does.
+    square-free F_i; ``sf`` is the t-row list of prod_i F_i with coprime
+    integer coefficients, the primitive part of p divided by its gcd with
+    dp/dt.  ``content`` is a primitive integer list in u (see ``poly_gcd``):
+    p vanishes identically on the lines where it does.
     """
     if p.is_zero():
         raise ZeroDivisionError("square-free part of the zero polynomial")
-    a, content = _primitive(_integer_rows(p)[0])
+    a, content = _primitive(_integer_rows(p))
     if len(a) == 1:
-        return Poly.const(1), content
-    g = _subresultant_prs(a, _slope_rows(a))[0][-1][0]
+        return [[1]], content
+    g = _subresultant_prs(a, slope_rows(a))[0][-1][0]
     if len(g) == 1:
-        return _from_rows(a), content
+        return a, content
     g = _primitive(g)[0]
     # exact division a / g in Z[u][t]: g is primitive and divides a
     quotient = [[] for _ in range(len(a) - len(g) + 1)]
@@ -609,21 +622,17 @@ def squarefree_t(p: Poly):
         c = quotient[k] = _u_div(a[k + len(g) - 1], g[-1])
         for i, gi in enumerate(g):
             a[k + i] = _u_sub(a[k + i], _u_mul(c, gi))
-    return _from_rows(quotient), content
+    return quotient, content
 
 
-def resultant_t(p: Poly, q: Poly):
-    """Res_t(p, q) as a Fraction coefficient list in u (low degree first).
+def resultant_t(a, b):
+    """Res_t(a, b) of integer t-row lists, as an integer coefficient list in u (low degree first).
 
-    Taken from the subresultant PRS of the integer multiples of p and q, not
-    from the cofactor expansion of the Sylvester matrix.  Zero is the empty
-    list.
+    Taken from their subresultant PRS, not from the cofactor expansion of
+    the Sylvester matrix.  Zero is the empty list.
     """
-    if p.is_zero() or q.is_zero():
+    if not (a and b):
         return []
-    (a, scale_a), (b, scale_b) = _integer_rows(p), _integer_rows(q)
-    # Res(sa * p, sb * q) = sa^deg(q) * sb^deg(p) * Res(p, q)
-    scale = scale_a ** (len(b) - 1) * scale_b ** (len(a) - 1)
     sign = 1
     if len(a) < len(b):
         a, b = b, a
@@ -635,7 +644,7 @@ def resultant_t(p: Poly, q: Poly):
         return []
     # the last element is a nonzero constant in t: its subresultant S_0 is
     # the resultant
-    return [Fraction(sign * prs_sign * c, scale) for c in res]
+    return [sign * prs_sign * c for c in res]
 
 
 _PRIME = 2**61 - 1
@@ -662,12 +671,13 @@ def _coprime_mod_p(a, b):
     return len(a) == 1
 
 
-def line_gcd_split(p: Poly, e):
-    """The roots of e split by the gcd of p's line with its t-derivative there.
+def line_gcd_split(rows, e):
+    """The roots of e split by the gcd of the line of p with its t-derivative there.
 
-    ``e`` is a square-free integer coefficient list in u.  Returns [(e_i,
-    line_i, gcd_i)]: the e_i are non-constant integer lists that divide e and
-    share no root, and at every root u* of e_i, line_i(., u*) and
+    ``rows`` is the integer t-row list of p and ``e`` a square-free integer
+    coefficient list in u.  Returns [(e_i, line_i, gcd_i)], line_i and
+    gcd_i as t-rows: the e_i are non-constant integer lists that divide e
+    and share no root, and at every root u* of e_i, line_i(., u*) and
     gcd_i(., u*) are p(., u*) and gcd(p(., u*), dp/dt(., u*)) up to nonzero
     factors, both with a nonzero leading coefficient.  By the subresultant
     theorem that gcd is the subresultant S_j of p and dp/dt of least j whose
@@ -675,16 +685,14 @@ def line_gcd_split(p: Poly, e):
     degree; the roots where it does not are split again on p without its top
     row.  Roots where p's line is a constant are left out.
     """
-    rows = _integer_rows(p)[0]
     e = trim(e)
     out = []
     while len(e) > 1 and len(rows) > 1:
-        for f, h in reversed(_subresultant_prs(rows, _slope_rows(rows))[0]):
-            common = [1] if _coprime_mod_p(e, h) else integer_coeffs(poly_gcd(e, h))
+        for f, h in reversed(_subresultant_prs(rows, slope_rows(rows))[0]):
+            common = [1] if _coprime_mod_p(e, h) else poly_gcd(e, h)
             part = _u_div(e, common)
             if len(part) > 1:
-                gcd = [_u_div(_u_mul(c, h), f[-1]) for c in f]
-                out.append((part, _from_rows(rows), _from_rows(gcd)))
+                out.append((part, rows, [_u_div(_u_mul(c, h), f[-1]) for c in f]))
             e = common
             if len(e) == 1:
                 return out
@@ -692,13 +700,3 @@ def line_gcd_split(p: Poly, e):
         rows = trim(rows[:-1])
     return out
 
-
-def poly_quotient(a, b):
-    """Quotient of Fraction coefficient lists (low degree first), the remainder dropped."""
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + len(b) - 1] / b[-1]
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-    return q

@@ -23,7 +23,7 @@ from framedcurves import (
     scan_family,
     schubert_number,
 )
-from framedcurves.classify import _AdaptedTypeOracle, _FactoredDetector, _line_roots
+from framedcurves.classify import _AdaptedTypeOracle, _FactoredDetector, _line_roots, _refine_event
 from framedcurves.ratpoly import Poly, integer_coeffs, isolate_real_roots, midpoint, squarefree, trim, vanishes_at
 
 increasing_triples = st.lists(
@@ -383,25 +383,100 @@ def test_a_line_on_a_discriminant_root_keeps_its_exact_roots():
     detector = _split_detector()
     factored = _FactoredDetector(detector)
     window = (-1.0, 1.0)
-    # off every root: the monic square-free part, with no squarefree() call
+    # off every root: the line of sf is square-free already, with no
+    # squarefree() call, and has the square-free part of the detector's line
     lam = Fraction(1, 4)
     assert not vanishes_at(factored.discriminant, lam)
     roots, line = _line_roots(factored, lam, window)
-    assert line == squarefree(trim(detector.subs_u(lam).t_coeffs()))
+    assert squarefree(line) == squarefree(integer_coeffs(trim(detector.subs_u(lam).t_coeffs())))
+    assert len(squarefree(line)) == len(line)
     assert len(roots) == 3
     # the discriminant vanishes at 0 (t = 0 is double) and at 1/9 (t = 1/3 is
     # on both factors): the roots are those of the detector's own line
     for lam, exact in ((Fraction(0), [Fraction(0), Fraction(1, 3)]),
                        (Fraction(1, 9), [Fraction(-1, 3), Fraction(1, 3)])):
         assert vanishes_at(factored.discriminant, lam)
-        own = trim(detector.subs_u(lam).t_coeffs())
+        own = integer_coeffs(trim(detector.subs_u(lam).t_coeffs()))
         roots, line = _line_roots(factored, lam, window)
         assert line == squarefree(own)
-        assert roots == isolate_real_roots(integer_coeffs(squarefree(own)), *window)
+        assert roots == isolate_real_roots(squarefree(own), *window)
         assert roots == [([-x.numerator, x.denominator], x, x) for x in exact]
-        assert all(vanishes_at(integer_coeffs(own), x) for x in exact)
+        assert all(vanishes_at(own, x) for x in exact)
     # the content vanishes at -1/2: the whole line does
     assert _line_roots(factored, Fraction(-1, 2), window) == (None, [])
+
+
+# -- the integer scan path against the Fraction path it replaced -------------------------
+
+
+def _fraction_quotient(a, b):
+    """Quotient of Fraction coefficient lists (low degree first), the remainder dropped."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1] / b[-1]
+        for i, bi in enumerate(b):
+            a[k + i] -= c * bi
+    return q
+
+
+def _fraction_squarefree(p):
+    """Monic square-free part of a trimmed Fraction list: p / gcd(p, p') by Euclid over Q."""
+    if len(p) <= 1:
+        return p
+    a, b = p, trim([i * c for i, c in enumerate(p)][1:])
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1] / b[-1], len(r) - len(b)
+            r = trim([x - c * b[i - shift] if i >= shift else x for i, x in enumerate(r)][:-1])
+        a, b = b, r
+    sf = _fraction_quotient(p, a)
+    return [c / sf[-1] for c in sf]
+
+
+def _fraction_line(rows, lam):
+    """The t-rows at u = lam by ``Poly.subs_u``, as a trimmed Fraction list."""
+    poly = Poly({(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+    return trim(poly.subs_u(lam).t_coeffs())
+
+
+def _same_records(mine, reference):
+    """Equal boxes (a, b), and each integer list m a multiple of the reference's."""
+    assert [r[1:] for r in mine] == [r[1:] for r in reference]
+    for (m, _, _), (n, _, _) in zip(mine, reference):
+        assert len(m) == len(n) and all(x * n[-1] == y * m[-1] for x, y in zip(m, n))
+
+
+#: 60 examples take about 2 s in tier-1
+@settings(max_examples=60, deadline=None)
+@given(b=small_fractions, c=small_fractions.filter(bool), d=small_fractions, e=small_fractions,
+       r=small_fractions, s=small_fractions, lams=st.lists(st.fractions(-2, 2, max_denominator=40), max_size=3))
+def test_the_integer_scan_path_returns_the_fraction_path_records(b, c, d, e, r, s, lams):
+    # kappa_3 = t^2 + b t + c lambda + d; the factor (lambda - r) (t - s lambda)^2
+    # gives the detector a content and a square
+    t, u = Poly.t(), Poly.u()
+    fam = CurvatureFamily(0, (Poly.const(1) - Poly.const(e) * u * t, Poly(),
+                              t * t + Poly.const(b) * t + Poly.const(c) * u + Poly.const(d)))
+    factored = _FactoredDetector(fam.detector() * (u - Poly.const(r)) * (t - Poly.const(s) * u) ** 2)
+    window = (-1.0, 1.0)
+    on_roots = [a for _, a, b in isolate_real_roots(factored.discriminant, -4, 4) if a == b]
+    for lam in [*lams, *on_roots, r, Fraction(0.1)]:
+        roots, _ = _line_roots(factored, lam, window)
+        if vanishes_at(factored.content, lam):
+            assert roots is None
+            continue
+        line = _fraction_line(factored.sf, lam)
+        line = [x / line[-1] for x in line]
+        if vanishes_at(factored.discriminant, lam):
+            line = _fraction_squarefree(line)
+        _same_records(roots, isolate_real_roots(integer_coeffs(line), *window))
+    for factor, line, gcd in factored.multiple_root_lines():
+        for lam in isolate_real_roots(factor, -4, 4):
+            x = midpoint(lam)
+            quotient = _fraction_quotient(_fraction_line(line, x), _fraction_line(gcd, x))
+            reference = isolate_real_roots(integer_coeffs(quotient), *window)
+            _same_records(_refine_event(line, gcd, lam, window), reference)
 
 
 def test_osculating_scan_events_of_a_non_square_free_detector():

@@ -8,12 +8,15 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import framedcurves
+from framedcurves import CurvatureFamily, export_events_csv, scan_family
+from framedcurves.classify import _AdaptedTypeOracle
 from framedcurves.cli import main
 from framedcurves.config import RunConfig
 from framedcurves.fileio import format_float
@@ -543,6 +546,33 @@ def test_frame_table_matches_the_per_entry_formatter(tmp_path, name):
         assert main(["frame", "--config", _write_config(tmp_path, config), "--out", str(tmp_path)]) == 0
     field = RunConfig.from_dict(config).build_field()
     assert (tmp_path / "frames.txt").read_bytes() == _reference_frame_table(field).encode()
+
+
+#: kappa = (t^2 - lambda, 1, 1): its frame dual has type (1, 2, 4) at the origin
+#: in euclidean space and (1, 2, 3) on the sphere, and only the sphere has an event
+SPHERICAL_KAPPA = [{"2,0": "1", "0,1": "-1"}, ["1"], ["1"]]
+
+
+def test_scan_and_type_take_delta_from_the_geometry(tmp_path):
+    config = {"geometry": "spherical", "curve": {"kind": "curvature", "kappa": SPHERICAL_KAPPA},
+              "grids": {"t": [-1.0, 1.0, 41], "lambda": [-0.5, 0.5, 9]}}
+    cfg = _write_config(tmp_path, config)
+    assert RunConfig.from_file(cfg).resolved()["curve"]["delta"] == 1
+    assert _run_quietly(["scan", "--config", cfg, "--out", str(tmp_path / "scan")])[0] == 0
+    kappa = RunConfig.from_file(cfg)._kappa_polys()
+    grids = (np.linspace(-1.0, 1.0, 41), np.linspace(-0.5, 0.5, 9))
+    events = {}
+    for delta in (1, 0):
+        events[delta] = scan_family(CurvatureFamily(delta, kappa), *grids).events
+        export_events_csv(events[delta], tmp_path / f"delta{delta}.csv")
+    assert (tmp_path / "scan" / "events.csv").read_bytes() == (tmp_path / "delta1.csv").read_bytes()
+    assert len(events[1]) == 1 and events[0] == []
+    code, out = _run_quietly(["type", "--config", cfg, "--t", "0", "--lam", "0"])
+    origin = ([0, 1], Fraction(0), Fraction(0)), Fraction(0)
+    types = {delta: _AdaptedTypeOracle(CurvatureFamily(delta, kappa), 1e-8).classify(*origin)[0]
+             for delta in (1, 0)}
+    assert code == 0 and f"type: {types[1]}" in out.splitlines()
+    assert types == {1: (1, 2, 3), 0: (1, 2, 4)}
 
 
 # -- help and argument basics -----------------------------------------------------------------

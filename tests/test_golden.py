@@ -110,14 +110,15 @@ def test_envelope_exports_are_byte_stable(tmp_path, name):
     "delta", [pytest.param(1, id="euclidean-delta1"), pytest.param(-1, id="euclidean-delta-1")]
 )
 def test_euclidean_curvature_with_nonzero_delta_is_a_numeric_failure(tmp_path, capsys, delta):
-    # the euclidean structure equation has delta = 0; any other value is not
-    # a euclidean curve, so the envelope is refused rather than written
+    # the geometry fixes delta, 0 for euclidean; an explicit delta that
+    # disagrees is refused when the config loads, and nothing is written
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_curvature("euclidean", delta)))
     out = tmp_path / "out"
-    assert main(["envelope", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "numeric failure (DomainError)" in capsys.readouterr().err
-    assert not (out / "envelope.obj").exists()
+    assert main(["envelope", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"delta {delta} disagrees with geometry 'euclidean' (delta 0)" in err
+    assert not out.exists()
 
 
 def test_normal_form_exports_are_byte_stable(tmp_path):

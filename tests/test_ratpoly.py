@@ -11,13 +11,19 @@ from framedcurves import NormalFormFamily, Poly
 from framedcurves.ratpoly import (
     _descartes_count,
     _horner,
+    _integer_rows,
     _sign,
     _sign_beside,
     has_root_in,
     integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
+    poly_gcd,
+    poly_quotient,
     resultant_t,
+    rows_at,
+    slope_rows,
+    squarefree,
     squarefree_t,
     taylor_shift,
     trim,
@@ -109,10 +115,22 @@ def _sympy_t_poly(sympy, p):
     return sympy.Poly(expr, t, domain="QQ[u]")
 
 
+def _sympy_rows(sympy, rows):
+    """An integer t-row list as a sympy polynomial in t over ZZ[u]."""
+    t, u = sympy.symbols("t u")
+    expr = sum((c * t**i * u**j for i, row in enumerate(rows) for j, c in enumerate(row)), sympy.Integer(0))
+    return sympy.Poly(expr, t, domain="ZZ[u]")
+
+
 def _sympy_u_expr(sympy, coeffs):
     u = sympy.symbols("u")
     return sum((sympy.Rational(c.numerator, c.denominator) * u**i for i, c in enumerate(coeffs)),
                sympy.Integer(0))
+
+
+def _primitive(coeffs):
+    """Whether an integer list has coprime entries and a positive leading one."""
+    return all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1 and coeffs[-1] > 0
 
 
 def _proportional(sympy, a, b):
@@ -127,12 +145,16 @@ def test_resultant_in_t_matches_sympy(p, q):
     sympy = pytest.importorskip("sympy")
     p, q = Poly(p), Poly(q)
     assume(not p.is_zero() and not q.is_zero())
-    # the determinant of the Sylvester matrix itself: sympy's resultant()
-    # loses the sign (-1)^(deg p deg q) when deg p < deg q
+    # the determinant of the Sylvester matrix of the integer-scaled
+    # polynomials itself: sympy's resultant() loses the sign
+    # (-1)^(deg p deg q) when deg p < deg q
     sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
-    a, b = _sympy_t_poly(sympy, p), _sympy_t_poly(sympy, q)
+    rows_p, rows_q = _integer_rows(p), _integer_rows(q)
+    a, b = _sympy_rows(sympy, rows_p), _sympy_rows(sympy, rows_q)
     expected = sylvester(a.as_expr(), b.as_expr(), a.gens[0]).det(method="berkowitz")
-    assert sympy.expand(_sympy_u_expr(sympy, resultant_t(p, q)) - expected) == 0
+    res = resultant_t(rows_p, rows_q)
+    assert all(type(c) is int for c in res)
+    assert sympy.expand(_sympy_u_expr(sympy, res) - expected) == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,13 +167,13 @@ def test_squarefree_part_in_t_matches_sympy(a, b, c):
     sf, content = squarefree_t(p)
     content_expected, prim = _sympy_t_poly(sympy, p).primitive()
     sf_expected = prim.quo(prim.gcd(prim.diff(prim.gens[0])))
-    assert _proportional(sympy, _sympy_t_poly(sympy, sf).as_expr(), sf_expected.as_expr())
+    assert _proportional(sympy, _sympy_rows(sympy, sf).as_expr(), sf_expected.as_expr())
     assert _proportional(sympy, _sympy_u_expr(sympy, content), sympy.sympify(content_expected))
-    assert content[-1] == 1
+    assert _primitive(content)
     # the part has no u-content and coprime integer coefficients
-    assert sympy.sympify(_sympy_t_poly(sympy, sf).primitive()[0]).is_Rational
-    assert all(v.denominator == 1 for v in sf.c.values())
-    assert math.gcd(*(v.numerator for v in sf.c.values())) == 1
+    assert sympy.sympify(_sympy_rows(sympy, sf).primitive()[0]).is_Rational
+    assert all(type(c) is int for row in sf for c in row)
+    assert math.gcd(*(c for row in sf for c in row)) == 1
 
 
 def test_a_square_free_detector_of_degree_8_keeps_its_discriminant():
@@ -161,17 +183,17 @@ def test_a_square_free_detector_of_degree_8_keeps_its_discriminant():
          - u + Poly.const(Fraction(5, 11)))
     sf, content = squarefree_t(d)
     assert content == [1]
-    assert _proportional(sympy, _sympy_t_poly(sympy, sf).as_expr(), _sympy_t_poly(sympy, d).as_expr())
-    res = resultant_t(sf, sf.diff_t())
-    poly = _sympy_t_poly(sympy, sf)
+    assert _proportional(sympy, _sympy_rows(sympy, sf).as_expr(), _sympy_t_poly(sympy, d).as_expr())
+    res = resultant_t(sf, slope_rows(sf))
+    poly = _sympy_rows(sympy, sf)
     assert sympy.expand(_sympy_u_expr(sympy, res) - sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))) == 0
 
 
 def _check_line_gcd_split(sympy, p, e):
-    """Check line_gcd_split(p, e) at every root of e, exactly, over Q(root)."""
+    """Check line_gcd_split on p's t-rows and e at every root of e, exactly, over Q(root)."""
     t, u = sympy.symbols("t u")
     split = [(sympy.Poly(_sympy_u_expr(sympy, e_i), u), line_i, gcd_i)
-             for e_i, line_i, gcd_i in line_gcd_split(p, integer_coeffs(e))]
+             for e_i, line_i, gcd_i in line_gcd_split(_integer_rows(p), integer_coeffs(e))]
     expr = _sympy_t_poly(sympy, p).as_expr()
     for factor, _ in sympy.Poly(_sympy_u_expr(sympy, e), u).factor_list()[1]:
         owners = [(line_i, gcd_i) for e_i, line_i, gcd_i in split if e_i.rem(factor).is_zero]
@@ -182,10 +204,10 @@ def _check_line_gcd_split(sympy, p, e):
                 continue
             assert len(owners) == 1
             (line_i, gcd_i), = owners
-            mine = [sympy.Poly(_sympy_t_poly(sympy, q).as_expr().subs(u, r), t, extension=True)
+            mine = [sympy.Poly(_sympy_rows(sympy, q).as_expr().subs(u, r), t, extension=True)
                     for q in (line_i, gcd_i)]
             # both keep their degree at the root, and agree with sympy there
-            assert [q.degree() for q in mine] == [line_i.deg_t(), gcd_i.deg_t()]
+            assert [q.degree() for q in mine] == [len(line_i) - 1, len(gcd_i) - 1]
             assert (mine[0].monic() - line.monic()).is_zero
             assert (mine[1].monic() - line.gcd(line.diff(t)).monic()).is_zero
 
@@ -207,19 +229,21 @@ def test_squarefree_part_of_a_power_and_of_a_u_only_polynomial():
     t, u = Poly.t(), Poly.u()
     cube = (Poly.const(3) * t * t - u) ** 3 * (u - Poly.const(Fraction(1, 2)))
     sf, content = squarefree_t(cube)
-    assert sf in (Poly.const(3) * t * t - u, u - Poly.const(3) * t * t)
-    assert content == [Fraction(-1, 2), 1]
+    assert sf in ([[0, -1], [], [3]], [[0, 1], [], [-3]])
+    assert content == [-1, 2]
     sf, content = squarefree_t(u * u - Poly.const(4))
-    assert sf == Poly.const(1) and content == [-4, 0, 1]
+    assert sf == [[1]] and content == [-4, 0, 1]
     with pytest.raises(ZeroDivisionError):
         squarefree_t(Poly())
 
 
 def test_resultant_of_a_common_factor_is_zero_and_of_a_constant_a_power():
     t, u = Poly.t(), Poly.u()
-    assert resultant_t((t - u) * (t + Poly.const(1)), (t - u) * t) == []
-    assert resultant_t(Poly.const(5), t * t + u) == [25]
-    assert resultant_t(t * t + u, t * Poly.const(2)) == [0, 4]
+    assert resultant_t(_integer_rows((t - u) * (t + Poly.const(1))), _integer_rows((t - u) * t)) == []
+    assert resultant_t([[5]], [[0, 1], [], [1]]) == [25]
+    assert resultant_t([[0, 1], [], [1]], [[], [2]]) == [0, 4]
+    # the rows are taken as they are: Res(t^2/2 + u, t) is Res(t^2 + 2u, t)
+    assert resultant_t(_integer_rows(t * t * Poly.const(Fraction(1, 2)) + u), [[], [1]]) == [0, 2]
 
 
 def test_real_roots_beyond_the_float_range_are_scaled_exactly():
@@ -269,9 +293,8 @@ def test_root_records_isolate_every_root_and_decide_one_sided_sign_tests(planted
         p = p * (Poly.t() - Poly.const(r))
     for r, s, n in quadratics:
         p = p * ((Poly.t() - Poly.const(r)) ** 2 - Poly.const(s * s * n))
-    coeffs = trim(p.t_coeffs())
-    assume(len(coeffs) > 1 and squarefree_t(p)[0].deg_t() == len(coeffs) - 1)
-    ints = integer_coeffs(coeffs)
+    ints = integer_coeffs(trim(p.t_coeffs()))
+    assume(len(ints) > 1 and len(squarefree(ints)) == len(ints))
     lo, hi = window
     records = isolate_real_roots(ints, lo, hi)
     big = sympy.Poly(ints[::-1], sympy.symbols("x"))
@@ -370,7 +393,48 @@ def test_newton_narrowing_returns_the_bisection_records(window, spots, quadratic
         p = p * (Poly.t() - Poly.const(lo + (hi - lo) * x))
     for r, s, n in quadratics:
         p = p * ((Poly.t() - Poly.const(r)) ** 2 - Poly.const(s * s * n))
-    coeffs = trim(p.t_coeffs())
-    assume(len(coeffs) > 1 and squarefree_t(p)[0].deg_t() == len(coeffs) - 1)
-    ints = integer_coeffs(coeffs)
+    ints = integer_coeffs(trim(p.t_coeffs()))
+    assume(len(ints) > 1 and len(squarefree(ints)) == len(ints))
     assert isolate_real_roots(ints, lo, hi) == _bisection_records(ints, lo, hi)
+
+
+# -- the integer list toolkit against sympy ---------------------------------------
+
+_INTS = st.lists(st.integers(-30, 30), min_size=1, max_size=4)
+
+
+# 60 examples take about 1 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=60, deadline=None)
+@given(a=_INTS, b=_INTS, c=_INTS, k=st.integers(1, 2))
+def test_integer_gcd_square_free_part_and_pseudo_quotient_match_sympy(a, b, c, k):
+    # a common factor c, and a factor a repeated k + 1 times
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def big(ints):
+        return sympy.Poly(ints[::-1], x, domain="ZZ")
+
+    assume(trim(a) and trim(b) and trim(c))
+    p, q = (big(a) ** (k + 1) * big(c)), big(b) * big(c)
+    p_ints, q_ints = [int(v) for v in p.all_coeffs()[::-1]], [int(v) for v in q.all_coeffs()[::-1]]
+    g = poly_gcd(p_ints, q_ints)
+    assert _primitive(g) and _proportional(sympy, big(g).as_expr(), p.gcd(q).as_expr())
+    sf = squarefree(p_ints)
+    assert _primitive(sf) and _proportional(sympy, big(sf).as_expr(), p.sqf_part().as_expr())
+    # lc(b)^(deg a - deg b + 1) times the quotient over Q, the remainder dropped
+    quotient = poly_quotient(p_ints, q_ints)
+    assert all(type(v) is int for v in quotient)
+    expected = p.pdiv(q)[0] if len(p_ints) >= len(q_ints) else sympy.Poly(0, x)
+    assert big(quotient or [0]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(POLYS))
+def test_rows_are_evaluated_exactly(name):
+    p = POLYS[name]
+    rows = _integer_rows(p)
+    scale = math.lcm(*(v.denominator for v in p.c.values()))
+    for x in (Fraction(0), Fraction(-3, 7), Fraction(5, 2)):
+        # q^deg_u times scale times p(., x), an integer list in t
+        line = rows_at(rows, x)
+        assert all(type(c) is int for c in line)
+        assert line == [c * scale * x.denominator ** p.deg_u() for c in trim(p.subs_u(x).t_coeffs())]

@@ -1,0 +1,34 @@
+"""The two scripts under scripts/ run end to end at small sizes."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_butterfly_scan_script_writes_one_exact_butterfly_event(tmp_path):
+    run = _run("run_butterfly_scan.py", "--out", str(tmp_path), "--t-samples", "41", "--lambda-samples", "9")
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["honest-dual-events.csv",
+                                                         "torsion-collision-events.csv"]
+    # the torsion zeros collide at the origin, where the frame dual has type (3, 4, 5)
+    rows = (tmp_path / "torsion-collision-events.csv").read_text().splitlines()[1:]
+    assert rows == ["0.0,0.0,3,4,5,Unresolved(3,4,5),4,2,6,exact"]
+
+
+def test_gallery_script_writes_every_mesh_and_locus(tmp_path):
+    run = _run("make_gallery_meshes.py", "--out", str(tmp_path), "--t-samples", "21", "--s-samples", "9")
+    assert run.returncode == 0, run.stderr
+    stems = ["normal-form-%d%d%d" % a for a in ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 4), (3, 4, 5))]
+    stems += ["cylinder", "helix-developable"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for stem in stems for name in (f"{stem}.obj", f"{stem}.locus.obj"))
+    assert all((tmp_path / f"{stem}.obj").stat().st_size > 0 for stem in stems)
