@@ -18,6 +18,8 @@ arithmetic whenever they admit a small rational representative.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,9 +196,12 @@ class CurvatureFamily:
         """Co-moving dual jets d_0 .. d_r as 4-vectors of (t, u) polynomials."""
         return dual_coefficient_jets(self, r)
 
-    def detector(self):
-        """det[d_0 .. d_3](t, u): zero exactly where the dual type leaves (1,2,3)."""
-        d = self.dual_jet_polys(3)
+    def detector(self, jets=None):
+        """det[d_0 .. d_3](t, u): zero exactly where the dual type leaves (1,2,3).
+
+        ``jets`` is ``dual_jet_polys(r)`` for some r >= 3, if the caller has it.
+        """
+        d = jets or self.dual_jet_polys(3)
         return poly_det([[d[j][i] for j in range(4)] for i in range(4)])
 
 
@@ -288,10 +293,11 @@ class _AdaptedTypeOracle:
     dim = 4
 
     def __init__(self, family: CurvatureFamily, rank_tol, r_max=8):
-        self.detector = family.detector()
+        jets = family.dual_jet_polys(r_max)
+        self.detector = family.detector(jets)
         self.rank_tol = rank_tol
         self.r_max = r_max
-        self.groups = [family.dual_jet_polys(r_max)]
+        self.groups = [jets]
 
     def _type(self, ranks):
         return _ranks_to_type(ranks[0], 4, self.r_max)
@@ -598,18 +604,15 @@ EVENT_CSV_HEADER = "lambda,t,a1,a2,a3,class,codim_D,codim_C,schubert,confidence"
 
 
 def export_events_csv(events, path):
-    """Write bifurcation events as a deterministic CSV table."""
-    rows = [EVENT_CSV_HEADER]
+    """Write bifurcation events as a deterministic CSV table.
+
+    A field with a comma, such as the class ``Unresolved(3,4,5)``, is quoted
+    as RFC 4180 says; a missing value is an empty field.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(EVENT_CSV_HEADER.split(","))
     for ev in sorted(events, key=lambda e: (e.lam, e.t)):
-        a = ev.type if ev.type is not None else ("", "", "")
-        rows.append(",".join([
-            format_float(ev.lam),
-            format_float(ev.t),
-            str(a[0]), str(a[1]), str(a[2]),
-            str(ev.class_),
-            "" if ev.codim_d is None else str(ev.codim_d),
-            "" if ev.codim_c is None else str(ev.codim_c),
-            "" if ev.schubert is None else str(ev.schubert),
-            ev.confidence,
-        ]))
-    atomic_write_text(path, "\n".join(rows) + "\n")
+        writer.writerow([format_float(ev.lam), format_float(ev.t), *(ev.type or (None,) * 3),
+                         ev.class_, ev.codim_d, ev.codim_c, ev.schubert, ev.confidence])
+    atomic_write_text(path, text.getvalue())

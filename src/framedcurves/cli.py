@@ -29,7 +29,7 @@ from .envelope import (
     singular_locus,
 )
 from .errors import ConfigError, DomainError, FiniteTypeError, FramedCurveError
-from .fileio import atomic_write_text, format_float, format_floats, rows_text, spaced
+from .fileio import atomic_open, atomic_write_text, format_float, format_floats, rows_text, spaced
 from .jets import (
     codim_adapted,
     codim_osculating,
@@ -124,8 +124,9 @@ def _cmd_frame(args):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     entries = np.swapaxes(field.matrices, 1, 2).reshape(len(field.s), -1)  # column-major
     text = format_floats(np.column_stack([field.s, entries, defects]))
-    atomic_write_text(path, "# t  e0..e3 column-major (16 entries)  gram_defect\n"
-                      + rows_text([*spaced(text.T), "\n"]))
+    with atomic_open(path) as handle:
+        handle.write(b"# t  e0..e3 column-major (16 entries)  gram_defect\n")
+        handle.write(rows_text([*spaced(text.T), "\n"]))
     print(f"frame table: {path}")
     print(f"nodes: {len(field.s)}  max Gram defect: {float(np.max(defects)):.3e}")
     return 0

@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DegeneracyError, DimensionMismatch, DomainError
-from .fileio import atomic_open, format_floats, rows_text, spaced
+from .fileio import atomic_open, format_floats, format_ints, rows_text, spaced
 from .frames import FrameField
 from .ratpoly import Poly
 from .spaceform import SpaceForm
@@ -441,15 +441,15 @@ def _write_vertices(handle, params, ambient, points, singular):
 
 
 def _write_records(handle, tag, indices):
-    """One ``tag i j ...`` line per row of an integer array, in chunks."""
+    """One ``tag i j ...`` line per row of a non-negative integer array, in chunks;
+    each index in the array's range is formatted once."""
     if not len(indices):
         return
     lo = int(indices.min())
-    names = np.array([str(i) for i in range(lo, int(indices.max()) + 1)], dtype=object)
-    head, sep = f"{tag} ", f"\n{tag} "
+    names = format_ints(np.arange(lo, int(indices.max()) + 1))
     for start in range(0, len(indices), _EXPORT_CHUNK):
-        cols = names[indices[start:start + _EXPORT_CHUNK].T - lo].tolist()
-        handle.write(head + sep.join(map(" ".join, zip(*cols))) + "\n")
+        cols = names[indices[start:start + _EXPORT_CHUNK] - lo]
+        handle.write(rows_text([f"{tag} ", *spaced(cols.T), "\n"]))
 
 
 def export_obj(mesh: EnvelopeMesh, path):
@@ -463,7 +463,7 @@ def export_obj(mesh: EnvelopeMesh, path):
         _write_vertices(handle, mesh.params, mesh.ambient, mesh.vertices, mesh.singular)
         _write_records(handle, "f", faces)
         if not len(mesh.params) and not len(faces):
-            handle.write("\n")
+            handle.write(b"\n")
 
 
 def export_polylines(polylines, path):
@@ -473,7 +473,7 @@ def export_polylines(polylines, path):
     first = np.setdiff1d(np.arange(1, sizes.sum() + 1), last)  # every vertex with a successor
     with atomic_open(path) as handle:
         if not sizes.sum():
-            handle.write("\n")
+            handle.write(b"\n")
             return
         _write_vertices(handle, *(np.concatenate([getattr(pl, key) for pl in polylines])
                                   for key in ("params", "ambient", "points")),

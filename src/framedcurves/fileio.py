@@ -1,5 +1,6 @@
 """Deterministic file-writing helpers shared by exporters and the CLI: atomic writes,
-the shortest round-trip text of floats, and rows of text assembled in numpy."""
+the shortest round-trip text of floats, the decimal text of integers, and rows of
+text assembled in numpy as bytes."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 @contextmanager
 def atomic_open(path):
-    """Text handle on a temp file that replaces path only if the block succeeds.
+    """Binary handle on a temp file that replaces path only if the block succeeds.
 
     The temp file sits in path's directory, so the final rename is atomic; on
     any exception it is removed and an existing file at path is left as it was.
@@ -21,7 +22,7 @@ def atomic_open(path):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -33,9 +34,9 @@ def atomic_open(path):
 
 
 def atomic_write_text(path, text):
-    """Write text to path atomically (temp file + rename, same directory)."""
+    """Write text to path as UTF-8, atomically (temp file + rename, same directory)."""
     with atomic_open(path) as handle:
-        handle.write(text)
+        handle.write(text.encode())
 
 
 def format_float(x):
@@ -207,17 +208,39 @@ def format_floats(values):
     return out.view(f"S{FLOAT_FIELD}").reshape(values.shape)
 
 
+def format_ints(values):
+    """Decimal text of every integer of an array in [0, 2**32), as NUL-padded
+    strings of the widest one's length: dtype ``S<width>``, the shape of ``values``.
+
+    The digits are right-aligned, so a shorter number starts with NULs, which
+    ``rows_text`` drops like every other padding NUL.
+    """
+    values = np.asarray(values)
+    flat = values.ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= 2**32):
+        raise ValueError("format_ints takes integers in [0, 2**32)")
+    width = len(str(int(flat.max()))) if flat.size else 1
+    out = np.empty((len(flat), width), np.uint8)
+    number = flat.astype(np.uint32)  # 32-bit division is the faster
+    for j in range(width - 1, -1, -1):
+        tens = number // 10
+        digit = (number - tens * 10 + ord("0")).astype(np.uint8)
+        out[:, j] = digit if j == width - 1 else digit * (number > 0)
+        number = tens
+    return out.view(f"S{width}").reshape(values.shape)
+
+
 def spaced(columns):
     """``rows_text`` parts for the columns with one space between neighbours."""
     return [part for column in columns for part in (" ", column)][1:]
 
 
 def rows_text(parts):
-    """Text of one group of lines per row, the concatenation of ``parts``: constant
+    """Bytes of one group of lines per row, the concatenation of ``parts``: constant
     strings and 1-D arrays of NUL-padded bytes (numpy ``S`` dtype), one per row.
 
     The rows are laid out in one buffer at fixed offsets; the padding NULs are
-    then dropped.
+    then dropped, and the ASCII bytes go to a binary handle as they are.
     """
     template, names, formats, offsets = b"", [], [], []
     for part in parts:
@@ -234,4 +257,4 @@ def rows_text(parts):
                                             "offsets": offsets, "itemsize": len(template)}))
     for name, array in zip(names, arrays):
         rows[name] = array
-    return buffer.translate(None, b"\0").decode("ascii")
+    return buffer.translate(None, b"\0")

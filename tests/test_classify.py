@@ -1,5 +1,6 @@
 """Singularity classes, duality consistency, and one-parameter family scans."""
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,13 @@ from framedcurves import (
     scan_family,
     schubert_number,
 )
-from framedcurves.classify import _AdaptedTypeOracle, _FactoredDetector, _line_roots, _refine_event
+from framedcurves.classify import (
+    _AdaptedTypeOracle,
+    _event_from_type,
+    _FactoredDetector,
+    _line_roots,
+    _refine_event,
+)
 from framedcurves.ratpoly import Poly, integer_coeffs, isolate_real_roots, midpoint, squarefree, trim, vanishes_at
 
 increasing_triples = st.lists(
@@ -509,7 +516,7 @@ def test_event_csv_header_and_rows(tmp_path):
     export_events_csv(res.events, path)
     lines = path.read_text().splitlines()
     assert lines[0] == EVENT_CSV_HEADER
-    assert lines[1] == "0.0,0.0,3,4,5,Unresolved(3,4,5),4,2,6,exact"
+    assert lines[1] == '0.0,0.0,3,4,5,"Unresolved(3,4,5)",4,2,6,exact'
 
 
 def test_event_csv_is_sorted_and_deterministic(tmp_path):
@@ -523,3 +530,23 @@ def test_event_csv_is_sorted_and_deterministic(tmp_path):
     body = p1.read_text().splitlines()[1:]
     keys = [tuple(float(x) for x in row.split(",")[:2]) for row in body]
     assert keys == sorted(keys)
+
+
+def test_event_csv_rows_read_back_under_the_header(tmp_path):
+    types = [(1, 2, 4), (3, 4, 5), None, (1, 2, 5), (2, 3, 5), (1, 3, 4)]
+    events = [_event_from_type(k / 8, 0.1 - k, a, "exact") for k, a in enumerate(types)]
+    path = tmp_path / "events.csv"
+    export_events_csv(events, path)
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    header = EVENT_CSV_HEADER.split(",")
+    assert [list(row) for row in rows] == [header] * len(events)
+    assert [row["class"] for row in rows] == [str(ev.class_) for ev in events]
+    assert rows[2]["a1"] == rows[2]["codim_D"] == ""
+    # every row but an unresolved class's is the plain comma join of its fields
+    lines = path.read_text().splitlines()[1:]
+    for ev, line in zip(events, lines):
+        if ev.class_.type is None:
+            fields = [repr(ev.lam), repr(ev.t), *(ev.type or [None] * 3), ev.class_, ev.codim_d,
+                      ev.codim_c, ev.schubert, ev.confidence]
+            assert line == ",".join("" if x is None else str(x) for x in fields)

@@ -440,7 +440,7 @@ def test_scan_butterfly_event_csv(tmp_path):
     assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "events.csv").read_text().splitlines()
     assert lines[0] == "lambda,t,a1,a2,a3,class,codim_D,codim_C,schubert,confidence"
-    assert lines[1] == "0.0,0.0,3,4,5,Unresolved(3,4,5),4,2,6,exact"
+    assert lines[1] == '0.0,0.0,3,4,5,"Unresolved(3,4,5)",4,2,6,exact'
     report = json.loads((out / "report.json").read_text())
     assert len(report["events"]) == 1
     assert report["events"][0]["dual"] == [1, 2, 5]

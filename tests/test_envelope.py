@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from framedcurves import envelope
 from framedcurves.cli import main
@@ -531,6 +531,28 @@ def test_export_polylines_matches_the_per_value_formatter(tmp_path_factory, poly
     assert path.read_bytes() == _reference_polylines(polylines).encode()
 
 
+def _reference_records(tag, indices):
+    """The per-row str/join writer that ``_write_records`` must match byte for byte."""
+    return "".join(f"{tag} " + " ".join(map(str, row)) + "\n" for row in indices.tolist()).encode()
+
+
+# 40 index arrays, some of them longer than one chunk; about 0.2 s of tier-1 time
+@settings(max_examples=40, deadline=None)
+@example(tag="f", cols=4, rows=envelope._EXPORT_CHUNK + 7, lo=0, span=2000, seed=0)
+@example(tag="l", cols=2, rows=0, lo=0, span=0, seed=0)
+@given(tag=st.sampled_from("fl"), cols=st.integers(1, 4),
+       rows=st.sampled_from([0, 1, 5, envelope._EXPORT_CHUNK + 7]),
+       lo=st.sampled_from([0, 1, 7, 95, 996, 99_990, 10**9 - 3, 2**32 - 40]),
+       span=st.sampled_from([0, 3, 39, 2000]), seed=st.integers(0, 2**32 - 1))
+def test_write_records_matches_the_str_join_writer(tag, cols, rows, lo, span, seed):
+    # the windows straddle powers of ten, so one chunk mixes digit counts
+    indices = np.random.default_rng(seed).integers(lo, min(lo + span, 2**32 - 1), (rows, cols),
+                                                   endpoint=True)
+    handle = io.BytesIO()
+    envelope._write_records(handle, tag, indices)
+    assert handle.getvalue() == _reference_records(tag, indices)
+
+
 def test_export_obj_crosses_the_real_chunk_size(tmp_path):
     nf = NormalFormFamily((1, 2, 4))
     mesh = discriminant_mesh(nf, np.linspace(-1, 1, 70), np.linspace(-1, 1, 61))
@@ -562,7 +584,7 @@ def test_failed_export_keeps_the_old_file(tmp_path, monkeypatch):
     path.write_text("old\n")
 
     def fail(handle, tag, indices):
-        handle.write("f partial")
+        handle.write(b"f partial")
         raise RuntimeError("disk full")
 
     monkeypatch.setattr(envelope, "_write_records", fail)  # after the vertex lines

@@ -1,9 +1,11 @@
-"""Vectorized float text: every value's bytes are those of ``repr``."""
+"""Vectorized number text: every float's bytes are those of ``repr``, every integer's
+those of ``str``."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from framedcurves.fileio import FLOAT_FIELD, format_floats, rows_text, spaced
+from framedcurves.fileio import FLOAT_FIELD, format_floats, format_ints, rows_text, spaced
 
 
 def _assert_repr(values):
@@ -69,4 +71,26 @@ def test_format_floats_keeps_the_shape_and_pads_with_nuls():
 def test_rows_text_joins_constants_and_fields_row_by_row():
     columns = format_floats(np.array([[1.0, 0.25], [-3.0, 1e22]])).T
     mark = np.array([b"", b"# mark\n"])
-    assert rows_text(["v ", *spaced(columns), "\n", mark]) == "v 1.0 0.25\nv -3.0 1e+22\n# mark\n"
+    assert rows_text(["v ", *spaced(columns), "\n", mark]) == b"v 1.0 0.25\nv -3.0 1e+22\n# mark\n"
+
+
+_POWER_EDGES = [0, 2**32 - 1] + [10**k + d for k in range(1, 10) for d in (-1, 0)]
+
+
+# 200 arrays of up to 40 integers; about 1 s of tier-1 time
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_POWER_EDGES), st.integers(0, 2**32 - 1)), max_size=40))
+def test_format_ints_matches_str_in_fields_of_the_widest_width(values):
+    text = format_ints(np.array(values, dtype=np.int64))
+    assert text.dtype == np.dtype(f"S{len(str(max(values, default=0)))}")
+    assert rows_text([text, "\n"]) == "".join(f"{x}\n" for x in values).encode()
+    assert [field.lstrip(b"\0") for field in text.tolist()] == [str(x).encode() for x in values]
+
+
+def test_format_ints_keeps_the_shape_and_rejects_values_outside_uint32():
+    text = format_ints(np.array([[0, 7], [10, 123]]))
+    assert text.shape == (2, 2) and text.tobytes() == b"  0  7 10123".replace(b" ", b"\0")
+    assert format_ints(np.empty(0, dtype=int)).shape == (0,)
+    for bad in ([-1], [2**32]):
+        with pytest.raises(ValueError):
+            format_ints(np.array(bad, dtype=np.int64))

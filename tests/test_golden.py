@@ -199,7 +199,7 @@ def test_scan_exports_are_byte_stable(tmp_path):
     out = tmp_path / "out"
     assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
     assert _sha256(out / "events.csv") == (
-        "b479f9dcbc2526fcb2bbcb87e99812f210d178c84cfdb96eceaede779aeabe85"
+        "c2362b45b2a11686abdddde93ab080ff93290ff8241f0d94819b0ccbc905f80d"
     )
     assert _sha256(out / "report.json") == (
         "45488d41ea660e976a71555f1368bddf30b6286621ab63332000967403da2d55"

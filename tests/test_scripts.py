@@ -21,7 +21,7 @@ def test_butterfly_scan_script_writes_one_exact_butterfly_event(tmp_path):
                                                          "torsion-collision-events.csv"]
     # the torsion zeros collide at the origin, where the frame dual has type (3, 4, 5)
     rows = (tmp_path / "torsion-collision-events.csv").read_text().splitlines()[1:]
-    assert rows == ["0.0,0.0,3,4,5,Unresolved(3,4,5),4,2,6,exact"]
+    assert rows == ['0.0,0.0,3,4,5,"Unresolved(3,4,5)",4,2,6,exact']
 
 
 def test_gallery_script_writes_every_mesh_and_locus(tmp_path):
