@@ -49,7 +49,7 @@ from .ratpoly import (
     line_gcd_split,
     midpoint,
     poly_det,
-    poly_quotient,
+    pseudo_divmod,
     resultant_t,
     rows_at,
     slope_rows,
@@ -434,7 +434,7 @@ def _refine_event(line, gcd, lam, window):
     the event's t: no threshold decides which critical point is a root.
     """
     lam = midpoint(lam)
-    return isolate_real_roots(poly_quotient(rows_at(line, lam), rows_at(gcd, lam)), *window)
+    return isolate_real_roots(pseudo_divmod(rows_at(line, lam), rows_at(gcd, lam))[0], *window)
 
 
 def _line_roots(detector: _FactoredDetector, lam_q, window):

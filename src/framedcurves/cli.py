@@ -251,6 +251,8 @@ def _cmd_scan(args):
 
 def _cmd_enumerate(args):
     n = args.n if args.n is not None else 2
+    if n < 1 or args.budget < 0:
+        raise ConfigError(f"enumerate needs --n >= 1 and --budget >= 0, got --n {n} --budget {args.budget}")
     types = enumerate_generic_types(n, args.budget, args.mode)
     header = ",".join(f"a{i + 1}" for i in range(n + 1)) + ",schubert,codim_D,codim_C"
     rows = [header]

@@ -19,17 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneracyError, DimensionMismatch, DomainError, FiniteTypeError
-from .ratpoly import (
-    _coprime_mod_p,
-    _horner,
-    _u_div,
-    _u_mul,
-    _u_sub,
-    has_root_in,
-    integer_coeffs,
-    poly_gcd,
-    trim,
-)
+from .ratpoly import _u_div, _u_mul, _u_sub, has_root_in, integer_coeffs, poly_gcd, pseudo_divmod
 
 DEFAULT_RANK_TOL = 1e-8
 RANK_GAP_MIN = 1e3
@@ -47,25 +37,6 @@ def validate_type_vector(a):
 # -- rank profiles ------------------------------------------------------------
 
 
-def _reduce(a, m, steps):
-    """lc(m)^steps * a mod m for integer lists, steps >= deg a - deg m + 1 (a as it is if <= 0).
-
-    All entries of one column take the same steps, so the column keeps one scale.
-    """
-    if steps <= 0 or not a:
-        return a
-    n, lead = len(m) - 1, m[-1]
-    if n == 1:  # the value at the root -m_0/lead, homogenized
-        return trim([_horner(a, -m[0], lead) * lead ** (steps - len(a) + 1)])
-    r = list(a) + [0] * (n + steps - len(a))
-    for top in range(len(r) - 1, n - 1, -1):
-        c = r.pop()
-        r = [lead * x for x in r]
-        for i in range(n):
-            r[top - n + i] -= c * m[i]
-    return trim(r)
-
-
 def algebraic_rank_profile(columns, dim, root):
     """Prefix ranks, up to ``dim``, of integer polynomial columns at an algebraic t*.
 
@@ -81,24 +52,24 @@ def algebraic_rank_profile(columns, dim, root):
     m, a, b = root
     basis, ranks = [], []
     for col in columns:
+        # every entry of a column is reduced mod m with the same steps of
+        # pseudo-division, so the column keeps one scale
         n = len(m) - 1
-        v = [_reduce(x, m, max(map(len, col)) - n) for x in col]
+        steps = max(max(map(len, col)) - n, 0)
+        v = [pseudo_divmod(x, m, steps)[1] for x in col]
         for row, p in basis:
             if v[p]:
-                v = [_u_sub(_reduce(_u_mul(row[p], x), m, n - 1), _reduce(_u_mul(v[p], y), m, n - 1))
-                     for x, y in zip(v, row)]
+                v = [_u_sub(pseudo_divmod(_u_mul(row[p], x), m, n - 1)[1],
+                            pseudo_divmod(_u_mul(v[p], y), m, n - 1)[1]) for x, y in zip(v, row)]
         content = math.gcd(*(c for x in v for c in x))
         v = [[c // content for c in x] for x in v]
         for i, x in enumerate(v):
-            if not x or len(m) == 2 or _coprime_mod_p(x, m):
-                f = m
-            else:
-                g = poly_gcd(x, m)
-                f = m if len(g) == 1 else g if has_root_in(g, a, b) else _u_div(m, g)
-            if f is not m:
+            g = poly_gcd(x, m) if x and len(m) > 2 else [1]
+            if len(g) > 1:
+                f = g if has_root_in(g, a, b) else _u_div(m, g)
                 steps = len(m) - len(f)
-                basis = [([_reduce(y, f, steps) for y in row], p) for row, p in basis]
-                v, m = [_reduce(y, f, steps) for y in v], f
+                basis = [([pseudo_divmod(y, f, steps)[1] for y in row], p) for row, p in basis]
+                v, m = [pseudo_divmod(y, f, steps)[1] for y in v], f
             if v[i]:
                 basis.append((v, i))
                 break

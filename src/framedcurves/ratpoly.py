@@ -8,16 +8,18 @@ that feeds a type vector can therefore be made exactly.
 Floats are deliberately rejected as coefficients.  Decimal strings such as
 ``"0.1"`` are accepted and parsed exactly.
 
-The module also holds the one root toolkit the family scans use.  It speaks
-one format: integer coefficient lists, low degree first, and integer t-rows
-(below), which a Poly enters once.  Gcds and square-free parts of the lists,
-the square-free part in t and the resultant in t of t-rows, and the split of
-a set of u-roots by the gcd of its t-lines with their derivatives all come
-from the subresultant PRS over Z[u].  Real roots are isolated exactly by
-Descartes' rule and narrowed by certified Newton jumps, both in Python ints;
-there is no float root finder.  A root is a record (m, a, b): the one root
-of the square-free integer list m in the open interval (a, b), or a == b,
-the root itself.
+The module also holds the one root toolkit the family scans use, and every
+integer decision of the exact layer.  It speaks one format: integer
+coefficient lists, low degree first, and integer t-rows (below), which a
+Poly enters once.  ``pseudo_divmod`` is the one pseudo-division of lists.
+``poly_gcd`` is the one gcd of lists: it tries coprimality modulo 2^61 - 1
+first, then the subresultant PRS over Z[u], which also gives square-free
+parts, the square-free part in t and the resultant in t of t-rows, and the
+split of a set of u-roots by the gcd of its t-lines with their derivatives.
+Real roots are isolated exactly by Descartes' rule and narrowed by certified
+Newton jumps, with boxes as dyadic integers; there is no float root finder.
+A root is a record (m, a, b): the one root of the square-free integer list m
+in the open interval (a, b), or a == b, the root itself.
 """
 
 from __future__ import annotations
@@ -350,69 +352,77 @@ def isolate_real_roots(ints, lo, hi):
     with denominator below (4 h)^-1/2, h the half-width (a rational root that
     simple always is).  Any other root is (ints, a, b): the one root of ints
     in the open interval (a, b), the box of width 2^-100 (hi - lo) that sign
-    bisection narrows to, reached by certified Newton jumps.
+    bisection narrows to, reached by certified Newton jumps.  Hits and boxes
+    stay dyadic integers (c, k) on the window's lattice until the records
+    are built.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    width = hi - lo
-    if width < 0 or not trim(ints):
+    # with lo = v/d and hi - lo = w/d, q(x) = d^n p((v + w x)/d) is p on the
+    # window rescaled to [0, 1], and the dyadic (c, k) is (v 2^k + w c)/(d 2^k)
+    d = math.lcm(lo.denominator, hi.denominator)
+    v = lo.numerator * (d // lo.denominator)
+    w = hi.numerator * (d // hi.denominator) - v
+    if w < 0 or not trim(ints):
         return []
-    if width == 0:
+    if w == 0:
         return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
-    # with lo = v/d and width = w/d, q(x) = d^n p((v + w x)/d) is p on the
-    # window rescaled to [0, 1]
-    d = math.lcm(lo.denominator, width.denominator)
-    v, w = lo.numerator * (d // lo.denominator), width.numerator * (d // width.denominator)
     q = trim(taylor_shift(ints, v, w, d))
     g = math.gcd(*q)
     q = [c // g for c in q]
-    exact = [1] if sum(q) == 0 else []
-    boxes = []
-    # nodes (p, c, k): p(x) is q on [c/2^k, (c+1)/2^k], rescaled to [0, 1]
-    stack = [(q, 0, 0)]
+    slope = [i * c for i, c in enumerate(q)][1:]
+    # found holds (c, k, s) in order: a hit at c/2^k where s == 0, else the box
+    # (c/2^k, (c+1)/2^k) around one root, s the sign of q at its midpoint.
+    # Nodes (p, c, k): p(x) is q on [c/2^k, (c+1)/2^k], rescaled to [0, 1];
+    # the left child is popped first, so the roots are found left to right
+    found, stack = [], [(q, 0, 0)]
     while stack:
         p, c, k = stack.pop()
         if p[0] == 0:
-            exact.append(Fraction(c, 2**k))
+            found.append((c, k, 0))
             p = p[1:]
         count = _descartes_count(p)
-        if count == 1:
-            boxes.append((c, k))
-        elif count > 1:
+        if count > 1:
             n = len(p) - 1
             left = [a << (n - i) for i, a in enumerate(p)]
             stack.append((taylor_shift(left, 1), 2 * c + 1, k + 1))
             stack.append((left, 2 * c, k + 1))
-    # narrow each box (m/2^j, (m+1)/2^j) to level 100 (Abbott's quadratic
-    # interval refinement, ACM Comm. Computer Algebra 48, 2014): the box of
-    # level k = j + n around the Newton step from the midpoint is taken when
-    # q changes sign across it, and n doubles; it is the box bisection
-    # reaches, as a root strictly inside is no dyadic point of level <= k.
-    # Else n halves and q's sign at the midpoint takes one bisection step
-    exact, out, slope = [lo + width * x for x in exact], [], [i * c for i, c in enumerate(q)][1:]
-    for m, j in boxes:
-        s_m, s, n = _sign_beside(q, m, 2**j), 1, 1
-        while j < 100:
-            value = _horner(q, 2 * m + 1, 2 ** (j + 1))
-            s = _sign(value)
-            if not s:
-                break
-            # the box (lead, k) around the Newton step x - q(x)/q'(x) from x = (2m + 1)/2^(j+1)
-            k, w = min(j + n, 100), _horner(slope, 2 * m + 1, 2 ** (j + 1))
-            lead = (((2 * m + 1) * w - value) << (k - j - 1)) // w if w else -1
-            s_lead = (m << (k - j)) <= lead < ((m + 1) << (k - j)) and _sign(_horner(q, lead, 2**k))
-            if s_lead and _sign(_horner(q, lead + 1, 2**k)) == -s_lead:
-                m, j, s_m, n = lead, k, s_lead, 2 * n
-            else:
-                m, j, n = 2 * m + (s == s_m), j + 1, max(n // 2, 1)
-        a, b = lo + width * Fraction(m, 2**j), lo + width * Fraction(m + 1, 2**j)
-        x = (a + b) / 2
-        if s:  # no hit: test the rational nearest x with denominator below (4 h)^-1/2
-            x = x.limit_denominator(math.isqrt(int(1 / (2 * (b - a)))) or 1)
-            if not (a < x < b and vanishes_at(ints, x)):
-                out.append((ints, a, b))
+        elif count == 1:
+            # narrow the box to level 100 (Abbott's quadratic interval
+            # refinement, ACM Comm. Computer Algebra 48, 2014): the box of
+            # level j = k + n around the Newton step from the midpoint is
+            # taken when q changes sign across it, and n doubles; it is the
+            # box bisection reaches, as a root strictly inside is no dyadic
+            # point of level <= j.  Else n halves and q's sign at the
+            # midpoint takes one bisection step
+            s_c, s, n = _sign_beside(q, c, 2**k), 1, 1
+            while k < 100:
+                value = _horner(q, 2 * c + 1, 2 ** (k + 1))
+                s = _sign(value)
+                if not s:
+                    break
+                # the box (lead, j) around the Newton step x - q(x)/q'(x) from x = (2c + 1)/2^(k+1)
+                j, dq = min(k + n, 100), _horner(slope, 2 * c + 1, 2 ** (k + 1))
+                lead = (((2 * c + 1) * dq - value) << (j - k - 1)) // dq if dq else -1
+                s_lead = (c << (j - k)) <= lead < ((c + 1) << (j - k)) and _sign(_horner(q, lead, 2**j))
+                if s_lead and _sign(_horner(q, lead + 1, 2**j)) == -s_lead:
+                    c, k, s_c, n = lead, j, s_lead, 2 * n
+                else:
+                    c, k, n = 2 * c + (s == s_c), k + 1, max(n // 2, 1)
+            found.append((c, k, s) if s else (2 * c + 1, k + 1, 0))
+    if sum(q) == 0:
+        found.append((1, 0, 0))
+    out = []
+    for c, k, s in found:
+        a, den = (v << k) + w * c, d << k
+        if s:  # no hit: test the rational nearest the midpoint with denominator below (4 h)^-1/2, h = w/(2 den)
+            x = Fraction(2 * a + w, 2 * den).limit_denominator(math.isqrt(den // (2 * w)) or 1)
+            if not (a * x.denominator < x.numerator * den < (a + w) * x.denominator and vanishes_at(ints, x)):
+                out.append((ints, Fraction(a, den), Fraction(a + w, den)))
                 continue
-        exact.append(x)
-    return sorted(out + [([-x.numerator, x.denominator], x, x) for x in exact], key=lambda root: root[1:])
+        else:
+            x = Fraction(a, den)
+        out.append(([-x.numerator, x.denominator], x, x))
+    return out
 
 
 def has_root_in(ints, a, b):
@@ -436,10 +446,35 @@ def _primitive_list(a):
     return [c // g for c in a]
 
 
+_PRIME = 2**61 - 1
+
+
+def _coprime_mod_p(a, b):
+    """Whether integer lists a and b are coprime modulo the prime 2^61 - 1.
+
+    Then they are coprime over Q too, as their leading coefficients do not
+    vanish mod p: a common factor would divide both images with its degree.
+    A False says nothing: ``poly_gcd`` then runs the subresultant PRS.
+    """
+    a, b = [x % _PRIME for x in a], [x % _PRIME for x in b]
+    if not (a[-1] and b[-1]):
+        return False
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % _PRIME, len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % _PRIME
+            a = trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 def poly_gcd(a, b):
     """Primitive greatest common divisor of two integer coefficient lists (low degree first).
 
-    The last element of the subresultant PRS of their primitive parts, made
+    [1] when they are coprime modulo 2^61 - 1 (``_coprime_mod_p``); else the
+    last element of the subresultant PRS of their primitive parts, made
     primitive with a positive leading coefficient: Euclid's remainders over
     Q would grow without bound.
     """
@@ -447,6 +482,8 @@ def poly_gcd(a, b):
     if len(a) < len(b):
         a, b = b, a
     if b:
+        if _coprime_mod_p(a, b):
+            return [1]
         g = _subresultant_prs([[c] if c else [] for c in a], [[c] if c else [] for c in b])[0][-1][0]
         a = [1] if len(g) == 1 else _primitive_list([row[0] if row else 0 for row in g])
     return a
@@ -460,17 +497,25 @@ def squarefree(ints):
     return _u_div(p, poly_gcd(p, [i * c for i, c in enumerate(p)][1:]))
 
 
-def poly_quotient(a, b):
-    """lc(b)^(deg a - deg b + 1) times the quotient of integer lists, the remainder dropped: the same roots."""
+def pseudo_divmod(a, b, steps=None):
+    """(q, r) with lc(b)^steps a = q b + r and deg r < deg b, for integer lists, b nonzero.
+
+    ``steps`` is at least deg a - deg b + 1, its default (0 when deg a < deg b).
+    The long division of lc(b)^steps a by b is then exact at every step
+    (Knuth, TAOCP vol. 2, 4.6.1), so all of it stays in Python ints.
+    """
     n = len(b) - 1
     k = max(len(a) - n, 0)
-    a = [c * b[-1] ** k for c in a]
+    if not (k or steps):  # deg a < deg b: a is its own remainder
+        return [], a
+    scale = b[-1] ** (k if steps is None else steps)
+    r = [c * scale for c in a]
     q = [0] * k
     for j in range(k - 1, -1, -1):
-        c = q[j] = a[j + n] // b[-1]
+        c = q[j] = r[j + n] // b[-1]
         for i, bi in enumerate(b):
-            a[j + i] -= c * bi
-    return q
+            r[j + i] -= c * bi
+    return q, trim(r[:n])
 
 
 # -- bivariate toolkit: polynomials in t over Z[u] ---------------------------
@@ -647,30 +692,6 @@ def resultant_t(a, b):
     return [sign * prs_sign * c for c in res]
 
 
-_PRIME = 2**61 - 1
-
-
-def _coprime_mod_p(a, b):
-    """Whether integer lists a and b are coprime modulo the prime 2^61 - 1.
-
-    Then they are coprime over Q too, as their leading coefficients do not
-    vanish mod p: a common factor would divide both images with its degree.
-    A False says nothing, and the caller takes the gcd over Q.
-    """
-    a, b = [x % _PRIME for x in a], [x % _PRIME for x in b]
-    if not (a[-1] and b[-1]):
-        return False
-    while b:
-        inv = pow(b[-1], -1, _PRIME)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv % _PRIME, len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bi) % _PRIME
-            a = trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
 def line_gcd_split(rows, e):
     """The roots of e split by the gcd of the line of p with its t-derivative there.
 
@@ -689,7 +710,7 @@ def line_gcd_split(rows, e):
     out = []
     while len(e) > 1 and len(rows) > 1:
         for f, h in reversed(_subresultant_prs(rows, slope_rows(rows))[0]):
-            common = [1] if _coprime_mod_p(e, h) else poly_gcd(e, h)
+            common = poly_gcd(e, h)
             part = _u_div(e, common)
             if len(part) > 1:
                 out.append((part, rows, [_u_div(_u_mul(c, h), f[-1]) for c in f]))

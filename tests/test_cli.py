@@ -372,6 +372,13 @@ def test_enumerate_of_a_long_type_vector_finishes(capsys, n, budget, rows):
     assert lines[1].startswith(",".join(str(i) for i in range(1, n + 2)) + ",0,0,0")
 
 
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"], ["--budget", "-1"]])
+def test_enumerate_rejects_a_bad_n_or_budget(flags, capsys):
+    assert main(["enumerate", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: enumerate needs --n >= 1 and --budget >= 0")
+
+
 def test_enumerate_writes_csv(tmp_path, capsys):
     assert main(["enumerate", "--n", "2", "--budget", "2", "--out", str(tmp_path)]) == 0
     path = tmp_path / "enumerate.csv"

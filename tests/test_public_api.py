@@ -5,7 +5,9 @@ the program; so is a public method of an exported class.  The names listed
 below are the known exceptions; a new unreferenced export or method fails
 these tests until it gets a caller, is deleted, or is added here with its
 reason.  Files are parsed, not imported, and a method counts as called when
-any program file reads an attribute of its name.
+any program file reads an attribute of its name.  In the other direction,
+the package's modules import from ``ratpoly`` no private name beyond its
+integer list arithmetic.
 """
 
 import ast
@@ -134,3 +136,23 @@ def _flag_dests_and_reads():
 def test_every_subcommand_flag_is_read():
     dests, read = _flag_dests_and_reads()
     assert dests - read == set(UNREAD_FLAGS)
+
+
+#: the private ``ratpoly`` names other package modules may use: the Z[t] list
+#: arithmetic of the rank elimination.  Pseudo-division, gcds and root tests
+#: stay behind ratpoly's public functions
+RATPOLY_PRIVATE_NAMES = {"_u_div", "_u_mul", "_u_sub"}
+
+
+def test_other_modules_use_only_the_list_arithmetic_of_ratpoly_in_private():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "ratpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "ratpoly":
+                used.update(alias.name for alias in node.names if alias.name.startswith("_"))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "ratpoly" and node.attr.startswith("_")):
+                used.add(node.attr)
+    assert used == RATPOLY_PRIVATE_NAMES

@@ -9,17 +9,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from framedcurves import NormalFormFamily, Poly
 from framedcurves.ratpoly import (
+    _coprime_mod_p,
     _descartes_count,
     _horner,
     _integer_rows,
     _sign,
     _sign_beside,
+    _u_mul,
     has_root_in,
     integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
     poly_gcd,
-    poly_quotient,
+    pseudo_divmod,
     resultant_t,
     rows_at,
     slope_rows,
@@ -255,6 +257,25 @@ def test_real_roots_beyond_the_float_range_are_scaled_exactly():
     assert isolate_real_roots(integer_coeffs([-big, Fraction(0), Fraction(1)]), -1.0, 1.0) == []
 
 
+@pytest.mark.parametrize("shift", [0, Fraction(1, 2)])
+def test_a_window_wider_than_2_to_the_99_returns_the_bisection_records(shift):
+    # its 2^-100 boxes are wider than 1/2: no denominator is below (4 h)^-1/2,
+    # so the rational test tries the integer nearest each box's midpoint
+    x = Fraction(2**62 + 9, 2)
+    p = [1]
+    for r in (-5, 3, 4, 2**101 - 7):
+        p = _u_mul(p, [-r, 1])
+    p = _u_mul(_u_mul(p, [-x.numerator, x.denominator]), [-2, 0, 1])  # and +-sqrt 2
+    window = (shift - 2**102, shift + 2**102)
+    records = isolate_real_roots(p, *window)
+    assert records == _bisection_records(p, *window)
+    assert len(records) == 7 and all(b - a > Fraction(1, 2) for _, a, b in records if a < b)
+    assert ([-3, 1], 3, 3) in records and ([-4, 1], 4, 4) in records
+    # neither -5 nor x is the integer nearest the midpoint of its box; shifted
+    # by 1/2, x is that midpoint
+    assert (p, shift - 8, shift - 4) in records and (p, 2**61 + shift, 2**61 + shift + 8) in records
+
+
 def test_real_roots_are_isolated_exactly_also_when_they_nearly_coincide():
     # two rational roots 1e-12 apart beside a complex pair: the companion
     # matrix can see the close pair as complex, Descartes' rule separates it
@@ -405,8 +426,8 @@ _INTS = st.lists(st.integers(-30, 30), min_size=1, max_size=4)
 
 # 60 examples take about 1 s on a 2-core x86 VM (Python 3.11)
 @settings(max_examples=60, deadline=None)
-@given(a=_INTS, b=_INTS, c=_INTS, k=st.integers(1, 2))
-def test_integer_gcd_square_free_part_and_pseudo_quotient_match_sympy(a, b, c, k):
+@given(a=_INTS, b=_INTS, c=_INTS, k=st.integers(1, 2), extra=st.integers(1, 3))
+def test_integer_gcd_square_free_part_and_pseudo_division_match_sympy(a, b, c, k, extra):
     # a common factor c, and a factor a repeated k + 1 times
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
@@ -421,11 +442,26 @@ def test_integer_gcd_square_free_part_and_pseudo_quotient_match_sympy(a, b, c, k
     assert _primitive(g) and _proportional(sympy, big(g).as_expr(), p.gcd(q).as_expr())
     sf = squarefree(p_ints)
     assert _primitive(sf) and _proportional(sympy, big(sf).as_expr(), p.sqf_part().as_expr())
-    # lc(b)^(deg a - deg b + 1) times the quotient over Q, the remainder dropped
-    quotient = poly_quotient(p_ints, q_ints)
-    assert all(type(v) is int for v in quotient)
-    expected = p.pdiv(q)[0] if len(p_ints) >= len(q_ints) else sympy.Poly(0, x)
-    assert big(quotient or [0]) == expected
+    # lc(b)^(deg a - deg b + 1) times the quotient and the remainder over Q
+    quotient, rest = pseudo_divmod(p_ints, q_ints)
+    assert all(type(v) is int for v in quotient + rest)
+    assert big(quotient or [0]) == p.pdiv(q)[0]
+    assert big(rest or [0]) == p.prem(q) and len(rest) < len(q_ints)
+    # with more steps, lc(b)^steps a = q b + r still holds
+    steps = max(len(p_ints) - len(q_ints) + 1, 0) + extra
+    quotient, rest = pseudo_divmod(p_ints, q_ints, steps)
+    assert all(type(v) is int for v in quotient + rest) and len(rest) < len(q_ints)
+    assert q_ints[-1] ** steps * p == big(quotient or [0]) * q + big(rest or [0])
+
+
+@pytest.mark.parametrize("b, gcd", [([-3, 1], [1]), (_u_mul([1, 2**61 - 1], [-3, 1]), [1, 2**61 - 1])])
+def test_gcd_with_a_leading_coefficient_that_vanishes_mod_the_prime(b, gcd):
+    # a = (p t + 1)(t + 2), p = 2^61 - 1: the coprimality test mod p declines,
+    # and the subresultant PRS decides.  Mod p the common factor p t + 1 of
+    # a and (p t + 1)(t - 3) is a unit, so their images are coprime
+    a = _u_mul([1, 2**61 - 1], [2, 1])
+    assert not _coprime_mod_p(a, b)
+    assert poly_gcd(a, b) == poly_gcd(b, a) == gcd
 
 
 @pytest.mark.parametrize("name", sorted(POLYS))
