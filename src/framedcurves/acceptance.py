@@ -166,7 +166,7 @@ def criterion_4():
     ok = True
     for delta, kappa, kind in cases:
         curv = CurvatureData.constant(delta, kappa)
-        field = integrate_structure_equation(SpaceForm(kind), curv, (0.0, 20.0), tol=1e-10)
+        field = integrate_structure_equation(SpaceForm(kind), curv, np.linspace(0.0, 20.0, 201), tol=1e-10)
         drift = float(np.max(field.gram_defects()))
         drifts.append(f"{kind} {drift:.2e}")
         ok = ok and drift <= 1e-8

@@ -300,11 +300,8 @@ class RunConfig:
             elif any(p.deg_u() > 0 for p in polys):
                 polys = tuple(p.subs_u(0) for p in polys)
             curv = CurvatureData(self.curve["delta"], polys)
-            t = self.t_grid()
-            return integrate_structure_equation(
-                SpaceForm(self.geometry), curv, (float(t[0]), float(t[-1])),
-                tol=self.ode_tol, nodes=t,
-            )
+            return integrate_structure_equation(SpaceForm(self.geometry), curv, self.t_grid(),
+                                                tol=self.ode_tol)
         framed = [name for name, (_, factory) in BUILTINS.items() if factory is not None]
         raise ConfigError(
             f"no frame construction for curve spec {self.curve!r}; use a framed "

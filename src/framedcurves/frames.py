@@ -34,7 +34,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .ratpoly import Poly, as_fraction, integer_coeffs, isolate_real_roots, midpoint, squarefree
+from .ratpoly import Poly, as_fraction
 from .spaceform import SpaceForm, group_exp
 
 _GS_TOL = 1e-12
@@ -294,46 +294,35 @@ def _magnus_propagators(delta, kappa, starts, widths):
     return group_exp(np.swapaxes(omega, -1, -2))
 
 
-def _abs_integral(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """The integral of |p| over [lo, hi], split at p's real roots there.
-
-    Exact but for the placement of each irrational root, cut at the
-    midpoint of its record, which ``isolate_real_roots`` narrows to 2^-100
-    of the window.
-    """
-    if p.is_zero():
-        return Fraction(0)
-    roots = isolate_real_roots(squarefree(integer_coeffs(p.t_coeffs())), lo, hi)
-    antiderivative = p.integrate_t()
-    cuts = [lo, *map(midpoint, roots), hi]
-    return sum((abs(antiderivative.eval(b) - antiderivative.eval(a)) for a, b in zip(cuts, cuts[1:])),
-               Fraction(0))
-
-
-def _interval_budget(curv: CurvatureData, s0, s1, tol):
-    """How many intervals past its node grid one integration may use.
+def _interval_budget(curv: CurvatureData, lo, hi, tol):
+    """How many intervals past its node grid one integration over [lo, hi] may use.
 
     A 6th-order step's local error grows as (h max|K|)^7, so passing the local
     test takes about tol^(-1/7) times the integral of max|K| intervals.  The
     entries of K are 1, delta and the curvatures, so that integral is at most
-    the span plus the integrals of the |kappa_i|, which are exact for
-    polynomials.  The budget is _BUDGET_SCALE times the estimate, at least
-    MAX_STEPS and at most _BUDGET_CEILING * MAX_STEPS.
+    hi - lo plus the sum of |c| (hi |hi|^n - lo |lo|^n) / (n + 1), the integral
+    of |c t^n|, over the terms of each kappa_i, exact in Fractions.  The budget
+    is _BUDGET_SCALE times that, at least MAX_STEPS and at most
+    _BUDGET_CEILING * MAX_STEPS.
     """
-    lo, hi = sorted((Fraction(s0), Fraction(s1)))
+    lo, hi = Fraction(lo), Fraction(hi)
+    bound = hi - lo + sum(abs(c) * (hi * abs(hi) ** n - lo * abs(lo) ** n) / (n + 1)
+                          for p in curv.kappa for n, c in enumerate(p.t_coeffs()))
     try:
-        total = float(hi - lo + sum(_abs_integral(p, lo, hi) for p in curv.kappa))
+        total = float(bound)
     except OverflowError:
         total = math.inf
     derived = _BUDGET_SCALE * total * tol ** (-1.0 / 7.0)
     return int(max(MAX_STEPS, min(derived, _BUDGET_CEILING * MAX_STEPS)))
 
 
-def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1e-10, nodes=None):
+def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, nodes, tol=1e-10):
     """Propagate the identity frame by E' = E K(s), returning a FrameField at the nodes.
 
-    The frame is the 4x4 identity at s = span[0] (and at any node not past
-    it); the field from another start E_0 is E_0 times this one.
+    The nodes must be finite, 1-D, non-empty and non-decreasing (else
+    DomainError).  The frame is the 4x4 identity at nodes[0], and the field
+    from another start E_0 is E_0 times this one.  A repeated node ends an
+    interval of width zero, whose propagator is the identity.
 
     Each interval [s, s + h] carries a 6th-order Magnus propagator P(s, h)
     with E(s + h) = E(s) P(s, h) (``_magnus_propagators``).  A propagator
@@ -357,8 +346,8 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
 
     The partition may hold the node grid's intervals plus the budget of
     ``_interval_budget``; a round that would start past that raises
-    IntegrationError, as does a half narrower than 1e-13 max(|s0|, |s1|, 1)
-    or a frame that overflows.  ``meta`` records the passed intervals
+    IntegrationError, as does a half narrower than 1e-13 max(|nodes|, 1) or
+    a frame that overflows.  ``meta`` records the passed intervals
     (``steps``), the cut ones (``rejected``), the ``rounds`` and the
     ``cap``.  The flow and the field's K and K' at the nodes read kappa
     through ``Poly.evalf``; a curvature coefficient beyond the float range
@@ -370,30 +359,27 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
         raise DomainError(
             f"the {sf.kind} structure equation needs delta = {sf.delta}, got delta = {curv.delta}"
         )
-    s0, s1 = float(span[0]), float(span[1])
-    if nodes is None:
-        nodes = np.linspace(s0, s1, 201)
     nodes = np.asarray(nodes, dtype=float)
-    direction = 1.0 if s1 >= s0 else -1.0
-    past = direction * (nodes - s0) > 0
-    ends = direction * np.unique(direction * nodes[past])
-    grid = np.concatenate([[s0], ends])
+    if nodes.ndim != 1 or not len(nodes) or not np.all(np.isfinite(nodes)) or np.any(np.diff(nodes) < 0):
+        raise DomainError(f"integration nodes must be finite, 1-D, non-empty and non-decreasing, "
+                          f"got shape {nodes.shape}")
+    s0, s1 = float(nodes[0]), float(nodes[-1])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             k = structure_matrix(curv.delta, _kappa_at(curv.kappa, nodes))
             dk = structure_matrix(0, _kappa_at([p.diff_t() for p in curv.kappa], nodes))
     except OverflowError as exc:
         raise DomainError(f"a curvature coefficient is beyond the float range ({exc})") from exc
-    cap = len(ends) + _interval_budget(curv, s0, s1, tol)
+    cap = len(nodes) - 1 + _interval_budget(curv, s0, s1, tol)
     min_h = 1e-13 * max(abs(s0), abs(s1), 1.0)
 
-    at_grid = np.empty((len(grid), 4, 4))
-    at_grid[0] = e = np.eye(4)
-    # pending intervals in s order: start, width, the grid point each ends on
+    out = np.empty((len(nodes), 4, 4))
+    out[0] = e = np.eye(4)
+    # pending intervals in s order: start, width, the node each ends on
     # (-1 for none) and, once known, its whole-step propagator
-    starts, widths, tags = grid[:-1], np.diff(grid), np.arange(1, len(grid))
-    whole = np.empty((len(ends), 4, 4))
-    known = np.zeros(len(ends), dtype=bool)
+    starts, widths, tags = nodes[:-1], np.diff(nodes), np.arange(1, len(nodes))
+    whole = np.empty((len(starts), 4, 4))
+    known = np.zeros(len(starts), dtype=bool)
     # passed intervals after a pending one, waiting for their turn in the product
     w_starts, w_props, w_tags = np.empty(0), np.empty((0, 4, 4)), np.empty(0, dtype=int)
     steps = rejected = rounds = 0
@@ -418,7 +404,7 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
             steps += int(np.count_nonzero(ok))
             rejected += int(np.count_nonzero(cut))
             cut_a, cut_half = a[cut], half[cut]
-            too_short = np.abs(cut_half) < min_h
+            too_short = cut_half < min_h
             if np.any(too_short):
                 raise IntegrationError(float(cut_a[too_short][0]))
             # each cut interval becomes its two halves, in place
@@ -431,16 +417,15 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
             known = np.concatenate([np.ones(2 * len(cut_a), dtype=bool), known[n:]])
 
             w_starts = np.concatenate([w_starts, a[ok]])
-            order = np.argsort(direction * w_starts, kind="stable")
+            order = np.argsort(w_starts, kind="stable")
             w_starts = w_starts[order]
             w_props = np.concatenate([w_props, fine[ok]])[order]
             w_tags = np.concatenate([w_tags, tag[ok]])[order]
-            done = len(w_starts) if not len(starts) else int(
-                np.searchsorted(direction * w_starts, direction * starts[0]))
+            done = len(w_starts) if not len(starts) else int(np.searchsorted(w_starts, starts[0]))
             for p, j in zip(w_props[:done], w_tags[:done].tolist()):
                 e = e @ p
                 if j >= 0:
-                    at_grid[j] = e
+                    out[j] = e
             if not np.all(np.isfinite(e)):
                 raise IntegrationError(float(w_starts[done - 1]), "the frame overflowed by "
                                                                   f"s={w_starts[done - 1]}")
@@ -449,6 +434,5 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, span, tol=1
     dk[..., 1, 0] = 0.0  # K' has no constant entry
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(dk))):
         raise DomainError("a curvature or its derivative is beyond the float range at a node")
-    out = at_grid[np.where(past, np.searchsorted(direction * ends, direction * nodes) + 1, 0)]
     meta = {"steps": steps, "rejected": rejected, "rounds": rounds, "cap": cap}
     return FrameField(sf, nodes, out, k, dk, meta=meta)

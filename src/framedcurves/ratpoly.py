@@ -153,10 +153,6 @@ class Poly:
     def diff_u(self):
         return Poly({(i, j - 1): v * j for (i, j), v in self.c.items() if j})
 
-    def integrate_t(self):
-        """Antiderivative in t with zero constant term."""
-        return Poly({(i + 1, j): v / (i + 1) for (i, j), v in self.c.items()})
-
     # -- evaluation --------------------------------------------------------
 
     def eval(self, t, u=0):

@@ -51,6 +51,11 @@ OSCULATING_N2 = [
 ]
 
 
+def _antiderivative(p):
+    """The antiderivative in t of a Poly, with zero constant term."""
+    return Poly({(i + 1, j): v / (i + 1) for (i, j), v in p.c.items()})
+
+
 # -- the class table ------------------------------------------------------------
 
 
@@ -319,7 +324,7 @@ def test_a_crossing_beside_an_event_outside_the_t_window_is_still_a_crossing():
     # the window, and the root 29/100 + lambda leaves it at lambda = 0.01
     t, u = Poly.t(), Poly.u()
     entries = ((t - Poly.const(Fraction(1, 2))) ** 2 - u, t - Poly.const(Fraction(29, 100)) - u, Poly.const(1))
-    fam = DiagonalFamily(tuple(p.integrate_t() for p in entries))
+    fam = DiagonalFamily(tuple(_antiderivative(p) for p in entries))
     res = classify_osculating_scan(fam, np.linspace(-0.3, 0.3, 61), np.linspace(-0.02, 0.02, 3))
     assert res.events == []
     assert res.meta["boundary_crossings"] == [(0.0, 0.02)]
@@ -370,7 +375,7 @@ def test_an_osculating_event_on_an_irrational_line_needs_no_threshold(name):
     a = u * u - Poly.const(Fraction(1, 50))
     entry = {"triple root": t**3 + a, "moving triple root": (t - u) ** 3 + a * t,
              "degree drop": a * t**3 + t * t - a}[name]
-    fam = DiagonalFamily((entry.integrate_t(), t, t))
+    fam = DiagonalFamily((_antiderivative(entry), t, t))
     res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
     # (t - lambda)^3 + a t also has two double roots off those lines
     on_a = [ev for ev in res.events if abs(abs(ev.lam) - np.sqrt(0.02)) < 1e-15]
@@ -490,7 +495,7 @@ def test_osculating_scan_events_of_a_non_square_free_detector():
     # diagonal entries whose t-derivatives multiply to the split detector
     t, u = Poly.t(), Poly.u()
     entries = ((t * t - u) ** 2, t - Poly.const(Fraction(1, 3)), u + Poly.const(Fraction(1, 2)))
-    fam = DiagonalFamily(tuple(p.integrate_t() for p in entries))
+    fam = DiagonalFamily(tuple(_antiderivative(p) for p in entries))
     assert fam.detector() == _split_detector()
     res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
     assert [(ev.t, ev.lam, ev.confidence) for ev in res.events] == [(0.0, 0.0, "exact"),
@@ -504,7 +509,7 @@ def test_a_root_is_not_classified_at_another_rational_root_of_its_line():
     # must not take
     t, u = Poly.t(), Poly.u()
     entries = ((t - Poly.const(1)) ** 2, t - Poly.const(Fraction(7, 10)) - u, Poly.const(1))
-    fam = DiagonalFamily(tuple(p.integrate_t() for p in entries))
+    fam = DiagonalFamily(tuple(_antiderivative(p) for p in entries))
     res = classify_osculating_scan(fam, np.linspace(-2.0, 2.0, 101), np.linspace(-0.1, 0.1, 5))
     assert [(s.type, round(s.params[2, 1], 9)) for s in res.strata] == [((1, 3, 4), 0.7), ((3, 4, 5), 1.0)]
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framedcurves
-from framedcurves import CurvatureFamily, export_events_csv, scan_family
+from framedcurves import CurvatureFamily, export_events_csv, frames, scan_family
 from framedcurves.classify import _AdaptedTypeOracle
 from framedcurves.cli import main
 from framedcurves.config import RunConfig
@@ -183,8 +183,6 @@ def test_scan_coefficient_below_float_range_exits_0_or_3(tmp_path):
 
 
 def test_integration_past_the_step_budget_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    from framedcurves import frames
-
     monkeypatch.setattr(frames, "MAX_STEPS", 300)
     config = {"curve": {"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], ["0"] * 200 + ["1"]]},
               "grids": {"t": [0.0, 40.0, 40], "s": [-1.0, 1.0, 3]}}
@@ -428,6 +426,33 @@ _TYPE_ENTRY = st.integers(min_value=-3, max_value=400) | st.sampled_from([10**9,
 def test_normal_form_type_exits_0_or_2(text):
     with tempfile.TemporaryDirectory() as out:
         assert _run_quietly(["normal-form", f"--type={text}", "--out", out])[0] in (0, 2)
+
+
+#: t-grid ends: the float range's edges, subnormals and a few ordinary values
+_T_END = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0,
+                          1e16, 1e300, -1e300]) | st.floats(min_value=-20.0, max_value=20.0)
+#: a curvature term map: at most 3 terms of degree at most 4 with small rational coefficients
+_KAPPA = st.dictionaries(st.integers(min_value=0, max_value=4).map(str),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=8).map(str), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["frame", "envelope"]),
+       geometry=st.sampled_from(["euclidean", "spherical", "hyperbolic"]),
+       kappa=st.lists(_KAPPA, min_size=3, max_size=3),
+       ends=st.lists(_T_END, min_size=2, max_size=2, unique=True).map(sorted),
+       count=st.integers(min_value=2, max_value=12))
+def test_curvature_frames_and_envelopes_exit_0_2_or_3(command, geometry, kappa, ends, count):
+    config = {"geometry": geometry, "curve": {"kind": "curvature", "kappa": kappa},
+              "grids": {"t": [*ends, count], "s": [-1.0, 1.0, 3]}}
+    threads = ["--threads", "1"] if command == "envelope" else []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "MAX_STEPS", 300)
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        argv = [command, *threads, "--config", path, "--out", os.path.join(tmp, "out")]
+        assert _run_quietly(argv)[0] in (0, 2, 3)
 
 
 @pytest.mark.parametrize("argv", [["normal-form", "--type=--"], ["frame", "--lam=--"],

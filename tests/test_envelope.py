@@ -68,7 +68,7 @@ def _curvature_family(kind, nodes, kappa=((1,), (0,), (0, 0, 1))):
     sf = SpaceForm(kind)
     nodes = np.asarray(nodes, dtype=float)
     curv = CurvatureData(sf.delta, [list(k) for k in kappa])
-    field = integrate_structure_equation(sf, curv, (nodes[0], nodes[-1]), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, nodes)
     return hyperplane_family(field)
 
 
@@ -125,7 +125,7 @@ def test_characteristic_direction_is_the_signed_tangent(kind):
     sf = SpaceForm(kind)
     nodes = np.linspace(-2.0, 2.0, 9)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
-    field = integrate_structure_equation(sf, curv, (-2.0, 2.0), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, nodes)
     keep, direction, _, _ = envelope._characteristic_lines(hyperplane_family(field), 1e-9)
     assert keep.tolist() == [True] * 4 + [False] + [True] * 4
     tangent = np.sign(nodes[keep])[:, None] * field.matrices[keep, :, 1]
@@ -139,7 +139,7 @@ def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kin
     sf = SpaceForm(kind)
     nodes = np.linspace(-2.0, 2.0, 10)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
-    field = integrate_structure_equation(sf, curv, (-2.0, 2.0), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, nodes)
     fam = hyperplane_family(field)
     keep, direction, _, _ = envelope._characteristic_lines(fam, 1e-9)
     assert keep.all()

@@ -1,6 +1,8 @@
 """Moving frames: orthonormalization, the structure equation, and dual curves."""
 
 import functools
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from framedcurves import (
 )
 from framedcurves.examples import BUILTINS, helix_frenet_field, radial_circle_field
 from framedcurves import frames
+from framedcurves.cli import main
 from framedcurves.errors import IntegrationError
 from framedcurves.frames import _magnus_propagators
 from framedcurves.ratpoly import Poly
@@ -130,7 +133,7 @@ def test_curvature_constant_requires_exact_values():
 def test_integration_preserves_gram_structure(kind, delta, kappa):
     sf = SpaceForm(kind)
     curv = CurvatureData.constant(delta, kappa)
-    field = integrate_structure_equation(sf, curv, (0.0, 8.0), tol=1e-10)
+    field = integrate_structure_equation(sf, curv, np.linspace(0.0, 8.0, 201), tol=1e-10)
     assert float(np.max(field.gram_defects())) < 1e-8
 
 
@@ -139,7 +142,7 @@ def test_integration_solves_the_ode():
     sf = SpaceForm("spherical")
     curv = CurvatureData.constant(1, (1, 0, 0))
     nodes = np.linspace(0.0, 2.0, 401)
-    field = integrate_structure_equation(sf, curv, (0.0, 2.0), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, nodes)
     h = nodes[1] - nodes[0]
     K = structure_matrix(1, (1.0, 0.0, 0.0))
     worst = 0.0
@@ -154,7 +157,7 @@ def test_integration_euclidean_circle_base_point():
     sf = SpaceForm("euclidean")
     curv = CurvatureData.constant(0, (1, 0, 0))
     nodes = np.linspace(0.0, 2 * np.pi, 201)
-    field = integrate_structure_equation(sf, curv, (0.0, 2 * np.pi), nodes=nodes)
+    field = integrate_structure_equation(sf, curv, nodes)
     pts = np.stack([m[1:, 0] for m in field.matrices])
     radii = np.hypot(pts[:, 0] - 0.0, pts[:, 1] - 1.0)  # center sits at (0, 1, 0)
     assert float(np.max(np.abs(radii - 1.0))) < 1e-8
@@ -168,10 +171,10 @@ def test_integration_needs_the_geometry_delta(kind, delta):
     sf = SpaceForm(kind)
     curv = CurvatureData.constant(delta, (1, 0, 0))
     if delta == sf.delta:
-        integrate_structure_equation(sf, curv, (0.0, 1.0))
+        integrate_structure_equation(sf, curv, np.linspace(0.0, 1.0, 201))
         return
     with pytest.raises(DomainError, match=f"needs delta = {sf.delta}"):
-        integrate_structure_equation(sf, curv, (0.0, 1.0))
+        integrate_structure_equation(sf, curv, np.linspace(0.0, 1.0, 201))
 
 
 _COEFF = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -207,7 +210,7 @@ STEP_BUDGET = {"euclidean": 7430, "spherical": 7430, "hyperbolic": 7420}
 def test_integration_step_budget_over_span_20(kind):
     sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
-    field = integrate_structure_equation(sf, curv, (0.0, 20.0), tol=1e-10)
+    field = integrate_structure_equation(sf, curv, np.linspace(0.0, 20.0, 201), tol=1e-10)
     assert field.meta["steps"] + field.meta["rejected"] <= STEP_BUDGET[kind]
     # the partition never outgrows the cap: 200 node intervals plus the floor
     assert field.meta["steps"] <= field.meta["cap"] == 200 + frames.MAX_STEPS
@@ -237,14 +240,14 @@ def test_step_budget_ends_a_runaway_integration(monkeypatch):
     curv = CurvatureData(0, [[1], [0], [0] * 200 + [1]])
     cap = 1 + frames._BUDGET_CEILING * 300
     with pytest.raises(IntegrationError, match=f"more than {cap} intervals"):
-        integrate_structure_equation(sf, curv, (0.0, 40.0), tol=1e-10, nodes=[0.0, 40.0])
+        integrate_structure_equation(sf, curv, [0.0, 40.0], tol=1e-10)
     # one node interval: each cut adds one interval to the partition, and the
     # last round started at no more than cap of them, so fewer than
     # 2 (cap + 64) intervals were evaluated, at two half steps each
     assert sum(propagators) <= 1 + 4 * (cap + 64)
     # the node grid's own intervals are on top of the budget, and it still ends
     with pytest.raises(IntegrationError, match=f"more than {200 + cap - 1} intervals"):
-        integrate_structure_equation(sf, curv, (0.0, 40.0), tol=1e-10)
+        integrate_structure_equation(sf, curv, np.linspace(0.0, 40.0, 201), tol=1e-10)
 
 
 def test_the_budget_grows_with_the_curvature_integral(monkeypatch):
@@ -254,10 +257,26 @@ def test_the_budget_grows_with_the_curvature_integral(monkeypatch):
     monkeypatch.setattr(frames, "MAX_STEPS", 2000)
     sf = SpaceForm("hyperbolic")
     curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
-    field = integrate_structure_equation(sf, curv, (0.0, 20.0), tol=1e-10)
+    field = integrate_structure_equation(sf, curv, np.linspace(0.0, 20.0, 201), tol=1e-10)
     budget = int(frames._BUDGET_SCALE * float(40 + Fraction(8000, 3)) * 1e-10 ** (-1.0 / 7.0))
     assert field.meta["cap"] == 200 + budget
     assert 200 + 2000 < field.meta["steps"] <= field.meta["cap"]
+
+
+def test_the_budget_of_a_curvature_with_cancelling_terms_is_its_coefficient_bound(monkeypatch):
+    # kappa_3 = 10 (t - 1)^3 = 10 t^3 - 30 t^2 + 30 t - 10 on [0, 2]: the
+    # coefficient bound of its integral of |kappa_3| is
+    # 10 * 2^4 / 4 + 30 * 2^3 / 3 + 30 * 2^2 / 2 + 10 * 2 = 200, while the
+    # exact integral is 2 * 10 / 4 = 5; with 2 for kappa_1 and 2 for the span
+    # the budget is 0.1 * 204 * 1e10^(1/7) = 547, past the floor of 300
+    monkeypatch.setattr(frames, "MAX_STEPS", 300)
+    sf = SpaceForm("spherical")
+    curv = CurvatureData(sf.delta, [[1], [0], [-10, 30, -30, 10]])
+    field = integrate_structure_equation(sf, curv, np.linspace(0.0, 2.0, 21), tol=1e-10)
+    budget = int(frames._BUDGET_SCALE * float(2 + 2 + 200) * 1e-10 ** (-1.0 / 7.0))
+    assert budget == 547
+    assert field.meta["cap"] == 20 + budget
+    assert field.meta["steps"] <= field.meta["cap"]
 
 
 @pytest.mark.parametrize("kind,span", [("hyperbolic", 60.0), ("euclidean", 80.0)])
@@ -267,7 +286,7 @@ def test_long_spans_finish(kind, span):
     sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
     nodes = np.linspace(0.0, span, 21)
-    field = integrate_structure_equation(sf, curv, (0.0, span), tol=1e-10, nodes=nodes)
+    field = integrate_structure_equation(sf, curv, nodes, tol=1e-10)
     assert field.meta["steps"] <= field.meta["cap"]
     assert float(np.max(field.gram_defects())) <= 1e-11
 
@@ -288,10 +307,10 @@ def test_no_runtime_warning_escapes_the_integrator(monkeypatch, kind, kappa, spa
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if error is None:
-            integrate_structure_equation(sf, curv, (0.0, span), tol=1e-10, nodes=[0.0, span])
+            integrate_structure_equation(sf, curv, [0.0, span], tol=1e-10)
         else:
             with pytest.raises(IntegrationError, match=error):
-                integrate_structure_equation(sf, curv, (0.0, span), tol=1e-10)
+                integrate_structure_equation(sf, curv, np.linspace(0.0, span, 201), tol=1e-10)
 
 
 def test_node_curvatures_are_the_ones_the_flow_read():
@@ -301,7 +320,7 @@ def test_node_curvatures_are_the_ones_the_flow_read():
     tiny = CurvatureData(0, [[1], [0], [0] * 200 + [Fraction(1, 10**330)]])
     flat = CurvatureData(0, [[1], [0], [0]])
     nodes = np.linspace(0.0, 40.0, 5)
-    got, want = (integrate_structure_equation(sf, c, (0.0, 40.0), nodes=nodes) for c in (tiny, flat))
+    got, want = (integrate_structure_equation(sf, c, nodes) for c in (tiny, flat))
     for name in ("matrices", "k", "dk"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert not np.any(want.dk)
@@ -315,7 +334,7 @@ def test_steps_forced_by_a_dense_node_grid_are_outside_the_budget(monkeypatch, k
     sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, [[1], [0], [1]])
     nodes = np.linspace(0.0, 20.0, 2000)
-    field = integrate_structure_equation(sf, curv, (0.0, 20.0), tol=1e-10, nodes=nodes)
+    field = integrate_structure_equation(sf, curv, nodes, tol=1e-10)
     assert field.meta["steps"] >= len(nodes) - 1 > frames.MAX_STEPS
     assert float(np.max(field.gram_defects())) <= 1e-12
 
@@ -324,9 +343,66 @@ def test_steps_forced_by_a_dense_node_grid_are_outside_the_budget(monkeypatch, k
 def test_integration_matches_dop853_over_span_10(kind):
     sf = SpaceForm(kind)
     curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
-    field = integrate_structure_equation(sf, curv, (0.0, 10.0), tol=1e-10)
+    field = integrate_structure_equation(sf, curv, np.linspace(0.0, 10.0, 201), tol=1e-10)
     reference = dop853_frames(curv, field.s)
     assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
+
+
+@pytest.mark.parametrize("nodes", [
+    [0.0, 2.0, 1.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0],
+    [], [[0.0, 1.0], [2.0, 3.0]], 0.0,
+], ids=["decreasing", "nan", "inf", "-inf", "empty", "2-d", "0-d"])
+def test_nodes_outside_the_contract_are_domain_errors(nodes):
+    sf = SpaceForm("euclidean")
+    with pytest.raises(DomainError, match="non-decreasing"):
+        integrate_structure_equation(sf, CurvatureData.constant(0, (1, 0, 0)), nodes)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_a_repeated_node_has_its_twins_frame(kind):
+    # a repeated node ends an interval of width zero, which passes at once
+    # with the identity propagator: every frame is the one on the grid
+    # without repeats, bit for bit
+    sf = SpaceForm(kind)
+    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    nodes = np.array([0.0, 0.0, 0.5, 1.5, 1.5, 1.5, 3.0, 3.0])
+    field = integrate_structure_equation(sf, curv, nodes, tol=1e-10)
+    single = integrate_structure_equation(sf, curv, np.unique(nodes), tol=1e-10)
+    twins = np.searchsorted(np.unique(nodes), nodes)
+    assert field.matrices.tobytes() == single.matrices[twins].tobytes()
+    assert field.meta["steps"] == single.meta["steps"] + len(nodes) - len(single.s)
+    assert field.meta["rejected"] == single.meta["rejected"]
+    alone = integrate_structure_equation(sf, curv, [1.5])
+    assert np.array_equal(alone.matrices, [np.eye(4)])
+
+
+def _frame_run(tmp_path, t_grid):
+    config = {"geometry": "euclidean",
+              "curve": {"kind": "curvature", "kappa": [["1"], ["0"], ["0", "0", "1"]]},
+              "grids": {"t": t_grid}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    return main(["frame", "--config", str(path), "--out", str(out)]), out / "frames.txt"
+
+
+def test_a_grid_with_a_repeated_subnormal_node_writes_its_frames(tmp_path):
+    # linspace(0, 5e-324, 3) is (0, 0, 5e-324): the repeated 0.0 ends a
+    # zero-width interval, and the table holds three identity frames
+    code, table = _frame_run(tmp_path, [0.0, 5e-324, 3])
+    assert code == 0
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+        "9a93fdb6213cb9b6f9ae8f78321d21bbd0a9ef61c9797f44563f5bfd4b5ae620"
+    )
+
+
+def test_a_grid_two_floats_wide_at_1e16_is_an_integration_error(tmp_path, capsys):
+    # 50 nodes on the two floats 1e16 and 1e16 + 2: the one interval of width
+    # 2 must be cut, and its halves are narrower than 1e-13 * 1e16
+    code, table = _frame_run(tmp_path, [1e16, 1.0000000000000002e16, 50])
+    assert code == 3
+    assert "numeric failure (IntegrationError)" in capsys.readouterr().err
+    assert not table.exists()
 
 
 # -- reorthonormalization --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Byte-level pins on the CLI's mesh and locus exports.
 
 Each case runs one subcommand and compares SHA-256 hashes of the OBJ files it
-writes.  A change to vertex order, float formatting, singular marks or face
-layout changes a hash.  The curvature cases put the degenerate node t = 0 of
+writes; the curvature cases also pin the frame subcommand's ``frames.txt``.
+A change to vertex order, float formatting, singular marks or face layout
+changes a hash.  The curvature cases put the degenerate node t = 0 of
 kappa = (1, 0, t^2) on the grid (39 of 40 strips survive) and reach the
 frame-relative characteristic lines in all three geometries.  Their
 hashes also pin the frame integrator's last bits, so each of them is checked
@@ -76,6 +77,14 @@ ENVELOPE_CASES = {
 }
 
 
+#: SHA-256 of the frame subcommand's frames.txt for each curvature case
+FRAME_HASHES = {
+    "euclidean-delta0": "448975d2e49310a33c8f02e1bb33cdd640e3be93b900c71debb82ca4eb79e044",
+    "spherical-delta1": "0f1a787b33393e21780b17c45de530f64d08c3979ca11fea7511f1205824d2b5",
+    "hyperbolic-delta-1": "c19e57bc03c382f200f7a057684d4575eabd8102754b116bf949014592f54123",
+}
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -96,6 +105,15 @@ def test_curvature_case_frames_match_dop853(name):
     field = cfg.build_field()
     reference = dop853_frames(curv, field.s)
     assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_HASHES))
+def test_frame_tables_are_byte_stable(tmp_path, name):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(ENVELOPE_CASES[name][0]))
+    out = tmp_path / "out"
+    assert main(["frame", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _sha256(out / "frames.txt") == FRAME_HASHES[name]
 
 
 @pytest.mark.parametrize("name", sorted(ENVELOPE_CASES))
