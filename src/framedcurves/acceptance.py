@@ -58,7 +58,7 @@ class CriterionResult:
 
 
 def _result(number, budget, ok, detail, start):
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return CriterionResult(number, bool(ok) and elapsed <= budget, detail, elapsed, budget)
 
 
@@ -71,7 +71,7 @@ def _triples(top):
 
 def criterion_1():
     """Monomial curve of type a detects as a: exact a3 <= 7, float a3 <= 5."""
-    start = time.time()
+    start = time.perf_counter()
     bad = []
     exact_cases = _triples(7)
     for a in exact_cases:
@@ -95,7 +95,7 @@ def criterion_1():
 
 def criterion_2():
     """dual_type o dual_type = id (n <= 4, entries <= 9); lifted duals detect right."""
-    start = time.time()
+    start = time.perf_counter()
     bad = []
     count = 0
     for n in range(1, 5):
@@ -128,7 +128,7 @@ _OSCULATING_LIST = [
 
 def criterion_3():
     """codim_osculating <= codim_adapted <= schubert; generic lists byte-exact."""
-    start = time.time()
+    start = time.perf_counter()
     bad = []
     count = 0
     for n in range(1, 5):
@@ -156,7 +156,7 @@ def criterion_3():
 
 def criterion_4():
     """Arc length 20 at tol 1e-10 keeps the Gram defect <= 1e-8 for all deltas."""
-    start = time.time()
+    start = time.perf_counter()
     cases = (
         (0, (1, 0, 0), "euclidean"),
         (1, (1, 0, 0), "spherical"),
@@ -182,7 +182,7 @@ def criterion_5():
     The helix check measures each vertex against the closed-form point at its
     own (t, s), which bounds the Hausdorff distance between the two surfaces.
     """
-    start = time.time()
+    start = time.perf_counter()
     field = radial_circle_field(np.linspace(0.0, 2.0 * np.pi, 200))
     mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 50))
     v = mesh.vertices
@@ -239,7 +239,7 @@ _NORMAL_FORM_TYPES = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 4), (3,
 
 def criterion_6():
     """Discriminant meshes match exact elimination pointwise <= 1e-12 + spot values."""
-    start = time.time()
+    start = time.perf_counter()
     t_grid = np.linspace(-1.0, 1.0, 21)
     s_grid = np.linspace(-1.0, 1.0, 9)
     worst = 0.0
@@ -274,7 +274,7 @@ def criterion_6():
 
 def criterion_7():
     """kappa3 = t^2 - lambda: one momentary event at (0,0), two branches at +0.1."""
-    start = time.time()
+    start = time.perf_counter()
     family = CurvatureFamily.frenet(1, Poly.t() * Poly.t() - Poly.u())
     res = scan_family(family, np.linspace(-1.0, 1.0, 400), np.linspace(-0.2, 0.2, 81))
     problems = []
@@ -306,7 +306,7 @@ def criterion_7():
 
 def criterion_8():
     """c/d residuals <= 1e-8 on built-ins; doctored witnesses exceed 1e-1."""
-    start = time.time()
+    start = time.perf_counter()
     bad = []
     worst_c = worst_d = 0.0
     for name, fc in builtin_clift_examples():

@@ -8,6 +8,7 @@ always produces byte-identical CSV and report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -286,7 +287,9 @@ def _add_common(sub, config=True, out=True):
         sub.add_argument("--out", help="output directory (default: current)")
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="framedcurves",
         description="Framed space curves: type detection, frames, envelopes, scans.",

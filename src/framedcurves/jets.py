@@ -5,9 +5,11 @@ when the jet matrices A_r = (gamma, gamma', ..., gamma^(r)) eventually reach
 full rank n+2.  The type vector a = (a_1, ..., a_{n+1}) records the minimal
 orders at which the rank jumps to 2, 3, ..., n+2.
 
-Two rank back-ends are provided: an exact fraction-free path for polynomial
-columns at algebraic (and so rational) parameters, and a singular-value path
-for everything else.
+Two rank back-ends are provided: an exact fraction-free path and a
+singular-value path.  The exact path ranks exact matrices, and polynomial
+columns at a rational parameter, by Bareiss elimination on plain ints, and
+polynomial columns at an irrational algebraic parameter over Z[t]/(m).  The
+singular-value path takes everything else.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneracyError, DimensionMismatch, DomainError, FiniteTypeError
-from .ratpoly import _u_div, _u_mul, _u_sub, has_root_in, integer_coeffs, poly_gcd, pseudo_divmod
+from .ratpoly import _u_div, _u_mul, _u_sub, has_root_in, integer_coeffs, poly_gcd, pseudo_divmod, values_at
 
 DEFAULT_RANK_TOL = 1e-8
 RANK_GAP_MIN = 1e3
@@ -37,12 +39,41 @@ def validate_type_vector(a):
 # -- rank profiles ------------------------------------------------------------
 
 
+def integer_rank_profile(columns, dim):
+    """Prefix ranks, up to ``dim``, of integer columns, by Bareiss's fraction-free elimination.
+
+    Each column is reduced by the pivot rows before it, in order, and every
+    step's division by the previous pivot is exact (Bareiss, Math. Comp. 22,
+    1968), so the entries stay minors of the matrix and no content is taken.
+    """
+    basis, ranks = [], []
+    for v in columns:
+        prev = 1
+        for row, p in basis:
+            d, e = row[p], v[p]
+            if e:
+                v = [(d * x - e * y) // prev for x, y in zip(v, row)]
+            elif d != prev:
+                v = [d * x // prev for x in v]
+            prev = d
+        for i, x in enumerate(v):
+            if x:
+                basis.append((v, i))
+                break
+        ranks.append(len(basis))
+        if len(basis) == dim:
+            break
+    return ranks
+
+
 def algebraic_rank_profile(columns, dim, root):
     """Prefix ranks, up to ``dim``, of integer polynomial columns at an algebraic t*.
 
     ``root`` is (m, a, b): t* is the one root of the square-free integer list
     m in the open interval (a, b), or a == b == t* with m linear.  A column
-    is a list of integer coefficient lists in t with one positive scale.  The
+    is a list of integer coefficient lists in t with one positive scale.  At
+    a rational t* = p/q each column is evaluated, times q to its degree, and
+    ranked on plain ints (``integer_rank_profile``).  Otherwise the
     elimination is fraction-free over Z[t]/(m) and scales whole columns, so
     each prefix rank is the rank at t*.  An entry is zero at t* when its gcd
     with m vanishes there: a proper gcd splits m, and the factor with its
@@ -50,6 +81,8 @@ def algebraic_rank_profile(columns, dim, root):
     and Duval, EUROCAL 1985).
     """
     m, a, b = root
+    if len(m) == 2:
+        return integer_rank_profile((values_at(col, -m[0], m[1]) for col in columns), dim)
     basis, ranks = [], []
     for col in columns:
         # every entry of a column is reduced mod m with the same steps of
@@ -82,10 +115,9 @@ def algebraic_rank_profile(columns, dim, root):
 def exact_rank_profile(columns):
     """Ranks of the column prefixes of an exact matrix of ints or Fractions.
 
-    The algebraic profile at a rational point, with each column as constants.
+    Each column is cleared of its denominators and ranked on plain ints.
     """
-    columns = [[[c] if c else [] for c in integer_coeffs(col)] for col in columns]
-    return algebraic_rank_profile(columns, math.inf, ([0, 1], 0, 0))
+    return integer_rank_profile(map(integer_coeffs, columns), math.inf)
 
 
 def float_rank_profile(matrix, rank_tol=DEFAULT_RANK_TOL):

@@ -303,6 +303,12 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
+def values_at(lists, p, q):
+    """Integer coefficient lists at p/q, each times q to the top degree among them, as ints."""
+    n = max(map(len, lists))
+    return [_horner(x, p, q) * q ** (n - len(x)) for x in lists]
+
+
 def vanishes_at(ints, x):
     """Whether the integer coefficient list (low degree first) vanishes at Fraction x."""
     return _horner(ints, x.numerator, x.denominator) == 0
@@ -338,6 +344,61 @@ def _sign_beside(ints, p, q, side=1):
     return _sign(_horner(ints, p, q)) or side * _sign(_horner(slope, p, q))
 
 
+def _nearest_rational(n, d, bound):
+    """(p, q) with p/q == Fraction(n, d).limit_denominator(bound), d > 0, in ints alone.
+
+    The last convergent of n/d's continued fraction with q <= bound, or the
+    semiconvergent beyond it when that is nearer (a tie takes the convergent).
+    """
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if d <= bound:
+        return n, d
+    den, p0, q0, p1, q1 = d, 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+#: the level of the box a float Newton root proposes: one exact Newton step
+#: from its midpoint then reaches level 100
+_FLOAT_LEVEL = 50
+
+
+def _float_box(floats, c, k):
+    """The index of the level-50 box around a float Newton root of q in (c/2^k, (c+1)/2^k), else None.
+
+    ``floats`` is q's coefficient list (low degree first) as Python floats,
+    None when a coefficient is beyond the float range.  Up to eight Newton
+    steps from the box's midpoint give the root; None when they meet a zero
+    slope or end outside the box (a NaN or an infinity ends there too).
+    """
+    if floats is None or k >= _FLOAT_LEVEL:
+        return None
+    x = (c + 0.5) / 2**k
+    for _ in range(8):
+        f = df = 0.0
+        for a in reversed(floats):  # Horner's rule for q and q' at once
+            df = df * x + f
+            f = f * x + a
+        if not df:
+            return None
+        step = f / df
+        x -= step
+        if not abs(step) > 2.0**-40:  # the error left is about step^2
+            break
+    lead = math.floor(x * 2.0**_FLOAT_LEVEL) if 0.0 <= x < 1.0 else -1
+    return lead if (c << (_FLOAT_LEVEL - k)) <= lead < ((c + 1) << (_FLOAT_LEVEL - k)) else None
+
+
 def isolate_real_roots(ints, lo, hi):
     """The real roots in [lo, hi] of a square-free integer coefficient list, as records (m, a, b).
 
@@ -348,9 +409,14 @@ def isolate_real_roots(ints, lo, hi):
     with denominator below (4 h)^-1/2, h the half-width (a rational root that
     simple always is).  Any other root is (ints, a, b): the one root of ints
     in the open interval (a, b), the box of width 2^-100 (hi - lo) that sign
-    bisection narrows to, reached by certified Newton jumps.  Hits and boxes
-    stay dyadic integers (c, k) on the window's lattice until the records
-    are built.
+    bisection narrows to, reached by certified Newton jumps.  The first jump
+    starts from a root found by a few float Newton steps and proposes its
+    box of width 2^-50 (hi - lo); only an exact sign change across a box
+    takes it, so the floats never decide a record, and a proposal that
+    fails, or coefficients beyond the float range, leave the exact jumps
+    from the isolating box.  Hits and boxes stay dyadic integers (c, k) on
+    the window's lattice until the records are built, and the rational test
+    takes the nearest simple rational by a continued fraction on ints.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     # with lo = v/d and hi - lo = w/d, q(x) = d^n p((v + w x)/d) is p on the
@@ -366,6 +432,10 @@ def isolate_real_roots(ints, lo, hi):
     g = math.gcd(*q)
     q = [c // g for c in q]
     slope = [i * c for i, c in enumerate(q)][1:]
+    try:
+        floats = [float(c) for c in q]
+    except OverflowError:
+        floats = None
     # found holds (c, k, s) in order: a hit at c/2^k where s == 0, else the box
     # (c/2^k, (c+1)/2^k) around one root, s the sign of q at its midpoint.
     # Nodes (p, c, k): p(x) is q on [c/2^k, (c+1)/2^k], rescaled to [0, 1];
@@ -389,8 +459,15 @@ def isolate_real_roots(ints, lo, hi):
             # taken when q changes sign across it, and n doubles; it is the
             # box bisection reaches, as a root strictly inside is no dyadic
             # point of level <= j.  Else n halves and q's sign at the
-            # midpoint takes one bisection step
-            s_c, s, n = _sign_beside(q, c, 2**k), 1, 1
+            # midpoint takes one bisection step.  The first box proposed is
+            # the level-50 one around a float Newton root, taken by the same
+            # sign test, after which n = 50 jumps to level 100
+            lead, s, n = _float_box(floats, c, k), 1, 1
+            s_lead = lead is not None and _sign(_horner(q, lead, 2**_FLOAT_LEVEL))
+            if s_lead and _sign(_horner(q, lead + 1, 2**_FLOAT_LEVEL)) == -s_lead:
+                c, k, s_c, n = lead, _FLOAT_LEVEL, s_lead, _FLOAT_LEVEL
+            else:
+                s_c = _sign_beside(q, c, 2**k)
             while k < 100:
                 value = _horner(q, 2 * c + 1, 2 ** (k + 1))
                 s = _sign(value)
@@ -411,10 +488,11 @@ def isolate_real_roots(ints, lo, hi):
     for c, k, s in found:
         a, den = (v << k) + w * c, d << k
         if s:  # no hit: test the rational nearest the midpoint with denominator below (4 h)^-1/2, h = w/(2 den)
-            x = Fraction(2 * a + w, 2 * den).limit_denominator(math.isqrt(den // (2 * w)) or 1)
-            if not (a * x.denominator < x.numerator * den < (a + w) * x.denominator and vanishes_at(ints, x)):
+            p, r = _nearest_rational(2 * a + w, 2 * den, math.isqrt(den // (2 * w)) or 1)
+            if not (a * r < p * den < (a + w) * r and _horner(ints, p, r) == 0):
                 out.append((ints, Fraction(a, den), Fraction(a + w, den)))
                 continue
+            x = Fraction(p, r)
         else:
             x = Fraction(a, den)
         out.append(([-x.numerator, x.denominator], x, x))

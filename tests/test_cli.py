@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -616,6 +617,28 @@ def test_help_lists_all_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("type", "frame", "envelope", "normal-form", "scan", "enumerate", "verify"):
         assert name in out
+
+
+#: ``verify``'s stdout with each "[elapsed / budget]" suffix taken off
+VERIFY_LINES = [
+    "criterion 1 PASS: exact 35/35, float 10/10",
+    "criterion 2 PASS: involution on 372 types, 20 lifted duals detected",
+    "criterion 3 PASS: chain on 372 types; ordinary/adapted/osculating lists match frozen",
+    "criterion 4 PASS: max Gram defect: euclidean 1.04e-14, spherical 1.15e-14, hyperbolic 3.73e-14",
+    "criterion 5 PASS: cylinder distance 0.00e+00, developable pointwise distance 9.02e-16",
+    "criterion 6 PASS: 6 types, worst pointwise 0.00e+00, spot values exact",
+    "criterion 7 PASS: one event at (0,0), carrier (1,2,5); branch count 2/0 at lambda=+/-0.1",
+    "criterion 8 PASS: worst c 5.55e-17, worst d 6.94e-18, witnesses 0.50/1.00",
+]
+
+
+def test_verify_prints_the_pinned_detail_of_every_criterion():
+    code, out = _run_quietly(["verify"])
+    assert code == 0
+    suffix = re.compile(r" \[\d+\.\d\ds / budget \d+s\]$")
+    lines = out.splitlines()
+    assert all(suffix.search(line) for line in lines)
+    assert [suffix.sub("", line) for line in lines] == VERIFY_LINES
 
 
 _SCIPY_PROBE = """

@@ -26,7 +26,7 @@ from framedcurves import (
 )
 from framedcurves.curves import PolynomialCurve
 from framedcurves.jets import algebraic_rank_profile
-from framedcurves.ratpoly import Poly, isolate_real_roots
+from framedcurves.ratpoly import Poly, _u_mul, integer_coeffs, isolate_real_roots, trim
 
 OSCULATING_N2 = [
     (1, 2, 3),
@@ -216,6 +216,47 @@ def test_exact_rank_profile_counts_pivots():
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
     assert exact_rank_profile(cols) == [1, 1, 2, 3]
+
+
+_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+@st.composite
+def _planted_columns(draw):
+    """Columns of ints and Fractions, some zero and some combinations of the columns before them."""
+    size, columns = draw(st.integers(1, 5)), []
+    for kind in draw(st.lists(st.sampled_from(["free", "zero", "dependent"]), min_size=1, max_size=8)):
+        if kind == "free" or (kind == "dependent" and not columns):
+            columns.append(draw(st.lists(_ENTRY, min_size=size, max_size=size)))
+        elif kind == "zero":
+            columns.append([0] * size)
+        else:
+            weights = draw(st.lists(_ENTRY, min_size=len(columns), max_size=len(columns)))
+            columns.append([sum((w * col[i] for w, col in zip(weights, columns)), Fraction(0))
+                            for i in range(size)])
+    return columns
+
+
+# 150 examples take about 2 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=150, deadline=None)
+@given(columns=_planted_columns(), x=st.fractions(min_value=-3, max_value=3, max_denominator=9),
+       lifts=st.lists(st.lists(st.integers(-4, 4), max_size=3), min_size=5, max_size=5))
+def test_plain_int_prefix_ranks_equal_sympy_ranks(columns, x, lifts):
+    sympy = pytest.importorskip("sympy")
+    ranks = exact_rank_profile(columns)
+    matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in col] for col in columns])
+    assert ranks == [matrix[: r + 1, :].rank() for r in range(len(columns))]
+    # the same columns as polynomials in t that take these values at t = x,
+    # ranked at the rational root record of x: entry i of column j is
+    # c + (q t - p) lifts[(i + j) % 5](t), so the degrees within a column
+    # differ, and differ from column to column
+    p, q = x.numerator, x.denominator
+    tails = [_u_mul([-p, q], lift) if any(lift) else [] for lift in lifts]
+    polys = [[trim([a + b for a, b in itertools.zip_longest([c], tails[(i + j) % 5], fillvalue=0)])
+              for i, c in enumerate(ints)] for j, ints in enumerate(map(integer_coeffs, columns))]
+    dim = len(columns[0])
+    full = ranks.index(dim) + 1 if dim in ranks else len(ranks)
+    assert algebraic_rank_profile(polys, dim, ([-p, q], x, x)) == ranks[:full]
 
 
 def test_algebraic_rank_profile_splits_its_modulus_at_each_root():

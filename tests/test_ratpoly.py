@@ -419,6 +419,37 @@ def test_newton_narrowing_returns_the_bisection_records(window, spots, quadratic
     assert isolate_real_roots(ints, lo, hi) == _bisection_records(ints, lo, hi)
 
 
+# a root at an odd k / 2^e of the window's scale, e up to 110: a hit, at a
+# level the float start's level-50 box can hold
+_DYADIC = st.integers(1, 110).flatmap(lambda e: st.integers(0, 2 ** (e - 1) - 1).map(
+    lambda k: Fraction(2 * k + 1, 2**e)))
+# (x, e, n): roots x and x + 2^-e of the window's scale, or x -+ 2^-e sqrt(n) for n > 0
+_PAIR = st.tuples(st.fractions(min_value=0, max_value=1, max_denominator=10**6), st.integers(20, 120),
+                  st.sampled_from([0, 2, 3, 5]))
+# a factor with a root at 10^-320 or 10^320: q's coefficients pass the float range
+_HUGE = st.sampled_from([None, [-1, 10**320], [-10**320, 1]])
+
+
+# 100 examples take about 1 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=100, deadline=None)
+@given(window=st.lists(_END, min_size=2, max_size=2, unique=True).map(sorted),
+       dyadic=st.lists(_DYADIC, max_size=3), pairs=st.lists(_PAIR, max_size=2), huge=_HUGE,
+       lead=st.integers(1, 5))
+def test_float_started_narrowing_returns_the_bisection_records(window, dyadic, pairs, huge, lead):
+    lo, hi = window
+    t, p = Poly.t(), Poly.const(lead)
+    for x in dyadic:
+        p = p * (t - Poly.const(lo + (hi - lo) * x))
+    for x, e, n in pairs:
+        x, s = Poly.const(lo + (hi - lo) * x), Poly.const((hi - lo) / 2**e)
+        p = p * ((t - x) ** 2 - s * s * Poly.const(n) if n else (t - x) * (t - x - s))
+    ints = integer_coeffs(trim(p.t_coeffs()))
+    if huge:
+        ints = _u_mul(ints, huge)
+    assume(len(ints) > 1 and len(squarefree(ints)) == len(ints))
+    assert isolate_real_roots(ints, lo, hi) == _bisection_records(ints, lo, hi)
+
+
 # -- the integer list toolkit against sympy ---------------------------------------
 
 _INTS = st.lists(st.integers(-30, 30), min_size=1, max_size=4)
