@@ -203,16 +203,14 @@ def criterion_5():
 
 def _divide_by_monomial(poly: Poly, mono: Poly) -> Poly:
     """Exact division of a (t, u) polynomial by a monomial c * t^k."""
-    terms = [(key, v) for key, v in mono.c.items() if v]
-    if len(terms) != 1 or terms[0][0][1] != 0:
+    k = len(mono.rows) - 1
+    if k < 0 or any(mono.rows[:-1]) or len(mono.rows[-1]) != 1:
         raise ArithmeticError("divisor must be a monomial in t")
-    (k, _), c = terms[0]
-    out = {}
-    for (i, j), v in poly.c.items():
-        if i < k:
-            raise ArithmeticError("monomial division is not exact")
-        out[(i - k, j)] = v / c
-    return Poly(out)
+    if any(poly.rows[:k]):
+        raise ArithmeticError("monomial division is not exact")
+    c = Fraction(mono.rows[-1][0], mono.den)
+    return Poly({(i - k, j): Fraction(v, poly.den) / c for i, row in enumerate(poly.rows[k:], k)
+                 for j, v in enumerate(row)})
 
 
 def _eliminate_discriminant(a):

@@ -43,7 +43,6 @@ from .jets import (
 )
 from .ratpoly import (
     Poly,
-    as_fraction,
     has_root_in,
     isolate_real_roots,
     line_gcd_split,
@@ -55,7 +54,6 @@ from .ratpoly import (
     slope_rows,
     squarefree,
     squarefree_t,
-    trim,
     vanishes_at,
 )
 
@@ -165,7 +163,7 @@ def consistency_check(type_of_dual):
 def _family_poly(p):
     if isinstance(p, Poly):
         return p
-    return Poly.const(as_fraction(p))
+    return Poly.const(p)
 
 
 @dataclass(frozen=True)
@@ -304,11 +302,14 @@ class _AdaptedTypeOracle:
 
     @staticmethod
     def _columns(group, lam):
-        """The group's columns at u = lam, as integer lists in t with one scale per column."""
+        """The group's columns at u = lam = n/q, as integer lists in t with one scale per column.
+
+        ``rows_at`` scales an entry p by q^deg_u(p) p.den; a column, by q^D lcm(dens), D its top deg_u.
+        """
         for col in group:
-            entries = [trim(p.subs_u(lam).t_coeffs()) for p in col]
-            scale = math.lcm(*(c.denominator for x in entries for c in x))
-            yield [[c.numerator * (scale // c.denominator) for c in x] for x in entries]
+            scale, top = math.lcm(*(p.den for p in col)), max(p.deg_u() for p in col)
+            yield [[c * (scale // p.den) * lam.denominator ** (top - p.deg_u()) for c in rows_at(p.rows, lam)]
+                   for p in col]
 
     def classify(self, root, lam):
         """(type, "exact") at the root of a rational lambda line; the type is None off finite type."""

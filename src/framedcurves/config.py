@@ -42,6 +42,8 @@ DEFAULTS = {
 _GEOMETRIES = ("euclidean", "spherical", "hyperbolic")
 #: largest node count on any one grid axis
 MAX_GRID_COUNT = 100_000
+#: largest t- or lambda-degree of a kappa term key
+MAX_KAPPA_DEGREE = 1_000
 
 
 def _check_keys(mapping, allowed, where):
@@ -87,6 +89,8 @@ def _parse_kappa(spec, where):
                 raise ConfigError(f"{where}: term key {key!r} is not integral") from exc
             if i < 0 or j < 0:
                 raise ConfigError(f"{where}: term key {key!r} has negative degree")
+            if max(i, j) > MAX_KAPPA_DEGREE:
+                raise ConfigError(f"{where}: term key {key!r} has a degree above {MAX_KAPPA_DEGREE}")
             terms[(i, j)] = _exact_number(coeff, f"{where}[{key}]")
         return Poly(terms)
     raise ConfigError(f"{where}: expected a coefficient list or a term map")
@@ -140,7 +144,8 @@ def _parse_curve(spec, geometry):
         return {
             "kind": "curvature",
             "delta": delta,
-            "kappa": [{f"{i},{j}": str(v) for (i, j), v in p.c.items()} for p in polys],
+            "kappa": [{f"{i},{j}": str(Fraction(v, p.den)) for i, row in enumerate(p.rows)
+                       for j, v in enumerate(row) if v} for p in polys],
         }
     raise ConfigError(
         f"curve: kind must be 'builtin', 'polynomial' or 'curvature', got {kind!r}"

@@ -15,12 +15,12 @@ carry their leading 1 explicitly, so derivatives carry a leading 0).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ratpoly import Poly, as_fraction, integer_coeffs, taylor_shift
+from .ratpoly import Poly, as_fraction, taylor_shift
 
 
 class PolynomialCurve:
@@ -39,8 +39,8 @@ class PolynomialCurve:
             raise DimensionMismatch("need at least 3 components (ambient dimension n+2 >= 3)")
         self.components = tuple(comps)
         self._derivs = [self.components]
-        # each component as (its coefficients times D, D), D their lcm denominator
-        self._ints = [(integer_coeffs(c), lcm(*(x.denominator for x in c))) for c in map(Poly.t_coeffs, comps)]
+        # each component as (its integer coefficients, its den)
+        self._ints = [([row[0] if row else 0 for row in c.rows], c.den) for c in comps]
 
     @property
     def dim(self):

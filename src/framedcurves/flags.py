@@ -58,10 +58,9 @@ class FlagCurve:
         orders = []
         for j in range(self.dim - 1):
             p = self.polys[(j + 1, j)]
-            degs = [d for (d, du), c in p.c.items() if c]
-            if not degs:
+            if p.is_zero():
                 raise DomainError(f"diagonal entry {j + 1},{j} is identically zero")
-            orders.append(min(degs))
+            orders.append(next(i for i, row in enumerate(p.rows) if row))
         return tuple(orders)
 
 
@@ -232,11 +231,9 @@ def type_from_diagonal_orders(orders):
 
 
 def _monomial_term(p: Poly):
-    terms = [((dt, du), c) for (dt, du), c in p.c.items() if c]
-    if len(terms) != 1 or terms[0][0][1] != 0:
+    if not p.rows or any(p.rows[:-1]) or len(p.rows[-1]) != 1:
         raise DomainError("expected a monomial in t")
-    (dt, _), c = terms[0]
-    return dt, c
+    return len(p.rows) - 1, Fraction(p.rows[-1][0], p.den)
 
 
 def _monomial_div(p: Poly, q: Poly) -> Poly:
@@ -244,7 +241,7 @@ def _monomial_div(p: Poly, q: Poly) -> Poly:
     dq, cq = _monomial_term(q)
     if dp < dq:
         raise DomainError("monomial division with negative exponent")
-    return Poly.monomial_t(dp - dq, Fraction(cp, 1) / Fraction(cq, 1))
+    return Poly.monomial_t(dp - dq, cp / cq)
 
 
 def c_lift_monomial(a) -> FlagCurve:

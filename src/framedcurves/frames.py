@@ -103,8 +103,9 @@ def gram_schmidt_signed(vectors, form):
 class CurvatureData:
     """delta in {0, 1, -1} plus the curvatures (kappa_1, kappa_2, kappa_3).
 
-    Each curvature is an exact polynomial in arc length; a coefficient list
-    (low degree first) is read as one.
+    Each curvature is an exact polynomial in arc length alone (one in the
+    family parameter u raises DomainError); a coefficient list (low degree
+    first) is read as one.
     """
 
     delta: int
@@ -116,6 +117,8 @@ class CurvatureData:
         if len(self.kappa) != 3:
             raise DimensionMismatch("structure equation is wired for n = 2 (three curvatures)")
         kappa = tuple(p if isinstance(p, Poly) else Poly.from_t_coeffs(p) for p in self.kappa)
+        if any(p.deg_u() > 0 for p in kappa):
+            raise DomainError("a curvature depends on the family parameter; substitute a value first")
         object.__setattr__(self, "kappa", kappa)
 
     @classmethod

@@ -1,17 +1,15 @@
-"""Sparse polynomials with exact rational coefficients in one or two variables.
+"""Exact polynomials with rational coefficients in one or two variables.
 
 The two variables are called ``t`` (curve parameter) and ``u`` (family
-parameter).  Coefficients are :class:`fractions.Fraction`, so differentiation
-and evaluation at rational arguments incur no rounding; every rank decision
-that feeds a type vector can therefore be made exactly.
-
-Floats are deliberately rejected as coefficients.  Decimal strings such as
-``"0.1"`` are accepted and parsed exactly.
+parameter).  A :class:`Poly` is integer t-rows (below) over one positive
+denominator, so differentiation and evaluation at rational arguments incur
+no rounding; every rank decision that feeds a type vector is exact.  Floats
+are rejected as coefficients; decimal strings such as ``"0.1"`` are exact.
 
 The module also holds the one root toolkit the family scans use, and every
 integer decision of the exact layer.  It speaks one format: integer
-coefficient lists, low degree first, and integer t-rows (below), which a
-Poly enters once.  ``pseudo_divmod`` is the one pseudo-division of lists.
+coefficient lists, low degree first, and integer t-rows, a Poly's own
+numerator.  ``pseudo_divmod`` is the one pseudo-division of lists.
 ``poly_gcd`` is the one gcd of lists: it tries coprimality modulo 2^61 - 1
 first, then the subresultant PRS over Z[u], which also gives square-free
 parts, the square-free part in t and the resultant in t of t-rows, and the
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 
 def as_fraction(x):
@@ -40,86 +39,85 @@ def as_fraction(x):
 
 
 class Poly:
-    """Polynomial in (t, u) stored as {(deg_t, deg_u): Fraction}."""
+    """Polynomial in (t, u): integer t-rows over one positive denominator.
 
-    # ``c`` is never changed after construction, so ``evalf`` keeps its float
-    # table in the lazily filled ``_rows``
-    __slots__ = ("c", "_rows")
+    ``rows`` is the numerator as a t-row list (see the bivariate toolkit
+    below) with no empty top row, so zero is [].  ``den`` is a positive int
+    with gcd(den, every coefficient) = 1, 1 for zero, so each value has
+    exactly one form.  Neither is changed after construction, so ``evalf``
+    keeps its float table in the lazily filled ``_table``.
+    """
+
+    __slots__ = ("rows", "den", "_table")
 
     def __init__(self, terms=None):
-        c = {}
-        if terms:
-            for key, val in terms.items():
-                q = as_fraction(val)
-                if q:
-                    c[key] = q
-        self.c = c
+        """The sum of c t^i u^j over a {(i, j): c} map, each c exact (see ``as_fraction``)."""
+        terms = [(key, as_fraction(v)) for key, v in terms.items()] if terms else []
+        den = math.lcm(*[v.denominator for _, v in terms])
+        rows = []
+        for (i, j), v in terms:
+            if v:
+                rows += [[]] * (i + 1 - len(rows))
+                row = rows[i] = rows[i] + [0] * (j + 1 - len(rows[i]))
+                row[j] = v.numerator * (den // v.denominator)
+        self.rows, self.den = rows, den if rows else 1
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def const(cls, x):
-        return cls({(0, 0): as_fraction(x)})
+        return cls.monomial_t(0, x)
 
     @classmethod
     def t(cls):
-        return cls({(1, 0): Fraction(1)})
+        return _poly([[], [1]])
 
     @classmethod
     def u(cls):
-        return cls({(0, 1): Fraction(1)})
+        return _poly([[0, 1]])
 
     @classmethod
     def from_t_coeffs(cls, coeffs):
         """Univariate polynomial from coefficients ordered low degree first."""
-        return cls({(i, 0): as_fraction(a) for i, a in enumerate(coeffs)})
+        coeffs = [as_fraction(a) for a in coeffs]
+        den = math.lcm(*(a.denominator for a in coeffs))
+        return _poly([[a.numerator * (den // a.denominator)] if a else [] for a in coeffs], den)
 
     @classmethod
     def monomial_t(cls, degree, coeff=1):
-        return cls({(degree, 0): as_fraction(coeff)})
+        q = as_fraction(coeff)
+        return _poly([[]] * degree + [[q.numerator] if q else []], q.denominator)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
-        c = dict(self.c)
-        for k, v in other.c.items():
-            s = c.get(k, Fraction(0)) + v
-            if s:
-                c[k] = s
-            else:
-                c.pop(k, None)
-        out = Poly.__new__(Poly)
-        out.c = c
-        return out
+        return _sum(self, _as_poly(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
+        return _poly([[-c for c in row] for row in self.rows], self.den)
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        return _sum(self, _as_poly(other), -1)
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        return _sum(_as_poly(other), self, -1)
 
     def __mul__(self, other):
         other = _as_poly(other)
-        c = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                k = (i1 + i2, j1 + j2)
-                s = c.get(k, Fraction(0)) + v1 * v2
-                if s:
-                    c[k] = s
-                else:
-                    c.pop(k, None)
-        out = Poly.__new__(Poly)
-        out.c = c
-        return out
+        a, b = self.rows, other.rows
+        out = [[] for _ in range(len(a) + len(b) - 1)]
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if x and y:
+                    acc = out[i + j]
+                    if len(acc) < len(x) + len(y) - 1:
+                        acc += [0] * (len(x) + len(y) - 1 - len(acc))
+                    for k, c in enumerate(x):
+                        for m, d in enumerate(y, k):
+                            acc[m] += c * d
+        return _poly([trim(row) for row in out], self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -127,12 +125,8 @@ class Poly:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -140,28 +134,27 @@ class Poly:
             other = _as_poly(other)
         except TypeError:
             return NotImplemented
-        return self.c == other.c
+        return self.den == other.den and self.rows == other.rows
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        return hash((self.den, tuple(map(tuple, self.rows))))
 
     # -- calculus ----------------------------------------------------------
 
     def diff_t(self):
-        return Poly({(i - 1, j): v * i for (i, j), v in self.c.items() if i})
+        return _poly(slope_rows(self.rows), self.den)
 
     def diff_u(self):
-        return Poly({(i, j - 1): v * j for (i, j), v in self.c.items() if j})
+        return _poly([[j * c for j, c in enumerate(row)][1:] for row in self.rows], self.den)
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, t, u=0):
         """Exact evaluation at rational arguments."""
         tq, uq = as_fraction(t), as_fraction(u)
-        total = Fraction(0)
-        for (i, j), v in self.c.items():
-            total += v * tq**i * uq**j
-        return total
+        line = rows_at(self.rows, uq)
+        return Fraction(_horner(line, tq.numerator, tq.denominator),
+                        self.den * uq.denominator ** self.deg_u() * tq.denominator ** max(len(line) - 1, 0))
 
     def evalf(self, t, u=0.0):
         """Float evaluation by Horner's rule in t, over rows taken by Horner in u.
@@ -170,18 +163,21 @@ class Poly:
         through the same operations, so an array result equals the scalar
         evaluation at every point bit for bit; it has the broadcast shape, also
         for the zero polynomial.  No power |t|^i is formed on its own, so a
-        small term c t^i stays finite past |t|^i's float range.  A coefficient
-        beyond the float range raises OverflowError.
+        small term c t^i stays finite past |t|^i's float range.  The table
+        entry of a coefficient c is c / den, correctly rounded; one beyond the
+        float range raises OverflowError.
         """
-        rows = getattr(self, "_rows", None)
-        if rows is None:  # the table, highest degrees first
-            n, m = self.deg_t(), self.deg_u()
-            rows = [[0.0] * (m + 1) for _ in range(n + 1)]
-            for (i, j), v in self.c.items():
-                rows[n - i][m - j] = float(v)
-            self._rows = rows  # only once every coefficient has its float
+        table = getattr(self, "_table", None)
+        if table is None:  # the dense table, highest degrees first
+            n, m = max(len(self.rows) - 1, 0), self.deg_u()
+            table = [[0.0] * (m + 1) for _ in range(n + 1)]
+            for i, row in enumerate(self.rows):
+                for j, c in enumerate(row):
+                    if c:
+                        table[n - i][m - j] = c / self.den
+            self._table = table  # only once every coefficient has its float
         total = 0.0
-        for row in rows:
+        for row in table:
             value = 0.0
             for a in row:
                 value = value * u + a
@@ -191,25 +187,14 @@ class Poly:
     def subs_u(self, u):
         """Substitute an exact value for u, returning a univariate polynomial."""
         uq = as_fraction(u)
-        c = {}
-        for (i, j), v in self.c.items():
-            s = c.get((i, 0), Fraction(0)) + v * uq**j
-            if s:
-                c[(i, 0)] = s
-            else:
-                c.pop((i, 0), None)
-        out = Poly.__new__(Poly)
-        out.c = c
-        return out
+        return _poly([[c] if c else [] for c in rows_at(self.rows, uq)],
+                     self.den * uq.denominator ** self.deg_u())
 
     def compose_t(self, g: "Poly") -> "Poly":
         """Substitute t -> g(t) (univariate in t only)."""
-        if self.deg_u() > 0:
-            raise ValueError("compose_t requires a univariate polynomial in t")
         result = Poly()
-        for i, a in enumerate(self.t_coeffs()):
-            if a:
-                result = result + Poly.const(a) * g**i
+        for a in reversed(self.t_coeffs()):
+            result = result * g + a
         return result
 
     # -- structure ---------------------------------------------------------
@@ -218,40 +203,60 @@ class Poly:
         """Dense coefficient list in t, low degree first (univariate only)."""
         if self.deg_u() > 0:
             raise ValueError("polynomial depends on u; substitute first")
-        n = self.deg_t()
-        out = [Fraction(0)] * (n + 1)
-        for (i, _), v in self.c.items():
-            out[i] = v
-        return out
-
-    def deg_t(self):
-        return max((i for (i, _) in self.c), default=0)
+        return [Fraction(row[0], self.den) if row else Fraction(0) for row in self.rows or [[]]]
 
     def deg_u(self):
-        return max((j for (_, j) in self.c), default=0)
+        return max(map(len, self.rows), default=1) - 1
 
     def is_zero(self):
-        return not self.c
+        return not self.rows
 
     def __repr__(self):
-        if not self.c:
-            return "Poly(0)"
         bits = []
-        for (i, j) in sorted(self.c):
-            v = self.c[(i, j)]
-            term = str(v)
-            if i:
-                term += f"*t^{i}" if i > 1 else "*t"
-            if j:
-                term += f"*u^{j}" if j > 1 else "*u"
-            bits.append(term)
-        return "Poly(" + " + ".join(bits) + ")"
+        for i, row in enumerate(self.rows):
+            for j, c in enumerate(row):
+                if c:
+                    term = str(Fraction(c, self.den))
+                    if i:
+                        term += f"*t^{i}" if i > 1 else "*t"
+                    if j:
+                        term += f"*u^{j}" if j > 1 else "*u"
+                    bits.append(term)
+        return "Poly(" + (" + ".join(bits) or "0") + ")"
+
+
+def _poly(rows, den=1):
+    """The Poly of a fresh list of trimmed integer rows over a positive int den, in its one form."""
+    while rows and not rows[-1]:
+        rows.pop()
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        if row:
+            g = math.gcd(g, *row)
+    out = Poly.__new__(Poly)
+    out.rows = [[c // g for c in row] for row in rows] if g > 1 else rows
+    out.den = den // g if rows else 1
+    return out
+
+
+def _sum(a, b, sign=1):
+    """a + sign b for Polys; a row of a kept as it is is shared, not copied, as no Poly changes its rows."""
+    den = math.lcm(a.den, b.den)
+    x, y = den // a.den, sign * (den // b.den)
+    rows = []
+    for r, s in zip_longest(a.rows, b.rows, fillvalue=[]):
+        if s or x != 1:
+            r = trim([x * c + y * d for c, d in zip_longest(r, s, fillvalue=0)])
+        rows.append(r)
+    return _poly(rows, den)
 
 
 def _as_poly(x):
     if isinstance(x, Poly):
         return x
-    return Poly.const(as_fraction(x))
+    return Poly.const(x)
 
 
 def poly_det(matrix):
@@ -599,17 +604,6 @@ def pseudo_divmod(a, b, steps=None):
 # integer rows: Python ints are several times faster than Fractions here.
 
 
-def _integer_rows(p: Poly):
-    """The t-row list of p times the lcm of its denominators, with integer entries."""
-    scale = math.lcm(*(v.denominator for v in p.c.values()))
-    rows = [[] for _ in range(p.deg_t() + 1)] if p.c else []
-    for (i, j), v in p.c.items():
-        row = rows[i]
-        row.extend([0] * (j + 1 - len(row)))
-        row[j] = v.numerator * (scale // v.denominator)
-    return rows
-
-
 def rows_at(rows, x):
     """q^d times the t-row list at u = x = p/q, d its degree in u, by homogeneous Horner: an integer list in t."""
     p, q = x.numerator, x.denominator
@@ -714,7 +708,7 @@ def _subresultant_prs(a, b):
 
 def slope_rows(rows):
     """The t-derivative of a t-row list."""
-    return [[k * x for x in row] for k, row in enumerate(rows)][1:]
+    return [[k * x for x in row] for k, row in enumerate(rows[1:], 1)]
 
 
 def squarefree_t(p: Poly):
@@ -728,7 +722,7 @@ def squarefree_t(p: Poly):
     """
     if p.is_zero():
         raise ZeroDivisionError("square-free part of the zero polynomial")
-    a, content = _primitive(_integer_rows(p))
+    a, content = _primitive(p.rows)
     if len(a) == 1:
         return [[1]], content
     g = _subresultant_prs(a, slope_rows(a))[0][-1][0]

@@ -53,7 +53,8 @@ OSCULATING_N2 = [
 
 def _antiderivative(p):
     """The antiderivative in t of a Poly, with zero constant term."""
-    return Poly({(i + 1, j): v / (i + 1) for (i, j), v in p.c.items()})
+    return Poly({(i + 1, j): Fraction(v, p.den * (i + 1))
+                 for i, row in enumerate(p.rows) for j, v in enumerate(row)})
 
 
 # -- the class table ------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Run-config bounds: grids and tolerances are finite and sized, or ConfigError."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from framedcurves import ConfigError, RunConfig
-from framedcurves.config import MAX_GRID_COUNT
+from framedcurves.cli import main
+from framedcurves.config import MAX_GRID_COUNT, MAX_KAPPA_DEGREE
 
 
 def test_json_infinity_and_huge_values_are_rejected():
@@ -56,6 +58,26 @@ def test_tolerances_must_lie_in_the_open_unit_interval(value):
 
 def test_tolerance_inside_the_unit_interval_is_accepted():
     assert RunConfig.from_dict({"tolerances": {"mesh_tol": 0.5}}).mesh_tol == 0.5
+
+
+def _kappa_config(key):
+    return {"curve": {"kind": "curvature", "delta": 0, "kappa": [{key: "1"}, ["0"], ["1"]]}}
+
+
+@pytest.mark.parametrize("key", ["1001,0", "0,1001", "100000000,0"])
+def test_a_kappa_term_above_the_degree_bound_exits_2_naming_the_key(tmp_path, capsys, key):
+    # the polynomial is dense in t and lambda, so such a key would allocate its table at load
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_kappa_config(key)))
+    assert main(["frame", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["200,0", f"{MAX_KAPPA_DEGREE},0", f"0,{MAX_KAPPA_DEGREE}"])
+def test_a_kappa_term_up_to_the_degree_bound_loads(key):
+    assert RunConfig.from_dict(_kappa_config(key)).curve["kappa"][0] == {key: "1"}
 
 
 # -- fuzz -----------------------------------------------------------------------------

@@ -123,6 +123,15 @@ def test_curvature_constant_requires_exact_values():
     assert curv.kappa[0].evalf(3.7) == 1.0
 
 
+def test_curvature_data_refuses_a_curvature_in_the_family_parameter():
+    # a curvature in u is a family; the CLI substitutes lambda before it builds CurvatureData
+    t, u = Poly.t(), Poly.u()
+    with pytest.raises(DomainError, match="family parameter"):
+        CurvatureData(0, ([1], [0], u))
+    curv = CurvatureData(0, ([1], [0], (t * t - u).subs_u(Fraction(1, 3))))
+    assert curv.kappa[2] == t * t - Poly.const(Fraction(1, 3))
+
+
 # -- integration of the structure equation --------------------------------------
 
 

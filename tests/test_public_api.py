@@ -1,10 +1,10 @@
 """Every public name is used by the package itself, its scripts or its benchmark.
 
 An exported name that only the tests call is library surface with no job in
-the program; so is a public method of an exported class.  The names listed
-below are the known exceptions; a new unreferenced export or method fails
-these tests until it gets a caller, is deleted, or is added here with its
-reason.  Files are parsed, not imported, and a method counts as called when
+the program; so is a public module-level function or class of any package
+module, and a public method of an exported class.  The names listed below
+are the known exceptions; a new unreferenced name or method fails these
+tests until it gets a caller, is deleted, or is added here with its reason.  Files are parsed, not imported, and a method counts as called when
 any program file reads an attribute of its name.  In the other direction,
 the package's modules import from ``ratpoly`` no private name beyond its
 integer list arithmetic.
@@ -16,7 +16,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "framedcurves"
 
-#: exported names with no caller outside the tests, and why each stays
+#: public names with no caller outside the tests, and why each stays
 UNREFERENCED = {
     "reorthonormalize": "a probe target of the benchmark tracer (named as a string)",
     "consistency_check": "the duality and class-table cross-check (ROADMAP item 6)",
@@ -62,6 +62,19 @@ def _program_files():
 def test_every_export_has_a_caller_outside_the_tests():
     referenced = set().union(*(_referenced_names(p) for p in _program_files()))
     assert _exported_names() - referenced == set(UNREFERENCED)
+
+
+def _module_level_names():
+    """Every public function and class defined at the top level of a package module."""
+    return {node.name for path in PACKAGE.glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    # also the helpers no __init__ exports: one whose last caller goes is deleted with it
+    referenced = set().union(*(_referenced_names(p) for p in _program_files()))
+    assert _module_level_names() - referenced == set(UNREFERENCED)
 
 
 def _public_methods(names):

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from framedcurves import NormalFormFamily, Poly
 from framedcurves.ratpoly import (
     _coprime_mod_p,
     _descartes_count,
     _horner,
-    _integer_rows,
     _sign,
     _sign_beside,
     _u_mul,
@@ -112,7 +111,7 @@ _U_TERMS = st.dictionaries(st.tuples(st.just(0), st.integers(0, 2)), _RATIONAL, 
 def _sympy_t_poly(sympy, p):
     """p as a sympy polynomial in t over QQ[u]."""
     t, u = sympy.symbols("t u")
-    expr = sum((sympy.Rational(v.numerator, v.denominator) * t**i * u**j for (i, j), v in p.c.items()),
+    expr = sum((sympy.Rational(v, p.den) * t**i * u**j for i, row in enumerate(p.rows) for j, v in enumerate(row)),
                sympy.Integer(0))
     return sympy.Poly(expr, t, domain="QQ[u]")
 
@@ -151,7 +150,7 @@ def test_resultant_in_t_matches_sympy(p, q):
     # polynomials itself: sympy's resultant() loses the sign
     # (-1)^(deg p deg q) when deg p < deg q
     sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
-    rows_p, rows_q = _integer_rows(p), _integer_rows(q)
+    rows_p, rows_q = p.rows, q.rows
     a, b = _sympy_rows(sympy, rows_p), _sympy_rows(sympy, rows_q)
     expected = sylvester(a.as_expr(), b.as_expr(), a.gens[0]).det(method="berkowitz")
     res = resultant_t(rows_p, rows_q)
@@ -195,7 +194,7 @@ def _check_line_gcd_split(sympy, p, e):
     """Check line_gcd_split on p's t-rows and e at every root of e, exactly, over Q(root)."""
     t, u = sympy.symbols("t u")
     split = [(sympy.Poly(_sympy_u_expr(sympy, e_i), u), line_i, gcd_i)
-             for e_i, line_i, gcd_i in line_gcd_split(_integer_rows(p), integer_coeffs(e))]
+             for e_i, line_i, gcd_i in line_gcd_split(p.rows, integer_coeffs(e))]
     expr = _sympy_t_poly(sympy, p).as_expr()
     for factor, _ in sympy.Poly(_sympy_u_expr(sympy, e), u).factor_list()[1]:
         owners = [(line_i, gcd_i) for e_i, line_i, gcd_i in split if e_i.rem(factor).is_zero]
@@ -223,8 +222,8 @@ def test_line_gcd_split_gives_the_gcd_of_every_line_on_e(a, b, c, u0, k):
     t, u = Poly.t(), Poly.u()
     e = (u - Poly.const(u0)) * (u * u - Poly.const(k))
     p = (t - Poly(a)) ** 2 * Poly(b) + e * Poly(c)
-    assume(p.deg_t() > 0)
-    _check_line_gcd_split(sympy, p, [e.c.get((0, j), Fraction(0)) for j in range(e.deg_u() + 1)])
+    assume(len(p.rows) > 1)
+    _check_line_gcd_split(sympy, p, [Fraction(c, e.den) for c in e.rows[0]])
 
 
 def test_squarefree_part_of_a_power_and_of_a_u_only_polynomial():
@@ -241,11 +240,11 @@ def test_squarefree_part_of_a_power_and_of_a_u_only_polynomial():
 
 def test_resultant_of_a_common_factor_is_zero_and_of_a_constant_a_power():
     t, u = Poly.t(), Poly.u()
-    assert resultant_t(_integer_rows((t - u) * (t + Poly.const(1))), _integer_rows((t - u) * t)) == []
+    assert resultant_t(((t - u) * (t + Poly.const(1))).rows, ((t - u) * t).rows) == []
     assert resultant_t([[5]], [[0, 1], [], [1]]) == [25]
     assert resultant_t([[0, 1], [], [1]], [[], [2]]) == [0, 4]
     # the rows are taken as they are: Res(t^2/2 + u, t) is Res(t^2 + 2u, t)
-    assert resultant_t(_integer_rows(t * t * Poly.const(Fraction(1, 2)) + u), [[], [1]]) == [0, 2]
+    assert resultant_t((t * t * Poly.const(Fraction(1, 2)) + u).rows, [[], [1]]) == [0, 2]
 
 
 def test_real_roots_beyond_the_float_range_are_scaled_exactly():
@@ -498,10 +497,114 @@ def test_gcd_with_a_leading_coefficient_that_vanishes_mod_the_prime(b, gcd):
 @pytest.mark.parametrize("name", sorted(POLYS))
 def test_rows_are_evaluated_exactly(name):
     p = POLYS[name]
-    rows = _integer_rows(p)
-    scale = math.lcm(*(v.denominator for v in p.c.values()))
+    rows = p.rows
+    scale = p.den
     for x in (Fraction(0), Fraction(-3, 7), Fraction(5, 2)):
         # q^deg_u times scale times p(., x), an integer list in t
         line = rows_at(rows, x)
         assert all(type(c) is int for c in line)
         assert line == [c * scale * x.denominator ** p.deg_u() for c in trim(p.subs_u(x).t_coeffs())]
+
+
+# -- the Poly format against a Fraction-dict reference (test-only) -----------------
+
+_COEFF = st.one_of(st.just(Fraction(0)), st.integers(-10**6, 10**6).map(Fraction),
+                   st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6))
+_SPARSE = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), _COEFF, max_size=6)
+_POINT = st.fractions(min_value=-3, max_value=3, max_denominator=50)
+
+
+def _ref(terms):
+    """A {(i, j): Fraction} dict without its zero terms."""
+    return {k: Fraction(v) for k, v in terms.items() if v}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return _ref(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + v1 * v2
+    return _ref(out)
+
+
+def _ref_terms(p):
+    """A Poly's terms read off its rows and den, after checking that they are its one form."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for row in p.rows for c in row)
+    assert all(row[-1] for row in p.rows if row) and (not p.rows or p.rows[-1])
+    assert math.gcd(p.den, *(c for row in p.rows for c in row)) == 1
+    return {(i, j): Fraction(c, p.den) for i, row in enumerate(p.rows) for j, c in enumerate(row) if c}
+
+
+def _ref_evalf(terms, t, u):
+    """Horner over the dense float(Fraction) table, highest degrees first."""
+    n, m = max((i for i, _ in terms), default=0), max((j for _, j in terms), default=0)
+    table = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for (i, j), v in terms.items():
+        table[n - i][m - j] = float(v)
+    total = 0.0
+    for row in table:
+        value = 0.0
+        for a in row:
+            value = value * u + a
+        total = total * t + value
+    return total
+
+
+def _built_by_ring_ops(terms):
+    """The same polynomial as Poly(terms), summed from constants times powers of t and u."""
+    out = Poly()
+    for (i, j), v in terms.items():
+        out = out + Poly.const(v) * Poly.t() ** i * Poly.u() ** j
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=_SPARSE, b=_SPARSE, k=st.integers(0, 3), t=_POINT, u=_POINT,
+       x=st.floats(-3, 3), y=st.floats(-3, 3))
+# a den past 2^53, where rounding c and den to floats apart would round twice
+@example(a={(0, 0): Fraction(2992, 999983), (1, 0): Fraction(1, 999979), (2, 0): Fraction(1, 999961)},
+         b={}, k=0, t=Fraction(0), u=Fraction(0), x=0.0, y=0.0)
+def test_integer_rows_over_one_den_match_a_fraction_dict_reference(a, b, k, t, u, x, y):
+    p, q = Poly(a), Poly(b)
+    ra, rb = _ref(a), _ref(b)
+    assert _ref_terms(p) == ra and _ref_terms(q) == rb
+    # equal values have equal rows, den and hash, however they were built
+    for built, ref in ((_built_by_ring_ops(a), p), (Poly(dict(reversed(list(a.items())))), p)):
+        assert (built.rows, built.den, hash(built)) == (ref.rows, ref.den, hash(ref)) and built == ref
+    assert _ref_terms(p + q) == _ref_add(ra, rb)
+    assert _ref_terms(p - q) == _ref_add(ra, rb, -1)
+    assert _ref_terms(-p) == _ref_add({}, ra, -1)
+    assert _ref_terms(p * q) == _ref_mul(ra, rb)
+    power = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        power = _ref_mul(power, ra)
+    assert _ref_terms(p**k) == power
+    assert _ref_terms(p.diff_t()) == _ref({(i - 1, j): i * v for (i, j), v in ra.items() if i})
+    assert _ref_terms(p.diff_u()) == _ref({(i, j - 1): j * v for (i, j), v in ra.items() if j})
+    line = {}
+    for (i, j), v in ra.items():
+        line[(i, 0)] = line.get((i, 0), 0) + v * u**j
+    line = _ref(line)
+    assert _ref_terms(p.subs_u(u)) == line
+    assert p.eval(t, u) == sum((v * t**i * u**j for (i, j), v in ra.items()), Fraction(0))
+    g = q.subs_u(t)  # univariate in t
+    dense = [line.get((i, 0), Fraction(0)) for i in range(max((i + 1 for i, _ in line), default=1))]
+    assert p.subs_u(u).t_coeffs() == dense
+    composed, g_power = {}, {(0, 0): Fraction(1)}
+    for c in dense:
+        composed = _ref_add(composed, _ref_mul({(0, 0): c} if c else {}, g_power))
+        g_power = _ref_mul(g_power, _ref_terms(g))
+    assert _ref_terms(p.subs_u(u).compose_t(g)) == composed
+    # evalf: the table entry c / den is float(Fraction(c, den)), correctly rounded
+    assert p.evalf(x, y).hex() == _ref_evalf(ra, x, y).hex()
+    grid = p.evalf(np.array([x, y, 0.5])[:, None], np.array([y, -x])[None, :])
+    assert [[v.hex() for v in row] for row in grid.tolist()] == [
+        [_ref_evalf(ra, s, w).hex() for w in (y, -x)] for s in (x, y, 0.5)]
