@@ -33,15 +33,13 @@ from .jets import (
     validate_type_vector,
 )
 from .frames import (
-    CurvatureData,
+    CurvatureFamily,
     FrameField,
-    dual_coefficient_jets,
     gram_defect,
     gram_schmidt_signed,
     integrate_structure_equation,
     reorthonormalize,
     structure_matrix,
-    structure_poly_matrix,
 )
 from .flags import (
     FlagCurve,
@@ -75,7 +73,6 @@ from .classify import (
     REGULAR,
     SWALLOWTAIL,
     BifurcationEvent,
-    CurvatureFamily,
     DiagonalFamily,
     ScanResult,
     SingularityClass,

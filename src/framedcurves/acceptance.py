@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .classify import CurvatureFamily, class_of, scan_family
+from .classify import class_of, scan_family
 from .curves import monomial_curve
 from .envelope import NormalFormFamily, discriminant_mesh, envelope_mesh, hyperplane_family
 from .examples import (
@@ -28,7 +28,7 @@ from .examples import (
     violation_witnesses,
 )
 from .flags import c_integrality_residual, c_lift_monomial, d_integrality_residual, dual_curve_from_clift
-from .frames import CurvatureData, integrate_structure_equation
+from .frames import CurvatureFamily, integrate_structure_equation
 from .jets import (
     codim_adapted,
     codim_osculating,
@@ -165,7 +165,7 @@ def criterion_4():
     drifts = []
     ok = True
     for delta, kappa, kind in cases:
-        curv = CurvatureData.constant(delta, kappa)
+        curv = CurvatureFamily.constant(delta, kappa)
         field = integrate_structure_equation(SpaceForm(kind), curv, np.linspace(0.0, 20.0, 201), tol=1e-10)
         drift = float(np.max(field.gram_defects()))
         drifts.append(f"{kind} {drift:.2e}")

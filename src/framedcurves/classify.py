@@ -9,11 +9,13 @@ module names the germs, classifies single points through the frame dual's
 type vector, and scans exact polynomial families for the full bifurcation
 picture: strata polylines, momentary events, and degenerate regions.
 
-All scanning is done on exact rational polynomials.  The detector is made
-square-free in t over Q[u] once per family; its lines then carry the real
-roots (strata), and the real roots of its t-discriminant in lambda carry the
-momentary events.  Candidate special points are re-verified in exact
-arithmetic whenever they admit a small rational representative.
+A family is a ``frames.CurvatureFamily``, the same curvature model that the
+structure equation integrates; its dual jets give the detector and the type
+oracle's columns.  All scanning is done on exact rational polynomials.  The
+detector is made square-free in t over Q[u] once per family; its lines then
+carry the real roots (strata), and the real roots of its t-discriminant in
+lambda carry the momentary events.  Candidate special points are re-verified
+in exact arithmetic whenever they admit a small rational representative.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, FiniteTypeError
 from .fileio import atomic_write_text, format_float
 from .flags import type_from_diagonal_orders
-from .frames import dual_coefficient_jets
+from .frames import CurvatureFamily, _exact_poly
 from .jets import (
     DEFAULT_RANK_TOL,
     RANK_GAP_MIN,
@@ -47,7 +49,6 @@ from .ratpoly import (
     isolate_real_roots,
     line_gcd_split,
     midpoint,
-    poly_det,
     pseudo_divmod,
     resultant_t,
     rows_at,
@@ -70,7 +71,6 @@ __all__ = [
     "CLASS_BY_DUAL_TYPE",
     "class_of",
     "consistency_check",
-    "CurvatureFamily",
     "DiagonalFamily",
     "BifurcationEvent",
     "Stratum",
@@ -160,49 +160,6 @@ def consistency_check(type_of_dual):
 # -- polynomial families ---------------------------------------------------------
 
 
-def _family_poly(p):
-    if isinstance(p, Poly):
-        return p
-    return Poly.const(p)
-
-
-@dataclass(frozen=True)
-class CurvatureFamily:
-    """Curvatures kappa_i(t, lambda) as exact bivariate polynomials.
-
-    ``u`` is the family parameter lambda.  Fixing lambda gives ordinary
-    polynomial curvature data, so every per-line question reduces to the
-    single-curve machinery.
-    """
-
-    delta: int
-    kappa: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", tuple(_family_poly(p) for p in self.kappa))
-        if self.delta not in (0, 1, -1):
-            raise DomainError(f"delta must be 0, 1 or -1, got {self.delta}")
-        if len(self.kappa) != 3:
-            raise DomainError("need exactly kappa_1, kappa_2, kappa_3")
-
-    @classmethod
-    def frenet(cls, kappa1, kappa3, delta=0):
-        """Family with kappa_2 identically zero."""
-        return cls(delta, (_family_poly(kappa1), Poly(), _family_poly(kappa3)))
-
-    def dual_jet_polys(self, r):
-        """Co-moving dual jets d_0 .. d_r as 4-vectors of (t, u) polynomials."""
-        return dual_coefficient_jets(self, r)
-
-    def detector(self, jets=None):
-        """det[d_0 .. d_3](t, u): zero exactly where the dual type leaves (1,2,3).
-
-        ``jets`` is ``dual_jet_polys(r)`` for some r >= 3, if the caller has it.
-        """
-        d = jets or self.dual_jet_polys(3)
-        return poly_det([[d[j][i] for j in range(4)] for i in range(4)])
-
-
 @dataclass(frozen=True)
 class DiagonalFamily:
     """Chart-diagonal entries x_{i}^{i-1}(t, lambda) of an osculating family.
@@ -215,7 +172,7 @@ class DiagonalFamily:
     entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(_family_poly(p) for p in self.entries))
+        object.__setattr__(self, "entries", tuple(_exact_poly(p) for p in self.entries))
         if len(self.entries) != 3:
             raise DomainError("need exactly three diagonal entries")
 

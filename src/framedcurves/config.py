@@ -16,11 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import CurvatureFamily
 from .curves import PolynomialCurve
 from .errors import ConfigError, DomainError
 from .examples import BUILTINS
-from .frames import CurvatureData, integrate_structure_equation
+from .frames import CurvatureFamily, integrate_structure_equation
 from .ratpoly import Poly
 from .spaceform import SpaceForm
 
@@ -263,7 +262,7 @@ class RunConfig:
         )
 
     def curvature_family(self) -> CurvatureFamily:
-        """The lambda-dependent curvature model (scan subcommand)."""
+        """The config's curvature model: the scanned family, and the integrated one once lambda is fixed."""
         if self.curve["kind"] != "curvature":
             raise ConfigError("scanning needs a curve of kind 'curvature'")
         return CurvatureFamily(self.curve["delta"], self._kappa_polys())
@@ -294,18 +293,17 @@ class RunConfig:
                                   f"{self.curve['name']!r} has no family parameter")
             return field_factory(self.t_grid())
         if kind == "curvature":
-            polys = self._kappa_polys()
+            family = self.curvature_family()
             if lam is not None:
-                if all(p.deg_u() == 0 for p in polys):
+                if all(p.deg_u() == 0 for p in family.kappa):
                     raise ConfigError(f"lambda = {lam!r} given, but no curvature of this config "
                                       "depends on lambda")
                 if not math.isfinite(lam):
                     raise DomainError(f"the family parameter must be finite, got lambda={lam!r}")
-                polys = tuple(p.subs_u(Fraction(float(lam))) for p in polys)
-            elif any(p.deg_u() > 0 for p in polys):
-                polys = tuple(p.subs_u(0) for p in polys)
-            curv = CurvatureData(self.curve["delta"], polys)
-            return integrate_structure_equation(SpaceForm(self.geometry), curv, self.t_grid(),
+            # with no lambda given, a family is integrated at lambda = 0
+            value = 0 if lam is None else Fraction(float(lam))
+            curve = CurvatureFamily(family.delta, tuple(p.subs_u(value) for p in family.kappa))
+            return integrate_structure_equation(SpaceForm(self.geometry), curve, self.t_grid(),
                                                 tol=self.ode_tol)
         framed = [name for name, (_, factory) in BUILTINS.items() if factory is not None]
         raise ConfigError(

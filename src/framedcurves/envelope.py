@@ -248,7 +248,10 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
 
 @dataclass(frozen=True)
 class NormalFormFamily:
-    """Generating family of a type vector (n = 2)."""
+    """Generating family of a type vector (n = 2).
+
+    Its discriminant polynomials x2, x3 and F_tt are built once, here.
+    """
 
     a: tuple
 
@@ -257,6 +260,18 @@ class NormalFormFamily:
         if len(a) != 3 or a[0] < 1 or not (a[0] < a[1] < a[2]):
             raise DimensionMismatch(f"normal forms take a strictly increasing triple, got {a}")
         object.__setattr__(self, "a", a)
+        a1, a2, a3 = a
+        x2 = (Poly.monomial_t(a2, Fraction(-factorial(a3 - a2 - 1), factorial(a3 - 1)))
+              + Poly({(a2 - a1, 1): Fraction(-factorial(a3 - a2 - 1), factorial(a3 - a1 - 1))}))
+        x3 = (Poly({(a3, 0): Fraction(-1, factorial(a3))})
+              + Poly({(a3 - a1, 1): Fraction(-1, factorial(a3 - a1))})
+              + Poly.monomial_t(a3 - a2, Fraction(-1, factorial(a3 - a2))) * x2)
+        ftt = Poly({(a3 - 2, 0): Fraction(1, factorial(a3 - 2))})
+        if a3 - a1 >= 2:
+            ftt = ftt + Poly({(a3 - a1 - 2, 1): Fraction(1, factorial(a3 - a1 - 2))})
+        if a3 - a2 >= 2:
+            ftt = ftt + Poly.monomial_t(a3 - a2 - 2, Fraction(1, factorial(a3 - a2 - 2))) * x2
+        object.__setattr__(self, "_polys", (x2, x3, ftt))
 
     def f(self, t, x):
         return self._derivative(t, x, 0)
@@ -280,36 +295,18 @@ class NormalFormFamily:
     # closed-form discriminant: x1 = s, (x2, x3) polynomial in (t, s)
 
     def x2_poly(self) -> Poly:
-        a1, a2, a3 = self.a
-        term1 = Poly.monomial_t(a2, Fraction(-factorial(a3 - a2 - 1), factorial(a3 - 1)))
-        term2 = Poly(
-            {(a2 - a1, 1): Fraction(-factorial(a3 - a2 - 1), factorial(a3 - a1 - 1))}
-        )
-        return term1 + term2
+        return self._polys[0]
 
     def x3_poly(self) -> Poly:
-        a1, a2, a3 = self.a
-        out = Poly({(a3, 0): Fraction(-1, factorial(a3))})
-        out = out + Poly({(a3 - a1, 1): Fraction(-1, factorial(a3 - a1))})
-        out = out + Poly.monomial_t(a3 - a2, Fraction(-1, factorial(a3 - a2))) * self.x2_poly()
-        return out
+        return self._polys[1]
 
     def f_tt_on_discriminant(self) -> Poly:
         """F_tt with x1 = u and x2 substituted -- linear in u."""
-        a1, a2, a3 = self.a
-        out = Poly({(a3 - 2, 0): Fraction(1, factorial(a3 - 2))})
-        if a3 - a1 >= 2:
-            out = out + Poly({(a3 - a1 - 2, 1): Fraction(1, factorial(a3 - a1 - 2))})
-        if a3 - a2 >= 2:
-            out = out + Poly.monomial_t(a3 - a2 - 2, Fraction(1, factorial(a3 - a2 - 2))) * self.x2_poly()
-        return out
+        return self._polys[2]
 
     def discriminant_point(self, t, s):
-        return (
-            float(s),
-            self.x2_poly().evalf(float(t), float(s)),
-            self.x3_poly().evalf(float(t), float(s)),
-        )
+        x2, x3, _ = self._polys
+        return float(s), x2.evalf(float(t), float(s)), x3.evalf(float(t), float(s))
 
 
 def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> EnvelopeMesh:

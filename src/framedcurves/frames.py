@@ -14,10 +14,13 @@ The structure equation in arc length reads
     e_2' = -kappa_1 e_1 + kappa_3 e_3
     e_3' = -kappa_2 e_1 - kappa_3 e_2
 
-i.e. E' = E K with the coefficient matrix K below.  The dual curve of a frame
-field is gamma_hat = E^{-T} w, w = (0, 0, 0, 1); its derivative jets satisfy
-the companion recursion d_{k+1} = d_k' + L d_k with L = -K^T, which stays in
-exact rational arithmetic because the curvatures are polynomials.
+i.e. E' = E K with the coefficient matrix K below.  ``CurvatureFamily`` holds
+delta and the curvatures as exact polynomials in (t, lambda); a single curve
+is a family that does not depend on lambda, and only such a one integrates.
+The dual curve of a frame field is gamma_hat = E^{-T} w, w = (0, 0, 0, 1);
+its derivative jets are E^{-T} d_k with d_0 = w and d_{k+1} = d_k' - K^T d_k,
+written out entry by entry in ``CurvatureFamily.dual_jet_polys``, which stays
+in exact rational arithmetic because the curvatures are polynomials.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .ratpoly import Poly, as_fraction
+from .ratpoly import Poly, poly_det
 from .spaceform import SpaceForm, group_exp
 
 _GS_TOL = 1e-12
@@ -96,16 +99,26 @@ def gram_schmidt_signed(vectors, form):
     return out
 
 
-# -- curvature data and structure matrices ------------------------------------
+# -- the curvature model and the structure matrix ---------------------------------
+
+
+def _exact_poly(p):
+    """A ``Poly`` as it is, a list or tuple as its coefficients in t (low degree first), else a constant."""
+    if isinstance(p, Poly):
+        return p
+    try:
+        return Poly.from_t_coeffs(p) if isinstance(p, (list, tuple)) else Poly.const(p)
+    except TypeError as exc:
+        raise DomainError(f"coefficients must be exact; write 0.1 as the string \"0.1\" ({exc})") from exc
 
 
 @dataclass(frozen=True)
-class CurvatureData:
-    """delta in {0, 1, -1} plus the curvatures (kappa_1, kappa_2, kappa_3).
+class CurvatureFamily:
+    """delta in {0, 1, -1} plus the curvatures kappa_i(t, lambda) as exact polynomials.
 
-    Each curvature is an exact polynomial in arc length alone (one in the
-    family parameter u raises DomainError); a coefficient list (low degree
-    first) is read as one.
+    ``u`` is the family parameter lambda, and a single curve is a family that
+    does not depend on it.  Each curvature is a ``Poly``, a coefficient list
+    in t (low degree first) or an exact number; a float raises DomainError.
     """
 
     delta: int
@@ -116,20 +129,42 @@ class CurvatureData:
             raise DomainError(f"delta must be 0, 1 or -1, got {self.delta}")
         if len(self.kappa) != 3:
             raise DimensionMismatch("structure equation is wired for n = 2 (three curvatures)")
-        kappa = tuple(p if isinstance(p, Poly) else Poly.from_t_coeffs(p) for p in self.kappa)
-        if any(p.deg_u() > 0 for p in kappa):
-            raise DomainError("a curvature depends on the family parameter; substitute a value first")
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", tuple(_exact_poly(p) for p in self.kappa))
 
     @classmethod
     def constant(cls, delta, values):
-        try:
-            polys = [[as_fraction(v)] for v in values]
-        except TypeError as exc:
-            raise DomainError(
-                f"constant curvatures must be exact; write 0.1 as the string \"0.1\" ({exc})"
-            ) from exc
-        return cls(delta, polys)
+        """Constant curvatures, each an exact number."""
+        return cls(delta, tuple(values))
+
+    @classmethod
+    def frenet(cls, kappa1, kappa3, delta=0):
+        """Family with kappa_2 identically zero."""
+        return cls(delta, (kappa1, Poly(), kappa3))
+
+    def dual_jet_polys(self, r):
+        """Co-moving dual jets d_0 .. d_r as 4-vectors of (t, u) polynomials.
+
+        gamma_hat = E^{-T} w satisfies gamma_hat^{(k)} = E^{-T} d_k with
+        d_0 = w and d_{k+1} = d_k' - K^T d_k.  Because E^{-T} is invertible,
+        rank questions about the dual's jets reduce to the d_k alone.
+        """
+        k1, k2, k3 = self.kappa
+        d = [Poly(), Poly(), Poly(), Poly.const(1)]
+        out = [d]
+        for _ in range(r):
+            a, b, c, e = d
+            d = [a.diff_t() - b, b.diff_t() + self.delta * a - k1 * c - k2 * e,
+                 c.diff_t() + k1 * b - k3 * e, e.diff_t() + k2 * b + k3 * c]
+            out.append(d)
+        return out
+
+    def detector(self, jets=None):
+        """det[d_0 .. d_3](t, u): zero exactly where the dual type leaves (1,2,3).
+
+        ``jets`` is ``dual_jet_polys(r)`` for some r >= 3, if the caller has it.
+        """
+        d = jets or self.dual_jet_polys(3)
+        return poly_det([[d[j][i] for j in range(4)] for i in range(4)])
 
 
 def structure_matrix(delta, kappa_values):
@@ -142,47 +177,6 @@ def structure_matrix(delta, kappa_values):
     out[..., 1, 2], out[..., 2, 1] = -k1, k1
     out[..., 1, 3], out[..., 3, 1] = -k2, k2
     out[..., 2, 3], out[..., 3, 2] = -k3, k3
-    return out
-
-
-def structure_poly_matrix(curv):
-    """K as a 4x4 matrix of exact polynomials.
-
-    ``curv`` is anything with ``delta`` and three ``kappa`` polynomials: a
-    CurvatureData, or a CurvatureFamily whose curvatures also carry lambda.
-    """
-    k1, k2, k3 = curv.kappa
-    z, d = Poly(), Poly.const(curv.delta)
-    return [
-        [z, Poly() - d, z, z],
-        [Poly.const(1), z, Poly() - k1, Poly() - k2],
-        [z, k1, z, Poly() - k3],
-        [z, k2, k3, z],
-    ]
-
-
-def dual_coefficient_jets(curv, r):
-    """Exact jets of the dual curve in the co-moving basis.
-
-    gamma_hat = E^{-T} w satisfies gamma_hat^{(k)} = E^{-T} d_k with d_0 = w
-    and d_{k+1} = d_k' + L d_k, L = -K^T.  Because E^{-T} is invertible, rank
-    questions about the dual's jets reduce to the d_k alone.  ``curv`` is as
-    for ``structure_poly_matrix``.
-    """
-    k = structure_poly_matrix(curv)
-    size = 4
-    l_matrix = [[Poly() - k[j][i] for j in range(size)] for i in range(size)]
-    d = [Poly(), Poly(), Poly(), Poly.const(1)]
-    out = [d]
-    for _ in range(r):
-        nxt = []
-        for i in range(size):
-            acc = d[i].diff_t()
-            for j in range(size):
-                acc = acc + l_matrix[i][j] * d[j]
-            nxt.append(acc)
-        d = nxt
-        out.append(d)
     return out
 
 
@@ -297,7 +291,7 @@ def _magnus_propagators(delta, kappa, starts, widths):
     return group_exp(np.swapaxes(omega, -1, -2))
 
 
-def _interval_budget(curv: CurvatureData, lo, hi, tol):
+def _interval_budget(curv: CurvatureFamily, lo, hi, tol):
     """How many intervals past its node grid one integration over [lo, hi] may use.
 
     A 6th-order step's local error grows as (h max|K|)^7, so passing the local
@@ -319,7 +313,7 @@ def _interval_budget(curv: CurvatureData, lo, hi, tol):
     return int(max(MAX_STEPS, min(derived, _BUDGET_CEILING * MAX_STEPS)))
 
 
-def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, nodes, tol=1e-10):
+def integrate_structure_equation(sf: SpaceForm, curv: CurvatureFamily, nodes, tol=1e-10):
     """Propagate the identity frame by E' = E K(s), returning a FrameField at the nodes.
 
     The nodes must be finite, 1-D, non-empty and non-decreasing (else
@@ -356,12 +350,14 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureData, nodes, tol=
     through ``Poly.evalf``; a curvature coefficient beyond the float range
     raises DomainError before the flow starts.  The geometry fixes delta
     (euclidean 0, spherical 1, hyperbolic -1); any other pair raises
-    DomainError.
+    DomainError, and so does a curvature in the family parameter lambda.
     """
     if curv.delta != sf.delta:
         raise DomainError(
             f"the {sf.kind} structure equation needs delta = {sf.delta}, got delta = {curv.delta}"
         )
+    if any(p.deg_u() > 0 for p in curv.kappa):
+        raise DomainError("a curvature depends on the family parameter; substitute a value first")
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or not len(nodes) or not np.all(np.isfinite(nodes)) or np.any(np.diff(nodes) < 0):
         raise DomainError(f"integration nodes must be finite, 1-D, non-empty and non-decreasing, "

@@ -16,7 +16,7 @@ from framedcurves.config import DEFAULTS
 from framedcurves.frames import FrameField, gram_defect, structure_matrix
 from framedcurves.ratpoly import Poly
 from framedcurves import (
-    CurvatureData,
+    CurvatureFamily,
     DimensionMismatch,
     EnvelopeMesh,
     NormalFormFamily,
@@ -67,7 +67,7 @@ def _curvature_family(kind, nodes, kappa=((1,), (0,), (0, 0, 1))):
     """The hyperplane family of an integrated frame field, kappa as coefficient lists."""
     sf = SpaceForm(kind)
     nodes = np.asarray(nodes, dtype=float)
-    curv = CurvatureData(sf.delta, [list(k) for k in kappa])
+    curv = CurvatureFamily(sf.delta, [list(k) for k in kappa])
     field = integrate_structure_equation(sf, curv, nodes)
     return hyperplane_family(field)
 
@@ -124,7 +124,7 @@ def test_characteristic_direction_is_the_signed_tangent(kind):
     # in every geometry; kappa_3 = t vanishes at the middle node, which is dropped
     sf = SpaceForm(kind)
     nodes = np.linspace(-2.0, 2.0, 9)
-    curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [0, 1]])
     field = integrate_structure_equation(sf, curv, nodes)
     keep, direction, _, _ = envelope._characteristic_lines(hyperplane_family(field), 1e-9)
     assert keep.tolist() == [True] * 4 + [False] + [True] * 4
@@ -138,7 +138,7 @@ def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kin
     # direction sign(kappa_3) e_1 flips; the mesh's lines must not flip with it
     sf = SpaceForm(kind)
     nodes = np.linspace(-2.0, 2.0, 10)
-    curv = CurvatureData(sf.delta, [[1], [0], [0, 1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [0, 1]])
     field = integrate_structure_equation(sf, curv, nodes)
     fam = hyperplane_family(field)
     keep, direction, _, _ = envelope._characteristic_lines(fam, 1e-9)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from framedcurves import (
-    CurvatureData,
+    CurvatureFamily,
     DegeneracyError,
     DomainError,
     SpaceForm,
@@ -20,7 +20,6 @@ from framedcurves import (
     integrate_structure_equation,
     reorthonormalize,
     structure_matrix,
-    structure_poly_matrix,
 )
 from framedcurves.examples import BUILTINS, helix_frenet_field, radial_circle_field
 from framedcurves import frames
@@ -106,30 +105,51 @@ def test_structure_matrix_of_a_stack_equals_its_slices():
             assert stack[idx].tobytes() == structure_matrix(delta, tuple(kappa[idx])).tobytes()
 
 
-def test_structure_poly_matrix_matches_pointwise():
-    kappa = (Poly.t(), Poly.const(1), Poly.from_t_coeffs([0, 0, Fraction(1, 2)]))
-    curv = CurvatureData(1, kappa)
-    Kp = structure_poly_matrix(curv)
-    for t in (0.0, 0.5, -1.25):
-        K = structure_matrix(1, tuple(k.evalf(t) for k in curv.kappa))
-        vals = np.array([[p.evalf(t) for p in row] for row in Kp])
-        assert np.allclose(vals, K, atol=1e-12)
-
-
 def test_curvature_constant_requires_exact_values():
     with pytest.raises(DomainError, match='"0.1"'):
-        CurvatureData.constant(0, (0.1, 0.0, 0.0))
-    curv = CurvatureData.constant(0, (1, 0, 0))
+        CurvatureFamily.constant(0, (0.1, 0.0, 0.0))
+    curv = CurvatureFamily.constant(0, (1, 0, 0))
     assert curv.kappa[0].evalf(3.7) == 1.0
 
 
+def test_curvature_family_reads_every_exact_form_alike():
+    t = Poly.t()
+    half = Poly.const(Fraction(1, 2))
+    forms = [
+        (Fraction(1, 2), 0, [0, 1]),
+        ("1/2", "0", (0, 1)),
+        ("0.5", [], [0, "1"]),
+        ([Fraction(1, 2)], [0], t),
+        (half, Poly(), [Fraction(0), 1]),
+    ]
+    want = (half, Poly(), t)
+    for kappa in forms:
+        assert CurvatureFamily(0, kappa).kappa == want
+    for bad in ((0.5, 0, 1), ([1], [0.1], [0]), (1, 0, np.float64(1.0))):
+        with pytest.raises(DomainError, match='"0.1"'):
+            CurvatureFamily(0, bad)
+
+
+def test_a_scalar_curvature_integrates_like_its_coefficient_list():
+    nodes = np.linspace(0.0, 3.0, 31)
+    for sf in (SpaceForm("euclidean"), SpaceForm("spherical"), SpaceForm("hyperbolic")):
+        mixed = integrate_structure_equation(sf, CurvatureFamily(sf.delta, (1, 0, Poly.t())), nodes)
+        lists = integrate_structure_equation(sf, CurvatureFamily(sf.delta, ([1], [0], [0, 1])), nodes)
+        for a, b in ((mixed.matrices, lists.matrices), (mixed.k, lists.k), (mixed.dk, lists.dk)):
+            assert a.tobytes() == b.tobytes()
+        assert mixed.meta == lists.meta
+
+
 def test_curvature_data_refuses_a_curvature_in_the_family_parameter():
-    # a curvature in u is a family; the CLI substitutes lambda before it builds CurvatureData
+    # a curvature in u is a family; the CLI substitutes lambda before it integrates
     t, u = Poly.t(), Poly.u()
+    family = CurvatureFamily(0, ([1], [0], t * t - u))
     with pytest.raises(DomainError, match="family parameter"):
-        CurvatureData(0, ([1], [0], u))
-    curv = CurvatureData(0, ([1], [0], (t * t - u).subs_u(Fraction(1, 3))))
+        integrate_structure_equation(SpaceForm("euclidean"), family, np.linspace(0.0, 1.0, 5))
+    curv = CurvatureFamily(0, ([1], [0], (t * t - u).subs_u(Fraction(1, 3))))
     assert curv.kappa[2] == t * t - Poly.const(Fraction(1, 3))
+    field = integrate_structure_equation(SpaceForm("euclidean"), curv, np.linspace(0.0, 1.0, 5))
+    assert np.all(np.isfinite(field.matrices))
 
 
 # -- integration of the structure equation --------------------------------------
@@ -141,7 +161,7 @@ def test_curvature_data_refuses_a_curvature_in_the_family_parameter():
 )
 def test_integration_preserves_gram_structure(kind, delta, kappa):
     sf = SpaceForm(kind)
-    curv = CurvatureData.constant(delta, kappa)
+    curv = CurvatureFamily.constant(delta, kappa)
     field = integrate_structure_equation(sf, curv, np.linspace(0.0, 8.0, 201), tol=1e-10)
     assert float(np.max(field.gram_defects())) < 1e-8
 
@@ -149,7 +169,7 @@ def test_integration_preserves_gram_structure(kind, delta, kappa):
 def test_integration_solves_the_ode():
     # central differences of the frames against E * K at interior nodes
     sf = SpaceForm("spherical")
-    curv = CurvatureData.constant(1, (1, 0, 0))
+    curv = CurvatureFamily.constant(1, (1, 0, 0))
     nodes = np.linspace(0.0, 2.0, 401)
     field = integrate_structure_equation(sf, curv, nodes)
     h = nodes[1] - nodes[0]
@@ -164,7 +184,7 @@ def test_integration_solves_the_ode():
 def test_integration_euclidean_circle_base_point():
     # delta=0, kappa=(1,0,0): the base point traces a unit-speed circle
     sf = SpaceForm("euclidean")
-    curv = CurvatureData.constant(0, (1, 0, 0))
+    curv = CurvatureFamily.constant(0, (1, 0, 0))
     nodes = np.linspace(0.0, 2 * np.pi, 201)
     field = integrate_structure_equation(sf, curv, nodes)
     pts = np.stack([m[1:, 0] for m in field.matrices])
@@ -178,7 +198,7 @@ def test_integration_euclidean_circle_base_point():
 @pytest.mark.parametrize("delta", [0, 1, -1])
 def test_integration_needs_the_geometry_delta(kind, delta):
     sf = SpaceForm(kind)
-    curv = CurvatureData.constant(delta, (1, 0, 0))
+    curv = CurvatureFamily.constant(delta, (1, 0, 0))
     if delta == sf.delta:
         integrate_structure_equation(sf, curv, np.linspace(0.0, 1.0, 201))
         return
@@ -199,7 +219,7 @@ def test_magnus_step_is_sixth_order(kind, coeffs):
     # error 64-fold; with K in place of K^T the commutators flip sign and the
     # step is 2nd order
     sf = SpaceForm(kind)
-    curv = CurvatureData(sf.delta, coeffs)
+    curv = CurvatureFamily(sf.delta, coeffs)
     reference = dop853_frames(curv, [0.0, 1.0])[-1]
     errors = []
     for n in (8, 16):
@@ -218,7 +238,7 @@ STEP_BUDGET = {"euclidean": 7430, "spherical": 7430, "hyperbolic": 7420}
 @pytest.mark.parametrize("kind", sorted(STEP_BUDGET))
 def test_integration_step_budget_over_span_20(kind):
     sf = SpaceForm(kind)
-    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [0, 0, 1]])
     field = integrate_structure_equation(sf, curv, np.linspace(0.0, 20.0, 201), tol=1e-10)
     assert field.meta["steps"] + field.meta["rejected"] <= STEP_BUDGET[kind]
     # the partition never outgrows the cap: 200 node intervals plus the floor
@@ -246,7 +266,7 @@ def test_step_budget_ends_a_runaway_integration(monkeypatch):
     monkeypatch.setattr(frames, "_ROUND_SIZE", 64)
     monkeypatch.setattr(frames, "_magnus_propagators", counted)
     sf = SpaceForm("euclidean")
-    curv = CurvatureData(0, [[1], [0], [0] * 200 + [1]])
+    curv = CurvatureFamily(0, [[1], [0], [0] * 200 + [1]])
     cap = 1 + frames._BUDGET_CEILING * 300
     with pytest.raises(IntegrationError, match=f"more than {cap} intervals"):
         integrate_structure_equation(sf, curv, [0.0, 40.0], tol=1e-10)
@@ -265,7 +285,7 @@ def test_the_budget_grows_with_the_curvature_integral(monkeypatch):
     # the ceiling of 8,000, lets it finish
     monkeypatch.setattr(frames, "MAX_STEPS", 2000)
     sf = SpaceForm("hyperbolic")
-    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [0, 0, 1]])
     field = integrate_structure_equation(sf, curv, np.linspace(0.0, 20.0, 201), tol=1e-10)
     budget = int(frames._BUDGET_SCALE * float(40 + Fraction(8000, 3)) * 1e-10 ** (-1.0 / 7.0))
     assert field.meta["cap"] == 200 + budget
@@ -280,7 +300,7 @@ def test_the_budget_of_a_curvature_with_cancelling_terms_is_its_coefficient_boun
     # the budget is 0.1 * 204 * 1e10^(1/7) = 547, past the floor of 300
     monkeypatch.setattr(frames, "MAX_STEPS", 300)
     sf = SpaceForm("spherical")
-    curv = CurvatureData(sf.delta, [[1], [0], [-10, 30, -30, 10]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [-10, 30, -30, 10]])
     field = integrate_structure_equation(sf, curv, np.linspace(0.0, 2.0, 21), tol=1e-10)
     budget = int(frames._BUDGET_SCALE * float(2 + 2 + 200) * 1e-10 ** (-1.0 / 7.0))
     assert budget == 547
@@ -293,7 +313,7 @@ def test_long_spans_finish(kind, span):
     # a fixed budget of 50,000 steps ended hyperbolic [0, 60] at s = 55.6; the
     # derived budget takes euclidean [0, 80] to 96k intervals
     sf = SpaceForm(kind)
-    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [0, 0, 1]])
     nodes = np.linspace(0.0, span, 21)
     field = integrate_structure_equation(sf, curv, nodes, tol=1e-10)
     assert field.meta["steps"] <= field.meta["cap"]
@@ -312,7 +332,7 @@ def test_no_runtime_warning_escapes_the_integrator(monkeypatch, kind, kappa, spa
     if error == "intervals":
         monkeypatch.setattr(frames, "MAX_STEPS", 300)
     sf = SpaceForm(kind)
-    curv = CurvatureData(sf.delta, kappa)
+    curv = CurvatureFamily(sf.delta, kappa)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if error is None:
@@ -326,8 +346,8 @@ def test_node_curvatures_are_the_ones_the_flow_read():
     # 1e-330 rounds to 0.0, so the flow integrates kappa_3 = 0; K and K' at
     # the nodes read it the same way, though 40^200 alone has no float
     sf = SpaceForm("euclidean")
-    tiny = CurvatureData(0, [[1], [0], [0] * 200 + [Fraction(1, 10**330)]])
-    flat = CurvatureData(0, [[1], [0], [0]])
+    tiny = CurvatureFamily(0, [[1], [0], [0] * 200 + [Fraction(1, 10**330)]])
+    flat = CurvatureFamily(0, [[1], [0], [0]])
     nodes = np.linspace(0.0, 40.0, 5)
     got, want = (integrate_structure_equation(sf, c, nodes) for c in (tiny, flat))
     for name in ("matrices", "k", "dk"):
@@ -341,7 +361,7 @@ def test_steps_forced_by_a_dense_node_grid_are_outside_the_budget(monkeypatch, k
     # well past a budget of 300, and must still integrate
     monkeypatch.setattr(frames, "MAX_STEPS", 300)
     sf = SpaceForm(kind)
-    curv = CurvatureData(sf.delta, [[1], [0], [1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [1]])
     nodes = np.linspace(0.0, 20.0, 2000)
     field = integrate_structure_equation(sf, curv, nodes, tol=1e-10)
     assert field.meta["steps"] >= len(nodes) - 1 > frames.MAX_STEPS
@@ -351,7 +371,7 @@ def test_steps_forced_by_a_dense_node_grid_are_outside_the_budget(monkeypatch, k
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
 def test_integration_matches_dop853_over_span_10(kind):
     sf = SpaceForm(kind)
-    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [0, 0, 1]])
     field = integrate_structure_equation(sf, curv, np.linspace(0.0, 10.0, 201), tol=1e-10)
     reference = dop853_frames(curv, field.s)
     assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9
@@ -364,7 +384,7 @@ def test_integration_matches_dop853_over_span_10(kind):
 def test_nodes_outside_the_contract_are_domain_errors(nodes):
     sf = SpaceForm("euclidean")
     with pytest.raises(DomainError, match="non-decreasing"):
-        integrate_structure_equation(sf, CurvatureData.constant(0, (1, 0, 0)), nodes)
+        integrate_structure_equation(sf, CurvatureFamily.constant(0, (1, 0, 0)), nodes)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
@@ -373,7 +393,7 @@ def test_a_repeated_node_has_its_twins_frame(kind):
     # with the identity propagator: every frame is the one on the grid
     # without repeats, bit for bit
     sf = SpaceForm(kind)
-    curv = CurvatureData(sf.delta, [[1], [0], [0, 0, 1]])
+    curv = CurvatureFamily(sf.delta, [[1], [0], [0, 0, 1]])
     nodes = np.array([0.0, 0.0, 0.5, 1.5, 1.5, 1.5, 3.0, 3.0])
     field = integrate_structure_equation(sf, curv, nodes, tol=1e-10)
     single = integrate_structure_equation(sf, curv, np.unique(nodes), tol=1e-10)
@@ -516,19 +536,42 @@ def test_builtins_match_their_trig_derivatives(name):
 
 
 def test_dual_coefficient_recursion():
-    # the coefficient jets d_k satisfy d_{k+1} = d_k' - K^T d_k with d_0 = last axis
-    from framedcurves.frames import dual_coefficient_jets
-
+    # the coefficient jets d_k satisfy d_{k+1} = d_k' - K^T d_k with d_0 = last axis, K the float structure matrix
     kappa = (Poly.t(), Poly.const(2), Poly.t() * Poly.t())
-    curv = CurvatureData(-1, kappa)
-    d = dual_coefficient_jets(curv, 4)
-    K = structure_poly_matrix(curv)
-    for i in range(3):
-        assert d[0][i].is_zero()
-    assert (d[0][3] - Poly.const(1)).is_zero()
-    for k in range(4):
-        for i in range(4):
-            derived = d[k][i].diff_t()
-            for j in range(4):
-                derived = derived - K[j][i] * d[k][j]
-            assert (derived - d[k + 1][i]).is_zero()
+    d = CurvatureFamily(-1, kappa).dual_jet_polys(4)
+    assert d[0] == [Poly(), Poly(), Poly(), Poly.const(1)]
+    for t in (0.0, 0.5, -1.25):
+        K = structure_matrix(-1, tuple(k.evalf(t) for k in kappa))
+        for k in range(4):
+            value = np.array([p.evalf(t) for p in d[k]])
+            slope = np.array([p.diff_t().evalf(t) for p in d[k]])
+            got = np.array([p.evalf(t) for p in d[k + 1]])
+            assert np.allclose(got, slope - K.T @ value, rtol=1e-13, atol=1e-12)
+
+
+def _reference_dual_jets(delta, kappa, r):
+    """d_{k+1} = d_k' + L d_k with L = -K^T, over a 4x4 matrix of Polys."""
+    k1, k2, k3 = kappa
+    z = Poly()
+    k = [[z, -Poly.const(delta), z, z],
+         [Poly.const(1), z, -k1, -k2],
+         [z, k1, z, -k3],
+         [z, k2, k3, z]]
+    l_matrix = [[-k[j][i] for j in range(4)] for i in range(4)]
+    d = [z, z, z, Poly.const(1)]
+    out = [d]
+    for _ in range(r):
+        d = [d[i].diff_t() + sum((l_matrix[i][j] * d[j] for j in range(4)), z) for i in range(4)]
+        out.append(d)
+    return out
+
+
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                         st.fractions(-3, 3, max_denominator=4), max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(delta=st.sampled_from([0, 1, -1]), terms=st.tuples(_TERMS, _TERMS, _TERMS), r=st.integers(0, 8))
+def test_dual_jet_recursion_equals_the_matrix_reference(delta, terms, r):
+    family = CurvatureFamily(delta, tuple(Poly(t) for t in terms))
+    assert family.dual_jet_polys(r) == _reference_dual_jets(delta, family.kappa, r)

@@ -30,7 +30,6 @@ from framedcurves.classify import (
 from framedcurves.cli import main
 from framedcurves.config import RunConfig
 from framedcurves.examples import helix_curve
-from framedcurves.frames import CurvatureData
 from framedcurves.flags import (
     FlagCurve,
     c_integrality_residual,
@@ -101,7 +100,7 @@ def _run_envelope(tmp_path, config):
 def test_curvature_case_frames_match_dop853(name):
     # the hashes below pin the integrator's last bits; this pins what they mean
     cfg = RunConfig.from_dict(ENVELOPE_CASES[name][0])
-    curv = CurvatureData(cfg.curve["delta"], [[Fraction(c) for c in kappa] for kappa in KAPPA])
+    curv = CurvatureFamily(cfg.curve["delta"], [[Fraction(c) for c in kappa] for kappa in KAPPA])
     field = cfg.build_field()
     reference = dop853_frames(curv, field.s)
     assert float(np.max(relative_frame_error(field.matrices, reference))) <= 1e-9

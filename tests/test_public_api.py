@@ -19,8 +19,8 @@ PACKAGE = ROOT / "src" / "framedcurves"
 #: public names with no caller outside the tests, and why each stays
 UNREFERENCED = {
     "reorthonormalize": "a probe target of the benchmark tracer (named as a string)",
-    "consistency_check": "the duality and class-table cross-check (ROADMAP item 6)",
-    "classify_osculating_scan": "scans of diagonal unfoldings for the bifurcation atlas (ROADMAP item 6)",
+    "consistency_check": "the duality and class-table cross-check (ROADMAP item 8)",
+    "classify_osculating_scan": "scans of diagonal unfoldings for the bifurcation atlas (ROADMAP item 8)",
 }
 
 #: public methods of exported classes with no caller outside the tests, and why each stays
@@ -28,7 +28,7 @@ UNREFERENCED_METHODS = {
     "PolynomialCurve.reparametrized": "checks that the type survives an exact reparametrization",
     "PolynomialCurve.linearly_mapped": "checks that the type survives an exact linear map",
     "NormalFormFamily.f_tt": "checks that F_tt vanishes on the computed singular locus",
-    "FlagCurve.diagonal_orders": "the chart-diagonal orders behind type_from_diagonal_orders (ROADMAP item 6)",
+    "FlagCurve.diagonal_orders": "the chart-diagonal orders behind type_from_diagonal_orders (ROADMAP item 8)",
 }
 
 
