@@ -50,11 +50,10 @@ from .ratpoly import (
     line_gcd_split,
     midpoint,
     pseudo_divmod,
-    resultant_t,
     rows_at,
-    slope_rows,
     squarefree,
     squarefree_t,
+    subresultants,
     vanishes_at,
 )
 
@@ -336,8 +335,9 @@ class _FactoredDetector:
     """A scan detector D(t, u), factored once per family.
 
     D = c * content(u) * prod_i F_i^i with ``sf`` = prod_i F_i primitive and
-    square-free in t, held as integer t-rows.  ``discriminant`` is the
-    square-free part of Res_t(sf, d sf/dt), a multiple of the leading
+    square-free in t, held as integer t-rows, and ``chain`` the subresultant
+    chain of sf and d sf/dt.  ``discriminant`` is the square-free part of
+    its last coefficient, Res_t(sf, d sf/dt), a multiple of the leading
     coefficient lc(u) of sf: it vanishes exactly where a line of sf loses
     degree or gains a multiple root.  Wherever the content does not vanish,
     D(., lambda) and sf(., lambda) have the same square-free part up to a
@@ -345,8 +345,8 @@ class _FactoredDetector:
     """
 
     def __init__(self, poly: Poly):
-        self.sf, self.content = squarefree_t(poly)
-        self.discriminant = squarefree(resultant_t(self.sf, slope_rows(self.sf)))
+        self.sf, self.content, self.chain = squarefree_t(poly)
+        self.discriminant = squarefree(self.chain[-1][1]) if self.chain else []
 
     def multiple_root_lines(self):
         """[(e, line, gcd)]: the discriminant's roots, split by the multiple roots of sf there.
@@ -356,9 +356,9 @@ class _FactoredDetector:
         there.
         """
         out = []
-        for e, _, multiple in line_gcd_split(self.sf, self.discriminant):
+        for e, _, multiple in line_gcd_split(self.sf, self.discriminant, self.chain):
             if len(multiple) > 1:
-                out += line_gcd_split(multiple, e)
+                out += line_gcd_split(multiple, e, subresultants(multiple))
         return out
 
 
@@ -387,9 +387,10 @@ def _refine_event(line, gcd, lam, window):
 
     ``(line, gcd)`` are t-rows from ``multiple_root_lines`` and ``lam`` is
     the record of a root lam* of its factor; lam* is taken as its midpoint,
-    exact or within 2^-100 of it.  So the pseudo-quotient is a multiple of
-    the line's square-free part there, exact or as close, and its roots are
-    the event's t: no threshold decides which critical point is a root.
+    exact or within half its box of it.  So the pseudo-quotient is a
+    multiple of the line's square-free part there, exact or as close, and
+    its roots are the event's t: no threshold decides which critical point
+    is a root.
     """
     lam = midpoint(lam)
     return isolate_real_roots(pseudo_divmod(rows_at(line, lam), rows_at(gcd, lam))[0], *window)

@@ -59,10 +59,9 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_dict({})
 
 
-def _out_path(args, cfg, key):
-    rel = cfg.outputs[key]
-    root = getattr(args, "out", None) or "."
-    path = rel if os.path.isabs(rel) else os.path.join(root, rel)
+def _out_file(args, rel):
+    """rel under the --out directory (an absolute rel as it is), its directory made."""
+    path = os.path.join(getattr(args, "out", None) or ".", rel)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     return path
 
@@ -121,8 +120,7 @@ def _cmd_frame(args):
     cfg = _load_config(args)
     field = cfg.build_field(lam=args.lam)
     defects = field.gram_defects()
-    path = os.path.join(getattr(args, "out", None) or ".", "frames.txt")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    path = _out_file(args, "frames.txt")
     entries = np.swapaxes(field.matrices, 1, 2).reshape(len(field.s), -1)  # column-major
     text = format_floats(np.column_stack([field.s, entries, defects]))
     with atomic_open(path) as handle:
@@ -138,7 +136,7 @@ def _cmd_envelope(args):
     fam = hyperplane_family(cfg.build_field(lam=args.lam))
     s_grid = cfg.s_grid()
     mesh = envelope_mesh(fam, s_grid=s_grid, tol=cfg.mesh_tol)
-    mesh_path = _out_path(args, cfg, "mesh")
+    mesh_path = _out_file(args, cfg.outputs["mesh"])
     export_obj(mesh, mesh_path)
     locus = singular_locus(fam, tol=cfg.mesh_tol, s_grid=s_grid)
     locus_path = _sibling(mesh_path, "locus")
@@ -146,7 +144,7 @@ def _cmd_envelope(args):
     # F = <x - gamma, nu>_G and F_t = <x - gamma, nu'>_G (G the form matrix, or
     # diag(0, 1, 1, 1) in euclidean space) cancel down from these sizes
     scale = np.max(np.abs(mesh.ambient)) * max(np.max(np.abs(fam.normal)), np.max(np.abs(fam.normal1)))
-    report_path = _out_path(args, cfg, "report")
+    report_path = _out_file(args, cfg.outputs["report"])
     export_report({
         "subcommand": "envelope",
         "config": cfg.resolved(),
@@ -196,8 +194,7 @@ def _cmd_normal_form(args):
         tol = DEFAULTS["tolerances"]["mesh_tol"]
     mesh = discriminant_mesh(nf, t_grid, s_grid, tol=tol)
     name = f"normal-form-{a[0]}{a[1]}{a[2]}.obj"
-    path = os.path.join(getattr(args, "out", None) or ".", name)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    path = _out_file(args, name)
     export_obj(mesh, path)
     locus = singular_locus(nf, tol=tol, t_grid=t_grid)
     export_polylines(locus, _sibling(path, "locus"))
@@ -210,13 +207,13 @@ def _cmd_scan(args):
     cfg = _load_config(args)
     family = cfg.curvature_family()
     res = scan_family(family, cfg.t_grid(), cfg.lambda_grid(), tol=cfg.rank_tol)
-    events_path = _out_path(args, cfg, "events")
+    events_path = _out_file(args, cfg.outputs["events"])
     export_events_csv(res.events, events_path)
     detector = family.detector()  # exact at the reported points: no coefficient overflows
     residual = max((abs(detector.eval(Fraction(ev.t), Fraction(ev.lam))) for ev in res.events), default=0)
     if residual > sys.float_info.max:
         raise DomainError("the detector at an event is beyond the float range")
-    report_path = _out_path(args, cfg, "report")
+    report_path = _out_file(args, cfg.outputs["report"])
     export_report({
         "subcommand": "scan",
         "config": cfg.resolved(),
@@ -265,8 +262,7 @@ def _cmd_enumerate(args):
     table = "\n".join(rows) + "\n"
     sys.stdout.write(table)
     if args.out:
-        path = os.path.join(args.out, "enumerate.csv")
-        os.makedirs(args.out, exist_ok=True)
+        path = _out_file(args, "enumerate.csv")
         atomic_write_text(path, table)
         print(f"table: {path}")
     return 0

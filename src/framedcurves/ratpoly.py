@@ -12,8 +12,11 @@ coefficient lists, low degree first, and integer t-rows, a Poly's own
 numerator.  ``pseudo_divmod`` is the one pseudo-division of lists.
 ``poly_gcd`` is the one gcd of lists: it tries coprimality modulo 2^61 - 1
 first, then the subresultant PRS over Z[u], which also gives square-free
-parts, the square-free part in t and the resultant in t of t-rows, and the
-split of a set of u-roots by the gcd of its t-lines with their derivatives.
+parts.  ``squarefree_t`` takes the square-free part in t of t-rows and
+hands on its chain, the PRS of that part and its t-derivative, built once:
+the chain's last coefficient is their resultant in t, and
+``line_gcd_split`` walks it to split a set of u-roots by the gcd of the
+t-lines with their derivatives.
 Real roots are isolated exactly by Descartes' rule and narrowed by certified
 Newton jumps, with boxes as dyadic integers; there is no float root finder.
 A root is a record (m, a, b): the one root of the square-free integer list m
@@ -413,10 +416,13 @@ def isolate_real_roots(ints, lo, hi):
     where it is the rational nearest the midpoint of its isolating interval
     with denominator below (4 h)^-1/2, h the half-width (a rational root that
     simple always is).  Any other root is (ints, a, b): the one root of ints
-    in the open interval (a, b), the box of width 2^-100 (hi - lo) that sign
-    bisection narrows to, reached by certified Newton jumps.  The first jump
-    starts from a root found by a few float Newton steps and proposes its
-    box of width 2^-50 (hi - lo); only an exact sign change across a box
+    in the open interval (a, b), the box of width 2^-L (hi - lo) that sign
+    bisection narrows to, reached by certified Newton jumps.  L is 100 on a
+    window no wider than 2B and grows on a wider one, so that no box is wider
+    than 2^-99 B: B = 2^beta, with 2^beta > max_{i<n} |a_i| // |a_n| + 1,
+    exceeds Cauchy's bound on the roots.  The first jump starts from a root
+    found by a few float Newton steps and proposes its box of width
+    2^-50 (hi - lo); only an exact sign change across a box
     takes it, so the floats never decide a record, and a proposal that
     fails, or coefficients beyond the float range, leave the exact jumps
     from the isolating box.  Hits and boxes stay dyadic integers (c, k) on
@@ -429,10 +435,13 @@ def isolate_real_roots(ints, lo, hi):
     d = math.lcm(lo.denominator, hi.denominator)
     v = lo.numerator * (d // lo.denominator)
     w = hi.numerator * (d // hi.denominator) - v
-    if w < 0 or not trim(ints):
+    top = trim(ints)
+    if w < 0 or not top:
         return []
     if w == 0:
         return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
+    beta = (max(map(abs, top[:-1]), default=0) // abs(top[-1]) + 1).bit_length()
+    level = 100 + max(0, (-(-w // d) - 1).bit_length() - beta - 1)
     q = trim(taylor_shift(ints, v, w, d))
     g = math.gcd(*q)
     q = [c // g for c in q]
@@ -458,7 +467,7 @@ def isolate_real_roots(ints, lo, hi):
             stack.append((taylor_shift(left, 1), 2 * c + 1, k + 1))
             stack.append((left, 2 * c, k + 1))
         elif count == 1:
-            # narrow the box to level 100 (Abbott's quadratic interval
+            # narrow the box to the level L (Abbott's quadratic interval
             # refinement, ACM Comm. Computer Algebra 48, 2014): the box of
             # level j = k + n around the Newton step from the midpoint is
             # taken when q changes sign across it, and n doubles; it is the
@@ -466,20 +475,20 @@ def isolate_real_roots(ints, lo, hi):
             # point of level <= j.  Else n halves and q's sign at the
             # midpoint takes one bisection step.  The first box proposed is
             # the level-50 one around a float Newton root, taken by the same
-            # sign test, after which n = 50 jumps to level 100
+            # sign test, after which n = 50 jumps to level 100 (or to L)
             lead, s, n = _float_box(floats, c, k), 1, 1
             s_lead = lead is not None and _sign(_horner(q, lead, 2**_FLOAT_LEVEL))
             if s_lead and _sign(_horner(q, lead + 1, 2**_FLOAT_LEVEL)) == -s_lead:
                 c, k, s_c, n = lead, _FLOAT_LEVEL, s_lead, _FLOAT_LEVEL
             else:
                 s_c = _sign_beside(q, c, 2**k)
-            while k < 100:
+            while k < level:
                 value = _horner(q, 2 * c + 1, 2 ** (k + 1))
                 s = _sign(value)
                 if not s:
                     break
                 # the box (lead, j) around the Newton step x - q(x)/q'(x) from x = (2c + 1)/2^(k+1)
-                j, dq = min(k + n, 100), _horner(slope, 2 * c + 1, 2 ** (k + 1))
+                j, dq = min(k + n, level), _horner(slope, 2 * c + 1, 2 ** (k + 1))
                 lead = (((2 * c + 1) * dq - value) << (j - k - 1)) // dq if dq else -1
                 s_lead = (c << (j - k)) <= lead < ((c + 1) << (j - k)) and _sign(_horner(q, lead, 2**j))
                 if s_lead and _sign(_horner(q, lead + 1, 2**j)) == -s_lead:
@@ -563,7 +572,7 @@ def poly_gcd(a, b):
     if b:
         if _coprime_mod_p(a, b):
             return [1]
-        g = _subresultant_prs([[c] if c else [] for c in a], [[c] if c else [] for c in b])[0][-1][0]
+        g = _subresultant_prs([[c] if c else [] for c in a], [[c] if c else [] for c in b])[-1][0]
         a = [1] if len(g) == 1 else _primitive_list([row[0] if row else 0 for row in g])
     return a
 
@@ -677,17 +686,17 @@ def _primitive(rows):
 
 
 def _subresultant_prs(a, b):
-    """Run the subresultant PRS of integer t-row lists, deg a >= deg b >= 0, to its end.
+    """The subresultant PRS of integer t-row lists, deg a >= deg b >= 0, run to its end.
 
     Every division it makes is exact in Z[u], so coefficients grow only
     linearly along the sequence (Collins; Brown and Traub), without the u-gcd
-    of each remainder that a primitive PRS takes.  Returns (chain, sign):
-    ``chain`` holds (F, h) for b and every later element F, with h the
-    principal coefficient of the subresultant S_deg(F) = h / lc(F) * F, and
-    ``sign`` is the resultant's.  The last F is a constant in t, or divides
-    its predecessor (then it is the gcd of a and b up to a u-content).
+    of each remainder that a primitive PRS takes.  Returns the chain: (F, h)
+    for b and every later element F, with h the principal coefficient of the
+    subresultant S_deg(F) = h / lc(F) * F.  The last F is a constant in t,
+    and then its h is Res_t(a, b) up to sign, or divides its predecessor
+    (then it is the gcd of a and b up to a u-content).
     """
-    sign, g, h = 1, [1], [1]
+    g, h = [1], [1]
     chain = []
     while True:
         delta = len(a) - len(b)
@@ -697,12 +706,10 @@ def _subresultant_prs(a, b):
         h = _u_div(_u_mul(h, _u_pow(g, delta)), _u_pow(h, delta))
         chain.append((b, h))
         if len(b) == 1:
-            return chain, sign
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            sign = -sign
+            return chain
         r = _pseudo_rem(a, b)
         if not r:
-            return chain, sign
+            return chain
         a, b = b, [_u_div(c, divisor) for c in r]
 
 
@@ -711,23 +718,32 @@ def slope_rows(rows):
     return [[k * x for x in row] for k, row in enumerate(rows[1:], 1)]
 
 
+def subresultants(rows):
+    """The subresultant chain (``_subresultant_prs``) of a t-row list of degree >= 1 in t and its t-derivative."""
+    return _subresultant_prs(rows, slope_rows(rows))
+
+
 def squarefree_t(p: Poly):
-    """(sf, content): the primitive square-free part in t of p as t-rows, and its u-content.
+    """(sf, content, chain): p's primitive square-free part in t as t-rows, its u-content, and sf's chain.
 
     p = c * content(u) * prod_i F_i(t, u)^i for a rational c and primitive
     square-free F_i; ``sf`` is the t-row list of prod_i F_i with coprime
     integer coefficients, the primitive part of p divided by its gcd with
     dp/dt.  ``content`` is a primitive integer list in u (see ``poly_gcd``):
-    p vanishes identically on the lines where it does.
+    p vanishes identically on the lines where it does.  ``chain`` is
+    ``subresultants(sf)``, [] when sf is a constant: the chain that found p's
+    primitive part square-free, else one built on the quotient.  Its last
+    element is a constant in t, with h = Res_t(sf, dsf/dt) up to sign.
     """
     if p.is_zero():
         raise ZeroDivisionError("square-free part of the zero polynomial")
     a, content = _primitive(p.rows)
     if len(a) == 1:
-        return [[1]], content
-    g = _subresultant_prs(a, slope_rows(a))[0][-1][0]
+        return [[1]], content, []
+    chain = subresultants(a)
+    g = chain[-1][0]
     if len(g) == 1:
-        return a, content
+        return a, content, chain
     g = _primitive(g)[0]
     # exact division a / g in Z[u][t]: g is primitive and divides a
     quotient = [[] for _ in range(len(a) - len(g) + 1)]
@@ -735,49 +751,28 @@ def squarefree_t(p: Poly):
         c = quotient[k] = _u_div(a[k + len(g) - 1], g[-1])
         for i, gi in enumerate(g):
             a[k + i] = _u_sub(a[k + i], _u_mul(c, gi))
-    return quotient, content
+    return quotient, content, subresultants(quotient)
 
 
-def resultant_t(a, b):
-    """Res_t(a, b) of integer t-row lists, as an integer coefficient list in u (low degree first).
-
-    Taken from their subresultant PRS, not from the cofactor expansion of
-    the Sylvester matrix.  Zero is the empty list.
-    """
-    if not (a and b):
-        return []
-    sign = 1
-    if len(a) < len(b):
-        a, b = b, a
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            sign = -1
-    chain, prs_sign = _subresultant_prs(a, b)
-    last, res = chain[-1]
-    if len(last) > 1:
-        return []
-    # the last element is a nonzero constant in t: its subresultant S_0 is
-    # the resultant
-    return [sign * prs_sign * c for c in res]
-
-
-def line_gcd_split(rows, e):
+def line_gcd_split(rows, e, chain):
     """The roots of e split by the gcd of the line of p with its t-derivative there.
 
-    ``rows`` is the integer t-row list of p and ``e`` a square-free integer
-    coefficient list in u.  Returns [(e_i, line_i, gcd_i)], line_i and
-    gcd_i as t-rows: the e_i are non-constant integer lists that divide e
-    and share no root, and at every root u* of e_i, line_i(., u*) and
-    gcd_i(., u*) are p(., u*) and gcd(p(., u*), dp/dt(., u*)) up to nonzero
-    factors, both with a nonzero leading coefficient.  By the subresultant
-    theorem that gcd is the subresultant S_j of p and dp/dt of least j whose
-    principal coefficient does not vanish at u*, wherever the line keeps its
-    degree; the roots where it does not are split again on p without its top
-    row.  Roots where p's line is a constant are left out.
+    ``rows`` is the integer t-row list of p, ``chain`` is
+    ``subresultants(rows)`` and ``e`` a square-free integer coefficient list
+    in u.  Returns [(e_i, line_i, gcd_i)], line_i and gcd_i as t-rows: the
+    e_i are non-constant integer lists that divide e and share no root, and
+    at every root u* of e_i, line_i(., u*) and gcd_i(., u*) are p(., u*) and
+    gcd(p(., u*), dp/dt(., u*)) up to nonzero factors, both with a nonzero
+    leading coefficient.  By the subresultant theorem that gcd is the
+    subresultant S_j of p and dp/dt of least j whose principal coefficient
+    does not vanish at u*, wherever the line keeps its degree; the roots
+    where it does not are split again on p without its top row, whose chain
+    is built here.  Roots where p's line is a constant are left out.
     """
     e = trim(e)
     out = []
     while len(e) > 1 and len(rows) > 1:
-        for f, h in reversed(_subresultant_prs(rows, slope_rows(rows))[0]):
+        for f, h in reversed(chain):
             common = poly_gcd(e, h)
             part = _u_div(e, common)
             if len(part) > 1:
@@ -787,5 +782,5 @@ def line_gcd_split(rows, e):
                 return out
         # every principal coefficient vanishes where the leading one does
         rows = trim(rows[:-1])
+        chain = subresultants(rows) if len(rows) > 1 else []
     return out
-

@@ -183,6 +183,21 @@ def test_scan_coefficient_below_float_range_exits_0_or_3(tmp_path):
     assert main(argv) in (0, 3)
 
 
+@pytest.mark.parametrize("lam_hi", [2.0, 1e40])
+def test_scan_events_keep_their_bits_on_a_wide_lambda_window(tmp_path, lam_hi):
+    # kappa_3 = t^2 - lambda^2 + 2 has its events at lambda = -+sqrt 2; their
+    # root boxes are sized by the root bound, not by the window, so a lambda
+    # window 1e40 wide finds and types them as one 4 wide does
+    config = {"curve": {"kind": "curvature", "delta": 0,
+                        "kappa": [["1"], ["0"], {"2,0": "1", "0,2": "-1", "0,0": "2"}]},
+              "grids": {"t": [-1.0, 1.0, 50], "lambda": [-2.0, lam_hi, 9]}}
+    out = tmp_path / "out"
+    assert main(["scan", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [(ev["lambda"], ev["type"]) for ev in report["events"]] == [
+        (-1.4142135623730951, [3, 4, 5]), (1.4142135623730951, [3, 4, 5])]
+
+
 def test_integration_past_the_step_budget_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(frames, "MAX_STEPS", 300)
     config = {"curve": {"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], ["0"] * 200 + ["1"]]},

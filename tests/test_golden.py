@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framedcurves import jets
+from framedcurves import jets, ratpoly
 from framedcurves.acceptance import criterion_7
 from framedcurves.classify import (
     CurvatureFamily,
@@ -301,4 +301,33 @@ def test_scan_family_roots_and_refinement_are_bit_stable():
            for t in _refine_event(line, gcd, lam, (-1.0, 1.0))]
     assert _digest(np.array(hit)) == (
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
+    )
+
+
+def test_the_degree_70_scan_is_bit_stable_and_builds_its_chain_once(monkeypatch):
+    # kappa = (1 + lambda t, t - lambda, t^3 - lambda t + 1/5): the detector's
+    # square-free part has 12 t-rows and a discriminant of degree 70, and the
+    # subresultant chain of sf and d sf/dt that finds sf square-free is the
+    # one the discriminant and the event split read
+    t, u = Poly.t(), Poly.u()
+    family = CurvatureFamily(0, (Poly.const(1) + u * t, t - u, t**3 - u * t + Poly.const("1/5")))
+    sf = _FactoredDetector(family.detector()).sf
+    calls, prs = [], ratpoly._subresultant_prs
+
+    def counted(a, b):
+        calls.append(a)
+        return prs(a, b)
+
+    monkeypatch.setattr(ratpoly, "_subresultant_prs", counted)
+    res = scan_family(family, np.linspace(-1.0, 1.0, 21), np.linspace(-1.0, 1.0, 5))
+    assert len(sf) == 12 and sum(a == sf for a in calls) == 1
+    assert [(ev.type, ev.confidence) for ev in res.events] == [
+        ((1, 2, 5), "high"), ((2, 3, 4), "high"), ((1, 2, 5), "high"), ((1, 2, 5), "high")]
+    assert [(s.type, s.confidence, len(s.params)) for s in res.strata] == [
+        ((1, 2, 4), "exact", 2), ((1, 2, 4), "exact", 3)]
+    assert _digest(np.array([[ev.lam, ev.t] for ev in res.events])) == (
+        "0b2d73ce0cee0422f984dcd5c944a93a3b285a50400405c32d8f002991bb9ec4"
+    )
+    assert _digest(*(s.params for s in res.strata)) == (
+        "8c4ded77d1590e1b7c5f87f042b98364b9da11e600845deb19616397004a4a1f"
     )

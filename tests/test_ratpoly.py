@@ -21,11 +21,10 @@ from framedcurves.ratpoly import (
     line_gcd_split,
     poly_gcd,
     pseudo_divmod,
-    resultant_t,
     rows_at,
-    slope_rows,
     squarefree,
     squarefree_t,
+    subresultants,
     taylor_shift,
     trim,
     vanishes_at,
@@ -140,22 +139,28 @@ def _proportional(sympy, a, b):
     return ratio.is_Rational and ratio != 0
 
 
-@settings(max_examples=25, deadline=None)
-@given(p=_TERMS, q=_TERMS)
-def test_resultant_in_t_matches_sympy(p, q):
+@settings(max_examples=20, deadline=None)
+@given(a=_FACTOR_TERMS, b=_FACTOR_TERMS, c=_U_TERMS)
+def test_the_chain_of_the_square_free_part_ends_in_its_resultant(a, b, c):
+    # squarefree_t hands on sf's own chain, whether p's primitive part was
+    # square-free or not, and its last coefficient is Res_t(sf, d sf/dt) up
+    # to sign (the scan takes only its square-free part)
     sympy = pytest.importorskip("sympy")
-    p, q = Poly(p), Poly(q)
-    assume(not p.is_zero() and not q.is_zero())
-    # the determinant of the Sylvester matrix of the integer-scaled
-    # polynomials itself: sympy's resultant() loses the sign
-    # (-1)^(deg p deg q) when deg p < deg q
-    sylvester = pytest.importorskip("sympy.polys.subresultants_qq_zz").sylvester
-    rows_p, rows_q = p.rows, q.rows
-    a, b = _sympy_rows(sympy, rows_p), _sympy_rows(sympy, rows_q)
-    expected = sylvester(a.as_expr(), b.as_expr(), a.gens[0]).det(method="berkowitz")
-    res = resultant_t(rows_p, rows_q)
-    assert all(type(c) is int for c in res)
-    assert sympy.expand(_sympy_u_expr(sympy, res) - expected) == 0
+    a, b, c = Poly(a), Poly(b), Poly(c)
+    assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
+    for p in (c * b, c * a * a * b):
+        sf, _, chain = squarefree_t(p)
+        if len(sf) == 1:
+            assert chain == []
+            continue
+        assert chain == subresultants(sf)
+        degrees = [len(f) - 1 for f, _ in chain]
+        assert degrees == sorted(set(degrees), reverse=True) and degrees[-1] == 0
+        poly = _sympy_rows(sympy, sf)
+        expected = sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))
+        res = _sympy_u_expr(sympy, chain[-1][1])
+        assert all(type(x) is int for x in chain[-1][1])
+        assert sympy.expand(res - expected) == 0 or sympy.expand(res + expected) == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -165,7 +170,7 @@ def test_squarefree_part_in_t_matches_sympy(a, b, c):
     a, b, c = Poly(a), Poly(b), Poly(c)
     assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
     p = c * a * a * b
-    sf, content = squarefree_t(p)
+    sf, content, _ = squarefree_t(p)
     content_expected, prim = _sympy_t_poly(sympy, p).primitive()
     sf_expected = prim.quo(prim.gcd(prim.diff(prim.gens[0])))
     assert _proportional(sympy, _sympy_rows(sympy, sf).as_expr(), sf_expected.as_expr())
@@ -182,19 +187,23 @@ def test_a_square_free_detector_of_degree_8_keeps_its_discriminant():
     t, u = Poly.t(), Poly.u()
     d = (t**8 - u * t**5 + (u * u - Poly.const(Fraction(1, 3))) * t**2 + Poly.const(Fraction(2, 7)) * u * t
          - u + Poly.const(Fraction(5, 11)))
-    sf, content = squarefree_t(d)
+    sf, content, chain = squarefree_t(d)
     assert content == [1]
     assert _proportional(sympy, _sympy_rows(sympy, sf).as_expr(), _sympy_t_poly(sympy, d).as_expr())
-    res = resultant_t(sf, slope_rows(sf))
+    res = _sympy_u_expr(sympy, chain[-1][1])
     poly = _sympy_rows(sympy, sf)
-    assert sympy.expand(_sympy_u_expr(sympy, res) - sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))) == 0
+    expected = sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))
+    assert sympy.expand(res - expected) == 0 or sympy.expand(res + expected) == 0
+    # the scan's discriminant, its square-free part, exactly
+    part = sympy.Poly(expected, sympy.symbols("u")).sqf_part().primitive()[1]
+    assert squarefree(chain[-1][1]) == [int(x) for x in reversed(part.all_coeffs())]
 
 
 def _check_line_gcd_split(sympy, p, e):
     """Check line_gcd_split on p's t-rows and e at every root of e, exactly, over Q(root)."""
     t, u = sympy.symbols("t u")
     split = [(sympy.Poly(_sympy_u_expr(sympy, e_i), u), line_i, gcd_i)
-             for e_i, line_i, gcd_i in line_gcd_split(p.rows, integer_coeffs(e))]
+             for e_i, line_i, gcd_i in line_gcd_split(p.rows, integer_coeffs(e), subresultants(p.rows))]
     expr = _sympy_t_poly(sympy, p).as_expr()
     for factor, _ in sympy.Poly(_sympy_u_expr(sympy, e), u).factor_list()[1]:
         owners = [(line_i, gcd_i) for e_i, line_i, gcd_i in split if e_i.rem(factor).is_zero]
@@ -229,22 +238,14 @@ def test_line_gcd_split_gives_the_gcd_of_every_line_on_e(a, b, c, u0, k):
 def test_squarefree_part_of_a_power_and_of_a_u_only_polynomial():
     t, u = Poly.t(), Poly.u()
     cube = (Poly.const(3) * t * t - u) ** 3 * (u - Poly.const(Fraction(1, 2)))
-    sf, content = squarefree_t(cube)
+    sf, content, chain = squarefree_t(cube)
+    assert chain == subresultants(sf)
     assert sf in ([[0, -1], [], [3]], [[0, 1], [], [-3]])
     assert content == [-1, 2]
-    sf, content = squarefree_t(u * u - Poly.const(4))
-    assert sf == [[1]] and content == [-4, 0, 1]
+    sf, content, chain = squarefree_t(u * u - Poly.const(4))
+    assert sf == [[1]] and content == [-4, 0, 1] and chain == []
     with pytest.raises(ZeroDivisionError):
         squarefree_t(Poly())
-
-
-def test_resultant_of_a_common_factor_is_zero_and_of_a_constant_a_power():
-    t, u = Poly.t(), Poly.u()
-    assert resultant_t(((t - u) * (t + Poly.const(1))).rows, ((t - u) * t).rows) == []
-    assert resultant_t([[5]], [[0, 1], [], [1]]) == [25]
-    assert resultant_t([[0, 1], [], [1]], [[], [2]]) == [0, 4]
-    # the rows are taken as they are: Res(t^2/2 + u, t) is Res(t^2 + 2u, t)
-    assert resultant_t((t * t * Poly.const(Fraction(1, 2)) + u).rows, [[], [1]]) == [0, 2]
 
 
 def test_real_roots_beyond_the_float_range_are_scaled_exactly():
@@ -356,6 +357,9 @@ def _bisection_records(ints, lo, hi):
         return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
     d = math.lcm(lo.denominator, width.denominator)
     v, w = lo.numerator * (d // lo.denominator), width.numerator * (d // width.denominator)
+    top = trim(ints)
+    beta = (max(map(abs, top[:-1]), default=0) // abs(top[-1]) + 1).bit_length()
+    level = 100 + max(0, (math.ceil(width) - 1).bit_length() - beta - 1)
     q = trim(taylor_shift(ints, v, w, d))
     g = math.gcd(*q)
     q = [c // g for c in q]
@@ -376,7 +380,7 @@ def _bisection_records(ints, lo, hi):
     exact, out = [lo + width * x for x in exact], []
     for m, j in boxes:
         s_m, s = _sign_beside(q, m, 2**j), 1
-        while j < 100 and s:
+        while j < level and s:
             s = _sign(_horner(q, 2 * m + 1, 2 ** (j + 1)))
             if s:
                 m, j = 2 * m + (s == s_m), j + 1
@@ -447,6 +451,42 @@ def test_float_started_narrowing_returns_the_bisection_records(window, dyadic, p
         ints = _u_mul(ints, huge)
     assume(len(ints) > 1 and len(squarefree(ints)) == len(ints))
     assert isolate_real_roots(ints, lo, hi) == _bisection_records(ints, lo, hi)
+
+
+# about 2 s for 40 examples on a 2-core x86 VM (Python 3.11): a window 1e300
+# wide costs about a thousand levels of Descartes bisection
+@settings(max_examples=40, deadline=None)
+@given(planted=st.lists(_RATIONAL, unique=True, max_size=3), quadratics=st.lists(_QUADRATIC, max_size=2),
+       window=st.tuples(_RATIONAL, st.integers(0, 300), st.sampled_from([0, Fraction(1, 2), 1])))
+def test_root_boxes_keep_their_bits_on_windows_up_to_1e300_wide(planted, quadratics, window):
+    # every box holds one root (sympy's count, a test-only oracle) and is at
+    # most 2^-99 B wide, B = 2^beta beyond Cauchy's root bound, however wide
+    # the window around the roots
+    sympy = pytest.importorskip("sympy")
+    p = Poly.const(1)
+    for r in planted:
+        p = p * (Poly.t() - Poly.const(r))
+    for r, s, n in quadratics:
+        p = p * ((Poly.t() - Poly.const(r)) ** 2 - Poly.const(s * s * n))
+    ints = integer_coeffs(trim(p.t_coeffs()))
+    assume(len(ints) > 1 and len(squarefree(ints)) == len(ints))
+    r, e, x = window
+    lo = r - x * 10**e
+    hi = lo + 10**e
+    records = isolate_real_roots(ints, lo, hi)
+    beta = (max(map(abs, ints[:-1])) // abs(ints[-1]) + 1).bit_length()
+    big = sympy.Poly(ints[::-1], sympy.symbols("x"))
+
+    def q(y):
+        return sympy.Rational(y.numerator, y.denominator)
+
+    assert len(records) == big.count_roots(q(lo), q(hi))
+    for m, a, b in records:
+        if a == b:
+            assert vanishes_at(ints, a)
+            continue
+        assert b - a <= Fraction(2**beta, 2**99)
+        assert big.count_roots(q(a), q(b)) == 1 and not vanishes_at(ints, a) and not vanishes_at(ints, b)
 
 
 # -- the integer list toolkit against sympy ---------------------------------------
