@@ -236,7 +236,8 @@ def _cmd_scan(args):
         "tolerances": cfg.tolerances,
         "arithmetic": {
             "detector": "exact-rational",
-            "roots": "exact isolation by Descartes' rule, narrowed to 2^-100",
+            "roots": ("exact isolation by Descartes' rule, each box at most 2^-100 of its window"
+                      " and 2^-99 B wide, B a power of two above Cauchy's root bound"),
             "strata": "one exact type per branch, at a rational lambda between events",
             "events": "exact at a rational lambda, floating at an irrational one",
         },

@@ -411,30 +411,60 @@ def _chain(index, t, s, points, ambient):
 # -- exporters -------------------------------------------------------------------------
 
 
+def _column_texts(columns):
+    """The text of each column of a chunk, given as the rows of an int64 array
+    of float64 bit patterns: a string for a column of one value, else an
+    ``S`` array cut to the column's longest text.
+
+    A column equal to an earlier one shares its text.  Each other column is
+    sorted by bit pattern, so that -0.0, NaN and inf keep their own ``repr``:
+    a column of distinct values is formatted as it is, in row order, and any
+    other column of more than one value formats each of its values once.
+    One ``format_floats`` call formats them all.
+    """
+    keys = [column.tobytes() for column in columns]
+    first = [keys.index(key) for key in keys]
+    own = sorted(set(first))
+    segments = []  # per own column: the values it formats, and their gather to rows
+    for j in own:
+        ordered = np.sort(columns[j])
+        if ordered[0] == ordered[-1]:
+            segments.append((ordered[:1], None))
+        elif (ordered[1:] != ordered[:-1]).all():
+            segments.append((columns[j], None))
+        else:
+            segments.append(np.unique(columns[j], return_inverse=True))
+    text = format_floats(np.concatenate([values for values, _ in segments]).view(np.float64))
+    texts, stop = {}, 0
+    for j, (values, inverse) in zip(own, segments):
+        column, stop = text[stop:stop + len(values)], stop + len(values)
+        if len(values) == 1:
+            texts[j] = column[0].decode()
+        else:
+            column = column.astype(f"S{np.char.str_len(column).max()}")
+            texts[j] = column if inverse is None else column[inverse]
+    return [texts[j] for j in first]
+
+
 def _write_vertices(handle, params, ambient, points, singular):
     """``# param``, ``# ambient``, optional mark and ``v`` lines of every row,
     formatted and written ``_EXPORT_CHUNK`` rows at a time.
 
-    A column equal to an earlier one shares its text, and each distinct value
-    of the other columns (by bit pattern, so that -0.0, NaN and inf keep their
-    own ``repr``) is formatted once.
+    ``_column_texts`` gives each column of a chunk its text: a column of one
+    value is a constant string of the row template, and every other field is
+    as wide as its column's longest text.
     """
     params, ambient, points = (np.asarray(x, dtype=float) for x in (params, ambient, points))
     dim = ambient.shape[1]
     for lo in range(0, len(params), _EXPORT_CHUNK):
         hi = lo + _EXPORT_CHUNK
-        block = np.concatenate([params[lo:hi], ambient[lo:hi], points[lo:hi]], axis=1)
-        keys = [col.tobytes() for col in block.T]
-        first = [keys.index(key) for key in keys]
-        own = sorted(set(first))
-        bits, inverse = np.unique(block[:, own].view(np.int64), return_inverse=True)
-        text = format_floats(bits.view(np.float64))[inverse.reshape(len(block), len(own))]
-        cols = [text[:, own.index(j)] for j in first]
+        block = np.concatenate([params[lo:hi].T, ambient[lo:hi].T, points[lo:hi].T])
+        cols = _column_texts(block.view(np.int64))
         marked = singular[lo:hi]
         mark = np.where(marked, b"# mark singular-locus\n", b"") if marked.any() else ""
         handle.write(rows_text(["# param ", *spaced(cols[:2]), "\n# ambient ",
                                 *spaced(cols[2:2 + dim]), "\n", mark, "v ",
-                                *spaced(cols[2 + dim:]), "\n"]))
+                                *spaced(cols[2 + dim:]), "\n"], len(marked)))
 
 
 def _write_records(handle, tag, indices):

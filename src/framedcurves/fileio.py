@@ -49,15 +49,18 @@ def format_float(x):
 # Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) finds the
 # shortest decimal d * 10**k that rounds back to a double, the one nearest to it
 # when several do, in fixed-width integer arithmetic that vectorizes over uint64.
-# That is the digit string of ``repr``; ``repr``'s layout is then gathered from
-# per-layout byte templates.
+# That is the digit string of ``repr``.  ``_source_rows`` writes its 17 digits
+# and the 3 of the exponent into a 32-byte row per value, as five words looked
+# up in a table of the 4-digit ASCII words 0000..9999, beside the constant
+# characters; ``repr``'s layout is then gathered from that row by per-layout
+# byte templates.
 
 FLOAT_FIELD = 24  # bytes of the longest float64 repr, '-2.2250738585072014e-308'
 _DIGITS = 17  # a shortest float64 decimal has at most 17 significant digits
-# Per-value source bytes of a template: the 17 digits (zero-padded), the 3
-# digits of the exponent's magnitude, then the constant characters.
+_WORDS = (_DIGITS + 3) // 4  # the 4-digit words of a source row
 _ALPHABET = "0.-e+\0"
-_SOURCE = _DIGITS + 3 + len(_ALPHABET)
+_SOURCE = 32  # bytes of a source row: the words, the alphabet, unused NULs
+_TAIL = np.frombuffer(_ALPHABET.encode().ljust(_SOURCE - 4 * _WORDS, b"\0"), np.uint32)
 _FORMS = 24  # decimal points -3..16 in fixed notation, then e+XX, e+XXX, e-XX, e-XXX
 _POW10 = 10 ** np.arange(_DIGITS + 1, dtype=np.uint64)
 _LOW32 = 0xFFFFFFFF
@@ -75,6 +78,12 @@ def _pow10_table():
         hi.append(g >> 64)
         lo.append(g & (2**64 - 1))
     return np.array(hi, np.uint64), np.array(lo, np.uint64), np.array(log2, np.int64)
+
+
+@functools.cache
+def _digit_words():
+    """The ASCII text of 0000..9999 as 10,000 uint32 words of four bytes each."""
+    return np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), np.uint32)
 
 
 def _mul(a, b):
@@ -167,12 +176,35 @@ def _templates():
     return np.array(rows, np.intp)
 
 
+def _source_rows(padded, exponent):
+    """The 32-byte source rows of ``format_floats``, as an (n, 32) uint8 array.
+
+    A row holds the 17 digits of a zero-padded significand and the 3 of its
+    exponent's magnitude as five 4-digit words (digits 0-3, 4-7, 8-11,
+    12-15, and digit 16 before the exponent's three), then ``_TAIL``.
+    """
+    high = (padded // 10**8).astype(np.uint32)  # digits 0-8; 32-bit division is the faster
+    low = padded.astype(np.uint32) - high * np.uint32(10**8)  # digits 9-16, exact mod 2**32
+    eight, three, seven = high // 10, low // 10**5, low // 10
+    lead = eight // 10**4
+    words = (lead, eight - lead * 10**4, (high - eight * 10) * 1000 + three,
+             seven - three * 10**4, (low - seven * 10) * 1000 + exponent.astype(np.uint32))
+    src = np.empty((_SOURCE // 4, len(padded)), np.uint32)  # word j of value i at [j, i]
+    src[_WORDS:] = _TAIL[:, None]
+    for row, word in zip(src, words):
+        _digit_words().take(word.astype(np.intp), out=row)
+    return src.T.copy().view(np.uint8)
+
+
 def format_floats(values):
     """``repr`` of every float64 of an array, as NUL-padded ``FLOAT_FIELD``-byte
     strings: an array of dtype ``S24`` and the shape of ``values``.
 
     Normal values take the vectorized Schubfach path; ±0, subnormals, ±inf and
-    NaNs (whatever their payload) take ``repr`` itself.
+    NaNs (whatever their payload) take ``repr`` itself.  A value's 20 digits
+    (17 significant, 3 of the exponent) come from five lookups in a table of
+    4-digit ASCII words, into a 32-byte source row from which the template of
+    its layout gathers the text.
     """
     values = np.asarray(values, dtype=np.float64)
     flat = values.ravel()  # contiguous
@@ -188,16 +220,7 @@ def format_floats(values):
     exponent = np.abs(decpt - 1)
     form = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
                     20 + 2 * (decpt < 1) + (exponent >= 100))
-    src = np.empty((len(flat), _SOURCE), np.uint8)
-    src[:, _DIGITS + 3:] = np.frombuffer(_ALPHABET.encode(), np.uint8)
-    padded = d * _POW10[_DIGITS - n]
-    for number, first, end in ((padded // 10**8, 0, 9), (padded % 10**8, 9, _DIGITS),
-                               (exponent, _DIGITS, _DIGITS + 3)):
-        number = number.astype(np.uint32)  # 32-bit division is the faster
-        for j in range(end - 1, first - 1, -1):
-            tens = number // 10
-            src[:, j] = number - tens * 10 + ord("0")
-            number = tens
+    src = _source_rows(d * _POW10[_DIGITS - n], exponent)
     index = _templates().take(((bits >> 63).astype(np.intp) * _DIGITS + n - 1) * _FORMS + form,
                               axis=0)
     index += np.arange(0, src.size, _SOURCE)[:, None]
@@ -235,12 +258,13 @@ def spaced(columns):
     return [part for column in columns for part in (" ", column)][1:]
 
 
-def rows_text(parts):
+def rows_text(parts, count=None):
     """Bytes of one group of lines per row, the concatenation of ``parts``: constant
     strings and 1-D arrays of NUL-padded bytes (numpy ``S`` dtype), one per row.
 
-    The rows are laid out in one buffer at fixed offsets; the padding NULs are
-    then dropped, and the ASCII bytes go to a binary handle as they are.
+    There are ``count`` rows, by default as many as the first array has.  They
+    are laid out in one buffer at fixed offsets; the padding NULs are then
+    dropped, and the ASCII bytes go to a binary handle as they are.
     """
     template, names, formats, offsets = b"", [], [], []
     for part in parts:
@@ -252,9 +276,10 @@ def rows_text(parts):
             offsets.append(len(template))
             template += bytes(part.dtype.itemsize)
     arrays = [part for part in parts if not isinstance(part, str)]
-    buffer = bytearray(template) * len(arrays[0])
-    rows = np.frombuffer(buffer, np.dtype({"names": names, "formats": formats,
-                                            "offsets": offsets, "itemsize": len(template)}))
-    for name, array in zip(names, arrays):
-        rows[name] = array
+    buffer = bytearray(template) * (len(arrays[0]) if count is None else count)
+    if arrays:
+        rows = np.frombuffer(buffer, np.dtype({"names": names, "formats": formats,
+                                                "offsets": offsets, "itemsize": len(template)}))
+        for name, array in zip(names, arrays):
+            rows[name] = array
     return buffer.translate(None, b"\0")

@@ -420,7 +420,10 @@ def isolate_real_roots(ints, lo, hi):
     bisection narrows to, reached by certified Newton jumps.  L is 100 on a
     window no wider than 2B and grows on a wider one, so that no box is wider
     than 2^-99 B: B = 2^beta, with 2^beta > max_{i<n} |a_i| // |a_n| + 1,
-    exceeds Cauchy's bound on the roots.  The first jump starts from a root
+    exceeds Cauchy's bound on the roots.  On such a wider window the
+    bisection starts at the one or two nodes of the window's lattice that
+    cover [-B, B], which gives the same records as starting from the top,
+    in a bounded number of levels.  The first jump starts from a root
     found by a few float Newton steps and proposes its box of width
     2^-50 (hi - lo); only an exact sign change across a box
     takes it, so the floats never decide a record, and a proposal that
@@ -455,6 +458,15 @@ def isolate_real_roots(ints, lo, hi):
     # Nodes (p, c, k): p(x) is q on [c/2^k, (c+1)/2^k], rescaled to [0, 1];
     # the left child is popped first, so the roots are found left to right
     found, stack = [], [(q, 0, 0)]
+    if level > 100:
+        # the window is wider than 2B, and every root lies in (-B, B): start
+        # at the one or two adjacent nodes of level k that cover [-B, B] in
+        # it, each at least 2B wide as 2^k <= w / (2 B d).  The records do not
+        # depend on the path, so they are those of the bisection from the top
+        k, edge = (w // (d << (beta + 1))).bit_length() - 1, d << beta
+        c = max(0, ((-edge - v) << k) // w)
+        stack = [(taylor_shift(q, i, 1, 2**k), i, k) for i in (c + 1, c)
+                 if i < 2**k and i * w < (edge - v) << k]
     while stack:
         p, c, k = stack.pop()
         if p[0] == 0:

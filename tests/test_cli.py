@@ -183,11 +183,11 @@ def test_scan_coefficient_below_float_range_exits_0_or_3(tmp_path):
     assert main(argv) in (0, 3)
 
 
-@pytest.mark.parametrize("lam_hi", [2.0, 1e40])
+@pytest.mark.parametrize("lam_hi", [2.0, 1e40, 1e300])
 def test_scan_events_keep_their_bits_on_a_wide_lambda_window(tmp_path, lam_hi):
     # kappa_3 = t^2 - lambda^2 + 2 has its events at lambda = -+sqrt 2; their
     # root boxes are sized by the root bound, not by the window, so a lambda
-    # window 1e40 wide finds and types them as one 4 wide does
+    # window 1e40 or 1e300 wide finds and types them as one 4 wide does
     config = {"curve": {"kind": "curvature", "delta": 0,
                         "kappa": [["1"], ["0"], {"2,0": "1", "0,2": "-1", "0,0": "2"}]},
               "grids": {"t": [-1.0, 1.0, 50], "lambda": [-2.0, lam_hi, 9]}}

@@ -501,12 +501,25 @@ def _meshes(draw):
         reps = envelope._EXPORT_CHUNK // m + 2
         params, ambient, vertices = (np.tile(x, (reps, 1)) for x in (params, ambient, vertices))
         singular = np.tile(singular, reps)
+        if draw(st.booleans()):
+            # one value in the first chunk only, and distinct values across the boundary
+            params[:envelope._EXPORT_CHUNK, 0] = draw(_FLOATS)
+            seed = draw(st.integers(0, 2**32 - 1))
+            vertices[:, -1] = np.random.default_rng(seed).normal(size=len(vertices))
+    if m and draw(st.booleans()):  # a constant column of -0.0 or of a NaN payload
+        ambient[:, 0] = draw(st.sampled_from([-0.0, *_NAN_PAYLOADS]))
     return EnvelopeMesh(vertices=vertices, ambient=ambient, params=params, faces=faces,
                         residuals=np.zeros((len(params), 2)), singular=singular)
 
 
+# 60 meshes, some of them longer than one chunk; the example is one row, so
+# every column is constant and no field of the row template is an array
 @settings(max_examples=60, deadline=None)
-@given(_meshes())
+@example(mesh=EnvelopeMesh(vertices=np.array([[-0.0, 0.1, _NAN_PAYLOADS[0]]]),
+                           ambient=np.array([[1.0, 0.0, 5e-324, np.inf]]), params=np.array([[2.5, -np.inf]]),
+                           faces=np.zeros((0, 4), dtype=int), residuals=np.zeros((1, 2)),
+                           singular=np.array([False])))
+@given(mesh=_meshes())
 def test_export_obj_matches_the_per_row_formatter(tmp_path_factory, mesh):
     path = tmp_path_factory.mktemp("obj") / "mesh.obj"
     export_obj(mesh, path)

@@ -1,10 +1,15 @@
 """Vectorized number text: every float's bytes are those of ``repr``, every integer's
 those of ``str``."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import framedcurves
 from framedcurves.fileio import FLOAT_FIELD, format_floats, format_ints, rows_text, spaced
 
 
@@ -72,6 +77,30 @@ def test_rows_text_joins_constants_and_fields_row_by_row():
     columns = format_floats(np.array([[1.0, 0.25], [-3.0, 1e22]])).T
     mark = np.array([b"", b"# mark\n"])
     assert rows_text(["v ", *spaced(columns), "\n", mark]) == b"v 1.0 0.25\nv -3.0 1e+22\n# mark\n"
+
+
+def test_rows_text_of_constant_parts_alone_writes_count_rows():
+    # an export chunk whose every column holds one value has no array part
+    assert rows_text(["v ", "1.0", " ", "-0.0", "\n"], 3) == b"v 1.0 -0.0\n" * 3
+    assert rows_text(["v\n"], 0) == b""
+
+
+_TABLES_PROBE = """
+import framedcurves.cli
+from framedcurves import fileio
+print(fileio._pow10_table.cache_info().currsize, fileio._digit_words.cache_info().currsize)
+"""
+
+
+def test_importing_the_cli_builds_no_formatting_table():
+    # both tables are built on the first format_floats call, so that a run
+    # that writes no float text does not pay for them at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(framedcurves.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _TABLES_PROBE], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0"]
 
 
 _POWER_EDGES = [0, 2**32 - 1] + [10**k + d for k in range(1, 10) for d in (-1, 0)]

@@ -219,7 +219,7 @@ def test_scan_exports_are_byte_stable(tmp_path):
         "c2362b45b2a11686abdddde93ab080ff93290ff8241f0d94819b0ccbc905f80d"
     )
     assert _sha256(out / "report.json") == (
-        "45488d41ea660e976a71555f1368bddf30b6286621ab63332000967403da2d55"
+        "ffd996556acea72b67fc4b726a7cc84cdc7ff5c02404ef2b8fefa3b34a3ee1dc"
     )
 
 
