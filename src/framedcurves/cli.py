@@ -131,8 +131,14 @@ def _cmd_frame(args):
     return 0
 
 
+def _max_abs(x):
+    """max |x| of a float array with no |x| temporary; all-zero arrays give 0.0."""
+    return max(np.max(x), -np.min(x)) + 0.0
+
+
 def _cmd_envelope(args):
     cfg = _load_config(args)
+    cfg.check_mesh_size()
     fam = hyperplane_family(cfg.build_field(lam=args.lam))
     s_grid = cfg.s_grid()
     mesh = envelope_mesh(fam, s_grid=s_grid, tol=cfg.mesh_tol)
@@ -143,7 +149,7 @@ def _cmd_envelope(args):
     export_polylines(locus, locus_path)
     # F = <x - gamma, nu>_G and F_t = <x - gamma, nu'>_G (G the form matrix, or
     # diag(0, 1, 1, 1) in euclidean space) cancel down from these sizes
-    scale = np.max(np.abs(mesh.ambient)) * max(np.max(np.abs(fam.normal)), np.max(np.abs(fam.normal1)))
+    scale = _max_abs(mesh.ambient) * max(_max_abs(fam.normal), _max_abs(fam.normal1))
     report_path = _out_file(args, cfg.outputs["report"])
     export_report({
         "subcommand": "envelope",
@@ -152,7 +158,7 @@ def _cmd_envelope(args):
                  "marked_singular": int(np.count_nonzero(mesh.singular))},
         "singular_locus": {"path": os.path.basename(locus_path),
                            "polylines": len(locus)},
-        "residual_maxima": {"envelope": float(np.max(np.abs(mesh.residuals)) / scale)},
+        "residual_maxima": {"envelope": float(_max_abs(mesh.residuals) / scale)},
         "tolerances": cfg.tolerances,
         "arithmetic": {"envelope": "floating", "locus": "floating"},
     }, report_path)
@@ -185,6 +191,7 @@ def _cmd_normal_form(args):
     nf = NormalFormFamily(a)
     if args.config:
         cfg = _load_config(args)
+        cfg.check_mesh_size()
         t_grid, s_grid = cfg.t_grid(), cfg.s_grid()
         tol = cfg.mesh_tol
     else:

@@ -41,6 +41,8 @@ DEFAULTS = {
 _GEOMETRIES = ("euclidean", "spherical", "hyperbolic")
 #: largest node count on any one grid axis
 MAX_GRID_COUNT = 100_000
+#: largest t count x s count of a mesh: 2e6 vertices hold about 200 MB of mesh arrays
+MAX_MESH_VERTICES = 2_000_000
 #: largest t- or lambda-degree of a kappa term key
 MAX_KAPPA_DEGREE = 1_000
 
@@ -232,6 +234,13 @@ class RunConfig:
     def _axis(self, name):
         lo, hi, count = self.grids[name]
         return np.linspace(lo, hi, count)
+
+    def check_mesh_size(self):
+        """Refuse a mesh of more than MAX_MESH_VERTICES vertices before any grid is built."""
+        vertices = self.grids["t"][2] * self.grids["s"][2]
+        if vertices > MAX_MESH_VERTICES:
+            raise ConfigError(f"grids: a t count x s count of {vertices} mesh vertices is above "
+                              f"{MAX_MESH_VERTICES}")
 
     def t_grid(self):
         return self._axis("t")

@@ -78,7 +78,7 @@ def hyperplane_family(field: FrameField) -> HyperplaneFamily:
 class EnvelopeMesh:
     """Quad strip mesh stored as columns: one row per vertex, one per face."""
 
-    vertices: np.ndarray  # (M, 3) projected coordinates
+    vertices: np.ndarray  # (M, 3) projected coordinates; euclidean: the view ambient[:, 1:]
     ambient: np.ndarray  # (M, dim)
     params: np.ndarray  # (M, 2) rows (t, s)
     faces: np.ndarray  # (F, 4) 0-based quad vertex indices
@@ -99,13 +99,14 @@ class Polyline:
 def project_point(x, sf: SpaceForm):
     """Affine-chart projection used for 3D export, on (..., dim) arrays.
 
-    Euclidean: drop the leading 1.  Spherical: gnomonic (central) projection
-    x_i / x_0.  Hyperbolic: Beltrami-Klein x_i / x_0.  Both charts send
-    geodesic hyperplanes to affine planes, so singular structure survives.
+    Euclidean: drop the leading 1, as the view ``x[..., 1:]`` of a float
+    array (no copy).  Spherical: gnomonic (central) projection x_i / x_0.
+    Hyperbolic: Beltrami-Klein x_i / x_0.  Both charts send geodesic
+    hyperplanes to affine planes, so singular structure survives.
     """
     x = np.asarray(x, dtype=float)
     if sf.kind == "euclidean":
-        return x[..., 1:].copy()
+        return x[..., 1:]
     x0 = x[..., :1]
     x0 = np.where(np.abs(x0) < 1e-9, np.where(x0 >= 0, 1e-9, -1e-9), x0)
     return x[..., 1:] / x0
@@ -120,8 +121,11 @@ def _grid_quads(keep, ns):
     keep = np.asarray(keep, dtype=bool)
     row = np.cumsum(keep) - 1
     lower = row[np.flatnonzero(keep[:-1] & keep[1:])]
-    a = (lower[:, None] * ns + np.arange(ns - 1)[None, :]).ravel()
-    return np.stack([a, a + 1, a + ns + 1, a + ns], axis=1)
+    quads = np.empty((len(lower), ns - 1, 4), dtype=row.dtype)  # corners a, a+1, a+ns+1, a+ns
+    np.add(lower[:, None] * ns, np.arange(ns - 1), out=quads[..., 0])
+    for corner, step in ((1, 1), (2, ns + 1), (3, ns)):
+        np.add(quads[..., 0], step, out=quads[..., corner])
+    return quads.reshape(-1, 4)
 
 
 def _assemble(sf, t, s_grid, keep, ambient, f, ft, ftt, tol, meta):
@@ -468,12 +472,13 @@ def _write_vertices(handle, params, ambient, points, singular):
 
 
 def _write_records(handle, tag, indices):
-    """One ``tag i j ...`` line per row of a non-negative integer array, in chunks;
-    each index in the array's range is formatted once."""
+    """One ``tag i j ...`` line per row of a non-negative integer array of 0-based
+    indices, each written 1-based as OBJ numbers vertices, in chunks; each index
+    in the array's range is formatted once."""
     if not len(indices):
         return
     lo = int(indices.min())
-    names = format_ints(np.arange(lo, int(indices.max()) + 1))
+    names = format_ints(np.arange(lo + 1, int(indices.max()) + 2))
     for start in range(0, len(indices), _EXPORT_CHUNK):
         cols = names[indices[start:start + _EXPORT_CHUNK] - lo]
         handle.write(rows_text([f"{tag} ", *spaced(cols.T), "\n"]))
@@ -483,21 +488,22 @@ def export_obj(mesh: EnvelopeMesh, path):
     """ASCII mesh export: per-vertex comments and v lines, then 1-based faces.
 
     Floats are written with ``repr`` (shortest round-trip form).  The text is
-    built and written to disk in chunks of rows, so memory stays bounded.
+    built and written to disk in chunks of ``_EXPORT_CHUNK`` rows, so memory
+    stays bounded: beside the mesh, which is read and never copied, an export
+    holds one chunk's text and scratch, and the text of the vertex numbers.
     """
-    faces = mesh.faces + 1
     with atomic_open(path) as handle:
         _write_vertices(handle, mesh.params, mesh.ambient, mesh.vertices, mesh.singular)
-        _write_records(handle, "f", faces)
-        if not len(mesh.params) and not len(faces):
+        _write_records(handle, "f", mesh.faces)
+        if not len(mesh.params) and not len(mesh.faces):
             handle.write(b"\n")
 
 
 def export_polylines(polylines, path):
     """ASCII polyline export: v lines plus 2-vertex l records."""
     sizes = np.array([len(pl.points) for pl in polylines], dtype=int)
-    last = np.cumsum(sizes)[sizes > 0]  # 1-based index of each chain's last vertex
-    first = np.setdiff1d(np.arange(1, sizes.sum() + 1), last)  # every vertex with a successor
+    last = np.cumsum(sizes)[sizes > 0] - 1  # 0-based index of each chain's last vertex
+    first = np.setdiff1d(np.arange(sizes.sum()), last)  # every vertex with a successor
     with atomic_open(path) as handle:
         if not sizes.sum():
             handle.write(b"\n")

@@ -63,6 +63,8 @@ _SOURCE = 32  # bytes of a source row: the words, the alphabet, unused NULs
 _TAIL = np.frombuffer(_ALPHABET.encode().ljust(_SOURCE - 4 * _WORDS, b"\0"), np.uint32)
 _FORMS = 24  # decimal points -3..16 in fixed notation, then e+XX, e+XXX, e-XX, e-XXX
 _POW10 = 10 ** np.arange(_DIGITS + 1, dtype=np.uint64)
+_GATHER = 2048  # values per block of the byte gather: a (2048, 24) intp index, 393 KB
+_GATHER_OFFSETS = np.arange(0, _GATHER * _SOURCE, _SOURCE)[:, None]  # source row starts
 _LOW32 = 0xFFFFFFFF
 
 
@@ -204,7 +206,9 @@ def format_floats(values):
     NaNs (whatever their payload) take ``repr`` itself.  A value's 20 digits
     (17 significant, 3 of the exponent) come from five lookups in a table of
     4-digit ASCII words, into a 32-byte source row from which the template of
-    its layout gathers the text.
+    its layout gathers the text.  The gather index is built ``_GATHER`` values
+    at a time, so it never exceeds 2,048 x 24 intp entries (393 KB) whatever
+    the array's size.
     """
     values = np.asarray(values, dtype=np.float64)
     flat = values.ravel()  # contiguous
@@ -221,10 +225,12 @@ def format_floats(values):
     form = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
                     20 + 2 * (decpt < 1) + (exponent >= 100))
     src = _source_rows(d * _POW10[_DIGITS - n], exponent)
-    index = _templates().take(((bits >> 63).astype(np.intp) * _DIGITS + n - 1) * _FORMS + form,
-                              axis=0)
-    index += np.arange(0, src.size, _SOURCE)[:, None]
-    out = src.ravel().take(index)
+    layout = ((bits >> 63).astype(np.intp) * _DIGITS + n - 1) * _FORMS + form
+    out = np.empty((len(flat), FLOAT_FIELD), np.uint8)
+    for lo in range(0, len(flat), _GATHER):
+        index = _templates().take(layout[lo:lo + _GATHER], axis=0)
+        index += _GATHER_OFFSETS[:len(index)]
+        src[lo:lo + _GATHER].ravel().take(index, out=out[lo:lo + _GATHER], mode="clip")
     if len(special):
         text = [repr(x) for x in flat[special].tolist()]
         out[special] = np.array(text, f"S{FLOAT_FIELD}").view(np.uint8).reshape(-1, FLOAT_FIELD)

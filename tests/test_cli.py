@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ import framedcurves
 from framedcurves import CurvatureFamily, export_events_csv, frames, scan_family
 from framedcurves.classify import _AdaptedTypeOracle
 from framedcurves.cli import main
-from framedcurves.config import RunConfig
+from framedcurves.config import MAX_GRID_COUNT, MAX_MESH_VERTICES, RunConfig
+from framedcurves.errors import ConfigError
 from framedcurves.fileio import format_float
 from framedcurves.frames import gram_defect
 
@@ -220,6 +222,35 @@ def test_integration_past_the_step_budget_is_a_numeric_failure(tmp_path, capsys,
 def test_out_of_bounds_config_is_a_config_error(tmp_path, capsys, config):
     assert main(["type", "--config", _write_config(tmp_path, config)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["envelope"], ["normal-form", "--type", "1,2,3"]])
+def test_a_mesh_above_the_vertex_cap_is_a_config_error(tmp_path, capsys, argv):
+    # both counts at MAX_GRID_COUNT ask for 1e10 vertices, about 320 GB of ambient
+    # coordinates alone; the config is refused before any grid or field is built
+    big = MAX_GRID_COUNT
+    config = {"grids": {"t": [-1.0, 1.0, big], "s": [-1.5, 1.5, big]}}
+    cfg = _write_config(tmp_path, config)
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"mesh vertices is above {MAX_MESH_VERTICES}" in capsys.readouterr().err
+    assert peak < 2**19  # one grid of 100,000 nodes alone takes 800 kB
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_mesh_vertex_cap_admits_a_mesh_of_exactly_the_cap():
+    at_cap = RunConfig.from_dict({"grids": {"t": [-1.0, 1.0, MAX_MESH_VERTICES // 100],
+                                            "s": [-1.5, 1.5, 100]}})
+    at_cap.check_mesh_size()
+    over = RunConfig.from_dict({"grids": {"t": [-1.0, 1.0, MAX_MESH_VERTICES // 100],
+                                          "s": [-1.5, 1.5, 101]}})
+    with pytest.raises(ConfigError):
+        over.check_mesh_size()
 
 
 def _run_quietly(argv):

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,7 +492,9 @@ def _meshes(draw):
         return np.array(rows, dtype=float).reshape(m, cols)
 
     params, ambient = block(2), block(4)
-    vertices = ambient[:, 1:].copy() if draw(st.booleans()) else block(3)
+    # euclidean meshes hold their vertices as the view ambient[:, 1:]
+    shared = draw(st.sampled_from(["view", "copy", None]))
+    vertices = block(3) if shared is None else ambient[:, 1:]
     if m and draw(st.booleans()):
         params[:, 1] = ambient[:, 1]  # x1 = s, as in a normal form
     singular = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
@@ -499,7 +502,8 @@ def _meshes(draw):
     faces = np.array(draw(st.lists(quad, max_size=6)), dtype=int).reshape(-1, 4)
     if m and draw(st.booleans()):  # cross chunk boundaries
         reps = envelope._EXPORT_CHUNK // m + 2
-        params, ambient, vertices = (np.tile(x, (reps, 1)) for x in (params, ambient, vertices))
+        params, ambient = (np.tile(x, (reps, 1)) for x in (params, ambient))
+        vertices = ambient[:, 1:] if shared else np.tile(vertices, (reps, 1))
         singular = np.tile(singular, reps)
         if draw(st.booleans()):
             # one value in the first chunk only, and distinct values across the boundary
@@ -508,6 +512,8 @@ def _meshes(draw):
             vertices[:, -1] = np.random.default_rng(seed).normal(size=len(vertices))
     if m and draw(st.booleans()):  # a constant column of -0.0 or of a NaN payload
         ambient[:, 0] = draw(st.sampled_from([-0.0, *_NAN_PAYLOADS]))
+    if shared == "copy":
+        vertices = vertices.copy()
     return EnvelopeMesh(vertices=vertices, ambient=ambient, params=params, faces=faces,
                         residuals=np.zeros((len(params), 2)), singular=singular)
 
@@ -545,8 +551,10 @@ def test_export_polylines_matches_the_per_value_formatter(tmp_path_factory, poly
 
 
 def _reference_records(tag, indices):
-    """The per-row str/join writer that ``_write_records`` must match byte for byte."""
-    return "".join(f"{tag} " + " ".join(map(str, row)) + "\n" for row in indices.tolist()).encode()
+    """The per-row str/join writer that ``_write_records`` must match byte for byte:
+    0-based indices in, OBJ's 1-based numbers out."""
+    return "".join(f"{tag} " + " ".join(str(i + 1) for i in row) + "\n"
+                   for row in indices.tolist()).encode()
 
 
 # 40 index arrays, some of them longer than one chunk; about 0.2 s of tier-1 time
@@ -558,8 +566,9 @@ def _reference_records(tag, indices):
        lo=st.sampled_from([0, 1, 7, 95, 996, 99_990, 10**9 - 3, 2**32 - 40]),
        span=st.sampled_from([0, 3, 39, 2000]), seed=st.integers(0, 2**32 - 1))
 def test_write_records_matches_the_str_join_writer(tag, cols, rows, lo, span, seed):
-    # the windows straddle powers of ten, so one chunk mixes digit counts
-    indices = np.random.default_rng(seed).integers(lo, min(lo + span, 2**32 - 1), (rows, cols),
+    # the windows straddle powers of ten once 1 is added, so one chunk mixes digit
+    # counts; the largest index is 2**32 - 2, written as 2**32 - 1
+    indices = np.random.default_rng(seed).integers(lo, min(lo + span, 2**32 - 2), (rows, cols),
                                                    endpoint=True)
     handle = io.BytesIO()
     envelope._write_records(handle, tag, indices)
@@ -588,6 +597,24 @@ def test_normal_form_exports_at_the_exponent_extremes_match_the_reference(tmp_pa
     assert (tmp_path / f"{name}.obj").read_bytes() == _reference_obj(mesh).encode()
     locus = singular_locus(nf, tol=tol, t_grid=t_grid)
     assert (tmp_path / f"{name}.locus.obj").read_bytes() == _reference_polylines(locus).encode()
+
+
+def test_export_obj_holds_one_chunk_of_scratch(tmp_path):
+    # the helix's 1000 x 101 mesh of the mesh-export benchmark.  The export
+    # copies no mesh array: its traced peak above its start is one chunk's text
+    # and formatting scratch plus the vertex numbers' text, about 5.0 MB.  The
+    # bound fails for an export that also builds faces + 1 (3.2 MB) and an
+    # (n, 24) intp gather index per chunk: 8.5 MB.
+    field = helix_frenet_field(np.linspace(-2.0, 2.0, 1000))
+    mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 101))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        export_obj(mesh, tmp_path / "helix.obj")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2**20
 
 
 def test_failed_export_keeps_the_old_file(tmp_path, monkeypatch):
