@@ -10,13 +10,13 @@ The module also holds the one root toolkit the family scans use, and every
 integer decision of the exact layer.  It speaks one format: integer
 coefficient lists, low degree first, and integer t-rows, a Poly's own
 numerator.  ``pseudo_divmod`` is the one pseudo-division of lists.
-``poly_gcd`` is the one gcd of lists: it tries coprimality modulo 2^61 - 1
-first, then the subresultant PRS over Z[u], which also gives square-free
-parts.  ``squarefree_t`` takes the square-free part in t of t-rows and
-hands on its chain, the PRS of that part and its t-derivative, built once:
-the chain's last coefficient is their resultant in t, and
-``line_gcd_split`` walks it to split a set of u-roots by the gcd of the
-t-lines with their derivatives.
+``poly_gcd`` is the one gcd of lists, the heuristic gcd: the integer gcd
+of two values, read back as a polynomial and checked by pseudo-division;
+it also gives square-free parts.  ``squarefree_t`` takes the square-free
+part in t of t-rows and hands on its chain, the subresultant PRS over Z[u]
+of that part and its t-derivative, built once: the chain's last
+coefficient is their resultant in t, and ``line_gcd_split`` walks it to
+split a set of u-roots by the gcd of the t-lines with their derivatives.
 Real roots are isolated exactly by Descartes' rule and narrowed by certified
 Newton jumps, with boxes as dyadic integers; there is no float root finder.
 A root is a record (m, a, b): the one root of the square-free integer list m
@@ -546,47 +546,39 @@ def _primitive_list(a):
     return [c // g for c in a]
 
 
-_PRIME = 2**61 - 1
-
-
-def _coprime_mod_p(a, b):
-    """Whether integer lists a and b are coprime modulo the prime 2^61 - 1.
-
-    Then they are coprime over Q too, as their leading coefficients do not
-    vanish mod p: a common factor would divide both images with its degree.
-    A False says nothing: ``poly_gcd`` then runs the subresultant PRS.
-    """
-    a, b = [x % _PRIME for x in a], [x % _PRIME for x in b]
-    if not (a[-1] and b[-1]):
-        return False
-    while b:
-        inv = pow(b[-1], -1, _PRIME)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv % _PRIME, len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bi) % _PRIME
-            a = trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
 def poly_gcd(a, b):
     """Primitive greatest common divisor of two integer coefficient lists (low degree first).
 
-    [1] when they are coprime modulo 2^61 - 1 (``_coprime_mod_p``); else the
-    last element of the subresultant PRS of their primitive parts, made
-    primitive with a positive leading coefficient: Euclid's remainders over
-    Q would grow without bound.
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
+    1989) on the primitive parts a and b, with |.| the largest absolute
+    coefficient: at xi = 2 min(|a|, |b|) + 2 the integer gcd of a(xi) and
+    b(xi) is read back as a polynomial from its symmetric base-xi digits,
+    and that polynomial's primitive part, with a positive leading
+    coefficient, is returned once it divides both a and b; else xi is
+    squared and the step repeats.  It is exact, with no fallback:
+
+    - Correct.  Let the candidate h divide a and b, so their gcd is g = h k.
+      Every root of g is a root of the input of least |.|, below xi/2 in
+      modulus by Cauchy's bound, so |k(xi)| > xi/2 unless k is a unit.  But
+      g(xi) divides the integer gcd, which is c h(xi) with c the content
+      of the digits, so k(xi) divides c <= xi/2: k is a unit.
+    - Terminates.  The integer gcd is g(xi) times a divisor of the nonzero
+      resultant Res(a/g, b/g), so once xi is past twice that resultant
+      times |g|, the digits are those of a multiple of g.
     """
     a, b = _primitive_list(trim(a)), _primitive_list(trim(b))
-    if len(a) < len(b):
-        a, b = b, a
-    if b:
-        if _coprime_mod_p(a, b):
-            return [1]
-        g = _subresultant_prs([[c] if c else [] for c in a], [[c] if c else [] for c in b])[-1][0]
-        a = [1] if len(g) == 1 else _primitive_list([row[0] if row else 0 for row in g])
-    return a
+    if not (a and b):
+        return a or b
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        gamma, half, h = math.gcd(_horner(a, xi, 1), _horner(b, xi, 1)), xi // 2, []
+        while gamma:
+            gamma, digit = divmod(gamma + half, xi)
+            h.append(digit - half)
+        h = _primitive_list(h)
+        if not (pseudo_divmod(a, h)[1] or pseudo_divmod(b, h)[1]):
+            return h
+        xi *= xi
 
 
 def squarefree(ints):
@@ -697,8 +689,13 @@ def _primitive(rows):
     return [[c // g for c in row] for row in rows], content
 
 
-def _subresultant_prs(a, b):
-    """The subresultant PRS of integer t-row lists, deg a >= deg b >= 0, run to its end.
+def slope_rows(rows):
+    """The t-derivative of a t-row list."""
+    return [[k * x for x in row] for k, row in enumerate(rows[1:], 1)]
+
+
+def subresultants(rows):
+    """The subresultant PRS of an integer t-row list a of degree >= 1 in t and b = da/dt, run to its end.
 
     Every division it makes is exact in Z[u], so coefficients grow only
     linearly along the sequence (Collins; Brown and Traub), without the u-gcd
@@ -708,6 +705,7 @@ def _subresultant_prs(a, b):
     and then its h is Res_t(a, b) up to sign, or divides its predecessor
     (then it is the gcd of a and b up to a u-content).
     """
+    a, b = rows, slope_rows(rows)
     g, h = [1], [1]
     chain = []
     while True:
@@ -723,16 +721,6 @@ def _subresultant_prs(a, b):
         if not r:
             return chain
         a, b = b, [_u_div(c, divisor) for c in r]
-
-
-def slope_rows(rows):
-    """The t-derivative of a t-row list."""
-    return [[k * x for x in row] for k, row in enumerate(rows[1:], 1)]
-
-
-def subresultants(rows):
-    """The subresultant chain (``_subresultant_prs``) of a t-row list of degree >= 1 in t and its t-derivative."""
-    return _subresultant_prs(rows, slope_rows(rows))
 
 
 def squarefree_t(p: Poly):

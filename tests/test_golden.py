@@ -312,13 +312,13 @@ def test_the_degree_70_scan_is_bit_stable_and_builds_its_chain_once(monkeypatch)
     t, u = Poly.t(), Poly.u()
     family = CurvatureFamily(0, (Poly.const(1) + u * t, t - u, t**3 - u * t + Poly.const("1/5")))
     sf = _FactoredDetector(family.detector()).sf
-    calls, prs = [], ratpoly._subresultant_prs
+    calls, prs = [], ratpoly.subresultants
 
-    def counted(a, b):
-        calls.append(a)
-        return prs(a, b)
+    def counted(rows):
+        calls.append(rows)
+        return prs(rows)
 
-    monkeypatch.setattr(ratpoly, "_subresultant_prs", counted)
+    monkeypatch.setattr(ratpoly, "subresultants", counted)
     res = scan_family(family, np.linspace(-1.0, 1.0, 21), np.linspace(-1.0, 1.0, 5))
     assert len(sf) == 12 and sum(a == sf for a in calls) == 1
     assert [(ev.type, ev.confidence) for ev in res.events] == [

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from framedcurves import NormalFormFamily, Poly, ratpoly
 from framedcurves.ratpoly import (
-    _coprime_mod_p,
     _descartes_count,
     _horner,
     _sign,
@@ -565,12 +564,59 @@ def test_integer_gcd_square_free_part_and_pseudo_division_match_sympy(a, b, c, k
 
 @pytest.mark.parametrize("b, gcd", [([-3, 1], [1]), (_u_mul([1, 2**61 - 1], [-3, 1]), [1, 2**61 - 1])])
 def test_gcd_with_a_leading_coefficient_that_vanishes_mod_the_prime(b, gcd):
-    # a = (p t + 1)(t + 2), p = 2^61 - 1: the coprimality test mod p declines,
-    # and the subresultant PRS decides.  Mod p the common factor p t + 1 of
+    # a = (p t + 1)(t + 2), p = 2^61 - 1.  Mod p the common factor p t + 1 of
     # a and (p t + 1)(t - 3) is a unit, so their images are coprime
     a = _u_mul([1, 2**61 - 1], [2, 1])
-    assert not _coprime_mod_p(a, b)
     assert poly_gcd(a, b) == poly_gcd(b, a) == gcd
+
+
+_BIG_INTS = st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=16)
+
+
+# 100 examples take about 1 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=100, deadline=None)
+@given(a=_BIG_INTS, b=_BIG_INTS, c=_BIG_INTS)
+def test_the_gcd_of_a_planted_common_factor_is_sympys(a, b, c):
+    # a c and b c, each of degree <= 30 with factors' coefficients up to 2^200
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def big(ints):
+        return sympy.Poly(ints[::-1], x, domain="ZZ")
+
+    assume(trim(a) and trim(b) and trim(c))
+    p, q = big(a) * big(c), big(b) * big(c)
+    want = p.gcd(q).primitive()[1]
+    want = -want if want.LC() < 0 else want
+    got = poly_gcd([int(v) for v in p.all_coeffs()[::-1]], [int(v) for v in q.all_coeffs()[::-1]])
+    assert got == [int(v) for v in want.all_coeffs()[::-1]]
+
+
+def test_the_gcd_grows_xi_past_a_divisor_of_every_value(monkeypatch):
+    # a = x (x + 1) ... (x + 11) and b = a + 12!: 12! divides every value of
+    # both, and 12! > xi/2 at the first xi, so its digits are no candidate
+    a = [1]
+    for k in range(12):
+        a = _u_mul(a, [k, 1])
+    b = [a[0] + math.factorial(12)] + a[1:]
+    points, horner = set(), ratpoly._horner
+
+    def counted(ints, p, q):
+        points.add(p)
+        return horner(ints, p, q)
+
+    monkeypatch.setattr(ratpoly, "_horner", counted)
+    assert poly_gcd(a, b) == [1] and len(points) > 1
+
+
+def test_the_gcd_where_one_list_vanishes_at_the_first_xi():
+    # a = (x - 4)(x + 2) and b = x + 1: xi = 2 |b| + 2 = 4 is a root of a
+    a, b = _u_mul([-4, 1], [2, 1]), [1, 1]
+    assert _horner(a, 4, 1) == 0
+    assert poly_gcd(a, b) == poly_gcd(b, a) == [1]
+    # (x - 6)(x + 1) vanishes at xi = 6 of (x + 1)^2, whose digits then read
+    # back (x + 1)^2 itself: it does not divide, and xi = 36 gives x + 1
+    assert poly_gcd(_u_mul([-6, 1], [1, 1]), [1, 2, 1]) == [1, 1]
 
 
 @pytest.mark.parametrize("name", sorted(POLYS))

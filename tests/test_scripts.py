@@ -1,4 +1,4 @@
-"""The two scripts under scripts/ run end to end at small sizes."""
+"""The scripts under scripts/ run end to end at small sizes."""
 
 import os
 import pathlib
@@ -32,3 +32,13 @@ def test_gallery_script_writes_every_mesh_and_locus(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         name for stem in stems for name in (f"{stem}.obj", f"{stem}.locus.obj"))
     assert all((tmp_path / f"{stem}.obj").stat().st_size > 0 for stem in stems)
+
+
+def test_scan_fuzz_script_runs_and_tallies_two_seeds():
+    run = _run("fuzz_scan.py", "28", "31", "--timeout", "120")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["seed 28", "seed 31"]
+    assert all(" exit 0 " in line for line in lines[:2])
+    assert lines[2:4] == ["exit codes: 0: 2", "timeouts: []"]
+    assert sum(line.startswith("slow: seed ") for line in lines) == 2
