@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framedcurves import jets, ratpoly
+from framedcurves import classify, jets, ratpoly
 from framedcurves.acceptance import criterion_7
 from framedcurves.classify import (
     CurvatureFamily,
@@ -319,6 +319,7 @@ def test_the_degree_70_scan_is_bit_stable_and_builds_its_chain_once(monkeypatch)
         return prs(rows)
 
     monkeypatch.setattr(ratpoly, "subresultants", counted)
+    monkeypatch.setattr(classify, "subresultants", counted)
     res = scan_family(family, np.linspace(-1.0, 1.0, 21), np.linspace(-1.0, 1.0, 5))
     assert len(sf) == 12 and sum(a == sf for a in calls) == 1
     assert [(ev.type, ev.confidence) for ev in res.events] == [

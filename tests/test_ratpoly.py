@@ -138,6 +138,22 @@ def _proportional(sympy, a, b):
     return ratio.is_Rational and ratio != 0
 
 
+def _zz(sympy, ints):
+    """An integer coefficient list, lowest degree first, as a sympy polynomial in x over ZZ."""
+    return sympy.Poly(ints[::-1], sympy.Symbol("x"), domain="ZZ")
+
+
+def _ints(p):
+    """A sympy polynomial's integer coefficient list, lowest degree first."""
+    return [int(v) for v in p.all_coeffs()[::-1]]
+
+
+def _planted_pair(sympy, a, b, c, k=0):
+    """a^(k+1) c and b c as sympy polynomials, for nonzero lists a, b and c."""
+    assume(trim(a) and trim(b) and trim(c))
+    return _zz(sympy, a) ** (k + 1) * _zz(sympy, c), _zz(sympy, b) * _zz(sympy, c)
+
+
 @settings(max_examples=20, deadline=None)
 @given(a=_FACTOR_TERMS, b=_FACTOR_TERMS, c=_U_TERMS)
 def test_the_chain_of_the_square_free_part_ends_in_its_resultant(a, b, c):
@@ -538,14 +554,12 @@ _INTS = st.lists(st.integers(-30, 30), min_size=1, max_size=4)
 def test_integer_gcd_square_free_part_and_pseudo_division_match_sympy(a, b, c, k, extra):
     # a common factor c, and a factor a repeated k + 1 times
     sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
 
     def big(ints):
-        return sympy.Poly(ints[::-1], x, domain="ZZ")
+        return _zz(sympy, ints)
 
-    assume(trim(a) and trim(b) and trim(c))
-    p, q = (big(a) ** (k + 1) * big(c)), big(b) * big(c)
-    p_ints, q_ints = [int(v) for v in p.all_coeffs()[::-1]], [int(v) for v in q.all_coeffs()[::-1]]
+    p, q = _planted_pair(sympy, a, b, c, k)
+    p_ints, q_ints = _ints(p), _ints(q)
     g = poly_gcd(p_ints, q_ints)
     assert _primitive(g) and _proportional(sympy, big(g).as_expr(), p.gcd(q).as_expr())
     sf = squarefree(p_ints)
@@ -579,17 +593,10 @@ _BIG_INTS = st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=16)
 def test_the_gcd_of_a_planted_common_factor_is_sympys(a, b, c):
     # a c and b c, each of degree <= 30 with factors' coefficients up to 2^200
     sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
-
-    def big(ints):
-        return sympy.Poly(ints[::-1], x, domain="ZZ")
-
-    assume(trim(a) and trim(b) and trim(c))
-    p, q = big(a) * big(c), big(b) * big(c)
+    p, q = _planted_pair(sympy, a, b, c)
     want = p.gcd(q).primitive()[1]
     want = -want if want.LC() < 0 else want
-    got = poly_gcd([int(v) for v in p.all_coeffs()[::-1]], [int(v) for v in q.all_coeffs()[::-1]])
-    assert got == [int(v) for v in want.all_coeffs()[::-1]]
+    assert poly_gcd(_ints(p), _ints(q)) == _ints(want)
 
 
 def test_the_gcd_grows_xi_past_a_divisor_of_every_value(monkeypatch):
