@@ -335,9 +335,9 @@ class _FactoredDetector:
     """A scan detector D(t, u), factored once per family.
 
     D = c * content(u) * prod_i F_i^i with ``sf`` = prod_i F_i primitive and
-    square-free in t, held as integer t-rows, and ``chain`` the subresultant
-    chain of sf and d sf/dt.  ``discriminant`` is the square-free part of
-    its last coefficient, Res_t(sf, d sf/dt), a multiple of the leading
+    square-free in t, held as integer t-rows, and ``chain`` the
+    subresultants of sf and d sf/dt.  ``discriminant`` is the square-free
+    part of the last, [Res_t(sf, d sf/dt)], a multiple of the leading
     coefficient lc(u) of sf: it vanishes exactly where a line of sf loses
     degree or gains a multiple root.  Wherever the content does not vanish,
     D(., lambda) and sf(., lambda) have the same square-free part up to a
@@ -346,7 +346,7 @@ class _FactoredDetector:
 
     def __init__(self, poly: Poly):
         self.sf, self.content, self.chain = squarefree_t(poly)
-        self.discriminant = squarefree(self.chain[-1][1]) if self.chain else []
+        self.discriminant = squarefree(self.chain[-1][0]) if self.chain else []
 
     def multiple_root_lines(self):
         """[(e, line, gcd)]: the discriminant's roots, split by the multiple roots of sf there.

@@ -13,10 +13,10 @@ numerator.  ``pseudo_divmod`` is the one pseudo-division of lists.
 ``poly_gcd`` is the one gcd of lists, the heuristic gcd: the integer gcd
 of two values, read back as a polynomial and checked by pseudo-division;
 it also gives square-free parts.  ``squarefree_t`` takes the square-free
-part in t of t-rows and hands on its chain, the subresultant PRS over Z[u]
-of that part and its t-derivative, built once: the chain's last
-coefficient is their resultant in t, and ``line_gcd_split`` walks it to
-split a set of u-roots by the gcd of the t-lines with their derivatives.
+part in t of t-rows and hands on its chain, the subresultants over Z[u] of
+that part and its t-derivative, built once: the last is their resultant in
+t, and ``line_gcd_split`` walks them to split a set of u-roots by the
+primitive gcd of the t-lines with their derivatives.
 Real roots are isolated exactly by Descartes' rule and narrowed by certified
 Newton jumps, with boxes as dyadic integers; there is no float root finder.
 A root is a record (m, a, b): the one root of the square-free integer list m
@@ -695,15 +695,14 @@ def slope_rows(rows):
 
 
 def subresultants(rows):
-    """The subresultant PRS of an integer t-row list a of degree >= 1 in t and b = da/dt, run to its end.
+    """The subresultants S_j of an integer t-row list a of degree >= 1 in t and b = da/dt, as t-rows.
 
-    Every division it makes is exact in Z[u], so coefficients grow only
-    linearly along the sequence (Collins; Brown and Traub), without the u-gcd
-    of each remainder that a primitive PRS takes.  Returns the chain: (F, h)
-    for b and every later element F, with h the principal coefficient of the
-    subresultant S_deg(F) = h / lc(F) * F.  The last F is a constant in t,
-    and then its h is Res_t(a, b) up to sign, or divides its predecessor
-    (then it is the gcd of a and b up to a u-content).
+    One S_j for each degree j of the subresultant PRS run to its end, from
+    b = S_{n-1} down, with S_j[-1] its principal coefficient: the PRS
+    element, scaled by S_j[-1] / lc after a defective step.  Every division
+    is exact in Z[u], so coefficients grow only linearly (Collins; Brown and
+    Traub), with no u-gcd of each remainder.  The last S_j is [Res_t(a, b)]
+    up to sign, or the gcd of a and b up to a u-content.
     """
     a, b = rows, slope_rows(rows)
     g, h = [1], [1]
@@ -714,7 +713,7 @@ def subresultants(rows):
         # h <- g^delta / h^(delta - 1), with g the new leading coefficient
         g = b[-1]
         h = _u_div(_u_mul(h, _u_pow(g, delta)), _u_pow(h, delta))
-        chain.append((b, h))
+        chain.append(b if delta == 1 else [_u_div(_u_mul(c, h), g) for c in b])
         if len(b) == 1:
             return chain
         r = _pseudo_rem(a, b)
@@ -733,7 +732,7 @@ def squarefree_t(p: Poly):
     p vanishes identically on the lines where it does.  ``chain`` is
     ``subresultants(sf)``, [] when sf is a constant: the chain that found p's
     primitive part square-free, else one built on the quotient.  Its last
-    element is a constant in t, with h = Res_t(sf, dsf/dt) up to sign.
+    element is [Res_t(sf, dsf/dt)] up to sign.
     """
     if p.is_zero():
         raise ZeroDivisionError("square-free part of the zero polynomial")
@@ -741,7 +740,7 @@ def squarefree_t(p: Poly):
     if len(a) == 1:
         return [[1]], content, []
     chain = subresultants(a)
-    g = chain[-1][0]
+    g = chain[-1]
     if len(g) == 1:
         return a, content, chain
     g = _primitive(g)[0]
@@ -758,29 +757,30 @@ def line_gcd_split(rows, e, chain):
     """The roots of e split by the gcd of the line of p with its t-derivative there.
 
     ``rows`` is the integer t-row list of p, ``chain`` is
-    ``subresultants(rows)`` and ``e`` a square-free integer coefficient list
-    in u.  Returns [(e_i, line_i, gcd_i)], line_i and gcd_i as t-rows: the
-    e_i are non-constant integer lists that divide e and share no root, and
-    at every root u* of e_i, line_i(., u*) and gcd_i(., u*) are p(., u*) and
-    gcd(p(., u*), dp/dt(., u*)) up to nonzero factors, both with a nonzero
-    leading coefficient.  By the subresultant theorem that gcd is the
-    subresultant S_j of p and dp/dt of least j whose principal coefficient
-    does not vanish at u*, wherever the line keeps its degree; the roots
-    where it does not are split again on p without its top row, whose chain
-    is built here.  Roots where p's line is a constant are left out.
+    ``subresultants(rows)`` and ``e`` a square-free integer list in u.
+    Returns [(e_i, line_i, gcd_i)], line_i and gcd_i as t-rows, gcd_i
+    primitive: the e_i are non-constant integer lists that divide e and
+    share no root, and at every root u* of e_i, line_i(., u*) and
+    gcd_i(., u*) are p(., u*) and gcd(p(., u*), dp/dt(., u*)) up to nonzero
+    factors, both with a nonzero leading coefficient.  By the subresultant
+    theorem that gcd is the S_j of least j whose principal coefficient does
+    not vanish at u*, where the line keeps its degree; the other roots are
+    split again on p without every top row that vanishes at all of them, by
+    a chain built here.  Roots where p's line is a constant are left out.
     """
     e = trim(e)
     out = []
     while len(e) > 1 and len(rows) > 1:
-        for f, h in reversed(chain):
-            common = poly_gcd(e, h)
+        for s in reversed(chain):
+            common = poly_gcd(e, s[-1])
             part = _u_div(e, common)
             if len(part) > 1:
-                out.append((part, rows, [_u_div(_u_mul(c, h), f[-1]) for c in f]))
+                out.append((part, rows, _primitive(s)[0]))
             e = common
             if len(e) == 1:
                 return out
-        # every principal coefficient vanishes where the leading one does
-        rows = trim(rows[:-1])
+        # while e divides lc(rows) it divides every principal coefficient: drop the row
+        while rows and not pseudo_divmod(rows[-1], e)[1]:
+            rows = rows[:-1]
         chain = subresultants(rows) if len(rows) > 1 else []
     return out

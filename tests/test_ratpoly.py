@@ -169,12 +169,12 @@ def test_the_chain_of_the_square_free_part_ends_in_its_resultant(a, b, c):
             assert chain == []
             continue
         assert chain == subresultants(sf)
-        degrees = [len(f) - 1 for f, _ in chain]
+        degrees = [len(s) - 1 for s in chain]
         assert degrees == sorted(set(degrees), reverse=True) and degrees[-1] == 0
         poly = _sympy_rows(sympy, sf)
         expected = sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))
-        res = _sympy_u_expr(sympy, chain[-1][1])
-        assert all(type(x) is int for x in chain[-1][1])
+        res = _sympy_u_expr(sympy, chain[-1][0])
+        assert all(type(x) is int for x in chain[-1][0])
         assert sympy.expand(res - expected) == 0 or sympy.expand(res + expected) == 0
 
 
@@ -205,13 +205,51 @@ def test_a_square_free_detector_of_degree_8_keeps_its_discriminant():
     sf, content, chain = squarefree_t(d)
     assert content == [1]
     assert _proportional(sympy, _sympy_rows(sympy, sf).as_expr(), _sympy_t_poly(sympy, d).as_expr())
-    res = _sympy_u_expr(sympy, chain[-1][1])
+    res = _sympy_u_expr(sympy, chain[-1][0])
     poly = _sympy_rows(sympy, sf)
     expected = sympy.sympify(poly.resultant(poly.diff(poly.gens[0])))
     assert sympy.expand(res - expected) == 0 or sympy.expand(res + expected) == 0
     # the scan's discriminant, its square-free part, exactly
     part = sympy.Poly(expected, sympy.symbols("u")).sqf_part().primitive()[1]
-    assert squarefree(chain[-1][1]) == [int(x) for x in reversed(part.all_coeffs())]
+    assert squarefree(chain[-1][0]) == [int(x) for x in reversed(part.all_coeffs())]
+
+
+def _determinant_subresultant(sympy, rows, j):
+    """S_j of a and da/dt, a the integer t-row list, as the determinant polynomial of Sylvester matrix rows.
+
+    Its rows are those of t^i a for i < n - j and of t^i da/dt for i < m - j
+    (m and n the two degrees), and the coefficient of t^i is the minor of
+    their first m + n - 2j - 1 columns and the column of t^i.
+    """
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    t = sympy.symbols("t")
+    a = _sympy_rows(sympy, rows).as_expr()
+    b = sympy.diff(a, t)
+    m, n = sympy.degree(a, t), sympy.degree(b, t)
+    matrix = sylvester(a, b, t)  # n rows of a, then m of b; columns t^(m+n-1) .. t^0
+    sub = matrix.extract(list(range(j, n)) + list(range(n + j, n + m)), list(range(j, m + n)))
+    k = m + n - 2 * j - 1
+    return sum((sub.extract(list(range(sub.rows)), list(range(k)) + [k + j - i]).det() * t**i
+                for i in range(j + 1)), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("rows, degrees", [
+    ([[5, 0, 1], [-3, 2], [0, 0, 1], [1, -1], [2]], [3, 2, 1, 0]),
+    ([[1], [0, 1], [], [], [1]], [3, 1, 0]),  # t^4 + u t + 1: a defective step from 3 to 1
+])
+def test_every_element_of_the_chain_is_the_determinant_subresultant(rows, degrees):
+    sympy = pytest.importorskip("sympy")
+    chain = subresultants(rows)
+    assert [len(s) - 1 for s in chain] == degrees
+    for s in chain:
+        mine, expected = _sympy_rows(sympy, s).as_expr(), _determinant_subresultant(sympy, rows, len(s) - 1)
+        assert sympy.expand(mine - expected) == 0 or sympy.expand(mine + expected) == 0
+
+
+def test_a_defective_step_rescales_the_prs_element_to_its_subresultant():
+    # t^4 + u t + 1: after b = 4t^3 + u the PRS element is F = 12 u t + 16, and S_1 = 3u F
+    assert subresultants([[1], [0, 1], [], [], [1]])[1] == [[0, 48], [0, 0, 36]]
 
 
 def _check_line_gcd_split(sympy, p, e):
@@ -219,6 +257,7 @@ def _check_line_gcd_split(sympy, p, e):
     t, u = sympy.symbols("t u")
     split = [(sympy.Poly(_sympy_u_expr(sympy, e_i), u), line_i, gcd_i)
              for e_i, line_i, gcd_i in line_gcd_split(p.rows, integer_coeffs(e), subresultants(p.rows))]
+    assert all(ratpoly._primitive(gcd_i)[1] == [1] for _, _, gcd_i in split)
     expr = _sympy_t_poly(sympy, p).as_expr()
     for factor, _ in sympy.Poly(_sympy_u_expr(sympy, e), u).factor_list()[1]:
         owners = [(line_i, gcd_i) for e_i, line_i, gcd_i in split if e_i.rem(factor).is_zero]
@@ -248,6 +287,25 @@ def test_line_gcd_split_gives_the_gcd_of_every_line_on_e(a, b, c, u0, k):
     p = (t - Poly(a)) ** 2 * Poly(b) + e * Poly(c)
     assume(len(p.rows) > 1)
     _check_line_gcd_split(sympy, p, [Fraction(c, e.den) for c in e.rows[0]])
+
+
+def test_line_gcd_split_builds_no_chain_for_top_rows_that_vanish_on_e(monkeypatch):
+    # on e = u the rows of t^6, t^5 and t^4 vanish, and the line is (t - 1)^2 (t + 2):
+    # one chain, on the rows of t-degree 3, splits it
+    sympy = pytest.importorskip("sympy")
+    t, u = Poly.t(), Poly.u()
+    p = u * (t**6 + t**5 + t**4) + (t - Poly.const(1)) ** 2 * (t + Poly.const(2))
+    chain, calls = subresultants(p.rows), []
+
+    def counted(rows):
+        calls.append(len(rows) - 1)
+        return subresultants(rows)
+
+    monkeypatch.setattr(ratpoly, "subresultants", counted)
+    split = line_gcd_split(p.rows, [0, 1], chain)
+    assert calls == [3]
+    assert [(e_i, len(line_i) - 1, len(gcd_i) - 1) for e_i, line_i, gcd_i in split] == [([0, 1], 3, 1)]
+    _check_line_gcd_split(sympy, p, [0, 1])
 
 
 def test_squarefree_part_of_a_power_and_of_a_u_only_polynomial():
