@@ -45,7 +45,7 @@ def main():
     for a in NORMAL_FORM_TYPES:
         nf = NormalFormFamily(a)
         mesh = discriminant_mesh(nf, t_grid, s_grid)
-        locus = singular_locus(nf, t_grid=t_grid)
+        locus = singular_locus(nf, t_grid)
         write_pair(args.out, "normal-form-%d%d%d" % a, mesh, locus)
 
     for name, factory, nodes in (
@@ -55,7 +55,7 @@ def main():
         fam = hyperplane_family(factory(nodes))
         strip_grid = np.linspace(-1.5, 1.5, args.s_samples)
         mesh = envelope_mesh(fam, s_grid=strip_grid)
-        locus = singular_locus(fam, s_grid=strip_grid)
+        locus = singular_locus(fam, strip_grid)
         write_pair(args.out, name, mesh, locus)
 
 

@@ -201,18 +201,6 @@ def criterion_5():
 # -- 6: discriminant meshes against independent elimination --------------------------
 
 
-def _divide_by_monomial(poly: Poly, mono: Poly) -> Poly:
-    """Exact division of a (t, u) polynomial by a monomial c * t^k."""
-    k = len(mono.rows) - 1
-    if k < 0 or any(mono.rows[:-1]) or len(mono.rows[-1]) != 1:
-        raise ArithmeticError("divisor must be a monomial in t")
-    if any(poly.rows[:k]):
-        raise ArithmeticError("monomial division is not exact")
-    c = Fraction(mono.rows[-1][0], mono.den)
-    return Poly({(i - k, j): Fraction(v, poly.den) / c for i, row in enumerate(poly.rows[k:], k)
-                 for j, v in enumerate(row)})
-
-
 def _eliminate_discriminant(a):
     """Solve F = F_t = 0 for (x2, x3) over exact rationals; u stands for x1.
 
@@ -226,7 +214,7 @@ def _eliminate_discriminant(a):
         (a3 - a1, 1): Fraction(1, factorial(a3 - a1)),
     })
     p = Poly.monomial_t(a3 - a2, Fraction(1, factorial(a3 - a2)))
-    x2 = _divide_by_monomial(Poly() - c0.diff_t(), p.diff_t())
+    x2 = (-c0.diff_t()).div_monomial_t(p.diff_t())
     x3 = Poly() - c0 - x2 * p
     return x2, x3
 

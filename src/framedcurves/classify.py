@@ -245,12 +245,12 @@ class _AdaptedTypeOracle:
     """
 
     dim = 4
+    r_max = 8
 
-    def __init__(self, family: CurvatureFamily, rank_tol, r_max=8):
-        jets = family.dual_jet_polys(r_max)
+    def __init__(self, family: CurvatureFamily, rank_tol):
+        jets = family.dual_jet_polys(self.r_max)
         self.detector = family.detector(jets)
         self.rank_tol = rank_tol
-        self.r_max = r_max
         self.groups = [jets]
 
     def _type(self, ranks):

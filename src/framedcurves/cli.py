@@ -144,7 +144,7 @@ def _cmd_envelope(args):
     mesh = envelope_mesh(fam, s_grid=s_grid, tol=cfg.mesh_tol)
     mesh_path = _out_file(args, cfg.outputs["mesh"])
     export_obj(mesh, mesh_path)
-    locus = singular_locus(fam, tol=cfg.mesh_tol, s_grid=s_grid)
+    locus = singular_locus(fam, s_grid, tol=cfg.mesh_tol)
     locus_path = _sibling(mesh_path, "locus")
     export_polylines(locus, locus_path)
     # F = <x - gamma, nu>_G and F_t = <x - gamma, nu'>_G (G the form matrix, or
@@ -203,7 +203,7 @@ def _cmd_normal_form(args):
     name = f"normal-form-{a[0]}{a[1]}{a[2]}.obj"
     path = _out_file(args, name)
     export_obj(mesh, path)
-    locus = singular_locus(nf, tol=tol, t_grid=t_grid)
+    locus = singular_locus(nf, t_grid, tol=tol)
     export_polylines(locus, _sibling(path, "locus"))
     print(f"normal form {a}: {path}")
     print(f"vertices: {len(mesh.vertices)}  singular polylines: {len(locus)}")

@@ -145,8 +145,7 @@ def _parse_curve(spec, geometry):
         return {
             "kind": "curvature",
             "delta": delta,
-            "kappa": [{f"{i},{j}": str(Fraction(v, p.den)) for i, row in enumerate(p.rows)
-                       for j, v in enumerate(row) if v} for p in polys],
+            "kappa": [{f"{i},{j}": str(v) for (i, j), v in p.terms()} for p in polys],
         }
     raise ConfigError(
         f"curve: kind must be 'builtin', 'polynomial' or 'curvature', got {kind!r}"

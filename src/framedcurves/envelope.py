@@ -33,7 +33,6 @@ from .frames import FrameField
 from .ratpoly import Poly
 from .spaceform import SpaceForm
 
-DEFAULT_S_WINDOW = 1.5
 _CHAIN_GAP = 0.5  # a locus polyline breaks where s jumps by more than this
 _EXPORT_CHUNK = 4096  # rows formatted and written per batch by the OBJ exporters
 
@@ -211,15 +210,7 @@ def _geodesic(sf, s):
     return np.cosh(s), np.sinh(s)
 
 
-def _strip_grid(s_grid):
-    """The strip parameters as floats; None gives the default 51 nodes on
-    [-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW]."""
-    if s_grid is None:
-        return np.linspace(-DEFAULT_S_WINDOW, DEFAULT_S_WINDOW, 51)
-    return np.asarray(s_grid, dtype=float)
-
-
-def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
+def envelope_mesh(fam: HyperplaneFamily, s_grid, tol=1e-9) -> EnvelopeMesh:
     """Mesh the envelope of a hyperplane family, one strip per parameter node.
 
     Per node the two incidence conditions cut a geodesic line through
@@ -232,7 +223,7 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid=None, tol=1e-9) -> EnvelopeMesh:
     is singular where |F_tt| <= tol, with F_tt in frame coordinates.
     """
     sf = fam.sf
-    s_grid = _strip_grid(s_grid)
+    s_grid = np.asarray(s_grid, dtype=float)
     keep, direction, a, b = _characteristic_lines(fam, tol)
     if not keep.any():
         raise DegeneracyError(0, "hyperplane family is degenerate at every node")
@@ -337,32 +328,31 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
 # -- singular locus -------------------------------------------------------------------
 
 
-def singular_locus(obj, tol=1e-9, t_grid=None, s_grid=None):
+def singular_locus(obj, grid, tol=1e-9):
     """Points with the additional second-derivative incidence, as polylines.
 
-    Normal-form families solve F_tt = 0 exactly on the discriminant (linear
-    in s) at the nodes of ``t_grid``, which applies to normal forms only.
+    ``grid`` is the one grid the family uses: t for a normal form, s for a
+    hyperplane family.  Normal-form families solve F_tt = 0 exactly on the
+    discriminant (linear in s) at the nodes of the t grid.
     Tangent-hyperplane families solve F_tt = c(s) a + sigma(s) b = 0 (frame
     coordinates) at their own nodes on the characteristic lines of
     ``envelope_mesh``, so s is the mesh's s in every geometry; on the sphere
     both roots s* (|s*| <= pi/2) and s* -+ pi count.  They are kept within
-    the range of ``s_grid``, the strip parameters ``envelope_mesh`` takes
-    (same default), so every locus point lies on the mesh.  Chains break
-    where the solution leaves that range or jumps by more than _CHAIN_GAP.
+    the range of the s grid, the strip parameters ``envelope_mesh`` takes,
+    so every locus point lies on the mesh.  Chains break where the solution
+    leaves that range or jumps by more than _CHAIN_GAP.
     """
+    grid = np.asarray(grid, dtype=float)
     if isinstance(obj, NormalFormFamily):
-        if t_grid is None:
-            t_grid = np.linspace(-1.0, 1.0, 201)
         ftt = obj.f_tt_on_discriminant()
         a_poly = ftt.diff_u()
         b_poly = ftt.subs_u(0)
         if a_poly.deg_u() > 0:
             raise DomainError("substituted second derivative is not linear in s")
         # array evalf equals scalar evalf bit for bit, so the nodes are solved at once
-        t = np.asarray(t_grid, dtype=float)
-        a_val = a_poly.evalf(t)
+        a_val = a_poly.evalf(grid)
         solved = ~(np.abs(a_val) <= 1e-13)  # a NaN coefficient is not skipped
-        ts = t[solved]
+        ts = grid[solved]
         s_star = -b_poly.evalf(ts) / a_val[solved]
         x2, x3 = obj.x2_poly().evalf(ts, s_star), obj.x3_poly().evalf(ts, s_star)
         points = np.column_stack([s_star, x2, x3])
@@ -384,11 +374,10 @@ def singular_locus(obj, tol=1e-9, t_grid=None, s_grid=None):
         ratio = -a / np.where(np.abs(b) > 1e-13, b, 1.0)
         solved = (np.abs(b) > 1e-13) & (np.abs(ratio) < 1.0)
         s_star = np.arctanh(np.where(solved, ratio, 0.0))
-    s_grid = _strip_grid(s_grid)
     polylines = []
     for shift in (0.0, -np.pi, np.pi) if sf.kind == "spherical" else (0.0,):
         s_k = s_star + shift
-        on = solved & (s_k >= np.min(s_grid)) & (s_k <= np.max(s_grid))
+        on = solved & (s_k >= np.min(grid)) & (s_k <= np.max(grid))
         s_k = s_k[on] + 0.0  # an exact root a = 0 gives -0.0; write it as 0.0
         c, s = _geodesic(sf, s_k)
         ambient = c[:, None] * fam.frames[keep, :, 0][on] + s[:, None] * direction[on]

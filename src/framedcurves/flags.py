@@ -24,6 +24,7 @@ import numpy as np
 
 from .curves import PolynomialCurve
 from .errors import ChartError, DomainError
+from .jets import validate_type_vector
 from .ratpoly import Poly
 
 _PIVOT_TOL = 1e-10
@@ -60,7 +61,7 @@ class FlagCurve:
             p = self.polys[(j + 1, j)]
             if p.is_zero():
                 raise DomainError(f"diagonal entry {j + 1},{j} is identically zero")
-            orders.append(next(i for i, row in enumerate(p.rows) if row))
+            orders.append(p.terms()[0][0][0])  # the lowest power of t comes first
         return tuple(orders)
 
 
@@ -230,36 +231,23 @@ def type_from_diagonal_orders(orders):
 # -- monomial C-lifts and the dual extraction ---------------------------------------
 
 
-def _monomial_term(p: Poly):
-    if not p.rows or any(p.rows[:-1]) or len(p.rows[-1]) != 1:
-        raise DomainError("expected a monomial in t")
-    return len(p.rows) - 1, Fraction(p.rows[-1][0], p.den)
-
-
-def _monomial_div(p: Poly, q: Poly) -> Poly:
-    dp, cp = _monomial_term(p)
-    dq, cq = _monomial_term(q)
-    if dp < dq:
-        raise DomainError("monomial division with negative exponent")
-    return Poly.monomial_t(dp - dq, cp / cq)
-
-
 def c_lift_monomial(a) -> FlagCurve:
     """Exact C-integral lift of the monomial curve of type a.
 
     Column 0 carries the curve itself; the integrality relations propagate
-    x_i^{j+1} = (x_i^j)' / (x_{j+1}^j)', which stays monomial.
+    x_i^{j+1} = (x_i^j)' / (x_{j+1}^j)', which stays monomial: x_i^j is
+    a multiple of t^(a_i - a_j) for a strictly increasing type.
     """
     from math import factorial
 
-    a = tuple(int(x) for x in a)
+    a = validate_type_vector(a)
     dim = len(a) + 1
     polys = {}
     for i in range(1, dim):
         polys[(i, 0)] = Poly.monomial_t(a[i - 1], Fraction(1, factorial(a[i - 1])))
     for j in range(1, dim - 1):
         for i in range(j + 1, dim):
-            polys[(i, j)] = _monomial_div(polys[(i, j - 1)].diff_t(), polys[(j, j - 1)].diff_t())
+            polys[(i, j)] = polys[(i, j - 1)].diff_t().div_monomial_t(polys[(j, j - 1)].diff_t())
     return FlagCurve(dim=dim, polys=polys)
 
 

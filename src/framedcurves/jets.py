@@ -180,7 +180,7 @@ def _ranks_to_type(ranks, dim, r_max):
     return tuple(a)
 
 
-def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
+def detect_type_report(curve, t, rank_tol=DEFAULT_RANK_TOL):
     """Detect the type vector at t along with the evidence used.
 
     Both curve kinds have exact jets, so t's type alone picks the path: an
@@ -190,9 +190,7 @@ def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
     if isinstance(t, (float, np.floating)) and not np.isfinite(t):
         raise DomainError(f"type detection needs a finite parameter, got t={t!r}")
     dim = curve.dim
-    if r_max is None:
-        r_max = dim + 4  # n + 6
-
+    r_max = dim + 4  # n + 6
     mode = "exact" if isinstance(t, (int, Fraction, str)) else "float"
     if mode == "exact":
         ranks, min_gap = exact_rank_profile(curve.jet_exact(t, r_max)), np.inf
@@ -206,9 +204,9 @@ def detect_type_report(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
     return TypeDetection(a, ranks, mode, confidence, float(min_gap))
 
 
-def detect_type(curve, t, r_max=None, rank_tol=DEFAULT_RANK_TOL):
+def detect_type(curve, t, rank_tol=DEFAULT_RANK_TOL):
     """Type vector (a_1, ..., a_{n+1}) of the curve at t."""
-    return detect_type_report(curve, t, r_max=r_max, rank_tol=rank_tol).type
+    return detect_type_report(curve, t, rank_tol=rank_tol).type
 
 
 # -- codimension calculus -----------------------------------------------------

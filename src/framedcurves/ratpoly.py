@@ -214,17 +214,27 @@ class Poly:
     def is_zero(self):
         return not self.rows
 
+    def terms(self):
+        """The nonzero terms as ((i, j), c) pairs, c the Fraction of t^i u^j, in row order."""
+        return [((i, j), Fraction(c, self.den)) for i, row in enumerate(self.rows) for j, c in enumerate(row) if c]
+
+    def div_monomial_t(self, m):
+        """The exact quotient by m = c t^k, taken on the integer rows; ArithmeticError when m
+        is not such a monomial or the quotient is not a polynomial."""
+        k = len(m.rows) - 1
+        if k < 0 or any(m.rows[:-1]) or len(m.rows[-1]) != 1:
+            raise ArithmeticError("divisor must be a monomial in t")
+        if any(self.rows[:k]):
+            raise ArithmeticError("monomial division is not exact")
+        c = m.rows[-1][0]  # self / m = rows[k:] m.den / (den c), over a positive denominator
+        scale = m.den if c > 0 else -m.den
+        return _poly([[scale * x for x in row] for row in self.rows[k:]], self.den * abs(c))
+
     def __repr__(self):
-        bits = []
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c:
-                    term = str(Fraction(c, self.den))
-                    if i:
-                        term += f"*t^{i}" if i > 1 else "*t"
-                    if j:
-                        term += f"*u^{j}" if j > 1 else "*u"
-                    bits.append(term)
+        def power(x, e):
+            return "" if e == 0 else f"*{x}" if e == 1 else f"*{x}^{e}"
+
+        bits = [f"{c}{power('t', i)}{power('u', j)}" for (i, j), c in self.terms()]
         return "Poly(" + (" + ".join(bits) or "0") + ")"
 
 

@@ -30,6 +30,7 @@ from framedcurves.classify import (
     _FactoredDetector,
     _line_roots,
     _refine_event,
+    _side,
 )
 from framedcurves.ratpoly import Poly, integer_coeffs, isolate_real_roots, midpoint, squarefree, trim, vanishes_at
 
@@ -365,6 +366,14 @@ def test_two_double_roots_on_one_irrational_line_are_two_events():
     res = scan_family(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.2, 0.2, 41))
     assert [ev.t for ev in res.events] == [-0.5, 0.5, -0.5, 0.5]
     assert all(abs(abs(ev.lam) - np.sqrt(0.02)) < 1e-15 and ev.type == (3, 4, 5) for ev in res.events)
+
+
+def test_side_places_a_rational_against_a_root_record():
+    # outside the open box the ends decide; inside it one exact sign test does
+    sqrt2 = ([-2, 0, 1], Fraction(1), Fraction(2))
+    assert [_side(x, sqrt2) for x in (Fraction(1), Fraction(7, 5), Fraction(3, 2), Fraction(2))] == [-1, -1, 1, 1]
+    assert [_side(x, ([-3, 2], Fraction(1), Fraction(2))) for x in (Fraction(4, 3), Fraction(3, 2))] == [-1, 0]
+    assert [_side(x, ([-1, 2], Fraction(1, 2), Fraction(1, 2))) for x in (0, Fraction(1, 2), 1)] == [-1, 0, 1]
 
 
 @pytest.mark.parametrize("name", ["triple root", "moving triple root", "degree drop"])

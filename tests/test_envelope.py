@@ -154,7 +154,7 @@ def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kin
         lines = (strips[:, 1] - c1 * strips[:, 0]) / s1
     assert (np.einsum("ij,ij->i", lines[1:], lines[:-1]) > 0).all()
     # the singular locus lies on the same, continued lines
-    for pl in singular_locus(fam):
+    for pl in singular_locus(fam, np.linspace(-1.5, 1.5, 51)):
         k = np.searchsorted(nodes, pl.params[:, 0])
         if kind == "euclidean":
             expect = strips[k, 0] + pl.params[:, 1, None] * lines[k]
@@ -196,7 +196,7 @@ def test_long_spans_drop_only_the_flat_node_and_keep_their_marks(kind):
         fam = _curvature_family(kind, np.linspace(0.0, end, 200))
         mesh = envelope_mesh(fam, s_grid=np.linspace(-1.0, 1.0, 9))
         assert mesh.meta["degenerate_nodes"] == [0.0]
-        assert len(singular_locus(fam)) == 1
+        assert len(singular_locus(fam, np.linspace(-1.5, 1.5, 51))) == 1
         marks.append(int(mesh.singular.sum()))
     assert marks[0] == marks[1]
 
@@ -252,11 +252,11 @@ def test_spherical_locus_keeps_both_roots_on_a_wide_s_grid():
     # a cos s + b sin s = 0 has the roots s* and s* + pi; with s in [-3, 3] both
     # are on the mesh, and so on the edge of regression
     fam = _curvature_family("spherical", np.linspace(0.0, 3.0, 40), ((1,), (3,), (1,)))
-    polylines = singular_locus(fam, s_grid=np.linspace(-3.0, 3.0, 61))
+    polylines = singular_locus(fam, np.linspace(-3.0, 3.0, 61))
     assert [len(pl.params) for pl in polylines] == [40, 40]
     low, high = (pl.params[:, 1] for pl in polylines)
     assert np.allclose(low, -0.759, atol=1e-3) and np.allclose(high - low, np.pi, rtol=0, atol=1e-12)
-    assert [len(pl.params) for pl in singular_locus(fam)] == [40]
+    assert [len(pl.params) for pl in singular_locus(fam, np.linspace(-1.5, 1.5, 51))] == [40]
 
 
 def test_helix_singular_locus_is_the_curve_itself():
@@ -264,7 +264,7 @@ def test_helix_singular_locus_is_the_curve_itself():
     nodes = np.linspace(-1.0, 1.0, 81)
     field = helix_frenet_field(nodes)
     fam = hyperplane_family(field)
-    polylines = singular_locus(fam)
+    polylines = singular_locus(fam, np.linspace(-1.5, 1.5, 51))
     assert polylines, "expected a nonempty singular locus"
     worst = 0.0
     for pl in polylines:
@@ -293,7 +293,7 @@ def test_quadric_locus_lies_on_the_mesh_lines(kind, nodes, kappa):
     c1, s1 = _geodesic(kind, 1.0)
     b2 = (strips[:, 1] - c1 * gamma) / s1
     node_t = mesh.params[::2, 0]
-    polylines = singular_locus(fam)
+    polylines = singular_locus(fam, np.linspace(-1.5, 1.5, 51))
     assert polylines
     for pl in polylines:
         k = np.searchsorted(node_t, pl.params[:, 0])
@@ -382,7 +382,7 @@ def test_cuspidal_edge_locus_closed_form():
     # the locus is the twisted cubic (-t, t^2/2, -t^3/6)
     nf = NormalFormFamily((1, 2, 3))
     t_grid = np.linspace(-1.0, 1.0, 41)
-    polylines = singular_locus(nf, t_grid=t_grid)
+    polylines = singular_locus(nf, t_grid)
     assert len(polylines) == 1
     pl = polylines[0]
     assert len(pl.params) == 41
@@ -396,7 +396,7 @@ def test_swallowtail_locus_as_cusped_curve():
     # the dense second-derivative locus of the swallowtail family: F_tt linear
     # in s gives one solution branch per t, away from the t = 0 breakdown
     nf = NormalFormFamily((1, 2, 4))
-    polylines = singular_locus(nf, t_grid=np.linspace(0.05, 1.0, 20))
+    polylines = singular_locus(nf, np.linspace(0.05, 1.0, 20))
     assert polylines
     for pl in polylines:
         for (t, s), p in zip(pl.params, pl.points):
@@ -426,7 +426,7 @@ def test_export_obj_structure(tmp_path):
 
 def test_export_polylines_structure(tmp_path):
     nf = NormalFormFamily((1, 2, 3))
-    polylines = singular_locus(nf, t_grid=np.linspace(-1.0, 1.0, 11))
+    polylines = singular_locus(nf, np.linspace(-1.0, 1.0, 11))
     path = tmp_path / "locus.obj"
     export_polylines(polylines, path)
     lines = path.read_text().splitlines()
@@ -595,7 +595,7 @@ def test_normal_form_exports_at_the_exponent_extremes_match_the_reference(tmp_pa
     mesh = discriminant_mesh(nf, t_grid, np.linspace(0.0, 1.5, 50), tol=tol)  # the CLI's window
     name = "normal-form-" + "".join(map(str, a))
     assert (tmp_path / f"{name}.obj").read_bytes() == _reference_obj(mesh).encode()
-    locus = singular_locus(nf, tol=tol, t_grid=t_grid)
+    locus = singular_locus(nf, t_grid, tol=tol)
     assert (tmp_path / f"{name}.locus.obj").read_bytes() == _reference_polylines(locus).encode()
 
 

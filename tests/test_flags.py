@@ -10,6 +10,7 @@ from framedcurves import (
     ChartError,
     DomainError,
     FlagCurve,
+    FramedCurveError,
     c_integrality_residual,
     c_lift_monomial,
     d_integrality_residual,
@@ -60,6 +61,14 @@ def test_diagonal_orders_of_monomial_lifts_give_back_the_type(mode):
         orders = c_lift_monomial(a).diagonal_orders()
         assert orders == (a[0], a[1] - a[0], a[2] - a[1]), a
         assert type_from_diagonal_orders(orders) == a
+
+
+@pytest.mark.parametrize("a", [(), (0, 1, 2), (2, 1, 3), (1, 2, 1), (1, 2, 2), (-1, 2, 3)])
+def test_monomial_clift_of_a_non_type_raises(a):
+    # a type is strictly increasing naturals; for anything else some x_i^j
+    # is not a multiple of t^(a_i - a_j) and the lift's divisions fail
+    with pytest.raises(FramedCurveError):
+        c_lift_monomial(a)
 
 
 @pytest.mark.parametrize("a", BUILTIN_TYPES)

@@ -437,14 +437,45 @@ def test_a_grid_two_floats_wide_at_1e16_is_an_integration_error(tmp_path, capsys
 # -- reorthonormalization --------------------------------------------------------
 
 
-def test_reorthonormalize_repairs_small_drift():
-    sf = SpaceForm("spherical")
+def _boost(rapidity):
+    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    return np.array([[c, s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_reorthonormalize_repairs_small_drift(kind):
+    sf = SpaceForm(kind)
     rng = np.random.default_rng(1)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    drifted = q + 1e-6 * rng.normal(size=(4, 4))
+    if kind == "spherical":
+        frame, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    else:  # a rotation of the spatial block, at a point or after a boost
+        frame = np.eye(4)
+        frame[1:, 1:] = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        if kind == "euclidean":
+            frame[1:, 0] = rng.normal(size=3)
+        else:
+            frame = _boost(0.7) @ frame
+    drifted = frame + 1e-6 * rng.normal(size=(4, 4))
     fixed = reorthonormalize(drifted, sf)
     assert gram_defect(fixed, sf) < 1e-12
-    assert np.max(np.abs(fixed - q)) < 1e-5
+    assert np.max(np.abs(fixed - frame)) < 1e-5
+    if kind == "euclidean":  # the leading row is reset, the position kept
+        assert fixed[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(fixed[1:, 0], drifted[1:, 0])
+
+
+def test_reorthonormalize_returns_what_it_cannot_repair_unchanged():
+    rng = np.random.default_rng(2)
+    # far out on the hyperbolic sheet the projection's noise |column|^2 eps
+    # passes the floor: the drifted frame comes back as it is
+    far = _boost(10.0) + 1e-6 * rng.normal(size=(4, 4))
+    assert np.array_equal(reorthonormalize(far, SpaceForm("hyperbolic")), far)
+    # a matrix with two equal columns, or a null first column, has no
+    # orthonormal flag; Gram-Schmidt's DegeneracyError leaves it as it is
+    for kind, first in (("spherical", [1.0, 0.0, 0.0, 0.0]), ("hyperbolic", [1.0, 1.0, 0.0, 0.0])):
+        flat = np.eye(4)
+        flat[:, 0] = flat[:, 1] = first
+        assert np.array_equal(reorthonormalize(flat, SpaceForm(kind)), flat)
 
 
 def test_hyperbolic_gram_defect_is_relative_to_the_frame_size():

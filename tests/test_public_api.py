@@ -169,3 +169,19 @@ def test_other_modules_use_only_the_list_arithmetic_of_ratpoly_in_private():
                   and node.value.id == "ratpoly" and node.attr.startswith("_")):
                 used.add(node.attr)
     assert used == RATPOLY_PRIVATE_NAMES
+
+
+#: the modules outside ``ratpoly`` that read a Poly's integer t-rows and
+#: denominator (``.rows``, ``.den``), each with its reason.  Every other
+#: reader goes through ``Poly.terms`` and ``Poly.div_monomial_t``
+POLY_ROW_READERS = {
+    "classify": "the type oracle's columns: every jet's rows at a rational lambda, over one scale per column",
+    "curves": "PolynomialCurve's integer coefficients over their denominators, read once for its exact jets",
+}
+
+
+def test_only_the_hot_integer_readers_walk_poly_rows_outside_ratpoly():
+    readers = {path.stem for path in PACKAGE.glob("*.py") if path.name != "ratpoly.py" and any(
+        isinstance(node, ast.Attribute) and node.attr in ("rows", "den")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert readers == set(POLY_ROW_READERS)

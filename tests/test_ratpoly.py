@@ -367,6 +367,11 @@ def test_real_roots_are_isolated_exactly_also_when_they_nearly_coincide():
                                                 third + eps, third + eps)]
     # roots on the window ends and on a bisection point come back exact
     assert isolate_real_roots([0, -1, 0, 1], -1, 1) == [([1, 1], -1, -1), ([0, 1], 0, 0), ([-1, 1], 1, 1)]
+    # a reversed window and the zero list hold no root; a one-point window
+    # holds its point when that is a root
+    assert isolate_real_roots([0, -1, 0, 1], 1, -1) == isolate_real_roots([0, 0], -1, 1) == []
+    assert isolate_real_roots([0, -1, 0, 1], 1, 1) == [([-1, 1], 1, 1)]
+    assert isolate_real_roots([0, -1, 0, 1], Fraction(1, 2), Fraction(1, 2)) == []
 
 
 # (r, s, n): the quadratic (x - r)^2 - s^2 n with the irrational roots r -+ s sqrt(n)
@@ -798,3 +803,29 @@ def test_integer_rows_over_one_den_match_a_fraction_dict_reference(a, b, k, t, u
     grid = p.evalf(np.array([x, y, 0.5])[:, None], np.array([y, -x])[None, :])
     assert [[v.hex() for v in row] for row in grid.tolist()] == [
         [_ref_evalf(ra, s, w).hex() for w in (y, -x)] for s in (x, y, 0.5)]
+
+
+def test_poly_repr_lists_the_terms_in_row_order():
+    assert repr(Poly({(0, 0): 2, (1, 1): -1, (2, 0): Fraction(1, 3)})) == "Poly(2 + -1*t*u + 1/3*t^2)"
+    assert repr(Poly()) == "Poly(0)"
+    assert repr(Poly.t() * Poly.u() ** 2) == "Poly(1*t*u^2)"
+
+
+#: 100 examples take about 1 s in tier-1
+@settings(max_examples=100, deadline=None)
+@given(a=_SPARSE, k=st.integers(0, 3), c=_COEFF.filter(bool))
+def test_terms_and_the_exact_division_by_a_monomial_in_t(a, k, c):
+    p, m = Poly(a), Poly.monomial_t(k, c)
+    assert p.terms() == sorted(_ref(a).items()) and Poly(dict(p.terms())) == p
+    quotient = (p * m).div_monomial_t(m)
+    assert _ref_terms(quotient) == _ref(a) and quotient == p
+    # by c t^(k+1) the quotient is a polynomial exactly when p has no t^0 term
+    shifted = Poly.monomial_t(k + 1, c)
+    if any(i == 0 for (i, _), _ in p.terms()):
+        with pytest.raises(ArithmeticError):
+            (p * m).div_monomial_t(shifted)
+    else:
+        assert (p * m).div_monomial_t(shifted) * shifted == p * m
+    for divisor in (Poly(), m * Poly.u(), m + Poly.monomial_t(k + 1, 1)):
+        with pytest.raises(ArithmeticError):
+            p.div_monomial_t(divisor)
