@@ -18,9 +18,7 @@ from framedcurves import (
     hyperplane_family,
     singular_locus,
 )
-from framedcurves.examples import helix_frenet_field, radial_circle_field
-
-NORMAL_FORM_TYPES = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 4), (3, 4, 5)]
+from framedcurves.examples import BUILTIN_TYPES, helix_frenet_field, radial_circle_field
 
 
 def write_pair(out, stem, mesh, polylines):
@@ -42,7 +40,7 @@ def main():
     t_grid = np.linspace(-1.0, 1.0, args.t_samples)
     s_grid = np.linspace(-1.0, 1.0, args.s_samples)
 
-    for a in NORMAL_FORM_TYPES:
+    for a in BUILTIN_TYPES:
         nf = NormalFormFamily(a)
         mesh = discriminant_mesh(nf, t_grid, s_grid)
         locus = singular_locus(nf, t_grid)

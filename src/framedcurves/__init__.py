@@ -46,8 +46,10 @@ from .flags import (
     c_integrality_residual,
     c_lift_monomial,
     d_integrality_residual,
+    diagonal_orders,
     dual_curve_from_clift,
     flag_from_curve,
+    lift_chart,
     type_from_diagonal_orders,
 )
 from .envelope import (

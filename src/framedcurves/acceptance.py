@@ -20,6 +20,7 @@ from .classify import class_of, scan_family
 from .curves import monomial_curve
 from .envelope import NormalFormFamily, discriminant_mesh, envelope_mesh, hyperplane_family
 from .examples import (
+    BUILTIN_TYPES,
     builtin_adapted_examples,
     builtin_clift_examples,
     helix_developable_point,
@@ -219,10 +220,6 @@ def _eliminate_discriminant(a):
     return x2, x3
 
 
-#: The classified dual types together with their partner developable types.
-_NORMAL_FORM_TYPES = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 4), (3, 4, 5)]
-
-
 def criterion_6():
     """Discriminant meshes match exact elimination pointwise <= 1e-12 + spot values."""
     start = time.perf_counter()
@@ -230,7 +227,7 @@ def criterion_6():
     s_grid = np.linspace(-1.0, 1.0, 9)
     worst = 0.0
     bad = []
-    for a in _NORMAL_FORM_TYPES:
+    for a in BUILTIN_TYPES:
         x2, x3 = _eliminate_discriminant(a)
         mesh = discriminant_mesh(NormalFormFamily(a), t_grid, s_grid)
         t, s = mesh.params.T
@@ -249,7 +246,7 @@ def criterion_6():
         nf_got = NormalFormFamily(a).discriminant_point(1.0, 0.0)
         if got != expected or np.max(np.abs(np.asarray(nf_got, float) - np.asarray(expected, float))) > 1e-15:
             bad.append((a, got, nf_got))
-    detail = f"{len(_NORMAL_FORM_TYPES)} types, worst pointwise {worst:.2e}, spot values exact"
+    detail = f"{len(BUILTIN_TYPES)} types, worst pointwise {worst:.2e}, spot values exact"
     if bad:
         detail += f"; first failure {bad[0]}"
     return _result(6, 5.0, not bad, detail, start)

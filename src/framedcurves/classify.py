@@ -45,6 +45,7 @@ from .jets import (
 )
 from .ratpoly import (
     Poly,
+    columns_at,
     has_root_in,
     isolate_real_roots,
     line_gcd_split,
@@ -256,21 +257,10 @@ class _AdaptedTypeOracle:
     def _type(self, ranks):
         return _ranks_to_type(ranks[0], 4, self.r_max)
 
-    @staticmethod
-    def _columns(group, lam):
-        """The group's columns at u = lam = n/q, as integer lists in t with one scale per column.
-
-        ``rows_at`` scales an entry p by q^deg_u(p) p.den; a column, by q^D lcm(dens), D its top deg_u.
-        """
-        for col in group:
-            scale, top = math.lcm(*(p.den for p in col)), max(p.deg_u() for p in col)
-            yield [[c * (scale // p.den) * lam.denominator ** (top - p.deg_u()) for c in rows_at(p.rows, lam)]
-                   for p in col]
-
     def classify(self, root, lam):
         """(type, "exact") at the root of a rational lambda line; the type is None off finite type."""
         try:
-            ranks = [algebraic_rank_profile(self._columns(g, lam), self.dim, root) for g in self.groups]
+            ranks = [algebraic_rank_profile(columns_at(g, lam), self.dim, root) for g in self.groups]
             return self._type(ranks), "exact"
         except (FiniteTypeError, DegeneracyError):
             return None, "exact"

@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ratpoly import Poly, as_fraction, taylor_shift
+from .ratpoly import Poly, as_fraction, columns_at, taylor_shift
 
 
 class PolynomialCurve:
@@ -39,8 +39,6 @@ class PolynomialCurve:
             raise DimensionMismatch("need at least 3 components (ambient dimension n+2 >= 3)")
         self.components = tuple(comps)
         self._derivs = [self.components]
-        # each component as (its integer coefficients, its den)
-        self._ints = [([row[0] if row else 0 for row in c.rows], c.den) for c in comps]
 
     @property
     def dim(self):
@@ -66,20 +64,20 @@ class PolynomialCurve:
         return out
 
     def jet_exact(self, t, r):
-        """Exact jet columns as nested lists of Fractions (t must be rational).
+        """Exact jet columns at a rational t = p/q as integer lists, column k scaled by D q^(n-k).
 
-        At t = p/q one Taylor shift of D * q^n * gamma_i((p + x)/q) gives
-        every derivative of a component: k! times its x^k coefficient over
-        D * q^(n-k).
+        D is the lcm of the components' denominators and n their top degree.
+        One Taylor shift of D q^m gamma_i((p + x)/q), m the degree of the
+        component, gives its every derivative: k! q^(n-m) times its x^k
+        coefficient.  ``columns_at`` gives the integer coefficients over D.
         """
         tq = as_fraction(t)
         p, q = tq.numerator, tq.denominator
-        zero, rows = Fraction(0), []
-        for ints, den in self._ints:
-            shifted = taylor_shift(ints, p, 1, q)
-            n = len(ints) - 1
-            rows.append([Fraction(factorial(k) * shifted[k], den * q ** (n - k)) if k <= n and shifted[k]
-                         else zero for k in range(r + 1)])
+        (column,) = columns_at([self.components], 0)
+        n, rows = max(map(len, column)) - 1, []
+        for ints in column:
+            shifted, scale = taylor_shift(ints, p, 1, q), q ** (n + 1 - len(ints))
+            rows.append([factorial(k) * shifted[k] * scale if k < len(ints) else 0 for k in range(r + 1)])
         return [list(col) for col in zip(*rows)]
 
     def reparametrized(self, phi: Poly) -> "PolynomialCurve":
@@ -122,11 +120,17 @@ class BasePointCurve:
         return self.frame(np.asarray(t, dtype=float)) @ np.stack(cols, axis=1)
 
     def jet_exact(self, t, r):
-        """The Krylov columns e_0, K e_0, ..., K^r e_0 as lists of Fractions of K's floats (any t)."""
-        k = [[Fraction(x) for x in row] for row in self.k.tolist()]
-        cols = [[Fraction(int(i == 0)) for i in range(self.dim)]]
+        """The Krylov columns e_0, (dK) e_0, ..., (dK)^r e_0 as integer lists (any t).
+
+        K's floats are dyadic, so with d their largest denominator dK is an
+        integer matrix, and column k is K^k e_0 scaled by d^k.
+        """
+        ratios = [[x.as_integer_ratio() for x in row] for row in self.k.tolist()]
+        d = max(den for row in ratios for _, den in row)
+        k = [[num * (d // den) for num, den in row] for row in ratios]
+        cols = [[int(i == 0) for i in range(self.dim)]]
         for _ in range(r):
-            cols.append([sum((a * b for a, b in zip(row, cols[-1])), Fraction(0)) for row in k])
+            cols.append([sum(a * b for a, b in zip(row, cols[-1])) for row in k])
         return cols
 
 

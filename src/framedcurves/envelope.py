@@ -130,10 +130,15 @@ def _grid_quads(keep, ns):
 def _assemble(sf, t, s_grid, keep, ambient, f, ft, ftt, tol, meta):
     """The mesh of the strips at nodes t[keep].
 
-    ``ambient`` is (K, ns, dim) and f, ft, ftt are (K, ns), one row per kept node.
+    ``ambient`` is (K, ns, dim) and f, ft, ftt are (K, ns), one row per kept
+    node.  A node whose vertices or residuals leave the float range raises
+    DomainError, naming the first such t.
     """
     ns = len(s_grid)
     t = t[keep]
+    finite = (np.isfinite(ambient).all(axis=-1) & np.isfinite(f) & np.isfinite(ft) & np.isfinite(ftt)).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"the mesh at t = {float(t[~finite][0])!r} is beyond the float range")
     ambient = ambient.reshape(-1, ambient.shape[-1])
     return EnvelopeMesh(
         vertices=project_point(ambient, sf),
@@ -220,7 +225,8 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid, tol=1e-9) -> EnvelopeMesh:
     independent are excluded and recorded in meta["degenerate_nodes"].  The
     residuals are the ambient (F, F_t) = (<x - gamma, nu>_G, <x - gamma, nu'>_G),
     G the form matrix or diag(0, 1, ..., 1) on the euclidean slice; a vertex
-    is singular where |F_tt| <= tol, with F_tt in frame coordinates.
+    is singular where |F_tt| <= tol, with F_tt in frame coordinates.  A node
+    whose strip leaves the float range raises DomainError.
     """
     sf = fam.sf
     s_grid = np.asarray(s_grid, dtype=float)
@@ -228,11 +234,12 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid, tol=1e-9) -> EnvelopeMesh:
     if not keep.any():
         raise DegeneracyError(0, "hyperplane family is degenerate at every node")
     gamma = fam.frames[keep, :, 0]
-    c, s = _geodesic(sf, s_grid)
-    amb = c[None, :, None] * gamma[:, None, :] + s[None, :, None] * direction[:, None, :]
     g = np.diag([0.0, 1.0, 1.0, 1.0]) if sf.kind == "euclidean" else sf.form
-    f, ft = (_matvec(amb - gamma[:, None, :], n[keep] @ g) for n in (fam.normal, fam.normal1))
-    ftt = c[None, :] * a[:, None] + s[None, :] * b[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = _geodesic(sf, s_grid)
+        amb = c[None, :, None] * gamma[:, None, :] + s[None, :, None] * direction[:, None, :]
+        f, ft = (_matvec(amb - gamma[:, None, :], n[keep] @ g) for n in (fam.normal, fam.normal1))
+        ftt = c[None, :] * a[:, None] + s[None, :] * b[:, None]
     t = np.asarray(fam.t, dtype=float)
     meta = {"degenerate_nodes": t[~keep].tolist(), "s_grid": s_grid.tolist()}
     return _assemble(sf, t, s_grid, keep, amb, f, ft, ftt, tol, meta)
@@ -316,10 +323,6 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
         x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
         ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
         f, ft, ftt = nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
-    finite = np.isfinite(ambient).all(axis=-1) & np.isfinite(f) & np.isfinite(ft) & np.isfinite(ftt)
-    finite = finite.all(axis=1)
-    if not finite.all():
-        raise DomainError(f"the discriminant at t = {float(t_grid[~finite][0])!r} is beyond the float range")
     keep = np.ones(len(t_grid), dtype=bool)
     return _assemble(SpaceForm("euclidean"), t_grid, s_grid, keep, ambient, f, ft, ftt, tol,
                      {"normal_form": nf.a})

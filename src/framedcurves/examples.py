@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import BasePointCurve, monomial_curve
-from .flags import FlagCurve, c_lift_monomial, flag_from_curve
+from .flags import c_lift_monomial, flag_from_curve, lift_chart
 from .frames import FrameField, structure_matrix
 from .ratpoly import Poly
 from .spaceform import SpaceForm
@@ -135,10 +135,10 @@ BUILTIN_TYPES = (
 
 
 def builtin_clift_examples():
-    """Named flag curves that must satisfy the c-system identically."""
-    out = [(f"clift-{a[0]}{a[1]}{a[2]}", c_lift_monomial(a)) for a in BUILTIN_TYPES]
-    helix_nodes = np.linspace(-0.5, 0.5, 21)
-    out.append(("helix-osculating", flag_from_curve(helix_curve(), helix_nodes)))
+    """Named flag charts that must satisfy the c-system identically."""
+    nodes = np.linspace(-0.5, 0.5, 21)
+    out = [(f"clift-{a[0]}{a[1]}{a[2]}", lift_chart(c_lift_monomial(a), nodes)) for a in BUILTIN_TYPES]
+    out.append(("helix-osculating", flag_from_curve(helix_curve(), nodes)))
     return out
 
 
@@ -153,12 +153,13 @@ def builtin_adapted_examples():
 
 
 def violation_witnesses():
-    """(c-witness, d-witness): deliberately broken lifts with O(1) residuals."""
-    broken_c = dict(c_lift_monomial((1, 2, 3)).polys)
+    """(c-witness, d-witness): charts of deliberately broken lifts with O(1) residuals."""
+    nodes = np.linspace(-0.5, 0.5, 21)
+    broken_c = c_lift_monomial((1, 2, 3))
     broken_c[(2, 1)] = Poly()  # kill a diagonal entry the c-system needs
-    broken_d = dict(c_lift_monomial((1, 2, 3)).polys)
+    broken_d = c_lift_monomial((1, 2, 3))
     broken_d[(3, 0)] = broken_d[(3, 0)] + Poly.monomial_t(1, 1)  # shear the last row
-    return FlagCurve(dim=4, polys=broken_c), FlagCurve(dim=4, polys=broken_d)
+    return lift_chart(broken_c, nodes), lift_chart(broken_d, nodes)
 
 
 # -- great circle ------------------------------------------------------------------

@@ -34,35 +34,17 @@ _PIVOT_TOL = 1e-10
 
 @dataclass
 class FlagCurve:
-    """Lower-triangular flag coordinates: exact polys, or float arrays over s.
+    """A float flag chart: lower-triangular coordinates and their derivatives over nodes s.
 
-    Monomial lifts carry polys; the chart of a curve (flag_from_curve) is
-    float arrays, with ``derivs`` holding the per-node coordinate derivatives
-    taken from its jets (see _chart_derivative).  The residuals of float
-    coordinates without ``derivs`` raise DomainError.
+    ``coords`` and ``derivs`` map each strictly lower pair (i, j) to an array
+    over s.  ``flag_from_curve`` takes both from a curve's jets (see
+    _chart_derivative), and ``lift_chart`` from an exact lift.
     """
 
     dim: int
-    polys: dict = None  # (i, j) -> Poly
-    s: np.ndarray = None
-    coords: dict = None  # (i, j) -> array over s
-    derivs: dict = None  # (i, j) -> array over s
-    base: np.ndarray = None
-
-    def pairs(self):
-        return [(i, j) for j in range(self.dim - 1) for i in range(j + 1, self.dim)]
-
-    def diagonal_orders(self):
-        """Vanishing orders of the diagonal entries at t = 0 (exact path)."""
-        if self.polys is None:
-            raise DomainError("diagonal orders need exact polynomial coordinates")
-        orders = []
-        for j in range(self.dim - 1):
-            p = self.polys[(j + 1, j)]
-            if p.is_zero():
-                raise DomainError(f"diagonal entry {j + 1},{j} is identically zero")
-            orders.append(p.terms()[0][0][0])  # the lowest power of t comes first
-        return tuple(orders)
+    s: np.ndarray
+    coords: dict  # (i, j) -> array over s
+    derivs: dict  # (i, j) -> array over s
 
 
 # -- chart extraction -----------------------------------------------------------
@@ -146,8 +128,7 @@ def flag_from_curve(curve, nodes, base=None) -> FlagCurve:
                           "row exchanges)") from None
     m = _substitute(base_upper, _substitute(base_lower, jets), upper=True)
     lower, upper = _doolittle(m[..., :dim], nodes)
-    return FlagCurve(dim=dim, s=nodes, coords=_chart(lower),
-                     derivs=_chart_derivative(lower, upper, m[..., 1:]), base=np.array(base, dtype=float))
+    return FlagCurve(dim=dim, s=nodes, coords=_chart(lower), derivs=_chart_derivative(lower, upper, m[..., 1:]))
 
 
 def _chart_derivative(lower, upper, m_prime):
@@ -165,50 +146,39 @@ def _chart_derivative(lower, upper, m_prime):
 # -- integrality residuals -------------------------------------------------------
 
 
-def _coord_and_derivative_tables(fc: FlagCurve, nodes):
-    """values[(i,j)] and derivatives[(i,j)] over a common node set."""
-    if fc.polys is not None:
-        nodes = np.asarray(nodes, dtype=float)
-        vals = {key: fc.polys[key].evalf(nodes) for key in fc.pairs()}
-        ders = {key: fc.polys[key].diff_t().evalf(nodes) for key in fc.pairs()}
-        return nodes, vals, ders
-    if fc.derivs is None:
-        raise DomainError("residuals of float flag coordinates need their derivatives")
-    return fc.s, fc.coords, fc.derivs
+def lift_chart(lift, nodes) -> FlagCurve:
+    """The float chart of an exact lift {(i, j): Poly} over nodes: every entry and its derivative."""
+    nodes = np.asarray(nodes, dtype=float)
+    return FlagCurve(dim=max(lift)[0] + 1, s=nodes, coords={key: p.evalf(nodes) for key, p in lift.items()},
+                     derivs={key: p.diff_t().evalf(nodes) for key, p in lift.items()})
 
 
-def c_integrality_residual(fc: FlagCurve, nodes=None):
+def c_integrality_residual(fc: FlagCurve):
     """Per-node max |dx_i^j - x_i^{j+1} dx_{j+1}^j| over all couplings j+1 < i."""
-    if nodes is None and fc.polys is not None:
-        nodes = np.linspace(-0.5, 0.5, 21)
-    grid, vals, ders = _coord_and_derivative_tables(fc, nodes)
-    res = np.zeros(len(grid))
+    res = np.zeros(len(fc.s))
     for i in range(fc.dim):
         for j in range(i - 1):
-            gap = np.abs(ders[(i, j)] - vals[(i, j + 1)] * ders[(j + 1, j)])
+            gap = np.abs(fc.derivs[(i, j)] - fc.coords[(i, j + 1)] * fc.derivs[(j + 1, j)])
             res = np.maximum(res, gap)
     return res
 
 
-def d_integrality_residual(fc: FlagCurve, nodes=None):
+def d_integrality_residual(fc: FlagCurve):
     """Per-node Legendre residual of the projected (point, hyperplane) curve.
 
     The hyperplane V_{n+1} is annihilated by the covector w with w_{n+1} = 1,
     w_j = -sum_{i>j} w_i x_i^j; the residual is |sum_i w_i dx_i^0|.
     """
-    if nodes is None and fc.polys is not None:
-        nodes = np.linspace(-0.5, 0.5, 21)
-    grid, vals, ders = _coord_and_derivative_tables(fc, nodes)
-    last = fc.dim - 1
-    w = {last: np.ones(len(grid))}
+    last, size = fc.dim - 1, len(fc.s)
+    w = {last: np.ones(size)}
     for j in range(last - 1, 0, -1):
-        acc = np.zeros(len(grid))
+        acc = np.zeros(size)
         for i in range(j + 1, fc.dim):
-            acc -= w[i] * vals[(i, j)]
+            acc -= w[i] * fc.coords[(i, j)]
         w[j] = acc
-    res = np.zeros(len(grid))
+    res = np.zeros(size)
     for i in range(1, fc.dim):
-        res = res + w[i] * ders[(i, 0)]
+        res = res + w[i] * fc.derivs[(i, 0)]
     return np.abs(res)
 
 
@@ -231,8 +201,19 @@ def type_from_diagonal_orders(orders):
 # -- monomial C-lifts and the dual extraction ---------------------------------------
 
 
-def c_lift_monomial(a) -> FlagCurve:
-    """Exact C-integral lift of the monomial curve of type a.
+def diagonal_orders(lift):
+    """Vanishing orders at t = 0 of the diagonal entries x_{j+1}^j of an exact lift."""
+    orders = []
+    for j in range(max(lift)[0]):
+        p = lift[(j + 1, j)]
+        if p.is_zero():
+            raise DomainError(f"diagonal entry {j + 1},{j} is identically zero")
+        orders.append(p.terms()[0][0][0])  # the lowest power of t comes first
+    return tuple(orders)
+
+
+def c_lift_monomial(a):
+    """Exact C-integral lift {(i, j): Poly} of the monomial curve of type a.
 
     Column 0 carries the curve itself; the integrality relations propagate
     x_i^{j+1} = (x_i^j)' / (x_{j+1}^j)', which stays monomial: x_i^j is
@@ -248,13 +229,11 @@ def c_lift_monomial(a) -> FlagCurve:
     for j in range(1, dim - 1):
         for i in range(j + 1, dim):
             polys[(i, j)] = polys[(i, j - 1)].diff_t().div_monomial_t(polys[(j, j - 1)].diff_t())
-    return FlagCurve(dim=dim, polys=polys)
+    return polys
 
 
-def dual_curve_from_clift(fc: FlagCurve) -> PolynomialCurve:
+def dual_curve_from_clift(lift) -> PolynomialCurve:
     """Dual curve read off a C-integral lift: (1, x_{n+1}^n, ..., x_{n+1}^0)."""
-    if fc.polys is None:
-        raise DomainError("dual extraction needs exact coordinates")
-    last = fc.dim - 1
-    comps = [Poly.const(1)] + [fc.polys[(last, j)] for j in range(last - 1, -1, -1)]
+    last = max(lift)[0]
+    comps = [Poly.const(1)] + [lift[(last, j)] for j in range(last - 1, -1, -1)]
     return PolynomialCurve(comps)

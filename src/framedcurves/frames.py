@@ -220,22 +220,21 @@ def reorthonormalize(matrix, sf: SpaceForm):
     Lorentz frames far out on the upper sheet have coordinates of size e^s,
     and evaluating the indefinite form there cancels catastrophically: the
     projection injects relative noise of order |column|^2 * eps per call.
-    Once that exceeds ``_NOISE_FLOOR`` the matrix is returned unchanged.
+    Once that exceeds ``_NOISE_FLOOR`` the matrix is returned unchanged; so
+    is, in every geometry, a matrix with a column null for the form.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if sf.kind == "euclidean":
-        out = matrix.copy()
-        out[0, 0] = 1.0
-        out[0, 1:] = 0.0
-        spatial = gram_schmidt_signed(list(matrix[1:, 1:].T), np.eye(3))
-        for j, col in enumerate(spatial):
-            out[1:, j + 1] = col
-        return out
     if sf.kind == "hyperbolic":
         size2 = float(np.max(np.sum(matrix * matrix, axis=0)))
         if size2 * np.finfo(float).eps > _NOISE_FLOOR:
             return matrix
     try:
+        if sf.kind == "euclidean":
+            out = matrix.copy()
+            out[0, 0] = 1.0
+            out[0, 1:] = 0.0
+            out[1:, 1:] = np.stack(gram_schmidt_signed(list(matrix[1:, 1:].T), np.eye(3)), axis=1)
+            return out
         cols = gram_schmidt_signed(list(matrix.T), sf.form)
     except DegeneracyError:
         return matrix

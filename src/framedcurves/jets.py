@@ -6,10 +6,11 @@ full rank n+2.  The type vector a = (a_1, ..., a_{n+1}) records the minimal
 orders at which the rank jumps to 2, 3, ..., n+2.
 
 Two rank back-ends are provided: an exact fraction-free path and a
-singular-value path.  The exact path ranks exact matrices, and polynomial
-columns at a rational parameter, by Bareiss elimination on plain ints, and
-polynomial columns at an irrational algebraic parameter over Z[t]/(m).  The
-singular-value path takes everything else.
+singular-value path.  The exact path ranks integer jet columns, and
+polynomial columns at a rational parameter, by Bareiss elimination on plain
+ints (``exact_rank_profile``), and polynomial columns at an irrational
+algebraic parameter over Z[t]/(m).  The singular-value path takes
+everything else.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneracyError, DimensionMismatch, DomainError, FiniteTypeError
-from .ratpoly import _u_div, _u_mul, _u_sub, has_root_in, integer_coeffs, poly_gcd, pseudo_divmod, values_at
+from .ratpoly import _u_div, _u_mul, _u_sub, has_root_in, poly_gcd, pseudo_divmod, values_at
 
 DEFAULT_RANK_TOL = 1e-8
 RANK_GAP_MIN = 1e3
@@ -39,7 +40,7 @@ def validate_type_vector(a):
 # -- rank profiles ------------------------------------------------------------
 
 
-def integer_rank_profile(columns, dim):
+def exact_rank_profile(columns, dim=math.inf):
     """Prefix ranks, up to ``dim``, of integer columns, by Bareiss's fraction-free elimination.
 
     Each column is reduced by the pivot rows before it, in order, and every
@@ -73,7 +74,7 @@ def algebraic_rank_profile(columns, dim, root):
     m in the open interval (a, b), or a == b == t* with m linear.  A column
     is a list of integer coefficient lists in t with one positive scale.  At
     a rational t* = p/q each column is evaluated, times q to its degree, and
-    ranked on plain ints (``integer_rank_profile``).  Otherwise the
+    ranked on plain ints (``exact_rank_profile``).  Otherwise the
     elimination is fraction-free over Z[t]/(m) and scales whole columns, so
     each prefix rank is the rank at t*.  An entry is zero at t* when its gcd
     with m vanishes there: a proper gcd splits m, and the factor with its
@@ -82,7 +83,7 @@ def algebraic_rank_profile(columns, dim, root):
     """
     m, a, b = root
     if len(m) == 2:
-        return integer_rank_profile((values_at(col, -m[0], m[1]) for col in columns), dim)
+        return exact_rank_profile((values_at(col, -m[0], m[1]) for col in columns), dim)
     basis, ranks = [], []
     for col in columns:
         # every entry of a column is reduced mod m with the same steps of
@@ -110,14 +111,6 @@ def algebraic_rank_profile(columns, dim, root):
         if len(basis) == dim:
             break
     return ranks
-
-
-def exact_rank_profile(columns):
-    """Ranks of the column prefixes of an exact matrix of ints or Fractions.
-
-    Each column is cleared of its denominators and ranked on plain ints.
-    """
-    return integer_rank_profile(map(integer_coeffs, columns), math.inf)
 
 
 def float_rank_profile(matrix, rank_tol=DEFAULT_RANK_TOL):

@@ -299,12 +299,6 @@ def trim(coeffs):
     return out
 
 
-def integer_coeffs(coeffs):
-    """The Fraction coefficient list times the lcm of its denominators, as ints."""
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (lcm // c.denominator) for c in coeffs]
-
-
 def _horner(ints, p, q):
     """q^n times the integer coefficient list (low degree first, degree n) at p/q.
 
@@ -630,8 +624,22 @@ def pseudo_divmod(a, b, steps=None):
 def rows_at(rows, x):
     """q^d times the t-row list at u = x = p/q, d its degree in u, by homogeneous Horner: an integer list in t."""
     p, q = x.numerator, x.denominator
+    if not p:  # at u = 0 each row is its constant term
+        return trim([row[0] if row else 0 for row in rows])
     d = max(map(len, rows), default=1) - 1
     return trim([_horner(row, p, q) * q ** (d + 1 - len(row)) for row in rows])
+
+
+def columns_at(group, x):
+    """Each column of Polys in a group at u = x = p/q, as integer lists in t with one positive scale.
+
+    ``rows_at`` scales an entry P by q^deg_u(P) P.den; a column, by q^D lcm(dens), D its top deg_u.
+    """
+    for col in group:
+        degs = [p.deg_u() for p in col]
+        scale, top = math.lcm(*(p.den for p in col)), max(degs)
+        factors = [scale // p.den * x.denominator ** (top - d) for p, d in zip(col, degs)]
+        yield [[c * f for c in rows_at(p.rows, x)] for p, f in zip(col, factors)]
 
 
 def _u_mul(a, b):

@@ -32,7 +32,9 @@ from framedcurves.classify import (
     _refine_event,
     _side,
 )
-from framedcurves.ratpoly import Poly, integer_coeffs, isolate_real_roots, midpoint, squarefree, trim, vanishes_at
+from framedcurves.ratpoly import Poly, isolate_real_roots, midpoint, squarefree, trim, vanishes_at
+
+from exact_reference import integer_coeffs
 
 increasing_triples = st.lists(
     st.integers(min_value=1, max_value=9), min_size=3, max_size=3, unique=True

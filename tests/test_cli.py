@@ -565,6 +565,21 @@ def test_envelope_residual_is_relative_to_the_frame_size(tmp_path):
     assert report["residual_maxima"]["envelope"] <= 1e-10
 
 
+def test_envelope_past_the_float_range_is_a_domain_error(tmp_path, capsys):
+    # cosh and sinh of 1000 overflow: no NaN vertex or residual is written
+    config = {
+        "geometry": "hyperbolic",
+        "curve": {"kind": "curvature", "kappa": [["1"], ["0"], ["1"]]},
+        "grids": {"t": [0.0, 1.0, 5], "s": [-1000.0, 1000.0, 3]},
+    }
+    cfg, out = _write_config(tmp_path, config), tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["envelope", "--config", cfg, "--out", str(out)]) == 3
+    assert "t = 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_envelope_threads_flag_is_accepted_and_ignored(tmp_path):
     for name, extra in (("plain", []), ("threads", ["--threads", "4"])):
         assert _run_quietly(["envelope", "--out", str(tmp_path / name), *extra])[0] == 0

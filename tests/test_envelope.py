@@ -32,13 +32,12 @@ from framedcurves import (
     singular_locus,
 )
 from framedcurves.examples import (
+    BUILTIN_TYPES,
     cylinder_point,
     helix_developable_point,
     helix_frenet_field,
     radial_circle_field,
 )
-
-NORMAL_FORM_TYPES = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 4), (3, 4, 5)]
 
 
 # -- hyperplane-family envelopes ---------------------------------------------------
@@ -352,7 +351,7 @@ def test_discriminant_spot_values():
     assert abs(x[2] - (1 / 8)) < 1e-15
 
 
-@pytest.mark.parametrize("a", NORMAL_FORM_TYPES)
+@pytest.mark.parametrize("a", BUILTIN_TYPES)
 def test_discriminant_solves_the_envelope_equations(a):
     # F and F_t both vanish along the discriminant chart: that is its definition
     nf = NormalFormFamily(a)

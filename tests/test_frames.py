@@ -478,6 +478,15 @@ def test_reorthonormalize_returns_what_it_cannot_repair_unchanged():
         assert np.array_equal(reorthonormalize(flat, SpaceForm(kind)), flat)
 
 
+@pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
+def test_reorthonormalize_returns_a_matrix_with_two_equal_columns_unchanged(kind):
+    # column 2 equal to column 1 is null after its projection in every
+    # geometry, the euclidean spatial block included
+    flat = np.eye(4)
+    flat[:, 2] = flat[:, 1]
+    assert np.array_equal(reorthonormalize(flat, SpaceForm(kind)), flat)
+
+
 def test_hyperbolic_gram_defect_is_relative_to_the_frame_size():
     # a boost of rapidity 10 has entries ~ e^10 / 2; E^T J E cancels from ~e^20
     sf = SpaceForm("hyperbolic")

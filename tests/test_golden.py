@@ -31,11 +31,11 @@ from framedcurves.cli import main
 from framedcurves.config import RunConfig
 from framedcurves.examples import helix_curve
 from framedcurves.flags import (
-    FlagCurve,
     c_integrality_residual,
     c_lift_monomial,
     d_integrality_residual,
     flag_from_curve,
+    lift_chart,
 )
 from framedcurves.ratpoly import Poly, isolate_real_roots, midpoint
 from frame_reference import dop853_frames, relative_frame_error
@@ -268,17 +268,16 @@ def test_flag_charts_are_bit_stable():
 
 def test_exact_flag_residuals_are_bit_stable():
     # the integral monomial lift (all residuals 0) and a bent copy of it
-    # (nonzero residuals), on the default nodes and on an off-center grid
+    # (nonzero residuals), on the built-in lift charts' nodes and on an off-center grid
     exact = c_lift_monomial((1, 2, 3))
-    polys = dict(exact.polys)
-    polys[(2, 0)] = polys[(2, 0)] + Poly.monomial_t(3, Fraction(1, 7))
-    polys[(3, 1)] = polys[(3, 1)] + Poly.t() * Fraction(2, 3)
-    bent = FlagCurve(dim=exact.dim, polys=polys)
-    nodes = np.linspace(-0.7, 0.9, 17)
+    bent = dict(exact)
+    bent[(2, 0)] = bent[(2, 0)] + Poly.monomial_t(3, Fraction(1, 7))
+    bent[(3, 1)] = bent[(3, 1)] + Poly.t() * Fraction(2, 3)
+    charts = [[lift_chart(lift, nodes) for nodes in (np.linspace(-0.5, 0.5, 21), np.linspace(-0.7, 0.9, 17))]
+              for lift in (exact, bent)]
     digests = [
-        _digest(c_integrality_residual(fc), d_integrality_residual(fc),
-                c_integrality_residual(fc, nodes), d_integrality_residual(fc, nodes))
-        for fc in (exact, bent)
+        _digest(*(residual(fc) for fc in pair for residual in (c_integrality_residual, d_integrality_residual)))
+        for pair in charts
     ]
     assert digests == [
         "4beb641f77c3df2749a5dffc0a23f4270dc4b94e1e940287fc3ebfa05b720662",

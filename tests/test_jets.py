@@ -25,8 +25,11 @@ from framedcurves import (
     validate_type_vector,
 )
 from framedcurves.curves import PolynomialCurve
+from framedcurves.examples import BUILTINS
 from framedcurves.jets import algebraic_rank_profile
-from framedcurves.ratpoly import Poly, _u_mul, integer_coeffs, isolate_real_roots, trim
+from framedcurves.ratpoly import Poly, _u_mul, isolate_real_roots, trim
+
+from exact_reference import differentiated_jet, integer_coeffs
 
 OSCULATING_N2 = [
     (1, 2, 3),
@@ -57,15 +60,6 @@ def test_every_triple_up_to_7_detects_exactly():
         assert detect_type(monomial_curve(a), 0) == a
 
 
-def _differentiated_jet(curve, t, r):
-    """Jet columns by repeated ``diff_t`` and exact ``eval`` (the reference)."""
-    row, cols = curve.components, []
-    for _ in range(r + 1):
-        cols.append([p.eval(t) for p in row])
-        row = tuple(p.diff_t() for p in row)
-    return cols
-
-
 _COEFF = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
 # 0, small rationals of either sign, and huge numerators and denominators
 _POINT = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-20, max_value=20, max_denominator=1000),
@@ -76,11 +70,31 @@ _POINT = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-20, max_value=2
 @settings(max_examples=150, deadline=None)
 @given(comps=st.lists(st.lists(_COEFF, max_size=9), min_size=3, max_size=5), t=_POINT, r=st.integers(0, 12))
 def test_jet_exact_equals_the_differentiated_jet(comps, t, r):
-    # r runs past the degree (at most 8), where every column is zero
+    # up to one positive scale per column, D q^(n-k) at t = p/q; r runs past
+    # the degree (at most 8), where every column is zero
     curve = PolynomialCurve([Poly.from_t_coeffs(c) for c in comps])
     jet = curve.jet_exact(t, r)
-    assert jet == _differentiated_jet(curve, t, r)
-    assert all(type(x) is Fraction for col in jet for x in col)
+    assert all(type(x) is int for col in jet for x in col)
+    want = differentiated_jet(curve, t, r)
+    assert len(jet) == len(want) == r + 1
+    for got, ref in zip(jet, want):
+        assert all(x == 0 for x, y in zip(got, ref) if not y)
+        scales = {x / y for x, y in zip(got, ref) if y}
+        assert len(scales) <= 1 and all(c > 0 for c in scales)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_krylov_jets_are_the_fraction_columns_times_d_to_the_k(name):
+    # d is the largest denominator of K's dyadic floats, so dK is an integer matrix
+    curve = BUILTINS[name][0]()
+    k = [[Fraction(x) for x in row] for row in curve.k.tolist()]
+    d = max(x.denominator for row in k for x in row)
+    want = [[Fraction(int(i == 0)) for i in range(curve.dim)]]
+    for _ in range(8):
+        want.append([sum((a * b for a, b in zip(row, want[-1])), Fraction(0)) for row in k])
+    jet = curve.jet_exact(Fraction(1, 3), 8)
+    assert all(type(x) is int for col in jet for x in col)
+    assert jet == [[x * d**n for x in col] for n, col in enumerate(want)]
 
 
 @pytest.mark.parametrize("a", OSCULATING_N2[:6])
@@ -210,12 +224,13 @@ def test_enumerate_is_lex_sorted():
 
 def test_exact_rank_profile_counts_pivots():
     cols = [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(2), Fraction(0), Fraction(0)],  # dependent
-        [Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1)],
+        [1, 0, 0],
+        [2, 0, 0],  # dependent
+        [0, 1, 0],
+        [0, 0, 1],
     ]
     assert exact_rank_profile(cols) == [1, 1, 2, 3]
+    assert exact_rank_profile(cols, 2) == [1, 1, 2]
 
 
 _ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=7))
@@ -243,7 +258,8 @@ def _planted_columns(draw):
        lifts=st.lists(st.lists(st.integers(-4, 4), max_size=3), min_size=5, max_size=5))
 def test_plain_int_prefix_ranks_equal_sympy_ranks(columns, x, lifts):
     sympy = pytest.importorskip("sympy")
-    ranks = exact_rank_profile(columns)
+    ints = [integer_coeffs(col) for col in columns]
+    ranks = exact_rank_profile(ints)
     matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in col] for col in columns])
     assert ranks == [matrix[: r + 1, :].rank() for r in range(len(columns))]
     # the same columns as polynomials in t that take these values at t = x,
@@ -253,7 +269,7 @@ def test_plain_int_prefix_ranks_equal_sympy_ranks(columns, x, lifts):
     p, q = x.numerator, x.denominator
     tails = [_u_mul([-p, q], lift) if any(lift) else [] for lift in lifts]
     polys = [[trim([a + b for a, b in itertools.zip_longest([c], tails[(i + j) % 5], fillvalue=0)])
-              for i, c in enumerate(ints)] for j, ints in enumerate(map(integer_coeffs, columns))]
+              for i, c in enumerate(col)] for j, col in enumerate(ints)]
     dim = len(columns[0])
     full = ranks.index(dim) + 1 if dim in ranks else len(ranks)
     assert algebraic_rank_profile(polys, dim, ([-p, q], x, x)) == ranks[:full]

@@ -21,6 +21,7 @@ UNREFERENCED = {
     "reorthonormalize": "a probe target of the benchmark tracer (named as a string)",
     "consistency_check": "the duality and class-table cross-check (ROADMAP item 8)",
     "classify_osculating_scan": "scans of diagonal unfoldings for the bifurcation atlas (ROADMAP item 8)",
+    "diagonal_orders": "the chart-diagonal orders behind type_from_diagonal_orders (ROADMAP item 8)",
 }
 
 #: public methods of exported classes with no caller outside the tests, and why each stays
@@ -28,7 +29,6 @@ UNREFERENCED_METHODS = {
     "PolynomialCurve.reparametrized": "checks that the type survives an exact reparametrization",
     "PolynomialCurve.linearly_mapped": "checks that the type survives an exact linear map",
     "NormalFormFamily.f_tt": "checks that F_tt vanishes on the computed singular locus",
-    "FlagCurve.diagonal_orders": "the chart-diagonal orders behind type_from_diagonal_orders (ROADMAP item 8)",
 }
 
 
@@ -172,12 +172,10 @@ def test_other_modules_use_only_the_list_arithmetic_of_ratpoly_in_private():
 
 
 #: the modules outside ``ratpoly`` that read a Poly's integer t-rows and
-#: denominator (``.rows``, ``.den``), each with its reason.  Every other
-#: reader goes through ``Poly.terms`` and ``Poly.div_monomial_t``
-POLY_ROW_READERS = {
-    "classify": "the type oracle's columns: every jet's rows at a rational lambda, over one scale per column",
-    "curves": "PolynomialCurve's integer coefficients over their denominators, read once for its exact jets",
-}
+#: denominator (``.rows``, ``.den``), each with its reason.  There are none:
+#: integer columns come from ``ratpoly.columns_at``, and every other reader
+#: goes through ``Poly.terms`` and ``Poly.div_monomial_t``
+POLY_ROW_READERS = {}
 
 
 def test_only_the_hot_integer_readers_walk_poly_rows_outside_ratpoly():

@@ -15,7 +15,6 @@ from framedcurves.ratpoly import (
     _sign_beside,
     _u_mul,
     has_root_in,
-    integer_coeffs,
     isolate_real_roots,
     line_gcd_split,
     poly_gcd,
@@ -28,6 +27,8 @@ from framedcurves.ratpoly import (
     trim,
     vanishes_at,
 )
+
+from exact_reference import integer_coeffs
 
 POLYS = {
     "x3 of (1,2,5)": NormalFormFamily((1, 2, 5)).x3_poly(),
