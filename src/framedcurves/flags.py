@@ -146,10 +146,15 @@ def _chart_derivative(lower, upper, m_prime):
 # -- integrality residuals -------------------------------------------------------
 
 
+def _last_row(lift):
+    """The last row index n of an exact lift {(i, j): Poly}; the lift lives in dimension n + 1."""
+    return max(lift)[0]
+
+
 def lift_chart(lift, nodes) -> FlagCurve:
     """The float chart of an exact lift {(i, j): Poly} over nodes: every entry and its derivative."""
     nodes = np.asarray(nodes, dtype=float)
-    return FlagCurve(dim=max(lift)[0] + 1, s=nodes, coords={key: p.evalf(nodes) for key, p in lift.items()},
+    return FlagCurve(dim=_last_row(lift) + 1, s=nodes, coords={key: p.evalf(nodes) for key, p in lift.items()},
                      derivs={key: p.diff_t().evalf(nodes) for key, p in lift.items()})
 
 
@@ -204,7 +209,7 @@ def type_from_diagonal_orders(orders):
 def diagonal_orders(lift):
     """Vanishing orders at t = 0 of the diagonal entries x_{j+1}^j of an exact lift."""
     orders = []
-    for j in range(max(lift)[0]):
+    for j in range(_last_row(lift)):
         p = lift[(j + 1, j)]
         if p.is_zero():
             raise DomainError(f"diagonal entry {j + 1},{j} is identically zero")
@@ -234,6 +239,6 @@ def c_lift_monomial(a):
 
 def dual_curve_from_clift(lift) -> PolynomialCurve:
     """Dual curve read off a C-integral lift: (1, x_{n+1}^n, ..., x_{n+1}^0)."""
-    last = max(lift)[0]
+    last = _last_row(lift)
     comps = [Poly.const(1)] + [lift[(last, j)] for j in range(last - 1, -1, -1)]
     return PolynomialCurve(comps)

@@ -624,8 +624,6 @@ def pseudo_divmod(a, b, steps=None):
 def rows_at(rows, x):
     """q^d times the t-row list at u = x = p/q, d its degree in u, by homogeneous Horner: an integer list in t."""
     p, q = x.numerator, x.denominator
-    if not p:  # at u = 0 each row is its constant term
-        return trim([row[0] if row else 0 for row in rows])
     d = max(map(len, rows), default=1) - 1
     return trim([_horner(row, p, q) * q ** (d + 1 - len(row)) for row in rows])
 
