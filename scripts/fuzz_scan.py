@@ -9,7 +9,9 @@ run from 2 to 12.  Each config runs through the CLI in its own subprocess,
 with the framedcurves package on PYTHONPATH, so two trees can be compared on
 the same seeds.  One line per config gives its exit code (or "timeout"),
 its wall time and a digest of its events.csv and report.json; a summary
-tallies the exit codes and lists the five slowest configs with their JSON.
+tallies the exit codes, sums the wall time of the configs that exit 0 and
+lists the five slowest configs with their JSON.  To compare two trees, run
+the same seeds once with each tree's src on PYTHONPATH.
 
     PYTHONPATH=src python scripts/fuzz_scan.py $(seq 1 40) --timeout 15
 """
@@ -79,6 +81,8 @@ def main():
     tally = collections.Counter(str(code) for _, code, _ in results)
     print("exit codes:", ", ".join(f"{code}: {n}" for code, n in sorted(tally.items())))
     print("timeouts:", [seed for seed, code, _ in results if code == "timeout"])
+    done = [seconds for _, code, seconds in results if code == 0]
+    print(f"exit 0: {len(done)} configs in {sum(done):.2f} s")
     for seed, code, seconds in sorted(results, key=lambda r: -r[2])[:5]:
         print(f"slow: seed {seed}  {seconds:.2f} s  exit {code}  {json.dumps(make_config(seed))}")
     return 0

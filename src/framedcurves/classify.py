@@ -280,7 +280,8 @@ class _AdaptedTypeOracle:
         try:
             for group in self.groups:
                 cols = np.array([[p.evalf(t, lam) for p in col] for col in group]).T
-                norms = np.linalg.norm(cols, axis=0)
+                with np.errstate(over="ignore"):
+                    norms = np.linalg.norm(cols, axis=0)
                 if not np.isfinite(norms).all():
                     raise OverflowError("a jet is not finite")
                 cols[:, norms <= self.rank_tol * max(norms.max(), 1.0)] = 0.0

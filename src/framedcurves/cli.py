@@ -243,8 +243,8 @@ def _cmd_scan(args):
         "tolerances": cfg.tolerances,
         "arithmetic": {
             "detector": "exact-rational",
-            "roots": ("exact isolation by Descartes' rule, each box at most 2^-100 of its window"
-                      " and 2^-99 B wide, B a power of two above Cauchy's root bound"),
+            "roots": ("exact isolation by Descartes' rule on the dyadic boxes of Fujiwara's root bound,"
+                      " each box at most 2^-100 of its points with ends that round to one double"),
             "strata": "one exact type per branch, at a rational lambda between events",
             "events": "exact at a rational lambda, floating at an irrational one",
         },

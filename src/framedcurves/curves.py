@@ -76,7 +76,7 @@ class PolynomialCurve:
         (column,) = columns_at([self.components], 0)
         n, rows = max(map(len, column)) - 1, []
         for ints in column:
-            shifted, scale = taylor_shift(ints, p, 1, q), q ** (n + 1 - len(ints))
+            shifted, scale = taylor_shift(ints, p, q), q ** (n + 1 - len(ints))
             rows.append([factorial(k) * shifted[k] * scale if k < len(ints) else 0 for k in range(r + 1)])
         return [list(col) for col in zip(*rows)]
 

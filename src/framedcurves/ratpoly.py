@@ -326,19 +326,19 @@ def vanishes_at(ints, x):
     return _horner(ints, x.numerator, x.denominator) == 0
 
 
-def taylor_shift(ints, v, w=1, d=1):
-    """Coefficients of d^n f((v + w x)/d), f the integer coefficient list of degree n.
+def taylor_shift(ints, v, d=1):
+    """Coefficients of d^n f((v + x)/d), f the integer coefficient list of degree n.
 
-    Lists low degree first, in Python ints.  With w = d = 1 it is f(x + v);
-    with w = 1 the x^k coefficient is d^(n-k) f^(k)(v/d) / k!, so one shift
-    gives every derivative at v/d.
+    Lists low degree first, in Python ints.  With d = 1 it is f(x + v); the
+    x^k coefficient is d^(n-k) f^(k)(v/d) / k!, so one shift gives every
+    derivative at v/d.
     """
     n = len(ints) - 1
     a = [c * d ** (n - i) for i, c in enumerate(ints)] if d != 1 else list(ints)
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             a[j] += v * a[j + 1]
-    return a if w == 1 else [c * w**k for k, c in enumerate(a)]
+    return a
 
 
 def _descartes_count(a):
@@ -352,8 +352,7 @@ def _sign_beside(ints, p, q, side=1):
 
     The value's sign, else, at a root, the slope's times ``side``.
     """
-    slope = [i * c for i, c in enumerate(ints)][1:]
-    return _sign(_horner(ints, p, q)) or side * _sign(_horner(slope, p, q))
+    return _sign(_horner(ints, p, q)) or side * _sign(_horner([i * c for i, c in enumerate(ints)][1:], p, q))
 
 
 def _nearest_rational(n, d, bound):
@@ -362,170 +361,169 @@ def _nearest_rational(n, d, bound):
     The last convergent of n/d's continued fraction with q <= bound, or the
     semiconvergent beyond it when that is nearer (a tie takes the convergent).
     """
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    if d <= bound:
-        return n, d
     den, p0, q0, p1, q1 = d, 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
+    while d and q0 + (a := n // d) * q1 <= bound:
+        p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
     k = (bound - q0) // q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
+    return (p1, q1) if not d or 2 * d * (q0 + k * q1) <= den else (p0 + k * p1, q0 + k * q1)
 
 
-#: the level of the box a float Newton root proposes: one exact Newton step
-#: from its midpoint then reaches level 100
-_FLOAT_LEVEL = 50
+def _dyadic(m, s):
+    """m 2^s as (numerator, denominator), the denominator a power of two."""
+    return (m << s, 1) if s >= 0 else (m, 1 << -s)
 
 
-def _float_box(floats, c, k):
-    """The index of the level-50 box around a float Newton root of q in (c/2^k, (c+1)/2^k), else None.
+def _floor_scaled(n, d, s):
+    """floor(n / (d 2^s)) for ints n and d != 0."""
+    return (n << -s) // d if s < 0 else n // (d << s)
 
-    ``floats`` is q's coefficient list (low degree first) as Python floats,
-    None when a coefficient is beyond the float range.  Up to eight Newton
-    steps from the box's midpoint give the root; None when they meet a zero
-    slope or end outside the box (a NaN or an infinity ends there too).
+
+def _cmp(m, s, x):
+    """-1, 0 or 1 as m 2^s is below, at or above x = (numerator, denominator), denominator > 0."""
+    a, b = ((m << s) * x[1], x[0]) if s >= 0 else (m * x[1], x[0] << -s)
+    return (a > b) - (a < b)
+
+
+def _rounded(n, d):
+    """n / d, d > 0, as the nearest double: an infinity beyond the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.copysign(math.inf, n)
+
+
+def _float_box(floats, m, s, j_min):
+    """(lead, j): the box (lead 2^j, (lead + 1) 2^j), j in [j_min, s), of 50 bits around a float root.
+
+    Up to eight Newton steps on ``floats``, the integer list scaled into the
+    float range, from the midpoint of the box (m 2^s, (m + 1) 2^s) give the
+    root; (None, s) when they meet a zero slope or leave the float range.  One
+    exact Newton step from the box's midpoint then reaches the 2^-100 stop.
     """
-    if floats is None or k >= _FLOAT_LEVEL:
-        return None
-    x = (c + 0.5) / 2**k
+    x = _rounded(*_dyadic(2 * m + 1, s - 1))
     for _ in range(8):
         f = df = 0.0
-        for a in reversed(floats):  # Horner's rule for q and q' at once
+        for a in reversed(floats):  # Horner's rule for f and f' at once
             df = df * x + f
             f = f * x + a
-        if not df:
-            return None
-        step = f / df
+        step = f / df if df else math.inf
         x -= step
-        if not abs(step) > 2.0**-40:  # the error left is about step^2
+        if not abs(step) > 2.0**-40 * abs(x):  # the error left is about step^2
             break
-    lead = math.floor(x * 2.0**_FLOAT_LEVEL) if 0.0 <= x < 1.0 else -1
-    return lead if (c << (_FLOAT_LEVEL - k)) <= lead < ((c + 1) << (_FLOAT_LEVEL - k)) else None
+    j = max(math.frexp(x)[1] - 51, j_min) if math.isfinite(x) else s
+    return (math.floor(math.ldexp(x, -j)), j) if j < s else (None, s)
 
 
 def isolate_real_roots(ints, lo, hi):
-    """The real roots in [lo, hi] of a square-free integer coefficient list, as records (m, a, b).
+    """The real roots in [lo, hi] of a square-free integer coefficient list, as sorted records (m, a, b).
 
-    Descartes' rule of signs with bisection (Collins and Akritas) isolates
-    them, in exact arithmetic, and the records come back sorted.  A rational
-    root x = p/q is ([-p, q], x, x): where a bisection point hits it, or
-    where it is the rational nearest the midpoint of its isolating interval
-    with denominator below (4 h)^-1/2, h the half-width (a rational root that
-    simple always is).  Any other root is (ints, a, b): the one root of ints
-    in the open interval (a, b), the box of width 2^-L (hi - lo) that sign
-    bisection narrows to, reached by certified Newton jumps.  L is 100 on a
-    window no wider than 2B and grows on a wider one, so that no box is wider
-    than 2^-99 B: B = 2^beta, with 2^beta > max_{i<n} |a_i| // |a_n| + 1,
-    exceeds Cauchy's bound on the roots.  On such a wider window the
-    bisection starts at the one or two nodes of the window's lattice that
-    cover [-B, B], which gives the same records as starting from the top,
-    in a bounded number of levels.  The first jump starts from a root
-    found by a few float Newton steps and proposes its box of width
-    2^-50 (hi - lo); only an exact sign change across a box
-    takes it, so the floats never decide a record, and a proposal that
-    fails, or coefficients beyond the float range, leave the exact jumps
-    from the isolating box.  Hits and boxes stay dyadic integers (c, k) on
-    the window's lattice until the records are built, and the rational test
-    takes the nearest simple rational by a continued fraction on ints.
+    A record depends on the list and its root, never on the window.  With
+    2^rho >= 2 max_i |a_(n-i) / a_n|^(1/i), Fujiwara's bound (Tohoku Math. J.
+    10, 1916) from bit lengths, Descartes' rule of signs with bisection
+    (Collins and Akritas) isolates the roots exactly on the dyadic boxes
+    (m 2^s, (m + 1) 2^s), starting from those of one spacing that meet
+    [lo, hi] cut to [-2^rho, 2^rho]: the largest 2^s below hi - lo, at most
+    2^rho and at least 2^-100 of the larger |end|, so no start is finer than
+    a record.  A box that misses [lo, hi], or whose root lies outside it, is
+    dropped.  A rational root x = p/q is ([-p, q], x, x) where a box end or a
+    tested midpoint hits it, or where it is the rational nearest its box's
+    midpoint with denominator below (4 h)^-1/2, h the half-width (a rational
+    root that simple always is).  Any other root is (ints, a, b), the one
+    root of ints in the open box of the first spacing at which the box is
+    at most 2^-100 of its points and both ends round to one double (Ziv's
+    test, ACM TOMS 17, 1991): float((a + b) / 2) is the root correctly
+    rounded.  Certified Newton jumps reach that box; the first starts from a
+    few float Newton steps, but only exact signs decide a box.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    # with lo = v/d and hi - lo = w/d, q(x) = d^n p((v + w x)/d) is p on the
-    # window rescaled to [0, 1], and the dyadic (c, k) is (v 2^k + w c)/(d 2^k)
-    d = math.lcm(lo.denominator, hi.denominator)
-    v = lo.numerator * (d // lo.denominator)
-    w = hi.numerator * (d // hi.denominator) - v
     top = trim(ints)
-    if w < 0 or not top:
+    if lo > hi or not top:
         return []
-    if w == 0:
-        return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
-    beta = (max(map(abs, top[:-1]), default=0) // abs(top[-1]) + 1).bit_length()
-    level = 100 + max(0, (-(-w // d) - 1).bit_length() - beta - 1)
-    q = trim(taylor_shift(ints, v, w, d))
-    g = math.gcd(*q)
-    q = [c // g for c in q]
-    slope = [i * c for i, c in enumerate(q)][1:]
-    try:
-        floats = [float(c) for c in q]
-    except OverflowError:
-        floats = None
-    # found holds (c, k, s) in order: a hit at c/2^k where s == 0, else the box
-    # (c/2^k, (c+1)/2^k) around one root, s the sign of q at its midpoint.
-    # Nodes (p, c, k): p(x) is q on [c/2^k, (c+1)/2^k], rescaled to [0, 1];
-    # the left child is popped first, so the roots are found left to right
-    found, stack = [], [(q, 0, 0)]
-    if level > 100:
-        # the window is wider than 2B, and every root lies in (-B, B): start
-        # at the one or two adjacent nodes of level k that cover [-B, B] in
-        # it, each at least 2B wide as 2^k <= w / (2 B d).  The records do not
-        # depend on the path, so they are those of the bisection from the top
-        k, edge = (w // (d << (beta + 1))).bit_length() - 1, d << beta
-        c = max(0, ((-edge - v) << k) // w)
-        stack = [(taylor_shift(q, i, 1, 2**k), i, k) for i in (c + 1, c)
-                 if i < 2**k and i * w < (edge - v) << k]
+    n, lead = len(top) - 1, abs(top[-1]).bit_length()
+    rho = 1 + max((-((lead - 1 - abs(a).bit_length()) // i) for i, a in zip(range(n, 0, -1), top) if a), default=0)
+    (ln, ld), (hn, hd) = lower, upper = lo.as_integer_ratio(), hi.as_integer_ratio()
+    w, d = hn * ld - ln * hd, hd * ld  # hi - lo = w/d, and 2^(s-1) < w/d < 2^(s+1)
+    s = w.bit_length() - d.bit_length()
+    size = max(abs(ln) * hd, abs(hn) * ld)  # the larger |end| is size/d
+    s = min(rho, max(s - (w << max(-s, 0) <= d << max(s, 0)), size.bit_length() - d.bit_length() - 100))
+    slope = [i * c for i, c in enumerate(top)][1:]
+    scale = 1 << max(0, max(map(abs, top)).bit_length() - 1000)
+    floats = [c / scale for c in top]
+    # nodes (p, m, s): p(x) = f(2^s (m + x)), times 2^(-s n) for s < 0, is the list
+    # on the box (m 2^s, (m + 1) 2^s) rescaled to [0, 1]; the left child is popped
+    # first, so the records come out in order
+    edge, scaled = 1 << (rho - s), [c << (s * i - min(s, 0) * n) for i, c in enumerate(top)]
+    first, last = max(_floor_scaled(ln, ld, s), -edge), min(-_floor_scaled(-hn, hd, s), edge) - 1
+    at_hi = _cmp(last + 1, s, upper) == 0  # hi ends the last box whose open interval meets [lo, hi]
+    out, stack = [], [(taylor_shift(scaled, m), m, s) for m in range(last, first - 1, -1)]
     while stack:
-        p, c, k = stack.pop()
-        if p[0] == 0:
-            found.append((c, k, 0))
+        p, m, s = stack.pop()
+        if p[0] == 0:  # a root at the box's left end
+            if _cmp(m, s, lower) >= 0 >= _cmp(m, s, upper):
+                x = Fraction(*_dyadic(m, s))
+                out.append(([-x.numerator, x.denominator], x, x))
             p = p[1:]
+        if not _cmp(m, s, upper) < 0 < _cmp(m + 1, s, lower):
+            continue
         count = _descartes_count(p)
         if count > 1:
-            n = len(p) - 1
-            left = [a << (n - i) for i, a in enumerate(p)]
-            stack.append((taylor_shift(left, 1), 2 * c + 1, k + 1))
-            stack.append((left, 2 * c, k + 1))
-        elif count == 1:
-            # narrow the box to the level L (Abbott's quadratic interval
-            # refinement, ACM Comm. Computer Algebra 48, 2014): the box of
-            # level j = k + n around the Newton step from the midpoint is
-            # taken when q changes sign across it, and n doubles; it is the
-            # box bisection reaches, as a root strictly inside is no dyadic
-            # point of level <= j.  Else n halves and q's sign at the
-            # midpoint takes one bisection step.  The first box proposed is
-            # the level-50 one around a float Newton root, taken by the same
-            # sign test, after which n = 50 jumps to level 100 (or to L)
-            lead, s, n = _float_box(floats, c, k), 1, 1
-            s_lead = lead is not None and _sign(_horner(q, lead, 2**_FLOAT_LEVEL))
-            if s_lead and _sign(_horner(q, lead + 1, 2**_FLOAT_LEVEL)) == -s_lead:
-                c, k, s_c, n = lead, _FLOAT_LEVEL, s_lead, _FLOAT_LEVEL
-            else:
-                s_c = _sign_beside(q, c, 2**k)
-            while k < level:
-                value = _horner(q, 2 * c + 1, 2 ** (k + 1))
-                s = _sign(value)
-                if not s:
-                    break
-                # the box (lead, j) around the Newton step x - q(x)/q'(x) from x = (2c + 1)/2^(k+1)
-                j, dq = min(k + n, level), _horner(slope, 2 * c + 1, 2 ** (k + 1))
-                lead = (((2 * c + 1) * dq - value) << (j - k - 1)) // dq if dq else -1
-                s_lead = (c << (j - k)) <= lead < ((c + 1) << (j - k)) and _sign(_horner(q, lead, 2**j))
-                if s_lead and _sign(_horner(q, lead + 1, 2**j)) == -s_lead:
-                    c, k, s_c, n = lead, j, s_lead, 2 * n
-                else:
-                    c, k, n = 2 * c + (s == s_c), k + 1, max(n // 2, 1)
-            found.append((c, k, s) if s else (2 * c + 1, k + 1, 0))
-    if sum(q) == 0:
-        found.append((1, 0, 0))
-    out = []
-    for c, k, s in found:
-        a, den = (v << k) + w * c, d << k
-        if s:  # no hit: test the rational nearest the midpoint with denominator below (4 h)^-1/2, h = w/(2 den)
-            p, r = _nearest_rational(2 * a + w, 2 * den, math.isqrt(den // (2 * w)) or 1)
-            if not (a * r < p * den < (a + w) * r and _horner(ints, p, r) == 0):
-                out.append((ints, Fraction(a, den), Fraction(a + w, den)))
+            k = len(p) - 1
+            left = [a << (k - i) for i, a in enumerate(p)]
+            stack.append((taylor_shift(left, 1), 2 * m + 1, s - 1))
+            stack.append((left, 2 * m, s - 1))
+        if count != 1:
+            continue
+        if _cmp(m, s, lower) < 0 or _cmp(m + 1, s, upper) > 0:  # the box sticks out: is its root in [lo, hi]?
+            a, b, lo, hi = Fraction(*_dyadic(m, s)), Fraction(*_dyadic(m + 1, s)), Fraction(*lower), Fraction(*upper)
+            if not (any(a < x < b and vanishes_at(top, x) for x in (lo, hi))
+                    or max(a, lo) < min(b, hi) and has_root_in(top, max(a, lo), min(b, hi))):
                 continue
-            x = Fraction(p, r)
-        else:
-            x = Fraction(a, den)
-        out.append(([-x.numerator, x.denominator], x, x))
+        # narrow the box (Abbott's quadratic interval refinement, ACM Comm. Computer
+        # Algebra 48, 2014): the box of spacing 2^(s - N) around a float root, then
+        # around the Newton step from the midpoint (or at 0, in a box that ends
+        # there), is taken when the list changes sign across it, the box bisection
+        # reaches, and N doubles (from 50); else N halves and the midpoint's sign
+        # bisects.  No jump passes the spacing where min(|m|, |m + 1|) reaches 2^100;
+        # past it each step bisects until the ends round alike
+        s_m, jump, sv = 0, 0, 1  # s_m: the sign just right of m 2^s, once known
+        while True:
+            stop = s + abs(2 * m + 1).bit_length() - 102  # min(|m|, |m + 1|) reaches 2^100 there
+            if stop >= s:
+                if _rounded(*_dyadic(m, s)) == _rounded(*_dyadic(m + 1, s)):
+                    break
+                stop = s - 1
+            if jump:
+                x, y = _dyadic(2 * m + 1, s - 1)
+                value = _horner(top, x, y)
+                sv = _sign(value)
+                if not sv:
+                    break
+                j = max(s - jump, stop)
+                if m in (0, -1):  # gallop toward 0: beside roots clustered there, Newton creeps
+                    lead = m
+                else:  # around x - f(x)/f'(x), the midpoint x = x/y
+                    dq = _horner(slope, x, y)
+                    lead = _floor_scaled(x * dq - value, y * dq, j) if dq else None
+            else:
+                lead, j = _float_box(floats, m, s, stop)
+            s_lead = lead is not None and (m << (s - j)) <= lead < ((m + 1) << (s - j)) and _sign_beside(
+                top, *_dyadic(lead, j))  # one-sided, as an end may be another root, 0 say
+            if s_lead and _sign_beside(top, *_dyadic(lead + 1, j), -1) == -s_lead:
+                m, s, s_m, jump = lead, j, s_lead, 2 * jump or 50
+            elif jump:
+                s_m = s_m or _sign_beside(top, *_dyadic(m, s))
+                m, s, jump = 2 * m + (sv == s_m), s - 1, max(jump // 2, 1)
+            else:
+                jump = 1
+        # the rational nearest the midpoint with denominator below (4 h)^-1/2, h = w/(2 d), if it is
+        # the root, or the midpoint itself where it is one
+        a, d = _dyadic(m, s)
+        w = 1 << max(s, 0)
+        p, r = _nearest_rational(2 * a + w, 2 * d, math.isqrt(d // (2 * w)) or 1 if sv else 2 * d)
+        if a * r < p * d < (a + w) * r and _horner(top, p, r) == 0:
+            a, d, w = p, r, 0  # the root p/r, in lowest terms as a continued fraction gives it
+        out.append(([-a, d] if w == 0 else ints, Fraction(a, d), Fraction(a + w, d)))
+    if at_hi and _horner(top, hn, hd) == 0:
+        out.append(([-hn, hd], Fraction(hn, hd), Fraction(hn, hd)))
     return out
 
 

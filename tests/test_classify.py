@@ -1,6 +1,7 @@
 """Singularity classes, duality consistency, and one-parameter family scans."""
 
 import csv
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from framedcurves.classify import (
     _refine_event,
     _side,
 )
+from framedcurves.config import RunConfig
 from framedcurves.ratpoly import Poly, isolate_real_roots, midpoint, squarefree, trim, vanishes_at
 
 from exact_reference import integer_coeffs
@@ -547,6 +549,34 @@ def test_event_csv_is_sorted_and_deterministic(tmp_path):
     body = p1.read_text().splitlines()[1:]
     keys = [tuple(float(x) for x in row.split(",")[:2]) for row in body]
     assert keys == sorted(keys)
+
+
+def test_events_beside_a_huge_root_keep_their_bits_on_a_1e300_window():
+    # kappa_3 = t^2 - (lambda^2 - 2)(lambda - 2^100): with boxes at most
+    # 2^-100 of their window, the events near -+sqrt 2 read -0.507 and 2.480
+    # on lambda in [-2, 1e300]; sized by their roots, they are correctly rounded
+    t, u = Poly.t(), Poly.u()
+    family = CurvatureFamily(0, (Poly.const(1), Poly(), t * t - (u * u - Poly.const(2)) * (u - Poly.const(2**100))))
+    discriminant = _FactoredDetector(family.detector()).discriminant
+    assert [float(midpoint(r)) for r in isolate_real_roots(discriminant, -2, 1e300)] == [
+        -1.4142135623730951, 1.4142135623730951, 2.0**100]
+
+
+def test_a_degree_129_factor_is_isolated_on_a_1e300_window_as_on_its_root_bound():
+    # fuzz seed 26's discriminant factor, of degree 129 with 163-bit
+    # coefficients: on the window's own lattice it took 26 s on [-1, 1e300]
+    # against 0.67 s on [-32, 32], Fujiwara's window; now both are that window
+    kappa = [{"1,2": "1", "0,0": "1"}, {"3,2": "-2", "1,0": "-2", "3,1": "-1"},
+             {"0,0": "3/2", "0,2": "-3", "3,2": "3/2"}]
+    family = RunConfig.from_dict({"curve": {"kind": "curvature", "kappa": kappa},
+                                  "grids": {"t": [1.0, 1e16, 8], "lambda": [-1.0, 1e300, 5]}}).curvature_family()
+    e = max((e for e, _, _ in _FactoredDetector(family.detector()).multiple_root_lines()), key=len)
+    assert len(e) == 130
+    start = time.perf_counter()
+    records = isolate_real_roots(e, -1, 1e300)
+    assert time.perf_counter() - start <= 2.0
+    assert len(records) == 15
+    assert records == [r for r in isolate_real_roots(e, -32, 32) if r[2] > -1]
 
 
 def test_event_csv_rows_read_back_under_the_header(tmp_path):

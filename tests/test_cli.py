@@ -175,6 +175,20 @@ def test_scan_coefficient_beyond_float_range_is_scanned_exactly(tmp_path):
     assert report["residual_maxima"]["detector_at_events"] == 0.0
 
 
+@pytest.mark.parametrize("bits", [80, 100])
+def test_event_jets_beyond_the_float_range_exit_3_without_a_warning(tmp_path, capsys, bits):
+    # kappa_3 = t^2 - (lambda^2 - 2)(lambda - 2^bits): the event columns at
+    # lambda* = -+sqrt 2 carry powers of c whose norms overflow; numpy's
+    # overflow warning, an error under this suite's filter, is not raised
+    c = 2**bits
+    kappa3 = {"2,0": "1", "0,3": "-1", "0,2": str(c), "0,1": "2", "0,0": str(-2 * c)}
+    config = {"curve": {"kind": "curvature", "kappa": [["1"], ["0"], kappa3]},
+              "grids": {"t": [-1.0, 1.0, 50], "lambda": [-2.0, 4.0, 9]}}
+    argv = ["scan", "--config", _write_config(tmp_path, config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "a jet is beyond the float range at an event" in capsys.readouterr().err
+
+
 def test_scan_coefficient_below_float_range_exits_0_or_3(tmp_path):
     # kappa_3 = 1e-400 t^2 - lambda: 1e-400 rounds to 0.0, but the monic
     # lines carry 1e400 lambda, beyond the float range

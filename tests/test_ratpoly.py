@@ -17,6 +17,7 @@ from framedcurves.ratpoly import (
     has_root_in,
     isolate_real_roots,
     line_gcd_split,
+    midpoint,
     poly_gcd,
     pseudo_divmod,
     rows_at,
@@ -333,8 +334,9 @@ def test_real_roots_beyond_the_float_range_are_scaled_exactly():
 
 @pytest.mark.parametrize("shift", [0, Fraction(1, 2)])
 def test_a_window_wider_than_2_to_the_99_returns_the_bisection_records(shift):
-    # its 2^-100 boxes are wider than 1/2: no denominator is below (4 h)^-1/2,
-    # so the rational test tries the integer nearest each box's midpoint
+    # boxes are sized by their roots, not by the window: -5, 3, 4, 2^101 - 7
+    # and x are dyadic points of their records' spacing, so they come back
+    # exact, and +-sqrt 2 have the boxes they have on [-2, 2]
     x = Fraction(2**62 + 9, 2)
     p = [1]
     for r in (-5, 3, 4, 2**101 - 7):
@@ -343,11 +345,32 @@ def test_a_window_wider_than_2_to_the_99_returns_the_bisection_records(shift):
     window = (shift - 2**102, shift + 2**102)
     records = isolate_real_roots(p, *window)
     assert records == _bisection_records(p, *window)
-    assert len(records) == 7 and all(b - a > Fraction(1, 2) for _, a, b in records if a < b)
-    assert ([-3, 1], 3, 3) in records and ([-4, 1], 4, 4) in records
-    # neither -5 nor x is the integer nearest the midpoint of its box; shifted
-    # by 1/2, x is that midpoint
-    assert (p, shift - 8, shift - 4) in records and (p, 2**61 + shift, 2**61 + shift + 8) in records
+    assert [a for _, a, b in records if a == b] == [-5, 3, 4, x, 2**101 - 7]
+    assert [(a, b) for _, a, b in records if a < b] == [(a, b) for _, a, b in isolate_real_roots(p, -2, 2)]
+    assert [float(midpoint(r)) for r in records if r[1] < r[2]] == [-math.sqrt(2), math.sqrt(2)]
+
+
+def test_a_small_root_keeps_its_bits_beside_a_huge_one():
+    # (x^2 - 2)(x - 2^200): with boxes at most 2^-100 of their window, the
+    # root near sqrt 2 read 1.27e30 on [-1, 2^201], in a box 2.5e30 wide
+    p = _u_mul([-2, 0, 1], [-(2**200), 1])
+    for hi in (4, 2**201, 10**300):
+        assert [float(midpoint(r)) for r in isolate_real_roots(p, -1, hi)][0] == 1.4142135623730951
+    assert isolate_real_roots(p, -1, 2**201)[1] == ([-(2**200), 1], 2**200, 2**200)
+
+
+def test_a_root_far_below_a_cluster_at_0_is_reached_by_galloping(monkeypatch):
+    # roots -3 2^-2000 and the cube roots of -2^-1500: from a box that ends at
+    # 0, Newton's steps creep toward the cluster there, one bisection at a
+    # time (875 Horner sums); proposing the box at 0 gallops (125)
+    calls = []
+    monkeypatch.setattr(ratpoly, "_horner", lambda *args: calls.append(args) or _horner(*args))
+    p = _u_mul([1, 0, 0, 2**1500], [3, 2**2000])
+    records = isolate_real_roots(p, -1, 1)
+    assert len(calls) <= 200
+    (_, a, b), root = records
+    assert float((a + b) / 2) == -(2.0**-500) and b - a <= -b / 2**100 and has_root_in(p, a, b)
+    assert root == ([3, 2**2000], Fraction(-3, 2**2000), Fraction(-3, 2**2000))  # a dyadic point, hit exactly
 
 
 def test_real_roots_are_isolated_exactly_also_when_they_nearly_coincide():
@@ -416,62 +439,75 @@ def test_root_records_isolate_every_root_and_decide_one_sided_sign_tests(planted
         if b0 < b1:
             assert has_root_in(ints, b0, b1) == (a1 < b1) == (open_count(b0, b1) == 1)
     for m, a, b in records:
-        assert lo <= a <= b <= hi
         if a == b:
-            assert m == [-a.numerator, a.denominator] and vanishes_at(ints, a)
+            assert m == [-a.numerator, a.denominator] and vanishes_at(ints, a) and lo <= a <= hi
             continue
-        assert m == ints and open_count(a, b) == 1 and b - a <= (hi - lo) / 2**100
+        # one root in the box, and it lies in the window, though the box may not
+        assert m == ints and open_count(a, b) == 1 and big.count_roots(q(max(a, lo)), q(min(b, hi))) == 1
+        assert b - a <= min(abs(a), abs(b)) / 2**100 and float(a) == float(b)
         x = a + (b - a) * cut
         assert has_root_in(ints, x, b) == (open_count(x, b) == 1)
         assert has_root_in(ints, a, x) == (open_count(a, x) == 1) != has_root_in(ints, x, b)
 
 
+def _root_in(ints, a, b, lo, hi):
+    """Whether the one root of ints in the open box (a, b) lies in [lo, hi], by splitting at the window's ends."""
+    for x in (lo, hi):
+        if a < x < b:
+            if vanishes_at(ints, x):
+                return True
+            a, b = (x, b) if has_root_in(ints, x, b) else (a, x)
+    return lo <= a and b <= hi
+
+
 def _bisection_records(ints, lo, hi):
-    """``isolate_real_roots`` with its boxes narrowed by one-bit sign bisection (the reference)."""
+    """``isolate_real_roots`` by one-bit bisection from Cauchy's bound, filtered to [lo, hi] (the reference).
+
+    Descartes' rule isolates every real root on the dyadic boxes of
+    [-2^r, 2^r], 2^r above Cauchy's bound 1 + max |a_i / a_n|, and each box
+    is bisected one bit at a time until it is at most 2^-100 of its points
+    and both ends round to the same double.  The records of the roots in
+    [lo, hi] are kept.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
-    width = hi - lo
-    if width < 0 or not trim(ints):
-        return []
-    if width == 0:
-        return [([-lo.numerator, lo.denominator], lo, lo)] if vanishes_at(ints, lo) else []
-    d = math.lcm(lo.denominator, width.denominator)
-    v, w = lo.numerator * (d // lo.denominator), width.numerator * (d // width.denominator)
     top = trim(ints)
-    beta = (max(map(abs, top[:-1]), default=0) // abs(top[-1]) + 1).bit_length()
-    level = 100 + max(0, (math.ceil(width) - 1).bit_length() - beta - 1)
-    q = trim(taylor_shift(ints, v, w, d))
-    g = math.gcd(*q)
-    q = [c // g for c in q]
-    exact, boxes, stack = [1] if sum(q) == 0 else [], [], [(q, 0, 0)]
+    if lo > hi or not top:
+        return []
+    r = (max(map(abs, top[:-1]), default=0) // abs(top[-1]) + 1).bit_length()
+    # the boxes [-2^r, 0] and [0, 2^r]: f(2^r y) shifted by -1 and 0
+    scaled = [c << (r * i) for i, c in enumerate(top)]
+    exact, boxes, stack = [], [], [(taylor_shift(scaled, m), Fraction(m * 2**r), Fraction(2**r)) for m in (0, -1)]
     while stack:
-        p, c, k = stack.pop()
+        p, a, w = stack.pop()
         if p[0] == 0:
-            exact.append(Fraction(c, 2**k))
+            exact.append(a)
             p = p[1:]
         count = _descartes_count(p)
         if count == 1:
-            boxes.append((c, k))
+            boxes.append((a, a + w))
         elif count > 1:
             n = len(p) - 1
-            left = [a << (n - i) for i, a in enumerate(p)]
-            stack.append((taylor_shift(left, 1), 2 * c + 1, k + 1))
-            stack.append((left, 2 * c, k + 1))
-    exact, out = [lo + width * x for x in exact], []
-    for m, j in boxes:
-        s_m, s = _sign_beside(q, m, 2**j), 1
-        while j < level and s:
-            s = _sign(_horner(q, 2 * m + 1, 2 ** (j + 1)))
-            if s:
-                m, j = 2 * m + (s == s_m), j + 1
-        a, b = lo + width * Fraction(m, 2**j), lo + width * Fraction(m + 1, 2**j)
-        x = (a + b) / 2
-        if s:
-            x = x.limit_denominator(math.isqrt(int(1 / (2 * (b - a)))) or 1)
-            if not (a < x < b and vanishes_at(ints, x)):
+            left = [c << (n - i) for i, c in enumerate(p)]
+            stack.append((taylor_shift(left, 1), a + w / 2, w / 2))
+            stack.append((left, a, w / 2))
+    out = [([-x.numerator, x.denominator], x, x) for x in exact if lo <= x <= hi]
+    for a, b in boxes:
+        if not _root_in(top, a, b, lo, hi):
+            continue
+        s_a, x = _sign_beside(top, a.numerator, a.denominator), None
+        while not (b - a <= min(abs(a), abs(b)) / 2**100 and float(a) == float(b)):
+            x = (a + b) / 2
+            s = _sign(_horner(top, x.numerator, x.denominator))
+            if not s:
+                break
+            a, b, x = (x, b, None) if s == s_a else (a, x, None)
+        if x is None:
+            x = ((a + b) / 2).limit_denominator(math.isqrt(int(1 / (2 * (b - a)))) or 1)
+            if not (a < x < b and vanishes_at(top, x)):
                 out.append((ints, a, b))
                 continue
-        exact.append(x)
-    return sorted(out + [([-x.numerator, x.denominator], x, x) for x in exact], key=lambda root: root[1:])
+        out.append(([-x.numerator, x.denominator], x, x))
+    return sorted(out, key=lambda root: root[1:])
 
 
 # a window end: an integer, a rational of small denominator, or one over 3^25
@@ -501,18 +537,19 @@ def test_newton_narrowing_returns_the_bisection_records(window, spots, quadratic
     assert isolate_real_roots(ints, lo, hi) == _bisection_records(ints, lo, hi)
 
 
-# a root at an odd k / 2^e of the window's scale, e up to 110: a hit, at a
-# level the float start's level-50 box can hold
+# a root at an odd k / 2^e of the window's scale, e up to 110: a hit where
+# its record's spacing reaches it, finer than the float start's 50-bit box
 _DYADIC = st.integers(1, 110).flatmap(lambda e: st.integers(0, 2 ** (e - 1) - 1).map(
     lambda k: Fraction(2 * k + 1, 2**e)))
 # (x, e, n): roots x and x + 2^-e of the window's scale, or x -+ 2^-e sqrt(n) for n > 0
 _PAIR = st.tuples(st.fractions(min_value=0, max_value=1, max_denominator=10**6), st.integers(20, 120),
                   st.sampled_from([0, 2, 3, 5]))
-# a factor with a root at 10^-320 or 10^320: q's coefficients pass the float range
+# a factor with a root at 10^-320 or 10^320: the list's coefficients pass the float range
 _HUGE = st.sampled_from([None, [-1, 10**320], [-10**320, 1]])
 
 
-# 100 examples take about 1 s on a 2-core x86 VM (Python 3.11)
+# 100 examples take about 4 s on a 2-core x86 VM (Python 3.11): the reference bisects from Cauchy's bound,
+# 2^1064 with the huge factor, one Descartes level at a time
 @settings(max_examples=100, deadline=None)
 @given(window=st.lists(_END, min_size=2, max_size=2, unique=True).map(sorted),
        dyadic=st.lists(_DYADIC, max_size=3), pairs=st.lists(_PAIR, max_size=2), huge=_HUGE,
@@ -532,15 +569,14 @@ def test_float_started_narrowing_returns_the_bisection_records(window, dyadic, p
     assert isolate_real_roots(ints, lo, hi) == _bisection_records(ints, lo, hi)
 
 
-# about 2 s for 40 examples on a 2-core x86 VM (Python 3.11): a window 1e300
-# wide costs about a thousand levels of Descartes bisection
+# 40 examples take about 0.5 s on a 2-core x86 VM (Python 3.11)
 @settings(max_examples=40, deadline=None)
 @given(planted=st.lists(_RATIONAL, unique=True, max_size=3), quadratics=st.lists(_QUADRATIC, max_size=2),
        window=st.tuples(_RATIONAL, st.integers(0, 300), st.sampled_from([0, Fraction(1, 2), 1])))
 def test_root_boxes_keep_their_bits_on_windows_up_to_1e300_wide(planted, quadratics, window):
-    # every box holds one root (sympy's count, a test-only oracle) and is at
-    # most 2^-99 B wide, B = 2^beta beyond Cauchy's root bound, however wide
-    # the window around the roots
+    # every box holds one root (sympy's count, a test-only oracle), is at
+    # most 2^-100 of its points and has ends that round to one double,
+    # however wide the window around the roots
     sympy = pytest.importorskip("sympy")
     p = Poly.const(1)
     for r in planted:
@@ -553,7 +589,6 @@ def test_root_boxes_keep_their_bits_on_windows_up_to_1e300_wide(planted, quadrat
     lo = r - x * 10**e
     hi = lo + 10**e
     records = isolate_real_roots(ints, lo, hi)
-    beta = (max(map(abs, ints[:-1])) // abs(ints[-1]) + 1).bit_length()
     big = sympy.Poly(ints[::-1], sympy.symbols("x"))
 
     def q(y):
@@ -564,13 +599,14 @@ def test_root_boxes_keep_their_bits_on_windows_up_to_1e300_wide(planted, quadrat
         if a == b:
             assert vanishes_at(ints, a)
             continue
-        assert b - a <= Fraction(2**beta, 2**99)
+        assert b - a <= min(abs(a), abs(b)) / 2**100 and float(a) == float(b)
         assert big.count_roots(q(a), q(b)) == 1 and not vanishes_at(ints, a) and not vanishes_at(ints, b)
 
 
 # windows up to 1e60 wide around planted roots: the bisection starts at the
-# nodes that cover [-B, B], and the records are those of one-bit bisection
-# from the whole window; 40 examples take about 0.5 s on a 2-core x86 VM (Python 3.11)
+# boxes that cover the window cut to Fujiwara's bound, and the records are
+# those of one-bit bisection from Cauchy's; 40 examples take about 0.5 s on a
+# 2-core x86 VM (Python 3.11)
 @settings(max_examples=40, deadline=None)
 @given(planted=st.lists(_RATIONAL, unique=True, max_size=3), quadratics=st.lists(_QUADRATIC, max_size=2),
        window=st.tuples(_RATIONAL, st.integers(0, 60), st.sampled_from([0, Fraction(1, 2), 1])))
@@ -589,9 +625,9 @@ def test_wide_windows_return_the_bisection_records(planted, quadratics, window):
 
 @pytest.mark.parametrize("ints", [[-2, 0, 1], [2, -6, -1, 3], [-6, 5, 5, -5, 1]])
 def test_a_window_1e300_wide_costs_a_bounded_number_of_descartes_counts(monkeypatch, ints):
-    # starting from the whole window took about 2,000 counts on [-1, 1e300]
-    # for the cubic and the quartic; from the nodes that cover [-B, B] it
-    # takes at most 12 more than on [-1, 2]
+    # a lattice on the whole window took about 2,000 counts on [-1, 1e300]
+    # for the cubic and the quartic; on the boxes that cover the window cut
+    # to Fujiwara's bound it takes at most 12 more than on [-1, 2]
     calls = []
 
     def counted(a):
@@ -605,6 +641,66 @@ def test_a_window_1e300_wide_costs_a_bounded_number_of_descartes_counts(monkeypa
         calls.clear()
         isolate_real_roots(ints, lo, hi)
         assert len(calls) <= narrow + 12, (lo, hi, len(calls), narrow)
+
+
+# 100 examples take about 1.5 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=100, deadline=None)
+@given(planted=st.lists(_RATIONAL, unique=True, max_size=3), quadratics=st.lists(_QUADRATIC, max_size=2),
+       window=st.lists(_END, min_size=2, max_size=2, unique=True).map(sorted),
+       at_end=st.sampled_from([None, 0, 1]), wider=st.tuples(st.integers(0, 300), st.integers(0, 300)))
+def test_records_do_not_depend_on_the_window(planted, quadratics, window, at_end, wider):
+    # the records on [lo, hi] are those on any wider window whose roots lie
+    # in [lo, hi]; a root may sit on an end, where the narrow window cuts a box
+    lo, hi = window
+    t, p = Poly.t(), Poly.const(1)
+    for r in planted + ([window[at_end]] if at_end is not None else []):
+        p = p * (t - Poly.const(r))
+    for r, s, n in quadratics:
+        p = p * ((t - Poly.const(r)) ** 2 - Poly.const(s * s * n))
+    ints = integer_coeffs(trim(p.t_coeffs()))
+    assume(len(ints) > 1 and len(squarefree(ints)) == len(ints))
+    wide = isolate_real_roots(ints, lo - 10 ** wider[0] + 1, hi + 10 ** wider[1] - 1)
+    assert isolate_real_roots(ints, lo, hi) == [r for r in wide if _root_in(ints, r[1], r[2], lo, hi)]
+
+
+# (r, s, n, e): the quadratic with the roots (r -+ s sqrt n) 2^e, scales 2^e up to 2^+-300
+_SCALED = st.tuples(_RATIONAL, st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+                    st.sampled_from([2, 3, 5, 6, 7]), st.integers(-300, 300))
+
+
+# 40 examples take about 1.5 s on a 2-core x86 VM (Python 3.11)
+@settings(max_examples=40, deadline=None)
+@given(planted=st.lists(st.tuples(_RATIONAL, st.integers(-300, 300)), max_size=2),
+       quadratics=st.lists(_SCALED, min_size=1, max_size=3),
+       window=st.tuples(st.integers(-300, 300), st.integers(-300, 300), st.booleans()))
+def test_irrational_midpoints_are_the_roots_correctly_rounded(planted, quadratics, window):
+    # roots at scales up to 2^300 on windows up to 1e300 wide: the float of a
+    # narrowed record's midpoint is sympy's root, taken to 60 digits and
+    # rounded; a planted rational too fine for the rational test is narrowed
+    sympy = pytest.importorskip("sympy")
+    t, p, roots = Poly.t(), Poly.const(1), []
+    for r, e in planted:
+        p = p * (t - Poly.const(r * Fraction(2) ** e))
+        roots.append(sympy.Rational(r) * sympy.Integer(2) ** e)
+    for r, s, n, e in quadratics:
+        p = p * ((t - Poly.const(r * Fraction(2) ** e)) ** 2 - Poly.const(s * s * n * Fraction(4) ** e))
+        roots += [(sympy.Rational(r) + sign * sympy.Rational(s) * sympy.sqrt(n)) * sympy.Integer(2) ** e
+                  for sign in (-1, 1)]
+    ints = integer_coeffs(trim(p.t_coeffs()))
+    assume(len(squarefree(ints)) == len(ints))
+    e_lo, e_hi, span = window
+    lo, hi = (-Fraction(10) ** e_lo, Fraction(10) ** e_hi) if span else sorted((Fraction(2) ** e_lo, Fraction(2) ** e_hi))
+    records = isolate_real_roots(ints, lo, hi)
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    assert len(records) == sum(bool(q(lo) <= r <= q(hi)) for r in roots)
+    for _, a, b in records:
+        inside = [r for r in roots if q(a) <= r <= q(b)]
+        assert len(inside) == 1
+        if a < b:
+            assert float((a + b) / 2) == float(inside[0].evalf(60))
 
 
 # -- the integer list toolkit against sympy ---------------------------------------

@@ -41,4 +41,8 @@ def test_scan_fuzz_script_runs_and_tallies_two_seeds():
     assert [line.split(":")[0] for line in lines[:2]] == ["seed 28", "seed 31"]
     assert all(" exit 0 " in line for line in lines[:2])
     assert lines[2:4] == ["exit codes: 0: 2", "timeouts: []"]
+    # the summed wall time of the configs that exit 0, here both
+    seconds = [float(line.split()[4]) for line in lines[:2]]
+    assert lines[4].startswith("exit 0: 2 configs in ") and lines[4].endswith(" s")
+    assert abs(float(lines[4].split()[5]) - sum(seconds)) <= 0.011
     assert sum(line.startswith("slow: seed ") for line in lines) == 2
