@@ -361,18 +361,6 @@ def _side(x, root):
     return 0 if vanishes_at(m, x) else -1 if has_root_in(m, x, b) else 1
 
 
-def _simplest(lo, hi):
-    """The rational of least denominator in [lo, hi], the one nearest 0 among those."""
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest(-hi, -lo)
-    n = math.ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    return n - 1 + 1 / _simplest(1 / (hi - n + 1), 1 / (lo - n + 1))
-
-
 def _refine_event(line, gcd, lam, window):
     """The real roots in the t window of line(., lam*) / gcd(., lam*), as records.
 
@@ -423,9 +411,10 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
       t_hi it stays, and across one event at a rational lambda* the branches
       through the simple roots below and above its points go on.  Any other
       critical value ends the branches.
-    - A branch is typed exactly at the simplest rational lambda of its gap,
-      a root there as the root of a square-free m in Z[t].  An event is
-      typed exactly at a rational lambda*, and in floats at an irrational one.
+    - A branch is typed exactly on its line whose lambda has the fewest
+      bits, the first of those, at its root there as the root of a
+      square-free m in Z[t].  An event is typed exactly at a rational
+      lambda*, and in floats at an irrational one.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -475,33 +464,23 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
         cut = [keep for (_, _, keep), s, p in zip(critical, sides[i], sides[i - 1]) if not s == p != 0]
         low, high = cut[0] if len(cut) == 1 else (0, 0) if cut else (math.inf, 0)
         current = {}
-        for k, r in enumerate(roots):
+        for k in range(len(roots)):
             top = k >= len(roots) - high
             chain = open_chains.get(k if k < low else k + len(open_chains) - len(roots) if top else None)
             if chain is None:
-                chain = {"points": [], "at": (i, k)}
+                chain = []
                 chains.append(chain)
-            chain["points"].append((float(lambda_grid[i]), float(midpoint(r))))
+            chain.append((i, k))
             current[k] = chain
         open_chains = current
 
-    # each branch at the simplest rational of the gap its first line lies in,
-    # strictly between that line and the critical values around it
     strata = []
-    gap_lines = {}
-    for chain in (c for c in chains if len(c["points"]) >= 2):
-        i, k = chain["at"]
-        lam, side = lams[i], sides[i]
-        if 0 not in side and side not in gap_lines:
-            below = [b for ((_, _, b), _, _), s in zip(critical, side) if s > 0]
-            above = [a for ((_, a, _), _, _), s in zip(critical, side) if s < 0]
-            lam_s = _simplest(min((max(below) + lam) / 2, lam) if below else lam_window[0],
-                              max((min(above) + lam) / 2, lam) if above else lam_window[1])
-            gap_lines[side] = lam_s, _line_roots(detector, lam_s, window)
-        lam, (roots, _) = gap_lines.get(side, (lam, lines[i]))
-        a, confidence = oracle.classify(roots[k], lam)
+    for chain in (c for c in chains if len(c) >= 2):
+        i, k = min(chain, key=lambda p: lams[p[0]].numerator.bit_length() + lams[p[0]].denominator.bit_length())
+        a, confidence = oracle.classify(lines[i][0][k], lams[i])
         strata.append(Stratum(type=a, class_=class_of(a) if a is not None else DEGENERATE,
-                              params=np.array(chain["points"]), confidence=confidence))
+                              params=np.array([(float(lambda_grid[j]), float(midpoint(lines[j][0][n])))
+                                               for j, n in chain]), confidence=confidence))
 
     # a root crosses a window end between two lines, or on one where the count changes
     boundary = []

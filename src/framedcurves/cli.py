@@ -214,12 +214,12 @@ def _cmd_scan(args):
     cfg = _load_config(args)
     family = cfg.curvature_family()
     res = scan_family(family, cfg.t_grid(), cfg.lambda_grid(), tol=cfg.rank_tol)
-    events_path = _out_file(args, cfg.outputs["events"])
-    export_events_csv(res.events, events_path)
     detector = family.detector()  # exact at the reported points: no coefficient overflows
     residual = max((abs(detector.eval(Fraction(ev.t), Fraction(ev.lam))) for ev in res.events), default=0)
     if residual > sys.float_info.max:
         raise DomainError("the detector at an event is beyond the float range")
+    events_path = _out_file(args, cfg.outputs["events"])
+    export_events_csv(res.events, events_path)
     report_path = _out_file(args, cfg.outputs["report"])
     export_report({
         "subcommand": "scan",

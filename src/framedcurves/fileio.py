@@ -18,12 +18,16 @@ def atomic_open(path):
 
     The temp file sits in path's directory, so the final rename is atomic; on
     any exception it is removed and an existing file at path is left as it was.
+    It gets the mode ``open`` would give, 0o666 less the umask, not mkstemp's 0o600.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

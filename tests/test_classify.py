@@ -233,19 +233,21 @@ def _unfold_family(t0, lam0, c):
 small_fractions = st.fractions(-2, 2, max_denominator=4)
 
 
-#: 15 examples take about 1.6 s in tier-1
-@settings(max_examples=15, deadline=None)
+#: 25 examples take about 0.7 s in tier-1
+@settings(max_examples=25, deadline=None)
 @given(a=small_fractions, b=small_fractions, c=small_fractions.filter(bool), d=small_fractions,
-       e=small_fractions)
-def test_a_branch_has_the_exact_type_of_every_root_it_carries(a, b, c, d, e):
+       e=small_fractions, lam_ends=st.lists(small_fractions, min_size=2, max_size=2, unique=True),
+       count=st.integers(2, 21))
+def test_a_branch_has_the_exact_type_of_every_root_it_carries(a, b, c, d, e, lam_ends, count):
     # kappa = (1 + a t^2 - e lambda t, 0, t^2 + b t + c lambda + d): a branch is
-    # typed once, at the simplest rational lambda of its gap; every root it
-    # carries must have that type on its own grid line
+    # typed once, on its grid line whose lambda has the fewest bits, which on
+    # lines spaced between small rationals is often not its first; every root
+    # it carries must have that type on its own grid line
     t, u = Poly.t(), Poly.u()
     kappa1 = Poly.const(1) + Poly.const(a) * t * t - Poly.const(e) * u * t
     fam = CurvatureFamily(0, (kappa1, Poly(), t * t + Poly.const(b) * t + Poly.const(c) * u + Poly.const(d)))
     window = (-1.0, 1.0)
-    res = scan_family(fam, np.linspace(*window, 21), np.linspace(-1.0, 1.0, 9))
+    res = scan_family(fam, np.linspace(*window, 21), np.linspace(*map(float, sorted(lam_ends)), count))
     oracle = _AdaptedTypeOracle(fam, 1e-8)
     factored = _FactoredDetector(oracle.detector)
     for s in res.strata:
@@ -255,6 +257,17 @@ def test_a_branch_has_the_exact_type_of_every_root_it_carries(a, b, c, d, e):
             r = next(r for r in roots if float(midpoint(r)) == t_float)
             assert r[1] == r[2] or r[0] == integer_coeffs(line)
             assert oracle.classify(r, Fraction(lam)) == (s.type, "exact")
+
+
+@pytest.mark.parametrize("power,type_,class_", [(6, None, "Degenerate"), (5, (6, 7, 8), "Unresolved(6,7,8)")])
+def test_a_branch_past_finite_type_is_one_exact_stratum(power, type_, class_):
+    # kappa_3 = (t - lambda)^k: the branch t = lambda has a dual of no finite
+    # type within r_max = 8 for k = 6, and one outside the class table for k = 5
+    t, u = Poly.t(), Poly.u()
+    res = scan_family(CurvatureFamily.frenet(1, (t - u) ** power), np.linspace(-1.0, 1.0, 21),
+                      np.linspace(-0.5, 0.5, 11))
+    assert [(s.type, str(s.class_), s.confidence) for s in res.strata] == [(type_, class_, "exact")]
+    assert res.strata[0].params.tolist() == [[lam, lam] for lam in np.linspace(-0.5, 0.5, 11)]
 
 
 # -- line roots beside an event ---------------------------------------------------

@@ -189,6 +189,18 @@ def test_event_jets_beyond_the_float_range_exit_3_without_a_warning(tmp_path, ca
     assert "a jet is beyond the float range at an event" in capsys.readouterr().err
 
 
+def test_scan_residual_beyond_float_range_writes_no_output(tmp_path, capsys):
+    # kappa_3 = t^2 - 2e200 t + 1e400 - lambda on a 1e300 t window: the
+    # detector at an event is beyond the float range, checked before any write
+    config = {"curve": {"kind": "curvature", "kappa": [
+                  ["1"], ["0"], {"2,0": "1", "1,0": "-2e200", "0,0": "1e400", "0,1": "-1"}]},
+              "grids": {"t": [-1e300, 1e300, 5], "lambda": [-1.0, 1.0, 5]}}
+    out = tmp_path / "out"
+    assert main(["scan", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 3
+    assert "the detector at an event is beyond the float range" in capsys.readouterr().err
+    assert not (out / "events.csv").exists()
+
+
 def test_scan_coefficient_below_float_range_exits_0_or_3(tmp_path):
     # kappa_3 = 1e-400 t^2 - lambda: 1e-400 rounds to 0.0, but the monic
     # lines carry 1e400 lambda, beyond the float range

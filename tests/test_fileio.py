@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framedcurves
-from framedcurves.fileio import FLOAT_FIELD, format_floats, format_ints, rows_text, spaced
+from framedcurves.fileio import FLOAT_FIELD, atomic_write_text, format_floats, format_ints, rows_text, spaced
 
 
 def _assert_repr(values):
@@ -123,3 +123,14 @@ def test_format_ints_keeps_the_shape_and_rejects_values_outside_uint32():
     for bad in ([-1], [2**32]):
         with pytest.raises(ValueError):
             format_ints(np.array(bad, dtype=np.int64))
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask, mode):
+    # 0o666 less the umask, as a plain open makes it, not the temp file's 0o600
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "text\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode

@@ -703,6 +703,19 @@ def test_irrational_midpoints_are_the_roots_correctly_rounded(planted, quadratic
             assert float((a + b) / 2) == float(inside[0].evalf(60))
 
 
+def test_a_root_just_past_a_rounding_tie_narrows_until_its_ends_round_alike():
+    # m is the tie between two doubles, which rounds to the lower, even one;
+    # the root of x^2 - (m^2 + 2^-125) lies about 2^-126 above it, so a box
+    # whose points reach 2^-100 of the root still has ends that round apart,
+    # and narrowing goes on past 2^-125 until both round to the upper double
+    below, above = float.fromhex("0x1.6a09e667f3bcep+0"), float.fromhex("0x1.6a09e667f3bcfp+0")
+    m = (Fraction(below) + Fraction(above)) / 2
+    c = m * m + Fraction(1, 2**125)
+    (_, a, b), = isolate_real_roots([-c.numerator, 0, c.denominator], 1, 2)
+    assert a < b and b - a < Fraction(1, 2**125)
+    assert float((a + b) / 2) == above
+
+
 # -- the integer list toolkit against sympy ---------------------------------------
 
 _INTS = st.lists(st.integers(-30, 30), min_size=1, max_size=4)
