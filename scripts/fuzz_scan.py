@@ -10,16 +10,23 @@ with the framedcurves package on PYTHONPATH, so two trees can be compared on
 the same seeds.  One line per config gives its exit code (or "timeout"),
 its wall time and a digest of its events.csv and report.json; a summary
 tallies the exit codes, sums the wall time of the configs that exit 0 and
-lists the five slowest configs with their JSON.  To compare two trees, run
-the same seeds once with each tree's src on PYTHONPATH.
+lists the five slowest configs with their JSON.
+
+With ``--against OTHER_SRC`` each seed also runs with OTHER_SRC first on
+PYTHONPATH, the two trees alternating which goes first.  One line per seed
+gives both exit codes, wall times and digests, "same" or "DIFFERENT"; the
+script exits 1 if any config that finishes on both trees (no timeout)
+differs in exit code or digest.
 
     PYTHONPATH=src python scripts/fuzz_scan.py $(seq 1 40) --timeout 15
+    PYTHONPATH=src python scripts/fuzz_scan.py $(seq 1 80) --timeout 15 --against ../parent/src
 """
 
 import argparse
 import collections
 import hashlib
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -47,8 +54,14 @@ def make_config(seed):
     return {"curve": {"kind": "curvature", "kappa": kappa}, "grids": {"t": _grid(rng), "lambda": _grid(rng)}}
 
 
-def run_config(config, timeout):
-    """(exit code or "timeout", wall seconds, digest of events.csv and report.json or "-")."""
+def run_config(config, timeout, src=None):
+    """(exit code or "timeout", wall seconds, digest of events.csv and report.json or "-").
+
+    ``src``, if given, goes first on the subprocess's PYTHONPATH.
+    """
+    env = None
+    if src:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp)
         (path / "config.json").write_text(json.dumps(config), encoding="utf-8")
@@ -56,7 +69,7 @@ def run_config(config, timeout):
         try:
             code = subprocess.run([sys.executable, "-m", "framedcurves.cli", "scan", "--config",
                                    str(path / "config.json"), "--out", str(path / "out")],
-                                  capture_output=True, timeout=timeout).returncode
+                                  capture_output=True, timeout=timeout, env=env).returncode
         except subprocess.TimeoutExpired:
             code = "timeout"
         seconds = time.perf_counter() - start
@@ -67,11 +80,39 @@ def run_config(config, timeout):
     return code, seconds, digest
 
 
+def compare(seeds, timeout, other):
+    """Run each seed on this tree and on ``other``, alternating which goes first; 1 if a finished pair differs."""
+    trees = (None, os.path.abspath(other))
+    different, timeouts, both = [], ([], []), []
+    for k, seed in enumerate(seeds):
+        config, runs = make_config(seed), [None, None]
+        for i in ((0, 1), (1, 0))[k % 2]:
+            runs[i] = run_config(config, timeout, trees[i])
+        (code, seconds, digest), (other_code, other_seconds, other_digest) = runs
+        same = (code, digest) == (other_code, other_digest)
+        for i in (0, 1):
+            if runs[i][0] == "timeout":
+                timeouts[i].append(seed)
+        if "timeout" not in (code, other_code) and not same:
+            different.append(seed)
+        if code == other_code == 0:
+            both.append((seconds, other_seconds))
+        print(f"seed {seed}: exit {code} | {other_code}  {seconds:.2f} | {other_seconds:.2f} s  "
+              f"{digest} | {other_digest}  {'same' if same else 'DIFFERENT'}", flush=True)
+    print(f"exit 0 on both: {len(both)} configs in {sum(s for s, _ in both):.2f} | {sum(s for _, s in both):.2f} s")
+    print("timeouts:", timeouts[0], "|", timeouts[1])
+    print("different:", different)
+    return 1 if different else 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("seeds", type=int, nargs="+", help="the seeds of the configs to run")
     ap.add_argument("--timeout", type=float, default=15.0, help="seconds allowed per config")
+    ap.add_argument("--against", metavar="OTHER_SRC", help="a second tree's src directory to compare with")
     args = ap.parse_args()
+    if args.against:
+        return compare(args.seeds, args.timeout, args.against)
 
     results = []
     for seed in args.seeds:

@@ -46,11 +46,9 @@ from .flags import (
     c_integrality_residual,
     c_lift_monomial,
     d_integrality_residual,
-    diagonal_orders,
     dual_curve_from_clift,
     flag_from_curve,
     lift_chart,
-    type_from_diagonal_orders,
 )
 from .envelope import (
     EnvelopeMesh,
@@ -75,13 +73,10 @@ from .classify import (
     REGULAR,
     SWALLOWTAIL,
     BifurcationEvent,
-    DiagonalFamily,
     ScanResult,
     SingularityClass,
     Stratum,
     class_of,
-    classify_osculating_scan,
-    consistency_check,
     export_events_csv,
     scan_family,
     unresolved,

@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError, FiniteTypeError
 from .fileio import atomic_write_text, format_float
-from .flags import type_from_diagonal_orders
-from .frames import CurvatureFamily, _exact_poly
+from .frames import CurvatureFamily
 from .jets import (
     DEFAULT_RANK_TOL,
     RANK_GAP_MIN,
@@ -70,13 +69,10 @@ __all__ = [
     "unresolved",
     "CLASS_BY_DUAL_TYPE",
     "class_of",
-    "consistency_check",
-    "DiagonalFamily",
     "BifurcationEvent",
     "Stratum",
     "ScanResult",
     "scan_family",
-    "classify_osculating_scan",
     "export_events_csv",
     "EVENT_CSV_HEADER",
 ]
@@ -122,69 +118,11 @@ CLASS_BY_DUAL_TYPE = {
     (2, 3, 4): FULL_FOLDED_UMBRELLA,
 }
 
-#: The developable of the frame dual of type a is swept by the dual flag; for
-#: the five classified types that partner developable has the frozen type below
-#: (the duality pairing is an involution on this set).
-_DEVELOPABLE_PAIRING = {
-    (1, 2, 3): (1, 2, 3),
-    (1, 2, 4): (2, 3, 4),
-    (1, 2, 5): (3, 4, 5),
-    (1, 3, 4): (1, 3, 4),
-    (2, 3, 4): (1, 2, 4),
-}
-
 
 def class_of(a):
     """Wavefront germ for a frame dual of finite type ``a``."""
     a = tuple(int(x) for x in a)
     return CLASS_BY_DUAL_TYPE.get(a, unresolved(a))
-
-
-def consistency_check(type_of_dual):
-    """(singularity class, partner type) for a frame dual's type vector.
-
-    Cross-checks the duality formula against the frozen pairing table for the
-    classified types; a mismatch means the codimension calculus and the class
-    table have drifted apart, which is a programming error worth an exception.
-    """
-    a = tuple(int(x) for x in type_of_dual)
-    partner = dual_type(a)
-    expected = _DEVELOPABLE_PAIRING.get(a)
-    if expected is not None and expected != partner:
-        raise DomainError(
-            f"duality pairing broke: {a} -> {partner}, table says {expected}"
-        )
-    return class_of(a), partner
-
-
-# -- polynomial families ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagonalFamily:
-    """Chart-diagonal entries x_{i}^{i-1}(t, lambda) of an osculating family.
-
-    The reconstruction of a full flag curve from its diagonal makes these
-    three entries a complete set of invariants; the type at (t, lambda) is the
-    partial-sum vector of 1 + (vanishing order of each entry's t-derivative).
-    """
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(_exact_poly(p) for p in self.entries))
-        if len(self.entries) != 3:
-            raise DomainError("need exactly three diagonal entries")
-
-    def derivative_polys(self):
-        return tuple(p.diff_t() for p in self.entries)
-
-    def detector(self):
-        """Product of the entry derivatives: zero where the type leaves (1,2,3)."""
-        out = Poly.const(1)
-        for p in self.derivative_polys():
-            out = out * p
-        return out
 
 
 # -- scan records ---------------------------------------------------------------
@@ -224,6 +162,7 @@ class ScanResult:
     degenerate: bool = False
     degenerate_regions: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    detector: Poly = None  # D(t, u), as the scan built it
 
 
 def _event_from_type(lam, t, a, confidence):
@@ -233,35 +172,29 @@ def _event_from_type(lam, t, a, confidence):
                             codim_osculating(a), schubert_number(a), confidence)
 
 
-# -- the scan core ---------------------------------------------------------------
+# -- the scan --------------------------------------------------------------------
 
 
 class _AdaptedTypeOracle:
     """Type detection for a curvature family, exact at every rational lambda.
 
-    ``classify`` and ``classify_event`` are the skeleton every oracle shares:
-    a subclass sets ``detector``, ``dim`` and its ``groups`` of columns of
-    Polys in (t, u), and turns their prefix ranks into a type.  A point is
+    ``jets`` are the family's dual jets d_0 .. d_r_max, columns of Polys in
+    (t, u), and ``detector`` the determinant of the first four.  A point is
     (root, lam), with root = (m, a, b) as for ``algebraic_rank_profile``.
     """
 
-    dim = 4
     r_max = 8
 
     def __init__(self, family: CurvatureFamily, rank_tol):
-        jets = family.dual_jet_polys(self.r_max)
-        self.detector = family.detector(jets)
+        self.jets = family.dual_jet_polys(self.r_max)
+        self.detector = family.detector(self.jets)
         self.rank_tol = rank_tol
-        self.groups = [jets]
-
-    def _type(self, ranks):
-        return _ranks_to_type(ranks[0], 4, self.r_max)
 
     def classify(self, root, lam):
         """(type, "exact") at the root of a rational lambda line; the type is None off finite type."""
         try:
-            ranks = [algebraic_rank_profile(columns_at(g, lam), self.dim, root) for g in self.groups]
-            return self._type(ranks), "exact"
+            return _ranks_to_type(algebraic_rank_profile(columns_at(self.jets, lam), 4, root), 4,
+                                  self.r_max), "exact"
         except (FiniteTypeError, DegeneracyError):
             return None, "exact"
 
@@ -276,50 +209,21 @@ class _AdaptedTypeOracle:
         """
         if lam[1] == lam[2]:
             return self.classify(root, lam[1])
-        t, lam, ranks, gap = float(midpoint(root)), float(midpoint(lam)), [], np.inf
+        t, lam = float(midpoint(root)), float(midpoint(lam))
         try:
-            for group in self.groups:
-                cols = np.array([[p.evalf(t, lam) for p in col] for col in group]).T
-                with np.errstate(over="ignore"):
-                    norms = np.linalg.norm(cols, axis=0)
-                if not np.isfinite(norms).all():
-                    raise OverflowError("a jet is not finite")
-                cols[:, norms <= self.rank_tol * max(norms.max(), 1.0)] = 0.0
-                rk, g = float_rank_profile(cols, self.rank_tol)
-                ranks.append(rk)
-                gap = min(gap, g)
+            cols = np.array([[p.evalf(t, lam) for p in col] for col in self.jets]).T
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(cols, axis=0)
+            if not np.isfinite(norms).all():
+                raise OverflowError("a jet is not finite")
         except OverflowError as exc:
             raise DomainError(f"a jet is beyond the float range at an event ({exc})") from exc
+        cols[:, norms <= self.rank_tol * max(norms.max(), 1.0)] = 0.0
+        ranks, gap = float_rank_profile(cols, self.rank_tol)
         try:
-            return self._type(ranks), "high" if gap >= RANK_GAP_MIN else "low"
+            return _ranks_to_type(ranks, 4, self.r_max), "high" if gap >= RANK_GAP_MIN else "low"
         except (FiniteTypeError, DegeneracyError):
             return None, "low"
-
-
-class _OsculatingTypeOracle(_AdaptedTypeOracle):
-    """Type detection from diagonal-entry derivatives of an osculating family.
-
-    Each entry derivative p gives a group of one-row columns p, p', p'', ...,
-    whose rank reaches 1 at p's vanishing order.
-    """
-
-    dim = 1
-    _MAX_ORDER = 9
-
-    def __init__(self, family: DiagonalFamily, rank_tol):
-        self.detector = family.detector()
-        self.rank_tol = rank_tol
-        self.groups = []
-        for p in family.derivative_polys():
-            derivs = [p]
-            while len(derivs) < self._MAX_ORDER:
-                derivs.append(derivs[-1].diff_t())
-            self.groups.append([[d] for d in derivs])
-
-    def _type(self, ranks):
-        if not all(r[-1] for r in ranks):
-            raise FiniteTypeError(0, self._MAX_ORDER)
-        return type_from_diagonal_orders([1 + r.index(1) for r in ranks])
 
 
 class _FactoredDetector:
@@ -391,12 +295,16 @@ def _line_roots(detector: _FactoredDetector, lam_q, window):
     return isolate_real_roots(line, *window), line
 
 
-def _scan_core(detector, oracle, t_grid, lambda_grid):
-    """Events, strata and degenerate lines of a detector over the grids' window.
+def scan_family(family: CurvatureFamily, t_grid, lambda_grid, tol=DEFAULT_RANK_TOL) -> ScanResult:
+    """Bifurcation scan of a one-parameter family of framed curves.
 
-    Events are the multiple t-roots of sf in the t window on the real roots
-    of the discriminant R in the lambda window.  Strata are the real t-roots
-    of the lambda lines, chained into branches, each typed once:
+    The detector det[d_0 .. d_3] of the frame dual's co-moving jets vanishes
+    exactly where the dual type leaves (1, 2, 3).  Its square-free part sf
+    in t is taken once.  The t grid fixes the window; the roots and events
+    come from the polynomial, not the grid.  Events are the multiple t-roots
+    of sf in the t window on the real roots of its t-discriminant R in the
+    lambda window.  Strata are the real t-roots of the lambda lines, chained
+    into branches, each typed once:
 
     - The type is upper semicontinuous, and at a point of type a the
       detector's t-order is the Wronskian order sum(a_i - i).  So a type
@@ -422,11 +330,12 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
     if window[1] <= window[0] or len(lambda_grid) < 2:
         raise DomainError("scan grids must be increasing with at least two lambda lines")
 
-    if detector.is_zero():
+    oracle = _AdaptedTypeOracle(family, tol)
+    if oracle.detector.is_zero():
         return ScanResult([], [], True, [{"lambda": None, "t_window": window}],
-                          {"reason": "detector vanishes identically"})
+                          {"reason": "detector vanishes identically"}, oracle.detector)
 
-    detector = _FactoredDetector(detector)
+    detector = _FactoredDetector(oracle.detector)
     lams = [Fraction(float(lam)) for lam in lambda_grid]
     lam_window = (min(lams), max(lams))
     events = []
@@ -493,37 +402,8 @@ def _scan_core(detector, oracle, t_grid, lambda_grid):
 
     events.sort(key=lambda e: (e.lam, e.t))
     strata.sort(key=lambda s: (s.params[0, 0], s.params[0, 1]))
-    return ScanResult(events, strata, False, degenerate_regions, {"boundary_crossings": boundary})
-
-
-def scan_family(family: CurvatureFamily, t_grid, lambda_grid, tol=DEFAULT_RANK_TOL) -> ScanResult:
-    """Bifurcation scan of a one-parameter family of framed curves.
-
-    The detector det[d_0 .. d_3] of the frame dual's co-moving jets vanishes
-    exactly where the dual type leaves (1, 2, 3).  Its square-free part in t
-    is taken once; per lambda line that part is solved for real roots
-    (persistent strata), and each branch of them is typed once, exactly.
-    The momentary events are the real roots of its t-discriminant in the
-    lambda window, each with the multiple t-roots of its line.  The t grid
-    fixes the window; the roots and events come from the polynomial, not the
-    grid.
-    """
-    oracle = _AdaptedTypeOracle(family, tol)
-    return _scan_core(oracle.detector, oracle, t_grid, lambda_grid)
-
-
-def classify_osculating_scan(family: DiagonalFamily, t_grid, lambda_grid,
-                             tol=DEFAULT_RANK_TOL) -> ScanResult:
-    """Bifurcation scan of an osculating family given by chart diagonals.
-
-    Same sweep as ``scan_family`` with the detector replaced by the product of
-    the diagonal-entry derivatives, whose vanishing orders give the type
-    directly as partial sums.  The admitted types are the full osculating
-    list, so events outside the classified table come back Unresolved rather
-    than Degenerate.
-    """
-    oracle = _OsculatingTypeOracle(family, tol)
-    return _scan_core(oracle.detector, oracle, t_grid, lambda_grid)
+    return ScanResult(events, strata, False, degenerate_regions, {"boundary_crossings": boundary},
+                      oracle.detector)
 
 
 # -- event table export ------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .classify import _AdaptedTypeOracle, export_events_csv, scan_family
-from .config import DEFAULTS, RunConfig
+from .config import DEFAULTS, RunConfig, singular_locus_path
 from .envelope import (
     NormalFormFamily,
     discriminant_mesh,
@@ -66,11 +66,6 @@ def _out_file(args, rel):
     return path
 
 
-def _sibling(path, tag):
-    stem, ext = os.path.splitext(path)
-    return f"{stem}.{tag}{ext or '.obj'}"
-
-
 def _event_record(ev):
     return {
         "lambda": ev.lam,
@@ -103,7 +98,7 @@ def _cmd_type(args):
                                   f"within r_max={oracle.r_max} at t={args.t!r}, lambda={args.lam!r}")
         subject, mode = "frame dual", "exact"
     else:
-        report = detect_type_report(cfg.build_curve(), t_q, rank_tol=cfg.rank_tol)
+        report = detect_type_report(cfg.build_curve(), t_q)
         a, mode, confidence = report.type, report.mode, report.confidence
         subject = "curve"
     print(f"subject: {subject}")
@@ -145,7 +140,7 @@ def _cmd_envelope(args):
     mesh_path = _out_file(args, cfg.outputs["mesh"])
     export_obj(mesh, mesh_path)
     locus = singular_locus(fam, s_grid, tol=cfg.mesh_tol)
-    locus_path = _sibling(mesh_path, "locus")
+    locus_path = singular_locus_path(mesh_path)
     export_polylines(locus, locus_path)
     # F = <x - gamma, nu>_G and F_t = <x - gamma, nu'>_G (G the form matrix, or
     # diag(0, 1, 1, 1) in euclidean space) cancel down from these sizes
@@ -204,7 +199,7 @@ def _cmd_normal_form(args):
     path = _out_file(args, name)
     export_obj(mesh, path)
     locus = singular_locus(nf, t_grid, tol=tol)
-    export_polylines(locus, _sibling(path, "locus"))
+    export_polylines(locus, singular_locus_path(path))
     print(f"normal form {a}: {path}")
     print(f"vertices: {len(mesh.vertices)}  singular polylines: {len(locus)}")
     return 0
@@ -212,10 +207,9 @@ def _cmd_normal_form(args):
 
 def _cmd_scan(args):
     cfg = _load_config(args)
-    family = cfg.curvature_family()
-    res = scan_family(family, cfg.t_grid(), cfg.lambda_grid(), tol=cfg.rank_tol)
-    detector = family.detector()  # exact at the reported points: no coefficient overflows
-    residual = max((abs(detector.eval(Fraction(ev.t), Fraction(ev.lam))) for ev in res.events), default=0)
+    res = scan_family(cfg.curvature_family(), cfg.t_grid(), cfg.lambda_grid(), tol=cfg.rank_tol)
+    # exact at the reported points: no coefficient overflows
+    residual = max((abs(res.detector.eval(Fraction(ev.t), Fraction(ev.lam))) for ev in res.events), default=0)
     if residual > sys.float_info.max:
         raise DomainError("the detector at an event is beyond the float range")
     events_path = _out_file(args, cfg.outputs["events"])

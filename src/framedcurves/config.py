@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,12 @@ MAX_GRID_COUNT = 100_000
 MAX_MESH_VERTICES = 2_000_000
 #: largest t- or lambda-degree of a kappa term key
 MAX_KAPPA_DEGREE = 1_000
+
+
+def singular_locus_path(mesh_path):
+    """The file the singular locus goes to beside a mesh: stem.locus.ext, .obj with no extension."""
+    stem, ext = os.path.splitext(mesh_path)
+    return f"{stem}.locus{ext or '.obj'}"
 
 
 def _check_keys(mapping, allowed, where):
@@ -195,6 +202,11 @@ class RunConfig:
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"outputs.{key} must be a nonempty path string")
             outputs[key] = value
+        # a name shared by two of the files a run writes would let one write replace the other
+        files = (outputs["mesh"], singular_locus_path(outputs["mesh"]), outputs["events"], outputs["report"])
+        if len({os.path.normpath(path) for path in files}) < len(files):
+            raise ConfigError("outputs: the mesh %r, its locus %r, the events %r and the report %r "
+                              "must be four different files" % files)
 
         return cls(geometry=geometry, curve=curve, grids=grids,
                    tolerances=tolerances, outputs=outputs)

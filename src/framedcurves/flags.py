@@ -187,34 +187,7 @@ def d_integrality_residual(fc: FlagCurve):
     return np.abs(res)
 
 
-# -- order bookkeeping -------------------------------------------------------------
-
-
-def type_from_diagonal_orders(orders):
-    """Partial sums: a_i = d_1 + ... + d_i."""
-    orders = tuple(int(d) for d in orders)
-    if any(d < 1 for d in orders):
-        raise DomainError("diagonal orders must be positive")
-    out = []
-    acc = 0
-    for d in orders:
-        acc += d
-        out.append(acc)
-    return tuple(out)
-
-
 # -- monomial C-lifts and the dual extraction ---------------------------------------
-
-
-def diagonal_orders(lift):
-    """Vanishing orders at t = 0 of the diagonal entries x_{j+1}^j of an exact lift."""
-    orders = []
-    for j in range(_last_row(lift)):
-        p = lift[(j + 1, j)]
-        if p.is_zero():
-            raise DomainError(f"diagonal entry {j + 1},{j} is identically zero")
-        orders.append(p.terms()[0][0][0])  # the lowest power of t comes first
-    return tuple(orders)
 
 
 def c_lift_monomial(a):

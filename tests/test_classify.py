@@ -11,15 +11,13 @@ from hypothesis import given, settings, strategies as st
 from framedcurves import (
     CLASS_BY_DUAL_TYPE,
     CUSPIDAL_BUTTERFLY,
+    FULL_FOLDED_UMBRELLA,
     CurvatureFamily,
-    DiagonalFamily,
     EVENT_CSV_HEADER,
     SingularityClass,
     class_of,
-    classify_osculating_scan,
     codim_adapted,
     codim_osculating,
-    consistency_check,
     dual_type,
     export_events_csv,
     scan_family,
@@ -41,6 +39,7 @@ from exact_reference import integer_coeffs
 increasing_triples = st.lists(
     st.integers(min_value=1, max_value=9), min_size=3, max_size=3, unique=True
 ).map(lambda xs: tuple(sorted(xs)))
+small_fractions = st.fractions(-2, 2, max_denominator=4)
 
 OSCULATING_N2 = [
     (1, 2, 3),
@@ -54,12 +53,6 @@ OSCULATING_N2 = [
     (2, 4, 5),
     (3, 4, 5),
 ]
-
-
-def _antiderivative(p):
-    """The antiderivative in t of a Poly, with zero constant term."""
-    return Poly({(i + 1, j): Fraction(v, p.den * (i + 1))
-                 for i, row in enumerate(p.rows) for j, v in enumerate(row)})
 
 
 # -- the class table ------------------------------------------------------------
@@ -87,17 +80,31 @@ def test_class_of_is_total(a):
     assert c.name != ""
 
 
+#: The developable of the frame dual of type a is swept by the dual flag; for
+#: the five classified types that partner developable has the frozen type below
+#: (the duality pairing is an involution on this set).
+DEVELOPABLE_PAIRING = {
+    (1, 2, 3): (1, 2, 3),
+    (1, 2, 4): (2, 3, 4),
+    (1, 2, 5): (3, 4, 5),
+    (1, 3, 4): (1, 3, 4),
+    (2, 3, 4): (1, 2, 4),
+}
+
+
 @pytest.mark.parametrize("a", OSCULATING_N2)
 def test_consistency_check_agrees_with_duality(a):
-    cls, partner = consistency_check(a)
-    assert cls == class_of(a)
-    assert partner == dual_type(a)
+    # the duality formula against the frozen pairing table: an involution on
+    # the osculating list that sends each classified type to its partner
+    partner = dual_type(a)
+    assert partner in OSCULATING_N2 and dual_type(partner) == a
+    assert DEVELOPABLE_PAIRING.get(a, partner) == partner
 
 
 def test_every_classified_type_pairs_with_a_developable_partner():
-    for a in CLASS_BY_DUAL_TYPE:
-        cls, partner = consistency_check(a)
-        assert cls.name != "Unresolved"
+    assert set(DEVELOPABLE_PAIRING) == set(CLASS_BY_DUAL_TYPE)
+    for a, partner in DEVELOPABLE_PAIRING.items():
+        assert class_of(a).name != "Unresolved"
         assert dual_type(partner) == a
 
 
@@ -197,25 +204,61 @@ def test_scan_event_codims_match_the_type():
 
 
 def test_osculating_scan_of_a_diagonal_family():
-    # diagonal (t, t, t^3 - lambda t): the top entry degenerates
+    # the Frenet family kappa = (1, 0, 3t^2 - lambda) has the chart diagonal
+    # (t, t, t^3 - lambda t): the curve's own type, the frame dual's dual, runs
+    # through the butterfly (1, 2, 5) at the origin and swallowtails (1, 2, 4)
     t, u = Poly.t(), Poly.u()
-    fam = DiagonalFamily((t, t, t * t * t - u * t))
-    res = classify_osculating_scan(
-        fam, np.linspace(-1.0, 1.0, 201), np.linspace(-0.2, 0.2, 41)
-    )
+    fam = _frenet_family(Poly.const(1), Poly.const(3) * t * t - u)
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 201), np.linspace(-0.2, 0.2, 41))
     assert len(res.events) == 1
     ev = res.events[0]
     assert abs(ev.lam) < 1e-9 and abs(ev.t) < 1e-9
-    assert ev.type == (1, 2, 5)
-    assert ev.class_ == CUSPIDAL_BUTTERFLY
-    assert (ev.codim_d, ev.codim_c, ev.schubert) == (2, 2, 2)
+    assert ev.dual == (1, 2, 5)
+    assert ev.type == (3, 4, 5) and str(ev.class_) == "Unresolved(3,4,5)"
+    assert (ev.codim_d, ev.codim_c, ev.schubert) == (4, 2, 6)
     assert ev.confidence == "exact"
-    # persistent swallowtail strata at t = +-sqrt(lambda/3)
-    strata_types = {s.type for s in res.strata}
-    assert strata_types == {(1, 2, 4)}
+    # persistent swallowtail strata at t = +-sqrt(lambda/3), full folded
+    # umbrellas of the frame dual
+    assert {dual_type(s.type) for s in res.strata} == {(1, 2, 4)}
+    assert {s.class_ for s in res.strata} == {FULL_FOLDED_UMBRELLA}
     for s in res.strata:
         for lam, tt in s.params:
             assert abs(tt * tt - lam / 3.0) < 1e-9
+
+
+def _t_order(p, t0, lam0, limit=9):
+    """The t-order of p at (t0, lam0) from the values of its t-derivatives, or limit if it is at least that."""
+    for k in range(limit):
+        if p.eval(t0, lam0) != 0:
+            return k
+        p = p.diff_t()
+    return limit
+
+
+def _vanishing_poly(t0, lam0, k, coeffs):
+    """(t - t0)^k (a + b lambda t) + (lambda - lam0)(c t + d): of t-order at least k on lambda = lam0."""
+    t, u = Poly.t(), Poly.u()
+    a, b, c, d = (Poly.const(x) for x in coeffs)
+    return (t - Poly.const(t0)) ** k * (a + b * u * t) + (u - Poly.const(lam0)) * (c * t + d)
+
+
+vanishing_kappa = st.tuples(st.integers(0, 5), st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+thirds = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+#: 150 examples take about 1.5 s in tier-1
+@settings(max_examples=150, deadline=None)
+@given(t0=thirds, lam0=thirds, delta=st.sampled_from((0, 1, -1)), kappa1=vanishing_kappa, kappa3=vanishing_kappa)
+def test_a_frenet_frame_dual_has_the_dual_of_the_osculating_type(t0, lam0, delta, kappa1, kappa3):
+    # the osculating framing of kappa = (kappa_1, 0, kappa_3) has the diagonal
+    # orders 1, 1 + k and 1 + m, k and m the t-orders of kappa_1 and kappa_3:
+    # the curve has type (1, 2 + k, 3 + k + m), and its frame dual the dual type
+    kappa1, kappa3 = _vanishing_poly(t0, lam0, *kappa1), _vanishing_poly(t0, lam0, *kappa3)
+    k, m = _t_order(kappa1, t0, lam0), _t_order(kappa3, t0, lam0)
+    oracle = _AdaptedTypeOracle(CurvatureFamily(delta, (kappa1, Poly(), kappa3)), 1e-8)
+    a, confidence = oracle.classify(([-t0.numerator, t0.denominator], t0, t0), lam0)
+    assert confidence == "exact"
+    assert a == (dual_type((1, 2 + k, 3 + k + m)) if 3 + k + m <= 8 else None)
 
 
 # -- CSV export -------------------------------------------------------------------------
@@ -228,9 +271,6 @@ def _unfold_family(t0, lam0, c):
     """kappa_3 = c((t - t0)^2 - (lambda - lam0)): a butterfly moved to (t0, lam0)."""
     t, u = Poly.t(), Poly.u()
     return CurvatureFamily.frenet(1, Poly.const(c) * ((t - Poly.const(t0)) ** 2 - (u - Poly.const(lam0))))
-
-
-small_fractions = st.fractions(-2, 2, max_denominator=4)
 
 
 #: 25 examples take about 0.7 s in tier-1
@@ -342,9 +382,8 @@ def test_a_crossing_beside_an_event_outside_the_t_window_is_still_a_crossing():
     # the discriminant root lambda = 0 has its double root t = 1/2 outside
     # the window, and the root 29/100 + lambda leaves it at lambda = 0.01
     t, u = Poly.t(), Poly.u()
-    entries = ((t - Poly.const(Fraction(1, 2))) ** 2 - u, t - Poly.const(Fraction(29, 100)) - u, Poly.const(1))
-    fam = DiagonalFamily(tuple(_antiderivative(p) for p in entries))
-    res = classify_osculating_scan(fam, np.linspace(-0.3, 0.3, 61), np.linspace(-0.02, 0.02, 3))
+    fam = _frenet_family(t - Poly.const(Fraction(29, 100)) - u, (t - Poly.const(Fraction(1, 2))) ** 2 - u)
+    res = scan_family(fam, np.linspace(-0.3, 0.3, 61), np.linspace(-0.02, 0.02, 3))
     assert res.events == []
     assert res.meta["boundary_crossings"] == [(0.0, 0.02)]
 
@@ -402,8 +441,8 @@ def test_an_osculating_event_on_an_irrational_line_needs_no_threshold(name):
     a = u * u - Poly.const(Fraction(1, 50))
     entry = {"triple root": t**3 + a, "moving triple root": (t - u) ** 3 + a * t,
              "degree drop": a * t**3 + t * t - a}[name]
-    fam = DiagonalFamily((_antiderivative(entry), t, t))
-    res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
+    fam = _frenet_family(Poly.const(1), entry)
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
     # (t - lambda)^3 + a t also has two double roots off those lines
     on_a = [ev for ev in res.events if abs(abs(ev.lam) - np.sqrt(0.02)) < 1e-15]
     assert len(on_a) == 2 and len(res.events) == (4 if name == "moving triple root" else 2)
@@ -519,12 +558,13 @@ def test_the_integer_scan_path_returns_the_fraction_path_records(b, c, d, e, r, 
 
 
 def test_osculating_scan_events_of_a_non_square_free_detector():
-    # diagonal entries whose t-derivatives multiply to the split detector
+    # curvatures kappa_1 kappa_3 with the split detector's square-free part and content
     t, u = Poly.t(), Poly.u()
-    entries = ((t * t - u) ** 2, t - Poly.const(Fraction(1, 3)), u + Poly.const(Fraction(1, 2)))
-    fam = DiagonalFamily(tuple(_antiderivative(p) for p in entries))
-    assert fam.detector() == _split_detector()
-    res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
+    fam = _frenet_family((t * t - u) ** 2 * (t - Poly.const(Fraction(1, 3))), u + Poly.const(Fraction(1, 2)))
+    ours, split = _FactoredDetector(fam.detector()), _FactoredDetector(_split_detector())
+    assert ours.sf in (split.sf, [[-x for x in row] for row in split.sf])
+    assert squarefree(ours.content) in (split.content, [-x for x in split.content])
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 101), np.linspace(-0.5, 0.5, 11))
     assert [(ev.t, ev.lam, ev.confidence) for ev in res.events] == [(0.0, 0.0, "exact"),
                                                                      (1 / 3, 1 / 9, "exact")]
     assert res.degenerate_regions == [{"lambda": -0.5, "t_window": (-1.0, 1.0)}]
@@ -535,9 +575,8 @@ def test_a_root_is_not_classified_at_another_rational_root_of_its_line():
     # the second is the first, a root of the same line, which the exact snap
     # must not take
     t, u = Poly.t(), Poly.u()
-    entries = ((t - Poly.const(1)) ** 2, t - Poly.const(Fraction(7, 10)) - u, Poly.const(1))
-    fam = DiagonalFamily(tuple(_antiderivative(p) for p in entries))
-    res = classify_osculating_scan(fam, np.linspace(-2.0, 2.0, 101), np.linspace(-0.1, 0.1, 5))
+    fam = _frenet_family(t - Poly.const(Fraction(7, 10)) - u, (t - Poly.const(1)) ** 2)
+    res = scan_family(fam, np.linspace(-2.0, 2.0, 101), np.linspace(-0.1, 0.1, 5))
     assert [(s.type, round(s.params[2, 1], 9)) for s in res.strata] == [((1, 3, 4), 0.7), ((3, 4, 5), 1.0)]
 
 

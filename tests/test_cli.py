@@ -565,6 +565,30 @@ def test_scan_requires_a_curvature_family(tmp_path, capsys):
     assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_scan_builds_the_detector_once(tmp_path, monkeypatch):
+    # the report's residual at the events reads the scan's own detector
+    calls = []
+    detector = CurvatureFamily.detector
+    monkeypatch.setattr(CurvatureFamily, "detector", lambda self, *a: calls.append(1) or detector(self, *a))
+    assert main(["scan", "--config", _write_config(tmp_path, BUTTERFLY_CONFIG), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command,outputs", [
+    ("scan", {"events": "same.txt", "report": "same.txt"}),
+    ("scan", {"events": "sub/../e.csv", "report": "./e.csv"}),
+    ("envelope", {"mesh": "m.obj", "report": "m.locus.obj"}),
+    ("envelope", {"mesh": "m", "events": "m.locus.obj"}),
+])
+def test_outputs_that_name_one_file_twice_are_a_config_error(tmp_path, capsys, command, outputs):
+    # the later write would replace the earlier one: refused before anything is written
+    config = {**BUTTERFLY_CONFIG, "outputs": outputs} if command == "scan" else {"outputs": outputs}
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert "must be four different files" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- envelope and frame -------------------------------------------------------------------------
 
 

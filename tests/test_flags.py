@@ -1,5 +1,6 @@
 """Flag curve charts, integrality residuals, and monomial lifts."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from framedcurves import (
     c_lift_monomial,
     d_integrality_residual,
     detect_type,
-    diagonal_orders,
     dual_curve_from_clift,
     dual_type,
     enumerate_generic_types,
@@ -22,7 +22,6 @@ from framedcurves import (
     helix_curve,
     lift_chart,
     monomial_curve,
-    type_from_diagonal_orders,
 )
 from framedcurves.examples import (
     BUILTIN_TYPES,
@@ -50,20 +49,20 @@ def _poly_order(p: Poly) -> int:
 
 @pytest.mark.parametrize("a", BUILTIN_TYPES)
 def test_monomial_clift_has_the_right_diagonal_orders(a):
+    # the type is the partial-sum vector of 1 + the t-order of each diagonal
+    # entry's derivative
     lift = c_lift_monomial(a)
-    orders = []
-    for j in range(len(a)):
-        entry = lift[(j + 1, j)]
-        orders.append(_poly_order(entry.diff_t()) + 1)
-    assert type_from_diagonal_orders(orders) == a
+    orders = [_poly_order(lift[(j + 1, j)].diff_t()) + 1 for j in range(len(a))]
+    assert tuple(itertools.accumulate(orders)) == a
 
 
 @pytest.mark.parametrize("mode", ["ordinary", "adapted", "osculating"])
 def test_diagonal_orders_of_monomial_lifts_give_back_the_type(mode):
     for a in enumerate_generic_types(2, 3, mode):
-        orders = diagonal_orders(c_lift_monomial(a))
+        lift = c_lift_monomial(a)
+        orders = tuple(_poly_order(lift[(j + 1, j)]) for j in range(len(a)))
         assert orders == (a[0], a[1] - a[0], a[2] - a[1]), a
-        assert type_from_diagonal_orders(orders) == a
+        assert tuple(itertools.accumulate(orders)) == a
 
 
 @pytest.mark.parametrize("a", [(), (0, 1, 2), (2, 1, 3), (1, 2, 1), (1, 2, 2), (-1, 2, 3)])
@@ -208,14 +207,3 @@ def test_chart_error_names_the_first_degenerate_node():
     with pytest.raises(ChartError) as err:
         _doolittle(np.stack([np.eye(4), late, early]), np.array([0.1, 0.2, 0.3]))
     assert err.value.t == 0.2
-
-
-# -- diagonal orders ------------------------------------------------------------------
-
-
-def test_type_from_diagonal_orders():
-    assert type_from_diagonal_orders((1, 1, 1)) == (1, 2, 3)
-    assert type_from_diagonal_orders((2, 1, 1)) == (2, 3, 4)
-    assert type_from_diagonal_orders((1, 1, 3)) == (1, 2, 5)
-    with pytest.raises(DomainError):
-        type_from_diagonal_orders((0, 1, 1))

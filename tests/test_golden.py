@@ -21,10 +21,8 @@ from framedcurves import classify, jets, ratpoly
 from framedcurves.acceptance import criterion_7
 from framedcurves.classify import (
     CurvatureFamily,
-    DiagonalFamily,
     _FactoredDetector,
     _refine_event,
-    classify_osculating_scan,
     scan_family,
 )
 from framedcurves.cli import main
@@ -225,11 +223,13 @@ def test_scan_exports_are_byte_stable(tmp_path):
 
 
 def test_osculating_scan_is_bit_stable():
+    # the Frenet family of the chart diagonal (t, t, t^3 - lambda t); the
+    # curve's own type is the frame dual's dual
     t, u = Poly.t(), Poly.u()
-    fam = DiagonalFamily((t, t, t * t * t - u * t))
-    res = classify_osculating_scan(fam, np.linspace(-1.0, 1.0, 201), np.linspace(-0.2, 0.2, 41))
+    fam = CurvatureFamily.frenet(1, Poly.const(3) * t * t - u)
+    res = scan_family(fam, np.linspace(-1.0, 1.0, 201), np.linspace(-0.2, 0.2, 41))
     events = np.array([[ev.lam, ev.t] for ev in res.events])
-    assert [(ev.type, ev.confidence) for ev in res.events] == [((1, 2, 5), "exact")]
+    assert [(ev.dual, ev.confidence) for ev in res.events] == [((1, 2, 5), "exact")]
     assert _digest(events) == (
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"
     )

@@ -16,15 +16,9 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "framedcurves"
 
-#: the ROADMAP item the osculating path waits on, cited by its title, which outlives its number
-ATLAS_ITEM = "ROADMAP: The paper's classification as an atlas, or delete the osculating path"
-
 #: public names with no caller outside the tests, and why each stays
 UNREFERENCED = {
     "reorthonormalize": "a probe target of the benchmark tracer (named as a string)",
-    "consistency_check": f"the duality and class-table cross-check ({ATLAS_ITEM})",
-    "classify_osculating_scan": f"scans of diagonal unfoldings for the bifurcation atlas ({ATLAS_ITEM})",
-    "diagonal_orders": f"the chart-diagonal orders behind type_from_diagonal_orders ({ATLAS_ITEM})",
 }
 
 #: public methods of exported classes with no caller outside the tests, and why each stays

@@ -46,3 +46,34 @@ def test_scan_fuzz_script_runs_and_tallies_two_seeds():
     assert lines[4].startswith("exit 0: 2 configs in ") and lines[4].endswith(" s")
     assert abs(float(lines[4].split()[5]) - sum(seconds)) <= 0.011
     assert sum(line.startswith("slow: seed ") for line in lines) == 2
+
+
+def test_scan_fuzz_script_pairs_two_seeds_against_the_same_tree():
+    run = _run("fuzz_scan.py", "28", "31", "--timeout", "120", "--against", str(ROOT / "src"))
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["seed 28", "seed 31"]
+    for line in lines[:2]:
+        fields = line.split()
+        assert fields[2:5] == ["exit", "0", "|"] and fields[5] == "0" and fields[-1] == "same"
+        assert fields[-4] == fields[-2] != "-"
+    assert lines[2].startswith("exit 0 on both: 2 configs in ")
+    assert lines[3:] == ["timeouts: [] | []", "different: []"]
+
+
+def test_scan_fuzz_script_exits_1_when_a_finished_pair_differs(tmp_path):
+    # a stand-in tree whose scan writes other bytes and exits 0
+    package = tmp_path / "framedcurves"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import pathlib, sys\n"
+        "out = pathlib.Path(sys.argv[sys.argv.index('--out') + 1])\n"
+        "out.mkdir(parents=True)\n"
+        "(out / 'events.csv').write_text('lambda')\n"
+        "(out / 'report.json').write_text('{}')\n")
+    run = _run("fuzz_scan.py", "28", "--timeout", "120", "--against", str(tmp_path))
+    assert run.returncode == 1, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("seed 28: exit 0 | 0 ") and lines[0].endswith(" DIFFERENT")
+    assert lines[-1] == "different: [28]"
