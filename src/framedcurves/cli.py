@@ -21,6 +21,7 @@ from .acceptance import run_all
 from .classify import _AdaptedTypeOracle, export_events_csv, scan_family
 from .config import DEFAULTS, RunConfig, singular_locus_path
 from .envelope import (
+    _EXPORT_CHUNK,
     NormalFormFamily,
     discriminant_mesh,
     envelope_mesh,
@@ -111,16 +112,24 @@ def _cmd_type(args):
     return 0
 
 
+def _write_frame_table(path, t, matrices, defects):
+    """``frames.txt``: a header, then per node t, the 16 entries of E column by
+    column and the Gram defect, formatted and written ``_EXPORT_CHUNK`` rows at a time."""
+    with atomic_open(path) as handle:
+        handle.write(b"# t  e0..e3 column-major (16 entries)  gram_defect\n")
+        for lo in range(0, len(t), _EXPORT_CHUNK):
+            hi = lo + _EXPORT_CHUNK
+            entries = np.swapaxes(matrices[lo:hi], 1, 2).reshape(-1, 16)  # column-major
+            text = format_floats(np.column_stack([t[lo:hi], entries, defects[lo:hi]]))
+            handle.write(rows_text([*spaced(text.T), "\n"]))
+
+
 def _cmd_frame(args):
     cfg = _load_config(args)
     field = cfg.build_field(lam=args.lam)
     defects = field.gram_defects()
     path = _out_file(args, "frames.txt")
-    entries = np.swapaxes(field.matrices, 1, 2).reshape(len(field.s), -1)  # column-major
-    text = format_floats(np.column_stack([field.s, entries, defects]))
-    with atomic_open(path) as handle:
-        handle.write(b"# t  e0..e3 column-major (16 entries)  gram_defect\n")
-        handle.write(rows_text([*spaced(text.T), "\n"]))
+    _write_frame_table(path, field.s, field.matrices, defects)
     print(f"frame table: {path}")
     print(f"nodes: {len(field.s)}  max Gram defect: {float(np.max(defects)):.3e}")
     return 0

@@ -28,13 +28,13 @@ from math import factorial
 import numpy as np
 
 from .errors import DegeneracyError, DimensionMismatch, DomainError
-from .fileio import atomic_open, format_floats, format_ints, rows_text, spaced
+from .fileio import FLOAT_FIELD, atomic_open, format_floats, format_ints, rows_text, spaced
 from .frames import FrameField
 from .ratpoly import Poly
 from .spaceform import SpaceForm
 
 _CHAIN_GAP = 0.5  # a locus polyline breaks where s jumps by more than this
-_EXPORT_CHUNK = 4096  # rows formatted and written per batch by the OBJ exporters
+_EXPORT_CHUNK = 4096  # most rows formatted and written per block by the exporters
 
 
 # -- hyperplane families --------------------------------------------------------
@@ -407,55 +407,69 @@ def _chain(index, t, s, points, ambient):
 # -- exporters -------------------------------------------------------------------------
 
 
-def _column_texts(columns):
-    """The text of each column of a chunk, given as the rows of an int64 array
+def _column_texts(columns, strip):
+    """The text of each column of a block, given as the rows of an int64 array
     of float64 bit patterns: a string for a column of one value, else an
-    ``S`` array cut to the column's longest text.
+    ``S`` array whose fields are as wide as the column's longest text.
 
-    A column equal to an earlier one shares its text.  Each other column is
-    sorted by bit pattern, so that -0.0, NaN and inf keep their own ``repr``:
-    a column of distinct values is formatted as it is, in row order, and any
-    other column of more than one value formats each of its values once.
-    One ``format_floats`` call formats them all.
+    Columns are compared by bit pattern, so -0.0 never shares the text of
+    0.0.  A column equal to an earlier one shares its text.  Each
+    other column formats one value per run if its value changes on fewer
+    than half its rows, else its first strip if it repeats with period
+    ``strip``, else each of its values.  One ``format_floats`` call formats
+    them all, and each field is a view of that text cut to its column's width.
     """
     keys = [column.tobytes() for column in columns]
     first = [keys.index(key) for key in keys]
     own = sorted(set(first))
-    segments = []  # per own column: the values it formats, and their gather to rows
+    n = columns.shape[1]
+    segments = []  # per own column: the values it formats, and the run lengths if any
     for j in own:
-        ordered = np.sort(columns[j])
-        if ordered[0] == ordered[-1]:
-            segments.append((ordered[:1], None))
-        elif (ordered[1:] != ordered[:-1]).all():
-            segments.append((columns[j], None))
+        column = columns[j]
+        starts = np.flatnonzero(column[1:] != column[:-1]) + 1
+        if 2 * len(starts) < n:
+            starts = np.concatenate([[0], starts])
+            segments.append((column[starts], np.diff(starts, append=n)))
+        elif strip < n and (column[strip:] == column[:-strip]).all():
+            segments.append((column[:strip], None))
         else:
-            segments.append(np.unique(columns[j], return_inverse=True))
+            segments.append((column, None))
     text = format_floats(np.concatenate([values for values, _ in segments]).view(np.float64))
     texts, stop = {}, 0
-    for j, (values, inverse) in zip(own, segments):
+    for j, (values, runs) in zip(own, segments):
         column, stop = text[stop:stop + len(values)], stop + len(values)
         if len(values) == 1:
             texts[j] = column[0].decode()
-        else:
-            column = column.astype(f"S{np.char.str_len(column).max()}")
-            texts[j] = column if inverse is None else column[inverse]
+            continue
+        # the bytewise OR of the fields ends where the longest text does
+        words = column.view(np.uint64).reshape(-1, FLOAT_FIELD // 8).T
+        width = len(np.array([np.bitwise_or.reduce(w) for w in words]).tobytes().rstrip(b"\0"))
+        field = np.ndarray(len(column), f"S{width}", column, strides=(FLOAT_FIELD,))
+        if runs is not None:
+            field = np.repeat(field, runs)
+        texts[j] = field if len(field) == n else np.resize(field, n)
     return [texts[j] for j in first]
 
 
 def _write_vertices(handle, params, ambient, points, singular):
     """``# param``, ``# ambient``, optional mark and ``v`` lines of every row,
-    formatted and written ``_EXPORT_CHUNK`` rows at a time.
+    formatted and written a block at a time: as many whole strips (the first
+    run of rows with the first t's bit pattern) as fit in ``_EXPORT_CHUNK``
+    rows, or ``_EXPORT_CHUNK`` rows of a longer strip.
 
-    ``_column_texts`` gives each column of a chunk its text: a column of one
+    ``_column_texts`` gives each column of a block its text: a column of one
     value is a constant string of the row template, and every other field is
     as wide as its column's longest text.
     """
     params, ambient, points = (np.asarray(x, dtype=float) for x in (params, ambient, points))
     dim = ambient.shape[1]
-    for lo in range(0, len(params), _EXPORT_CHUNK):
-        hi = lo + _EXPORT_CHUNK
+    t = params[:_EXPORT_CHUNK + 1, 0].view(np.int64)
+    strip = 1 + int(np.flatnonzero(np.append(t[1:] != t[:-1], True))[0])
+    rows = _EXPORT_CHUNK // strip * strip or _EXPORT_CHUNK
+    for lo in range(0, len(params), rows):
+        hi = lo + rows
         block = np.concatenate([params[lo:hi].T, ambient[lo:hi].T, points[lo:hi].T])
-        cols = _column_texts(block.view(np.int64))
+        cols = _column_texts(block.view(np.int64), strip)
         marked = singular[lo:hi]
         mark = np.where(marked, b"# mark singular-locus\n", b"") if marked.any() else ""
         handle.write(rows_text(["# param ", *spaced(cols[:2]), "\n# ambient ",

@@ -480,8 +480,61 @@ _SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 1.0, 0.
 _FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
 
 
+#: strip lengths of the grid draws: 7 and 101 do not divide the chunk, the last
+#: is longer than one chunk
+_STRIPS = [1, 2, 7, 101, envelope._EXPORT_CHUNK + 5]
+
+
+@st.composite
+def _grid_meshes(draw):
+    """Meshes laid out as the exporters' grids are: t repeated over a strip of
+    ns rows and s tiled, each other column a function of t, of s, of s but in
+    one row, of neither, or one value; ±0.0 side by side and runs of NaN
+    payloads come among the values."""
+    ns = draw(st.sampled_from(_STRIPS))
+    # one strip, or two strips past the last whole block; the last strip is cut short
+    nt = draw(st.sampled_from([1, envelope._EXPORT_CHUNK // ns + 2]))
+    rows = nt * ns - draw(st.integers(0, ns - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(k):
+        x = rng.normal(size=k) * 10.0 ** rng.integers(-20, 21, size=k)
+        special = rng.random(k) < draw(st.sampled_from([0.0, 0.2]))
+        x[special] = rng.choice(np.array(_SPECIAL), np.count_nonzero(special))
+        if k >= 4:
+            x[-4:] = [0.0, -0.0, _NAN_PAYLOADS[0], _NAN_PAYLOADS[1]]
+        return x
+
+    def column(kind):
+        if kind == "t":
+            return np.repeat(values(nt), ns)
+        if kind == "neither":
+            return values(nt * ns)
+        if kind == "one":
+            return np.full(nt * ns, values(1)[0])
+        x = np.tile(values(ns), nt)
+        if kind == "s but one row":  # off the period only in its first or last row
+            x[draw(st.sampled_from([0, -1]))] = values(1)[0]
+        return x
+
+    t = values(nt)
+    if nt >= 2 and draw(st.booleans()):
+        t[1] = t[0]  # the first run of t is two strips long
+    kinds = st.sampled_from(["t", "s", "s but one row", "neither", "one"])
+    params = np.column_stack([np.repeat(t, ns), np.tile(values(ns), nt)])
+    ambient = np.column_stack([column(draw(kinds)) for _ in range(4)])
+    vertices = (ambient[:, 1:] if draw(st.booleans())
+                else np.column_stack([column(draw(kinds)) for _ in range(3)]))
+    singular = rng.random(rows) < draw(st.sampled_from([0.0, 0.1]))
+    faces = rng.integers(0, rows, size=(draw(st.integers(0, 6)), 4))
+    return EnvelopeMesh(vertices=vertices[:rows], ambient=ambient[:rows], params=params[:rows],
+                        faces=faces, residuals=np.zeros((rows, 2)), singular=singular)
+
+
 @st.composite
 def _meshes(draw):
+    if draw(st.booleans()):
+        return draw(_grid_meshes())
     m = draw(st.integers(0, 10))
     pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
     cell = st.one_of(_FLOATS, st.sampled_from(pool))  # pool draws repeat values
@@ -517,8 +570,9 @@ def _meshes(draw):
                         residuals=np.zeros((len(params), 2)), singular=singular)
 
 
-# 60 meshes, some of them longer than one chunk; the example is one row, so
-# every column is constant and no field of the row template is an array
+# 60 meshes, about half of them grids of strips and some longer than one chunk;
+# the example is one row, so every column is constant and no field of the row
+# template is an array
 @settings(max_examples=60, deadline=None)
 @example(mesh=EnvelopeMesh(vertices=np.array([[-0.0, 0.1, _NAN_PAYLOADS[0]]]),
                            ambient=np.array([[1.0, 0.0, 5e-324, np.inf]]), params=np.array([[2.5, -np.inf]]),
