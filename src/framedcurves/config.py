@@ -42,7 +42,8 @@ DEFAULTS = {
 _GEOMETRIES = ("euclidean", "spherical", "hyperbolic")
 #: largest node count on any one grid axis
 MAX_GRID_COUNT = 100_000
-#: largest t count x s count of a mesh: 2e6 vertices hold about 200 MB of mesh arrays
+#: largest t count x s count of a mesh: 2e6 vertices hold about 162 MB of mesh arrays
+#: (81 B each), and an envelope run of that size peaks at about 200 MB RSS
 MAX_MESH_VERTICES = 2_000_000
 #: largest t- or lambda-degree of a kappa term key
 MAX_KAPPA_DEGREE = 1_000

@@ -80,7 +80,7 @@ class EnvelopeMesh:
     vertices: np.ndarray  # (M, 3) projected coordinates; euclidean: the view ambient[:, 1:]
     ambient: np.ndarray  # (M, dim)
     params: np.ndarray  # (M, 2) rows (t, s)
-    faces: np.ndarray  # (F, 4) 0-based quad vertex indices
+    faces: np.ndarray  # (F, 4) int32 0-based quad vertex indices
     residuals: np.ndarray  # (M, 2) rows (F, F_t)
     singular: np.ndarray  # (M,) bool, |F_tt| <= tol
     meta: dict = dataclass_field(default_factory=dict)
@@ -112,43 +112,54 @@ def project_point(x, sf: SpaceForm):
 
 
 def _grid_quads(keep, ns):
-    """0-based quads joining consecutive kept rows of a (nodes, ns) vertex grid.
+    """0-based int32 quads joining consecutive kept rows of a (nodes, ns) vertex
+    grid; a mesh holds at most ``config.MAX_MESH_VERTICES`` vertices.
 
     Kept rows are stored back to back, so a dropped row leaves a gap that no
     quad spans.
     """
     keep = np.asarray(keep, dtype=bool)
-    row = np.cumsum(keep) - 1
+    row = np.cumsum(keep, dtype=np.int32) - 1
     lower = row[np.flatnonzero(keep[:-1] & keep[1:])]
-    quads = np.empty((len(lower), ns - 1, 4), dtype=row.dtype)  # corners a, a+1, a+ns+1, a+ns
-    np.add(lower[:, None] * ns, np.arange(ns - 1), out=quads[..., 0])
+    quads = np.empty((len(lower), ns - 1, 4), dtype=np.int32)  # corners a, a+1, a+ns+1, a+ns
+    np.add(lower[:, None] * ns, np.arange(ns - 1, dtype=np.int32), out=quads[..., 0])
     for corner, step in ((1, 1), (2, ns + 1), (3, ns)):
         np.add(quads[..., 0], step, out=quads[..., corner])
     return quads.reshape(-1, 4)
 
 
-def _assemble(sf, t, s_grid, keep, ambient, f, ft, ftt, tol, meta):
-    """The mesh of the strips at nodes t[keep].
+def _assemble(sf, t, s_grid, keep, strips, tol, meta):
+    """The mesh of the strips at nodes t[keep], filled a block of strips at a time.
 
-    ``ambient`` is (K, ns, dim) and f, ft, ftt are (K, ns), one row per kept
-    node.  A node whose vertices or residuals leave the float range raises
-    DomainError, naming the first such t.
+    ``strips(lo, hi)`` gives the kept strips lo..hi-1: their ambient points,
+    (k, ns, 4), and F, F_t, F_tt, (k, ns); it runs with overflow ignored.  A
+    block holds about ``_EXPORT_CHUNK`` vertices, so nothing mesh-sized exists
+    but the mesh.  A node whose vertices or residuals leave the float range
+    raises DomainError, naming the first such t.
     """
     ns = len(s_grid)
     t = t[keep]
-    finite = (np.isfinite(ambient).all(axis=-1) & np.isfinite(f) & np.isfinite(ft) & np.isfinite(ftt)).all(axis=1)
-    if not finite.all():
-        raise DomainError(f"the mesh at t = {float(t[~finite][0])!r} is beyond the float range")
-    ambient = ambient.reshape(-1, ambient.shape[-1])
-    return EnvelopeMesh(
-        vertices=project_point(ambient, sf),
-        ambient=ambient,
-        params=np.column_stack([np.repeat(t, ns), np.tile(s_grid, len(t))]),
-        faces=_grid_quads(keep, ns),
-        residuals=np.column_stack([f.ravel(), ft.ravel()]),
-        singular=(np.abs(ftt) <= tol).ravel(),
-        meta=meta,
-    )
+    count = len(t) * ns
+    ambient, residuals, params = np.empty((count, 4)), np.empty((count, 2)), np.empty((count, 2))
+    singular = np.empty(count, dtype=bool)
+    grid = params.reshape(-1, ns, 2)
+    grid[..., 0], grid[..., 1] = t[:, None], s_grid
+    vertices = project_point(ambient, sf) if sf.kind == "euclidean" else np.empty((count, 3))
+    step = max(_EXPORT_CHUNK // ns, 1)
+    for lo in range(0, len(t), step):
+        with np.errstate(over="ignore", invalid="ignore"):
+            amb, f, ft, ftt = strips(lo, lo + step)
+        finite = np.isfinite(amb).all(axis=(1, 2)) & (np.isfinite(f) & np.isfinite(ft) & np.isfinite(ftt)).all(axis=1)
+        if not finite.all():
+            raise DomainError(f"the mesh at t = {float(t[lo + np.argmin(finite)])!r} is beyond the float range")
+        rows = slice(lo * ns, lo * ns + f.size)
+        ambient[rows] = amb.reshape(-1, 4)
+        residuals[rows, 0], residuals[rows, 1] = f.ravel(), ft.ravel()
+        singular[rows] = (np.abs(ftt) <= tol).ravel()
+        if sf.kind != "euclidean":
+            vertices[rows] = project_point(amb, sf).reshape(-1, 3)
+    return EnvelopeMesh(vertices=vertices, ambient=ambient, params=params, faces=_grid_quads(keep, ns),
+                        residuals=residuals, singular=singular, meta=meta)
 
 
 def _dot(a, b):
@@ -235,14 +246,19 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid, tol=1e-9) -> EnvelopeMesh:
         raise DegeneracyError(0, "hyperplane family is degenerate at every node")
     gamma = fam.frames[keep, :, 0]
     g = np.diag([0.0, 1.0, 1.0, 1.0]) if sf.kind == "euclidean" else sf.form
+    nu, nu1 = (n[keep] @ g for n in (fam.normal, fam.normal1))
     with np.errstate(over="ignore", invalid="ignore"):
         c, s = _geodesic(sf, s_grid)
-        amb = c[None, :, None] * gamma[:, None, :] + s[None, :, None] * direction[:, None, :]
-        f, ft = (_matvec(amb - gamma[:, None, :], n[keep] @ g) for n in (fam.normal, fam.normal1))
-        ftt = c[None, :] * a[:, None] + s[None, :] * b[:, None]
+
+    def strips(lo, hi):
+        base = gamma[lo:hi, None, :]
+        amb = c[None, :, None] * base + s[None, :, None] * direction[lo:hi, None, :]
+        offset, ftt = amb - base, c[None, :] * a[lo:hi, None] + s[None, :] * b[lo:hi, None]
+        return amb, _matvec(offset, nu[lo:hi]), _matvec(offset, nu1[lo:hi]), ftt
+
     t = np.asarray(fam.t, dtype=float)
     meta = {"degenerate_nodes": t[~keep].tolist(), "s_grid": s_grid.tolist()}
-    return _assemble(sf, t, s_grid, keep, amb, f, ft, ftt, tol, meta)
+    return _assemble(sf, t, s_grid, keep, strips, tol, meta)
 
 
 # -- normal forms and discriminants ------------------------------------------------
@@ -318,14 +334,16 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
     """
     t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
-    t, s = t_grid[:, None], s_grid[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
+    s = s_grid[None, :]
+
+    def strips(lo, hi):
+        t = t_grid[lo:hi, None]
         x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
         ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
-        f, ft, ftt = nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
+        return ambient, nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
+
     keep = np.ones(len(t_grid), dtype=bool)
-    return _assemble(SpaceForm("euclidean"), t_grid, s_grid, keep, ambient, f, ft, ftt, tol,
-                     {"normal_form": nf.a})
+    return _assemble(SpaceForm("euclidean"), t_grid, s_grid, keep, strips, tol, {"normal_form": nf.a})
 
 
 # -- singular locus -------------------------------------------------------------------
@@ -480,13 +498,11 @@ def _write_vertices(handle, params, ambient, points, singular):
 def _write_records(handle, tag, indices):
     """One ``tag i j ...`` line per row of a non-negative integer array of 0-based
     indices, each written 1-based as OBJ numbers vertices, in chunks; each index
-    in the array's range is formatted once."""
-    if not len(indices):
-        return
-    lo = int(indices.min())
-    names = format_ints(np.arange(lo + 1, int(indices.max()) + 2))
+    in a chunk's range is formatted once."""
     for start in range(0, len(indices), _EXPORT_CHUNK):
-        cols = names[indices[start:start + _EXPORT_CHUNK] - lo]
+        chunk = indices[start:start + _EXPORT_CHUNK]
+        lo = int(chunk.min())
+        cols = format_ints(np.arange(lo + 1, int(chunk.max()) + 2))[chunk - lo]
         handle.write(rows_text([f"{tag} ", *spaced(cols.T), "\n"]))
 
 
@@ -496,7 +512,7 @@ def export_obj(mesh: EnvelopeMesh, path):
     Floats are written with ``repr`` (shortest round-trip form).  The text is
     built and written to disk in chunks of ``_EXPORT_CHUNK`` rows, so memory
     stays bounded: beside the mesh, which is read and never copied, an export
-    holds one chunk's text and scratch, and the text of the vertex numbers.
+    holds one chunk's text and scratch, the vertex numbers of a face chunk included.
     """
     with atomic_open(path) as handle:
         _write_vertices(handle, mesh.params, mesh.ambient, mesh.vertices, mesh.singular)

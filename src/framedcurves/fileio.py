@@ -105,17 +105,22 @@ def _shifted(g_hi, g_lo, s):
     return g_lo << s, (g_hi << s) | (g_lo >> (64 - s)), g_hi >> (64 - s)
 
 
-def _shortest_digits(bits):
-    """Digits d (no trailing zeros) and exponent k with repr(v) = d * 10**k, for
-    the bit patterns of normal float64 values v (Giulietti, figures 4 and 6)."""
+def _rounding_interval(bits):
+    """The decimal exponent k, and v * 10**-k with the ends of v's rounding
+    interval at that scale, as 4 times their value rounded to odd: (k, vb,
+    lower, upper), for the bit patterns of normal float64 values v
+    (Giulietti, figure 6).  The 128-bit words of the products die here, before
+    the digits are chosen; the inputs of h die before the products are formed."""
     frac = bits & ((1 << 52) - 1)
     biased = (bits >> 52) & 0x7FF
+    closer = (frac == 0) & (biased > 1)  # the next double down is half as far
     c = frac | (1 << 52)
     q = biased.astype(np.int64) - 1075  # v = c * 2**q
-    closer = (frac == 0) & (biased > 1)  # the next double down is half as far
+    del frac, biased
     k = (q * 1262611 - closer * 524031) >> 22  # floor(log10(2**q)), or of 3/4 * 2**q
     g_hi, g_lo, log2 = (table[292 - k] for table in _pow10_table())
     h = (q + log2 + 1).astype(np.uint64)
+    del q, log2
     # p = (4c << h) * g in three words; the bounds (4c + 2) and (4c - 2 + closer)
     # differ from 4c by g << (h + 1) and g << (h + 1 - closer)
     x_hi, p0 = _mul(g_lo, c << (h + 2))
@@ -132,9 +137,13 @@ def _shortest_digits(bits):
     l1 -= p0 < d0
     # each rounded to odd: the top word, its lowest bit set if the rest is not 0
     odd = c & 1  # an even c keeps the rounding interval's ends
-    vb = p2 | (p1 > 1)
-    lower = (l2 | (l1 > 1)) + odd
-    upper = (u2 | (u1 > 1)) - odd
+    return k, p2 | (p1 > 1), (l2 | (l1 > 1)) + odd, (u2 | (u1 > 1)) - odd
+
+
+def _shortest_digits(bits):
+    """Digits d (no trailing zeros) and exponent k with repr(v) = d * 10**k, for
+    the bit patterns of normal float64 values v (Giulietti, figures 4 and 6)."""
+    k, vb, lower, upper = _rounding_interval(bits)
     s, sp = vb >> 2, vb // 40
     up_in, wp_in = lower <= 40 * sp, 40 * sp + 40 <= upper
     u_in, w_in = lower <= 4 * s, 4 * s + 4 <= upper

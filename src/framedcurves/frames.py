@@ -41,6 +41,7 @@ from .ratpoly import Poly, poly_det
 from .spaceform import SpaceForm, group_exp
 
 _GS_TOL = 1e-12
+_GRAM_BLOCK = 4096  # frames per block of FrameField.gram_defects
 
 
 # -- frames -------------------------------------------------------------------
@@ -204,7 +205,12 @@ class FrameField:
         return len(self.s)
 
     def gram_defects(self):
-        return gram_defect(self.matrices, self.sf)
+        """``gram_defect`` of every frame, formed ``_GRAM_BLOCK`` frames at a
+        time, so no (N, 4, 4) product of the whole field exists."""
+        out = np.empty(len(self.matrices))
+        for lo in range(0, len(out), _GRAM_BLOCK):
+            out[lo:lo + _GRAM_BLOCK] = gram_defect(self.matrices[lo:lo + _GRAM_BLOCK], self.sf)
+        return out
 
 
 # -- re-orthonormalization -----------------------------------------------------

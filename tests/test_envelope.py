@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from framedcurves.ratpoly import Poly
 from framedcurves import (
     CurvatureFamily,
     DimensionMismatch,
+    DomainError,
     EnvelopeMesh,
     NormalFormFamily,
     Polyline,
@@ -403,6 +405,116 @@ def test_swallowtail_locus_as_cusped_curve():
             assert abs(nf.f_tt(t, x)) < 1e-10
 
 
+# -- block assembly -------------------------------------------------------------------
+
+
+def _whole_mesh(sf, t, s_grid, keep, ambient, f, ft, ftt, tol):
+    """A mesh's arrays from whole-mesh arrays: the (K, ns, 4) points and (K, ns)
+    F, F_t, F_tt of the kept nodes, assembled in one step each."""
+    ns, t = len(s_grid), t[keep]
+    ambient = ambient.reshape(-1, 4)
+    row = np.cumsum(keep) - 1
+    corner = (row[np.flatnonzero(keep[:-1] & keep[1:])][:, None] * ns + np.arange(ns - 1)).ravel()
+    return {"vertices": envelope.project_point(ambient, sf), "ambient": ambient,
+            "params": np.column_stack([np.repeat(t, ns), np.tile(s_grid, len(t))]),
+            "faces": np.column_stack([corner, corner + 1, corner + ns + 1, corner + ns]),
+            "residuals": np.column_stack([f.ravel(), ft.ravel()]),
+            "singular": (np.abs(ftt) <= tol).ravel()}
+
+
+def _whole_envelope(fam, s_grid, tol):
+    """``envelope_mesh``'s arrays by whole-mesh formulas, strips on the same
+    characteristic lines."""
+    sf = fam.sf
+    keep, direction, a, b = envelope._characteristic_lines(fam, tol)
+    gamma = fam.frames[keep, :, 0]
+    g = np.diag([0.0, 1.0, 1.0, 1.0]) if sf.kind == "euclidean" else sf.form
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = (np.ones_like(s_grid), s_grid) if sf.kind == "euclidean" else _geodesic(sf.kind, s_grid)
+        amb = c[None, :, None] * gamma[:, None, :] + s[None, :, None] * direction[:, None, :]
+        f, ft = (((amb - gamma[:, None, :]) @ (n[keep] @ g)[:, :, None])[..., 0]
+                 for n in (fam.normal, fam.normal1))
+        ftt = c[None, :] * a[:, None] + s[None, :] * b[:, None]
+    return _whole_mesh(sf, fam.t, s_grid, keep, amb, f, ft, ftt, tol)
+
+
+def _whole_discriminant(nf, t_grid, s_grid, tol):
+    """``discriminant_mesh``'s arrays by whole-mesh formulas."""
+    t, s = t_grid[:, None], s_grid[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
+        ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
+        f, ft, ftt = nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
+    return _whole_mesh(SpaceForm("euclidean"), t_grid, s_grid, np.ones(len(t_grid), dtype=bool),
+                       ambient, f, ft, ftt, tol)
+
+
+def _assert_same_mesh(mesh, expect):
+    assert mesh.faces.dtype == np.int32
+    assert np.array_equal(mesh.faces, expect["faces"])
+    for name in ("vertices", "ambient", "params", "residuals", "singular"):
+        got = getattr(mesh, name)
+        assert got.shape == expect[name].shape and got.tobytes() == expect[name].tobytes(), name
+
+
+def _random_family(kind, keep, seed):
+    """A hyperplane family of random frames and structure matrices whose row 3
+    of K vanishes off ``keep``, so exactly the nodes off ``keep`` are degenerate."""
+    rng = np.random.default_rng(seed)
+    n = len(keep)
+    frames, k, dk = (rng.normal(size=(n, 4, 4)) for _ in range(3))
+    k[~keep, 3, 1:3] = 0.0
+    nodes = np.cumsum(rng.random(n) + 0.01)
+    return hyperplane_family(FrameField(SpaceForm(kind), nodes, frames, k, dk))
+
+
+@st.composite
+def _block_grids(draw):
+    """(ns, keep): a strip length and a keep mask whose kept count is not a
+    multiple of a block's strips (but for ns above one block, one strip a
+    block), with dropped nodes at block edges and the ends."""
+    ns = draw(st.sampled_from([2, 7, 101, envelope._EXPORT_CHUNK + 3]))
+    step = max(envelope._EXPORT_CHUNK // ns, 1)
+    kept = step * draw(st.integers(0, 2)) + draw(st.integers(1, max(step - 1, 1)))
+    edges = sorted({0, kept} | {m + d for m in range(step, kept, step) for d in (-1, 0, 1)})
+    gaps = draw(st.lists(st.sampled_from(edges), max_size=4))  # a dropped node before kept row j
+    keep = []
+    for j in range(kept + 1):
+        keep += [False] * gaps.count(j) + [True] * (j < kept)
+    return ns, np.array(keep)
+
+
+# 100 grids of up to three blocks, about 1 s
+@settings(max_examples=100, deadline=None)
+@given(grid=_block_grids(), kind=st.sampled_from(["euclidean", "spherical", "hyperbolic"]),
+       a=st.sampled_from(BUILTIN_TYPES), seed=st.integers(0, 2**32 - 1))
+def test_block_assembly_matches_the_whole_mesh_formulas(grid, kind, a, seed):
+    # _assemble fills the mesh _EXPORT_CHUNK // ns kept strips at a time; every
+    # array must equal the whole-mesh formulas bit for bit, the last partial
+    # block and the gaps of degenerate nodes at block edges included
+    ns, keep = grid
+    fam = _random_family(kind, keep, seed)
+    s_grid = np.linspace(-2.0, 2.0, ns)
+    mesh = envelope_mesh(fam, s_grid, tol=1e-9)
+    assert mesh.meta["degenerate_nodes"] == fam.t[~keep].tolist()
+    _assert_same_mesh(mesh, _whole_envelope(fam, s_grid, 1e-9))
+    nf = NormalFormFamily(a)
+    t_grid, s_grid = np.linspace(-1.5, 1.5, int(keep.sum())), np.linspace(-1.0, 2.0, ns)
+    _assert_same_mesh(discriminant_mesh(nf, t_grid, s_grid), _whole_discriminant(nf, t_grid, s_grid, 1e-9))
+
+
+@pytest.mark.parametrize("huge", [[90], [45, 90]])
+def test_a_node_past_the_float_range_in_a_later_block_is_named(huge):
+    # 40 strips of 101 vertices a block: the hyperbolic strips of a node whose
+    # curve point has entries of 1e300 overflow at |s| = 25, cosh 25 = 3.6e10;
+    # the error names the first such t, in the second or the last partial block
+    keep = np.ones(100, dtype=bool)
+    fam = _random_family("hyperbolic", keep, 5)
+    fam.frames[huge, :, 0] = 1e300
+    with pytest.raises(DomainError, match=re.escape(f"at t = {float(fam.t[huge[0]])!r} is beyond")):
+        envelope_mesh(fam, np.linspace(-25.0, 25.0, 101))
+
+
 # -- exports --------------------------------------------------------------------------
 
 
@@ -652,22 +764,50 @@ def test_normal_form_exports_at_the_exponent_extremes_match_the_reference(tmp_pa
     assert (tmp_path / f"{name}.locus.obj").read_bytes() == _reference_polylines(locus).encode()
 
 
-def test_export_obj_holds_one_chunk_of_scratch(tmp_path):
-    # the helix's 1000 x 101 mesh of the mesh-export benchmark.  The export
-    # copies no mesh array: its traced peak above its start is one chunk's text
-    # and formatting scratch plus the vertex numbers' text, about 5.0 MB.  The
-    # bound fails for an export that also builds faces + 1 (3.2 MB) and an
-    # (n, 24) intp gather index per chunk: 8.5 MB.
-    field = helix_frenet_field(np.linspace(-2.0, 2.0, 1000))
-    mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 101))
+def _traced_peak(call):
+    """The value of call() and the traced peak above the start, in bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        export_obj(mesh, tmp_path / "helix.obj")
-        peak = tracemalloc.get_traced_memory()[1] - start
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 6.5 * 2**20
+
+
+def _held(mesh):
+    """Bytes of the arrays a mesh holds, a view counted once with its base."""
+    arrays = {id(a if a.base is None else a.base): a if a.base is None else a.base
+              for a in (mesh.vertices, mesh.ambient, mesh.params, mesh.faces, mesh.residuals, mesh.singular)}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def test_meshes_hold_no_whole_mesh_temporaries():
+    # _assemble fills the mesh a block of strips at a time, so beside the mesh
+    # it returns an envelope holds per-node arrays and one block's scratch:
+    # 0.5 and 1.0 MB traced at 1000 and 4000 x 101 (0.3 and 0.4 MB for a
+    # discriminant).  Whole-mesh products held 3.2 and 12.8 MB (4.7 and 18.6 MB).
+    s_grid, nf = np.linspace(-1.5, 1.5, 101), NormalFormFamily((1, 2, 5))
+    for nodes in (1000, 4000):
+        fam = hyperplane_family(helix_frenet_field(np.linspace(-2.0, 2.0, nodes)))
+        for call in (lambda: envelope_mesh(fam, s_grid),
+                     lambda: discriminant_mesh(nf, np.linspace(-1.0, 1.0, nodes), s_grid)):
+            mesh, peak = _traced_peak(call)
+            assert peak - _held(mesh) < 1.5 * 2**20, nodes
+
+
+def test_export_obj_holds_one_chunk_of_scratch(tmp_path):
+    # the helix's 1000 x 101 mesh of the mesh-export benchmark and one four
+    # times as long.  The export copies no mesh array and formats the vertex
+    # numbers of one face chunk at a time: its traced peak above its start is
+    # one chunk's text and formatting scratch, about 3.7 and 3.5 MB.  With the
+    # whole mesh's numbers formatted at once it read 4.7 and 12.0 MB; faces + 1
+    # and an (n, 24) intp gather index per chunk took 8.5 MB at 1000 x 101.
+    for nodes in (1000, 4000):
+        field = helix_frenet_field(np.linspace(-2.0, 2.0, nodes))
+        mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 101))
+        _, peak = _traced_peak(lambda: export_obj(mesh, tmp_path / "helix.obj"))
+        assert peak < 4.5 * 2**20, nodes
 
 
 def test_failed_export_keeps_the_old_file(tmp_path, monkeypatch):
