@@ -7,7 +7,9 @@ changes a hash.  The curvature cases put the degenerate node t = 0 of
 kappa = (1, 0, t^2) on the grid (39 of 40 strips survive) and reach the
 frame-relative characteristic lines in all three geometries.  Their
 hashes also pin the frame integrator's last bits, so each of them is checked
-against an independent DOP853 solution as well.
+against an independent DOP853 solution as well.  The dense cases, whose
+three curvatures are all nonzero, pin every entry of the rows of K and
+K K - K' that the envelope reads.
 """
 
 import hashlib
@@ -50,6 +52,19 @@ def _curvature(geometry, delta):
     }
 
 
+#: kappa = (1 + t, 1/2 - t^2, t^3): kappa_1, kappa_2 and kappa_3 all nonzero
+#: on the window, so every entry of rows 3 of K and K K - K' is pinned
+DENSE_KAPPA = [["1", "1"], ["1/2", "0", "-1"], ["0", "0", "0", "1"]]
+
+
+def _dense(geometry):
+    return {
+        "geometry": geometry,
+        "curve": {"kind": "curvature", "kappa": DENSE_KAPPA},
+        "grids": {"t": [-1.3, 2.1, 40], "s": [-1.0, 1.0, 9]},
+    }
+
+
 ENVELOPE_CASES = {
     "helix-frenet": (
         {"curve": {"kind": "builtin", "name": "helix-frenet"}},
@@ -70,6 +85,22 @@ ENVELOPE_CASES = {
         _curvature("hyperbolic", -1),
         "231ad11ea1988b30504790cf76413d668353d6aded060043b16ca1808b4dd7c5",
         "75e4486b997128e072b1eded305d44ca5a89f9f275c43bfda6b0f0183b08a66a",
+    ),
+    # 360 vertices each; 2, 1 and 2 locus polylines
+    "euclidean-dense": (
+        _dense("euclidean"),
+        "7a0da5a15aa450b254426ce387cc1472133040c46d0b523e450a15c4e7948c58",
+        "c0bc42c36c2291ed1a982e00b5459b5ed80a9191ac53f75ac8d105315da9db5b",
+    ),
+    "spherical-dense": (
+        _dense("spherical"),
+        "fcdee3835953ac1a1a1fd0d63c725778b891039567c99897156eaf49e4f4d471",
+        "c8b68a716e196ae676b9193391d0834b83988cbdecbee833495555029275260d",
+    ),
+    "hyperbolic-dense": (
+        _dense("hyperbolic"),
+        "27582e7b9bf44adb5b69215f95f1b9b19854d4d9befd9b0c622dbd2084345534",
+        "162ff774344a79d97f30b85f15511a1102418b52873eccaa5075d8c68c99d683",
     ),
 }
 
