@@ -126,11 +126,13 @@ def _parse_curve(spec, geometry):
     _check_keys(spec, {"kind", "name", "coefficients", "delta", "kappa"}, "curve")
     kind = spec.get("kind")
     if kind == "builtin":
+        _check_keys(spec, {"kind", "name"}, "curve")
         name = spec.get("name")
         if name not in BUILTINS:
             raise ConfigError(f"curve: unknown builtin {name!r}; choose from {list(BUILTINS)}")
         return {"kind": "builtin", "name": name}
     if kind == "polynomial":
+        _check_keys(spec, {"kind", "coefficients"}, "curve")
         comps = spec.get("coefficients")
         if not isinstance(comps, list) or len(comps) < 3:
             raise ConfigError("curve: polynomial needs >= 3 component coefficient lists")
@@ -141,6 +143,7 @@ def _parse_curve(spec, geometry):
             parsed.append([str(_exact_number(c, f"curve.coefficients[{idx}]")) for c in comp])
         return {"kind": "polynomial", "coefficients": parsed}
     if kind == "curvature":
+        _check_keys(spec, {"kind", "delta", "kappa"}, "curve")
         # the geometry fixes delta; an explicit one must agree with it
         delta = SpaceForm(geometry).delta
         given = spec.get("delta", delta)

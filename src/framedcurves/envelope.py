@@ -45,8 +45,8 @@ class HyperplaneFamily:
     """The family F(t, x) = (E(t)^{-1} x)_3 of a frame field, sampled at its nodes.
 
     ``frames`` holds E, whose e_0 column gamma(t) lies on every characteristic
-    line.  ``k3`` and ``q3`` are row 3 of K = E^{-1} E' and of K K - K', so that
-    F_t = -k3 . xi and F_tt = q3 . xi in frame coordinates xi = E^{-1} x.
+    line.  ``k3`` and ``q3`` are row 3 of K = E^{-1} E' and of K K - K', read off
+    the curvatures, so F_t = -k3 . xi and F_tt = q3 . xi at xi = E^{-1} x.
     ``normal`` and ``normal1`` are the ambient nu = e_3 and nu', which the
     ambient residuals <x - gamma, nu>_G and <x - gamma, nu'>_G use.
     """
@@ -61,13 +61,16 @@ class HyperplaneFamily:
 
 
 def hyperplane_family(field: FrameField) -> HyperplaneFamily:
-    """The tangent-hyperplane family carried by e_{n+1} of a frame field.
-
-    E' = E K and K K - K' come from the K and K' the field carries.
+    """The tangent-hyperplane family carried by e_{n+1} of a frame field, in
+    closed form in kappa and kappa' (delta never enters): nu' = -kappa_2 e_1 -
+    kappa_3 e_2, and rows 3 of K and K K - K' are (0, kappa_2, kappa_3, 0) and
+    (kappa_2, kappa_1 kappa_3 - kappa_2', -kappa_1 kappa_2 - kappa_3', -(kappa_2^2 + kappa_3^2)).
     """
-    mats, k = field.matrices, field.k
+    mats, (k1, k2, k3), (_, d2, d3) = field.matrices, field.kappa.T, field.dkappa.T
     return HyperplaneFamily(field.sf, np.asarray(field.s, dtype=float), mats, mats[:, :, -1],
-                            (mats @ k)[:, :, -1], k[:, -1], (k @ k - field.dk)[:, -1])
+                            -(k2[:, None] * mats[:, :, 1] + k3[:, None] * mats[:, :, 2]),
+                            np.pad(field.kappa[:, 1:], [(0, 0), (1, 1)]),
+                            np.stack([k2, k1 * k3 - d2, -k1 * k2 - d3, -(k2 * k2 + k3 * k3)], axis=-1))
 
 
 # -- meshes ----------------------------------------------------------------------

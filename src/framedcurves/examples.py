@@ -44,10 +44,10 @@ def _frame(t, *columns):
 
 
 def _euclidean_field(frame, kappa, nodes):
-    """A closed-form euclidean frame field with constant curvatures: K constant, K' = 0."""
+    """A closed-form euclidean frame field with constant curvatures: kappa broadcast, kappa' = 0."""
     nodes = np.asarray(nodes, dtype=float)
-    k = np.broadcast_to(structure_matrix(0, kappa), (len(nodes), 4, 4))
-    return FrameField(SpaceForm("euclidean"), nodes, frame(nodes), k, np.broadcast_to(0.0, k.shape))
+    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (len(nodes), 3))
+    return FrameField(SpaceForm("euclidean"), nodes, frame(nodes), kappa, np.broadcast_to(0.0, kappa.shape))
 
 
 # -- circle with radial framing ------------------------------------------------

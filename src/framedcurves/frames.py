@@ -186,19 +186,19 @@ def structure_matrix(delta, kappa_values):
 
 @dataclass
 class FrameField:
-    """Frames E sampled along arc length / parameter nodes, with K and K' there.
+    """Frames E sampled along arc length / parameter nodes, with kappa and kappa' there.
 
-    ``k`` is the structure matrix K = E^{-1} E' at every node and ``dk`` its
-    derivative K', so E' = E K and E'' = E (K K + K') are exact wherever E
-    is.  Integrated fields evaluate both from the curvature polynomials; the
-    built-in fields have constant curvatures, a constant K and K' = 0.
+    ``kappa`` and ``dkappa`` hold the curvatures and their derivatives at each
+    node, (N, 3) each.  K = E^{-1} E' = ``structure_matrix(sf.delta, kappa)``
+    and K' = ``structure_matrix(0, dkappa)`` make E' = E K and E'' = E (K K + K')
+    exact wherever E is; the built-in fields have constant curvatures.
     """
 
     sf: SpaceForm
     s: np.ndarray
     matrices: np.ndarray  # (N, 4, 4)
-    k: np.ndarray  # (N, 4, 4)
-    dk: np.ndarray  # (N, 4, 4)
+    kappa: np.ndarray  # (N, 3)
+    dkappa: np.ndarray  # (N, 3)
     meta: dict = dataclass_field(default_factory=dict)
 
     def __len__(self):
@@ -351,7 +351,7 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureFamily, nodes, to
     IntegrationError, as does a half narrower than 1e-13 max(|nodes|, 1) or
     a frame that overflows.  ``meta`` records the passed intervals
     (``steps``), the cut ones (``rejected``), the ``rounds`` and the
-    ``cap``.  The flow and the field's K and K' at the nodes read kappa
+    ``cap``.  The flow and the field's kappa and kappa' read the curvatures
     through ``Poly.evalf``; a curvature coefficient beyond the float range
     raises DomainError before the flow starts.  The geometry fixes delta
     (euclidean 0, spherical 1, hyperbolic -1); any other pair raises
@@ -370,8 +370,8 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureFamily, nodes, to
     s0, s1 = float(nodes[0]), float(nodes[-1])
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            k = structure_matrix(curv.delta, _kappa_at(curv.kappa, nodes))
-            dk = structure_matrix(0, _kappa_at([p.diff_t() for p in curv.kappa], nodes))
+            kappa = _kappa_at(curv.kappa, nodes)
+            dkappa = _kappa_at([p.diff_t() for p in curv.kappa], nodes)
     except OverflowError as exc:
         raise DomainError(f"a curvature coefficient is beyond the float range ({exc})") from exc
     cap = len(nodes) - 1 + _interval_budget(curv, s0, s1, tol)
@@ -435,8 +435,7 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureFamily, nodes, to
                                                                   f"s={w_starts[done - 1]}")
             w_starts, w_props, w_tags = w_starts[done:], w_props[done:], w_tags[done:]
 
-    dk[..., 1, 0] = 0.0  # K' has no constant entry
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(dk))):
+    if not (np.all(np.isfinite(kappa)) and np.all(np.isfinite(dkappa))):
         raise DomainError("a curvature or its derivative is beyond the float range at a node")
     meta = {"steps": steps, "rejected": rejected, "rounds": rounds, "cap": cap}
-    return FrameField(sf, nodes, out, k, dk, meta=meta)
+    return FrameField(sf, nodes, out, kappa, dkappa, meta=meta)

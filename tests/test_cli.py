@@ -717,7 +717,7 @@ def test_gram_defects_hold_one_block_of_scratch(kind):
     # block's scratch, 1.4-1.8 MB, where the whole field's took 15-24.5 MB
     sf = SpaceForm(kind)
     matrices = np.random.default_rng(3).normal(size=(100_000, 4, 4))
-    field = FrameField(sf, np.arange(100_000.0), matrices, matrices, matrices)
+    field = FrameField(sf, np.arange(100_000.0), matrices, np.zeros((100_000, 3)), np.zeros((100_000, 3)))
     tracemalloc.start()
     try:
         defects = field.gram_defects()

@@ -107,3 +107,31 @@ def test_from_dict_accepts_in_bounds_or_raises_config_error(grids, tolerances):
         assert isinstance(count, int) and 2 <= count <= MAX_GRID_COUNT
     for value in cfg.tolerances.values():
         assert 0 < value < 1
+
+
+#: one curve of each kind, and a key that only another kind takes
+_CURVES = {
+    "builtin": {"kind": "builtin", "name": "helix-frenet"},
+    "polynomial": {"kind": "polynomial", "coefficients": [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]},
+    "curvature": {"kind": "curvature", "delta": 0, "kappa": [["1"], ["0"], ["1"]]},
+}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("builtin", "kappa", [["1"], ["0"], ["1"]]),
+    ("builtin", "delta", 0),
+    ("builtin", "coefficients", [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]),
+    ("polynomial", "delta", 5),
+    ("polynomial", "name", "helix-frenet"),
+    ("curvature", "name", "helix-frenet"),
+    ("curvature", "coefficients", [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]),
+])
+def test_a_curve_takes_only_the_keys_of_its_kind(tmp_path, capsys, kind, key, value):
+    # a key of another kind is unknown here, never silently dropped
+    assert RunConfig.from_dict({"curve": _CURVES[kind]}).curve["kind"] == kind
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {**_CURVES[kind], key: value}}))
+    assert main(["frame", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"unknown key(s) [{key!r}] in curve" in err
+    assert not (tmp_path / "out").exists()

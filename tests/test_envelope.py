@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from framedcurves import envelope
 from framedcurves.cli import main
-from framedcurves.config import DEFAULTS
+from framedcurves.config import DEFAULTS, RunConfig
 from framedcurves.frames import FrameField, gram_defect, structure_matrix
 from framedcurves.ratpoly import Poly
 from framedcurves import (
@@ -223,10 +223,9 @@ def test_scaling_the_curvatures_keeps_the_degenerate_nodes(k2, k3, roots, shift)
     kappa = [common * Poly.from_t_coeffs(k2), common * Poly.from_t_coeffs(k3)]
 
     def degenerate(scale):
-        values = [np.ones(len(nodes))] + [(p * scale).evalf(nodes) for p in kappa]
-        k = structure_matrix(0, np.stack(values, axis=-1))
-        frames = np.broadcast_to(np.eye(4), k.shape).copy()
-        field = FrameField(SpaceForm("euclidean"), nodes, frames, k, np.zeros_like(k))
+        values = np.stack([np.ones(len(nodes))] + [(p * scale).evalf(nodes) for p in kappa], axis=-1)
+        frames = np.broadcast_to(np.eye(4), (len(nodes), 4, 4)).copy()
+        field = FrameField(SpaceForm("euclidean"), nodes, frames, values, np.zeros_like(values))
         keep = envelope._characteristic_lines(hyperplane_family(field), 1e-9)[0]
         return nodes[~keep].tolist()
 
@@ -234,6 +233,33 @@ def test_scaling_the_curvatures_keeps_the_degenerate_nodes(k2, k3, roots, shift)
     assert {r / 8 for r in roots} <= set(flat)
     for scale in (Fraction(1, 10**6), 10**6):
         assert degenerate(scale) == flat
+
+
+# 60 draws of up to 64 nodes, about 0.2 s
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["euclidean", "spherical", "hyperbolic"]), n=st.integers(1, 64),
+       scale=st.integers(-20, 20), seed=st.integers(0, 2**32 - 1))
+def test_family_columns_match_the_structure_matrix_products(kind, n, scale, seed):
+    # hyperplane_family reads nu', row 3 of K and row 3 of K K - K' off kappa
+    # and kappa' in closed form; built here from structure_matrix, with delta
+    # from the geometry and about a fifth of the curvatures zero, row 3 of K
+    # and the first three entries of row 3 of K K - K' have one nonzero
+    # product each and match exactly, while nu' and (K K - K')_33 sum two
+    # products and match within a few ulps of them
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(n, 4, 4))
+    kappa, dkappa = (np.where(rng.random((n, 3)) < 0.8, np.ldexp(rng.normal(size=(n, 3)), scale), 0.0)
+                     for _ in range(2))
+    sf = SpaceForm(kind)
+    fam = hyperplane_family(FrameField(sf, np.arange(float(n)), frames, kappa, dkappa))
+    k = structure_matrix(sf.delta, kappa)
+    q = (k @ k - structure_matrix(0, dkappa))[:, 3]  # row 3 of K' is that of structure_matrix(0, kappa')
+    assert np.array_equal(fam.k3, k[:, 3])
+    assert np.array_equal(fam.q3[:, :3], q[:, :3])
+    ulps = 4 * np.finfo(float).eps
+    terms = np.abs(kappa[:, 1:2] * frames[:, :, 1]) + np.abs(kappa[:, 2:3] * frames[:, :, 2])
+    assert np.all(np.abs(fam.normal1 - (frames @ k)[:, :, 3]) <= ulps * terms)
+    assert np.all(np.abs(fam.q3[:, 3] - q[:, 3]) <= ulps * (kappa[:, 1] ** 2 + kappa[:, 2] ** 2))
 
 
 def test_curvatures_far_below_the_mesh_tolerance_still_mesh(tmp_path):
@@ -458,14 +484,15 @@ def _assert_same_mesh(mesh, expect):
 
 
 def _random_family(kind, keep, seed):
-    """A hyperplane family of random frames and structure matrices whose row 3
-    of K vanishes off ``keep``, so exactly the nodes off ``keep`` are degenerate."""
+    """A hyperplane family of random frames, curvatures and their derivatives
+    whose kappa_2 and kappa_3 vanish off ``keep``, so exactly the nodes off
+    ``keep`` are degenerate."""
     rng = np.random.default_rng(seed)
     n = len(keep)
-    frames, k, dk = (rng.normal(size=(n, 4, 4)) for _ in range(3))
-    k[~keep, 3, 1:3] = 0.0
+    frames, kappa, dkappa = rng.normal(size=(n, 4, 4)), rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    kappa[~keep, 1:] = 0.0
     nodes = np.cumsum(rng.random(n) + 0.01)
-    return hyperplane_family(FrameField(SpaceForm(kind), nodes, frames, k, dk))
+    return hyperplane_family(FrameField(SpaceForm(kind), nodes, frames, kappa, dkappa))
 
 
 @st.composite
@@ -794,6 +821,26 @@ def test_meshes_hold_no_whole_mesh_temporaries():
                      lambda: discriminant_mesh(nf, np.linspace(-1.0, 1.0, nodes), s_grid)):
             mesh, peak = _traced_peak(call)
             assert peak - _held(mesh) < 1.5 * 2**20, nodes
+
+
+def test_hyperplane_family_holds_only_its_columns():
+    # the family's frames and normal are the field's own arrays; it holds
+    # nu', k3 and q3, three (N, 4) columns read off kappa and kappa': 96 B per
+    # node on the spherical kappa = (1, 0, t^2) field of 20,000 nodes, plus
+    # the objects.  Columns of the (N, 4, 4) products E K and K K - K' held 256.
+    nodes = 20_000
+    curve = {"kind": "curvature", "kappa": [["1"], ["0"], ["0", "0", "1"]]}
+    field = RunConfig.from_dict({"geometry": "spherical", "curve": curve,
+                                 "grids": {"t": [0.0, 3.0, nodes]}}).build_field()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fam = hyperplane_family(field)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert fam.frames is field.matrices
+    assert held <= 96 * nodes + 4096
 
 
 def test_export_obj_holds_one_chunk_of_scratch(tmp_path):

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from framedcurves import (
 from framedcurves.examples import BUILTINS, helix_frenet_field, radial_circle_field
 from framedcurves import frames
 from framedcurves.cli import main
+from framedcurves.config import RunConfig
 from framedcurves.errors import IntegrationError
 from framedcurves.frames import _magnus_propagators
 from framedcurves.ratpoly import Poly
@@ -135,7 +137,7 @@ def test_a_scalar_curvature_integrates_like_its_coefficient_list():
     for sf in (SpaceForm("euclidean"), SpaceForm("spherical"), SpaceForm("hyperbolic")):
         mixed = integrate_structure_equation(sf, CurvatureFamily(sf.delta, (1, 0, Poly.t())), nodes)
         lists = integrate_structure_equation(sf, CurvatureFamily(sf.delta, ([1], [0], [0, 1])), nodes)
-        for a, b in ((mixed.matrices, lists.matrices), (mixed.k, lists.k), (mixed.dk, lists.dk)):
+        for a, b in ((mixed.matrices, lists.matrices), (mixed.kappa, lists.kappa), (mixed.dkappa, lists.dkappa)):
             assert a.tobytes() == b.tobytes()
         assert mixed.meta == lists.meta
 
@@ -343,16 +345,16 @@ def test_no_runtime_warning_escapes_the_integrator(monkeypatch, kind, kappa, spa
 
 
 def test_node_curvatures_are_the_ones_the_flow_read():
-    # 1e-330 rounds to 0.0, so the flow integrates kappa_3 = 0; K and K' at
-    # the nodes read it the same way, though 40^200 alone has no float
+    # 1e-330 rounds to 0.0, so the flow integrates kappa_3 = 0; kappa and
+    # kappa' at the nodes read it the same way, though 40^200 alone has no float
     sf = SpaceForm("euclidean")
     tiny = CurvatureFamily(0, [[1], [0], [0] * 200 + [Fraction(1, 10**330)]])
     flat = CurvatureFamily(0, [[1], [0], [0]])
     nodes = np.linspace(0.0, 40.0, 5)
     got, want = (integrate_structure_equation(sf, c, nodes) for c in (tiny, flat))
-    for name in ("matrices", "k", "dk"):
+    for name in ("matrices", "kappa", "dkappa"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert not np.any(want.dk)
+    assert not np.any(want.dkappa)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])
@@ -432,6 +434,25 @@ def test_a_grid_two_floats_wide_at_1e16_is_an_integration_error(tmp_path, capsys
     assert code == 3
     assert "numeric failure (IntegrationError)" in capsys.readouterr().err
     assert not table.exists()
+
+
+def test_an_integrated_field_keeps_its_frames_and_curvatures():
+    # on the spherical kappa = (1, 0, t^2) config at 20,000 nodes the field
+    # keeps its nodes (8 B), frames (128 B), kappa and kappa' (48 B): 185 B per
+    # node traced.  K and K' as two (N, 4, 4) arrays made it 390.
+    nodes = 20_000
+    cfg = RunConfig.from_dict({"geometry": "spherical",
+                               "curve": {"kind": "curvature", "kappa": [["1"], ["0"], ["0", "0", "1"]]},
+                               "grids": {"t": [0.0, 3.0, nodes]}})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        field = cfg.build_field()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert field.kappa.shape == field.dkappa.shape == (nodes, 3)
+    assert held <= 200 * nodes
 
 
 # -- reorthonormalization --------------------------------------------------------
@@ -518,7 +539,7 @@ def test_builtin_fields_are_integral_lifts():
     # the hyperplane normal e_3 is orthogonal to the velocity of the base point e_0
     for factory in (radial_circle_field, helix_frenet_field):
         field = factory()
-        for m, k in zip(field.matrices, field.k):
+        for m, k in zip(field.matrices, structure_matrix(field.sf.delta, field.kappa)):
             velocity = (m @ k)[:, 0]
             assert abs(float(m[1:, 3] @ velocity[1:])) < 1e-12
 
@@ -570,7 +591,7 @@ def test_builtins_match_their_trig_derivatives(name):
         want = np.stack([TRIG_DERIVATIVES[name](x, k) for x in t])
         assert np.all(np.abs(jets[:, :, k] - want[:, :, 0]) <= tol)
         if field is not None:
-            got = field.matrices @ np.linalg.matrix_power(field.k, k)
+            got = field.matrices @ np.linalg.matrix_power(structure_matrix(field.sf.delta, field.kappa), k)
             assert np.all(np.abs(got - want) <= tol[:, :, None])
             assert k > 0 or np.array_equal(field.matrices, want)
 
