@@ -189,9 +189,9 @@ class FrameField:
     """Frames E sampled along arc length / parameter nodes, with kappa and kappa' there.
 
     ``kappa`` and ``dkappa`` hold the curvatures and their derivatives at each
-    node, (N, 3) each.  K = E^{-1} E' = ``structure_matrix(sf.delta, kappa)``
-    and K' = ``structure_matrix(0, dkappa)`` make E' = E K and E'' = E (K K + K')
-    exact wherever E is; the built-in fields have constant curvatures.
+    node, (N, 3) each.  K = E^{-1} E' is ``structure_matrix(sf.delta, kappa)``
+    and K' is ``structure_matrix(0, dkappa)`` less its constant (1, 0) entry,
+    so E' = E K and E'' = E (K K + K') are exact wherever E is.
     """
 
     sf: SpaceForm

@@ -109,7 +109,7 @@ def test_from_dict_accepts_in_bounds_or_raises_config_error(grids, tolerances):
         assert 0 < value < 1
 
 
-#: one curve of each kind, and a key that only another kind takes
+#: one valid curve of each kind
 _CURVES = {
     "builtin": {"kind": "builtin", "name": "helix-frenet"},
     "polynomial": {"kind": "polynomial", "coefficients": [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]},

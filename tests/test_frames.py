@@ -137,8 +137,8 @@ def test_a_scalar_curvature_integrates_like_its_coefficient_list():
     for sf in (SpaceForm("euclidean"), SpaceForm("spherical"), SpaceForm("hyperbolic")):
         mixed = integrate_structure_equation(sf, CurvatureFamily(sf.delta, (1, 0, Poly.t())), nodes)
         lists = integrate_structure_equation(sf, CurvatureFamily(sf.delta, ([1], [0], [0, 1])), nodes)
-        for a, b in ((mixed.matrices, lists.matrices), (mixed.kappa, lists.kappa), (mixed.dkappa, lists.dkappa)):
-            assert a.tobytes() == b.tobytes()
+        for name in ("matrices", "kappa", "dkappa"):
+            assert getattr(mixed, name).tobytes() == getattr(lists, name).tobytes()
         assert mixed.meta == lists.meta
 
 
