@@ -211,6 +211,18 @@ def test_every_normal_form_export_is_byte_stable(tmp_path, a):
     assert _sha256(tmp_path / f"normal-form-{name}.locus.obj") == locus_hash
 
 
+def test_enumerate_tables_are_byte_stable(capsys):
+    # the type lists and their Schubert numbers and adapted and osculating
+    # codimensions, for n 1-4 at budgets 0-4 in every mode (660 rows)
+    h = hashlib.sha256()
+    for n in range(1, 5):
+        for budget in range(5):
+            for mode in ("ordinary", "adapted", "osculating"):
+                assert main(["enumerate", "--n", str(n), "--budget", str(budget), "--mode", mode]) == 0
+                h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "de4edace450f6f86548f260f848232dfad5946147f5f8200dd7c5d5d8d98e40a"
+
+
 @pytest.mark.parametrize("name", ["helix-frenet", "euclidean-delta0", "spherical-delta1"])
 def test_report_counts_the_marked_vertices(tmp_path, name):
     out = _run_envelope(tmp_path, ENVELOPE_CASES[name][0])
