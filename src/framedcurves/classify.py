@@ -41,6 +41,7 @@ from .jets import (
     dual_type,
     float_rank_profile,
     schubert_number,
+    validate_type_vector,
 )
 from .ratpoly import (
     Poly,
@@ -106,7 +107,7 @@ DEGENERATE = SingularityClass("Degenerate")
 
 def unresolved(a):
     """Finite type outside the classified table."""
-    return SingularityClass("Unresolved", tuple(int(x) for x in a))
+    return SingularityClass("Unresolved", validate_type_vector(a))
 
 
 #: Envelope germ along the singular locus, by type vector of the frame dual.
@@ -121,8 +122,8 @@ CLASS_BY_DUAL_TYPE = {
 
 def class_of(a):
     """Wavefront germ for a frame dual of finite type ``a``."""
-    a = tuple(int(x) for x in a)
-    return CLASS_BY_DUAL_TYPE.get(a, unresolved(a))
+    a = validate_type_vector(a)
+    return CLASS_BY_DUAL_TYPE.get(a) or unresolved(a)
 
 
 # -- scan records ---------------------------------------------------------------

@@ -20,6 +20,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DimensionMismatch
+from .jets import validate_type_vector
 from .ratpoly import Poly, as_fraction, columns_at, taylor_shift
 
 
@@ -139,7 +140,7 @@ class BasePointCurve:
 
 def monomial_curve(a, dim=None) -> PolynomialCurve:
     """The model curve (1, t^{a1}/a1!, ..., t^{ak}/ak!) of a given type vector."""
-    a = tuple(int(x) for x in a)
+    a = validate_type_vector(a)
     if dim is None:
         dim = len(a) + 1
     if dim < len(a) + 1:

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DegeneracyError, DimensionMismatch, DomainError
 from .fileio import FLOAT_FIELD, atomic_open, format_floats, format_ints, rows_text, spaced
 from .frames import FrameField
+from .jets import validate_type_vector
 from .ratpoly import Poly
 from .spaceform import SpaceForm
 
@@ -277,8 +278,8 @@ class NormalFormFamily:
     a: tuple
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        if len(a) != 3 or a[0] < 1 or not (a[0] < a[1] < a[2]):
+        a = validate_type_vector(self.a)
+        if len(a) != 3:
             raise DimensionMismatch(f"normal forms take a strictly increasing triple, got {a}")
         object.__setattr__(self, "a", a)
         a1, a2, a3 = a

@@ -16,6 +16,7 @@ everything else.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,10 +30,14 @@ RANK_GAP_MIN = 1e3
 
 
 def validate_type_vector(a):
-    a = tuple(int(x) for x in a)
-    if len(a) < 1:
+    """``a`` as strictly increasing naturals; entries convert by ``operator.index``, so none is rounded."""
+    try:
+        a = tuple(map(operator.index, a))
+    except TypeError:
+        raise DimensionMismatch(f"type vector entries must be integers, got {a!r}") from None
+    if not a:
         raise DimensionMismatch("type vector must have at least one entry")
-    if a[0] < 1 or any(x >= y for x, y in zip(a, a[1:])):
+    if a[0] < 1 or not all(map(operator.lt, a, a[1:])):
         raise DimensionMismatch(f"type vector must be strictly increasing naturals, got {a}")
     return a
 
@@ -117,23 +122,23 @@ def float_rank_profile(matrix, rank_tol=DEFAULT_RANK_TOL):
     """(ranks, min_gap) over the column prefixes of a float matrix.
 
     Each prefix is decided by the singular values of its column-normalized
-    copy.  Scaling rows and columns changes no rank, so every column and then
-    every row is first divided by its max-abs entry: no norm overflows, and a
-    point far from the origin (entries of 1e200 beside entries of 1) does not
-    swamp the rest.  Ranks are forced monotone non-decreasing with unit steps,
-    which is what prefix ranks of a genuine jet matrix satisfy; min_gap is the
-    smallest accepted/rejected singular value ratio seen at any truncation
-    decision.
+    copy, a slice of the matrix normalized once.  Scaling rows and columns
+    changes no rank, so every column and then every row is first divided by
+    its max-abs entry: no norm overflows, and a point far from the origin
+    (entries of 1e200 beside entries of 1) does not swamp the rest.  Ranks
+    are forced monotone non-decreasing with unit steps, which is what prefix
+    ranks of a genuine jet matrix satisfy; min_gap is the smallest
+    accepted/rejected singular value ratio seen at any truncation decision.
     """
     matrix = np.asarray(matrix, dtype=float)
     for axis in (0, 1):
         scale = np.max(np.abs(matrix), axis=axis, keepdims=True)
         matrix = matrix / np.where(scale > 0, scale, 1.0)
+    norms = np.linalg.norm(matrix, axis=0)
+    matrix = matrix / np.where(norms > 0, norms, 1.0)
     ranks, min_gap, prev = [], np.inf, 0
     for r in range(matrix.shape[1]):
-        m = matrix[:, : r + 1]
-        norms = np.linalg.norm(m, axis=0)
-        sv = np.linalg.svd(m / np.where(norms > 0, norms, 1.0), compute_uv=False)
+        sv = np.linalg.svd(matrix[:, : r + 1], compute_uv=False)
         rank = int(np.sum(sv > rank_tol * sv[0]))
         if 0 < rank < len(sv) and sv[rank] != 0:
             gap = sv[rank - 1] / sv[rank]
@@ -164,13 +169,10 @@ class TypeDetection:
 def _ranks_to_type(ranks, dim, r_max):
     if not ranks or ranks[0] == 0:
         raise DegeneracyError(0)
-    a = []
-    for target in range(2, dim + 1):
-        hits = [r for r, rk in enumerate(ranks) if rk == target]
-        if not hits:
-            raise FiniteTypeError(max(ranks), r_max)
-        a.append(hits[0])
-    return tuple(a)
+    try:  # a_i is the first order at which the rank reaches i + 1
+        return tuple(map(ranks.index, range(2, dim + 1)))
+    except ValueError:
+        raise FiniteTypeError(max(ranks), r_max) from None
 
 
 def detect_type_report(curve, t, rank_tol=DEFAULT_RANK_TOL):
@@ -190,10 +192,7 @@ def detect_type_report(curve, t, rank_tol=DEFAULT_RANK_TOL):
     else:
         ranks, min_gap = float_rank_profile(curve.jet(t, r_max), rank_tol)
     a = _ranks_to_type(ranks, dim, r_max)
-    if mode == "exact":
-        confidence = "exact"
-    else:
-        confidence = "high" if min_gap >= RANK_GAP_MIN else "low"
+    confidence = "exact" if mode == "exact" else "high" if min_gap >= RANK_GAP_MIN else "low"
     return TypeDetection(a, ranks, mode, confidence, float(min_gap))
 
 
@@ -206,15 +205,15 @@ def detect_type(curve, t, rank_tol=DEFAULT_RANK_TOL):
 
 
 def schubert_number(a):
-    """s(a) = sum_i (a_i - i)."""
+    """s(a) = sum_i (a_i - i) = sum(a) - k(k + 1)/2, k = len(a)."""
     a = validate_type_vector(a)
-    return sum(ai - i for i, ai in enumerate(a, start=1))
+    return sum(a) - len(a) * (len(a) + 1) // 2
 
 
 def codim_adapted(a):
-    """Codimension within adapted frame families: sum_{i>=2} (a_i - i)."""
+    """Codimension within adapted frame families: sum_{i>=2} (a_i - i) = s(a) - (a_1 - 1)."""
     a = validate_type_vector(a)
-    return sum(ai - i for i, ai in enumerate(a, start=1) if i >= 2)
+    return sum(a) - len(a) * (len(a) + 1) // 2 - a[0] + 1
 
 
 def codim_osculating(a):

@@ -335,6 +335,8 @@ def taylor_shift(ints, v, d=1):
     """
     n = len(ints) - 1
     a = [c * d ** (n - i) for i, c in enumerate(ints)] if d != 1 else list(ints)
+    if not v:  # the identity shift, as at t = 0
+        return a
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             a[j] += v * a[j + 1]

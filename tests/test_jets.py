@@ -1,6 +1,7 @@
 """Type detection from jets, duality, codimensions, and the generic-type tables."""
 
 import itertools
+import random
 import time
 
 import numpy as np
@@ -9,9 +10,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from framedcurves import (
+    SWALLOWTAIL,
     DegeneracyError,
     DimensionMismatch,
     FiniteTypeError,
+    NormalFormFamily,
+    class_of,
     codim_adapted,
     codim_osculating,
     detect_type,
@@ -24,6 +28,7 @@ from framedcurves import (
     schubert_number,
     validate_type_vector,
 )
+from framedcurves import curves
 from framedcurves.curves import PolynomialCurve
 from framedcurves.examples import BUILTINS
 from framedcurves.jets import algebraic_rank_profile
@@ -81,6 +86,27 @@ def test_jet_exact_equals_the_differentiated_jet(comps, t, r):
         assert all(x == 0 for x, y in zip(got, ref) if not y)
         scales = {x / y for x, y in zip(got, ref) if y}
         assert len(scales) <= 1 and all(c > 0 for c in scales)
+
+
+def _full_shift(ints, v, d=1):
+    """The Taylor shift's loop, run for every v, 0 included."""
+    n = len(ints) - 1
+    a = [c * d ** (n - i) for i, c in enumerate(ints)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += v * a[j + 1]
+    return a
+
+
+def test_jet_exact_at_zero_is_the_full_shift(monkeypatch):
+    # at t = 0 the shift is the identity and is skipped; the columns must be
+    # the ones the whole loop gives, on random curves of degree up to 8
+    rng = random.Random(2047)
+    curves_ = [PolynomialCurve([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 9))]
+                                for _ in range(rng.randint(3, 5))]) for _ in range(200)]
+    got = [(c.jet_exact(0, 10), c.jet_exact(Fraction(0), 4)) for c in curves_]
+    monkeypatch.setattr(curves, "taylor_shift", _full_shift)
+    assert got == [(c.jet_exact(0, 10), c.jet_exact(Fraction(0), 4)) for c in curves_]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -167,6 +193,21 @@ def test_codimension_values():
         assert codim_adapted(a) == cd
         assert codim_osculating(a) == cc
         assert schubert_number(a) == sch
+
+
+#: strictly increasing tuples of length 1-8 with entries below 2^40
+_INCREASING = st.lists(st.integers(1, 2**40 - 1), min_size=1, max_size=8, unique=True).map(
+    lambda xs: tuple(sorted(xs)))
+
+
+# 300 examples take about 0.2 s
+@settings(max_examples=300, deadline=None)
+@given(_INCREASING)
+def test_closed_form_codimensions_equal_their_defining_sums(a):
+    assert schubert_number(a) == sum(ai - i for i, ai in enumerate(a, start=1))
+    assert codim_adapted(a) == sum(ai - i for i, ai in enumerate(a, start=1) if i >= 2)
+    assert codim_osculating(a) == a[-1] - len(a)
+    assert all(type(f(a)) is int for f in (schubert_number, codim_adapted, codim_osculating))
 
 
 def test_dual_type_values():
@@ -361,3 +402,33 @@ def test_validate_type_vector_rejects_bad_input():
     with pytest.raises(DimensionMismatch):
         validate_type_vector((0, 1, 2))
     assert validate_type_vector((1, 2, 3)) == (1, 2, 3)
+
+
+#: every entry point that reads a type vector, and what it gives for (1, 2, 4)
+TYPE_VECTOR_ENTRIES = {
+    "validate_type_vector": (validate_type_vector, lambda out: out),
+    "dual_type": (dual_type, lambda out: out),
+    "schubert_number": (schubert_number, lambda out: out),
+    "class_of": (class_of, lambda out: out),
+    "monomial_curve": (monomial_curve, lambda out: out.components),
+    "NormalFormFamily": (NormalFormFamily, lambda out: out.a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_VECTOR_ENTRIES))
+@pytest.mark.parametrize("a", [(1.5, 2, 3), (1.0, 2, 4), "124", (Fraction(1), 2, 4), (np.float64(1), 2, 4), (1, 2, 4.2)],
+                         ids=["float", "integral-float", "string", "fraction", "numpy-float", "last-float"])
+def test_type_vectors_take_integer_entries_only(name, a):
+    # an entry is converted by operator.index, never rounded: a float, a
+    # string or a Fraction is refused where it was once truncated
+    entry, _ = TYPE_VECTOR_ENTRIES[name]
+    with pytest.raises(DimensionMismatch, match="type vector entries must be integers"):
+        entry(a)
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_VECTOR_ENTRIES))
+def test_numpy_integer_entries_read_as_ints(name):
+    entry, view = TYPE_VECTOR_ENTRIES[name]
+    assert view(entry((np.int64(1), np.int32(2), 4))) == view(entry((1, 2, 4)))
+    assert class_of((1, 2, 4)) == SWALLOWTAIL
+    assert all(type(x) is int for x in NormalFormFamily((np.int64(1), np.uint8(2), 4)).a)

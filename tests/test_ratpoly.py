@@ -332,6 +332,14 @@ def test_real_roots_beyond_the_float_range_are_scaled_exactly():
     assert isolate_real_roots(integer_coeffs([-big, Fraction(0), Fraction(1)]), -1.0, 1.0) == []
 
 
+@pytest.mark.parametrize("ints", [[0], [5], [1, -2, 3], [0, 0, 7, -1], [2**80, -3, 0, 1]])
+def test_a_shift_by_zero_is_a_new_copy(ints):
+    out = taylor_shift(ints, 0)
+    assert out == ints and out is not ints
+    n = len(ints) - 1
+    assert taylor_shift(ints, 0, 3) == [c * 3 ** (n - i) for i, c in enumerate(ints)]
+
+
 @pytest.mark.parametrize("shift", [0, Fraction(1, 2)])
 def test_a_window_wider_than_2_to_the_99_returns_the_bisection_records(shift):
     # boxes are sized by their roots, not by the window: -5, 3, 4, 2^101 - 7

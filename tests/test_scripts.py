@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end at small sizes."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -77,3 +78,41 @@ def test_scan_fuzz_script_exits_1_when_a_finished_pair_differs(tmp_path):
     lines = run.stdout.splitlines()
     assert lines[0].startswith("seed 28: exit 0 | 0 ") and lines[0].endswith(" DIFFERENT")
     assert lines[-1] == "different: [28]"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_record(seed, side, op_s, ok_share):
+    metrics = {"op_s.p50": {"value": op_s, "unit": "s"}, "ok_share": {"value": ok_share, "unit": "ratio"}}
+    return {"workload": "acceptance-verify", "seed": seed, "side": side, "rc": 0,
+            "result": {"attempted": 18, "correct": True, "failed": 0, "metrics": metrics}}
+
+
+def test_bench_pairs_summarizes_canned_runs_by_each_metrics_direction():
+    bench = _bench_pairs()
+    assert bench.parse_seeds("4801-4805") == [4801, 4802, 4803, 4804, 4805] and bench.parse_seeds("7") == [7]
+    runs = [
+        _run_record(1, "parent", 0.050, 1.0), _run_record(1, "change", 0.046, 1.0),
+        _run_record(2, "change", 0.047, 0.9), _run_record(2, "parent", 0.049, 1.0),
+        _run_record(3, "parent", 0.048, 0.9), _run_record(3, "change", 0.049, 1.0),
+        _run_record(4, "parent", 0.051, 1.0),
+        {"workload": "acceptance-verify", "seed": 4, "side": "change", "rc": 1, "result": None},
+    ]
+    metrics = [{"name": "op_s.p50", "better": "lower"}, {"name": "ok_share", "better": "higher"}]
+    summary = bench.summarize(runs, metrics)["acceptance-verify"]
+    # seed 4 has no change result: its parent run counts in the spread, not in a pair
+    assert summary["op_s.p50"] == {
+        "parent": {"median": 0.0495, "q1": 0.04875, "q3": 0.05025},
+        "change": {"median": 0.047, "q1": 0.0465, "q3": 0.048},
+        "change_better_pairs": "2/3",
+    }
+    # higher is better, and a tie is no win
+    assert summary["ok_share"]["change_better_pairs"] == "1/3"
+    assert summary["ok_share"]["change"] == {"median": 1.0, "q1": 0.95, "q3": 1.0}
+    lone = bench.summarize(runs[:1], metrics)["acceptance-verify"]["op_s.p50"]
+    assert lone == {"parent": {"median": 0.05, "q1": 0.05, "q3": 0.05}, "change": None, "change_better_pairs": "0/0"}
