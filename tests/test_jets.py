@@ -10,7 +10,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from framedcurves import (
-    SWALLOWTAIL,
     DegeneracyError,
     DimensionMismatch,
     FiniteTypeError,
@@ -200,7 +199,7 @@ _INCREASING = st.lists(st.integers(1, 2**40 - 1), min_size=1, max_size=8, unique
     lambda xs: tuple(sorted(xs)))
 
 
-# 300 examples take about 0.2 s
+# 300 examples take about 0.8 s on a 2-vCPU VM (Python 3.11)
 @settings(max_examples=300, deadline=None)
 @given(_INCREASING)
 def test_closed_form_codimensions_equal_their_defining_sums(a):
@@ -402,9 +401,10 @@ def test_validate_type_vector_rejects_bad_input():
     with pytest.raises(DimensionMismatch):
         validate_type_vector((0, 1, 2))
     assert validate_type_vector((1, 2, 3)) == (1, 2, 3)
+    assert all(type(x) is int for x in validate_type_vector((np.int64(1), np.uint8(2), 4)))
 
 
-#: every entry point that reads a type vector, and what it gives for (1, 2, 4)
+#: every entry point that reads a type vector, and the part of its output the tests compare
 TYPE_VECTOR_ENTRIES = {
     "validate_type_vector": (validate_type_vector, lambda out: out),
     "dual_type": (dual_type, lambda out: out),
@@ -429,6 +429,4 @@ def test_type_vectors_take_integer_entries_only(name, a):
 @pytest.mark.parametrize("name", sorted(TYPE_VECTOR_ENTRIES))
 def test_numpy_integer_entries_read_as_ints(name):
     entry, view = TYPE_VECTOR_ENTRIES[name]
-    assert view(entry((np.int64(1), np.int32(2), 4))) == view(entry((1, 2, 4)))
-    assert class_of((1, 2, 4)) == SWALLOWTAIL
-    assert all(type(x) is int for x in NormalFormFamily((np.int64(1), np.uint8(2), 4)).a)
+    assert view(entry((np.int64(1), np.uint8(2), 4))) == view(entry((1, 2, 4)))
