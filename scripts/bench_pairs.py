@@ -6,8 +6,12 @@ once from PARENT_TREE and once from CHANGE_TREE, one process at a time, the
 parent first on odd seeds and the change first on even ones.  A run's record
 is its workload, seed, side, exit code and the JSON line it prints last
 (``null`` if it failed).  The summary gives, per workload and per end-to-end
-metric of BENCHMARK.json, each side's median and inclusive quartiles and the
-pairs in which the change was strictly better by the metric's ``better``.
+metric of BENCHMARK.json, each side's median and inclusive quartiles, the
+pairs in which the change was strictly better by the metric's ``better``, and
+``gain``: whether the change may claim a gain by that metric.  It may when it
+was strictly better in at least nine tenths of the pairs (ties count for
+neither side) and its median is better than the parent's by more than the
+distance between the parent's quartiles (q3 - q1).
 
 With ``--out FILE`` the ``runs`` and ``summary`` keys of FILE (a BENCH_*.json
 record) are written, and its other keys are kept.
@@ -51,7 +55,8 @@ def _spread(values):
 
 
 def summarize(runs, metrics):
-    """Per workload and metric: each side's spread and the pairs the change won.
+    """Per workload and metric: each side's spread, the pairs the change won and
+    the gain verdict, taken from the rounded spreads.
 
     ``metrics`` are BENCHMARK.json's end-to-end entries (``name`` and
     ``better``).  A pair is a seed with a result on both sides.
@@ -72,11 +77,12 @@ def summarize(runs, metrics):
                 return values[side, seed][name]["value"]
 
             better = sum(sign * value("change", seed) < sign * value("parent", seed) for seed in pairs)
-            out[workload][name] = {
-                **{side: _spread([value(side, seed) for seed in seeds if (side, seed) in values])
-                   for side in ("parent", "change")},
-                "change_better_pairs": f"{better}/{len(pairs)}",
-            }
+            spreads = {side: _spread([value(side, seed) for seed in seeds if (side, seed) in values])
+                       for side in ("parent", "change")}
+            parent, change = spreads["parent"], spreads["change"]
+            gain = (bool(pairs) and 10 * better >= 9 * len(pairs)
+                    and sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"])
+            out[workload][name] = {**spreads, "change_better_pairs": f"{better}/{len(pairs)}", "gain": gain}
     return out
 
 

@@ -430,8 +430,8 @@ def _chain(index, t, s, points, ambient):
 
 
 def _column_texts(columns, strip):
-    """The text of each column of a block, given as the rows of an int64 array
-    of float64 bit patterns: a string for a column of one value, else an
+    """The text of each column of a block, given as a list of equally long int64
+    arrays of float64 bit patterns: a string for a column of one value, else an
     ``S`` array whose fields are as wide as the column's longest text.
 
     Columns are compared by bit pattern, so -0.0 never shares the text of
@@ -444,7 +444,7 @@ def _column_texts(columns, strip):
     keys = [column.tobytes() for column in columns]
     first = [keys.index(key) for key in keys]
     own = sorted(set(first))
-    n = columns.shape[1]
+    n = len(columns[0])
     segments = []  # per own column: the values it formats, and the run lengths if any
     for j in own:
         column = columns[j]
@@ -490,8 +490,8 @@ def _write_vertices(handle, params, ambient, points, singular):
     rows = _EXPORT_CHUNK // strip * strip or _EXPORT_CHUNK
     for lo in range(0, len(params), rows):
         hi = lo + rows
-        block = np.concatenate([params[lo:hi].T, ambient[lo:hi].T, points[lo:hi].T])
-        cols = _column_texts(block.view(np.int64), strip)
+        block = [column.view(np.int64) for x in (params, ambient, points) for column in x[lo:hi].T]
+        cols = _column_texts(block, strip)
         marked = singular[lo:hi]
         mark = np.where(marked, b"# mark singular-locus\n", b"") if marked.any() else ""
         handle.write(rows_text(["# param ", *spaced(cols[:2]), "\n# ambient ",
@@ -528,8 +528,9 @@ def export_obj(mesh: EnvelopeMesh, path):
 def export_polylines(polylines, path):
     """ASCII polyline export: v lines plus 2-vertex l records."""
     sizes = np.array([len(pl.points) for pl in polylines], dtype=int)
-    last = np.cumsum(sizes)[sizes > 0] - 1  # 0-based index of each chain's last vertex
-    first = np.setdiff1d(np.arange(sizes.sum()), last)  # every vertex with a successor
+    successor = np.ones(sizes.sum(), dtype=bool)
+    successor[np.cumsum(sizes)[sizes > 0] - 1] = False  # each chain's last vertex has none
+    first = np.flatnonzero(successor)
     with atomic_open(path) as handle:
         if not sizes.sum():
             handle.write(b"\n")

@@ -94,10 +94,17 @@ def _digit_words():
 
 def _mul(a, b):
     """High and low words of the 128-bit products of two uint64 arrays."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), (mid << 32) | (p00 & _LOW32)
+    a0, b0 = a & _LOW32, b & _LOW32
+    lo = a0 * b0  # p00
+    a0 *= b >> 32  # p01
+    b0 *= a >> 32  # p10
+    hi = (a >> 32) * (b >> 32) + (a0 >> 32) + (b0 >> 32)
+    mid = (lo >> 32) + (a0 & _LOW32) + (b0 & _LOW32)
+    del a0, b0
+    hi += mid >> 32
+    lo &= _LOW32
+    lo |= mid << 32
+    return hi, lo
 
 
 def _shifted(g_hi, g_lo, s):
@@ -109,8 +116,10 @@ def _rounding_interval(bits):
     """The decimal exponent k, and v * 10**-k with the ends of v's rounding
     interval at that scale, as 4 times their value rounded to odd: (k, vb,
     lower, upper), for the bit patterns of normal float64 values v
-    (Giulietti, figure 6).  The 128-bit words of the products die here, before
-    the digits are chosen; the inputs of h die before the products are formed."""
+    (Giulietti, figure 6).  The inputs of h die before the products are
+    formed, the products and the upper end are updated in place, and the upper
+    end's other words die before the lower end's are formed: the traced peak
+    is about 114 B per value."""
     frac = bits & ((1 << 52) - 1)
     biased = (bits >> 52) & 0x7FF
     closer = (frac == 0) & (biased > 1)  # the next double down is half as far
@@ -121,23 +130,35 @@ def _rounding_interval(bits):
     g_hi, g_lo, log2 = (table[292 - k] for table in _pow10_table())
     h = (q + log2 + 1).astype(np.uint64)
     del q, log2
+    odd = (c & 1).astype(bool)  # an even c keeps the rounding interval's ends
     # p = (4c << h) * g in three words; the bounds (4c + 2) and (4c - 2 + closer)
     # differ from 4c by g << (h + 1) and g << (h + 1 - closer)
-    x_hi, p0 = _mul(g_lo, c << (h + 2))
-    p2, p1 = _mul(g_hi, c << (h + 2))
+    c <<= h + 2
+    x_hi, p0 = _mul(g_lo, c)
+    p2, p1 = _mul(g_hi, c)
+    del c
     p1 += x_hi
     p2 += p1 < x_hi
-    d0, d1, d2 = _shifted(g_hi, g_lo, h + 1)
-    u0, u1 = p0 + d0, p1 + d1
-    u2 = p2 + d2 + ((u1 < d1) | ((u1 == 2**64 - 1) & (u0 < d0)))
-    u1 += u0 < d0
-    d0, d1, d2 = _shifted(g_hi, g_lo, h + 1 - closer)
+    del x_hi
+    # each end rounded to odd: the top word, its lowest bit set if the rest is not 0
+    h += 1
+    d0, u1, upper = _shifted(g_hi, g_lo, h)
+    d0 += p0
+    carry = d0 < p0
+    del d0
+    u1 += p1
+    upper += p2
+    upper += (u1 < p1) | ((u1 == 2**64 - 1) & carry)
+    u1 += carry
+    upper |= u1 > 1
+    del u1
+    upper -= odd
+    d0, d1, d2 = _shifted(g_hi, g_lo, h - closer)
+    del g_hi, g_lo, h
     l1 = p1 - d1
     l2 = p2 - d2 - ((p1 < d1) | ((l1 == 0) & (p0 < d0)))
     l1 -= p0 < d0
-    # each rounded to odd: the top word, its lowest bit set if the rest is not 0
-    odd = c & 1  # an even c keeps the rounding interval's ends
-    return k, p2 | (p1 > 1), (l2 | (l1 > 1)) + odd, (u2 | (u1 > 1)) - odd
+    return k, p2 | (p1 > 1), (l2 | (l1 > 1)) + odd, upper
 
 
 def _shortest_digits(bits):
@@ -237,8 +258,11 @@ def format_floats(values):
     exponent = np.abs(decpt - 1)
     form = np.where((decpt > -4) & (decpt <= 16), decpt + 3,
                     20 + 2 * (decpt < 1) + (exponent >= 100))
-    src = _source_rows(d * _POW10[_DIGITS - n], exponent)
     layout = ((bits >> 63).astype(np.intp) * _DIGITS + n - 1) * _FORMS + form
+    d *= _POW10[_DIGITS - n]  # zero-padded to 17 digits
+    del biased, k, n, decpt, form  # only the source rows' inputs and the layout outlive them
+    src = _source_rows(d, exponent)
+    del d, exponent
     out = np.empty((len(flat), FLOAT_FIELD), np.uint8)
     for lo in range(0, len(flat), _GATHER):
         index = _templates().take(layout[lo:lo + _GATHER], axis=0)

@@ -800,14 +800,16 @@ with contextlib.redirect_stdout(io.StringIO()):
              main(["scan", "--config", scan_config, "--out", out + "/scan"]),
              main(["enumerate", "--n", "2", "--budget", "2", "--out", out + "/enumerate"]),
              main(["verify"])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+                  sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))]))
 """
 
 
-def test_every_subcommand_leaves_scipy_unimported(tmp_path):
-    # scipy is a test-only dependency (tests/frame_reference.py): no
-    # subcommand may import it, and scipy.linalg alone would cost about 26 MB
-    # of peak memory
+@pytest.fixture(scope="module")
+def subcommand_modules(tmp_path_factory):
+    """Exit codes of all seven subcommands run in one fresh process, then the
+    scipy and numpy.ma modules that process loaded."""
+    tmp_path = tmp_path_factory.mktemp("probe")
     config = {"geometry": "hyperbolic",
               "curve": {"kind": "curvature", "delta": -1, "kappa": [["1"], ["0"], ["0", "0", "1"]]},
               "grids": {"t": [0.0, 3.0, 40], "s": [-1.0, 1.0, 9]}}
@@ -818,6 +820,21 @@ def test_every_subcommand_leaves_scipy_unimported(tmp_path):
                           str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
-    codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_every_subcommand_leaves_scipy_unimported(subcommand_modules):
+    # scipy is a test-only dependency (tests/frame_reference.py): no
+    # subcommand may import it, and scipy.linalg alone would cost about 26 MB
+    # of peak memory
+    codes, scipy_modules, _ = subcommand_modules
     assert codes == [0] * 7
     assert scipy_modules == []
+
+
+def test_every_subcommand_leaves_numpy_ma_unimported(subcommand_modules):
+    # numpy.ma costs about 9 ms and 0.55 MB of RSS to import; np.setdiff1d
+    # (through np.unique's np.ma.is_masked) pulled it into the polyline export
+    codes, _, ma_modules = subcommand_modules
+    assert codes == [0] * 7
+    assert ma_modules == []

@@ -110,9 +110,32 @@ def test_bench_pairs_summarizes_canned_runs_by_each_metrics_direction():
         "parent": {"median": 0.0495, "q1": 0.04875, "q3": 0.05025},
         "change": {"median": 0.047, "q1": 0.0465, "q3": 0.048},
         "change_better_pairs": "2/3",
+        "gain": False,
     }
     # higher is better, and a tie is no win
     assert summary["ok_share"]["change_better_pairs"] == "1/3"
     assert summary["ok_share"]["change"] == {"median": 1.0, "q1": 0.95, "q3": 1.0}
     lone = bench.summarize(runs[:1], metrics)["acceptance-verify"]["op_s.p50"]
-    assert lone == {"parent": {"median": 0.05, "q1": 0.05, "q3": 0.05}, "change": None, "change_better_pairs": "0/0"}
+    assert lone == {"parent": {"median": 0.05, "q1": 0.05, "q3": 0.05}, "change": None, "change_better_pairs": "0/0",
+                    "gain": False}
+
+
+def test_bench_pairs_claims_a_gain_only_when_both_halves_of_the_rule_hold():
+    bench = _bench_pairs()
+    runs = []
+    for i in range(10):
+        wobble = 0.01 * (i % 2)  # the parent's q3 - q1 of split and clear
+        parent = {"narrow": 10.0 + 0.1 * i, "split": 10.0 + wobble, "clear": 1.0 + wobble}
+        change = {"narrow": parent["narrow"] - 0.05,  # better in 10/10, by less than q3 - q1 = 0.45
+                  "split": parent["split"] - 1.0 if i < 8 else parent["split"] + 0.5,  # better in 8/10
+                  "clear": parent["clear"] + (0.1 if i < 9 else 0.0)}  # 9/10, the tie counts for neither
+        for side, metrics in (("parent", parent), ("change", change)):
+            runs.append({"workload": "mesh-export", "seed": i, "side": side, "rc": 0,
+                         "result": {"metrics": {name: {"value": x} for name, x in metrics.items()}}})
+    metrics = [{"name": "narrow", "better": "lower"}, {"name": "split", "better": "lower"},
+               {"name": "clear", "better": "higher"}]
+    summary = bench.summarize(runs, metrics)["mesh-export"]
+    assert [summary[name]["change_better_pairs"] for name in ("narrow", "split", "clear")] == ["10/10", "8/10", "9/10"]
+    assert summary["narrow"]["parent"]["q3"] - summary["narrow"]["parent"]["q1"] > 0.05
+    assert summary["split"]["parent"]["median"] - summary["split"]["change"]["median"] > 0.9
+    assert {name: entry["gain"] for name, entry in summary.items()} == {"narrow": False, "split": False, "clear": True}
