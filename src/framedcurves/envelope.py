@@ -261,7 +261,7 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid, tol=1e-9) -> EnvelopeMesh:
         return amb, _matvec(offset, nu[lo:hi]), _matvec(offset, nu1[lo:hi]), ftt
 
     t = np.asarray(fam.t, dtype=float)
-    meta = {"degenerate_nodes": t[~keep].tolist(), "s_grid": s_grid.tolist()}
+    meta = {"degenerate_nodes": t[~keep].tolist()}
     return _assemble(sf, t, s_grid, keep, strips, tol, meta)
 
 
@@ -347,7 +347,7 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
         return ambient, nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
 
     keep = np.ones(len(t_grid), dtype=bool)
-    return _assemble(SpaceForm("euclidean"), t_grid, s_grid, keep, strips, tol, {"normal_form": nf.a})
+    return _assemble(SpaceForm("euclidean"), t_grid, s_grid, keep, strips, tol, {})
 
 
 # -- singular locus -------------------------------------------------------------------
@@ -441,8 +441,8 @@ def _column_texts(columns, strip):
     ``strip``, else each of its values.  One ``format_floats`` call formats
     them all, and each field is a view of that text cut to its column's width.
     """
-    keys = [column.tobytes() for column in columns]
-    first = [keys.index(key) for key in keys]
+    first = [next((i for i in range(j) if columns[i][0] == column[0] and np.array_equal(columns[i], column)), j)
+             for j, column in enumerate(columns)]
     own = sorted(set(first))
     n = len(columns[0])
     segments = []  # per own column: the values it formats, and the run lengths if any

@@ -336,15 +336,15 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureFamily, nodes, to
 
     and is cut in two otherwise; a NaN or inf propagator (an overflowing
     hyperbolic step) never passes.  The two half-step propagators become the
-    halves' own whole-step ones, so a half costs two new exponentials.  Each
-    round evaluates up to _ROUND_SIZE pending intervals, the first in s
-    order, in one ``group_exp`` call.  E is then the sequential product
-    E <- E P(s, h/2) P(s + h/2, h/2) over the passed intervals in s order,
-    taken as soon as every interval before them has passed.  As the halves
-    of a cut interval go first, a run holds at most about _ROUND_SIZE
-    intervals per level of bisection besides its nodes, however long the
-    span.  Each factor is a group element, so the frame stays in the
-    structure group to round-off without any projection.
+    halves' own whole-step ones, so a half costs two new exponentials.  A queue in
+    s order holds the intervals taken and not yet multiplied, and a cursor into
+    the nodes marks the rest.  Each round evaluates the queue's first _ROUND_SIZE
+    pending intervals, filled up from the cursor, in one ``group_exp`` call.  E is
+    then the sequential product E <- E P(s, h/2) P(s + h/2, h/2) over the passed
+    intervals that lead the queue.  As the halves of a cut interval go first, the
+    queue holds about _ROUND_SIZE intervals per level of bisection, however long
+    the span.  Each factor is a group element, so the frame stays in the structure
+    group to round-off without any projection.
 
     The partition may hold the node grid's intervals plus the budget of
     ``_interval_budget``; a round that would start past that raises
@@ -379,63 +379,62 @@ def integrate_structure_equation(sf: SpaceForm, curv: CurvatureFamily, nodes, to
 
     out = np.empty((len(nodes), 4, 4))
     out[0] = e = np.eye(4)
-    # pending intervals in s order: start, width, the node each ends on
-    # (-1 for none) and, once known, its whole-step propagator
-    starts, widths, tags = nodes[:-1], np.diff(nodes), np.arange(1, len(nodes))
-    whole = np.empty((len(starts), 4, 4))
-    known = np.zeros(len(starts), dtype=bool)
-    # passed intervals after a pending one, waiting for their turn in the product
-    w_starts, w_props, w_tags = np.empty(0), np.empty((0, 4, 4)), np.empty(0, dtype=int)
-    steps = rejected = rounds = 0
+    # the queue, one entry per index: start, width, the node it ends on (-1 for none), the
+    # whole-step propagator while pending (the product of its halves once passed), and passed
+    starts, widths, tags = np.empty(0), np.empty(0), np.empty(0, dtype=int)
+    props, passed, cursor = np.empty((0, 4, 4)), np.empty(0, dtype=bool), 0
+    rejected = rounds = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(starts):
-            if steps + len(starts) > cap:
-                raise IntegrationError(float(starts[0]), f"integration needs more than {cap} intervals "
-                                                         f"by s={starts[0]} without finishing")
-            n = min(len(starts), _ROUND_SIZE)
-            a, h, tag, fresh = starts[:n], widths[:n], tags[:n], ~known[:n]
-            half = 0.5 * h
-            props = _magnus_propagators(curv.delta, curv.kappa, np.concatenate([a[fresh], a, a + half]),
-                                        np.concatenate([h[fresh], half, half]))
-            m = int(np.count_nonzero(fresh))
-            full = whole[:n].copy()
-            full[fresh] = props[:m]
-            left, right = props[m:m + n], props[m + n:]
-            fine = left @ right
-            ok = np.max(np.abs(fine - full), axis=(-2, -1)) <= tol
-            cut = ~ok
-            rounds += 1
-            steps += int(np.count_nonzero(ok))
-            rejected += int(np.count_nonzero(cut))
-            cut_a, cut_half = a[cut], half[cut]
-            too_short = cut_half < min_h
-            if np.any(too_short):
-                raise IntegrationError(float(cut_a[too_short][0]))
-            # each cut interval becomes its two halves, in place
-            starts = np.concatenate([np.column_stack([cut_a, cut_a + cut_half]).ravel(), starts[n:]])
-            widths = np.concatenate([np.repeat(cut_half, 2), widths[n:]])
-            tags = np.concatenate([np.column_stack([np.full(len(cut_a), -1), tag[cut]]).ravel(),
-                                   tags[n:]])
-            whole = np.concatenate([np.stack([left[cut], right[cut]], axis=1).reshape(-1, 4, 4),
-                                    whole[n:]])
-            known = np.concatenate([np.ones(2 * len(cut_a), dtype=bool), known[n:]])
-
-            w_starts = np.concatenate([w_starts, a[ok]])
-            order = np.argsort(w_starts, kind="stable")
-            w_starts = w_starts[order]
-            w_props = np.concatenate([w_props, fine[ok]])[order]
-            w_tags = np.concatenate([w_tags, tag[ok]])[order]
-            done = len(w_starts) if not len(starts) else int(np.searchsorted(w_starts, starts[0]))
-            for p, j in zip(w_props[:done], w_tags[:done].tolist()):
+        while True:
+            pending = np.flatnonzero(~passed)
+            first = starts[pending[0]] if len(pending) else nodes[cursor] if cursor < len(nodes) - 1 else np.inf
+            # the passed intervals before every pending one go into the product
+            done = int(np.searchsorted(starts, first))
+            for p, j in zip(props[:done], tags[:done].tolist()):
                 e = e @ p
                 if j >= 0:
                     out[j] = e
             if not np.all(np.isfinite(e)):
-                raise IntegrationError(float(w_starts[done - 1]), "the frame overflowed by "
-                                                                  f"s={w_starts[done - 1]}")
-            w_starts, w_props, w_tags = w_starts[done:], w_props[done:], w_tags[done:]
+                raise IntegrationError(float(starts[done - 1]), f"the frame overflowed by s={starts[done - 1]}")
+            starts, widths, tags, props, passed = (x[done:] for x in (starts, widths, tags, props, passed))
+            if first == np.inf:
+                break
+            if len(nodes) - 1 + rejected > cap:
+                raise IntegrationError(float(first), f"integration needs more than {cap} intervals "
+                                                     f"by s={first} without finishing")
+            take = pending[:_ROUND_SIZE] - done
+            fresh = min(_ROUND_SIZE - len(take), len(nodes) - 1 - cursor)
+            take = np.concatenate([take, np.arange(len(starts), len(starts) + fresh)])
+            starts = np.concatenate([starts, nodes[cursor:cursor + fresh]])
+            widths = np.concatenate([widths, np.diff(nodes[cursor:cursor + fresh + 1])])
+            tags = np.concatenate([tags, np.arange(cursor + 1, cursor + fresh + 1)])
+            passed = np.concatenate([passed, np.zeros(fresh, dtype=bool)])
+            cursor += fresh
+            a, half = starts[take], 0.5 * widths[take]
+            new = _magnus_propagators(curv.delta, curv.kappa,
+                                      np.concatenate([starts[len(starts) - fresh:], a, a + half]),
+                                      np.concatenate([widths[len(widths) - fresh:], half, half]))
+            whole, left, right = np.split(new, [fresh, fresh + len(take)])
+            props = np.concatenate([props, whole])
+            fine = left @ right
+            ok = np.max(np.abs(fine - props[take]), axis=(-2, -1)) <= tol
+            cut = ~ok
+            rounds += 1
+            rejected += int(np.count_nonzero(cut))
+            at, half = take[cut], half[cut]
+            if np.any(half < min_h):
+                raise IntegrationError(float(starts[at[half < min_h][0]]))
+            passed[take[ok]] = True
+            props[take[ok]] = fine[ok]
+            # each cut interval becomes its second half, and its first half goes in before it
+            starts[at], widths[at], props[at] = starts[at] + half, half, right[cut]
+            starts = np.insert(starts, at, a[cut])
+            widths = np.insert(widths, at, half)
+            tags = np.insert(tags, at, -1)
+            props = np.insert(props, at, left[cut], axis=0)
+            passed = np.insert(passed, at, False)
 
     if not (np.all(np.isfinite(kappa)) and np.all(np.isfinite(dkappa))):
         raise DomainError("a curvature or its derivative is beyond the float range at a node")
-    meta = {"steps": steps, "rejected": rejected, "rounds": rounds, "cap": cap}
+    meta = {"steps": len(nodes) - 1 + rejected, "rejected": rejected, "rounds": rounds, "cap": cap}
     return FrameField(sf, nodes, out, kappa, dkappa, meta=meta)

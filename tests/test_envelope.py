@@ -845,19 +845,22 @@ def test_hyperplane_family_holds_only_its_columns():
 
 def test_export_obj_holds_one_chunk_of_scratch(tmp_path):
     # the helix's 1000 x 101 mesh of the mesh-export benchmark and one four
-    # times as long.  The export copies no mesh array, hands each block's
-    # columns to the formatter as views and formats the vertex numbers of one
-    # face chunk at a time: its traced peak above its start is one chunk's
-    # text and formatting scratch, about 2.75 and 2.54 MB (the first call
-    # builds the formatting tables).  With each block's columns copied and the
-    # Schubfach words not freed as they were used it read 3.69 and 3.48 MB;
-    # with the whole mesh's numbers formatted at once 4.7 and 12.0 MB; faces + 1
-    # and an (n, 24) intp gather index per chunk took 8.5 MB at 1000 x 101.
+    # times as long.  The export copies no mesh array, compares each block's
+    # columns in place, hands them to the formatter as views and formats the
+    # vertex numbers of one face chunk at a time: its traced peak above its
+    # start is one chunk's text and formatting scratch, about 2.30 and 2.31 MB
+    # once the formatting tables are built.  With a byte copy of each block's
+    # columns to compare them it read 2.53 and 2.54 MB; with the columns copied
+    # too and the Schubfach words not freed as they were used 3.69 and 3.48 MB
+    # (tables included); with the whole mesh's numbers formatted at once 4.7
+    # and 12.0 MB; faces + 1 and an (n, 24) intp gather index per chunk took
+    # 8.5 MB at 1000 x 101.
+    export_obj(discriminant_mesh(NormalFormFamily((1, 2, 3)), [0.0, 1.0], [0.0, 1.0]), tmp_path / "tables.obj")
     for nodes in (1000, 4000):
         field = helix_frenet_field(np.linspace(-2.0, 2.0, nodes))
         mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 101))
         _, peak = _traced_peak(lambda: export_obj(mesh, tmp_path / "helix.obj"))
-        assert peak < 3.0 * 2**20, nodes
+        assert peak < 2.4 * 2**20, nodes
 
 
 def test_failed_export_keeps_the_old_file(tmp_path, monkeypatch):
