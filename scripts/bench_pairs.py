@@ -16,7 +16,13 @@ distance between the parent's quartiles (q3 - q1).
 With ``--out FILE`` the ``runs`` and ``summary`` keys of FILE (a BENCH_*.json
 record) are written, and its other keys are kept.
 
-    python scripts/bench_pairs.py ../parent . --workload acceptance-verify --seeds 4801-4810 --out BENCH_x.json
+The location of a tree alone moves the metrics: byte-identical copies whose
+directory names differ by one character differ by 2-3 % in acceptance-verify
+``op_s.p50``.  So the script refuses to run, with exit code 2, when PARENT_TREE
+and CHANGE_TREE resolve to absolute paths of different lengths; sibling
+directories with names of one length, as below, pass.
+
+    python scripts/bench_pairs.py ../parent ../change --workload acceptance-verify --seeds 4801-4810 --out BENCH_x.json
 """
 
 import argparse
@@ -96,6 +102,10 @@ def main():
     ap.add_argument("--out", type=pathlib.Path, help="BENCH_*.json record whose runs and summary are written")
     args = ap.parse_args()
     trees = {"parent": args.parent, "change": args.change}
+    parent, change = (str(pathlib.Path(tree).resolve()) for tree in trees.values())
+    if len(parent) != len(change):
+        ap.error(f"PARENT_TREE {parent} and CHANGE_TREE {change} resolve to paths of different lengths "
+                 f"({len(parent)} and {len(change)}), which alone shifts the metrics")
     runs = []
     for workload in args.workload:
         for seed in args.seeds:

@@ -21,11 +21,11 @@ from framedcurves import (
 from framedcurves.examples import BUILTIN_TYPES, helix_frenet_field, radial_circle_field
 
 
-def write_pair(out, stem, mesh, polylines):
+def write_pair(out, stem, mesh, locus):
     mesh_path = os.path.join(out, f"{stem}.obj")
     export_obj(mesh, mesh_path)
     locus_path = os.path.join(out, f"{stem}.locus.obj")
-    export_polylines(polylines, locus_path)
+    export_polylines(locus, locus_path)
     print(f"wrote {mesh_path} ({len(mesh.vertices)} vertices) and {locus_path}")
 
 

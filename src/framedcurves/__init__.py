@@ -53,8 +53,8 @@ from .flags import (
 from .envelope import (
     EnvelopeMesh,
     HyperplaneFamily,
+    Locus,
     NormalFormFamily,
-    Polyline,
     discriminant_mesh,
     envelope_mesh,
     export_obj,
@@ -88,7 +88,6 @@ from .examples import (
     builtin_adapted_examples,
     builtin_clift_examples,
     circle_curve,
-    cylinder_point,
     great_circle_curve,
     helix_curve,
     helix_developable_point,

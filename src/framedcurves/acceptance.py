@@ -166,7 +166,7 @@ def criterion_4():
     drifts = []
     ok = True
     for delta, kappa, kind in cases:
-        curv = CurvatureFamily.constant(delta, kappa)
+        curv = CurvatureFamily(delta, kappa)
         field = integrate_structure_equation(SpaceForm(kind), curv, np.linspace(0.0, 20.0, 201), tol=1e-10)
         drift = float(np.max(field.gram_defects()))
         drifts.append(f"{kind} {drift:.2e}")
@@ -243,8 +243,9 @@ def criterion_6():
     for a, expected in spots:
         x2, x3 = _eliminate_discriminant(a)
         got = (Fraction(0), x2.eval(1, 0), x3.eval(1, 0))
-        nf_got = NormalFormFamily(a).discriminant_point(1.0, 0.0)
-        if got != expected or np.max(np.abs(np.asarray(nf_got, float) - np.asarray(expected, float))) > 1e-15:
+        nf = NormalFormFamily(a)
+        nf_got = (Fraction(0), nf.x2.eval(1, 0), nf.x3.eval(1, 0))
+        if got != expected or nf_got != expected:
             bad.append((a, got, nf_got))
     detail = f"{len(BUILTIN_TYPES)} types, worst pointwise {worst:.2e}, spot values exact"
     if bad:

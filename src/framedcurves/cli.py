@@ -161,7 +161,7 @@ def _cmd_envelope(args):
         "mesh": {"path": cfg.outputs["mesh"], "vertices": int(len(mesh.vertices)),
                  "marked_singular": int(np.count_nonzero(mesh.singular))},
         "singular_locus": {"path": os.path.basename(locus_path),
-                           "polylines": len(locus)},
+                           "polylines": len(locus.params) - len(locus.segments)},
         "residual_maxima": {"envelope": float(_max_abs(mesh.residuals) / scale)},
         "tolerances": cfg.tolerances,
         "arithmetic": {"envelope": "floating", "locus": "floating"},
@@ -210,7 +210,7 @@ def _cmd_normal_form(args):
     locus = singular_locus(nf, t_grid, tol=tol)
     export_polylines(locus, singular_locus_path(path))
     print(f"normal form {a}: {path}")
-    print(f"vertices: {len(mesh.vertices)}  singular polylines: {len(locus)}")
+    print(f"vertices: {len(mesh.vertices)}  singular polylines: {len(locus.params) - len(locus.segments)}")
     return 0
 
 

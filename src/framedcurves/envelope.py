@@ -91,12 +91,14 @@ class EnvelopeMesh:
 
 
 @dataclass
-class Polyline:
-    """A chained curve of locus points."""
+class Locus:
+    """Chained curves of locus points stored as columns: one row per point, and
+    one segment per pair of neighbours in a chain."""
 
-    params: np.ndarray  # (M, 2)
+    params: np.ndarray  # (M, 2) rows (t, s)
     points: np.ndarray  # (M, 3) projected
     ambient: np.ndarray  # (M, dim)
+    segments: np.ndarray  # (K, 2) int32 0-based point indices
 
 
 def project_point(x, sf: SpaceForm):
@@ -202,8 +204,7 @@ def _characteristic_lines(fam, tol):
     w[:, 1], w[:, 2] = k32[keep] / size[keep], -k31[keep] / size[keep]
     direction = _matvec(fam.frames[keep], w)
     sign = _continued(keep, direction)
-    q = fam.q3[keep]
-    return keep, sign[:, None] * direction, q[:, 0], sign * _dot(q, w)
+    return keep, sign[:, None] * direction, fam.q3[keep, 0], sign * _dot(fam.q3[keep], w)
 
 
 def _continued(keep, direction):
@@ -268,20 +269,18 @@ def envelope_mesh(fam: HyperplaneFamily, s_grid, tol=1e-9) -> EnvelopeMesh:
 # -- normal forms and discriminants ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NormalFormFamily:
-    """Generating family of a type vector (n = 2).
+    """Generating family of a type vector (n = 2) and its closed-form discriminant.
 
-    Its discriminant polynomials x2, x3 and F_tt are built once, here.
+    With x1 = s, ``x2`` and ``x3`` chart the discriminant and ``ftt`` is F_tt
+    on it, polynomials in (t, s) built once, here; ``ftt`` is linear in s.
     """
 
-    a: tuple
-
-    def __post_init__(self):
-        a = validate_type_vector(self.a)
+    def __init__(self, a):
+        a = validate_type_vector(a)
         if len(a) != 3:
             raise DimensionMismatch(f"normal forms take a strictly increasing triple, got {a}")
-        object.__setattr__(self, "a", a)
+        self.a = a
         a1, a2, a3 = a
         x2 = (Poly.monomial_t(a2, Fraction(-factorial(a3 - a2 - 1), factorial(a3 - 1)))
               + Poly({(a2 - a1, 1): Fraction(-factorial(a3 - a2 - 1), factorial(a3 - a1 - 1))}))
@@ -293,12 +292,10 @@ class NormalFormFamily:
             ftt = ftt + Poly({(a3 - a1 - 2, 1): Fraction(1, factorial(a3 - a1 - 2))})
         if a3 - a2 >= 2:
             ftt = ftt + Poly.monomial_t(a3 - a2 - 2, Fraction(1, factorial(a3 - a2 - 2))) * x2
-        object.__setattr__(self, "_polys", (x2, x3, ftt))
+        self.x2, self.x3, self.ftt = x2, x3, ftt
 
-    def f(self, t, x):
-        return self._derivative(t, x, 0)
-
-    def _derivative(self, t, x, order):
+    def derivative(self, t, x, order):
+        """The order-th t-derivative of F at (t, x), in floats."""
         a1, a2, a3 = self.a
         x1, x2, x3 = x
         total = 0.0
@@ -307,28 +304,6 @@ class NormalFormFamily:
             if d >= 0:
                 total = total + coeff * t**d / factorial(d)
         return total
-
-    def f_t(self, t, x):
-        return self._derivative(t, x, 1)
-
-    def f_tt(self, t, x):
-        return self._derivative(t, x, 2)
-
-    # closed-form discriminant: x1 = s, (x2, x3) polynomial in (t, s)
-
-    def x2_poly(self) -> Poly:
-        return self._polys[0]
-
-    def x3_poly(self) -> Poly:
-        return self._polys[1]
-
-    def f_tt_on_discriminant(self) -> Poly:
-        """F_tt with x1 = u and x2 substituted -- linear in u."""
-        return self._polys[2]
-
-    def discriminant_point(self, t, s):
-        x2, x3, _ = self._polys
-        return float(s), x2.evalf(float(t), float(s)), x3.evalf(float(t), float(s))
 
 
 def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> EnvelopeMesh:
@@ -342,9 +317,9 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
 
     def strips(lo, hi):
         t = t_grid[lo:hi, None]
-        x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
+        x = np.broadcast_arrays(s, nf.x2.evalf(t, s), nf.x3.evalf(t, s))
         ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
-        return ambient, nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
+        return ambient, nf.derivative(t, x, 0), nf.derivative(t, x, 1), nf.ftt.evalf(t, s)
 
     keep = np.ones(len(t_grid), dtype=bool)
     return _assemble(SpaceForm("euclidean"), t_grid, s_grid, keep, strips, tol, {})
@@ -353,8 +328,8 @@ def discriminant_mesh(nf: NormalFormFamily, t_grid, s_grid, tol=1e-9) -> Envelop
 # -- singular locus -------------------------------------------------------------------
 
 
-def singular_locus(obj, grid, tol=1e-9):
-    """Points with the additional second-derivative incidence, as polylines.
+def singular_locus(obj, grid, tol=1e-9) -> Locus:
+    """Points with the additional second-derivative incidence, chained into one record.
 
     ``grid`` is the one grid the family uses: t for a normal form, s for a
     hyperplane family.  Normal-form families solve F_tt = 0 exactly on the
@@ -362,27 +337,22 @@ def singular_locus(obj, grid, tol=1e-9):
     Tangent-hyperplane families solve F_tt = c(s) a + sigma(s) b = 0 (frame
     coordinates) at their own nodes on the characteristic lines of
     ``envelope_mesh``, so s is the mesh's s in every geometry; on the sphere
-    both roots s* (|s*| <= pi/2) and s* -+ pi count.  They are kept within
-    the range of the s grid, the strip parameters ``envelope_mesh`` takes,
-    so every locus point lies on the mesh.  Chains break where the solution
-    leaves that range or jumps by more than _CHAIN_GAP.
+    both roots s* (|s*| <= pi/2) and s* -+ pi count, each root set chained on
+    its own.  They are kept within the range of the s grid, the strip
+    parameters ``envelope_mesh`` takes, so every locus point lies on the mesh.
+    Chains break where the solution leaves that range or jumps by more than
+    _CHAIN_GAP.
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(obj, NormalFormFamily):
-        ftt = obj.f_tt_on_discriminant()
-        a_poly = ftt.diff_u()
-        b_poly = ftt.subs_u(0)
-        if a_poly.deg_u() > 0:
-            raise DomainError("substituted second derivative is not linear in s")
-        # array evalf equals scalar evalf bit for bit, so the nodes are solved at once
-        a_val = a_poly.evalf(grid)
-        solved = ~(np.abs(a_val) <= 1e-13)  # a NaN coefficient is not skipped
-        ts = grid[solved]
-        s_star = -b_poly.evalf(ts) / a_val[solved]
-        x2, x3 = obj.x2_poly().evalf(ts, s_star), obj.x3_poly().evalf(ts, s_star)
-        points = np.column_stack([s_star, x2, x3])
-        ambient = np.column_stack([np.ones(len(ts)), points])
-        return _chain(np.flatnonzero(solved), ts, s_star, points, ambient)
+        # F_tt = a(t) s + b(t); array evalf equals scalar evalf bit for bit, so the nodes are solved at once
+        a = obj.ftt.diff_u().evalf(grid)
+        index = np.flatnonzero(~(np.abs(a) <= 1e-13))  # a NaN coefficient is not skipped
+        s_star = -obj.ftt.subs_u(0).evalf(grid[index]) / a[index]
+        on, segments = _chain(index, s_star)
+        t, s = grid[index[on]], s_star[on]
+        ambient = np.column_stack([np.ones(len(t)), s, obj.x2.evalf(t, s), obj.x3.evalf(t, s)])
+        return Locus(np.column_stack([t, s]), ambient[:, 1:], ambient, segments)
     if not isinstance(obj, HyperplaneFamily):
         raise DomainError("singular_locus expects a NormalFormFamily or a HyperplaneFamily")
 
@@ -399,31 +369,37 @@ def singular_locus(obj, grid, tol=1e-9):
         ratio = -a / np.where(np.abs(b) > 1e-13, b, 1.0)
         solved = (np.abs(b) > 1e-13) & (np.abs(ratio) < 1.0)
         s_star = np.arctanh(np.where(solved, ratio, 0.0))
-    polylines = []
+    nodes, rows, s = np.flatnonzero(keep), [], []
     for shift in (0.0, -np.pi, np.pi) if sf.kind == "spherical" else (0.0,):
         s_k = s_star + shift
-        on = solved & (s_k >= np.min(grid)) & (s_k <= np.max(grid))
-        s_k = s_k[on] + 0.0  # an exact root a = 0 gives -0.0; write it as 0.0
-        c, s = _geodesic(sf, s_k)
-        ambient = c[:, None] * fam.frames[keep, :, 0][on] + s[:, None] * direction[on]
-        index = np.flatnonzero(keep)[on]
-        polylines += _chain(index, fam.t[index], s_k, project_point(ambient, sf), ambient)
-    return polylines
+        rows.append(np.flatnonzero(solved & (s_k >= np.min(grid)) & (s_k <= np.max(grid))))
+        s.append(s_k[rows[-1]])
+    s = np.concatenate(s)
+    # root set k numbers its nodes from k (N + 1), so no chain runs from one set into the next
+    on, segments = _chain(np.concatenate([nodes[r] + k * (len(keep) + 1) for k, r in enumerate(rows)]), s)
+    rows, s = np.concatenate(rows)[on], s[on] + 0.0  # an exact root a = 0 gives -0.0
+    c, sigma = _geodesic(sf, s)
+    # c gamma + sigma direction in place, so this stays below _characteristic_lines' peak
+    ambient, offset = fam.frames[nodes[rows], :, 0], direction[rows]
+    ambient *= c[:, None]
+    offset *= sigma[:, None]
+    ambient += offset
+    return Locus(np.column_stack([fam.t[nodes[rows]], s]), project_point(ambient, sf), ambient, segments)
 
 
-def _chain(index, t, s, points, ambient):
-    """Polylines through the solutions at node numbers ``index`` (increasing).
+def _chain(index, s):
+    """The solutions at node numbers ``index`` (increasing) that lie on a chain,
+    as a mask, and the chains' segments between the rows it keeps.
 
     A chain breaks at a node without a solution and where s jumps by more than
     _CHAIN_GAP; chains of fewer than two points are dropped.
     """
-    cuts = np.flatnonzero((np.diff(index) != 1) | (np.abs(np.diff(s)) > _CHAIN_GAP)) + 1
-    return [
-        Polyline(params=np.column_stack([t[lo:hi], s[lo:hi]]), points=points[lo:hi],
-                 ambient=ambient[lo:hi])
-        for lo, hi in zip([0, *cuts], [*cuts, len(index)])
-        if hi - lo >= 2
-    ]
+    joined = (np.diff(index) == 1) & ~(np.abs(np.diff(s)) > _CHAIN_GAP)  # row k + 1 continues row k
+    on = np.zeros(len(index), dtype=bool)
+    on[1:] |= joined
+    on[:-1] |= joined
+    first = (np.cumsum(on, dtype=np.int32) - 1)[:-1][joined]
+    return on, np.column_stack([first, first + 1])
 
 
 # -- exporters -------------------------------------------------------------------------
@@ -525,17 +501,10 @@ def export_obj(mesh: EnvelopeMesh, path):
             handle.write(b"\n")
 
 
-def export_polylines(polylines, path):
-    """ASCII polyline export: v lines plus 2-vertex l records."""
-    sizes = np.array([len(pl.points) for pl in polylines], dtype=int)
-    successor = np.ones(sizes.sum(), dtype=bool)
-    successor[np.cumsum(sizes)[sizes > 0] - 1] = False  # each chain's last vertex has none
-    first = np.flatnonzero(successor)
+def export_polylines(locus: Locus, path):
+    """ASCII polyline export: v lines plus one 2-vertex l record per segment."""
     with atomic_open(path) as handle:
-        if not sizes.sum():
+        _write_vertices(handle, locus.params, locus.ambient, locus.points, np.zeros(len(locus.params), dtype=bool))
+        _write_records(handle, "l", locus.segments)
+        if not len(locus.params):
             handle.write(b"\n")
-            return
-        _write_vertices(handle, *(np.concatenate([getattr(pl, key) for pl in polylines])
-                                  for key in ("params", "ambient", "points")),
-                        np.zeros(sizes.sum(), dtype=bool))
-        _write_records(handle, "l", np.column_stack([first, first + 1]))

@@ -25,7 +25,6 @@ __all__ = [
     "great_circle_curve",
     "radial_circle_field",
     "helix_frenet_field",
-    "cylinder_point",
     "helix_developable_point",
     "builtin_clift_examples",
     "builtin_adapted_examples",
@@ -76,11 +75,6 @@ def radial_circle_field(nodes=None):
     if nodes is None:
         nodes = np.linspace(0.0, 2.0 * np.pi, 200)
     return _euclidean_field(_radial_circle_frame, _RADIAL_KAPPA, nodes)
-
-
-def cylinder_point(t, s):
-    """The radial-circle envelope: the unit cylinder (cos t, sin t, s)."""
-    return np.array([np.cos(t), np.sin(t), s])
 
 
 # -- helix with its arc-length Frenet framing ------------------------------------

@@ -133,11 +133,6 @@ class CurvatureFamily:
         object.__setattr__(self, "kappa", tuple(_exact_poly(p) for p in self.kappa))
 
     @classmethod
-    def constant(cls, delta, values):
-        """Constant curvatures, each an exact number."""
-        return cls(delta, tuple(values))
-
-    @classmethod
     def frenet(cls, kappa1, kappa3, delta=0):
         """Family with kappa_2 identically zero."""
         return cls(delta, (kappa1, Poly(), kappa3))

@@ -23,7 +23,7 @@ from framedcurves import (
     DomainError,
     EnvelopeMesh,
     NormalFormFamily,
-    Polyline,
+    Locus,
     SpaceForm,
     discriminant_mesh,
     envelope_mesh,
@@ -35,7 +35,6 @@ from framedcurves import (
 )
 from framedcurves.examples import (
     BUILTIN_TYPES,
-    cylinder_point,
     helix_developable_point,
     helix_frenet_field,
     radial_circle_field,
@@ -43,6 +42,20 @@ from framedcurves.examples import (
 
 
 # -- hyperplane-family envelopes ---------------------------------------------------
+
+
+def _cylinder_point(t, s):
+    """The radial-circle envelope in closed form: the unit cylinder (cos t, sin t, s)."""
+    return np.array([np.cos(t), np.sin(t), s])
+
+
+def _chains(locus):
+    """The row ranges of a locus's chains, read off its segments, which join
+    each row of a chain to the next."""
+    assert locus.segments.dtype == np.int32 and locus.segments.shape[1:] == (2,)
+    assert (locus.segments[:, 1] == locus.segments[:, 0] + 1).all()
+    starts = np.setdiff1d(np.arange(len(locus.params)), locus.segments[:, 1])
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], len(locus.params)])]
 
 
 def test_radial_circle_envelope_is_a_cylinder():
@@ -53,7 +66,7 @@ def test_radial_circle_envelope_is_a_cylinder():
     radii = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
     assert float(np.max(np.abs(radii - 1.0))) < 1e-12
     # vertices agree with the closed-form cylinder chart at their parameters
-    expect = np.stack([cylinder_point(t, s) for t, s in mesh.params])
+    expect = np.stack([_cylinder_point(t, s) for t, s in mesh.params])
     assert float(np.max(np.abs(mesh.vertices - expect))) < 1e-12
 
 
@@ -155,14 +168,14 @@ def test_characteristic_direction_stays_continuous_where_kappa3_changes_sign(kin
         lines = (strips[:, 1] - c1 * strips[:, 0]) / s1
     assert (np.einsum("ij,ij->i", lines[1:], lines[:-1]) > 0).all()
     # the singular locus lies on the same, continued lines
-    for pl in singular_locus(fam, np.linspace(-1.5, 1.5, 51)):
-        k = np.searchsorted(nodes, pl.params[:, 0])
-        if kind == "euclidean":
-            expect = strips[k, 0] + pl.params[:, 1, None] * lines[k]
-        else:
-            c, s = _geodesic(kind, pl.params[:, 1])
-            expect = c[:, None] * strips[k, 0] + s[:, None] * lines[k]
-        assert float(np.max(np.abs(expect - pl.ambient))) <= 1e-12 * float(np.max(np.abs(pl.ambient)))
+    locus = singular_locus(fam, np.linspace(-1.5, 1.5, 51))
+    k = np.searchsorted(nodes, locus.params[:, 0])
+    if kind == "euclidean":
+        expect = strips[k, 0] + locus.params[:, 1, None] * lines[k]
+    else:
+        c, s = _geodesic(kind, locus.params[:, 1])
+        expect = c[:, None] * strips[k, 0] + s[:, None] * lines[k]
+    assert float(np.max(np.abs(expect - locus.ambient))) <= 1e-12 * float(np.max(np.abs(locus.ambient)))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -197,7 +210,7 @@ def test_long_spans_drop_only_the_flat_node_and_keep_their_marks(kind):
         fam = _curvature_family(kind, np.linspace(0.0, end, 200))
         mesh = envelope_mesh(fam, s_grid=np.linspace(-1.0, 1.0, 9))
         assert mesh.meta["degenerate_nodes"] == [0.0]
-        assert len(singular_locus(fam, np.linspace(-1.5, 1.5, 51))) == 1
+        assert len(_chains(singular_locus(fam, np.linspace(-1.5, 1.5, 51)))) == 1
         marks.append(int(mesh.singular.sum()))
     assert marks[0] == marks[1]
 
@@ -279,11 +292,26 @@ def test_spherical_locus_keeps_both_roots_on_a_wide_s_grid():
     # a cos s + b sin s = 0 has the roots s* and s* + pi; with s in [-3, 3] both
     # are on the mesh, and so on the edge of regression
     fam = _curvature_family("spherical", np.linspace(0.0, 3.0, 40), ((1,), (3,), (1,)))
-    polylines = singular_locus(fam, np.linspace(-3.0, 3.0, 61))
-    assert [len(pl.params) for pl in polylines] == [40, 40]
-    low, high = (pl.params[:, 1] for pl in polylines)
+    locus = singular_locus(fam, np.linspace(-3.0, 3.0, 61))
+    chains = _chains(locus)
+    assert [c.stop - c.start for c in chains] == [40, 40]
+    low, high = (locus.params[c, 1] for c in chains)
     assert np.allclose(low, -0.759, atol=1e-3) and np.allclose(high - low, np.pi, rtol=0, atol=1e-12)
-    assert [len(pl.params) for pl in singular_locus(fam, np.linspace(-1.5, 1.5, 51))] == [40]
+    assert [c.stop - c.start for c in _chains(singular_locus(fam, np.linspace(-1.5, 1.5, 51)))] == [40]
+
+
+def test_spherical_root_sets_chain_apart():
+    # at identity frames, kappa = (cos t / sqrt(1 + sin^2 t), sin t, 1) and
+    # kappa' = 0 give a cos s + b sin s = sin(s + t): the locus is s = -t.  Past
+    # t = pi/2 it leaves the root set of s* in [-pi/2, pi/2] for that of s* - pi,
+    # 0.05 away at the next node; on the s grid [-3, 1] each set is one chain
+    t = np.linspace(0.0, 2.1, 43)
+    kappa = np.column_stack([np.cos(t) / np.sqrt(1 + np.sin(t) ** 2), np.sin(t), np.ones_like(t)])
+    frames = np.broadcast_to(np.eye(4), (len(t), 4, 4))
+    fam = hyperplane_family(FrameField(SpaceForm("spherical"), t, frames, kappa, np.zeros_like(kappa)))
+    locus = singular_locus(fam, np.linspace(-3.0, 1.0, 41))
+    assert np.allclose(locus.params[:, 1], -t, rtol=0, atol=1e-12)
+    assert [c.stop - c.start for c in _chains(locus)] == [32, 11]
 
 
 def test_helix_singular_locus_is_the_curve_itself():
@@ -291,13 +319,12 @@ def test_helix_singular_locus_is_the_curve_itself():
     nodes = np.linspace(-1.0, 1.0, 81)
     field = helix_frenet_field(nodes)
     fam = hyperplane_family(field)
-    polylines = singular_locus(fam, np.linspace(-1.5, 1.5, 51))
-    assert polylines, "expected a nonempty singular locus"
+    locus = singular_locus(fam, np.linspace(-1.5, 1.5, 51))
+    assert len(locus.params), "expected a nonempty singular locus"
     worst = 0.0
-    for pl in polylines:
-        for (t, s), p in zip(pl.params, pl.points):
-            assert abs(s) < 1e-9  # the ruling parameter of the edge is 0
-            worst = max(worst, float(np.max(np.abs(p - helix_developable_point(t, 0.0)))))
+    for (t, s), p in zip(locus.params, locus.points):
+        assert abs(s) < 1e-9  # the ruling parameter of the edge is 0
+        worst = max(worst, float(np.max(np.abs(p - helix_developable_point(t, 0.0)))))
     assert worst < 1e-9
 
 
@@ -320,16 +347,15 @@ def test_quadric_locus_lies_on_the_mesh_lines(kind, nodes, kappa):
     c1, s1 = _geodesic(kind, 1.0)
     b2 = (strips[:, 1] - c1 * gamma) / s1
     node_t = mesh.params[::2, 0]
-    polylines = singular_locus(fam, np.linspace(-1.5, 1.5, 51))
-    assert polylines
-    for pl in polylines:
-        k = np.searchsorted(node_t, pl.params[:, 0])
-        assert np.array_equal(node_t[k], pl.params[:, 0])
-        c, s = _geodesic(kind, pl.params[:, 1])
-        expect = c[:, None] * gamma[k] + s[:, None] * b2[k]
-        assert float(np.max(np.abs(expect - pl.ambient))) <= 1e-12 * float(np.max(np.abs(pl.ambient)))
+    locus = singular_locus(fam, np.linspace(-1.5, 1.5, 51))
+    assert len(locus.params)
+    k = np.searchsorted(node_t, locus.params[:, 0])
+    assert np.array_equal(node_t[k], locus.params[:, 0])
+    c, s = _geodesic(kind, locus.params[:, 1])
+    expect = c[:, None] * gamma[k] + s[:, None] * b2[k]
+    assert float(np.max(np.abs(expect - locus.ambient))) <= 1e-12 * float(np.max(np.abs(locus.ambient)))
     if nodes == (0.0, 20.0, 800):  # t = 0 is the only degenerate node: one unbroken chain
-        assert [len(pl.params) for pl in polylines] == [799]
+        assert [c.stop - c.start for c in _chains(locus)] == [799]
 
 
 @pytest.mark.parametrize(
@@ -372,11 +398,19 @@ def test_normal_form_guard():
 
 
 def test_discriminant_spot_values():
-    assert NormalFormFamily((1, 2, 3)).discriminant_point(1.0, 0.0) == (0.0, -0.5, 1 / 3)
+    nf = NormalFormFamily((1, 2, 3))
+    assert (nf.x2.evalf(1.0, 0.0), nf.x3.evalf(1.0, 0.0)) == (-0.5, 1 / 3)
     nf = NormalFormFamily((2, 3, 4))
-    x = nf.discriminant_point(1.0, 0.0)
-    assert abs(x[1] - (-1 / 6)) < 1e-15
-    assert abs(x[2] - (1 / 8)) < 1e-15
+    assert (nf.x2.eval(1, 0), nf.x3.eval(1, 0)) == (Fraction(-1, 6), Fraction(1, 8))
+
+
+def test_f_tt_on_the_discriminant_is_linear_in_s():
+    # singular_locus solves F_tt = a(t) s + b(t) = 0 for s; x1 = s enters F_tt
+    # linearly and x2 at most linearly, for every type vector
+    for a3 in range(3, 13):
+        for a2 in range(2, a3):
+            for a1 in range(1, a2):
+                assert NormalFormFamily((a1, a2, a3)).ftt.deg_u() <= 1, (a1, a2, a3)
 
 
 @pytest.mark.parametrize("a", BUILTIN_TYPES)
@@ -385,16 +419,15 @@ def test_discriminant_solves_the_envelope_equations(a):
     nf = NormalFormFamily(a)
     for t in (-0.9, -0.3, 0.0, 0.4, 1.1):
         for s in (-0.7, 0.0, 0.5):
-            x = nf.discriminant_point(t, s)
-            assert abs(nf.f(t, x)) < 1e-12
-            assert abs(nf.f_t(t, x)) < 1e-12
+            x = (s, nf.x2.evalf(t, s), nf.x3.evalf(t, s))
+            assert abs(nf.derivative(t, x, 0)) < 1e-12
+            assert abs(nf.derivative(t, x, 1)) < 1e-12
 
 
 def test_discriminant_chart_is_exact_rational():
-    x2 = NormalFormFamily((1, 2, 3)).x2_poly()
-    assert x2.eval(Fraction(1), Fraction(0)) == Fraction(-1, 2)
-    x3 = NormalFormFamily((1, 2, 3)).x3_poly()
-    assert x3.eval(Fraction(1), Fraction(0)) == Fraction(1, 3)
+    nf = NormalFormFamily((1, 2, 3))
+    assert nf.x2.eval(Fraction(1), Fraction(0)) == Fraction(-1, 2)
+    assert nf.x3.eval(Fraction(1), Fraction(0)) == Fraction(1, 3)
 
 
 def test_discriminant_mesh_residuals():
@@ -409,11 +442,10 @@ def test_cuspidal_edge_locus_closed_form():
     # the locus is the twisted cubic (-t, t^2/2, -t^3/6)
     nf = NormalFormFamily((1, 2, 3))
     t_grid = np.linspace(-1.0, 1.0, 41)
-    polylines = singular_locus(nf, t_grid)
-    assert len(polylines) == 1
-    pl = polylines[0]
-    assert len(pl.params) == 41
-    for (t, s), p in zip(pl.params, pl.points):
+    locus = singular_locus(nf, t_grid)
+    assert len(_chains(locus)) == 1
+    assert len(locus.params) == 41
+    for (t, s), p in zip(locus.params, locus.points):
         assert abs(s - (-t)) < 1e-12
         expect = np.array([-t, t * t / 2, -(t**3) / 6])
         assert np.allclose(p, expect, atol=1e-12)
@@ -423,12 +455,11 @@ def test_swallowtail_locus_as_cusped_curve():
     # the dense second-derivative locus of the swallowtail family: F_tt linear
     # in s gives one solution branch per t, away from the t = 0 breakdown
     nf = NormalFormFamily((1, 2, 4))
-    polylines = singular_locus(nf, np.linspace(0.05, 1.0, 20))
-    assert polylines
-    for pl in polylines:
-        for (t, s), p in zip(pl.params, pl.points):
-            x = nf.discriminant_point(t, s)
-            assert abs(nf.f_tt(t, x)) < 1e-10
+    locus = singular_locus(nf, np.linspace(0.05, 1.0, 20))
+    assert len(locus.params)
+    for t, s in locus.params:
+        x = (s, nf.x2.evalf(t, s), nf.x3.evalf(t, s))
+        assert abs(nf.derivative(t, x, 2)) < 1e-10
 
 
 # -- block assembly -------------------------------------------------------------------
@@ -468,9 +499,9 @@ def _whole_discriminant(nf, t_grid, s_grid, tol):
     """``discriminant_mesh``'s arrays by whole-mesh formulas."""
     t, s = t_grid[:, None], s_grid[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.broadcast_arrays(s, nf.x2_poly().evalf(t, s), nf.x3_poly().evalf(t, s))
+        x = np.broadcast_arrays(s, nf.x2.evalf(t, s), nf.x3.evalf(t, s))
         ambient = np.stack([np.ones_like(x[0]), *x], axis=-1)
-        f, ft, ftt = nf.f(t, x), nf.f_t(t, x), nf.f_tt_on_discriminant().evalf(t, s)
+        f, ft, ftt = nf.derivative(t, x, 0), nf.derivative(t, x, 1), nf.ftt.evalf(t, s)
     return _whole_mesh(SpaceForm("euclidean"), t_grid, s_grid, np.ones(len(t_grid), dtype=bool),
                        ambient, f, ft, ftt, tol)
 
@@ -564,15 +595,15 @@ def test_export_obj_structure(tmp_path):
 
 def test_export_polylines_structure(tmp_path):
     nf = NormalFormFamily((1, 2, 3))
-    polylines = singular_locus(nf, np.linspace(-1.0, 1.0, 11))
+    locus = singular_locus(nf, np.linspace(-1.0, 1.0, 11))
     path = tmp_path / "locus.obj"
-    export_polylines(polylines, path)
+    export_polylines(locus, path)
     lines = path.read_text().splitlines()
     v_lines = [l for l in lines if l.startswith("v ")]
     l_lines = [l for l in lines if l.startswith("l ")]
-    assert len(v_lines) == sum(len(pl.points) for pl in polylines)
+    assert len(v_lines) == len(locus.points)
     # one segment record per consecutive pair within each chain
-    assert len(l_lines) == sum(len(pl.points) - 1 for pl in polylines)
+    assert len(l_lines) == sum(c.stop - c.start - 1 for c in _chains(locus))
 
 
 def test_export_is_deterministic(tmp_path):
@@ -598,18 +629,15 @@ def _reference_obj(mesh):
     return text or "\n"
 
 
-def _reference_polylines(polylines):
+def _reference_polylines(locus):
     """The per-value formatter that export_polylines must match byte for byte."""
-    lines, segments, offset = [], [], 0
-    for pl in polylines:
-        for k in range(len(pl.points)):
-            t, s = pl.params[k]
-            lines.append(f"# param {float(t)!r} {float(s)!r}")
-            lines.append("# ambient " + " ".join(repr(float(x)) for x in pl.ambient[k]))
-            lines.append("v " + " ".join(repr(float(x)) for x in pl.points[k]))
-        segments.extend((offset + k + 1, offset + k + 2) for k in range(len(pl.points) - 1))
-        offset += len(pl.points)
-    lines.extend(f"l {i} {j}" for i, j in segments)
+    lines = []
+    for k in range(len(locus.points)):
+        t, s = locus.params[k]
+        lines.append(f"# param {float(t)!r} {float(s)!r}")
+        lines.append("# ambient " + " ".join(repr(float(x)) for x in locus.ambient[k]))
+        lines.append("v " + " ".join(repr(float(x)) for x in locus.points[k]))
+    lines.extend(f"l {i + 1} {j + 1}" for i, j in locus.segments.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -725,21 +753,23 @@ def test_export_obj_matches_the_per_row_formatter(tmp_path_factory, mesh):
 
 
 @st.composite
-def _polyline_sets(draw):
-    out = []
-    for k in draw(st.lists(st.integers(0, 6), max_size=4)):
-        rows = [draw(st.lists(_FLOATS, min_size=9, max_size=9)) for _ in range(k)]
-        block = np.array(rows, dtype=float).reshape(k, 9)
-        out.append(Polyline(params=block[:, :2], points=block[:, 2:5], ambient=block[:, 5:]))
-    return out
+def _loci(draw):
+    """Loci of up to four chains of up to six points, each row of the chain's
+    points joined to the next by a segment."""
+    sizes = draw(st.lists(st.integers(0, 6), max_size=4))
+    rows = [draw(st.lists(_FLOATS, min_size=9, max_size=9)) for _ in range(sum(sizes))]
+    block = np.array(rows, dtype=float).reshape(-1, 9)
+    first = [start + k for start, size in zip(np.cumsum([0, *sizes]), sizes) for k in range(size - 1)]
+    segments = np.array([[i, i + 1] for i in first], dtype=np.int32).reshape(-1, 2)
+    return Locus(params=block[:, :2], points=block[:, 2:5], ambient=block[:, 5:], segments=segments)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_polyline_sets())
-def test_export_polylines_matches_the_per_value_formatter(tmp_path_factory, polylines):
+@given(_loci())
+def test_export_polylines_matches_the_per_value_formatter(tmp_path_factory, locus):
     path = tmp_path_factory.mktemp("locus") / "locus.obj"
-    export_polylines(polylines, path)
-    assert path.read_bytes() == _reference_polylines(polylines).encode()
+    export_polylines(locus, path)
+    assert path.read_bytes() == _reference_polylines(locus).encode()
 
 
 def _reference_records(tag, indices):
@@ -861,6 +891,23 @@ def test_export_obj_holds_one_chunk_of_scratch(tmp_path):
         mesh = envelope_mesh(hyperplane_family(field), s_grid=np.linspace(-1.5, 1.5, 101))
         _, peak = _traced_peak(lambda: export_obj(mesh, tmp_path / "helix.obj"))
         assert peak < 2.4 * 2**20, nodes
+
+
+def test_locus_and_its_export_hold_no_whole_locus_temporaries(tmp_path):
+    # the helix's 20,000-node family on a 20-point s grid, formatting tables
+    # built first.  singular_locus peaks in _characteristic_lines' gather of the
+    # kept frames, 3.84 MiB, and forms its record from the chained solutions
+    # alone; export_polylines writes the record's own columns and segment
+    # pairs, one chunk's text and scratch above it, 2.69 MiB (2.77 MiB at
+    # 100,000 nodes).  A list of polylines concatenated back into whole columns
+    # for the export peaked at 4.23 MiB there (10.49 MiB at 100,000 nodes).
+    export_obj(discriminant_mesh(NormalFormFamily((1, 2, 3)), [0.0, 1.0], [0.0, 1.0]), tmp_path / "tables.obj")
+    fam = hyperplane_family(helix_frenet_field(np.linspace(-2.0, 2.0, 20_000)))
+    locus, peak = _traced_peak(lambda: singular_locus(fam, np.linspace(-1.5, 1.5, 20)))
+    assert len(locus.params) == 20_000 and len(_chains(locus)) == 1
+    assert peak <= 3.84 * 2**20
+    _, peak = _traced_peak(lambda: export_polylines(locus, tmp_path / "helix.locus.obj"))
+    assert peak <= 3.0 * 2**20
 
 
 def test_failed_export_keeps_the_old_file(tmp_path, monkeypatch):

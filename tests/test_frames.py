@@ -109,8 +109,8 @@ def test_structure_matrix_of_a_stack_equals_its_slices():
 
 def test_curvature_constant_requires_exact_values():
     with pytest.raises(DomainError, match='"0.1"'):
-        CurvatureFamily.constant(0, (0.1, 0.0, 0.0))
-    curv = CurvatureFamily.constant(0, (1, 0, 0))
+        CurvatureFamily(0, (0.1, 0.0, 0.0))
+    curv = CurvatureFamily(0, (1, 0, 0))
     assert curv.kappa[0].evalf(3.7) == 1.0
 
 
@@ -163,7 +163,7 @@ def test_curvature_data_refuses_a_curvature_in_the_family_parameter():
 )
 def test_integration_preserves_gram_structure(kind, delta, kappa):
     sf = SpaceForm(kind)
-    curv = CurvatureFamily.constant(delta, kappa)
+    curv = CurvatureFamily(delta, kappa)
     field = integrate_structure_equation(sf, curv, np.linspace(0.0, 8.0, 201), tol=1e-10)
     assert float(np.max(field.gram_defects())) < 1e-8
 
@@ -171,7 +171,7 @@ def test_integration_preserves_gram_structure(kind, delta, kappa):
 def test_integration_solves_the_ode():
     # central differences of the frames against E * K at interior nodes
     sf = SpaceForm("spherical")
-    curv = CurvatureFamily.constant(1, (1, 0, 0))
+    curv = CurvatureFamily(1, (1, 0, 0))
     nodes = np.linspace(0.0, 2.0, 401)
     field = integrate_structure_equation(sf, curv, nodes)
     h = nodes[1] - nodes[0]
@@ -186,7 +186,7 @@ def test_integration_solves_the_ode():
 def test_integration_euclidean_circle_base_point():
     # delta=0, kappa=(1,0,0): the base point traces a unit-speed circle
     sf = SpaceForm("euclidean")
-    curv = CurvatureFamily.constant(0, (1, 0, 0))
+    curv = CurvatureFamily(0, (1, 0, 0))
     nodes = np.linspace(0.0, 2 * np.pi, 201)
     field = integrate_structure_equation(sf, curv, nodes)
     pts = np.stack([m[1:, 0] for m in field.matrices])
@@ -200,7 +200,7 @@ def test_integration_euclidean_circle_base_point():
 @pytest.mark.parametrize("delta", [0, 1, -1])
 def test_integration_needs_the_geometry_delta(kind, delta):
     sf = SpaceForm(kind)
-    curv = CurvatureFamily.constant(delta, (1, 0, 0))
+    curv = CurvatureFamily(delta, (1, 0, 0))
     if delta == sf.delta:
         integrate_structure_equation(sf, curv, np.linspace(0.0, 1.0, 201))
         return
@@ -386,7 +386,7 @@ def test_integration_matches_dop853_over_span_10(kind):
 def test_nodes_outside_the_contract_are_domain_errors(nodes):
     sf = SpaceForm("euclidean")
     with pytest.raises(DomainError, match="non-decreasing"):
-        integrate_structure_equation(sf, CurvatureFamily.constant(0, (1, 0, 0)), nodes)
+        integrate_structure_equation(sf, CurvatureFamily(0, (1, 0, 0)), nodes)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "spherical", "hyperbolic"])

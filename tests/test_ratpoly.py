@@ -32,8 +32,8 @@ from framedcurves.ratpoly import (
 from exact_reference import integer_coeffs
 
 POLYS = {
-    "x3 of (1,2,5)": NormalFormFamily((1, 2, 5)).x3_poly(),
-    "F_tt of (3,4,5)": NormalFormFamily((3, 4, 5)).f_tt_on_discriminant(),
+    "x3 of (1,2,5)": NormalFormFamily((1, 2, 5)).x3,
+    "F_tt of (3,4,5)": NormalFormFamily((3, 4, 5)).ftt,
     "mixed": Poly({(7, 3): "1/3", (2, 5): 5, (1, 0): "-0.1", (0, 0): "-2/7"}),
 }
 

@@ -93,6 +93,16 @@ def _run_record(seed, side, op_s, ok_share):
             "result": {"attempted": 18, "correct": True, "failed": 0, "metrics": metrics}}
 
 
+def test_bench_pairs_refuses_trees_whose_paths_differ_in_length(tmp_path):
+    # exit 2 before any run, naming both resolved paths
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change2").mkdir()
+    run = _run("bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change2"),
+               "--workload", "acceptance-verify", "--seeds", "1")
+    assert run.returncode == 2 and run.stdout == ""
+    assert f"PARENT_TREE {tmp_path / 'parent'} and CHANGE_TREE {tmp_path / 'change2'}" in run.stderr
+
+
 def test_bench_pairs_summarizes_canned_runs_by_each_metrics_direction():
     bench = _bench_pairs()
     assert bench.parse_seeds("4801-4805") == [4801, 4802, 4803, 4804, 4805] and bench.parse_seeds("7") == [7]
